@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet staticcheck test test-race race cover cover-check bench bench-smoke bench-json bench-diff fuzz sim sim-cluster-smoke sim-dht-smoke examples clean
+.PHONY: all check build vet staticcheck test test-race race cover cover-check bench bench-smoke bench-json bench-diff bench-load fuzz sim sim-cluster-smoke sim-dht-smoke examples clean
 
 # Aggregate coverage floor enforced by cover-check (CI). Raise it as
 # coverage grows; never lower it to admit an under-tested change.
@@ -91,6 +91,11 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json \
 		-current $(BENCH_OUT) -threshold $(BENCH_THRESHOLD) \
 		-alloc-threshold $(BENCH_ALLOC_THRESHOLD)
+
+# The end-to-end load benchmark BENCHMARK.json declares (bench/README.md):
+# all five workloads over loopback TCP, about a minute each.
+bench-load:
+	bash bench/run.sh --workload all
 
 fuzz:
 	$(GO) test -fuzz=FuzzParseDelegation -fuzztime=30s ./internal/core

@@ -20,6 +20,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -815,6 +817,59 @@ func BenchmarkQueryDirect(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkQueryDirectTCP is BenchmarkQueryDirect/binary with a real socket
+// and a real daemon's bookkeeping in the path (EXP-H1): the wallet is served
+// on loopback TCP under the observability bundle drbacd builds by default
+// (registry, trace collector, query SLO, info-level audit log formatted and
+// discarded), and every parallel worker drives its own connection, so the
+// row prices TCP framing, the audit line and cross-connection contention on
+// the proof cache and the buffer pool — none of which the mem-transport row
+// sees. Its allocs/op is the hot path's floor under the 5% gate.
+func BenchmarkQueryDirectTCP(b *testing.B) {
+	w := newBenchWorld(b)
+	reg := drbac.NewMetricsRegistry()
+	o := drbac.NewObs(drbac.NewObsLogger(io.Discard, slog.LevelInfo, false), reg)
+	o.SetCollector(drbac.NewTraceCollector(reg, drbac.TraceCollectorConfig{
+		Capacity: 256, SlowThreshold: 250 * time.Millisecond, SampleRate: 1.0,
+	}))
+	o.RegisterSLO(drbac.NewLatencySLO(reg, "query", 5*time.Millisecond, 0, 0))
+	owner := w.ids["BigISP"]
+	wal := drbac.NewWallet(drbac.WalletConfig{Owner: owner, Directory: w.dir, Obs: o})
+	for _, text := range []string{"[Maria -> BigISP.b] BigISP", "[BigISP.b -> AirNet.c] AirNet"} {
+		if err := wal.Publish(w.issue(b, text)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ln, err := drbac.ListenTCP("127.0.0.1:0", owner)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := drbac.ServeWallet(wal, ln)
+	b.Cleanup(srv.Close)
+	subject := drbac.SubjectEntity(w.ids["Maria"].ID())
+	object := drbac.NewRole(w.ids["AirNet"].ID(), "c")
+	ctx := context.Background()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c, err := drbac.DialWallet(ctx, &drbac.TCPDialer{Identity: w.ids["Maria"]}, srv.Addr())
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer c.Close()
+		if got := c.WireCodec(); got != transport.CodecBinary {
+			b.Errorf("negotiated %q, want binary", got)
+			return
+		}
+		for pb.Next() {
+			if _, err := c.QueryDirect(ctx, subject, object, nil, 0); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkPublish prices the remote publish round trip per codec (EXP-W1):

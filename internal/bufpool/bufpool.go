@@ -3,39 +3,58 @@
 // (queries, proofs, publishes, pushes) are built in and read into pooled
 // buffers, so steady-state traffic stops paying one allocation per frame.
 //
+// The pool is size-classed: one sync.Pool per power of two from minClass to
+// MaxRetain. Get(n) draws from the smallest class that holds n, so a 150-byte
+// query and a 2.3 KB proof reply never trade buffers, and a buffer that was
+// Put comes back from the Get of its own class.
+//
 // Ownership discipline: a buffer obtained from Get is owned by the caller
 // until it passes the buffer to Put, after which the caller must not touch
 // it again. Put guards against pool poisoning: buffers are length-reset to
 // zero and oversized backing arrays are dropped instead of re-pooled, so one
 // multi-megabyte proof frame cannot pin its memory for the life of the
 // process.
+//
+// Who Puts a frame (SPEC §14): the side that received it, once the body is
+// decoded — wire.DecodeBody copies everything it keeps, so no decoded value
+// aliases its frame. The server Puts a request frame after dispatch has
+// answered it; the client Puts a reply frame inside call, after decoding the
+// body into the caller's value, and a notify frame in its read loop, after
+// decoding the push. The side that encoded a frame Puts it when Send returns
+// (Send fully consumes its argument).
 package bufpool
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
+)
+
+// The classes run from minClass = 1<<minShift to MaxRetain = 1<<maxShift.
+const (
+	minShift = 8
+	maxShift = 16
 )
 
 // MaxRetain caps the capacity of buffers kept by the pool. A returned buffer
 // whose backing array outgrew it (a jumbo sync snapshot, a near-MaxFrame
 // proof) is discarded so the pool holds only steady-state-sized memory.
-const MaxRetain = 64 << 10
+const MaxRetain = 1 << maxShift
 
-// minAlloc is the starting capacity for fresh buffers; typical envelopes
-// (queries, acks, small proofs) fit without growing.
-const minAlloc = 1 << 10
+// minClass is the smallest pooled capacity; pings, acks and queries fit.
+const minClass = 1 << minShift
 
-var pool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, minAlloc)
-		news.Add(1)
-		return &buffer{b: b}
-	},
-}
+// classes[i] pools buffers whose capacity is at least minClass<<i (and below
+// the next class, unless a foreign buffer was Put).
+var classes [maxShift - minShift + 1]sync.Pool
 
-// buffer wraps the slice so the pool stores a pointer-shaped value (storing
+// buffer wraps the slice so the pools store a pointer-shaped value (storing
 // bare slices makes sync.Pool allocate an interface header per Put).
 type buffer struct{ b []byte }
+
+// wrapperPool recycles the pointer wrappers themselves so Get/Put do not
+// allocate a wrapper per call.
+var wrapperPool = sync.Pool{New: func() any { return new(buffer) }}
 
 var (
 	gets     atomic.Uint64
@@ -48,40 +67,43 @@ var (
 // appended to or resliced up to n.
 func Get(n int) []byte {
 	gets.Add(1)
-	bp := pool.Get().(*buffer)
-	b := bp.b
-	bp.b = nil
-	putWrapper(bp)
-	if cap(b) < n {
-		// The pooled array is too small for this frame; allocate exactly
-		// what is needed and let the small one go back on the next Put.
+	if n > MaxRetain {
+		// Never pooled: allocate exactly what is needed.
+		news.Add(1)
 		return make([]byte, 0, n)
 	}
-	return b[:0]
+	class := 0
+	if n > minClass {
+		class = bits.Len(uint(n-1)) - minShift // ceil(log2 n) - minShift
+	}
+	if bp, _ := classes[class].Get().(*buffer); bp != nil {
+		b := bp.b
+		bp.b = nil
+		wrapperPool.Put(bp)
+		return b
+	}
+	news.Add(1)
+	return make([]byte, 0, minClass<<class)
 }
-
-// wrapperPool recycles the pointer wrappers themselves so Get/Put do not
-// allocate a wrapper per call.
-var wrapperPool = sync.Pool{New: func() any { return new(buffer) }}
-
-func putWrapper(bp *buffer) { wrapperPool.Put(bp) }
 
 // Put returns b's backing array to the pool. Safe for buffers that did not
 // come from Get. The buffer is length-reset before pooling, and backing
-// arrays larger than MaxRetain are dropped — the misuse guard that keeps an
-// oversized frame from living in the pool forever.
+// arrays larger than MaxRetain (or too small for any class) are dropped —
+// the misuse guard that keeps an oversized frame from living in the pool
+// forever.
 func Put(b []byte) {
 	if b == nil {
 		return
 	}
 	puts.Add(1)
-	if cap(b) > MaxRetain || cap(b) == 0 {
+	if cap(b) > MaxRetain || cap(b) < minClass {
 		discards.Add(1)
 		return
 	}
 	bp := wrapperPool.Get().(*buffer)
 	bp.b = b[:0]
-	pool.Put(bp)
+	// floor(log2 cap): every buffer in a class is at least the class size.
+	classes[bits.Len(uint(cap(b)))-1-minShift].Put(bp)
 }
 
 // Stats is a snapshot of the pool's traffic counters.

@@ -16,16 +16,58 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestPutNilAndForeignBuffers(t *testing.T) {
-	Put(nil)                    // no-op
+	before := Snapshot()
+	Put(nil)                    // no-op, not even counted
 	Put(make([]byte, 0))        // zero-cap: discarded, not pooled
-	Put(make([]byte, 32))       // foreign but well-sized: accepted
+	Put(make([]byte, 32))       // below the smallest class: discarded
+	Put(make([]byte, 300))      // foreign, odd-sized: accepted into the 256 class
 	Put(make([]byte, 0, 1<<20)) // oversized: discarded
+	after := Snapshot()
+	if puts, discards := after.Puts-before.Puts, after.Discards-before.Discards; puts != 4 || discards != 3 {
+		t.Fatalf("puts %d discards %d, want 4 and 3", puts, discards)
+	}
+	// The odd-sized foreign buffer sits in the class it can fully serve.
+	if b := Get(minClass); cap(b) < minClass {
+		t.Fatalf("Get(%d) returned cap %d", minClass, cap(b))
+	}
+}
+
+// Every class: Get(n) holds n at the class's edges and just past them, and a
+// buffer that was Put comes back from the next Get of its class. sync.Pool
+// may drop an entry across a GC, so the identity check retries; it never
+// holds up a correct pool.
+func TestEveryClassHoldsAndRecycles(t *testing.T) {
+	for size := minClass; size <= MaxRetain; size <<= 1 {
+		for _, n := range []int{size/2 + 1, size - 1, size} {
+			b := Get(n)
+			if len(b) != 0 || cap(b) < n {
+				t.Fatalf("Get(%d) = len %d cap %d", n, len(b), cap(b))
+			}
+			if n > minClass && cap(b) >= 2*size {
+				t.Fatalf("Get(%d) drew cap %d from a larger class than %d", n, cap(b), size)
+			}
+			Put(b)
+		}
+		recycled := false
+		for try := 0; try < 100 && !recycled; try++ {
+			b := Get(size)
+			b = b[:1]
+			b[0] = 0xA5
+			Put(b)
+			c := Get(size/2 + 1)
+			recycled = cap(c) == cap(b) && c[:1][0] == 0xA5
+			Put(c)
+		}
+		if !recycled {
+			t.Fatalf("class %d: a Put buffer never came back from the Get of its class", size)
+		}
+	}
 }
 
 // The misuse guard: a jumbo frame (a 15MiB proof, say) passed back to the
 // pool must be dropped, not retained, so one outsized message cannot pin
 // megabytes for the life of the process — and steady-state traffic afterwards
-// still recycles normally.
+// still recycles normally, in every class.
 func TestOversizedFrameDiscardedThenSteadyStateRecycles(t *testing.T) {
 	const jumbo = 15 << 20
 	before := Snapshot()
@@ -40,30 +82,37 @@ func TestOversizedFrameDiscardedThenSteadyStateRecycles(t *testing.T) {
 	if got := after.Discards - before.Discards; got != 1 {
 		t.Fatalf("jumbo Put recorded %d discards, want 1", got)
 	}
+	if got := after.News - before.News; got != 1 {
+		t.Fatalf("jumbo Get recorded %d news, want 1", got)
+	}
 
-	// Steady state afterwards: small buffers keep flowing, and nothing the
-	// pool hands out is jumbo-sized (the big array really was dropped).
+	// Steady state afterwards: buffers of every class keep flowing, and
+	// nothing the pool hands out is jumbo-sized (the big array really was
+	// dropped).
+	var rounds uint64
 	for i := 0; i < 64; i++ {
-		s := Get(512)
-		if cap(s) > MaxRetain {
-			t.Fatalf("pool handed out a retained jumbo buffer: cap %d", cap(s))
+		for size := minClass; size <= MaxRetain; size <<= 1 {
+			s := Get(size)
+			if cap(s) > MaxRetain {
+				t.Fatalf("pool handed out a retained jumbo buffer: cap %d", cap(s))
+			}
+			s = append(s, byte(i))
+			Put(s)
+			rounds++
 		}
-		s = append(s, byte(i))
-		Put(s)
 	}
 	final := Snapshot()
 	if final.Discards != after.Discards {
 		t.Fatalf("steady-state puts were discarded: %d -> %d", after.Discards, final.Discards)
 	}
-	if final.Gets-after.Gets != 64 || final.Puts-after.Puts != 64 {
+	if final.Gets-after.Gets != rounds || final.Puts-after.Puts != rounds {
 		t.Fatalf("counter drift: %+v -> %+v", after, final)
 	}
 }
 
-func TestGetGrowsBeyondPooledCapacity(t *testing.T) {
-	Put(make([]byte, 0, minAlloc)) // seed a small buffer
-	b := Get(MaxRetain * 2)
-	if cap(b) < MaxRetain*2 {
-		t.Fatalf("Get did not honor requested capacity: cap %d", cap(b))
+func TestGetBeyondMaxRetainIsExact(t *testing.T) {
+	b := Get(MaxRetain + 1)
+	if cap(b) != MaxRetain+1 {
+		t.Fatalf("Get beyond MaxRetain: cap %d, want exactly %d", cap(b), MaxRetain+1)
 	}
 }

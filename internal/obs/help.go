@@ -58,6 +58,7 @@ var (
 		"drbac_server_pushes_total":             "Subscription pushes sent.",
 		"drbac_server_push_errors_total":        "Subscription pushes that failed to send.",
 		"drbac_server_connections_total":        "Connections accepted.",
+		"drbac_server_handshake_failures_total": "Inbound connections dropped for failing the transport handshake.",
 		"drbac_server_binary_connections_total": "Accepted connections that negotiated the binary wire codec.",
 		"drbac_server_active_connections":       "Connections currently open.",
 		"drbac_server_request_seconds":          "Server-side request handling latency in seconds.",

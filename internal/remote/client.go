@@ -39,7 +39,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan wire.Envelope
+	pending map[uint64]*waiter
 	notify  map[core.DelegationID]map[int]func(subs.Event)
 	nextSub int
 	closed  bool
@@ -77,7 +77,7 @@ func Dial(ctx context.Context, d transport.Dialer, addr string) (*Client, error)
 	c := &Client{
 		conn:      conn,
 		codec:     wire.CodecFor(conn.Codec()),
-		pending:   make(map[uint64]chan wire.Envelope),
+		pending:   make(map[uint64]*waiter),
 		notify:    make(map[core.DelegationID]map[int]func(subs.Event)),
 		pushQueue: make(chan wire.NotifyPush, 256),
 		done:      make(chan struct{}),
@@ -129,7 +129,9 @@ func (c *Client) readLoop() {
 		}
 		if env.Type == wire.TClusterHello {
 			var hello wire.ShardMapResp
-			if err := wire.DecodeBody(env, &hello); err == nil {
+			err := wire.DecodeBody(env, &hello)
+			bufpool.Put(frame)
+			if err == nil {
 				c.clusterEpoch.Store(hello.Epoch)
 				c.clusterShard.Store(int64(hello.Shard) + 1)
 			}
@@ -159,13 +161,17 @@ func (c *Client) readLoop() {
 			continue
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[env.ID]
+		w, ok := c.pending[env.ID]
 		if ok {
 			delete(c.pending, env.ID)
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- env
+			// The waiting call decodes the body and recycles the frame.
+			w.ch <- reply{env: env, frame: frame}
+		} else {
+			// The call gave up (timeout, cancellation) before its answer.
+			bufpool.Put(frame)
 		}
 	}
 }
@@ -219,11 +225,11 @@ func (c *Client) dispatchPush(push wire.NotifyPush) {
 func (c *Client) failPending(err error) {
 	c.mu.Lock()
 	pending := c.pending
-	c.pending = make(map[uint64]chan wire.Envelope)
+	c.pending = make(map[uint64]*waiter)
 	closed := c.closed
 	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
+	for _, w := range pending {
+		close(w.ch)
 	}
 	// Recv errors during an orderly Close are expected; anything else is a
 	// dropped peer worth surfacing (the failed calls only report
@@ -234,23 +240,77 @@ func (c *Client) failPending(err error) {
 	}
 }
 
-// call sends one request and waits for the matching response. It returns
-// early if ctx is canceled; CallTimeout still applies as an upper bound so a
-// background context cannot hang a call forever.
-func (c *Client) call(ctx context.Context, t wire.MsgType, body any) (wire.Envelope, error) {
+// reply is a response envelope together with the pooled frame its body
+// still aliases; whoever receives it owns the frame.
+type reply struct {
+	env   wire.Envelope
+	frame []byte
+}
+
+// waiter is one in-flight call's rendezvous: the channel the read loop
+// delivers the reply on, and the timer bounding the wait. A call that got
+// its reply recycles its waiter; one that gave up drops it, because the read
+// loop may still be about to send on the channel.
+type waiter struct {
+	ch    chan reply
+	timer *time.Timer
+}
+
+var waiterPool sync.Pool
+
+func newWaiter(timeout time.Duration) *waiter {
+	if w, _ := waiterPool.Get().(*waiter); w != nil {
+		w.timer.Reset(timeout)
+		return w
+	}
+	return &waiter{ch: make(chan reply, 1), timer: time.NewTimer(timeout)}
+}
+
+// release stops the timer — every exit from a call does, so no call leaves a
+// pending timer behind — and, when the reply was received (the channel is
+// then empty and unshared again), returns the waiter to the pool.
+func (w *waiter) release(answered bool) {
+	if !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
+	if answered {
+		waiterPool.Put(w)
+	}
+}
+
+// roundTrip sends one request and waits for the matching response, which the
+// caller owns (and must bufpool.Put the frame of). It returns early if ctx is
+// canceled; CallTimeout still applies as an upper bound so a background
+// context cannot hang a call forever. Error responses are decoded here and
+// returned as errors.
+func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, body any) (reply, error) {
 	if err := ctx.Err(); err != nil {
-		return wire.Envelope{}, fmt.Errorf("remote %s: %w", t, err)
+		return reply{}, fmt.Errorf("remote %s: %w", t, err)
+	}
+	timeout := c.CallTimeout
+	if timeout <= 0 {
+		timeout = DefaultCallTimeout
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return wire.Envelope{}, ErrClientClosed
+		return reply{}, ErrClientClosed
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan wire.Envelope, 1)
-	c.pending[id] = ch
+	w := newWaiter(timeout)
+	c.pending[id] = w
 	c.mu.Unlock()
+
+	abandon := func() {
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		w.release(false)
+	}
 
 	frame, err := c.codec.Encode(t, id, body)
 	if err == nil {
@@ -260,58 +320,68 @@ func (c *Client) call(ctx context.Context, t wire.MsgType, body any) (wire.Envel
 		bufpool.Put(frame)
 	}
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return wire.Envelope{}, fmt.Errorf("remote %s: %w", t, err)
+		abandon()
+		return reply{}, fmt.Errorf("remote %s: %w", t, err)
 	}
 
-	timeout := c.CallTimeout
-	if timeout <= 0 {
-		timeout = DefaultCallTimeout
-	}
 	select {
-	case env, ok := <-ch:
+	case r, ok := <-w.ch:
+		w.release(ok)
 		if !ok {
-			return wire.Envelope{}, fmt.Errorf("remote %s: %w", t, ErrClientClosed)
+			return reply{}, fmt.Errorf("remote %s: %w", t, ErrClientClosed)
 		}
-		if env.Type == wire.TError {
-			var er wire.ErrorResp
-			if err := wire.DecodeBody(env, &er); err != nil {
-				return wire.Envelope{}, err
-			}
-			if er.Redirect != nil {
-				return wire.Envelope{}, &RedirectError{Msg: fmt.Sprintf("remote %s: %s", t, er.Message), Redirect: *er.Redirect}
-			}
-			if er.NoProof {
-				return wire.Envelope{}, fmt.Errorf("remote %s: %s: %w", t, er.Message, core.ErrNoProof)
-			}
-			return wire.Envelope{}, fmt.Errorf("remote %s: %s", t, er.Message)
+		if r.env.Type != wire.TError {
+			return r, nil
 		}
-		return env, nil
-	case <-time.After(timeout):
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return wire.Envelope{}, fmt.Errorf("remote %s: timeout after %v", t, timeout)
+		var er wire.ErrorResp
+		err := wire.DecodeBody(r.env, &er)
+		bufpool.Put(r.frame)
+		if err != nil {
+			return reply{}, err
+		}
+		if er.Redirect != nil {
+			return reply{}, &RedirectError{Msg: fmt.Sprintf("remote %s: %s", t, er.Message), Redirect: *er.Redirect}
+		}
+		if er.NoProof {
+			return reply{}, fmt.Errorf("remote %s: %s: %w", t, er.Message, core.ErrNoProof)
+		}
+		return reply{}, fmt.Errorf("remote %s: %s", t, er.Message)
+	case <-w.timer.C:
+		abandon()
+		return reply{}, fmt.Errorf("remote %s: timeout after %v", t, timeout)
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return wire.Envelope{}, fmt.Errorf("remote %s: %w", t, ctx.Err())
+		abandon()
+		return reply{}, fmt.Errorf("remote %s: %w", t, ctx.Err())
 	case <-c.done:
-		return wire.Envelope{}, ErrClientClosed
+		w.release(false)
+		return reply{}, ErrClientClosed
 	}
+}
+
+// call is roundTrip plus the decode: a non-nil out receives the response
+// body, and the reply frame goes back to the pool before call returns —
+// DecodeBody copies everything it keeps, so nothing in out aliases it.
+func (c *Client) call(ctx context.Context, t wire.MsgType, body, out any) error {
+	r, err := c.roundTrip(ctx, t, body)
+	if err != nil {
+		return err
+	}
+	if out != nil {
+		err = wire.DecodeBody(r.env, out)
+	}
+	bufpool.Put(r.frame)
+	return err
 }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping(ctx context.Context) error {
-	env, err := c.call(ctx, wire.TPing, nil)
+	r, err := c.roundTrip(ctx, wire.TPing, nil)
 	if err != nil {
 		return err
 	}
-	if env.Type != wire.TPong {
-		return fmt.Errorf("remote ping: unexpected response %q", env.Type)
+	bufpool.Put(r.frame)
+	if r.env.Type != wire.TPong {
+		return fmt.Errorf("remote ping: unexpected response %q", r.env.Type)
 	}
 	return nil
 }
@@ -319,44 +389,35 @@ func (c *Client) Ping(ctx context.Context) error {
 // Publish stores a delegation (with support proofs) in the remote wallet.
 // A positive ttl marks it a TTL-coherent cached copy there.
 func (c *Client) Publish(ctx context.Context, d *core.Delegation, support []*core.Proof, ttl time.Duration) error {
-	_, err := c.call(ctx, wire.TPublish, wire.PublishReq{
+	return c.call(ctx, wire.TPublish, wire.PublishReq{
 		Delegation: d,
 		Support:    support,
 		TTLSeconds: int(ttl / time.Second),
-	})
-	return err
+	}, nil)
 }
 
 // PublishSharded is Publish stamped with the caller's shard map epoch: a
 // cluster member refuses the request with a *RedirectError when the
 // epoch is stale or it does not own the delegation's subject key.
 func (c *Client) PublishSharded(ctx context.Context, d *core.Delegation, support []*core.Proof, epoch uint64) error {
-	_, err := c.call(ctx, wire.TPublish, wire.PublishReq{
+	return c.call(ctx, wire.TPublish, wire.PublishReq{
 		Delegation: d,
 		Support:    support,
 		ShardEpoch: epoch,
-	})
-	return err
+	}, nil)
 }
 
 // RevokeSharded is Revoke stamped with the caller's shard map epoch.
 func (c *Client) RevokeSharded(ctx context.Context, id core.DelegationID, epoch uint64) error {
-	_, err := c.call(ctx, wire.TRevoke, wire.RevokeReq{Delegation: id, ShardEpoch: epoch})
-	return err
+	return c.call(ctx, wire.TRevoke, wire.RevokeReq{Delegation: id, ShardEpoch: epoch}, nil)
 }
 
 // ShardMap fetches the peer's current shard map (serialized in
 // resp.Map). Non-clustered peers answer with an error.
 func (c *Client) ShardMap(ctx context.Context) (wire.ShardMapResp, error) {
-	env, err := c.call(ctx, wire.TShardMap, struct{}{})
-	if err != nil {
-		return wire.ShardMapResp{}, err
-	}
 	var resp wire.ShardMapResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return wire.ShardMapResp{}, err
-	}
-	return resp, nil
+	err := c.call(ctx, wire.TShardMap, struct{}{}, &resp)
+	return resp, err
 }
 
 // ClusterEpoch reports the shard map epoch the peer advertised on
@@ -383,19 +444,16 @@ func (c *Client) QueryDirect(ctx context.Context, subject core.Subject, object c
 // multi-wallet discovery reads as one nested trace across every wallet it
 // touched.
 func (c *Client) QueryDirectTraced(ctx context.Context, tc obs.TraceContext, subject core.Subject, object core.Role, constraints []core.Constraint, direction graph.Direction) (*core.Proof, error) {
-	env, err := c.call(ctx, wire.TQueryDirect, wire.QueryReq{
+	var resp wire.ProofResp
+	err := c.call(ctx, wire.TQueryDirect, wire.QueryReq{
 		Subject:     subject,
 		Object:      object,
 		Constraints: constraints,
 		Direction:   direction,
 		TraceID:     tc.TraceID,
 		SpanID:      tc.SpanID,
-	})
+	}, &resp)
 	if err != nil {
-		return nil, err
-	}
-	var resp wire.ProofResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Proof, nil
@@ -408,12 +466,9 @@ func (c *Client) QuerySubject(ctx context.Context, subject core.Subject, constra
 
 // QuerySubjectTraced is QuerySubject carrying the caller's trace context.
 func (c *Client) QuerySubjectTraced(ctx context.Context, tc obs.TraceContext, subject core.Subject, constraints []core.Constraint) ([]*core.Proof, error) {
-	env, err := c.call(ctx, wire.TQuerySubject, wire.QueryReq{Subject: subject, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID})
-	if err != nil {
-		return nil, err
-	}
 	var resp wire.ProofsResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
+	err := c.call(ctx, wire.TQuerySubject, wire.QueryReq{Subject: subject, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID}, &resp)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Proofs, nil
@@ -426,12 +481,9 @@ func (c *Client) QueryObject(ctx context.Context, object core.Role, constraints 
 
 // QueryObjectTraced is QueryObject carrying the caller's trace context.
 func (c *Client) QueryObjectTraced(ctx context.Context, tc obs.TraceContext, object core.Role, constraints []core.Constraint) ([]*core.Proof, error) {
-	env, err := c.call(ctx, wire.TQueryObject, wire.QueryReq{Object: object, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID})
-	if err != nil {
-		return nil, err
-	}
 	var resp wire.ProofsResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
+	err := c.call(ctx, wire.TQueryObject, wire.QueryReq{Object: object, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID}, &resp)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Proofs, nil
@@ -440,29 +492,17 @@ func (c *Client) QueryObjectTraced(ctx context.Context, tc obs.TraceContext, obj
 // Stats fetches the remote wallet's state summary and metrics snapshot —
 // what `drbac stats` renders.
 func (c *Client) Stats(ctx context.Context) (wire.StatsResp, error) {
-	env, err := c.call(ctx, wire.TStats, struct{}{})
-	if err != nil {
-		return wire.StatsResp{}, err
-	}
 	var resp wire.StatsResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return wire.StatsResp{}, err
-	}
-	return resp, nil
+	err := c.call(ctx, wire.TStats, struct{}{}, &resp)
+	return resp, err
 }
 
 // Trace fetches the remote wallet's retained spans for one trace ID —
 // what `drbac trace` merges across wallets into a waterfall.
 func (c *Client) Trace(ctx context.Context, id string) (wire.TraceResp, error) {
-	env, err := c.call(ctx, wire.TTrace, wire.TraceReq{TraceID: id})
-	if err != nil {
-		return wire.TraceResp{}, err
-	}
 	var resp wire.TraceResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return wire.TraceResp{}, err
-	}
-	return resp, nil
+	err := c.call(ctx, wire.TTrace, wire.TraceReq{TraceID: id}, &resp)
+	return resp, err
 }
 
 // Subscribe registers for push notifications about one delegation (§4.2.2)
@@ -485,7 +525,7 @@ func (c *Client) Subscribe(ctx context.Context, id core.DelegationID, fn func(su
 	c.mu.Unlock()
 
 	if first {
-		if _, err := c.call(ctx, wire.TSubscribe, wire.SubscribeReq{Delegation: id}); err != nil {
+		if err := c.call(ctx, wire.TSubscribe, wire.SubscribeReq{Delegation: id}, nil); err != nil {
 			c.mu.Lock()
 			delete(c.notify[id], n)
 			if len(c.notify[id]) == 0 {
@@ -513,7 +553,7 @@ func (c *Client) Subscribe(ctx context.Context, id core.DelegationID, fn func(su
 			if last && !closed {
 				// The subscription's context may be long gone; the
 				// unsubscribe is best-effort cleanup on its own clock.
-				_, _ = c.call(context.Background(), wire.TUnsubscribe, wire.SubscribeReq{Delegation: id})
+				_ = c.call(context.Background(), wire.TUnsubscribe, wire.SubscribeReq{Delegation: id}, nil)
 			}
 		})
 	}, nil
@@ -522,34 +562,23 @@ func (c *Client) Subscribe(ctx context.Context, id core.DelegationID, fn func(su
 // Has reports whether the remote wallet stores the delegation — the
 // registry-audit primitive (§6).
 func (c *Client) Has(ctx context.Context, id core.DelegationID) (bool, error) {
-	env, err := c.call(ctx, wire.THas, wire.HasReq{Delegation: id})
-	if err != nil {
-		return false, err
-	}
 	var resp wire.HasResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return false, err
-	}
-	return resp.Present, nil
+	err := c.call(ctx, wire.THas, wire.HasReq{Delegation: id}, &resp)
+	return resp.Present, err
 }
 
 // Revoke withdraws a delegation at the remote wallet; the server authorizes
 // against this client's authenticated identity.
 func (c *Client) Revoke(ctx context.Context, id core.DelegationID) error {
-	_, err := c.call(ctx, wire.TRevoke, wire.RevokeReq{Delegation: id})
-	return err
+	return c.call(ctx, wire.TRevoke, wire.RevokeReq{Delegation: id}, nil)
 }
 
 // ProveRole asks the remote wallet to prove its operating identity holds
 // role, and validates both the proof and that its subject matches the
 // transport-authenticated peer — the §4.2.1 home-wallet authorization check.
 func (c *Client) ProveRole(ctx context.Context, role core.Role, at time.Time) (*core.Proof, error) {
-	env, err := c.call(ctx, wire.TProveRole, wire.ProveRoleReq{Role: role})
-	if err != nil {
-		return nil, err
-	}
 	var resp wire.ProofResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
+	if err := c.call(ctx, wire.TProveRole, wire.ProveRoleReq{Role: role}, &resp); err != nil {
 		return nil, err
 	}
 	p := resp.Proof
@@ -573,15 +602,9 @@ func (c *Client) ProveRole(ctx context.Context, role core.Role, at time.Time) (*
 // revocation — consistent at the returned Seq (§9). Followers bootstrap
 // from it and resync from it after a stream gap.
 func (c *Client) Sync(ctx context.Context) (wire.SyncResp, error) {
-	env, err := c.call(ctx, wire.TSync, struct{}{})
-	if err != nil {
-		return wire.SyncResp{}, err
-	}
 	var resp wire.SyncResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return wire.SyncResp{}, err
-	}
-	return resp, nil
+	err := c.call(ctx, wire.TSync, struct{}{}, &resp)
+	return resp, err
 }
 
 // SyncSegments fetches the remote wallet's durable record log as raw
@@ -589,15 +612,9 @@ func (c *Client) Sync(ctx context.Context) (wire.SyncResp, error) {
 // the full log). Only log-store-backed wallets answer it; other stores
 // return an error and the caller falls back to Sync.
 func (c *Client) SyncSegments(ctx context.Context, afterSeq uint64) (wire.SyncSegmentsResp, error) {
-	env, err := c.call(ctx, wire.TSyncSegments, wire.SyncSegmentsReq{AfterSeq: afterSeq})
-	if err != nil {
-		return wire.SyncSegmentsResp{}, err
-	}
 	var resp wire.SyncSegmentsResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return wire.SyncSegmentsResp{}, err
-	}
-	return resp, nil
+	err := c.call(ctx, wire.TSyncSegments, wire.SyncSegmentsReq{AfterSeq: afterSeq}, &resp)
+	return resp, err
 }
 
 // SubscribeAll registers fn to receive every status push from the remote
@@ -621,15 +638,8 @@ func (c *Client) SubscribeAll(ctx context.Context, fn func(wire.NotifyPush)) (se
 	c.stream = fn
 	c.mu.Unlock()
 
-	env, err := c.call(ctx, wire.TSubscribeAll, struct{}{})
-	if err != nil {
-		c.mu.Lock()
-		c.stream = nil
-		c.mu.Unlock()
-		return 0, nil, err
-	}
 	var resp wire.SubscribeAllResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
+	if err := c.call(ctx, wire.TSubscribeAll, struct{}{}, &resp); err != nil {
 		c.mu.Lock()
 		c.stream = nil
 		c.mu.Unlock()
@@ -647,15 +657,9 @@ func (c *Client) SubscribeAll(ctx context.Context, fn func(wire.NotifyPush)) (se
 
 // DHTFindNode asks the peer for its closest known contacts to target.
 func (c *Client) DHTFindNode(ctx context.Context, req wire.DHTFindReq) (wire.DHTFindResp, error) {
-	env, err := c.call(ctx, wire.TDHTFindNode, req)
-	if err != nil {
-		return wire.DHTFindResp{}, err
-	}
 	var resp wire.DHTFindResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return wire.DHTFindResp{}, err
-	}
-	return resp, nil
+	err := c.call(ctx, wire.TDHTFindNode, req, &resp)
+	return resp, err
 }
 
 // DHTFindValue asks the peer for the provider record under req.Target,
@@ -663,23 +667,16 @@ func (c *Client) DHTFindNode(ctx context.Context, req wire.DHTFindReq) (wire.DHT
 // any returned record (dht.Record verification) — the transport
 // authenticates the serving node, not the record's publisher.
 func (c *Client) DHTFindValue(ctx context.Context, req wire.DHTFindReq) (wire.DHTFindResp, error) {
-	env, err := c.call(ctx, wire.TDHTFindValue, req)
-	if err != nil {
-		return wire.DHTFindResp{}, err
-	}
 	var resp wire.DHTFindResp
-	if err := wire.DecodeBody(env, &resp); err != nil {
-		return wire.DHTFindResp{}, err
-	}
-	return resp, nil
+	err := c.call(ctx, wire.TDHTFindValue, req, &resp)
+	return resp, err
 }
 
 // DHTStore offers a signed provider record to the peer for storage. The
 // peer verifies it against the embedded entity key; refusals come back as
 // errors.
 func (c *Client) DHTStore(ctx context.Context, req wire.DHTStoreReq) error {
-	_, err := c.call(ctx, wire.TDHTStore, req)
-	return err
+	return c.call(ctx, wire.TDHTStore, req, nil)
 }
 
 // GossipPing sends a SWIM probe (direct when body.Target is empty) and
@@ -689,15 +686,9 @@ func (c *Client) GossipPing(ctx context.Context, body wire.GossipPingBody) (wire
 	if body.Target != "" {
 		t = wire.TGossipPingReq
 	}
-	env, err := c.call(ctx, t, body)
-	if err != nil {
-		return wire.GossipAck{}, err
-	}
 	var ack wire.GossipAck
-	if err := wire.DecodeBody(env, &ack); err != nil {
-		return wire.GossipAck{}, err
-	}
-	return ack, nil
+	err := c.call(ctx, t, body, &ack)
+	return ack, err
 }
 
 // SplitAddrs parses a comma-separated address list ("primary,replica1,…")

@@ -30,6 +30,7 @@ type serverMetrics struct {
 	pushes      *obs.Counter
 	pushErrors  *obs.Counter
 	connections *obs.Counter
+	handshakes  *obs.Counter
 	binaryConns *obs.Counter
 	activeConns *obs.Gauge
 	latency     *obs.Histogram
@@ -46,6 +47,7 @@ func newServerMetrics(o *obs.Obs) serverMetrics {
 		pushes:      o.Counter("drbac_server_pushes_total"),
 		pushErrors:  o.Counter("drbac_server_push_errors_total"),
 		connections: o.Counter("drbac_server_connections_total"),
+		handshakes:  o.Counter("drbac_server_handshake_failures_total"),
 		binaryConns: o.Counter("drbac_server_binary_connections_total"),
 		activeConns: o.Registry().Gauge("drbac_server_active_connections"),
 		latency:     o.Histogram("drbac_server_request_seconds"),
@@ -248,9 +250,17 @@ func (s *Server) acceptLoop() {
 			s.mu.Lock()
 			closed := s.closed
 			s.mu.Unlock()
-			if !closed {
-				s.obs.Log().Warn("server accept failed", "error", err)
+			if closed {
+				return
 			}
+			// One peer failing its handshake (garbage bytes, a dialer that
+			// gave up halfway) costs that connection, not the listener.
+			if errors.Is(err, transport.ErrHandshake) {
+				s.m.handshakes.Inc()
+				s.obs.Log().Warn("server handshake failed", "error", err)
+				continue
+			}
+			s.obs.Log().Warn("server accept failed", "error", err)
 			return
 		}
 		s.mu.Lock()
@@ -277,6 +287,9 @@ func (s *Server) acceptLoop() {
 // writes (responses can interleave with notification pushes).
 type connState struct {
 	conn transport.Conn
+	// peer is the authenticated peer's short fingerprint, rendered once per
+	// connection for the audit log.
+	peer string
 	// codec is the wire codec negotiated during the transport handshake;
 	// every frame in either direction on this connection uses it.
 	codec wire.Codec
@@ -323,6 +336,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 	peer := conn.Peer().ID().Short()
 	cs := &connState{
 		conn:    conn,
+		peer:    peer,
 		codec:   wire.CodecFor(conn.Codec()),
 		cancels: make(map[core.DelegationID]func()),
 	}
@@ -411,7 +425,7 @@ func (s *Server) dispatch(cs *connState, env wire.Envelope) {
 	}
 	if s.obs != nil {
 		rec := make([]any, 0, len(attrs)+8)
-		rec = append(rec, "type", string(env.Type), "peer", cs.conn.Peer().ID().Short())
+		rec = append(rec, "type", string(env.Type), "peer", cs.peer)
 		rec = append(rec, attrs...)
 		rec = append(rec, "duration_ms", float64(time.Since(start).Microseconds())/1000)
 		if err != nil {
@@ -426,7 +440,7 @@ func (s *Server) dispatch(cs *connState, env wire.Envelope) {
 // merged cross-wallet trace nests this hop below the query that caused it.
 // The returned context carries the span down into the wallet (and the
 // proxy fallback). Untraced requests get a nil span and the base context.
-func (s *Server) serveSpan(req wire.QueryReq, name string, args ...any) (context.Context, *obs.Span) {
+func (s *Server) serveSpan(req wire.QueryReq, name string, args []any) (context.Context, *obs.Span) {
 	if s.obs == nil || req.TraceID == "" {
 		return s.baseCtx, nil
 	}
@@ -477,8 +491,11 @@ func (s *Server) handle(cs *connState, env wire.Envelope) ([]any, error) {
 		if err := wire.DecodeBody(env, &req); err != nil {
 			return nil, err
 		}
-		ctx, sp := s.serveSpan(req, "serve:query-direct",
-			"subject", req.Subject.String(), "object", req.Object.String())
+		// The audit attributes are rendered once and sized once; the span
+		// (traced requests only) borrows the subject/object pairs from them.
+		attrs := make([]any, 0, 8)
+		attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String(), "object", req.Object.String())
+		ctx, sp := s.serveSpan(req, "serve:query-direct", attrs[2:6:6])
 		q := wallet.Query{
 			Ctx:         ctx,
 			Subject:     req.Subject,
@@ -487,7 +504,6 @@ func (s *Server) handle(cs *connState, env wire.Envelope) ([]any, error) {
 			Direction:   req.Direction,
 			TraceID:     req.TraceID,
 		}
-		attrs := []any{"trace", req.TraceID, "subject", req.Subject.String(), "object", req.Object.String()}
 		p, err := s.w.QueryDirect(q)
 		if err != nil && errors.Is(err, core.ErrNoProof) && s.directFallback != nil {
 			p, err = s.directFallback(ctx, q)
@@ -506,22 +522,24 @@ func (s *Server) handle(cs *connState, env wire.Envelope) ([]any, error) {
 		if err := wire.DecodeBody(env, &req); err != nil {
 			return nil, err
 		}
-		_, sp := s.serveSpan(req, "serve:query-subject", "subject", req.Subject.String())
+		attrs := make([]any, 0, 6)
+		attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String())
+		_, sp := s.serveSpan(req, "serve:query-subject", attrs[2:4:4])
 		proofs := s.w.QuerySubject(req.Subject, req.Constraints)
 		sp.End("results", len(proofs))
-		attrs := []any{"trace", req.TraceID, "subject", req.Subject.String(), "results", len(proofs)}
-		return attrs, cs.send(wire.TProofs, env.ID, wire.ProofsResp{Proofs: proofs})
+		return append(attrs, "results", len(proofs)), cs.send(wire.TProofs, env.ID, wire.ProofsResp{Proofs: proofs})
 
 	case wire.TQueryObject:
 		var req wire.QueryReq
 		if err := wire.DecodeBody(env, &req); err != nil {
 			return nil, err
 		}
-		_, sp := s.serveSpan(req, "serve:query-object", "object", req.Object.String())
+		attrs := make([]any, 0, 6)
+		attrs = append(attrs, "trace", req.TraceID, "object", req.Object.String())
+		_, sp := s.serveSpan(req, "serve:query-object", attrs[2:4:4])
 		proofs := s.w.QueryObject(req.Object, req.Constraints)
 		sp.End("results", len(proofs))
-		attrs := []any{"trace", req.TraceID, "object", req.Object.String(), "results", len(proofs)}
-		return attrs, cs.send(wire.TProofs, env.ID, wire.ProofsResp{Proofs: proofs})
+		return append(attrs, "results", len(proofs)), cs.send(wire.TProofs, env.ID, wire.ProofsResp{Proofs: proofs})
 
 	case wire.TTrace:
 		var req wire.TraceReq

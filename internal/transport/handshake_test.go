@@ -338,3 +338,69 @@ func TestFaultConnDropSends(t *testing.T) {
 		t.Fatalf("peer received %q; the dropped frame leaked through", got)
 	}
 }
+
+// Accept's contract: a connection that dies in its handshake — here the
+// peer hangs up before sending its hello, an I/O failure rather than a bad
+// message — is reported as ErrHandshake and the listener keeps accepting.
+// On the mem transport the cause is ErrClosed (the peer's end of the pipe),
+// which is why ErrClosed alone never means "the listener closed".
+func TestAcceptSurvivesPeerHangingUpMidHandshake(t *testing.T) {
+	srv := mkIdentity(t, "server", 60)
+	cli := mkIdentity(t, "client", 61)
+	n := NewMemNetwork()
+	memLn, err := n.Listen("w", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcpLn, err := ListenTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		ln     Listener
+		dialer Dialer
+		hangUp func(t *testing.T)
+	}{
+		{"mem", memLn, n.Dialer(cli), func(t *testing.T) {
+			_, serverEnd := newMemPair(n)
+			memLn.(*memListener).pending <- serverEnd
+			_ = serverEnd.close() // both ends share one done channel
+		}},
+		{"tcp", tcpLn, &TCPDialer{Identity: cli}, func(t *testing.T) {
+			raw, err := net.Dial("tcp", tcpLn.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = raw.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.ln.Close()
+			accepted := make(chan error, 2)
+			go func() {
+				for i := 0; i < 2; i++ {
+					conn, err := tc.ln.Accept()
+					if conn != nil {
+						defer conn.Close()
+					}
+					accepted <- err
+				}
+			}()
+			tc.hangUp(t)
+			if err := <-accepted; !errors.Is(err, ErrHandshake) {
+				t.Fatalf("accept error = %v, want ErrHandshake", err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			conn, err := tc.dialer.Dial(ctx, tc.ln.Addr())
+			if err != nil {
+				t.Fatalf("dial after a failed handshake: %v", err)
+			}
+			defer conn.Close()
+			if err := <-accepted; err != nil {
+				t.Fatalf("accept after a failed handshake: %v", err)
+			}
+		})
+	}
+}

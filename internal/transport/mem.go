@@ -141,7 +141,7 @@ func (l *memListener) Accept() (Conn, error) {
 		ac, err := handshake(fc, l.id, sideServer, l.pol)
 		if err != nil {
 			_ = fc.close()
-			return nil, err
+			return nil, acceptFailed(err)
 		}
 		return ac, nil
 	case <-l.done:

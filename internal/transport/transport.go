@@ -11,12 +11,9 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
-	"drbac/internal/bufpool"
 	"drbac/internal/core"
 )
 
@@ -30,6 +27,17 @@ var (
 	// ErrHandshake reports a failed peer authentication.
 	ErrHandshake = errors.New("transport: handshake failed")
 )
+
+// acceptFailed marks err, a server-side handshake failure of any kind, as
+// ErrHandshake. The cause stays wrapped, but callers must test ErrHandshake
+// first: a peer that hangs up mid-handshake on the mem transport makes the
+// cause ErrClosed, which does not mean the listener closed.
+func acceptFailed(err error) error {
+	if errors.Is(err, ErrHandshake) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrHandshake, err)
+}
 
 // Conn is an authenticated, framed, bidirectional message channel.
 type Conn interface {
@@ -50,6 +58,11 @@ type Conn interface {
 
 // Listener accepts authenticated connections.
 type Listener interface {
+	// Accept waits for a connection and authenticates it. A connection that
+	// fails its handshake — garbage bytes, a bad signature, a dialer that
+	// gave up halfway — is reported as an error matching ErrHandshake and
+	// leaves the listener usable: callers keep accepting. Any other error
+	// means the listener itself is done.
 	Accept() (Conn, error)
 	Close() error
 	// Addr is the address peers dial to reach this listener.
@@ -69,49 +82,4 @@ type frameConn interface {
 	sendFrame([]byte) error
 	recvFrame() ([]byte, error)
 	close() error
-}
-
-// writeFrame writes a length-prefixed frame to w. Frames up to MaxRetain are
-// coalesced with their header into one pooled buffer so the common case
-// costs a single write (one syscall on TCP) and no allocation; jumbo frames
-// fall back to two writes rather than copying megabytes.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if len(payload) <= bufpool.MaxRetain {
-		buf := bufpool.Get(4 + len(payload))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
-		_, err := w.Write(buf)
-		bufpool.Put(buf)
-		return err
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads a length-prefixed frame from r into a pooled buffer.
-// Ownership passes to the caller; returning it via bufpool.Put when the
-// frame is fully consumed closes the loop.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
-	}
-	payload := bufpool.Get(int(n))[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		bufpool.Put(payload)
-		return nil, err
-	}
-	return payload, nil
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"drbac/internal/bufpool"
 	"drbac/internal/core"
 )
 
@@ -388,5 +390,70 @@ func TestReadFrameRejectsOversizedClaim(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Accept wedged on oversized frame")
+	}
+}
+
+// TCP framing end to end: header and payload leave in one writev and are
+// read back through one buffered reader per connection, so frames that
+// arrive glued together (a pipelining peer), frames around the reader's and
+// the pool's size boundaries, empty frames and jumbo frames must all come
+// out whole and in order — right after a handshake that read through the
+// same buffer.
+func TestTCPFramingPipelinedAndJumbo(t *testing.T) {
+	srv := mkIdentity(t, "server", 70)
+	cli := mkIdentity(t, "client", 71)
+	ln, err := ListenTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	connCh := make(chan Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			connCh <- c
+		}
+	}()
+	client, err := (&TCPDialer{Identity: cli}).Dial(context.Background(), ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server := <-connCh
+	defer server.Close()
+
+	sizes := []int{0, 1, 5, 255, 256, 257, 4091, 4092, 4093, 4096, 5000,
+		bufpool.MaxRetain - 4, bufpool.MaxRetain, bufpool.MaxRetain + 1, 1 << 20, 3, 0, 2}
+	frame := func(i, n int) []byte {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i + j)
+		}
+		return p
+	}
+	sendErr := make(chan error, 1)
+	go func() {
+		for i, n := range sizes {
+			if err := client.Send(frame(i, n)); err != nil {
+				sendErr <- fmt.Errorf("send %d (%d bytes): %w", i, n, err)
+				return
+			}
+		}
+		sendErr <- nil
+	}()
+	for i, n := range sizes {
+		got, err := server.Recv()
+		if err != nil {
+			t.Fatalf("recv %d (%d bytes): %v", i, n, err)
+		}
+		if !bytes.Equal(got, frame(i, n)) {
+			t.Fatalf("frame %d: got %d bytes, want %d, or contents differ", i, len(got), n)
+		}
+		bufpool.Put(got)
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Send(make([]byte, MaxFrame+1)); err == nil {
+		t.Fatal("frame one byte over MaxFrame accepted on TCP")
 	}
 }

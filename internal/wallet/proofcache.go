@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drbac/internal/core"
@@ -41,6 +42,11 @@ type CacheStats struct {
 // As a second line of defense, Lookup re-checks expiry and revocation per
 // step at the caller's clock, so an entry can never outlive the credentials
 // it is built from even between pushes.
+//
+// A hit takes mu only shared, and only for the map read: the usability walk
+// runs outside it and the counters are atomic, so concurrent readers never
+// serialize on one another. Only mutations (Put, invalidation, dropping a
+// stale entry) take mu exclusively.
 type ProofCache struct {
 	mu    sync.RWMutex
 	limit int
@@ -50,7 +56,7 @@ type ProofCache struct {
 	// use it.
 	byDelegation map[core.DelegationID]map[string]struct{}
 
-	hits, misses, invalidations int64
+	hits, misses, invalidations atomic.Int64
 }
 
 // NewProofCache returns an empty cache holding at most limit entries;
@@ -73,6 +79,10 @@ func NewProofCache(limit int) *ProofCache {
 // question regardless of the strategy that would have found it.
 func CacheKey(subject core.Subject, object core.Role, constraints []core.Constraint) string {
 	var b strings.Builder
+	// One allocation for the common, unconstrained key: the names plus the
+	// separators, ticks and operator digits.
+	b.Grow(len(subject.Entity) + len(subject.Role.Namespace) + len(subject.Role.Name) +
+		len(object.Namespace) + len(object.Name) + 16)
 	b.WriteString(string(subject.Entity))
 	b.WriteByte(0x1f)
 	writeRoleKey(&b, subject.Role)
@@ -133,39 +143,43 @@ func (c *ProofCache) Lookup(key string, now time.Time, revoked func(core.Delegat
 
 	if pok {
 		if proofUsable(proof, now, revoked) {
-			c.mu.Lock()
-			c.hits++
-			c.mu.Unlock()
+			c.hits.Add(1)
 			return proof, false, true
 		}
 		c.mu.Lock()
 		if cur, still := c.pos[key]; still && cur == proof {
 			c.removeKeyLocked(key)
-			c.invalidations++
+			c.invalidations.Add(1)
 		}
-		c.misses++
 		c.mu.Unlock()
+		c.misses.Add(1)
 		return nil, false, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if nok {
-		c.hits++
+		c.hits.Add(1)
 		return nil, true, true
 	}
-	c.misses++
+	c.misses.Add(1)
 	return nil, false, false
 }
 
 // proofUsable reports whether every delegation p depends on — chain steps
-// and support-proof chains alike — is unexpired and unrevoked.
+// and support-proof chains alike — is unexpired and unrevoked. It walks the
+// proof in place (a delegation shared by two support proofs is checked
+// twice, which is cheaper than deduplicating), so a hit allocates nothing.
 func proofUsable(p *core.Proof, now time.Time, revoked func(core.DelegationID) bool) bool {
-	for _, d := range p.Delegations() {
-		if d.Expired(now) {
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		if st.Delegation.Expired(now) {
 			return false
 		}
-		if revoked != nil && revoked(d.ID()) {
+		if revoked != nil && revoked(st.Delegation.ID()) {
 			return false
+		}
+		for _, sup := range st.Support {
+			if !proofUsable(sup, now, revoked) {
+				return false
+			}
 		}
 	}
 	return true
@@ -254,7 +268,7 @@ func (c *ProofCache) InvalidateDelegation(id core.DelegationID) {
 	keys := c.byDelegation[id]
 	for key := range keys {
 		c.removeKeyLocked(key)
-		c.invalidations++
+		c.invalidations.Add(1)
 	}
 }
 
@@ -267,7 +281,7 @@ func (c *ProofCache) InvalidateNegatives() {
 	if len(c.neg) == 0 {
 		return
 	}
-	c.invalidations += int64(len(c.neg))
+	c.invalidations.Add(int64(len(c.neg)))
 	c.neg = make(map[string]struct{})
 }
 
@@ -276,7 +290,7 @@ func (c *ProofCache) InvalidateNegatives() {
 func (c *ProofCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.invalidations += int64(len(c.pos) + len(c.neg))
+	c.invalidations.Add(int64(len(c.pos) + len(c.neg)))
 	c.pos = make(map[string]*core.Proof)
 	c.neg = make(map[string]struct{})
 	c.byDelegation = make(map[core.DelegationID]map[string]struct{})
@@ -287,9 +301,9 @@ func (c *ProofCache) Stats() CacheStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Invalidations: c.invalidations,
+		Hits:          c.hits.Load(),
+		Misses:        c.misses.Load(),
+		Invalidations: c.invalidations.Load(),
 		Entries:       len(c.pos),
 		Negatives:     len(c.neg),
 	}

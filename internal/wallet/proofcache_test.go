@@ -1,6 +1,7 @@
 package wallet
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -143,5 +144,78 @@ func TestProofCacheEviction(t *testing.T) {
 	c.InvalidateDelegation(d.ID())
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("entries after full invalidation = %d", st.Entries)
+	}
+}
+
+// table1Proof is Table 1's third-party grant as a one-step proof whose step
+// carries a two-step support proof, so the cache's in-place walk recurses.
+func (e *env) table1Proof() *core.Proof {
+	e.t.Helper()
+	d1 := e.deleg("[Mark -> BigISP.memberServices] BigISP")
+	d2 := e.deleg("[BigISP.memberServices -> BigISP.member'] BigISP")
+	sup, err := core.NewProof(core.ProofStep{Delegation: d1}, core.ProofStep{Delegation: d2})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	p, err := core.NewProof(core.ProofStep{Delegation: e.deleg("[Maria -> BigISP.member] Mark"), Support: []*core.Proof{sup}})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	return p
+}
+
+// Hits take the lock shared and count atomically: eight readers hammering
+// the same entries (positive, negative and absent) must be race-clean and
+// the counters must come out exact, not approximately right.
+func TestProofCacheConcurrentReadersCountExactly(t *testing.T) {
+	const readers, rounds = 8, 2000
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	p := e.table1Proof()
+	c := NewProofCache(0)
+	c.Put("pos", p)
+	c.PutNegative("neg")
+	now := e.clk.Now()
+	revoked := func(core.DelegationID) bool { return false }
+
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if got, negative, ok := c.Lookup("pos", now, revoked); !ok || negative || got != p {
+					t.Errorf("positive Lookup = (%v, %v, %v)", got, negative, ok)
+					return
+				}
+				if _, negative, ok := c.Lookup("neg", now, revoked); !ok || !negative {
+					t.Errorf("negative Lookup = (negative=%v, ok=%v)", negative, ok)
+					return
+				}
+				if _, _, ok := c.Lookup("absent", now, revoked); ok {
+					t.Error("absent key reported a hit")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Hits != 2*readers*rounds || st.Misses != readers*rounds || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v, want exactly %d hits, %d misses, 0 invalidations",
+			st, 2*readers*rounds, readers*rounds)
+	}
+}
+
+// A hit must not allocate: the usability walk goes through the proof in
+// place, support proofs included.
+func TestProofCacheHitDoesNotAllocate(t *testing.T) {
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	p := e.table1Proof()
+	c := NewProofCache(0)
+	c.Put("k", p)
+	now := e.clk.Now()
+	revoked := func(core.DelegationID) bool { return false }
+	if allocs := testing.AllocsPerRun(200, func() { c.Lookup("k", now, revoked) }); allocs != 0 {
+		t.Fatalf("a proof-cache hit allocated %.1f times", allocs)
 	}
 }

@@ -846,7 +846,7 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 		return nil, outcome, gs, err
 	}
 	if err := p.Validate(w.validateOptions(q)); err != nil {
-		return nil, outcome, gs, fmt.Errorf("candidate proof failed validation: %w", err)
+		return nil, outcome, gs, validationFailure(err)
 	}
 	if useCache {
 		w.cache.Put(key, p)
@@ -872,9 +872,22 @@ func (w *Wallet) QueryDirectOptions(q Query, opts graph.Options) (*core.Proof, e
 		return nil, err
 	}
 	if err := p.Validate(w.validateOptions(q)); err != nil {
-		return nil, fmt.Errorf("candidate proof failed validation: %w", err)
+		return nil, validationFailure(err)
 	}
 	return p, nil
+}
+
+// validationFailure wraps the error of a found proof that did not validate.
+// A revocation or an expiry that lands between the search and the validation
+// is not a fault: the proof has stopped existing, so the error matches
+// core.ErrNoProof as well as its cause and callers (and the server's
+// counters) see a denial. Nothing is served either way.
+func validationFailure(err error) error {
+	var expired *core.ExpiredError
+	if errors.Is(err, core.ErrRevoked) || errors.As(err, &expired) {
+		return fmt.Errorf("%w: candidate proof failed validation: %w", core.ErrNoProof, err)
+	}
+	return fmt.Errorf("candidate proof failed validation: %w", err)
 }
 
 // QuerySubject enumerates validated sub-proofs Subject ⇒ * (§4.1), the

