@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet staticcheck test test-race race cover cover-check bench bench-smoke bench-json bench-diff bench-load fuzz sim sim-cluster-smoke sim-dht-smoke examples clean
+.PHONY: all check build vet staticcheck test test-race race cover cover-check surface bench bench-smoke bench-json bench-diff bench-load fuzz sim sim-cluster-smoke sim-dht-smoke examples clean
 
 # Aggregate coverage floor enforced by cover-check (CI). Raise it as
 # coverage grows; never lower it to admit an under-tested change.
@@ -49,6 +49,14 @@ cover-check:
 	echo "total coverage: $$total% (floor: $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN{exit !(t+0 >= f+0)}' || \
 		{ echo "coverage $$total% is below floor $(COVER_FLOOR)%"; exit 1; }
+
+# The three numbers a simplification round steers by: drbacd flags (also
+# pinned by cmd/drbacd/testdata/flags.golden), internal packages, and
+# non-test Go lines outside bench/. Quote before → after in CHANGES.md.
+surface:
+	@echo "drbacd flags:       $$(grep -c . cmd/drbacd/testdata/flags.golden)"
+	@echo "internal packages:  $$($(GO) list ./internal/... | wc -l)"
+	@echo "non-test Go lines:  $$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem .

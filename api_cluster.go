@@ -71,7 +71,7 @@ func NewClusterWallet(cfg ClusterWalletConfig) (*ClusterWallet, error) {
 
 // ServeWalletCluster exposes w on ln as a cluster participant: guard is a
 // *ClusterNode for a shard member (or ClusterWallet.Guard() for a served
-// gateway), advertised on connect and enforced on mutations.
+// gateway): it answers shard-map requests and is enforced on mutations.
 func ServeWalletCluster(w WalletService, ln Listener, guard ClusterGuard) *WalletServer {
 	return remote.ServeOptions(w, ln, remote.Options{Obs: w.Obs(), Cluster: guard})
 }

@@ -115,16 +115,12 @@ func SharedSigCache() *SigCache { return sigcache.Shared() }
 // of record.
 func NewMemStore() WalletStore { return wallet.NewMemStore() }
 
-// OpenFileStore opens (or creates) a JSON file-backed wallet store at path.
-// Every mutation persists atomically, so a wallet rebuilt on the store after
-// a restart serves the same proofs and keeps refusing revoked credentials.
-func OpenFileStore(path string) (WalletStore, error) { return wallet.OpenFileStore(path) }
-
-// OpenLogStore opens (or creates) a segmented append-only wallet store in
-// the directory at path (SPEC §11): O(one record) disk work per mutation
-// with background compaction, where the file store rewrites all resident
-// state. Close the returned store when done; a wallet does not close its
-// store. The store also ships its segments for replica bootstrap.
+// OpenLogStore opens (or creates) the durable wallet store, a segmented
+// append-only log in the directory at path (SPEC §11): O(one record) disk
+// work per mutation with background compaction, and a wallet rebuilt on the
+// store after a restart serves the same proofs and keeps refusing revoked
+// credentials. Close the returned store when done; a wallet does not close
+// its store. The store also ships its segments for replica bootstrap.
 func OpenLogStore(path string) (*logstore.Store, error) {
 	return logstore.Open(path, logstore.Options{})
 }

@@ -18,7 +18,6 @@ package drbac_test
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -446,61 +445,18 @@ func benchIssueMany(b *testing.B, n int) []*core.Delegation {
 	return ds
 }
 
-// BenchmarkStoreWriteAmplification measures EXP-R2: bytes written to disk
-// per published delegation with 10k bundles already resident — the legacy
-// JSON store against the segmented log store. The JSON store rewrites the
-// whole state file on every mutation, so its per-publish cost scales with
-// resident state; the log store appends one frame. Each iteration re-puts
-// one of a small pool of extra delegations, so the resident set stays flat
-// across b.N. Reported as bytes/op alongside ns/op (which is fsync-bound
-// for both stores).
+// BenchmarkStoreWriteAmplification measures bytes written to disk per
+// published delegation with 10k bundles already resident: the log store
+// appends one frame whatever the resident state (EXP-R2, which also records
+// the whole-file JSON store this row was measured against before that store
+// was deleted). Each iteration re-puts one of a small pool of extra
+// delegations, so the resident set stays flat across b.N. Reported as
+// bytes/op alongside ns/op (which is fsync-bound).
 func BenchmarkStoreWriteAmplification(b *testing.B) {
 	const resident = 10_000
 	const pool = 64
 	all := benchIssueMany(b, resident+pool)
 	residentDs, fresh := all[:resident], all[resident:]
-
-	b.Run("json-10k", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "state.json")
-		// Seed by writing the state file directly — identical to what 10k
-		// puts would leave, without 10k full-file rewrites of setup.
-		bundles := make([]wallet.StoredBundle, len(residentDs))
-		for i, d := range residentDs {
-			bundles[i] = wallet.StoredBundle{Delegation: d}
-		}
-		state := struct {
-			Seq     uint64                `json:"seq"`
-			Bundles []wallet.StoredBundle `json:"bundles"`
-		}{Seq: uint64(len(bundles)), Bundles: bundles}
-		data, err := json.Marshal(state)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o600); err != nil {
-			b.Fatal(err)
-		}
-		st, err := wallet.OpenFileStore(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seq := st.Seq()
-		var total int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			seq++
-			if err := st.PutDelegation(seq, fresh[i%pool], nil); err != nil {
-				b.Fatal(err)
-			}
-			// Every put rewrites the full file; its new size is exactly the
-			// bytes this op wrote.
-			fi, err := os.Stat(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += fi.Size()
-		}
-		b.ReportMetric(float64(total)/float64(b.N), "bytes/op")
-	})
 
 	b.Run("log-10k", func(b *testing.B) {
 		dir := filepath.Join(b.TempDir(), "state")

@@ -363,7 +363,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 	defer client.Close()
 	// Mint a trace ID so the serving wallet can retain its spans for this
 	// query — a slow or failed one is then fetchable via `drbac trace`.
-	proof, err := client.QueryDirectTraced(ctx, obs.TraceContext{TraceID: obs.NewTraceID()}, subj, obj, nil, 0)
+	proof, err := client.QueryDirect(obs.ContextWithTrace(ctx, obs.TraceContext{TraceID: obs.NewTraceID()}), subj, obj, nil, 0)
 	if err != nil {
 		return err
 	}

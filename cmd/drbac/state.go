@@ -24,7 +24,8 @@ type stateInfo struct {
 }
 
 // inspectState classifies the state path by shape: a directory is a
-// segmented log store, a regular file is the legacy JSON store.
+// segmented log store, a regular file is a legacy JSON state file (or the
+// .bak a migration left).
 func inspectState(path string) (stateInfo, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -44,16 +45,16 @@ func inspectState(path string) (stateInfo, error) {
 			Segments:    info.Segments,
 		}, nil
 	}
-	st, err := wallet.OpenFileStore(path)
+	st, err := wallet.ReadLegacyState(path)
 	if err != nil {
 		return stateInfo{}, err
 	}
 	return stateInfo{
 		Path:        path,
 		Store:       "json",
-		Seq:         st.Seq(),
-		Bundles:     len(st.Bundles()),
-		Revocations: len(st.Revocations()),
+		Seq:         st.Seq,
+		Bundles:     len(st.Bundles),
+		Revocations: len(st.Revocations),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,7 +10,6 @@ import (
 
 	"drbac/internal/core"
 	"drbac/internal/logstore"
-	"drbac/internal/wallet"
 )
 
 func issueTestDelegations(t *testing.T, n int) []*core.Delegation {
@@ -39,46 +39,66 @@ func issueTestDelegations(t *testing.T, n int) []*core.Delegation {
 	return out
 }
 
-func TestInspectStateJSONFile(t *testing.T) {
-	ds := issueTestDelegations(t, 2)
-	path := filepath.Join(t.TempDir(), "state.json")
-	st, err := wallet.OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutDelegation(1, ds[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutDelegation(2, ds[1], nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.AddRevocation(3, ds[1].ID(), time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.DeleteDelegation(3, ds[1].ID()); err != nil {
-		t.Fatal(err)
-	}
+// TestInspectStateLegacyJSON reads the checked-in legacy JSON state files
+// (internal/wallet/testdata/legacy) — what a not-yet-migrated -state path,
+// or the .bak a migration left, holds. `drbac state` is documented safe
+// against a live daemon's state, so the inspection must write nothing: a
+// state.json.tmp beside the file is a running older daemon's in-flight
+// publish, and removing it would fail that daemon's rename.
+func TestInspectStateLegacyJSON(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		seq  uint64
+	}{
+		{"filestore.json", 5},
+		{"filestore_pre_revocations.json", 5},
+		{"walletstate.json", 0},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			fixture, err := os.ReadFile(filepath.Join("..", "..", "internal", "wallet", "testdata", "legacy", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "state.json")
+			files := map[string][]byte{path: fixture, path + ".tmp": []byte(`{"bundles":[{"deleg`)}
+			for name, data := range files {
+				if err := os.WriteFile(name, data, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	info, err := inspectState(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Store != "json" || info.Bundles != 1 || info.Revocations != 1 || info.Seq != 3 {
-		t.Fatalf("json inspect: %+v", info)
-	}
-	if len(info.Segments) != 0 {
-		t.Fatalf("json store reported segments: %+v", info.Segments)
-	}
-	var buf bytes.Buffer
-	renderState(&buf, info)
-	out := buf.String()
-	for _, want := range []string{"store        json", "seq          3", "bundles      1", "revocations  1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "segments") {
-		t.Errorf("json render shows segment table:\n%s", out)
+			info, err := inspectState(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Store != "json" || info.Bundles != 3 || info.Revocations != 1 || info.Seq != tc.seq {
+				t.Fatalf("json inspect: %+v", info)
+			}
+			if len(info.Segments) != 0 {
+				t.Fatalf("json store reported segments: %+v", info.Segments)
+			}
+			for name, want := range files {
+				if data, err := os.ReadFile(name); err != nil || !bytes.Equal(data, want) {
+					t.Errorf("%s not byte-identical after inspection (err=%v)", filepath.Base(name), err)
+				}
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+				t.Errorf("inspection left %d files, want the %d it found", len(entries), len(files))
+			}
+
+			var buf bytes.Buffer
+			renderState(&buf, info)
+			out := buf.String()
+			for _, want := range []string{"store        json", "bundles      3", "revocations  1"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("render missing %q:\n%s", want, out)
+				}
+			}
+			if strings.Contains(out, "segments") {
+				t.Errorf("json render shows segment table:\n%s", out)
+			}
+		})
 	}
 }
 

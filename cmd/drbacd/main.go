@@ -96,8 +96,7 @@ func run(args []string) error {
 	keyPath := fs.String("key", "", "wallet operator identity file")
 	listen := fs.String("listen", "127.0.0.1:7100", "listen address")
 	load := fs.String("load", "", "directory of delegation bundles to publish at startup")
-	state := fs.String("state", "", "wallet state path: restored at startup, persisted on every publication and revocation")
-	storeKind := fs.String("store", "json", `durable format for -state: "json" (single-file snapshot, rewritten per mutation) or "log" (segmented append-only log with compaction; a legacy json file at the path is migrated in place once, keeping a .bak)`)
+	state := fs.String("state", "", "wallet state path, a segmented log directory: restored at startup, appended to on every publication and revocation (a legacy JSON state file at the path is migrated in place once, keeping a .bak)")
 	replicaOf := fs.String("replica-of", "", "run as a read-only follower replica of the wallet at host:port[,host:port...] (§9); mutations are refused")
 	shardOf := fs.String("shard-of", "", "serve one shard of a wallet cluster: path of the shard map file (JSON, re-read on mtime change); requires -shard-id")
 	shardID := fs.Int("shard-id", -1, "this member's shard ID in the -shard-of map")
@@ -191,14 +190,14 @@ func run(args []string) error {
 			"announce", rt.addrs, "bootstrap", rt.seeds)
 	}
 	if *gatewayOf == "" {
-		w, closeStore, storeHealth, err = openWallet(owner, *state, *storeKind, *strict, o)
+		w, closeStore, storeHealth, err = openWallet(owner, *state, *strict, o)
 		if err != nil {
 			return err
 		}
 		if *state != "" {
 			logger.Info("state restored",
 				"delegations", w.Len(), "revocations", len(w.RevokedIDs()),
-				"seq", w.Seq(), "path", *state, "store", *storeKind)
+				"seq", w.Seq(), "path", *state)
 		}
 		if *load != "" {
 			n, err := loadBundles(w, *load)
@@ -361,7 +360,7 @@ type readiness struct {
 }
 
 // notReady explains why the daemon should be out of rotation, or "" when it
-// is ready. storeHealth is nil for stores without failure detection;
+// is ready. storeHealth is nil when the daemon runs without -state;
 // shardWatch is nil outside a cluster.
 func notReady(follower *replica.Follower, storeHealth func() error, maxLag time.Duration, shardWatch *shardMapWatcher) string {
 	if storeHealth != nil {
@@ -387,7 +386,7 @@ func notReady(follower *replica.Follower, storeHealth func() error, maxLag time.
 // newDebugMux builds the -http endpoint set: Prometheus metrics, a JSON
 // health summary, the readiness probe, retained traces, and the standard
 // pprof handlers. follower is nil on a primary; storeHealth is nil when the
-// store has no failure detection (memory, json).
+// daemon runs without -state.
 func newDebugMux(o *obs.Obs, w *wallet.Wallet, role string, follower *replica.Follower, storeHealth func() error, readyMaxLag time.Duration, shardWatch *shardMapWatcher) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.MetricsHandler(o.Registry()))
@@ -435,42 +434,24 @@ func newDebugMux(o *obs.Obs, w *wallet.Wallet, role string, follower *replica.Fo
 }
 
 // openWallet builds the daemon's wallet. With a state path the wallet sits
-// on a durable store: every publication and revocation persists before the
-// request is acknowledged, and a restarted daemon replays the store —
-// including the revocation set, so previously revoked credentials stay
-// refused — at construction. storeKind selects the format: "json" is the
-// legacy single-file snapshot, "log" the segmented append-only log. The
+// on the segmented log store: every publication and revocation persists
+// before the request is acknowledged, and a restarted daemon replays the
+// store — including the revocation set, so previously revoked credentials
+// stay refused — at construction. Without one it runs on memory alone. The
 // returned closer flushes and releases the store; call it at shutdown. The
 // returned health func reports store failures (fsync, compaction) for the
-// readiness probe; nil when the store kind has no failure detection.
-func openWallet(owner *core.Identity, statePath, storeKind string, strict bool, o *obs.Obs) (*wallet.Wallet, func(), func() error, error) {
+// readiness probe; nil without a state path.
+func openWallet(owner *core.Identity, statePath string, strict bool, o *obs.Obs) (*wallet.Wallet, func(), func() error, error) {
 	cfg := wallet.Config{Owner: owner, StrictAttributes: strict, Obs: o}
-	closer := func() {}
-	var health func() error
-	switch storeKind {
-	case "json":
-		if statePath != "" {
-			st, err := wallet.OpenFileStore(statePath)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			cfg.Store = st
-		}
-	case "log":
-		if statePath == "" {
-			return nil, nil, nil, fmt.Errorf("-store=log requires -state")
-		}
-		st, err := openLogStore(statePath, o)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cfg.Store = st
-		closer = func() { _ = st.Close() }
-		health = st.Health
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown -store %q (want json or log)", storeKind)
+	if statePath == "" {
+		return wallet.New(cfg), func() {}, nil, nil
 	}
-	return wallet.New(cfg), closer, health, nil
+	st, err := openLogStore(statePath, o)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cfg.Store = st
+	return wallet.New(cfg), func() { _ = st.Close() }, st.Health, nil
 }
 
 // openLogStore opens the segmented log store at path, migrating a legacy
@@ -508,7 +489,7 @@ func openLogStore(path string, o *obs.Obs) (*logstore.Store, error) {
 // migrateJSONToLog seeds a fresh log store from a legacy JSON state file
 // and swaps it into the file's place, leaving the original as .bak.
 func migrateJSONToLog(path string) error {
-	fst, err := wallet.OpenFileStore(path)
+	old, err := wallet.ReadLegacyState(path)
 	if err != nil {
 		return err
 	}
@@ -522,9 +503,8 @@ func migrateJSONToLog(path string) error {
 	if err != nil {
 		return err
 	}
-	revs := fst.Revocations()
+	revs, bundles := old.Revocations, old.Bundles
 	sort.Slice(revs, func(i, j int) bool { return revs[i].ID < revs[j].ID })
-	bundles := fst.Bundles()
 	sort.Slice(bundles, func(i, j int) bool {
 		return bundles[i].Delegation.ID() < bundles[j].Delegation.ID()
 	})
@@ -532,8 +512,8 @@ func migrateJSONToLog(path string) error {
 	// mutation count if it never recorded one), so wallet changelog numbers
 	// never regress across the migration.
 	seq := uint64(0)
-	if n := uint64(len(revs) + len(bundles)); fst.Seq() > n {
-		seq = fst.Seq() - n
+	if n := uint64(len(revs) + len(bundles)); old.Seq > n {
+		seq = old.Seq - n
 	}
 	for _, r := range revs {
 		seq++

@@ -13,6 +13,7 @@ import (
 	"drbac/internal/remote"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
+	"drbac/internal/wire"
 )
 
 var testStart = time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
@@ -176,6 +177,41 @@ func mustUniform(t *testing.T, groups ...[]string) *Map {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestMemberConnectionStartsSilent pins that a cluster member pushes
+// nothing on an accepted connection (the cluster-hello advertisement is
+// reserved, no longer sent): the first frame a raw client sees is the reply
+// to its own first request.
+func TestMemberConnectionStartsSilent(t *testing.T) {
+	e := newEnv(t, "gate")
+	m := mustUniform(t, []string{"shard0"})
+	e.serveShard("shard0", 0, m)
+
+	conn, err := e.net.Dialer(e.id("gate")).Dial(context.Background(), "shard0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	codec := wire.CodecFor(conn.Codec())
+	ping, err := codec.Encode(wire.TPing, 41, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(ping); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := codec.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Type != wire.TPong || env.ID != 41 {
+		t.Fatalf("first frame from a member = %s (id %d), want the pong to request 41", env.Type, env.ID)
+	}
 }
 
 func TestPublishRoutesToOwner(t *testing.T) {

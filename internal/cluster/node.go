@@ -93,13 +93,6 @@ func (n *Node) Adopt(m *Map) bool {
 	return true
 }
 
-// Hello advertises this member's shard and epoch (pushed on connect).
-func (n *Node) Hello() wire.ShardMapResp {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return wire.ShardMapResp{Epoch: n.m.Epoch, Shard: n.id}
-}
-
 // MapResp answers a shardmap request with the full serialized map.
 func (n *Node) MapResp() (wire.ShardMapResp, error) {
 	n.mu.RLock()

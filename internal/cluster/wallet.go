@@ -315,13 +315,9 @@ func (w *Wallet) Obs() *obs.Obs { return w.obs }
 
 var _ wallet.Service = (*Wallet)(nil)
 
-// gatewayGuard is the remote.ClusterGuard of a served gateway: advertise
-// the map, refuse nothing.
+// gatewayGuard is the remote.ClusterGuard of a served gateway: answer
+// shardmap requests, refuse nothing.
 type gatewayGuard struct{ w *Wallet }
-
-func (g gatewayGuard) Hello() wire.ShardMapResp {
-	return wire.ShardMapResp{Epoch: g.w.router.Epoch(), Shard: -1}
-}
 
 func (g gatewayGuard) MapResp() (wire.ShardMapResp, error) {
 	cur := g.w.router.Current()

@@ -485,14 +485,14 @@ func (a *Agent) discover(ctx context.Context, q wallet.Query, mode Mode, stats *
 	return nil, core.ErrNoProof
 }
 
-// traceCtx is the wire trace context for one remote query: the rpc child
-// span's position when tracing is on, or just the bare trace ID so remote
-// logs still correlate when the agent has no Obs.
-func traceCtx(rsp *obs.Span, traceID string) obs.TraceContext {
+// traceCtx carries one remote query's trace position to the client: the rpc
+// child span when tracing is on, or just the bare trace ID so remote logs
+// still correlate when the agent has no Obs.
+func traceCtx(ctx context.Context, rsp *obs.Span, traceID string) context.Context {
 	if rsp == nil {
-		return obs.TraceContext{TraceID: traceID}
+		return obs.ContextWithTrace(ctx, obs.TraceContext{TraceID: traceID})
 	}
-	return rsp.Context()
+	return obs.ContextWithSpan(ctx, rsp)
 }
 
 // finishRPC closes an rpc child span, recording transport failures (a
@@ -556,7 +556,7 @@ func (a *Agent) forwardRound(ctx context.Context, q wallet.Query, mode Mode, rou
 			stats.RemoteQueries++
 		}
 		rsp := sp.StartChild("rpc:direct", "wallet", home, "node", node.String())
-		p, err := c.QueryDirectTraced(ctx, traceCtx(rsp, q.TraceID), node, q.Object, remaining, 0)
+		p, err := c.QueryDirect(traceCtx(ctx, rsp, q.TraceID), node, q.Object, remaining, 0)
 		finishRPC(rsp, err)
 		if err == nil {
 			n := a.insertProofs([]*core.Proof{p}, tag.Home, tag.TTL, stats)
@@ -577,7 +577,7 @@ func (a *Agent) forwardRound(ctx context.Context, q wallet.Query, mode Mode, rou
 			stats.RemoteQueries++
 		}
 		rsp = sp.StartChild("rpc:subject", "wallet", home, "node", node.String())
-		proofs, err := c.QuerySubjectTraced(ctx, traceCtx(rsp, q.TraceID), node, remaining)
+		proofs, err := c.QuerySubject(traceCtx(ctx, rsp, q.TraceID), node, remaining)
 		finishRPC(rsp, err)
 		if err != nil {
 			a.reportIfBroken(home, c)
@@ -633,7 +633,7 @@ func (a *Agent) reverseRound(ctx context.Context, q wallet.Query, mode Mode, rou
 			stats.RemoteQueries++
 		}
 		rsp := sp.StartChild("rpc:direct", "wallet", home, "node", node.String())
-		p, err := c.QueryDirectTraced(ctx, traceCtx(rsp, q.TraceID), q.Subject, role, remaining, 0)
+		p, err := c.QueryDirect(traceCtx(ctx, rsp, q.TraceID), q.Subject, role, remaining, 0)
 		finishRPC(rsp, err)
 		if err == nil {
 			n := a.insertProofs([]*core.Proof{p}, tag.Home, tag.TTL, stats)
@@ -653,7 +653,7 @@ func (a *Agent) reverseRound(ctx context.Context, q wallet.Query, mode Mode, rou
 			stats.RemoteQueries++
 		}
 		rsp = sp.StartChild("rpc:object", "wallet", home, "node", node.String())
-		proofs, err := c.QueryObjectTraced(ctx, traceCtx(rsp, q.TraceID), role, remaining)
+		proofs, err := c.QueryObject(traceCtx(ctx, rsp, q.TraceID), role, remaining)
 		finishRPC(rsp, err)
 		if err != nil {
 			a.reportIfBroken(home, c)

@@ -10,10 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"drbac/internal/core"
-	"drbac/internal/wallet"
 )
 
 // IdentityFile holds a private identity. Treat the file like a private key.
@@ -115,73 +113,6 @@ func WriteBundle(path string, b Bundle) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WalletState is the persisted form of a wallet's credential store: every
-// delegation together with the support proofs it was published with, plus
-// the revocations the wallet has observed (so a restart cannot resurrect a
-// revoked credential).
-type WalletState struct {
-	Bundles []Bundle            `json:"bundles"`
-	Revoked []core.DelegationID `json:"revoked,omitempty"`
-}
-
-// SaveWallet persists a wallet's delegations (with their support proofs)
-// and observed revocations to path. Cache TTLs are deliberately not
-// persisted: cached copies must be re-confirmed from their home wallets
-// after a restart (§4.2.1).
-func SaveWallet(path string, w *wallet.Wallet) error {
-	state := WalletState{Revoked: w.RevokedIDs()}
-	sort.Slice(state.Revoked, func(i, j int) bool { return state.Revoked[i] < state.Revoked[j] })
-	for _, d := range w.Delegations() {
-		_, support, ok := w.Get(d.ID())
-		if !ok {
-			continue
-		}
-		state.Bundles = append(state.Bundles, Bundle{Delegation: d, Support: support})
-	}
-	// Deterministic order keeps the file diffable.
-	sort.Slice(state.Bundles, func(i, j int) bool {
-		return state.Bundles[i].Delegation.ID() < state.Bundles[j].Delegation.ID()
-	})
-	data, err := json.MarshalIndent(state, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o600); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadWallet publishes a saved state into w, returning how many delegations
-// were restored. Bundles are self-contained (support travels with each), so
-// order does not matter; individually invalid entries (e.g. now expired)
-// are skipped, not fatal.
-func LoadWallet(path string, w *wallet.Wallet) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var state WalletState
-	if err := json.Unmarshal(data, &state); err != nil {
-		return 0, fmt.Errorf("wallet state %s: %w", path, err)
-	}
-	for _, id := range state.Revoked {
-		w.AcceptRevocation(id)
-	}
-	n := 0
-	for _, b := range state.Bundles {
-		if b.Delegation == nil {
-			continue
-		}
-		if err := w.Publish(b.Delegation, b.Support...); err != nil {
-			continue
-		}
-		n++
-	}
-	return n, nil
 }
 
 // ReadBundle loads a delegation bundle.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"drbac/internal/core"
-	"drbac/internal/wallet"
 )
 
 func TestIdentityFileRoundTrip(t *testing.T) {
@@ -164,142 +163,5 @@ func TestReadBundleErrors(t *testing.T) {
 	}
 	if _, err := ReadBundle(empty); err == nil {
 		t.Fatal("bundle without delegation accepted")
-	}
-}
-
-func TestWalletStateSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-
-	bigISP, err := core.NewIdentity("BigISP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mark, err := core.NewIdentity("Mark")
-	if err != nil {
-		t.Fatal(err)
-	}
-	maria, err := core.NewIdentity("Maria")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entDir := core.NewDirectory(bigISP.Entity(), mark.Entity(), maria.Entity())
-	now := time.Now()
-	issue := func(who *core.Identity, text string) *core.Delegation {
-		t.Helper()
-		parsed, err := core.ParseDelegation(text, entDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := core.Issue(who, parsed.Template, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-
-	src := wallet.New(wallet.Config{Directory: entDir})
-	for who, text := range map[*core.Identity]string{
-		bigISP: "[Mark -> BigISP.memberServices] BigISP",
-	} {
-		if err := src.Publish(issue(who, text)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := src.Publish(issue(bigISP, "[BigISP.memberServices -> BigISP.member'] BigISP")); err != nil {
-		t.Fatal(err)
-	}
-	// Third-party with support derived from the wallet's own graph.
-	if err := src.Publish(issue(mark, "[Maria -> BigISP.member] Mark")); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := SaveWallet(path, src); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := wallet.New(wallet.Config{Directory: entDir})
-	n, err := LoadWallet(path, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("restored %d delegations, want 3", n)
-	}
-	// The third-party proof must still work: support travelled in bundles.
-	subj, err := core.ParseSubject("Maria", entDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, err := core.ParseRole("BigISP.member", entDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := dst.QueryDirect(wallet.Query{Subject: subj, Object: obj})
-	if err != nil {
-		t.Fatalf("restored wallet cannot prove membership: %v", err)
-	}
-	if err := proof.Validate(core.ValidateOptions{At: now}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadWalletErrors(t *testing.T) {
-	dir := t.TempDir()
-	w := wallet.New(wallet.Config{})
-	if _, err := LoadWallet(filepath.Join(dir, "missing.json"), w); err == nil {
-		t.Fatal("missing state accepted")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("["), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadWallet(bad, w); err == nil {
-		t.Fatal("malformed state accepted")
-	}
-}
-
-func TestWalletStatePersistsRevocations(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-	org, err := core.NewIdentity("Org")
-	if err != nil {
-		t.Fatal(err)
-	}
-	user, err := core.NewIdentity("User")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entDir := core.NewDirectory(org.Entity(), user.Entity())
-	parsed, err := core.ParseDelegation("[User -> Org.member] Org", entDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := core.Issue(org, parsed.Template, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src := wallet.New(wallet.Config{})
-	if err := src.Publish(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Revoke(d.ID(), org.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveWallet(path, src); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := wallet.New(wallet.Config{})
-	if _, err := LoadWallet(path, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.IsRevoked(d.ID()) {
-		t.Fatal("revocation mark lost across restart")
-	}
-	// Republishing the revoked credential must fail after restore.
-	if err := dst.Publish(d); err == nil {
-		t.Fatal("restored wallet re-accepted a revoked credential")
 	}
 }

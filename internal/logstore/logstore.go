@@ -1,11 +1,12 @@
 // Package logstore is a segmented append-only implementation of the
 // wallet's durable Store: every accepted mutation appends one CRC-framed,
 // seq-stamped record to the active segment file instead of rewriting the
-// whole wallet state (the FileStore's model, priced by EXP-R1). Appends are
-// group-committed — concurrent writers share one fsync — segments seal at a
-// size threshold, and a background compactor folds revoked, expired, and
-// overwritten bundles out of sealed segments. Startup replays the segments
-// in order, truncating a torn tail at the last valid frame.
+// whole wallet state (what the JSON file store it replaced did, priced by
+// EXP-R1). Appends are group-committed — concurrent writers share one fsync
+// — segments seal at a size threshold, and a background compactor folds
+// revoked, expired, and overwritten bundles out of sealed segments. Startup
+// replays the segments in order, truncating a torn tail at the last valid
+// frame.
 //
 // Because records carry the wallet changelog seq (§9), the sealed segments
 // double as a shippable replication artifact: SnapshotSegments hands a
@@ -146,8 +147,7 @@ var _ wallet.SegmentStore = (*Store)(nil)
 // zero-fill from a crash mid-append — are truncated at the last valid
 // frame: a torn record was never fsync-acknowledged to any caller, so
 // discarding it restores exactly the acknowledged state. Leftover
-// compaction temp files are removed the same way a FileStore drops a stale
-// .tmp.
+// compaction temp files were never renamed into place, so they are removed.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o700); err != nil {
@@ -543,10 +543,10 @@ func (s *Store) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (b
 	if s.mem.IsRevoked(id) {
 		return false, nil
 	}
-	if err := s.append(Record{Seq: seq, Kind: KindRevoke, ID: id, At: at}); err != nil {
-		return false, err
-	}
-	return s.mem.AddRevocation(seq, id, at)
+	// Recorded in memory even when the append fails (the Store contract).
+	err := s.append(Record{Seq: seq, Kind: KindRevoke, ID: id, At: at})
+	added, _ := s.mem.AddRevocation(seq, id, at)
+	return added, err
 }
 
 // IsRevoked implements wallet.Store.
@@ -817,8 +817,8 @@ func (s *Store) compactLoop(interval time.Duration) {
 	}
 }
 
-// writeFileSync writes data to path and fsyncs before closing, mirroring
-// the wallet FileStore's temp-file discipline.
+// writeFileSync writes data to path and fsyncs before closing, so the
+// bytes are on stable storage before the caller renames the file into place.
 func writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {

@@ -479,17 +479,29 @@ func TestLogStoreSnapshotSegments(t *testing.T) {
 }
 
 // TestLogStoreBackedWallet runs the wallet API end to end on a log store:
-// publish, revoke, restart, re-prove — the same contract the FileStore
-// restart test pins, plus seq continuity across the restart.
+// publish (a third-party delegation with its support proof included),
+// revoke, restart, re-prove from the replayed bundles, with seq continuity
+// across the restart.
 func TestLogStoreBackedWallet(t *testing.T) {
-	we := walletEnv(t, "BigISP", "Maria")
+	we := newEnv(t, "BigISP", "Mark", "Maria")
 	dir := filepath.Join(t.TempDir(), "log")
 
 	s1 := open(t, dir, testOpts())
 	w1 := wallet.New(wallet.Config{Owner: we.ids["BigISP"], Directory: we.dir, Store: s1})
-	d := we.deleg("[Maria -> BigISP.member] BigISP")
-	if err := w1.Publish(d); err != nil {
+	d1 := we.deleg("[Mark -> BigISP.memberServices] BigISP")
+	d2 := we.deleg("[BigISP.memberServices -> BigISP.member'] BigISP")
+	d3 := we.deleg("[Maria -> BigISP.member] Mark")
+	sup, err := core.NewProof(core.ProofStep{Delegation: d1}, core.ProofStep{Delegation: d2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, pub := range []struct {
+		d       *core.Delegation
+		support []*core.Proof
+	}{{d1, nil}, {d2, nil}, {d3, []*core.Proof{sup}}} {
+		if err := w1.Publish(pub.d, pub.support...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	doomed := we.deleg("[Maria -> BigISP.memberServices] BigISP")
 	if err := w1.Publish(doomed); err != nil {
@@ -508,8 +520,23 @@ func TestLogStoreBackedWallet(t *testing.T) {
 	if w2.Seq() != seq1 {
 		t.Fatalf("restarted wallet seq = %d, want %d (changelog continuity)", w2.Seq(), seq1)
 	}
-	if !w2.Contains(d.ID()) {
-		t.Fatal("restarted wallet lost the live delegation")
+	if w2.Len() != 3 {
+		t.Fatalf("restarted wallet holds %d delegations, want 3", w2.Len())
+	}
+	// Maria ⇒ BigISP.member needs d3 plus its stored support chain.
+	p, err := w2.QueryDirect(wallet.Query{
+		Subject: core.SubjectEntity(we.ids["Maria"].ID()),
+		Object:  core.Role{Namespace: we.ids["BigISP"].ID(), Name: "member"},
+	})
+	if err != nil {
+		t.Fatalf("restarted wallet cannot re-prove: %v", err)
+	}
+	uses := false
+	for _, d := range p.Delegations() {
+		uses = uses || d.ID() == d3.ID()
+	}
+	if !uses {
+		t.Fatal("restarted proof does not use the stored third-party delegation")
 	}
 	if !w2.IsRevoked(doomed.ID()) {
 		t.Fatal("restarted wallet lost the revocation")
@@ -519,8 +546,27 @@ func TestLogStoreBackedWallet(t *testing.T) {
 	}
 }
 
-// walletEnv mirrors env but also wires a directory usable by wallet.New.
-func walletEnv(t *testing.T, names ...string) *env { return newEnv(t, names...) }
+// TestRevocationSurvivesFailedAppend pins the Store contract for the one
+// write whose loss is unsafe: a revocation the log cannot persist is still
+// recorded in memory, and the error says durability is at risk.
+func TestRevocationSurvivesFailedAppend(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	s := open(t, filepath.Join(t.TempDir(), "log"), testOpts())
+	d := e.deleg("[Maria -> BigISP.member] BigISP")
+	if err := s.PutDelegation(1, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil { // every later append fails
+		t.Fatal(err)
+	}
+	added, err := s.AddRevocation(2, d.ID(), testStart)
+	if err == nil || !added {
+		t.Fatalf("AddRevocation on a failing log = (%v, %v), want (true, error)", added, err)
+	}
+	if !s.IsRevoked(d.ID()) {
+		t.Fatal("revocation whose append failed is not held in memory")
+	}
+}
 
 func dirSize(t *testing.T, dir string) int64 {
 	t.Helper()

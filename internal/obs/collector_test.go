@@ -328,5 +328,27 @@ func TestSpanContextPropagation(t *testing.T) {
 	if child := nilSpan.StartChild("x"); child != nil {
 		t.Error("nil span spawned a child")
 	}
+
+	// TraceFromContext is what a remote call stamps on its request: the
+	// active span's position, unless the caller named a bare one — which
+	// wins even over a span set later, and costs an untraced call nothing.
+	if got := TraceFromContext(ctx); got != tc {
+		t.Errorf("position from a span context = %+v, want %+v", got, tc)
+	}
+	bare := TraceContext{TraceID: "feedface"}
+	if got := TraceFromContext(ContextWithSpan(ContextWithTrace(ctx, bare), sp)); got != bare {
+		t.Errorf("position = %+v, want the explicit %+v", got, bare)
+	}
+	if ContextWithTrace(ctx, TraceContext{}) != ctx {
+		t.Error("a zero TraceContext wrapped the context")
+	}
+	background := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		if TraceFromContext(background) != (TraceContext{}) {
+			t.Error("empty context yielded a trace position")
+		}
+	}); n != 0 {
+		t.Errorf("TraceFromContext on an untraced context allocates %v times", n)
+	}
 	sp.End()
 }

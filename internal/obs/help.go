@@ -23,6 +23,7 @@ var (
 		"drbac_wallet_query_object_total":   "Object-rooted proof enumeration queries.",
 		"drbac_wallet_query_noproof_total":  "Queries that found no proof.",
 		"drbac_wallet_replay_skipped_total": "Changelog replay records skipped as already applied.",
+		"drbac_wallet_store_errors_total":   "Durable-store writes that failed on a path with no caller to tell (sweeps, replicated drops, accepted revocations); memory and disk have diverged.",
 		"drbac_search_nodes_total":          "Graph-search nodes expanded across proof searches.",
 		"drbac_search_edges_total":          "Graph-search edges traversed across proof searches.",
 		"drbac_search_pruned_total":         "Graph-search branches pruned (depth/constraint bounds).",
@@ -82,7 +83,7 @@ var (
 		"drbac_replica_connected":            "1 when the follower's subscription stream is connected.",
 
 		// proxy
-		"drbac_proxy_hits_total":  "Proxy queries answered from the local wallet or front cache.",
+		"drbac_proxy_hits_total":  "Proxy queries answered from the local wallet.",
 		"drbac_proxy_pulls_total": "Proxy queries that pulled proofs from the upstream wallet.",
 
 		// cluster

@@ -386,3 +386,27 @@ func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return sp
 }
+
+// traceCtxKey carries a bare TraceContext for callers that know a trace ID
+// (or a position received off the wire) but hold no live span.
+type traceCtxKey struct{}
+
+// ContextWithTrace returns a context carrying tc as the position the next
+// remote hop nests under; a zero tc returns ctx unchanged.
+func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
+	if tc == (TraceContext{}) {
+		return ctx
+	}
+	return context.WithValue(ctx, traceCtxKey{}, tc)
+}
+
+// TraceFromContext returns the trace position ctx carries for the next hop:
+// a TraceContext set with ContextWithTrace, else the active span's. The
+// explicit one is read first so a caller whose ctx still holds a parent's
+// span can name a different position.
+func TraceFromContext(ctx context.Context) TraceContext {
+	if tc, ok := ctx.Value(traceCtxKey{}).(TraceContext); ok {
+		return tc
+	}
+	return SpanFromContext(ctx).Context()
+}

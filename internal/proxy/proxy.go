@@ -57,13 +57,7 @@ type Config struct {
 // Proxy is a pull-through, subscription-coherent wallet cache.
 type Proxy struct {
 	cfg Config
-	// front memoizes whole answers at the proxy boundary — the same
-	// ProofCache type the wallet embeds, kept coherent by a wildcard
-	// subscription on the local wallet: any publish/revoke/expiry/TTL-lapse
-	// event there kills the affected memoized answers first.
-	front    *wallet.ProofCache
-	unsubAll func()
-	obs      *obs.Obs
+	obs *obs.Obs
 	// mHits/mPulls mirror the hits/pulls counters into the metrics registry
 	// (nil, hence no-op, when uninstrumented).
 	mHits  *obs.Counter
@@ -97,18 +91,11 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:     cfg,
-		front:   wallet.NewProofCache(0),
 		obs:     o,
 		mHits:   o.Counter("drbac_proxy_hits_total"),
 		mPulls:  o.Counter("drbac_proxy_pulls_total"),
 		cancels: make(map[core.DelegationID]func()),
 	}
-	p.unsubAll = cfg.Local.SubscribeAll(func(ev subs.Event) {
-		switch ev.Kind {
-		case subs.Revoked, subs.Expired, subs.Stale:
-			p.front.InvalidateDelegation(ev.Delegation)
-		}
-	})
 	return p, nil
 }
 
@@ -122,7 +109,6 @@ func (p *Proxy) Close() {
 	for _, c := range cancels {
 		c()
 	}
-	p.unsubAll()
 }
 
 // Stats reports cache effectiveness.
@@ -131,9 +117,6 @@ func (p *Proxy) Stats() (hits, pulls int) {
 	defer p.mu.Unlock()
 	return p.hits, p.pulls
 }
-
-// CacheStats reports the front answer cache's counters.
-func (p *Proxy) CacheStats() wallet.CacheStats { return p.front.Stats() }
 
 // upstream returns the connection pulls and subscriptions ride on. With a
 // pooled upstream it redials through the pool as needed; when the pool
@@ -175,33 +158,16 @@ func (p *Proxy) upstream(ctx context.Context) (*remote.Client, error) {
 	return c, nil
 }
 
-// QueryDirect answers from the front answer cache or the cache wallet,
-// pulling through from upstream on a miss. The proxy never memoizes
-// negative answers: an unprovable query must retry upstream, where new
+// QueryDirect answers from the cache wallet (whose proof cache memoizes
+// repeats), pulling through from upstream on a miss. Negative answers are
+// never memoized: an unprovable query must retry upstream, where new
 // credentials may have appeared.
 func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	q.Ctx = ctx
-	// Like the wallet, bypass memoization when the caller measures search
-	// effort.
-	useFront := q.Stats == nil
-	var key string
-	if useFront {
-		key = wallet.CacheKey(q.Subject, q.Object, q.Constraints)
-		if proof, _, ok := p.front.Lookup(key, p.cfg.Local.Now(), p.cfg.Local.IsRevoked); ok {
-			p.mu.Lock()
-			p.hits++
-			p.mu.Unlock()
-			p.mHits.Inc()
-			return proof, nil
-		}
-	}
 	if proof, err := p.cfg.Local.QueryDirect(q); err == nil {
-		if useFront {
-			p.front.Put(key, proof)
-		}
 		p.mu.Lock()
 		p.hits++
 		p.mu.Unlock()
@@ -222,9 +188,9 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	// with the upstream serve span nested under this pull.
 	psp := obs.SpanFromContext(ctx).StartChild("proxy.pull",
 		"subject", q.Subject.String(), "object", q.Object.String())
-	tc := psp.Context()
-	if tc.TraceID == "" {
-		tc.TraceID = q.TraceID
+	pctx := obs.ContextWithSpan(ctx, psp)
+	if psp == nil {
+		pctx = obs.ContextWithTrace(ctx, obs.TraceContext{TraceID: q.TraceID})
 	}
 	up, err := p.upstream(ctx)
 	if err != nil {
@@ -232,7 +198,7 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 		psp.End("ok", false)
 		return nil, err
 	}
-	proof, err := up.QueryDirectTraced(ctx, tc, q.Subject, q.Object, q.Constraints, q.Direction)
+	proof, err := up.QueryDirect(pctx, q.Subject, q.Object, q.Constraints, q.Direction)
 	if err != nil {
 		if !errors.Is(err, core.ErrNoProof) {
 			psp.Fail(err)
@@ -249,14 +215,7 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	}
 	asp.End()
 	// Serve from the cache so the answer reflects local validation state.
-	served, err := p.cfg.Local.QueryDirect(q)
-	if err != nil {
-		return nil, err
-	}
-	if useFront {
-		p.front.Put(key, served)
-	}
-	return served, nil
+	return p.cfg.Local.QueryDirect(q)
 }
 
 // admit inserts a pulled proof's delegations into the cache and ensures one

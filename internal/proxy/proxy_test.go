@@ -381,17 +381,18 @@ func TestTwoLevelHierarchy(t *testing.T) {
 	}
 }
 
-// TestFrontCacheServesRepeatsAndStaysCoherent pins the proxy's front answer
-// cache: repeated queries are memoized hits, and an upstream revocation
-// propagated through the local wallet's push channel kills the memoized
-// answer before the next query returns.
-func TestFrontCacheServesRepeatsAndStaysCoherent(t *testing.T) {
+// TestRepeatsDoNotPullAndStayCoherent pins what the proxy's own answer
+// cache used to be asserted for, on the one cache that remains (the local
+// wallet's proof cache): repeated queries are memoized hits that never reach
+// upstream, and an upstream revocation pushed into the local wallet is
+// refused on the next downstream query.
+func TestRepeatsDoNotPullAndStayCoherent(t *testing.T) {
 	e := newEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := e.newProxy(time.Minute)
+	p, local := e.newProxy(time.Minute)
 
 	if _, err := p.QueryDirect(context.Background(), e.query("member")); err != nil {
 		t.Fatalf("pull-through: %v", err)
@@ -401,24 +402,29 @@ func TestFrontCacheServesRepeatsAndStaysCoherent(t *testing.T) {
 			t.Fatalf("repeat %d: %v", i, err)
 		}
 	}
-	cs := p.CacheStats()
-	if cs.Hits < 3 || cs.Entries != 1 {
-		t.Fatalf("front cache stats = %+v, want >=3 hits and 1 entry", cs)
+	if hits, pulls := p.Stats(); hits != 3 || pulls != 1 {
+		t.Fatalf("proxy stats = %d hits, %d pulls; want 3 repeats served locally after 1 pull", hits, pulls)
+	}
+	if cs := local.Stats().Cache; cs.Hits < 3 || cs.Entries != 1 {
+		t.Fatalf("local proof cache = %+v, want >=3 hits and 1 entry", cs)
 	}
 
-	// Revoke upstream; the push propagates to the local wallet, whose
-	// wildcard channel must invalidate the front entry.
+	// Revoke upstream; the push propagates to the local wallet, whose own
+	// event channel drops the memoized answer.
 	if err := e.home.Revoke(d.ID(), e.ids["Org"].ID()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for p.CacheStats().Entries != 0 {
+	for !local.IsRevoked(d.ID()) {
 		if time.Now().After(deadline) {
-			t.Fatal("front cache entry not invalidated by upstream revocation")
+			t.Fatal("upstream revocation never reached the local wallet")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := p.QueryDirect(context.Background(), e.query("member")); !errors.Is(err, core.ErrNoProof) {
 		t.Fatalf("query after revocation = %v, want ErrNoProof", err)
+	}
+	if cs := local.Stats().Cache; cs.Entries != 0 {
+		t.Fatalf("local proof cache still holds %d answers resting on a revoked credential", cs.Entries)
 	}
 }

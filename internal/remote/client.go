@@ -57,13 +57,6 @@ type Client struct {
 	// broken flips when the read loop exits for any reason; the connection
 	// can never carry another call, so pool managers evict it.
 	broken atomic.Bool
-
-	// clusterEpoch holds the shard map epoch the server advertised in its
-	// cluster-hello push; 0 means the peer never advertised (not a
-	// cluster member, or an older server).
-	clusterEpoch atomic.Uint64
-	// clusterShard holds the advertised shard ID + 1 (so 0 = none).
-	clusterShard atomic.Int64
 }
 
 // Dial connects to a remote wallet at addr. Cancellation of ctx aborts the
@@ -127,16 +120,6 @@ func (c *Client) readLoop() {
 			c.failPending(err)
 			return
 		}
-		if env.Type == wire.TClusterHello {
-			var hello wire.ShardMapResp
-			err := wire.DecodeBody(env, &hello)
-			bufpool.Put(frame)
-			if err == nil {
-				c.clusterEpoch.Store(hello.Epoch)
-				c.clusterShard.Store(int64(hello.Shard) + 1)
-			}
-			continue
-		}
 		if env.Type == wire.TNotify {
 			var push wire.NotifyPush
 			err := wire.DecodeBody(env, &push)
@@ -170,7 +153,9 @@ func (c *Client) readLoop() {
 			// The waiting call decodes the body and recycles the frame.
 			w.ch <- reply{env: env, frame: frame}
 		} else {
-			// The call gave up (timeout, cancellation) before its answer.
+			// The call gave up (timeout, cancellation) before its answer,
+			// or no call ever waited: older cluster members still push the
+			// reserved cluster-hello (ID 0) on connect.
 			bufpool.Put(frame)
 		}
 	}
@@ -407,11 +392,6 @@ func (c *Client) PublishSharded(ctx context.Context, d *core.Delegation, support
 	}, nil)
 }
 
-// RevokeSharded is Revoke stamped with the caller's shard map epoch.
-func (c *Client) RevokeSharded(ctx context.Context, id core.DelegationID, epoch uint64) error {
-	return c.call(ctx, wire.TRevoke, wire.RevokeReq{Delegation: id, ShardEpoch: epoch}, nil)
-}
-
 // ShardMap fetches the peer's current shard map (serialized in
 // resp.Map). Non-clustered peers answer with an error.
 func (c *Client) ShardMap(ctx context.Context) (wire.ShardMapResp, error) {
@@ -420,30 +400,14 @@ func (c *Client) ShardMap(ctx context.Context) (wire.ShardMapResp, error) {
 	return resp, err
 }
 
-// ClusterEpoch reports the shard map epoch the peer advertised on
-// connect (cluster-hello push); ok is false when the peer is not a
-// cluster member (or predates clustering). The advertisement races the
-// first calls on a fresh connection — treat a false as "unknown yet",
-// not "definitely unclustered", until some response has round-tripped.
-func (c *Client) ClusterEpoch() (epoch uint64, shard int, ok bool) {
-	s := c.clusterShard.Load()
-	if s == 0 {
-		return 0, 0, false
-	}
-	return c.clusterEpoch.Load(), int(s - 1), true
-}
-
-// QueryDirect asks the remote wallet for a proof subject ⇒ object.
+// QueryDirect asks the remote wallet for a proof subject ⇒ object. Like
+// QuerySubject and QueryObject it carries the caller's trace position, when
+// ctx holds one (obs.ContextWithSpan, obs.ContextWithTrace): the serving
+// wallet logs the request (and runs its query) under the caller's trace and
+// parents its serve span under the caller's span, so a multi-wallet
+// discovery reads as one nested trace across every wallet it touched.
 func (c *Client) QueryDirect(ctx context.Context, subject core.Subject, object core.Role, constraints []core.Constraint, direction graph.Direction) (*core.Proof, error) {
-	return c.QueryDirectTraced(ctx, obs.TraceContext{}, subject, object, constraints, direction)
-}
-
-// QueryDirectTraced is QueryDirect carrying the caller's trace context: the
-// serving wallet logs the request (and runs its query) under the caller's
-// trace and parents its serve span under the caller's span, so a
-// multi-wallet discovery reads as one nested trace across every wallet it
-// touched.
-func (c *Client) QueryDirectTraced(ctx context.Context, tc obs.TraceContext, subject core.Subject, object core.Role, constraints []core.Constraint, direction graph.Direction) (*core.Proof, error) {
+	tc := obs.TraceFromContext(ctx)
 	var resp wire.ProofResp
 	err := c.call(ctx, wire.TQueryDirect, wire.QueryReq{
 		Subject:     subject,
@@ -461,11 +425,7 @@ func (c *Client) QueryDirectTraced(ctx context.Context, tc obs.TraceContext, sub
 
 // QuerySubject asks for all sub-proofs subject ⇒ *.
 func (c *Client) QuerySubject(ctx context.Context, subject core.Subject, constraints []core.Constraint) ([]*core.Proof, error) {
-	return c.QuerySubjectTraced(ctx, obs.TraceContext{}, subject, constraints)
-}
-
-// QuerySubjectTraced is QuerySubject carrying the caller's trace context.
-func (c *Client) QuerySubjectTraced(ctx context.Context, tc obs.TraceContext, subject core.Subject, constraints []core.Constraint) ([]*core.Proof, error) {
+	tc := obs.TraceFromContext(ctx)
 	var resp wire.ProofsResp
 	err := c.call(ctx, wire.TQuerySubject, wire.QueryReq{Subject: subject, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID}, &resp)
 	if err != nil {
@@ -476,11 +436,7 @@ func (c *Client) QuerySubjectTraced(ctx context.Context, tc obs.TraceContext, su
 
 // QueryObject asks for all sub-proofs * ⇒ object.
 func (c *Client) QueryObject(ctx context.Context, object core.Role, constraints []core.Constraint) ([]*core.Proof, error) {
-	return c.QueryObjectTraced(ctx, obs.TraceContext{}, object, constraints)
-}
-
-// QueryObjectTraced is QueryObject carrying the caller's trace context.
-func (c *Client) QueryObjectTraced(ctx context.Context, tc obs.TraceContext, object core.Role, constraints []core.Constraint) ([]*core.Proof, error) {
+	tc := obs.TraceFromContext(ctx)
 	var resp wire.ProofsResp
 	err := c.call(ctx, wire.TQueryObject, wire.QueryReq{Object: object, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID}, &resp)
 	if err != nil {

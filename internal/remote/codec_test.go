@@ -103,3 +103,76 @@ func TestMidStreamBinaryFrameOnJSONConnectionDropsIt(t *testing.T) {
 		t.Fatal("server kept the connection after a binary frame on a JSON connection")
 	}
 }
+
+// A client dialing a cluster member older than the reservation of
+// cluster-hello still receives that push (ID 0) as the connection's first
+// frame. It has no reader any more; the client must decode it on either
+// codec, drop it as a reply nobody waits for, and keep serving calls.
+func TestClientDropsClusterHelloFromOlderMember(t *testing.T) {
+	for _, tc := range []struct {
+		codec string
+		pol   transport.CodecPolicy
+	}{
+		{transport.CodecBinary, transport.CodecPolicy{}},
+		{transport.CodecJSON, transport.CodecPolicy{Advertise: []string{transport.CodecJSON}}},
+	} {
+		t.Run(tc.codec, func(t *testing.T) {
+			e := newEnv(t, "BigISP", "Maria")
+			ln, err := e.net.Listen("old.member", e.id("BigISP"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			// The hand-rolled older member: hello first, then answer pings.
+			served := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					served <- err
+					return
+				}
+				defer conn.Close()
+				codec := wire.CodecFor(conn.Codec())
+				hello, err := codec.Encode(wire.TClusterHello, 0, wire.ShardMapResp{Epoch: 7, Shard: 2})
+				if err == nil {
+					err = conn.Send(hello)
+				}
+				for err == nil {
+					var frame []byte
+					if frame, err = conn.Recv(); err != nil {
+						err = nil // the client hung up: done
+						break
+					}
+					var env wire.Envelope
+					if env, err = codec.Decode(frame); err == nil {
+						var pong []byte
+						if pong, err = codec.Encode(wire.TPong, env.ID, nil); err == nil {
+							err = conn.Send(pong)
+						}
+					}
+				}
+				served <- err
+			}()
+
+			c, err := Dial(context.Background(), e.net.DialerCodec(e.id("Maria"), tc.pol), "old.member")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.WireCodec() != tc.codec {
+				t.Fatalf("negotiated %q, want %q", c.WireCodec(), tc.codec)
+			}
+			for i := 0; i < 3; i++ {
+				if err := c.Ping(context.Background()); err != nil {
+					t.Fatalf("ping %d after a cluster-hello push: %v", i, err)
+				}
+			}
+			if !c.Healthy() {
+				t.Fatal("client marked the connection broken after a cluster-hello push")
+			}
+			c.Close()
+			if err := <-served; err != nil {
+				t.Fatalf("hand-rolled member: %v", err)
+			}
+		})
+	}
+}

@@ -77,14 +77,23 @@ func TestStatsMessage(t *testing.T) {
 		t.Fatal("expected no proof")
 	}
 
-	resp, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	// The server meters a request after sending its reply, each on its own
+	// goroutine, so either query's counts can trail its answer: fetch until
+	// both are in.
+	var resp wire.StatsResp
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if resp, err = c.Stats(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		m := resp.Metrics
+		metered := m.Histograms["drbac_server_request_seconds"].Count >= 2 && m.Counters["drbac_server_noproof_total"] >= 1
+		if metered || time.Now().After(deadline) {
+			break
+		}
 	}
 	if resp.Delegations != 1 {
 		t.Errorf("delegations = %d, want 1", resp.Delegations)
 	}
-	// 2 queries + the stats request itself have been served by now.
 	if got := resp.Metrics.Counters["drbac_server_requests_total"]; got < 2 {
 		t.Errorf("server requests = %d, want >= 2", got)
 	}

@@ -59,9 +59,6 @@ func newServerMetrics(o *obs.Obs) serverMetrics {
 // mechanics: the guard (implemented by internal/cluster) decides, and the
 // server only relays redirects. A nil guard serves unclustered.
 type ClusterGuard interface {
-	// Hello is the advertisement pushed on every accepted connection:
-	// shard ID and current epoch (no map body).
-	Hello() wire.ShardMapResp
 	// MapResp answers a TShardMap request with the full serialized map.
 	MapResp() (wire.ShardMapResp, error)
 	// CheckPublish authorizes a durable publish of a delegation whose
@@ -363,15 +360,6 @@ func (s *Server) handleConn(conn transport.Conn) {
 		s.m.activeConns.Add(-1)
 		s.obs.Log().Debug("connection closed", "peer", peer)
 	}()
-
-	// A cluster member advertises its shard map epoch before serving
-	// anything, so routing clients learn staleness at connect time
-	// instead of on their first refused mutation.
-	if s.guard != nil {
-		if err := cs.send(wire.TClusterHello, 0, s.guard.Hello()); err != nil {
-			s.obs.Log().Debug("cluster hello failed", "peer", peer, "error", err)
-		}
-	}
 
 	// Requests are served concurrently: slow proof searches must not stall
 	// the pipeline behind them. Clients correlate responses by envelope ID,

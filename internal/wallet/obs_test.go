@@ -3,10 +3,15 @@ package wallet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
+	"strings"
 	"testing"
+	"time"
 
+	"drbac/internal/core"
 	"drbac/internal/obs"
+	"drbac/internal/subs"
 )
 
 // TestWalletMetrics drives an instrumented wallet through the Table 1
@@ -164,5 +169,100 @@ func TestUninstrumentedWalletStaysQuiet(t *testing.T) {
 	}
 	if w.Obs() != nil {
 		t.Fatal("uninstrumented wallet reports an Obs")
+	}
+}
+
+// failingStore is a Store whose durable writes fail the way a log store's
+// do once its disk is gone: deletes change nothing, and a revocation is
+// recorded in memory only (the Store contract), with the error.
+type failingStore struct{ *MemStore }
+
+var errDisk = errors.New("disk on fire")
+
+func (failingStore) DeleteDelegation(uint64, core.DelegationID) error { return errDisk }
+
+func (s failingStore) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
+	added, _ := s.MemStore.AddRevocation(seq, id, at)
+	return added, errDisk
+}
+
+// TestStoreErrorsAreCountedNotDropped covers the mutations that cannot
+// return a store error to anyone — expiry and staleness sweeps, replicated
+// drops, accepted revocations. Each must count and log the failure and
+// still reach the safe in-memory outcome: credential out of the graph,
+// subscribers notified.
+func TestStoreErrorsAreCountedNotDropped(t *testing.T) {
+	for _, tc := range []struct {
+		op   string
+		kind subs.EventKind
+		// arrange stores d in w; act removes it through the path under test.
+		arrange func(e *env, w *Wallet, d *core.Delegation) error
+		act     func(e *env, w *Wallet, d *core.Delegation)
+		text    string
+	}{
+		{
+			op: "expire", kind: subs.Expired,
+			text:    "[Maria -> BigISP.member] BigISP <expiry:2026-07-06T12:30:00Z>",
+			arrange: func(_ *env, w *Wallet, d *core.Delegation) error { return w.Publish(d) },
+			act:     func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepExpired() },
+		},
+		{
+			op: "stale", kind: subs.Stale,
+			text:    "[Maria -> BigISP.member] BigISP",
+			arrange: func(_ *env, w *Wallet, d *core.Delegation) error { return w.InsertCached(d, nil, time.Minute) },
+			act:     func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepStaleCache() },
+		},
+		{
+			op: "drop-replicated", kind: subs.Expired,
+			text:    "[Maria -> BigISP.member] BigISP",
+			arrange: func(_ *env, w *Wallet, d *core.Delegation) error { return w.Publish(d) },
+			act:     func(_ *env, w *Wallet, d *core.Delegation) { w.DropReplicated(d.ID(), subs.Expired) },
+		},
+		{
+			op: "accept-revocation", kind: subs.Revoked,
+			text:    "[Maria -> BigISP.member] BigISP",
+			arrange: func(_ *env, w *Wallet, d *core.Delegation) error { return w.Publish(d) },
+			act:     func(_ *env, w *Wallet, d *core.Delegation) { w.AcceptRevocation(d.ID()) },
+		},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			e := newEnv(t, "BigISP", "Maria")
+			reg := obs.NewRegistry()
+			var logs bytes.Buffer
+			w := e.wallet(Config{
+				Store: failingStore{NewMemStore()},
+				Obs:   obs.New(obs.NewLogger(&logs, slog.LevelWarn, true), reg),
+			})
+			d := e.deleg(tc.text)
+			if err := tc.arrange(e, w, d); err != nil {
+				t.Fatal(err)
+			}
+			var events []subs.EventKind
+			w.Subscribe(d.ID(), func(ev subs.Event) { events = append(events, ev.Kind) })
+			seq := w.Seq()
+
+			tc.act(e, w, d)
+
+			if got := reg.Snapshot().Counters["drbac_wallet_store_errors_total"]; got != 1 {
+				t.Errorf("drbac_wallet_store_errors_total = %d, want 1", got)
+			}
+			if w.Contains(d.ID()) {
+				t.Error("credential still in the graph after its store write failed")
+			}
+			if len(events) != 1 || events[0] != tc.kind {
+				t.Errorf("events = %v, want one %v", events, tc.kind)
+			}
+			if w.Seq() != seq+1 {
+				t.Errorf("seq = %d, want %d", w.Seq(), seq+1)
+			}
+			if tc.kind == subs.Revoked && w.Publish(d) == nil {
+				t.Error("revoked credential re-admitted after the failed write")
+			}
+			for _, want := range []string{`"op":"` + tc.op + `"`, d.ID().Short(), errDisk.Error()} {
+				if !strings.Contains(logs.String(), want) {
+					t.Errorf("warn log lacks %s:\n%s", want, logs.String())
+				}
+			}
+		})
 	}
 }

@@ -59,9 +59,9 @@ type ProofCache struct {
 	hits, misses, invalidations atomic.Int64
 }
 
-// NewProofCache returns an empty cache holding at most limit entries;
+// newProofCache returns an empty cache holding at most limit entries;
 // limit <= 0 means DefaultProofCacheLimit.
-func NewProofCache(limit int) *ProofCache {
+func newProofCache(limit int) *ProofCache {
 	if limit <= 0 {
 		limit = DefaultProofCacheLimit
 	}
@@ -73,11 +73,11 @@ func NewProofCache(limit int) *ProofCache {
 	}
 }
 
-// CacheKey derives the memoization key for a direct query. Constraints are
+// cacheKey derives the memoization key for a direct query. Constraints are
 // order-normalized so semantically identical queries share an entry. The
 // search direction is deliberately excluded: any valid proof answers the
 // question regardless of the strategy that would have found it.
-func CacheKey(subject core.Subject, object core.Role, constraints []core.Constraint) string {
+func cacheKey(subject core.Subject, object core.Role, constraints []core.Constraint) string {
 	var b strings.Builder
 	// One allocation for the common, unconstrained key: the names plus the
 	// separators, ticks and operator digits.

@@ -15,18 +15,18 @@ func TestCacheKeyNormalizesConstraints(t *testing.T) {
 	c1 := core.Constraint{Attr: core.AttributeRef{Namespace: e.id("BigISP").ID(), Name: "bw"}, Base: 100, Minimum: 50}
 	c2 := core.Constraint{Attr: core.AttributeRef{Namespace: e.id("BigISP").ID(), Name: "gb"}, Base: 30, Minimum: 10}
 
-	a := CacheKey(subject, object, []core.Constraint{c1, c2})
-	b := CacheKey(subject, object, []core.Constraint{c2, c1})
+	a := cacheKey(subject, object, []core.Constraint{c1, c2})
+	b := cacheKey(subject, object, []core.Constraint{c2, c1})
 	if a != b {
 		t.Fatalf("constraint order changed the key:\n%q\n%q", a, b)
 	}
-	if a == CacheKey(subject, object, []core.Constraint{c1}) {
+	if a == cacheKey(subject, object, []core.Constraint{c1}) {
 		t.Fatal("dropping a constraint did not change the key")
 	}
-	if a == CacheKey(subject, object, nil) {
+	if a == cacheKey(subject, object, nil) {
 		t.Fatal("unconstrained key collides with constrained key")
 	}
-	if CacheKey(subject, object, nil) == CacheKey(subject, e.role("BigISP.member'"), nil) {
+	if cacheKey(subject, object, nil) == cacheKey(subject, e.role("BigISP.member'"), nil) {
 		t.Fatal("distinct objects share a key")
 	}
 }
@@ -38,7 +38,7 @@ func TestProofCacheHitMissNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewProofCache(0)
+	c := newProofCache(0)
 	now := e.clk.Now()
 
 	if _, _, ok := c.Lookup("k", now, nil); ok {
@@ -74,7 +74,7 @@ func TestProofCacheLookupRechecksExpiryAndRevocation(t *testing.T) {
 	}
 	now := e.clk.Now()
 
-	c := NewProofCache(0)
+	c := newProofCache(0)
 	c.Put("k", p)
 	revoked := func(id core.DelegationID) bool { return id == d.ID() }
 	if _, _, ok := c.Lookup("k", now, revoked); ok {
@@ -93,7 +93,7 @@ func TestProofCacheLookupRechecksExpiryAndRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewProofCache(0)
+	c2 := newProofCache(0)
 	c2.Put("k", pe)
 	if _, _, ok := c2.Lookup("k", now.Add(2*time.Minute), nil); ok {
 		t.Fatal("expired proof served from cache")
@@ -106,7 +106,7 @@ func TestProofCacheInvalidateDelegation(t *testing.T) {
 	d2 := e.deleg("[Mark -> BigISP.memberServices] BigISP")
 	p1, _ := core.NewProof(core.ProofStep{Delegation: d1})
 	p2, _ := core.NewProof(core.ProofStep{Delegation: d2})
-	c := NewProofCache(0)
+	c := newProofCache(0)
 	c.Put("a", p1)
 	c.Put("b", p2)
 	c.PutNegative("n")
@@ -133,7 +133,7 @@ func TestProofCacheEviction(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria")
 	d := e.deleg("[Maria -> BigISP.member] BigISP")
 	p, _ := core.NewProof(core.ProofStep{Delegation: d})
-	c := NewProofCache(4)
+	c := newProofCache(4)
 	for i := 0; i < 64; i++ {
 		c.Put(string(rune('a'+i)), p)
 	}
@@ -171,7 +171,7 @@ func TestProofCacheConcurrentReadersCountExactly(t *testing.T) {
 	const readers, rounds = 8, 2000
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	p := e.table1Proof()
-	c := NewProofCache(0)
+	c := newProofCache(0)
 	c.Put("pos", p)
 	c.PutNegative("neg")
 	now := e.clk.Now()
@@ -211,7 +211,7 @@ func TestProofCacheConcurrentReadersCountExactly(t *testing.T) {
 func TestProofCacheHitDoesNotAllocate(t *testing.T) {
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	p := e.table1Proof()
-	c := NewProofCache(0)
+	c := newProofCache(0)
 	c.Put("k", p)
 	now := e.clk.Now()
 	revoked := func(core.DelegationID) bool { return false }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -53,7 +51,9 @@ type Store interface {
 	DeleteDelegation(seq uint64, id core.DelegationID) error
 	// AddRevocation durably records id as revoked at the given instant under
 	// seq, reporting whether the revocation is new. Revocations are
-	// permanent.
+	// permanent. A store that fails to persist one still records it in
+	// memory, so the running wallet keeps refusing the credential; only
+	// durability across a restart is at risk, which the error reports.
 	AddRevocation(seq uint64, id core.DelegationID, at time.Time) (added bool, err error)
 	// IsRevoked reports whether a revocation has been recorded for id.
 	IsRevoked(id core.DelegationID) bool
@@ -207,189 +207,50 @@ func (s *MemStore) noteSeqLocked(seq uint64) {
 	}
 }
 
-// seed installs recovered state without seq bookkeeping side effects; the
-// durable stores use it while replaying their on-disk form.
-func (s *MemStore) seed(seq uint64, bundles []StoredBundle, revs []Revocation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range revs {
-		s.revoked[r.ID] = r.At
-	}
-	for _, b := range bundles {
-		if b.Delegation == nil {
-			continue
-		}
-		s.bundles[b.Delegation.ID()] = b
-	}
-	s.noteSeqLocked(seq)
+// LegacyState is the content of a single-file JSON wallet state, the format
+// daemons kept at -state before the segmented log store (internal/logstore).
+// Nothing writes it any more; it is read once, to migrate or inspect it.
+type LegacyState struct {
+	// Seq is the changelog high-water mark, 0 in files that predate it.
+	Seq         uint64
+	Bundles     []StoredBundle
+	Revocations []Revocation
 }
 
-// fileState is the on-disk JSON form of a FileStore, an extension of the
-// keyfile wallet-state format so existing -state files keep loading: the
-// legacy bundles + revoked fields are still written, and newer files add
-// the revocation instants and the changelog seq high-water mark. Cache TTLs
-// are never persisted: cached copies must be re-confirmed from their home
-// wallets after a restart (§4.2.1).
-type fileState struct {
-	Seq     uint64              `json:"seq,omitempty"`
-	Bundles []StoredBundle      `json:"bundles"`
-	Revoked []core.DelegationID `json:"revoked,omitempty"`
-	// Revocations carries the revocation instants. Files written before
-	// this field carry only Revoked; loading them restamps with load time,
-	// the best available for legacy state.
-	Revocations []Revocation `json:"revocations,omitempty"`
-}
-
-// FileStore is a Store backed by one JSON file. Every mutation rewrites the
-// file atomically (write-to-temp, rename), so a daemon restarted from the
-// same path serves the same proofs and keeps refusing revoked credentials
-// without a separate save step.
-type FileStore struct {
-	mu   sync.Mutex
-	path string
-	mem  *MemStore
-}
-
-var _ Store = (*FileStore)(nil)
-
-// OpenFileStore opens (or creates on first mutation) the store at path,
-// loading any existing state. A leftover .tmp file from a persist that
-// crashed before its rename is removed: its contents were never
-// acknowledged to any caller, so the canonical file is authoritative even
-// when the tmp is newer (or truncated garbage).
-func OpenFileStore(path string) (*FileStore, error) {
-	s := &FileStore{path: path, mem: NewMemStore()}
-	if err := os.Remove(path + ".tmp"); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("wallet state %s: removing stale tmp: %w", path, err)
-	}
+// ReadLegacyState reads the JSON wallet state file at path and writes
+// nothing: a path.tmp beside it may be the in-flight write of an older
+// daemon that still owns the file, and is left alone. The newest shape
+// carries seq and the revocation instants; its older subsets (down to the
+// keyfile wallet state, bundles + revoked) carry only the revoked IDs, which
+// are stamped with the read time — the best available, and stamped once,
+// because the migration persists the stamps.
+func ReadLegacyState(path string) (LegacyState, error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
 	if err != nil {
-		return nil, err
+		return LegacyState{}, err
 	}
-	var state fileState
-	if err := json.Unmarshal(data, &state); err != nil {
-		return nil, fmt.Errorf("wallet state %s: %w", path, err)
+	var file struct {
+		Seq         uint64              `json:"seq"`
+		Bundles     []StoredBundle      `json:"bundles"`
+		Revoked     []core.DelegationID `json:"revoked"`
+		Revocations []Revocation        `json:"revocations"`
 	}
-	revs := state.Revocations
-	if len(revs) == 0 && len(state.Revoked) > 0 {
-		// Legacy file without instants: restamp with load time, once; the
-		// rewritten file persists these stamps so they stop drifting.
+	if err := json.Unmarshal(data, &file); err != nil {
+		return LegacyState{}, fmt.Errorf("wallet state %s: %w", path, err)
+	}
+	st := LegacyState{Seq: file.Seq, Revocations: file.Revocations}
+	if len(st.Revocations) == 0 {
 		now := time.Now()
-		for _, id := range state.Revoked {
-			revs = append(revs, Revocation{ID: id, At: now})
+		for _, id := range file.Revoked {
+			st.Revocations = append(st.Revocations, Revocation{ID: id, At: now})
 		}
 	}
-	s.mem.seed(state.Seq, state.Bundles, revs)
-	return s, nil
-}
-
-// Path returns the backing file path.
-func (s *FileStore) Path() string { return s.path }
-
-// PutDelegation implements Store, persisting before the call returns.
-func (s *FileStore) PutDelegation(seq uint64, d *core.Delegation, support []*core.Proof) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.mem.PutDelegation(seq, d, support)
-	return s.persistLocked()
-}
-
-// DeleteDelegation implements Store, persisting before the call returns.
-func (s *FileStore) DeleteDelegation(seq uint64, id core.DelegationID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.mem.DeleteDelegation(seq, id)
-	return s.persistLocked()
-}
-
-// AddRevocation implements Store. The revocation takes effect in memory
-// even when persistence fails, so the running wallet stays correct; only
-// durability across a restart is at risk, which the error reports.
-func (s *FileStore) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	added, _ := s.mem.AddRevocation(seq, id, at)
-	if !added {
-		return false, nil
+	for _, b := range file.Bundles {
+		if b.Delegation != nil {
+			st.Bundles = append(st.Bundles, b)
+		}
 	}
-	return true, s.persistLocked()
-}
-
-// IsRevoked implements Store.
-func (s *FileStore) IsRevoked(id core.DelegationID) bool { return s.mem.IsRevoked(id) }
-
-// RevokedIDs implements Store.
-func (s *FileStore) RevokedIDs() []core.DelegationID { return s.mem.RevokedIDs() }
-
-// Revocations implements Store.
-func (s *FileStore) Revocations() []Revocation { return s.mem.Revocations() }
-
-// Bundles implements Store.
-func (s *FileStore) Bundles() []StoredBundle { return s.mem.Bundles() }
-
-// Seq implements Store.
-func (s *FileStore) Seq() uint64 { return s.mem.Seq() }
-
-// persistLocked writes the full state atomically. Callers hold s.mu.
-func (s *FileStore) persistLocked() error {
-	state := fileState{
-		Seq:         s.mem.Seq(),
-		Bundles:     s.mem.Bundles(),
-		Revocations: s.mem.Revocations(),
-	}
-	// Deterministic order keeps the file diffable.
-	sort.Slice(state.Bundles, func(i, j int) bool {
-		return state.Bundles[i].Delegation.ID() < state.Bundles[j].Delegation.ID()
-	})
-	sort.Slice(state.Revocations, func(i, j int) bool { return state.Revocations[i].ID < state.Revocations[j].ID })
-	// The legacy revoked list rides along so state files stay readable by
-	// older binaries and by the keyfile wallet-state loader.
-	state.Revoked = make([]core.DelegationID, 0, len(state.Revocations))
-	for _, r := range state.Revocations {
-		state.Revoked = append(state.Revoked, r.ID)
-	}
-	data, err := json.MarshalIndent(state, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := s.path + ".tmp"
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return err
-	}
-	// The rename is atomic but not durable until the directory entry is
-	// flushed: without this, a power loss can surface the old (or an empty)
-	// state file even though the mutation was acknowledged. Filesystems that
-	// cannot fsync a directory still got an fsynced temp file, which is the
-	// best available on them.
-	if err := SyncDir(filepath.Dir(s.path)); err != nil {
-		return fmt.Errorf("wallet state %s: sync directory: %w", s.path, err)
-	}
-	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing, so the
-// bytes are on stable storage before the caller renames the file into
-// place.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return st, nil
 }
 
 // SyncDir fsyncs a directory, making a just-renamed file's directory entry

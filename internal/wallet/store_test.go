@@ -1,10 +1,11 @@
 package wallet
 
 import (
-	"encoding/json"
-	"fmt"
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,322 +47,102 @@ func TestMemStoreBasics(t *testing.T) {
 	}
 }
 
-func TestFileStorePersistsAcrossReopen(t *testing.T) {
-	e := newEnv(t, "BigISP", "Mark", "Maria")
-	path := filepath.Join(t.TempDir(), "wallet.json")
+// Legacy-state fixtures under testdata/legacy, written by the last commit
+// that had the JSON FileStore and keyfile.SaveWallet (see the README there):
+// the Table 1 delegations — the third carrying its support proof — plus one
+// delegation revoked an hour after testStart, at changelog seq 5.
+const (
+	legacyD1     core.DelegationID = "33e383d865e9d0ed0733ecbfd4cf22c2d7dff0de45593c4478f045176ffa1a4a"
+	legacyD2     core.DelegationID = "65573d3383832787609c91cf76971d0a21fac375144ba375cf7271cbca49eae3"
+	legacyD3     core.DelegationID = "58ce385cf0696aeec6680aad93a802f33b464e1eb441ed1352ca01b796e212ed"
+	legacyDoomed core.DelegationID = "0db7295824bf8b2bc085598115b09252578006efc5e2008e344e104f7770ca76"
+)
 
-	s1, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := e.deleg("[Maria -> BigISP.member] BigISP")
-	gone := e.deleg("[Mark -> BigISP.memberServices] BigISP")
-	if err := s1.PutDelegation(1, keep, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.PutDelegation(2, gone, nil); err != nil {
-		t.Fatal(err)
-	}
-	revokedAt := time.Now().Add(-time.Hour).Truncate(time.Second)
-	if added, err := s1.AddRevocation(3, gone.ID(), revokedAt); err != nil || !added {
-		t.Fatalf("AddRevocation = (%v, %v)", added, err)
-	}
-	if err := s1.DeleteDelegation(3, gone.ID()); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundles := s2.Bundles()
-	if len(bundles) != 1 || bundles[0].Delegation.ID() != keep.ID() {
-		t.Fatalf("reopened bundles = %v", bundles)
-	}
-	if !s2.IsRevoked(gone.ID()) {
-		t.Fatal("revocation not persisted")
-	}
-	revs := s2.Revocations()
-	if len(revs) != 1 || !revs[0].At.Equal(revokedAt) {
-		t.Fatalf("reopened revocations = %+v, want instant %v preserved", revs, revokedAt)
-	}
-	if got := s2.Seq(); got != 3 {
-		t.Fatalf("reopened Seq = %d, want 3", got)
-	}
-	if s2.Path() != path {
-		t.Fatalf("Path = %q", s2.Path())
-	}
-}
-
-// TestFileStoreFormatIsKeyfileCompatible pins the on-disk shape to the
-// legacy keyfile wallet-state format: bundles + revoked at the top level.
-func TestFileStoreFormatIsKeyfileCompatible(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria")
-	path := filepath.Join(t.TempDir(), "wallet.json")
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := e.deleg("[Maria -> BigISP.member] BigISP")
-	if err := s.PutDelegation(1, d, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddRevocation(2, "deadbeef", time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shape struct {
-		Bundles []json.RawMessage   `json:"bundles"`
-		Revoked []core.DelegationID `json:"revoked"`
-	}
-	if err := json.Unmarshal(raw, &shape); err != nil {
-		t.Fatal(err)
-	}
-	if len(shape.Bundles) != 1 || len(shape.Revoked) != 1 {
-		t.Fatalf("state shape: %d bundles, %d revoked", len(shape.Bundles), len(shape.Revoked))
-	}
-}
-
-// TestFileStoreLegacyRevokedRestampOnce covers files written before
-// revocation instants were persisted: loading restamps them with load time
-// (the best available), and the first rewrite persists those stamps so they
-// stop drifting across subsequent reopens.
-func TestFileStoreLegacyRevokedRestampOnce(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wallet.json")
-	legacy := `{"bundles":[],"revoked":["deadbeef"]}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	before := time.Now()
-	s1, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	revs := s1.Revocations()
-	if len(revs) != 1 || revs[0].ID != "deadbeef" {
-		t.Fatalf("legacy revocations = %+v", revs)
-	}
-	if revs[0].At.Before(before) {
-		t.Fatalf("legacy restamp %v predates load at %v", revs[0].At, before)
-	}
-	stamped := revs[0].At
-	// Any mutation rewrites the file with the instants included.
-	if _, err := s1.AddRevocation(1, "cafef00d", time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range s2.Revocations() {
-		if r.ID == "deadbeef" && !r.At.Equal(stamped) {
-			t.Fatalf("restamp drifted across reopen: %v != %v", r.At, stamped)
-		}
-	}
-}
-
-// TestWalletOnFileStoreRestart drives the store through the wallet API and
-// rebuilds a second wallet on the same file: stored chains must re-prove
-// and revocations must survive.
-func TestWalletOnFileStoreRestart(t *testing.T) {
-	e := newEnv(t, "BigISP", "Mark", "Maria")
-	path := filepath.Join(t.TempDir(), "wallet.json")
-	st1, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := e.wallet(Config{Store: st1})
-	_, _, d3 := e.publishTable1(w1)
-	doomed := e.deleg("[Maria -> BigISP.memberServices] BigISP")
-	if err := w1.Publish(doomed); err != nil {
-		t.Fatal(err)
-	}
-	if err := w1.Revoke(doomed.ID(), e.id("BigISP").ID()); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2 := e.wallet(Config{Store: st2})
-	if w2.Len() != 3 {
-		t.Fatalf("restarted wallet holds %d delegations, want 3", w2.Len())
-	}
-	// The third-party delegation Maria ⇒ member needs d3 plus its stored
-	// support chain.
-	p, err := w2.QueryDirect(Query{
-		Subject: e.subject("Maria"),
-		Object:  e.role("BigISP.member"),
-	})
-	if err != nil {
-		t.Fatalf("restarted wallet cannot re-prove: %v", err)
-	}
-	uses := false
-	for _, d := range p.Delegations() {
-		if d.ID() == d3.ID() {
-			uses = true
-		}
-	}
-	if !uses {
-		t.Fatal("restarted proof does not use the stored delegation")
-	}
-	if !w2.IsRevoked(doomed.ID()) {
-		t.Fatal("revocation lost across restart")
-	}
-	if err := w2.Publish(doomed); err == nil {
-		t.Fatal("restarted wallet accepted a revoked delegation")
-	}
-}
-
-// TestFileStoreCrashRecovery models a persist that died between writing the
-// temp file and renaming it into place: the leftover .tmp — whether
-// truncated garbage or a complete newer state — was never acknowledged to
-// any caller, so reopening must discard it and load the canonical file.
-func TestFileStoreCrashRecovery(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria")
-	path := filepath.Join(t.TempDir(), "wallet.json")
-
-	s1, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := e.deleg("[Maria -> BigISP.member] BigISP")
-	if err := s1.PutDelegation(1, keep, nil); err != nil {
-		t.Fatal(err)
-	}
-
+func TestReadLegacyState(t *testing.T) {
+	revokedAt := testStart.Add(time.Hour)
 	for _, tc := range []struct {
-		name string
-		tmp  []byte
+		name, file string
+		seq        uint64
+		restamped  bool // revocation instants absent from the file
 	}{
-		{"truncated garbage", []byte(`{"bundles":[{"deleg`)},
-		{"complete unacknowledged state", []byte(`{"bundles":[],"revoked":[]}` + "\n")},
+		{"current shape", "filestore.json", 5, false},
+		{"pre-revocations shape", "filestore_pre_revocations.json", 5, true},
+		{"keyfile wallet-state shape", "walletstate.json", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := os.WriteFile(path+".tmp", tc.tmp, 0o600); err != nil {
-				t.Fatal(err)
-			}
-			s2, err := OpenFileStore(path)
+			// A stray .tmp beside the file — the window a daemon still
+			// writing this format is in between write and rename — must be
+			// neither read nor removed.
+			dir := t.TempDir()
+			path := filepath.Join(dir, "state.json")
+			fixture, err := os.ReadFile(filepath.Join("testdata", "legacy", tc.file))
 			if err != nil {
-				t.Fatalf("reopen with leftover tmp: %v", err)
-			}
-			bundles := s2.Bundles()
-			if len(bundles) != 1 || bundles[0].Delegation.ID() != keep.ID() {
-				t.Fatalf("recovered bundles = %v, want the canonical state", bundles)
-			}
-			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-				t.Fatalf("stale tmp survived reopen: stat err = %v", err)
-			}
-			// The recovered store keeps persisting normally.
-			if err := s2.DeleteDelegation(2, keep.ID()); err != nil {
 				t.Fatal(err)
 			}
-			if err := s2.PutDelegation(3, keep, nil); err != nil {
+			tmp := []byte(`{"bundles":[{"deleg`)
+			for name, data := range map[string][]byte{path: fixture, path + ".tmp": tmp} {
+				if err := os.WriteFile(name, data, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := time.Now()
+			st, err := ReadLegacyState(path)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if st.Seq != tc.seq {
+				t.Errorf("seq = %d, want %d", st.Seq, tc.seq)
+			}
+			got := make(map[core.DelegationID]StoredBundle)
+			for _, b := range st.Bundles {
+				got[b.Delegation.ID()] = b
+			}
+			if len(got) != 3 || len(got[legacyD3].Support) != 1 {
+				t.Fatalf("bundles = %d (support on d3: %d), want 3 with d3's support proof", len(got), len(got[legacyD3].Support))
+			}
+			for _, id := range []core.DelegationID{legacyD1, legacyD2, legacyD3} {
+				b, ok := got[id]
+				if !ok {
+					t.Fatalf("bundle %s missing", id.Short())
+				}
+				if err := b.Delegation.Verify(); err != nil {
+					t.Errorf("bundle %s: signature lost: %v", id.Short(), err)
+				}
+			}
+			if len(st.Revocations) != 1 || st.Revocations[0].ID != legacyDoomed {
+				t.Fatalf("revocations = %+v, want the one doomed delegation", st.Revocations)
+			}
+			at := st.Revocations[0].At
+			if tc.restamped && at.Before(before) {
+				t.Errorf("restamp %v predates the read at %v", at, before)
+			}
+			if !tc.restamped && !at.Equal(revokedAt) {
+				t.Errorf("revocation instant = %v, want the persisted %v", at, revokedAt)
+			}
+			for name, want := range map[string][]byte{path: fixture, path + ".tmp": tmp} {
+				if data, err := os.ReadFile(name); err != nil || !bytes.Equal(data, want) {
+					t.Errorf("%s changed by a read (err=%v)", filepath.Base(name), err)
+				}
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+				t.Errorf("read left %d files in the directory, want the 2 it found", len(entries))
 			}
 		})
 	}
-}
 
-// TestFileStoreTmpWithoutCanonical covers a crash during the very first
-// persist: only a .tmp exists. Nothing was ever acknowledged, so the store
-// opens empty.
-func TestFileStoreTmpWithoutCanonical(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wallet.json")
-	if err := os.WriteFile(path+".tmp", []byte(`{"bund`), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Bundles()); got != 0 {
-		t.Fatalf("bundles = %d, want 0", got)
-	}
-}
-
-// BenchmarkFileStoreWriteAmplification measures the cost of the full-state
-// rewrite each mutation performs, at several resident-state sizes: persist
-// work is O(total state), not O(change), which EXPERIMENTS.md records as the
-// price of the crash-safe single-file format (EXP-R1).
-func BenchmarkFileStoreWriteAmplification(b *testing.B) {
-	for _, size := range []int{1, 64, 256} {
-		b.Run(fmt.Sprintf("resident=%d", size), func(b *testing.B) {
-			e := newBenchEnv(b, "BigISP", "Maria")
-			path := filepath.Join(b.TempDir(), "wallet.json")
-			s, err := OpenFileStore(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < size; i++ {
-				d := e.deleg(fmt.Sprintf("[Maria -> BigISP.r%d] BigISP", i))
-				if err := s.PutDelegation(uint64(i+1), d, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			extra := e.deleg("[Maria -> BigISP.bench] BigISP")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// One mutation = one full-state fsynced rewrite.
-				if err := s.PutDelegation(uint64(size+i+1), extra, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			fi, err := os.Stat(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(fi.Size())
-		})
-	}
-}
-
-// benchEnv is the benchmark twin of env (testing.B instead of testing.T).
-type benchEnv struct {
-	b   *testing.B
-	ids map[string]*core.Identity
-	dir *core.MemDirectory
-}
-
-func newBenchEnv(b *testing.B, names ...string) *benchEnv {
-	b.Helper()
-	e := &benchEnv{b: b, ids: make(map[string]*core.Identity), dir: core.NewDirectory()}
-	for i, name := range names {
-		seed := make([]byte, 32)
-		seed[0] = byte(i + 1)
-		copy(seed[1:], name)
-		id, err := core.IdentityFromSeed(name, seed)
-		if err != nil {
-			b.Fatalf("identity %s: %v", name, err)
+	t.Run("missing file", func(t *testing.T) {
+		_, err := ReadLegacyState(filepath.Join(t.TempDir(), "state.json"))
+		if !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("err = %v, want os.ErrNotExist", err)
 		}
-		e.ids[name] = id
-		e.dir.Add(id.Entity())
-	}
-	return e
-}
-
-func (e *benchEnv) deleg(text string) *core.Delegation {
-	e.b.Helper()
-	parsed, err := core.ParseDelegation(text, e.dir)
-	if err != nil {
-		e.b.Fatalf("parse %q: %v", text, err)
-	}
-	var issuer *core.Identity
-	for _, id := range e.ids {
-		if id.ID() == parsed.Issuer.ID() {
-			issuer = id
+	})
+	t.Run("corrupt JSON", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "state.json")
+		if err := os.WriteFile(path, []byte(`{"bundles":[`), 0o600); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if issuer == nil {
-		e.b.Fatalf("no identity for issuer of %q", text)
-	}
-	d, err := core.Issue(issuer, parsed.Template, testStart)
-	if err != nil {
-		e.b.Fatalf("issue %q: %v", text, err)
-	}
-	return d
+		if _, err := ReadLegacyState(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("err = %v, want a parse error naming the file", err)
+		}
+	})
 }

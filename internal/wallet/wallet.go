@@ -45,7 +45,7 @@ type Config struct {
 	// graph.DefaultMaxProofs.
 	MaxProofs int
 	// Store is the system of record; nil means a fresh in-memory MemStore.
-	// A non-empty store (e.g. a FileStore reopened after a restart) is
+	// A non-empty store (e.g. a log store reopened after a restart) is
 	// replayed into the wallet's indexes at construction.
 	Store Store
 	// DisableProofCache turns off direct-query memoization; every query
@@ -80,6 +80,7 @@ type walletMetrics struct {
 	queryObject            *obs.Counter
 	queryNoProof           *obs.Counter
 	replaySkipped          *obs.Counter
+	storeErr               *obs.Counter
 	searchNodes            *obs.Counter
 	searchEdges            *obs.Counter
 	searchPruned           *obs.Counter
@@ -101,6 +102,7 @@ func newWalletMetrics(o *obs.Obs) walletMetrics {
 		queryObject:   o.Counter("drbac_wallet_query_object_total"),
 		queryNoProof:  o.Counter("drbac_wallet_query_noproof_total"),
 		replaySkipped: o.Counter("drbac_wallet_replay_skipped_total"),
+		storeErr:      o.Counter("drbac_wallet_store_errors_total"),
 		searchNodes:   o.Counter("drbac_search_nodes_total"),
 		searchEdges:   o.Counter("drbac_search_edges_total"),
 		searchPruned:  o.Counter("drbac_search_pruned_total"),
@@ -190,7 +192,7 @@ func New(cfg Config) *Wallet {
 		m:          newWalletMetrics(cfg.Obs),
 		sloQuery:   cfg.Obs.SLO("query"),
 		sloPublish: cfg.Obs.SLO("publish"),
-		cache:      NewProofCache(cfg.ProofCacheLimit),
+		cache:      newProofCache(cfg.ProofCacheLimit),
 		cacheOff:   cfg.DisableProofCache,
 		ttl:        make(map[core.DelegationID]time.Time),
 		watches:    make(map[int]*watch),
@@ -502,9 +504,10 @@ func (w *Wallet) forceRevoke(id core.DelegationID) error {
 	w.ttlMu.Lock()
 	delete(w.ttl, id)
 	w.ttlMu.Unlock()
-	if !added {
+	if !added && err == nil {
+		// Already revoked.
 		w.repMu.Unlock()
-		return err
+		return nil
 	}
 	if derr := w.store.DeleteDelegation(w.seq+1, id); derr != nil && err == nil {
 		err = derr
@@ -518,7 +521,23 @@ func (w *Wallet) forceRevoke(id core.DelegationID) error {
 
 // AcceptRevocation records a revocation learned from the delegation's home
 // wallet (already authenticated by the transport layer).
-func (w *Wallet) AcceptRevocation(id core.DelegationID) { _ = w.forceRevoke(id) }
+func (w *Wallet) AcceptRevocation(id core.DelegationID) {
+	w.storeFailed("accept-revocation", id, w.forceRevoke(id))
+}
+
+// storeFailed reports a durable-store error from a path that cannot return
+// it (accepted revocations, the sweeps, replicated drops). Memory already
+// holds the safe outcome and the wallet keeps serving, but disk has diverged
+// from it — Store.Health only learns of fsync and compaction failures — so
+// the failure is counted and logged rather than dropped. Call it outside
+// the wallet's locks.
+func (w *Wallet) storeFailed(op string, id core.DelegationID, err error) {
+	if err == nil {
+		return
+	}
+	w.m.storeErr.Inc()
+	w.obs.Log().Warn("wallet store write failed", "op", op, "delegation", id.Short(), "error", err)
+}
 
 // SweepExpired removes delegations whose expiry has passed, notifying
 // subscribers, and returns how many were removed. Queries never return
@@ -532,10 +551,11 @@ func (w *Wallet) SweepExpired() int {
 			continue
 		}
 		id := d.ID()
+		var serr error
 		w.repMu.Lock()
 		if w.g.Remove(id) {
 			removed++
-			_ = w.store.DeleteDelegation(w.seq+1, id)
+			serr = w.store.DeleteDelegation(w.seq+1, id)
 			w.ttlMu.Lock()
 			delete(w.ttl, id)
 			w.ttlMu.Unlock()
@@ -543,6 +563,7 @@ func (w *Wallet) SweepExpired() int {
 			w.reg.Publish(subs.Event{Delegation: id, Kind: subs.Expired, At: now, Seq: w.seq})
 		}
 		w.repMu.Unlock()
+		w.storeFailed("expire", id, serr)
 	}
 	return removed
 }
@@ -597,11 +618,12 @@ func (w *Wallet) SweepStaleCache() int {
 	w.ttlMu.Unlock()
 	for _, id := range stale {
 		w.repMu.Lock()
-		_ = w.store.DeleteDelegation(w.seq+1, id)
+		serr := w.store.DeleteDelegation(w.seq+1, id)
 		w.g.Remove(id)
 		w.seq++
 		w.reg.Publish(subs.Event{Delegation: id, Kind: subs.Stale, At: now, Seq: w.seq})
 		w.repMu.Unlock()
+		w.storeFailed("stale", id, serr)
 	}
 	return len(stale)
 }
@@ -695,13 +717,14 @@ func (w *Wallet) DropReplicated(id core.DelegationID, kind subs.EventKind) bool 
 		w.repMu.Unlock()
 		return false
 	}
-	_ = w.store.DeleteDelegation(w.seq+1, id)
+	serr := w.store.DeleteDelegation(w.seq+1, id)
 	w.ttlMu.Lock()
 	delete(w.ttl, id)
 	w.ttlMu.Unlock()
 	w.seq++
 	w.reg.Publish(subs.Event{Delegation: id, Kind: kind, At: now, Seq: w.seq})
 	w.repMu.Unlock()
+	w.storeFailed("drop-replicated", id, serr)
 	return true
 }
 
@@ -814,7 +837,7 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 	useCache := q.Stats == nil && !w.cacheOff
 	var key string
 	if useCache {
-		key = CacheKey(q.Subject, q.Object, q.Constraints)
+		key = cacheKey(q.Subject, q.Object, q.Constraints)
 		if p, negative, ok := w.cache.Lookup(key, w.Now(), w.store.IsRevoked); ok {
 			if negative {
 				return nil, "negative", gs, core.ErrNoProof
@@ -945,8 +968,7 @@ func (w *Wallet) Subscribe(id core.DelegationID, fn subs.Handler) (cancel func()
 
 // SubscribeAll registers a handler for every delegation status update this
 // wallet publishes (including Published events) and returns a cancel
-// function. External caches — pull-through proxies — use it to stay
-// coherent with the wallet.
+// function. The remote layer's changelog stream (§9) rides on it.
 func (w *Wallet) SubscribeAll(fn subs.Handler) (cancel func()) {
 	return w.reg.SubscribeAll(fn)
 }

@@ -86,7 +86,7 @@ var msgTypeCodes = map[MsgType]byte{
 	TError:         35,
 	TNotify:        36,
 	TPong:          37,
-	TClusterHello:  38,
+	TClusterHello:  38, // reserved: decoded, never sent
 }
 
 var msgTypeNames = func() map[byte]MsgType {

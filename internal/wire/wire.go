@@ -91,11 +91,12 @@ const (
 	TError  MsgType = "error"
 	TNotify MsgType = "notify"
 	TPong   MsgType = "pong"
-	// TClusterHello is pushed (ID 0) by a cluster member on every
-	// accepted connection, advertising its shard ID and shard map epoch
-	// (ShardMapResp body, map omitted to keep the hello small). A client
-	// holding an older map knows to refresh with TShardMap; clients that
-	// predate clustering drop the unknown push harmlessly.
+	// TClusterHello is reserved and no longer sent: cluster members once
+	// pushed it (ID 0, ShardMapResp body without the map) on every
+	// accepted connection, and nothing ever read it — routers learn
+	// staleness from the redirect. The name and its binary type code stay
+	// assigned so a frame from an older member still decodes; clients
+	// drop it as a reply nobody waits for.
 	TClusterHello MsgType = "cluster-hello"
 )
 
@@ -306,8 +307,7 @@ type SubscribeAllResp struct {
 	Seq uint64 `json:"seq"`
 }
 
-// ShardMapResp answers a TShardMap request and, with Map omitted, is the
-// body of the TClusterHello push.
+// ShardMapResp answers a TShardMap request.
 type ShardMapResp struct {
 	// Epoch is the serving member's current shard map epoch.
 	Epoch uint64 `json:"epoch"`
