@@ -108,10 +108,7 @@ bench-load:
 fuzz:
 	$(GO) test -fuzz=FuzzParseDelegation -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzLogRecordDecode -fuzztime=30s ./internal/logstore
-	$(GO) test -fuzz=FuzzDHTMessageDecode -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzGossipMessageDecode -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzBinaryCodecRoundTrip -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzBinaryFrameDecode -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzMessageDecode -fuzztime=60s ./internal/wire
 	$(GO) test -fuzz=FuzzRecordVerify -fuzztime=30s ./internal/dht
 
 # Regenerate every experiment table in EXPERIMENTS.md.

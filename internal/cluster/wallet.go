@@ -20,9 +20,9 @@ import (
 	"drbac/internal/wire"
 )
 
-// DefaultCacheTTL bounds how long scatter-fetched delegations stay in the
+// cacheTTL bounds how long scatter-fetched delegations stay in the
 // gateway's assembly cache as TTL-coherent copies.
-const DefaultCacheTTL = 30 * time.Second
+const cacheTTL = 30 * time.Second
 
 // WalletConfig configures a cluster gateway Wallet.
 type WalletConfig struct {
@@ -39,9 +39,6 @@ type WalletConfig struct {
 	Obs *obs.Obs
 	// Clock is the time source; nil means the system clock.
 	Clock clock.Clock
-	// CacheTTL bounds the assembly cache's TTL-coherent copies; 0 means
-	// DefaultCacheTTL.
-	CacheTTL time.Duration
 	// MaxDepth caps proof chain depth in assembled proofs (0 = wallet
 	// default).
 	MaxDepth int
@@ -71,7 +68,6 @@ type Wallet struct {
 	local  *wallet.Wallet // assembly cache + final proof construction
 	agent  *discovery.Agent
 	obs    *obs.Obs
-	ttl    time.Duration
 
 	closeOnce sync.Once
 }
@@ -82,15 +78,10 @@ func NewWallet(cfg WalletConfig) (*Wallet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ttl := cfg.CacheTTL
-	if ttl <= 0 {
-		ttl = DefaultCacheTTL
-	}
 	w := &Wallet{
 		cfg:    cfg,
 		router: router,
 		obs:    cfg.Obs,
-		ttl:    ttl,
 	}
 	w.local = wallet.New(wallet.Config{
 		Owner:    cfg.Identity,
@@ -146,7 +137,7 @@ func (w *Wallet) resolve(node core.Subject) (core.DiscoveryTag, bool) {
 	}
 	return core.DiscoveryTag{
 		Home:    strings.Join(addrs, ","),
-		TTL:     w.ttl,
+		TTL:     cacheTTL,
 		Subject: core.SubjectSearch,
 		Object:  core.ObjectSearch,
 	}, true

@@ -17,15 +17,20 @@ import (
 	"drbac/internal/wire"
 )
 
-// Defaults. K and Alpha are Kademlia's classic parameters scaled to
-// coalition sizes (hundreds to thousands of wallets, not millions).
+// K and alpha are Kademlia's classic parameters scaled to coalition sizes
+// (hundreds to thousands of wallets, not millions).
 const (
-	DefaultK             = 16
-	DefaultAlpha         = 3
-	DefaultRecordTTL     = time.Hour
-	DefaultRepublish     = 10 * time.Minute
-	DefaultProbeTimeout  = 2 * time.Second
-	DefaultLookupTimeout = 10 * time.Second
+	DefaultK         = 16
+	DefaultRecordTTL = time.Hour
+	// alpha is the lookup parallelism.
+	alpha = 3
+	// republish is the announce refresh interval, comfortably under any
+	// sane RecordTTL so records do not expire between refreshes.
+	republish = 10 * time.Minute
+	// probeTimeout bounds the ping-before-evict probation probe.
+	probeTimeout = 2 * time.Second
+	// lookupTimeout bounds one iterative lookup end to end.
+	lookupTimeout = 10 * time.Second
 )
 
 // ErrNotFound reports a find-value lookup that exhausted the search
@@ -50,17 +55,8 @@ type Config struct {
 	Obs *obs.Obs
 	// K is the bucket capacity and store replication factor; default 16.
 	K int
-	// Alpha is the lookup parallelism; default 3.
-	Alpha int
 	// RecordTTL bounds provider record life; default 1h.
 	RecordTTL time.Duration
-	// Republish is the announce refresh interval; default 10m. It must be
-	// comfortably under RecordTTL or records expire between refreshes.
-	Republish time.Duration
-	// ProbeTimeout bounds the ping-before-evict probation probe.
-	ProbeTimeout time.Duration
-	// LookupTimeout bounds one iterative lookup end to end.
-	LookupTimeout time.Duration
 }
 
 // announcement is one entity this node republishes a provider record for.
@@ -114,20 +110,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.K <= 0 {
 		cfg.K = DefaultK
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = DefaultAlpha
-	}
 	if cfg.RecordTTL <= 0 {
 		cfg.RecordTTL = DefaultRecordTTL
-	}
-	if cfg.Republish <= 0 {
-		cfg.Republish = DefaultRepublish
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultProbeTimeout
-	}
-	if cfg.LookupTimeout <= 0 {
-		cfg.LookupTimeout = DefaultLookupTimeout
 	}
 	self := Contact{ID: IDFromEntity(cfg.Identity.Entity()), Addr: cfg.Addr}
 	n := &Node{
@@ -214,7 +198,7 @@ func (n *Node) insert(c Contact) {
 			delete(n.probing, bucket)
 			n.mu.Unlock()
 		}()
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		defer cancel()
 		cl, err := n.contactClient(ctx, oldest)
 		if err == nil {
@@ -438,7 +422,7 @@ func (ls *lookupState) closest(n int) []Contact {
 func (n *Node) lookup(ctx context.Context, target ID, findValue bool) (*wire.DHTRecord, []Contact, error) {
 	n.lookups.Add(1)
 	n.mLookups.Inc()
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.LookupTimeout)
+	ctx, cancel := context.WithTimeout(ctx, lookupTimeout)
 	defer cancel()
 
 	ls := &lookupState{
@@ -464,7 +448,7 @@ func (n *Node) lookup(ctx context.Context, target ID, findValue bool) (*wire.DHT
 		if err := ctx.Err(); err != nil {
 			return nil, ls.closest(n.cfg.K), err
 		}
-		batch := ls.next(n.cfg.Alpha)
+		batch := ls.next(alpha)
 		if len(batch) == 0 {
 			break
 		}
@@ -558,7 +542,7 @@ func (n *Node) Resolve(ctx context.Context, eid core.EntityID) ([]string, error)
 // ---- announcements ----
 
 // Announce registers identity as served at addrs and publishes its
-// provider record now; the republish loop refreshes it every Republish
+// provider record now; the republish loop refreshes it every republish
 // interval with a bumped sequence number. Re-announcing the same identity
 // (e.g. on a shard-map epoch change) replaces its addresses.
 func (n *Node) Announce(ctx context.Context, id *core.Identity, addrs []string) error {
@@ -638,7 +622,7 @@ func (n *Node) republishLoop() {
 		select {
 		case <-n.quit:
 			return
-		case <-n.cfg.Clock.After(n.cfg.Republish):
+		case <-n.cfg.Clock.After(republish):
 			n.republishAll()
 			n.expire()
 		}
@@ -659,7 +643,7 @@ func (n *Node) republishAll() {
 	}
 	n.mu.Unlock()
 	for _, j := range jobs {
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.LookupTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), lookupTimeout)
 		if err := n.publish(ctx, j.id, j.addrs, j.seq); err != nil {
 			n.cfg.Obs.Log().Warn("dht republish failed",
 				"entity", j.id.ID().Short(), "error", err)

@@ -92,8 +92,6 @@ type Config struct {
 	// Agent, if set, discovers missing credentials across wallet homes and
 	// bridges their home-wallet subscriptions into the local wallet.
 	Agent *discovery.Agent
-	// Mode selects the discovery direction; zero is Auto.
-	Mode discovery.Mode
 }
 
 // Guard regulates access to registered resources.
@@ -208,7 +206,7 @@ func (g *Guard) Authorize(ctx context.Context, principal core.EntityID, resource
 		err   error
 	)
 	if g.cfg.Agent != nil {
-		proof, err = g.cfg.Agent.Discover(ctx, query, g.cfg.Mode, nil)
+		proof, err = g.cfg.Agent.Discover(ctx, query, discovery.Auto, nil)
 	} else {
 		proof, err = g.cfg.Wallet.QueryDirect(query)
 	}

@@ -49,8 +49,6 @@ type Config struct {
 	// VerifyHomes requires each home wallet to prove it holds the
 	// discovery tag's authorization role before it is trusted (§4.2.1).
 	VerifyHomes bool
-	// MaxRounds bounds search rounds; 0 means DefaultMaxRounds.
-	MaxRounds int
 	// DisableRangeAdjustment turns off the §4.2.3 modulated-attribute-range
 	// optimization (remote queries then carry the original constraints).
 	// Ablation switch for EXP-S2b.
@@ -67,9 +65,6 @@ type Config struct {
 	// fallback, so statically configured addresses keep working unchanged
 	// and the DHT only fields genuinely unknown homes.
 	Directory HomeDirectory
-	// DirectoryTTL is the cache TTL stamped on tags synthesized from
-	// Directory answers; 0 means DefaultDirectoryTagTTL.
-	DirectoryTTL time.Duration
 	// Obs, if non-nil, receives discovery metrics and spans: each Discover
 	// runs under a trace ID (minted here unless the query already carries
 	// one) that also propagates to every wallet home it queries, so one
@@ -78,14 +73,14 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// DefaultMaxRounds bounds the breadth-first rounds of a discovery.
-const DefaultMaxRounds = 16
+// maxRounds bounds the breadth-first rounds of a discovery.
+const maxRounds = 16
 
-// DefaultDirectoryTagTTL is the cache TTL for credentials fetched from
-// homes the DHT located. Kept short: a DHT answer is only as fresh as its
-// provider record, so cached copies re-confirm sooner than statically
-// configured homes would.
-const DefaultDirectoryTagTTL = 30 * time.Second
+// directoryTagTTL is the cache TTL stamped on tags synthesized from
+// Directory answers, and so on credentials fetched from homes the DHT
+// located. Kept short: a DHT answer is only as fresh as its provider record,
+// so cached copies re-confirm sooner than statically configured homes would.
+const directoryTagTTL = 30 * time.Second
 
 // HomeDirectory locates an entity's home-wallet addresses at discovery
 // time. *dht.Node implements it: the entity's ID keys a signed provider
@@ -245,13 +240,9 @@ func (a *Agent) tagFor(ctx context.Context, node core.Subject) (core.DiscoveryTa
 	if err != nil || len(addrs) == 0 {
 		return core.DiscoveryTag{}, false
 	}
-	ttl := a.cfg.DirectoryTTL
-	if ttl <= 0 {
-		ttl = DefaultDirectoryTagTTL
-	}
 	return core.DiscoveryTag{
 		Home:    remote.JoinAddrs(addrs),
-		TTL:     ttl,
+		TTL:     directoryTagTTL,
 		Subject: core.SubjectSearch,
 		Object:  core.ObjectSearch,
 	}, true
@@ -440,28 +431,21 @@ func (a *Agent) discover(ctx context.Context, q wallet.Query, mode Mode, stats *
 		return nil, err
 	}
 
-	maxRounds := a.cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
+	// The directions this mode searches: false = forward, true = reverse.
+	dirs := []bool{false, true}
+	switch mode {
+	case ForwardOnly:
+		dirs = dirs[:1]
+	case ReverseOnly:
+		dirs = dirs[1:]
 	}
-	queriedFwd := make(map[core.Subject]bool)
-	queriedRev := make(map[core.Subject]bool)
+	queried := make(map[visit]bool)
 
 	for round := 1; round <= maxRounds; round++ {
 		stats.Rounds = round
 		progress := 0
-		if mode == Auto || mode == ForwardOnly {
-			n, found, err := a.forwardRound(ctx, q, mode, round, queriedFwd, stats, sp)
-			progress += n
-			if err != nil {
-				return nil, err
-			}
-			if found != nil {
-				return found, nil
-			}
-		}
-		if mode == Auto || mode == ReverseOnly {
-			n, found, err := a.reverseRound(ctx, q, mode, round, queriedRev, stats, sp)
+		for _, reverse := range dirs {
+			n, found, err := a.searchRound(ctx, q, mode, reverse, round, queried, stats, sp)
 			progress += n
 			if err != nil {
 				return nil, err
@@ -507,20 +491,44 @@ func finishRPC(rsp *obs.Span, err error) {
 	rsp.End("ok", err == nil)
 }
 
-// forwardRound expands the subject-side frontier: every node currently
-// reachable from the query subject whose tag allows subject-directed
-// search gets one direct query and, failing that, one subject query at its
-// home wallet. Queries carry constraints adjusted by the locally known
-// prefix modifiers (§4.2.3 "modulated attribute ranges"), so remote
-// wallets prune continuations the accumulated chain can no longer afford.
-func (a *Agent) forwardRound(ctx context.Context, q wallet.Query, mode Mode, round int, queried map[core.Subject]bool, stats *Stats, sp *obs.Span) (int, *core.Proof, error) {
+// visit is one frontier node queried from one direction; each gets a single
+// query budget per discovery.
+type visit struct {
+	node    core.Subject
+	reverse bool
+}
+
+// searchRound expands one frontier by one breadth-first step. Forward, the
+// frontier is every node currently reachable from the query subject; reverse,
+// every role the query object is currently reachable from. Each frontier node
+// whose tag allows search from that side gets one direct query and, failing
+// that, one subject (forward) or object (reverse) query at its home wallet.
+// Queries carry constraints adjusted by the locally known partial chains'
+// modifiers (§4.2.3 "modulated attribute ranges"), so remote wallets prune
+// continuations the accumulated chain can no longer afford.
+func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reverse bool, round int, queried map[visit]bool, stats *Stats, sp *obs.Span) (int, *core.Proof, error) {
+	kind, rpc := "subject", "rpc:subject"
 	frontier := []core.Subject{q.Subject}
-	prefixes := make(map[core.Subject][]core.Aggregate)
-	for _, p := range a.cfg.Local.QuerySubject(q.Subject, nil) {
+	var known []*core.Proof // the partial chains the local wallet already holds
+	if reverse {
+		kind, rpc = "object", "rpc:object"
+		frontier[0] = core.SubjectRole(q.Object)
+		known = a.cfg.Local.QueryObject(q.Object, nil)
+	} else {
+		known = a.cfg.Local.QuerySubject(q.Subject, nil)
+	}
+	partials := make(map[core.Subject][]core.Aggregate)
+	for _, p := range known {
 		node := core.SubjectRole(p.Object)
+		if reverse {
+			if p.Subject.IsEntity() {
+				continue
+			}
+			node = core.SubjectRole(p.Subject.Role)
+		}
 		frontier = append(frontier, node)
 		if ag, err := p.Aggregate(); err == nil {
-			prefixes[node] = append(prefixes[node], ag)
+			partials[node] = append(partials[node], ag)
 		}
 	}
 	progress := 0
@@ -528,14 +536,19 @@ func (a *Agent) forwardRound(ctx context.Context, q wallet.Query, mode Mode, rou
 		if err := ctx.Err(); err != nil {
 			return progress, nil, err
 		}
-		if queried[node] {
+		v := visit{node, reverse}
+		if queried[v] {
 			continue
 		}
 		tag, ok := a.tagFor(ctx, node)
 		if !ok {
 			continue
 		}
-		if mode == Auto && tag.Subject != core.SubjectSearch && tag.Subject != core.SubjectStore {
+		searchable := tag.Subject == core.SubjectSearch || tag.Subject == core.SubjectStore
+		if reverse {
+			searchable = tag.Object == core.ObjectSearch || tag.Object == core.ObjectStore
+		}
+		if mode == Auto && !searchable {
 			continue
 		}
 		c, home, err := a.client(ctx, tag, stats)
@@ -546,21 +559,25 @@ func (a *Agent) forwardRound(ctx context.Context, q wallet.Query, mode Mode, rou
 			continue
 		}
 		// Only a reachable home consumes the node's single query budget.
-		queried[node] = true
+		queried[v] = true
 		remaining := q.Constraints
 		if !a.cfg.DisableRangeAdjustment {
-			remaining = looseAdjust(q.Constraints, prefixes[node])
+			remaining = looseAdjust(q.Constraints, partials[node])
 		}
-		// Direct query for the original relationship rooted at this node.
+		// Direct query for the original relationship with this node as its
+		// near end.
 		if stats != nil {
 			stats.RemoteQueries++
 		}
+		subject, object := node, q.Object
+		if reverse {
+			subject, object = q.Subject, node.Role
+		}
 		rsp := sp.StartChild("rpc:direct", "wallet", home, "node", node.String())
-		p, err := c.QueryDirect(traceCtx(ctx, rsp, q.TraceID), node, q.Object, remaining, 0)
+		p, err := c.QueryDirect(traceCtx(ctx, rsp, q.TraceID), subject, object, remaining, 0)
 		finishRPC(rsp, err)
 		if err == nil {
-			n := a.insertProofs([]*core.Proof{p}, tag.Home, tag.TTL, stats)
-			progress += n
+			progress += a.insertProofs([]*core.Proof{p}, tag.Home, tag.TTL, stats)
 			a.trace(sp, stats, round, home, "direct", node.String(), 1)
 			if full, err := a.cfg.Local.QueryDirect(q); err == nil {
 				return progress, full, nil
@@ -569,98 +586,27 @@ func (a *Agent) forwardRound(ctx context.Context, q wallet.Query, mode Mode, rou
 		}
 		if !errors.Is(err, core.ErrNoProof) {
 			a.reportIfBroken(home, c)
-			queried[node] = false // answer never arrived; retry next round
+			queried[v] = false // answer never arrived; retry next round
 			continue
 		}
-		// Fall back to a subject query; its results root further search.
+		// Fall back to the one-ended query; its results root further search.
 		if stats != nil {
 			stats.RemoteQueries++
 		}
-		rsp = sp.StartChild("rpc:subject", "wallet", home, "node", node.String())
-		proofs, err := c.QuerySubject(traceCtx(ctx, rsp, q.TraceID), node, remaining)
+		rsp = sp.StartChild(rpc, "wallet", home, "node", node.String())
+		var proofs []*core.Proof
+		if reverse {
+			proofs, err = c.QueryObject(traceCtx(ctx, rsp, q.TraceID), node.Role, remaining)
+		} else {
+			proofs, err = c.QuerySubject(traceCtx(ctx, rsp, q.TraceID), node, remaining)
+		}
 		finishRPC(rsp, err)
 		if err != nil {
 			a.reportIfBroken(home, c)
-			queried[node] = false
+			queried[v] = false
 			continue
 		}
-		a.trace(sp, stats, round, home, "subject", node.String(), len(proofs))
-		progress += a.insertProofs(proofs, tag.Home, tag.TTL, stats)
-	}
-	return progress, nil, nil
-}
-
-// reverseRound expands the object-side frontier symmetrically: the locally
-// known suffix modifiers adjust the constraints the missing prefix must
-// still satisfy.
-func (a *Agent) reverseRound(ctx context.Context, q wallet.Query, mode Mode, round int, queried map[core.Subject]bool, stats *Stats, sp *obs.Span) (int, *core.Proof, error) {
-	frontier := []core.Role{q.Object}
-	suffixes := make(map[core.Role][]core.Aggregate)
-	for _, p := range a.cfg.Local.QueryObject(q.Object, nil) {
-		if !p.Subject.IsEntity() {
-			frontier = append(frontier, p.Subject.Role)
-			if ag, err := p.Aggregate(); err == nil {
-				suffixes[p.Subject.Role] = append(suffixes[p.Subject.Role], ag)
-			}
-		}
-	}
-	progress := 0
-	for _, role := range frontier {
-		if err := ctx.Err(); err != nil {
-			return progress, nil, err
-		}
-		node := core.SubjectRole(role)
-		if queried[node] {
-			continue
-		}
-		tag, ok := a.tagFor(ctx, node)
-		if !ok {
-			continue
-		}
-		if mode == Auto && tag.Object != core.ObjectSearch && tag.Object != core.ObjectStore {
-			continue
-		}
-		c, home, err := a.client(ctx, tag, stats)
-		if err != nil {
-			continue // home unreachable: retry the node next round
-		}
-		queried[node] = true
-		remaining := q.Constraints
-		if !a.cfg.DisableRangeAdjustment {
-			remaining = looseAdjust(q.Constraints, suffixes[role])
-		}
-		if stats != nil {
-			stats.RemoteQueries++
-		}
-		rsp := sp.StartChild("rpc:direct", "wallet", home, "node", node.String())
-		p, err := c.QueryDirect(traceCtx(ctx, rsp, q.TraceID), q.Subject, role, remaining, 0)
-		finishRPC(rsp, err)
-		if err == nil {
-			n := a.insertProofs([]*core.Proof{p}, tag.Home, tag.TTL, stats)
-			progress += n
-			a.trace(sp, stats, round, home, "direct", node.String(), 1)
-			if full, err := a.cfg.Local.QueryDirect(q); err == nil {
-				return progress, full, nil
-			}
-			continue
-		}
-		if !errors.Is(err, core.ErrNoProof) {
-			a.reportIfBroken(home, c)
-			queried[node] = false
-			continue
-		}
-		if stats != nil {
-			stats.RemoteQueries++
-		}
-		rsp = sp.StartChild("rpc:object", "wallet", home, "node", node.String())
-		proofs, err := c.QueryObject(traceCtx(ctx, rsp, q.TraceID), role, remaining)
-		finishRPC(rsp, err)
-		if err != nil {
-			a.reportIfBroken(home, c)
-			queried[node] = false
-			continue
-		}
-		a.trace(sp, stats, round, home, "object", node.String(), len(proofs))
+		a.trace(sp, stats, round, home, kind, node.String(), len(proofs))
 		progress += a.insertProofs(proofs, tag.Home, tag.TTL, stats)
 	}
 	return progress, nil, nil

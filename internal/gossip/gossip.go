@@ -66,15 +66,21 @@ func parseStatus(s string) (Status, bool) {
 	}
 }
 
-// Defaults tuned for wallet coalitions: liveness within a few seconds
-// without meaningful idle traffic.
+// Protocol constants tuned for wallet coalitions: liveness within a few
+// seconds without meaningful idle traffic.
 const (
-	DefaultProbeInterval  = 1 * time.Second
-	DefaultProbeTimeout   = 2 * time.Second
-	DefaultIndirectProbes = 3
+	// probeInterval is the protocol period.
+	probeInterval = 1 * time.Second
+	// probeTimeout bounds one probe round (direct + indirect).
+	probeTimeout = 2 * time.Second
+	// indirectProbes is how many members relay a ping-req on silence.
+	indirectProbes = 3
+	// DefaultSuspectTimeout is Config.SuspectTimeout's default.
 	DefaultSuspectTimeout = 5 * time.Second
-	DefaultRetransmit     = 6
-	maxPiggyback          = 12
+	// retransmit is how many probe messages each membership update
+	// piggybacks on before it is dropped from the queue.
+	retransmit   = 6
+	maxPiggyback = 12
 )
 
 // Config assembles a gossip node.
@@ -90,18 +96,9 @@ type Config struct {
 	Clock clock.Clock
 	// Obs receives logs and metrics (nil discards both).
 	Obs *obs.Obs
-	// ProbeInterval is the protocol period.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round (direct + indirect).
-	ProbeTimeout time.Duration
-	// IndirectProbes is how many members relay a ping-req on silence.
-	IndirectProbes int
 	// SuspectTimeout is how long a suspect may refute before it is
 	// declared dead.
 	SuspectTimeout time.Duration
-	// Retransmit is how many probe messages each membership update
-	// piggybacks on before it is dropped from the queue.
-	Retransmit int
 	// OnVerdict fires on liveness transitions: alive=false when a member
 	// is confirmed dead, alive=true when it (re)joins or refutes. The
 	// daemon fans it into every peer pool's SetRemoteDown. Called without
@@ -148,20 +145,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
 	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultProbeTimeout
-	}
-	if cfg.IndirectProbes <= 0 {
-		cfg.IndirectProbes = DefaultIndirectProbes
-	}
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = DefaultSuspectTimeout
-	}
-	if cfg.Retransmit <= 0 {
-		cfg.Retransmit = DefaultRetransmit
 	}
 	n := &Node{
 		cfg:     cfg,
@@ -259,7 +244,7 @@ func (n *Node) probeLoop() {
 		select {
 		case <-n.quit:
 			return
-		case <-n.cfg.Clock.After(n.cfg.ProbeInterval):
+		case <-n.cfg.Clock.After(probeInterval):
 			n.sweepSuspects()
 			if target, ok := n.nextTarget(); ok {
 				n.probe(target)
@@ -291,7 +276,7 @@ func (n *Node) nextTarget() (string, bool) {
 // probe runs one SWIM round against target: direct ping, then indirect
 // ping-req relays on silence, then suspicion.
 func (n *Node) probe(target string) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	if n.pingDirect(ctx, target) {
 		n.markAlive(target, 0, false)
@@ -343,7 +328,7 @@ func (n *Node) pingIndirect(ctx context.Context, relay, target string) bool {
 	return true
 }
 
-// relayCandidates picks up to IndirectProbes alive members other than the
+// relayCandidates picks up to indirectProbes alive members other than the
 // target, spread round-robin like probe targets.
 func (n *Node) relayCandidates(target string) []string {
 	n.mu.Lock()
@@ -355,10 +340,10 @@ func (n *Node) relayCandidates(target string) []string {
 		}
 	}
 	sort.Strings(addrs)
-	if len(addrs) > n.cfg.IndirectProbes {
+	if len(addrs) > indirectProbes {
 		start := n.cursor % len(addrs)
 		rot := append(addrs[start:], addrs[:start]...)
-		addrs = rot[:n.cfg.IndirectProbes]
+		addrs = rot[:indirectProbes]
 	}
 	return addrs
 }
@@ -523,11 +508,11 @@ func (n *Node) verdict(addr string, alive bool) {
 func (n *Node) enqueueLocked(u wire.GossipUpdate) {
 	for i, q := range n.queue {
 		if q.u.Addr == u.Addr {
-			n.queue[i] = &queuedUpdate{u: u, left: n.cfg.Retransmit}
+			n.queue[i] = &queuedUpdate{u: u, left: retransmit}
 			return
 		}
 	}
-	n.queue = append(n.queue, &queuedUpdate{u: u, left: n.cfg.Retransmit})
+	n.queue = append(n.queue, &queuedUpdate{u: u, left: retransmit})
 }
 
 // drain returns up to maxPiggyback pending updates, decrementing their
@@ -576,7 +561,7 @@ func (n *Node) HandlePingReq(ctx context.Context, _ core.Entity, req wire.Gossip
 	if req.Target == n.cfg.SelfAddr {
 		return wire.GossipAck{From: n.cfg.SelfAddr, Updates: n.drain()}, nil
 	}
-	rctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
+	rctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	cl, err := n.cfg.Peers.Get(rctx, req.Target)
 	if err != nil {

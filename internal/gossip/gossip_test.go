@@ -283,7 +283,7 @@ func TestPiggybackRetransmitBudget(t *testing.T) {
 	a.node.mu.Lock()
 	a.node.enqueueLocked(wire.GossipUpdate{Addr: "wallet.x", Status: "alive", Incarnation: 1})
 	a.node.mu.Unlock()
-	for i := 0; i < DefaultRetransmit; i++ {
+	for i := 0; i < retransmit; i++ {
 		found := false
 		for _, u := range a.node.drain() {
 			if u.Addr == "wallet.x" {

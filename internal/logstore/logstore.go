@@ -38,9 +38,6 @@ type Options struct {
 	// segments. Zero means 15s; negative disables the background pass
 	// (Compact can still be called directly).
 	CompactInterval time.Duration
-	// CompactMinDead is the number of dead put records a sealed segment must
-	// accrue before the compactor rewrites it. Zero means 1.
-	CompactMinDead int
 	// Registry receives drbac_logstore_* metrics; nil disables them.
 	Registry *obs.Registry
 	// Obs, when set, gives commit batches and compaction passes trace
@@ -57,9 +54,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactInterval == 0 {
 		o.CompactInterval = 15 * time.Second
-	}
-	if o.CompactMinDead == 0 {
-		o.CompactMinDead = 1
 	}
 	return o
 }
@@ -599,8 +593,8 @@ func (s *Store) SnapshotSegments(afterSeq uint64) (wallet.SegmentSnapshot, error
 	return snap, nil
 }
 
-// Compact runs one compaction pass: every sealed segment holding at least
-// CompactMinDead dead put records is rewritten without them. Revocation and
+// Compact runs one compaction pass: every sealed segment holding a dead put
+// record is rewritten without them. Revocation and
 // delete tombstones always survive — a shipped delta that skips a compacted
 // segment must still see later removals — so compaction reclaims bundle
 // bytes, the dominant term, and nothing else. The rewrite is
@@ -624,7 +618,7 @@ func (s *Store) Compact() error {
 		if i == len(s.segments)-1 {
 			break // active segment never compacts
 		}
-		if seg.dead >= s.opts.CompactMinDead {
+		if seg.dead > 0 {
 			cands = append(cands, cand{seg, seg.dead})
 		}
 	}

@@ -72,13 +72,16 @@ type CollectorConfig struct {
 	// traces retained, decided deterministically from the trace ID so all
 	// wallets in a coalition keep the same traces.
 	SampleRate float64
-	// MaxSpansPerTrace bounds per-trace span retention (default 64); spans
-	// beyond the cap are counted in TruncatedSpans.
-	MaxSpansPerTrace int
-	// MaxActive bounds concurrently assembling traces (default 1024);
-	// beyond it new traces are not tracked.
-	MaxActive int
 }
+
+const (
+	// maxSpansPerTrace bounds per-trace span retention; spans beyond the
+	// cap are counted in TruncatedSpans.
+	maxSpansPerTrace = 64
+	// maxActive bounds concurrently assembling traces; beyond it new traces
+	// are not tracked.
+	maxActive = 1024
+)
 
 func (c CollectorConfig) withDefaults() CollectorConfig {
 	if c.Capacity <= 0 {
@@ -86,12 +89,6 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 	}
 	if c.SlowThreshold <= 0 {
 		c.SlowThreshold = 250 * time.Millisecond
-	}
-	if c.MaxSpansPerTrace <= 0 {
-		c.MaxSpansPerTrace = 64
-	}
-	if c.MaxActive <= 0 {
-		c.MaxActive = 1024
 	}
 	return c
 }
@@ -172,7 +169,7 @@ func (c *Collector) startRoot(traceID string) bool {
 	defer c.mu.Unlock()
 	at := c.active[traceID]
 	if at == nil {
-		if len(c.active) >= c.cfg.MaxActive {
+		if len(c.active) >= maxActive {
 			return false
 		}
 		at = &activeTrace{}
@@ -195,7 +192,7 @@ func (c *Collector) addSpan(rec SpanRecord) {
 		c.mDropped.Inc()
 		return
 	}
-	if len(at.spans) >= c.cfg.MaxSpansPerTrace {
+	if len(at.spans) >= maxSpansPerTrace {
 		at.truncated++
 		c.mDropped.Inc()
 		return
@@ -241,7 +238,7 @@ func (c *Collector) finalizeLocked(traceID string, at *activeTrace) {
 		// Later roots of an already-retained trace (a wallet serving
 		// several requests for one discovery) merge into the stored
 		// record instead of occupying another ring slot.
-		merge(prev, rec, c.cfg.MaxSpansPerTrace)
+		merge(prev, rec)
 		return
 	}
 	if !rec.Slow && rec.Err == "" && !headSampled(traceID, c.cfg.SampleRate) {
@@ -286,8 +283,8 @@ func (c *Collector) slow(rec *TraceRecord) bool {
 	return time.Duration(rec.DurationUS)*time.Microsecond >= c.cfg.SlowThreshold
 }
 
-func merge(dst, src *TraceRecord, maxSpans int) {
-	room := maxSpans - len(dst.Spans)
+func merge(dst, src *TraceRecord) {
+	room := maxSpansPerTrace - len(dst.Spans)
 	if room < len(src.Spans) {
 		dst.TruncatedSpans += len(src.Spans) - max(room, 0)
 		if room <= 0 {

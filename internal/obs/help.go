@@ -58,6 +58,7 @@ var (
 		"drbac_server_noproof_total":            "Wire queries answered no-proof.",
 		"drbac_server_pushes_total":             "Subscription pushes sent.",
 		"drbac_server_push_errors_total":        "Subscription pushes that failed to send.",
+		"drbac_server_stream_overflows_total":   "Changelog-stream pushes dropped because a follower's buffer was full (it resyncs).",
 		"drbac_server_connections_total":        "Connections accepted.",
 		"drbac_server_handshake_failures_total": "Inbound connections dropped for failing the transport handshake.",
 		"drbac_server_binary_connections_total": "Accepted connections that negotiated the binary wire codec.",

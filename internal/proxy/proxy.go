@@ -23,7 +23,6 @@ import (
 
 	"drbac/internal/core"
 	"drbac/internal/obs"
-	"drbac/internal/peer"
 	"drbac/internal/remote"
 	"drbac/internal/subs"
 	"drbac/internal/transport"
@@ -34,18 +33,9 @@ import (
 type Config struct {
 	// Local is the proxy's cache wallet, served to downstream clients.
 	Local *wallet.Wallet
-	// Upstream is a fixed connection the wallet misses are pulled through
-	// from. Either Upstream or Peers+UpstreamAddr must be set.
+	// Upstream is the connection wallet misses are pulled through from and
+	// upstream subscriptions ride on. Required.
 	Upstream *remote.Client
-	// Peers, with UpstreamAddr, pulls misses through a managed pool
-	// instead of a fixed connection: the proxy survives an upstream
-	// restart by redialing lazily and re-establishing its delegation
-	// subscriptions on the fresh connection.
-	Peers *peer.Manager
-	// UpstreamAddr is the upstream wallet's address in Peers — optionally a
-	// comma-separated replica group ("primary,replica1,…"); pulls and
-	// subscriptions fail over within the group (§9 read scaling).
-	UpstreamAddr string
 	// TTL is the coherence window for pulled credentials; zero caches
 	// permanently (credentials still drop on upstream revocation).
 	TTL time.Duration
@@ -65,25 +55,20 @@ type Proxy struct {
 
 	mu      sync.Mutex
 	cancels map[core.DelegationID]func()
-	// lastUpstream is the pooled client the current subscriptions live on;
-	// a different pointer from the pool means the upstream connection was
-	// replaced and every subscription must be re-established.
-	lastUpstream *remote.Client
-	closed       bool
+	closed  bool
 	// Pulls counts upstream pull-through queries (cache misses).
 	pulls int
 	// Hits counts direct queries answered from the cache.
 	hits int
 }
 
-// New builds a proxy over a local cache wallet and an upstream connection
-// (fixed, or pooled via Peers+UpstreamAddr).
+// New builds a proxy over a local cache wallet and an upstream connection.
 func New(cfg Config) (*Proxy, error) {
 	if cfg.Local == nil {
 		return nil, errors.New("proxy: Local is required")
 	}
-	if cfg.Upstream == nil && (cfg.Peers == nil || cfg.UpstreamAddr == "") {
-		return nil, errors.New("proxy: either Upstream or Peers+UpstreamAddr is required")
+	if cfg.Upstream == nil {
+		return nil, errors.New("proxy: Upstream is required")
 	}
 	o := cfg.Obs
 	if o == nil {
@@ -116,46 +101,6 @@ func (p *Proxy) Stats() (hits, pulls int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.hits, p.pulls
-}
-
-// upstream returns the connection pulls and subscriptions ride on. With a
-// pooled upstream it redials through the pool as needed; when the pool
-// hands back a different connection than the subscriptions were created on,
-// every tracked delegation is re-subscribed there first — a push dropped
-// while the upstream was down would otherwise go unnoticed forever.
-func (p *Proxy) upstream(ctx context.Context) (*remote.Client, error) {
-	if p.cfg.Upstream != nil {
-		return p.cfg.Upstream, nil
-	}
-	c, addr, err := p.cfg.Peers.GetAny(ctx, remote.SplitAddrs(p.cfg.UpstreamAddr))
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	replaced := p.lastUpstream != nil && p.lastUpstream != c
-	p.lastUpstream = c
-	var ids []core.DelegationID
-	if replaced {
-		ids = make([]core.DelegationID, 0, len(p.cancels))
-		for id := range p.cancels {
-			ids = append(ids, id)
-		}
-		// The old connection is gone and its cancel funcs with it; the new
-		// subscriptions below repopulate the slots.
-		p.cancels = make(map[core.DelegationID]func())
-	}
-	p.mu.Unlock()
-	if replaced {
-		p.obs.Log().Info("proxy upstream reconnected; re-establishing subscriptions",
-			"addr", addr, "subscriptions", len(ids))
-		for _, id := range ids {
-			if err := p.ensureSubscribed(ctx, c, id); err != nil {
-				p.obs.Log().Warn("proxy resubscribe failed",
-					"delegation", id.Short(), "error", err)
-			}
-		}
-	}
-	return c, nil
 }
 
 // QueryDirect answers from the cache wallet (whose proof cache memoizes
@@ -192,12 +137,7 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	if psp == nil {
 		pctx = obs.ContextWithTrace(ctx, obs.TraceContext{TraceID: q.TraceID})
 	}
-	up, err := p.upstream(ctx)
-	if err != nil {
-		psp.Fail(err)
-		psp.End("ok", false)
-		return nil, err
-	}
+	up := p.cfg.Upstream
 	proof, err := up.QueryDirect(pctx, q.Subject, q.Object, q.Constraints, q.Direction)
 	if err != nil {
 		if !errors.Is(err, core.ErrNoProof) {

@@ -180,21 +180,11 @@ func (c *Client) dispatchPush(push wire.NotifyPush) {
 	if stream != nil {
 		stream(push)
 	}
-	ev := subs.Event{Delegation: push.Delegation, At: push.At, Seq: push.Seq}
-	switch push.Kind {
-	case "revoked":
-		ev.Kind = subs.Revoked
-	case "expired":
-		ev.Kind = subs.Expired
-	case "renewed":
-		ev.Kind = subs.Renewed
-	case "stale":
-		ev.Kind = subs.Stale
-	case "published":
-		ev.Kind = subs.Published
-	default:
-		return
+	kind, ok := subs.ParseKind(push.Kind)
+	if !ok {
+		return // a kind this build predates: ignored (SPEC §5)
 	}
+	ev := subs.Event{Delegation: push.Delegation, Kind: kind, At: push.At, Seq: push.Seq}
 	c.mu.Lock()
 	m := c.notify[push.Delegation]
 	handlers := make([]func(subs.Event), 0, len(m))
@@ -212,6 +202,9 @@ func (c *Client) failPending(err error) {
 	pending := c.pending
 	c.pending = make(map[uint64]*waiter)
 	closed := c.closed
+	// Under the lock that registers waiters: a call either made it into
+	// pending above or sees the connection broken, never neither.
+	c.broken.Store(true)
 	c.mu.Unlock()
 	for _, w := range pending {
 		close(w.ch)
@@ -280,7 +273,7 @@ func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, body any) (reply
 		timeout = DefaultCallTimeout
 	}
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.broken.Load() {
 		c.mu.Unlock()
 		return reply{}, ErrClientClosed
 	}
@@ -343,32 +336,34 @@ func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, body any) (reply
 	}
 }
 
-// call is roundTrip plus the decode: a non-nil out receives the response
-// body, and the reply frame goes back to the pool before call returns —
-// DecodeBody copies everything it keeps, so nothing in out aliases it.
+// call is roundTrip plus the decode: the response must be of the type the
+// request's wire.Messages row declares, a non-nil out receives its body, and
+// the reply frame goes back to the pool before call returns — DecodeBody
+// copies everything it keeps, so nothing in out aliases it.
 func (c *Client) call(ctx context.Context, t wire.MsgType, body, out any) error {
 	r, err := c.roundTrip(ctx, t, body)
 	if err != nil {
 		return err
 	}
-	if out != nil {
+	if msg := wire.Lookup(t); msg == nil || r.env.Type != msg.Reply {
+		err = fmt.Errorf("remote %s: unexpected response %q", t, r.env.Type)
+	} else if out != nil {
 		err = wire.DecodeBody(r.env, out)
 	}
 	bufpool.Put(r.frame)
 	return err
 }
 
+// ask is call for the requests whose answer is the response body itself.
+func ask[Resp any](ctx context.Context, c *Client, t wire.MsgType, body any) (Resp, error) {
+	var resp Resp
+	err := c.call(ctx, t, body, &resp)
+	return resp, err
+}
+
 // Ping round-trips a liveness probe.
 func (c *Client) Ping(ctx context.Context) error {
-	r, err := c.roundTrip(ctx, wire.TPing, nil)
-	if err != nil {
-		return err
-	}
-	bufpool.Put(r.frame)
-	if r.env.Type != wire.TPong {
-		return fmt.Errorf("remote ping: unexpected response %q", r.env.Type)
-	}
-	return nil
+	return c.call(ctx, wire.TPing, nil, nil)
 }
 
 // Publish stores a delegation (with support proofs) in the remote wallet.
@@ -395,9 +390,7 @@ func (c *Client) PublishSharded(ctx context.Context, d *core.Delegation, support
 // ShardMap fetches the peer's current shard map (serialized in
 // resp.Map). Non-clustered peers answer with an error.
 func (c *Client) ShardMap(ctx context.Context) (wire.ShardMapResp, error) {
-	var resp wire.ShardMapResp
-	err := c.call(ctx, wire.TShardMap, struct{}{}, &resp)
-	return resp, err
+	return ask[wire.ShardMapResp](ctx, c, wire.TShardMap, nil)
 }
 
 // QueryDirect asks the remote wallet for a proof subject ⇒ object. Like
@@ -408,57 +401,41 @@ func (c *Client) ShardMap(ctx context.Context) (wire.ShardMapResp, error) {
 // discovery reads as one nested trace across every wallet it touched.
 func (c *Client) QueryDirect(ctx context.Context, subject core.Subject, object core.Role, constraints []core.Constraint, direction graph.Direction) (*core.Proof, error) {
 	tc := obs.TraceFromContext(ctx)
-	var resp wire.ProofResp
-	err := c.call(ctx, wire.TQueryDirect, wire.QueryReq{
+	resp, err := ask[wire.ProofResp](ctx, c, wire.TQueryDirect, wire.QueryReq{
 		Subject:     subject,
 		Object:      object,
 		Constraints: constraints,
 		Direction:   direction,
 		TraceID:     tc.TraceID,
 		SpanID:      tc.SpanID,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Proof, nil
+	})
+	return resp.Proof, err
 }
 
 // QuerySubject asks for all sub-proofs subject ⇒ *.
 func (c *Client) QuerySubject(ctx context.Context, subject core.Subject, constraints []core.Constraint) ([]*core.Proof, error) {
 	tc := obs.TraceFromContext(ctx)
-	var resp wire.ProofsResp
-	err := c.call(ctx, wire.TQuerySubject, wire.QueryReq{Subject: subject, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Proofs, nil
+	resp, err := ask[wire.ProofsResp](ctx, c, wire.TQuerySubject, wire.QueryReq{Subject: subject, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID})
+	return resp.Proofs, err
 }
 
 // QueryObject asks for all sub-proofs * ⇒ object.
 func (c *Client) QueryObject(ctx context.Context, object core.Role, constraints []core.Constraint) ([]*core.Proof, error) {
 	tc := obs.TraceFromContext(ctx)
-	var resp wire.ProofsResp
-	err := c.call(ctx, wire.TQueryObject, wire.QueryReq{Object: object, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Proofs, nil
+	resp, err := ask[wire.ProofsResp](ctx, c, wire.TQueryObject, wire.QueryReq{Object: object, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID})
+	return resp.Proofs, err
 }
 
 // Stats fetches the remote wallet's state summary and metrics snapshot —
 // what `drbac stats` renders.
 func (c *Client) Stats(ctx context.Context) (wire.StatsResp, error) {
-	var resp wire.StatsResp
-	err := c.call(ctx, wire.TStats, struct{}{}, &resp)
-	return resp, err
+	return ask[wire.StatsResp](ctx, c, wire.TStats, nil)
 }
 
 // Trace fetches the remote wallet's retained spans for one trace ID —
 // what `drbac trace` merges across wallets into a waterfall.
 func (c *Client) Trace(ctx context.Context, id string) (wire.TraceResp, error) {
-	var resp wire.TraceResp
-	err := c.call(ctx, wire.TTrace, wire.TraceReq{TraceID: id}, &resp)
-	return resp, err
+	return ask[wire.TraceResp](ctx, c, wire.TTrace, wire.TraceReq{TraceID: id})
 }
 
 // Subscribe registers for push notifications about one delegation (§4.2.2)
@@ -509,7 +486,9 @@ func (c *Client) Subscribe(ctx context.Context, id core.DelegationID, fn func(su
 			if last && !closed {
 				// The subscription's context may be long gone; the
 				// unsubscribe is best-effort cleanup on its own clock.
-				_ = c.call(context.Background(), wire.TUnsubscribe, wire.SubscribeReq{Delegation: id}, nil)
+				if err := c.call(context.Background(), wire.TUnsubscribe, wire.SubscribeReq{Delegation: id}, nil); err != nil {
+					c.Obs.Log().Debug("remote unsubscribe failed", "delegation", id.Short(), "error", err)
+				}
 			}
 		})
 	}, nil
@@ -518,8 +497,7 @@ func (c *Client) Subscribe(ctx context.Context, id core.DelegationID, fn func(su
 // Has reports whether the remote wallet stores the delegation — the
 // registry-audit primitive (§6).
 func (c *Client) Has(ctx context.Context, id core.DelegationID) (bool, error) {
-	var resp wire.HasResp
-	err := c.call(ctx, wire.THas, wire.HasReq{Delegation: id}, &resp)
+	resp, err := ask[wire.HasResp](ctx, c, wire.THas, wire.HasReq{Delegation: id})
 	return resp.Present, err
 }
 
@@ -533,8 +511,8 @@ func (c *Client) Revoke(ctx context.Context, id core.DelegationID) error {
 // role, and validates both the proof and that its subject matches the
 // transport-authenticated peer — the §4.2.1 home-wallet authorization check.
 func (c *Client) ProveRole(ctx context.Context, role core.Role, at time.Time) (*core.Proof, error) {
-	var resp wire.ProofResp
-	if err := c.call(ctx, wire.TProveRole, wire.ProveRoleReq{Role: role}, &resp); err != nil {
+	resp, err := ask[wire.ProofResp](ctx, c, wire.TProveRole, wire.ProveRoleReq{Role: role})
+	if err != nil {
 		return nil, err
 	}
 	p := resp.Proof
@@ -558,9 +536,7 @@ func (c *Client) ProveRole(ctx context.Context, role core.Role, at time.Time) (*
 // revocation — consistent at the returned Seq (§9). Followers bootstrap
 // from it and resync from it after a stream gap.
 func (c *Client) Sync(ctx context.Context) (wire.SyncResp, error) {
-	var resp wire.SyncResp
-	err := c.call(ctx, wire.TSync, struct{}{}, &resp)
-	return resp, err
+	return ask[wire.SyncResp](ctx, c, wire.TSync, nil)
 }
 
 // SyncSegments fetches the remote wallet's durable record log as raw
@@ -568,9 +544,7 @@ func (c *Client) Sync(ctx context.Context) (wire.SyncResp, error) {
 // the full log). Only log-store-backed wallets answer it; other stores
 // return an error and the caller falls back to Sync.
 func (c *Client) SyncSegments(ctx context.Context, afterSeq uint64) (wire.SyncSegmentsResp, error) {
-	var resp wire.SyncSegmentsResp
-	err := c.call(ctx, wire.TSyncSegments, wire.SyncSegmentsReq{AfterSeq: afterSeq}, &resp)
-	return resp, err
+	return ask[wire.SyncSegmentsResp](ctx, c, wire.TSyncSegments, wire.SyncSegmentsReq{AfterSeq: afterSeq})
 }
 
 // SubscribeAll registers fn to receive every status push from the remote
@@ -594,8 +568,8 @@ func (c *Client) SubscribeAll(ctx context.Context, fn func(wire.NotifyPush)) (se
 	c.stream = fn
 	c.mu.Unlock()
 
-	var resp wire.SubscribeAllResp
-	if err := c.call(ctx, wire.TSubscribeAll, struct{}{}, &resp); err != nil {
+	resp, err := ask[wire.SubscribeAllResp](ctx, c, wire.TSubscribeAll, nil)
+	if err != nil {
 		c.mu.Lock()
 		c.stream = nil
 		c.mu.Unlock()
@@ -613,9 +587,7 @@ func (c *Client) SubscribeAll(ctx context.Context, fn func(wire.NotifyPush)) (se
 
 // DHTFindNode asks the peer for its closest known contacts to target.
 func (c *Client) DHTFindNode(ctx context.Context, req wire.DHTFindReq) (wire.DHTFindResp, error) {
-	var resp wire.DHTFindResp
-	err := c.call(ctx, wire.TDHTFindNode, req, &resp)
-	return resp, err
+	return ask[wire.DHTFindResp](ctx, c, wire.TDHTFindNode, req)
 }
 
 // DHTFindValue asks the peer for the provider record under req.Target,
@@ -623,9 +595,7 @@ func (c *Client) DHTFindNode(ctx context.Context, req wire.DHTFindReq) (wire.DHT
 // any returned record (dht.Record verification) — the transport
 // authenticates the serving node, not the record's publisher.
 func (c *Client) DHTFindValue(ctx context.Context, req wire.DHTFindReq) (wire.DHTFindResp, error) {
-	var resp wire.DHTFindResp
-	err := c.call(ctx, wire.TDHTFindValue, req, &resp)
-	return resp, err
+	return ask[wire.DHTFindResp](ctx, c, wire.TDHTFindValue, req)
 }
 
 // DHTStore offers a signed provider record to the peer for storage. The
@@ -642,9 +612,7 @@ func (c *Client) GossipPing(ctx context.Context, body wire.GossipPingBody) (wire
 	if body.Target != "" {
 		t = wire.TGossipPingReq
 	}
-	var ack wire.GossipAck
-	err := c.call(ctx, t, body, &ack)
-	return ack, err
+	return ask[wire.GossipAck](ctx, c, t, body)
 }
 
 // SplitAddrs parses a comma-separated address list ("primary,replica1,…")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"sync"
 	"testing"
@@ -221,6 +222,42 @@ func TestPushMetrics(t *testing.T) {
 			t.Fatal("push not counted")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A follower that stops reading its changelog stream backs the server's
+// 1,024-event buffer up until pushes are dropped. That is an overflow — the
+// peer is there and will resync — and must be counted as one, not as a push
+// error, which means "peer gone".
+func TestStreamOverflowIsNotAPushError(t *testing.T) {
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	w, reg, _ := serveInstrumented(e, "wallet.bigisp", "BigISP")
+	c, err := Dial(context.Background(), e.net.Dialer(e.id("Maria")), "wallet.bigisp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	// The stalled reader: the stream handler blocks until the test ends, so
+	// the client's push queue, the connection and then the server's stream
+	// buffer fill behind it.
+	release := make(chan struct{})
+	defer close(release)
+	if _, _, err := c.SubscribeAll(context.Background(), func(wire.NotifyPush) { <-release }); err != nil {
+		t.Fatal(err)
+	}
+
+	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
+	for i := 0; counter("drbac_server_stream_overflows_total") == 0; i++ {
+		if i > 4*streamBuffer {
+			t.Fatalf("no overflow counted after %d publishes to a stalled stream", i)
+		}
+		if err := w.Publish(e.deleg(fmt.Sprintf("[Mark -> BigISP.r%d] BigISP", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := counter("drbac_server_push_errors_total"); n != 0 {
+		t.Fatalf("push_errors = %d after an overflow; the peer never went away", n)
 	}
 }
 

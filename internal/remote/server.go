@@ -29,6 +29,7 @@ type serverMetrics struct {
 	noProof     *obs.Counter
 	pushes      *obs.Counter
 	pushErrors  *obs.Counter
+	overflows   *obs.Counter
 	connections *obs.Counter
 	handshakes  *obs.Counter
 	binaryConns *obs.Counter
@@ -46,6 +47,7 @@ func newServerMetrics(o *obs.Obs) serverMetrics {
 		noProof:     o.Counter("drbac_server_noproof_total"),
 		pushes:      o.Counter("drbac_server_pushes_total"),
 		pushErrors:  o.Counter("drbac_server_push_errors_total"),
+		overflows:   o.Counter("drbac_server_stream_overflows_total"),
 		connections: o.Counter("drbac_server_connections_total"),
 		handshakes:  o.Counter("drbac_server_handshake_failures_total"),
 		binaryConns: o.Counter("drbac_server_binary_connections_total"),
@@ -428,7 +430,7 @@ func (s *Server) dispatch(cs *connState, env wire.Envelope) {
 // merged cross-wallet trace nests this hop below the query that caused it.
 // The returned context carries the span down into the wallet (and the
 // proxy fallback). Untraced requests get a nil span and the base context.
-func (s *Server) serveSpan(req wire.QueryReq, name string, args []any) (context.Context, *obs.Span) {
+func (s *Server) serveSpan(req *wire.QueryReq, name string, args []any) (context.Context, *obs.Span) {
 	if s.obs == nil || req.TraceID == "" {
 		return s.baseCtx, nil
 	}
@@ -436,324 +438,295 @@ func (s *Server) serveSpan(req wire.QueryReq, name string, args []any) (context.
 	return obs.ContextWithSpan(s.baseCtx, sp), sp
 }
 
-// handle serves one request, sending the success response itself and
-// returning audit-log attributes; a returned error is sent by dispatch.
+// handle serves one request: the wire.Messages row says whether the type is
+// a request at all and which type its success reply goes out under, the
+// handler set says who serves it. It returns audit-log attributes; a
+// returned error is sent by dispatch.
 func (s *Server) handle(cs *connState, env wire.Envelope) ([]any, error) {
-	switch env.Type {
-	case wire.TPing:
-		return nil, cs.send(wire.TPong, env.ID, nil)
-
-	case wire.TPublish:
-		var req wire.PublishReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		var attrs []any
-		if req.Delegation != nil {
-			attrs = []any{"delegation", req.Delegation.ID().Short(), "ttl_s", req.TTLSeconds}
-		}
-		if s.readOnly {
-			return attrs, fmt.Errorf("publish: %w", ErrReadOnly)
-		}
-		// Shard guard: durable publishes must land on the owning shard
-		// under a fresh epoch. TTL-cached copies are exempt — they are a
-		// local caching concern (§4.2.1), not partitioned state.
-		if s.guard != nil && req.TTLSeconds == 0 && req.Delegation != nil {
-			if rd := s.guard.CheckPublish(req.ShardEpoch, req.Delegation.Subject); rd != nil {
-				return attrs, &RedirectError{Msg: "publish refused: wrong shard or stale epoch", Redirect: *rd}
-			}
-		}
-		var err error
-		if req.TTLSeconds > 0 {
-			err = s.w.InsertCached(req.Delegation, req.Support, time.Duration(req.TTLSeconds)*time.Second)
-		} else {
-			err = s.w.Publish(req.Delegation, req.Support...)
-		}
-		if err != nil {
-			return attrs, err
-		}
-		return attrs, cs.send(wire.TOK, env.ID, nil)
-
-	case wire.TQueryDirect:
-		var req wire.QueryReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		// The audit attributes are rendered once and sized once; the span
-		// (traced requests only) borrows the subject/object pairs from them.
-		attrs := make([]any, 0, 8)
-		attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String(), "object", req.Object.String())
-		ctx, sp := s.serveSpan(req, "serve:query-direct", attrs[2:6:6])
-		q := wallet.Query{
-			Ctx:         ctx,
-			Subject:     req.Subject,
-			Object:      req.Object,
-			Constraints: req.Constraints,
-			Direction:   req.Direction,
-			TraceID:     req.TraceID,
-		}
-		p, err := s.w.QueryDirect(q)
-		if err != nil && errors.Is(err, core.ErrNoProof) && s.directFallback != nil {
-			p, err = s.directFallback(ctx, q)
-		}
-		if err != nil && !errors.Is(err, core.ErrNoProof) {
-			sp.Fail(err)
-		}
-		sp.End("found", err == nil)
-		if err != nil {
-			return append(attrs, "found", false), err
-		}
-		return append(attrs, "found", true), cs.send(wire.TProof, env.ID, wire.ProofResp{Proof: p})
-
-	case wire.TQuerySubject:
-		var req wire.QueryReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		attrs := make([]any, 0, 6)
-		attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String())
-		_, sp := s.serveSpan(req, "serve:query-subject", attrs[2:4:4])
-		proofs := s.w.QuerySubject(req.Subject, req.Constraints)
-		sp.End("results", len(proofs))
-		return append(attrs, "results", len(proofs)), cs.send(wire.TProofs, env.ID, wire.ProofsResp{Proofs: proofs})
-
-	case wire.TQueryObject:
-		var req wire.QueryReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		attrs := make([]any, 0, 6)
-		attrs = append(attrs, "trace", req.TraceID, "object", req.Object.String())
-		_, sp := s.serveSpan(req, "serve:query-object", attrs[2:4:4])
-		proofs := s.w.QueryObject(req.Object, req.Constraints)
-		sp.End("results", len(proofs))
-		return append(attrs, "results", len(proofs)), cs.send(wire.TProofs, env.ID, wire.ProofsResp{Proofs: proofs})
-
-	case wire.TTrace:
-		var req wire.TraceReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		spans := s.obs.TraceCollector().Spans(req.TraceID)
-		attrs := []any{"trace", req.TraceID, "spans", len(spans)}
-		return attrs, cs.send(wire.TOK, env.ID, wire.TraceResp{Found: len(spans) > 0, Spans: spans})
-
-	case wire.TSubscribe:
-		var req wire.SubscribeReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		s.subscribe(cs, req.Delegation)
-		return []any{"delegation", req.Delegation.Short()}, cs.send(wire.TOK, env.ID, nil)
-
-	case wire.TUnsubscribe:
-		var req wire.SubscribeReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		cs.subMu.Lock()
-		if cancel, ok := cs.cancels[req.Delegation]; ok {
-			cancel()
-			delete(cs.cancels, req.Delegation)
-		}
-		cs.subMu.Unlock()
-		return []any{"delegation", req.Delegation.Short()}, cs.send(wire.TOK, env.ID, nil)
-
-	case wire.TRevoke:
-		var req wire.RevokeReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		attrs := []any{"delegation", req.Delegation.Short()}
-		if s.readOnly {
-			return attrs, fmt.Errorf("revoke: %w", ErrReadOnly)
-		}
-		if s.guard != nil {
-			if rd := s.guard.CheckEpoch(req.ShardEpoch); rd != nil {
-				return attrs, &RedirectError{Msg: "revoke refused: stale shard map epoch", Redirect: *rd}
-			}
-		}
-		// Authorization: the authenticated peer must be the issuer.
-		if err := s.w.Revoke(req.Delegation, cs.conn.Peer().ID()); err != nil {
-			return attrs, err
-		}
-		return attrs, cs.send(wire.TOK, env.ID, nil)
-
-	case wire.THas:
-		var req wire.HasReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		present := s.w.Contains(req.Delegation)
-		attrs := []any{"delegation", req.Delegation.Short(), "present", present}
-		return attrs, cs.send(wire.TOK, env.ID, wire.HasResp{Present: present})
-
-	case wire.TProveRole:
-		var req wire.ProveRoleReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		attrs := []any{"role", req.Role.String()}
-		owner := s.w.Owner()
-		if owner == nil {
-			return attrs, fmt.Errorf("wallet has no operating identity")
-		}
-		p, err := s.w.QueryDirect(wallet.Query{
-			Subject: core.SubjectEntity(owner.ID()),
-			Object:  req.Role,
-		})
-		if err != nil {
-			return attrs, err
-		}
-		return attrs, cs.send(wire.TProof, env.ID, wire.ProofResp{Proof: p})
-
-	case wire.TStats:
-		resp := s.statsResp()
-		resp.Wire.ConnCodec = cs.codec.Name()
-		return nil, cs.send(wire.TOK, env.ID, resp)
-
-	case wire.TShardMap:
-		if s.guard == nil {
-			return nil, fmt.Errorf("wallet is not a shard cluster member")
-		}
-		resp, err := s.guard.MapResp()
-		if err != nil {
-			return nil, err
-		}
-		return []any{"epoch", resp.Epoch, "shard", resp.Shard}, cs.send(wire.TOK, env.ID, resp)
-
-	case wire.TSync:
-		rep, ok := s.w.(wallet.Replicable)
-		if !ok {
-			return nil, fmt.Errorf("wallet does not serve replication; sync its member shards instead")
-		}
-		snap := rep.Snapshot()
-		resp := wire.SyncResp{Seq: snap.Seq, Revoked: snap.Revoked}
-		resp.Bundles = make([]wire.SyncBundle, 0, len(snap.Bundles))
-		for _, b := range snap.Bundles {
-			resp.Bundles = append(resp.Bundles, wire.SyncBundle{Delegation: b.Delegation, Support: b.Support})
-		}
-		attrs := []any{"seq", snap.Seq, "bundles", len(resp.Bundles), "revoked", len(resp.Revoked)}
-		return attrs, cs.send(wire.TOK, env.ID, resp)
-
-	case wire.TSyncSegments:
-		var req wire.SyncSegmentsReq
-		if len(env.Body) > 0 {
-			if err := wire.DecodeBody(env, &req); err != nil {
-				return nil, err
-			}
-		}
-		rep, ok := s.w.(wallet.Replicable)
-		if !ok {
-			return nil, fmt.Errorf("wallet does not serve replication; sync its member shards instead")
-		}
-		segStore, ok := rep.Store().(wallet.SegmentStore)
-		if !ok {
-			// Old-style stores cannot ship segments; the caller falls back
-			// to the monolithic TSync snapshot.
-			return nil, fmt.Errorf("wallet store does not ship segments")
-		}
-		// Read the wallet seq BEFORE snapshotting: records that land between
-		// the two reads ship with seq > resp.Seq and are re-applied
-		// idempotently from the stream, whereas the reverse order could
-		// advertise a seq the shipment does not cover.
-		seq0 := s.w.Seq()
-		snap, err := segStore.SnapshotSegments(req.AfterSeq)
-		if err != nil {
-			return []any{"afterSeq", req.AfterSeq}, err
-		}
-		resp := wire.SyncSegmentsResp{Seq: seq0}
-		var bytesShipped int
-		for _, seg := range snap.Segments {
-			bytesShipped += len(seg.Data)
-			resp.Segments = append(resp.Segments, wire.Segment{Name: seg.Name, Sealed: seg.Sealed, Records: seg.Data})
-		}
-		attrs := []any{"afterSeq", req.AfterSeq, "seq", seq0, "segments", len(resp.Segments), "bytes", bytesShipped}
-		return attrs, cs.send(wire.TOK, env.ID, resp)
-
-	case wire.TDHTFindNode:
-		if s.dht == nil {
-			return nil, fmt.Errorf("wallet does not serve the DHT (start drbacd with -dht)")
-		}
-		var req wire.DHTFindReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		resp, err := s.dht.HandleFindNode(cs.conn.Peer(), req)
-		if err != nil {
-			return nil, err
-		}
-		return []any{"contacts", len(resp.Contacts)}, cs.send(wire.TOK, env.ID, resp)
-
-	case wire.TDHTFindValue:
-		if s.dht == nil {
-			return nil, fmt.Errorf("wallet does not serve the DHT (start drbacd with -dht)")
-		}
-		var req wire.DHTFindReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		resp, err := s.dht.HandleFindValue(cs.conn.Peer(), req)
-		if err != nil {
-			return nil, err
-		}
-		return []any{"hit", resp.Record != nil, "contacts", len(resp.Contacts)},
-			cs.send(wire.TOK, env.ID, resp)
-
-	case wire.TDHTStore:
-		if s.dht == nil {
-			return nil, fmt.Errorf("wallet does not serve the DHT (start drbacd with -dht)")
-		}
-		var req wire.DHTStoreReq
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		if err := s.dht.HandleStore(cs.conn.Peer(), req); err != nil {
-			return []any{"accepted", false}, err
-		}
-		return []any{"accepted", true}, cs.send(wire.TOK, env.ID, nil)
-
-	case wire.TGossipPing:
-		if s.gossip == nil {
-			return nil, fmt.Errorf("wallet does not serve gossip membership")
-		}
-		var req wire.GossipPingBody
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		ack, err := s.gossip.HandlePing(s.baseCtx, cs.conn.Peer(), req)
-		if err != nil {
-			return nil, err
-		}
-		return nil, cs.send(wire.TOK, env.ID, ack)
-
-	case wire.TGossipPingReq:
-		if s.gossip == nil {
-			return nil, fmt.Errorf("wallet does not serve gossip membership")
-		}
-		var req wire.GossipPingBody
-		if err := wire.DecodeBody(env, &req); err != nil {
-			return nil, err
-		}
-		ack, err := s.gossip.HandlePingReq(s.baseCtx, cs.conn.Peer(), req)
-		if err != nil {
-			return []any{"target", req.Target}, err
-		}
-		return []any{"target", req.Target}, cs.send(wire.TOK, env.ID, ack)
-
-	case wire.TSubscribeAll:
-		rep, ok := s.w.(wallet.Replicable)
-		if !ok {
-			return nil, fmt.Errorf("wallet does not serve replication; stream its member shards instead")
-		}
-		seq, err := s.subscribeAll(cs, rep)
-		if err != nil {
-			return nil, err
-		}
-		return []any{"seq", seq}, cs.send(wire.TOK, env.ID, wire.SubscribeAllResp{Seq: seq})
-
-	default:
+	msg, h := wire.Lookup(env.Type), handlers[env.Type]
+	if msg == nil || msg.Reply == "" || h == nil {
+		// Not in the protocol, or a reply, push or reserved type.
 		return nil, fmt.Errorf("unknown request type %q", env.Type)
+	}
+	reply, attrs, err := h(s, cs, msg, env)
+	if err != nil {
+		return attrs, err
+	}
+	return attrs, cs.send(msg.Reply, env.ID, reply)
+}
+
+// handler serves one request type: it returns the success reply's body
+// (nil for none) and the request's audit-log attributes.
+type handler func(s *Server, cs *connState, msg *wire.Message, env wire.Envelope) (reply any, attrs []any, err error)
+
+// on adapts a handler that takes a decoded body — the one place request
+// bodies are decoded.
+func on[Req any](serve func(*Server, *connState, *Req) (any, []any, error)) handler {
+	return func(s *Server, cs *connState, msg *wire.Message, env wire.Envelope) (any, []any, error) {
+		var req Req
+		if len(env.Body) > 0 || !msg.BodyOptional {
+			if err := wire.DecodeBody(env, &req); err != nil {
+				return nil, nil, err
+			}
+		}
+		return serve(s, cs, &req)
+	}
+}
+
+// bare adapts a handler for a request that carries no body.
+func bare(serve func(*Server, *connState) (any, []any, error)) handler {
+	return func(s *Server, cs *connState, _ *wire.Message, _ wire.Envelope) (any, []any, error) {
+		return serve(s, cs)
+	}
+}
+
+// handlers is the server's whole dispatch: one entry per request row of
+// wire.Messages (TestHandlersCoverRequestRows holds the two together).
+var handlers = map[wire.MsgType]handler{
+	wire.TPing:          bare(func(*Server, *connState) (any, []any, error) { return nil, nil, nil }),
+	wire.TPublish:       on((*Server).publish),
+	wire.TQueryDirect:   on((*Server).queryDirect),
+	wire.TQuerySubject:  on(queryAll(false)),
+	wire.TQueryObject:   on(queryAll(true)),
+	wire.TSubscribe:     on((*Server).subscribeOne),
+	wire.TUnsubscribe:   on((*Server).unsubscribe),
+	wire.TRevoke:        on((*Server).revoke),
+	wire.TProveRole:     on((*Server).proveRole),
+	wire.THas:           on((*Server).has),
+	wire.TStats:         bare((*Server).stats),
+	wire.TSync:          bare((*Server).sync),
+	wire.TSubscribeAll:  bare((*Server).subscribeAll),
+	wire.TSyncSegments:  on((*Server).syncSegments),
+	wire.TTrace:         on((*Server).trace),
+	wire.TShardMap:      bare((*Server).shardMap),
+	wire.TDHTFindNode:   on(dhtFind(false)),
+	wire.TDHTFindValue:  on(dhtFind(true)),
+	wire.TDHTStore:      on((*Server).dhtStore),
+	wire.TGossipPing:    on(gossipProbe(false)),
+	wire.TGossipPingReq: on(gossipProbe(true)),
+}
+
+// Refusals of the optional subsystems a wallet may be serving without.
+var (
+	errNoReplication = errors.New("wallet does not serve replication; ask its member shards instead")
+	errNoDHT         = errors.New("wallet does not serve the DHT (start drbacd with -dht)")
+	errNoGossip      = errors.New("wallet does not serve gossip membership")
+)
+
+func (s *Server) publish(_ *connState, req *wire.PublishReq) (any, []any, error) {
+	var attrs []any
+	if req.Delegation != nil {
+		attrs = []any{"delegation", req.Delegation.ID().Short(), "ttl_s", req.TTLSeconds}
+	}
+	if s.readOnly {
+		return nil, attrs, fmt.Errorf("publish: %w", ErrReadOnly)
+	}
+	// Shard guard: durable publishes must land on the owning shard
+	// under a fresh epoch. TTL-cached copies are exempt — they are a
+	// local caching concern (§4.2.1), not partitioned state.
+	if s.guard != nil && req.TTLSeconds == 0 && req.Delegation != nil {
+		if rd := s.guard.CheckPublish(req.ShardEpoch, req.Delegation.Subject); rd != nil {
+			return nil, attrs, &RedirectError{Msg: "publish refused: wrong shard or stale epoch", Redirect: *rd}
+		}
+	}
+	if req.TTLSeconds > 0 {
+		return nil, attrs, s.w.InsertCached(req.Delegation, req.Support, time.Duration(req.TTLSeconds)*time.Second)
+	}
+	return nil, attrs, s.w.Publish(req.Delegation, req.Support...)
+}
+
+func (s *Server) queryDirect(_ *connState, req *wire.QueryReq) (any, []any, error) {
+	// The audit attributes are rendered once and sized once; the span
+	// (traced requests only) borrows the subject/object pairs from them.
+	attrs := make([]any, 0, 8)
+	attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String(), "object", req.Object.String())
+	ctx, sp := s.serveSpan(req, "serve:query-direct", attrs[2:6:6])
+	q := wallet.Query{
+		Ctx:         ctx,
+		Subject:     req.Subject,
+		Object:      req.Object,
+		Constraints: req.Constraints,
+		Direction:   req.Direction,
+		TraceID:     req.TraceID,
+	}
+	p, err := s.w.QueryDirect(q)
+	if err != nil && errors.Is(err, core.ErrNoProof) && s.directFallback != nil {
+		p, err = s.directFallback(ctx, q)
+	}
+	if err != nil && !errors.Is(err, core.ErrNoProof) {
+		sp.Fail(err)
+	}
+	sp.End("found", err == nil)
+	return wire.ProofResp{Proof: p}, append(attrs, "found", err == nil), err
+}
+
+// queryAll serves query-subject and, with object set, query-object: the
+// same search from the other end of the chain.
+func queryAll(object bool) func(*Server, *connState, *wire.QueryReq) (any, []any, error) {
+	return func(s *Server, _ *connState, req *wire.QueryReq) (any, []any, error) {
+		attrs := make([]any, 0, 6)
+		attrs = append(attrs, "trace", req.TraceID)
+		var proofs []*core.Proof
+		if object {
+			attrs = append(attrs, "object", req.Object.String())
+			_, sp := s.serveSpan(req, "serve:query-object", attrs[2:4:4])
+			proofs = s.w.QueryObject(req.Object, req.Constraints)
+			sp.End("results", len(proofs))
+		} else {
+			attrs = append(attrs, "subject", req.Subject.String())
+			_, sp := s.serveSpan(req, "serve:query-subject", attrs[2:4:4])
+			proofs = s.w.QuerySubject(req.Subject, req.Constraints)
+			sp.End("results", len(proofs))
+		}
+		return wire.ProofsResp{Proofs: proofs}, append(attrs, "results", len(proofs)), nil
+	}
+}
+
+func (s *Server) trace(_ *connState, req *wire.TraceReq) (any, []any, error) {
+	spans := s.obs.TraceCollector().Spans(req.TraceID)
+	attrs := []any{"trace", req.TraceID, "spans", len(spans)}
+	return wire.TraceResp{Found: len(spans) > 0, Spans: spans}, attrs, nil
+}
+
+func (s *Server) subscribeOne(cs *connState, req *wire.SubscribeReq) (any, []any, error) {
+	s.subscribe(cs, req.Delegation)
+	return nil, []any{"delegation", req.Delegation.Short()}, nil
+}
+
+func (s *Server) unsubscribe(cs *connState, req *wire.SubscribeReq) (any, []any, error) {
+	cs.subMu.Lock()
+	if cancel, ok := cs.cancels[req.Delegation]; ok {
+		cancel()
+		delete(cs.cancels, req.Delegation)
+	}
+	cs.subMu.Unlock()
+	return nil, []any{"delegation", req.Delegation.Short()}, nil
+}
+
+func (s *Server) revoke(cs *connState, req *wire.RevokeReq) (any, []any, error) {
+	attrs := []any{"delegation", req.Delegation.Short()}
+	if s.readOnly {
+		return nil, attrs, fmt.Errorf("revoke: %w", ErrReadOnly)
+	}
+	if s.guard != nil {
+		if rd := s.guard.CheckEpoch(req.ShardEpoch); rd != nil {
+			return nil, attrs, &RedirectError{Msg: "revoke refused: stale shard map epoch", Redirect: *rd}
+		}
+	}
+	// Authorization: the authenticated peer must be the issuer.
+	return nil, attrs, s.w.Revoke(req.Delegation, cs.conn.Peer().ID())
+}
+
+func (s *Server) has(_ *connState, req *wire.HasReq) (any, []any, error) {
+	present := s.w.Contains(req.Delegation)
+	return wire.HasResp{Present: present}, []any{"delegation", req.Delegation.Short(), "present", present}, nil
+}
+
+func (s *Server) proveRole(_ *connState, req *wire.ProveRoleReq) (any, []any, error) {
+	attrs := []any{"role", req.Role.String()}
+	owner := s.w.Owner()
+	if owner == nil {
+		return nil, attrs, fmt.Errorf("wallet has no operating identity")
+	}
+	p, err := s.w.QueryDirect(wallet.Query{
+		Subject: core.SubjectEntity(owner.ID()),
+		Object:  req.Role,
+	})
+	return wire.ProofResp{Proof: p}, attrs, err
+}
+
+func (s *Server) stats(cs *connState) (any, []any, error) {
+	resp := s.statsResp()
+	resp.Wire.ConnCodec = cs.codec.Name()
+	return resp, nil, nil
+}
+
+func (s *Server) shardMap(*connState) (any, []any, error) {
+	if s.guard == nil {
+		return nil, nil, fmt.Errorf("wallet is not a shard cluster member")
+	}
+	resp, err := s.guard.MapResp()
+	return resp, []any{"epoch", resp.Epoch, "shard", resp.Shard}, err
+}
+
+func (s *Server) sync(*connState) (any, []any, error) {
+	rep, ok := s.w.(wallet.Replicable)
+	if !ok {
+		return nil, nil, errNoReplication
+	}
+	snap := rep.Snapshot()
+	resp := wire.SyncResp{Seq: snap.Seq, Revoked: snap.Revoked}
+	resp.Bundles = make([]wire.SyncBundle, 0, len(snap.Bundles))
+	for _, b := range snap.Bundles {
+		resp.Bundles = append(resp.Bundles, wire.SyncBundle{Delegation: b.Delegation, Support: b.Support})
+	}
+	return resp, []any{"seq", snap.Seq, "bundles", len(resp.Bundles), "revoked", len(resp.Revoked)}, nil
+}
+
+func (s *Server) syncSegments(_ *connState, req *wire.SyncSegmentsReq) (any, []any, error) {
+	rep, ok := s.w.(wallet.Replicable)
+	if !ok {
+		return nil, nil, errNoReplication
+	}
+	segStore, ok := rep.Store().(wallet.SegmentStore)
+	if !ok {
+		// Old-style stores cannot ship segments; the caller falls back
+		// to the monolithic TSync snapshot.
+		return nil, nil, fmt.Errorf("wallet store does not ship segments")
+	}
+	// Read the wallet seq BEFORE snapshotting: records that land between
+	// the two reads ship with seq > resp.Seq and are re-applied
+	// idempotently from the stream, whereas the reverse order could
+	// advertise a seq the shipment does not cover.
+	seq0 := s.w.Seq()
+	snap, err := segStore.SnapshotSegments(req.AfterSeq)
+	if err != nil {
+		return nil, []any{"afterSeq", req.AfterSeq}, err
+	}
+	resp := wire.SyncSegmentsResp{Seq: seq0}
+	var bytesShipped int
+	for _, seg := range snap.Segments {
+		bytesShipped += len(seg.Data)
+		resp.Segments = append(resp.Segments, wire.Segment{Name: seg.Name, Sealed: seg.Sealed, Records: seg.Data})
+	}
+	return resp, []any{"afterSeq", req.AfterSeq, "seq", seq0, "segments", len(resp.Segments), "bytes", bytesShipped}, nil
+}
+
+// dhtFind serves dht-find-node and, with value set, dht-find-value.
+func dhtFind(value bool) func(*Server, *connState, *wire.DHTFindReq) (any, []any, error) {
+	return func(s *Server, cs *connState, req *wire.DHTFindReq) (any, []any, error) {
+		if s.dht == nil {
+			return nil, nil, errNoDHT
+		}
+		find := s.dht.HandleFindNode
+		if value {
+			find = s.dht.HandleFindValue
+		}
+		resp, err := find(cs.conn.Peer(), *req)
+		return resp, []any{"hit", resp.Record != nil, "contacts", len(resp.Contacts)}, err
+	}
+}
+
+func (s *Server) dhtStore(cs *connState, req *wire.DHTStoreReq) (any, []any, error) {
+	if s.dht == nil {
+		return nil, nil, errNoDHT
+	}
+	err := s.dht.HandleStore(cs.conn.Peer(), *req)
+	return nil, []any{"accepted", err == nil}, err
+}
+
+// gossipProbe serves gossip-ping and, with relay set, gossip-ping-req.
+func gossipProbe(relay bool) func(*Server, *connState, *wire.GossipPingBody) (any, []any, error) {
+	return func(s *Server, cs *connState, req *wire.GossipPingBody) (any, []any, error) {
+		if s.gossip == nil {
+			return nil, nil, errNoGossip
+		}
+		probe, attrs := s.gossip.HandlePing, []any(nil)
+		if relay {
+			probe, attrs = s.gossip.HandlePingReq, []any{"target", req.Target}
+		}
+		ack, err := probe(s.baseCtx, cs.conn.Peer(), *req)
+		return ack, attrs, err
 	}
 }
 
@@ -833,9 +806,14 @@ const streamBuffer = 1024
 // subscribeAll wires the wallet's full changelog onto this connection: a
 // wildcard wallet subscription enqueues every event (Published events carry
 // the full bundle so followers need no read-back) and a writer goroutine
-// drains the queue onto the wire. Returns the wallet seq observed after the
-// stream became live; every mutation with a greater seq will be delivered.
-func (s *Server) subscribeAll(cs *connState, rep wallet.Replicable) (uint64, error) {
+// drains the queue onto the wire. It answers with the wallet seq observed
+// after the stream became live; every mutation with a greater seq will be
+// delivered.
+func (s *Server) subscribeAll(cs *connState) (any, []any, error) {
+	rep, ok := s.w.(wallet.Replicable)
+	if !ok {
+		return nil, nil, errNoReplication
+	}
 	ch := make(chan wire.NotifyPush, streamBuffer)
 	quit := make(chan struct{})
 	handler := func(ev subs.Event) {
@@ -855,7 +833,8 @@ func (s *Server) subscribeAll(cs *connState, rep wallet.Replicable) (uint64, err
 		select {
 		case ch <- push:
 		default:
-			s.m.pushErrors.Inc()
+			// Not a send error: the peer is there but slow, and resyncs.
+			s.m.overflows.Inc()
 			s.obs.Log().Warn("changelog stream overflow; push dropped",
 				"peer", cs.conn.Peer().ID().Short(),
 				"delegation", ev.Delegation.Short(), "seq", ev.Seq)
@@ -874,7 +853,7 @@ func (s *Server) subscribeAll(cs *connState, rep wallet.Replicable) (uint64, err
 	if cs.cancels == nil { // connection already torn down
 		cs.subMu.Unlock()
 		stop()
-		return 0, errors.New("connection closed")
+		return nil, nil, errors.New("connection closed")
 	}
 	old := cs.streamStop
 	cs.streamStop = stop
@@ -907,5 +886,6 @@ func (s *Server) subscribeAll(cs *connState, rep wallet.Replicable) (uint64, err
 	// Read after the handler is registered: any mutation sequenced past
 	// this point is guaranteed to reach the stream, so the client can
 	// compare against its bootstrap snapshot for a gap-free handover.
-	return s.w.Seq(), nil
+	seq := s.w.Seq()
+	return wire.SubscribeAllResp{Seq: seq}, []any{"seq", seq}, nil
 }

@@ -323,8 +323,13 @@ func (f *Follower) handle(ctx context.Context, c *remote.Client, p wire.NotifyPu
 // apply mirrors one upstream event onto the local wallet.
 func (f *Follower) apply(ctx context.Context, c *remote.Client, p wire.NotifyPush) error {
 	w := f.cfg.Local
-	switch p.Kind {
-	case "published":
+	kind, ok := subs.ParseKind(p.Kind)
+	if !ok {
+		f.cfg.Obs.Log().Warn("replica: unknown event kind", "kind", p.Kind)
+		return nil
+	}
+	switch kind {
+	case subs.Published:
 		if p.Bundle == nil || p.Bundle.Delegation == nil {
 			// An upstream that doesn't attach bundles (older wire rev)
 			// still replicates correctly, one snapshot per publish.
@@ -339,17 +344,13 @@ func (f *Follower) apply(ctx context.Context, c *remote.Client, p wire.NotifyPus
 		}); err != nil {
 			f.cfg.Obs.Log().Warn("replica: install failed", "delegation", p.Delegation.Short(), "error", err)
 		}
-	case "revoked":
+	case subs.Revoked:
 		w.AcceptRevocation(p.Delegation)
-	case "expired":
-		w.DropReplicated(p.Delegation, subs.Expired)
-	case "stale":
-		w.DropReplicated(p.Delegation, subs.Stale)
-	case "renewed":
+	case subs.Expired, subs.Stale:
+		w.DropReplicated(p.Delegation, kind)
+	case subs.Renewed:
 		// TTL renewals are sequenced to keep the stream gapless but carry
 		// no replicable state change.
-	default:
-		f.cfg.Obs.Log().Warn("replica: unknown event kind", "kind", p.Kind)
 	}
 	return nil
 }

@@ -34,22 +34,32 @@ const (
 	Published
 )
 
+// kindNames is the wire spelling of each kind (NotifyPush.Kind, SPEC §5).
+var kindNames = [...]string{
+	Revoked:   "revoked",
+	Expired:   "expired",
+	Renewed:   "renewed",
+	Stale:     "stale",
+	Published: "published",
+}
+
 // String renders the kind.
 func (k EventKind) String() string {
-	switch k {
-	case Revoked:
-		return "revoked"
-	case Expired:
-		return "expired"
-	case Renewed:
-		return "renewed"
-	case Stale:
-		return "stale"
-	case Published:
-		return "published"
-	default:
+	if k < Revoked || int(k) >= len(kindNames) {
 		return "unknown"
 	}
+	return kindNames[k]
+}
+
+// ParseKind is the inverse of String; ok is false for a spelling no kind
+// renders to (a newer peer's kind, or garbage).
+func ParseKind(s string) (k EventKind, ok bool) {
+	for k = Revoked; int(k) < len(kindNames); k++ {
+		if kindNames[k] == s {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // Event is one delegation status update.

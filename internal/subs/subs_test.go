@@ -128,6 +128,22 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
+// ParseKind inverts String over every kind, and nothing else parses: not the
+// "unknown" rendering of an out-of-range kind, not a near miss.
+func TestParseKindRoundTrip(t *testing.T) {
+	for k := Revoked; k <= Published; k++ {
+		got, ok := ParseKind(k.String())
+		if !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, ok, k)
+		}
+	}
+	for _, s := range []string{"", "unknown", "Revoked", "revoke", (Published + 1).String()} {
+		if k, ok := ParseKind(s); ok {
+			t.Errorf("ParseKind(%q) = %v, want not ok", s, k)
+		}
+	}
+}
+
 func TestSubscribeAllReceivesEveryEvent(t *testing.T) {
 	r := NewRegistry()
 	var got []Event

@@ -59,12 +59,8 @@ type ProofCache struct {
 	hits, misses, invalidations atomic.Int64
 }
 
-// newProofCache returns an empty cache holding at most limit entries;
-// limit <= 0 means DefaultProofCacheLimit.
+// newProofCache returns an empty cache holding at most limit entries.
 func newProofCache(limit int) *ProofCache {
-	if limit <= 0 {
-		limit = DefaultProofCacheLimit
-	}
 	return &ProofCache{
 		limit:        limit,
 		pos:          make(map[string]*core.Proof),

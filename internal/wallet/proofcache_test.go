@@ -38,7 +38,7 @@ func TestProofCacheHitMissNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newProofCache(0)
+	c := newProofCache(DefaultProofCacheLimit)
 	now := e.clk.Now()
 
 	if _, _, ok := c.Lookup("k", now, nil); ok {
@@ -74,7 +74,7 @@ func TestProofCacheLookupRechecksExpiryAndRevocation(t *testing.T) {
 	}
 	now := e.clk.Now()
 
-	c := newProofCache(0)
+	c := newProofCache(DefaultProofCacheLimit)
 	c.Put("k", p)
 	revoked := func(id core.DelegationID) bool { return id == d.ID() }
 	if _, _, ok := c.Lookup("k", now, revoked); ok {
@@ -93,7 +93,7 @@ func TestProofCacheLookupRechecksExpiryAndRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := newProofCache(0)
+	c2 := newProofCache(DefaultProofCacheLimit)
 	c2.Put("k", pe)
 	if _, _, ok := c2.Lookup("k", now.Add(2*time.Minute), nil); ok {
 		t.Fatal("expired proof served from cache")
@@ -106,7 +106,7 @@ func TestProofCacheInvalidateDelegation(t *testing.T) {
 	d2 := e.deleg("[Mark -> BigISP.memberServices] BigISP")
 	p1, _ := core.NewProof(core.ProofStep{Delegation: d1})
 	p2, _ := core.NewProof(core.ProofStep{Delegation: d2})
-	c := newProofCache(0)
+	c := newProofCache(DefaultProofCacheLimit)
 	c.Put("a", p1)
 	c.Put("b", p2)
 	c.PutNegative("n")
@@ -171,7 +171,7 @@ func TestProofCacheConcurrentReadersCountExactly(t *testing.T) {
 	const readers, rounds = 8, 2000
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	p := e.table1Proof()
-	c := newProofCache(0)
+	c := newProofCache(DefaultProofCacheLimit)
 	c.Put("pos", p)
 	c.PutNegative("neg")
 	now := e.clk.Now()
@@ -211,7 +211,7 @@ func TestProofCacheConcurrentReadersCountExactly(t *testing.T) {
 func TestProofCacheHitDoesNotAllocate(t *testing.T) {
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	p := e.table1Proof()
-	c := newProofCache(0)
+	c := newProofCache(DefaultProofCacheLimit)
 	c.Put("k", p)
 	now := e.clk.Now()
 	revoked := func(core.DelegationID) bool { return false }

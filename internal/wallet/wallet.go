@@ -51,9 +51,6 @@ type Config struct {
 	// DisableProofCache turns off direct-query memoization; every query
 	// re-runs the graph search. Used by cold-cache benchmarks.
 	DisableProofCache bool
-	// ProofCacheLimit bounds memoized answers; 0 means
-	// DefaultProofCacheLimit.
-	ProofCacheLimit int
 	// Obs, if non-nil, receives structured logs and metrics from every
 	// wallet operation (publish/query/revoke counters, query latency,
 	// search effort, cache outcomes, state gauges). Nil disables
@@ -192,7 +189,7 @@ func New(cfg Config) *Wallet {
 		m:          newWalletMetrics(cfg.Obs),
 		sloQuery:   cfg.Obs.SLO("query"),
 		sloPublish: cfg.Obs.SLO("publish"),
-		cache:      newProofCache(cfg.ProofCacheLimit),
+		cache:      newProofCache(DefaultProofCacheLimit),
 		cacheOff:   cfg.DisableProofCache,
 		ttl:        make(map[core.DelegationID]time.Time),
 		watches:    make(map[int]*watch),

@@ -56,46 +56,22 @@ const (
 	bkMax = bkProveRoleReq
 )
 
-// msgTypeCodes maps message types to their single-byte wire codes. Codes
-// are protocol constants: never renumber, only append.
-var msgTypeCodes = map[MsgType]byte{
-	TPublish:       1,
-	TQueryDirect:   2,
-	TQuerySubject:  3,
-	TQueryObject:   4,
-	TSubscribe:     5,
-	TUnsubscribe:   6,
-	TRevoke:        7,
-	TProveRole:     8,
-	THas:           9,
-	TPing:          10,
-	TStats:         11,
-	TSync:          12,
-	TSubscribeAll:  13,
-	TSyncSegments:  14,
-	TTrace:         15,
-	TShardMap:      16,
-	TDHTFindNode:   17,
-	TDHTFindValue:  18,
-	TDHTStore:      19,
-	TGossipPing:    20,
-	TGossipPingReq: 21,
-	TOK:            32,
-	TProof:         33,
-	TProofs:        34,
-	TError:         35,
-	TNotify:        36,
-	TPong:          37,
-	TClusterHello:  38, // reserved: decoded, never sent
-}
-
-var msgTypeNames = func() map[byte]MsgType {
-	m := make(map[byte]MsgType, len(msgTypeCodes))
-	for t, c := range msgTypeCodes {
-		m[c] = t
-	}
-	return m
-}()
+// binKind names the hand-rolled layout of each binary body type; value and
+// pointer (decode target) alike carry it.
+func (QueryReq) binKind() byte         { return bkQueryReq }
+func (ProofResp) binKind() byte        { return bkProofResp }
+func (ProofsResp) binKind() byte       { return bkProofsResp }
+func (PublishReq) binKind() byte       { return bkPublishReq }
+func (RevokeReq) binKind() byte        { return bkRevokeReq }
+func (NotifyPush) binKind() byte       { return bkNotifyPush }
+func (SubscribeReq) binKind() byte     { return bkSubscribeReq }
+func (HasReq) binKind() byte           { return bkHasReq }
+func (HasResp) binKind() byte          { return bkHasResp }
+func (SyncResp) binKind() byte         { return bkSyncResp }
+func (SubscribeAllResp) binKind() byte { return bkSubscribeAllResp }
+func (SyncSegmentsReq) binKind() byte  { return bkSyncSegmentsReq }
+func (SyncSegmentsResp) binKind() byte { return bkSyncSegmentsResp }
+func (ProveRoleReq) binKind() byte     { return bkProveRoleReq }
 
 // binaryCodec implements Codec with the framing above.
 type binaryCodec struct{}
@@ -112,8 +88,8 @@ func (binaryCodec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
 	w := bwriter{buf: bufpool.Get(encodeStart)}
 	w.u8(binMagic)
 	w.u8(binVersion)
-	if code, ok := msgTypeCodes[t]; ok {
-		w.u8(code)
+	if m := byType[t]; m != nil {
+		w.u8(m.Code)
 	} else {
 		w.u8(0)
 		w.str(string(t))
@@ -231,11 +207,11 @@ func (binaryCodec) Decode(frame []byte) (Envelope, error) {
 	}
 	var t MsgType
 	if code := r.u8(); code != 0 {
-		name, ok := msgTypeNames[code]
-		if !ok && r.err == nil {
+		m := byCode[code]
+		if m == nil {
 			return Envelope{}, fmt.Errorf("wire decode: unknown message type code %d", code)
 		}
-		t = name
+		t = m.Type
 	} else {
 		t = MsgType(r.str())
 	}
@@ -271,11 +247,11 @@ func (binaryCodec) Decode(frame []byte) (Envelope, error) {
 // recorded at Decode time must match the Go type the caller asked for; a
 // mismatch is a protocol violation, reported before any field is read.
 func decodeBinaryBody(env Envelope, out any) error {
-	want, ok := binKindFor(out)
+	target, ok := out.(interface{ binKind() byte })
 	if !ok {
 		return fmt.Errorf("wire %s: binary body cannot decode into %T", env.Type, out)
 	}
-	if want != env.binKind {
+	if target.binKind() != env.binKind {
 		return fmt.Errorf("wire %s: binary body kind %d does not match requested %T", env.Type, env.binKind, out)
 	}
 	r := breader{buf: []byte(env.Body)}
@@ -351,40 +327,4 @@ func decodeBinaryBody(env Envelope, out any) error {
 		return fmt.Errorf("wire %s: bad body: %w", env.Type, err)
 	}
 	return nil
-}
-
-// binKindFor maps a decode target type to its body-kind tag.
-func binKindFor(out any) (byte, bool) {
-	switch out.(type) {
-	case *QueryReq:
-		return bkQueryReq, true
-	case *ProofResp:
-		return bkProofResp, true
-	case *ProofsResp:
-		return bkProofsResp, true
-	case *PublishReq:
-		return bkPublishReq, true
-	case *RevokeReq:
-		return bkRevokeReq, true
-	case *NotifyPush:
-		return bkNotifyPush, true
-	case *SubscribeReq:
-		return bkSubscribeReq, true
-	case *HasReq:
-		return bkHasReq, true
-	case *HasResp:
-		return bkHasResp, true
-	case *SyncResp:
-		return bkSyncResp, true
-	case *SubscribeAllResp:
-		return bkSubscribeAllResp, true
-	case *SyncSegmentsReq:
-		return bkSyncSegmentsReq, true
-	case *SyncSegmentsResp:
-		return bkSyncSegmentsResp, true
-	case *ProveRoleReq:
-		return bkProveRoleReq, true
-	default:
-		return 0, false
-	}
 }

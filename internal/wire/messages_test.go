@@ -1,0 +1,406 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"drbac/internal/core"
+	"drbac/internal/graph"
+	"drbac/internal/obs"
+)
+
+// tableBody is one (message type, body) pairing the table declares: a row's
+// own body, or the body of the `ok` that answers it.
+type tableBody struct {
+	t  MsgType
+	mk func() any
+}
+
+// tableBodies lists every pairing in Messages, in table order.
+func tableBodies() []tableBody {
+	var out []tableBody
+	for _, m := range Messages {
+		if m.Body != nil {
+			out = append(out, tableBody{m.Type, m.Body})
+		}
+		if m.OK != nil {
+			out = append(out, tableBody{m.Reply, m.OK})
+		}
+	}
+	return out
+}
+
+// populated returns, for each body type the table names, values with every
+// field set the way production traffic sets it — built around a real signed
+// three-delegation proof chain so the hand-rolled encoders see real
+// principals, modifiers, expiries and support proofs.
+func populated(t testing.TB) map[reflect.Type][]any {
+	t.Helper()
+	p, _, now := fixtureProof(t)
+	d := p.Steps[0].Delegation
+	sup := p.Steps[0].Support
+	record := DHTRecord{
+		PublicKey:  make([]byte, 32),
+		Addrs:      []string{"wallet.bigisp:7100"},
+		Seq:        3,
+		IssuedAt:   time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
+		TTLSeconds: 3600,
+		Sig:        make([]byte, 64),
+	}
+	updates := []GossipUpdate{
+		{Addr: "wallet.a", Status: "alive", Incarnation: 1},
+		{Addr: "wallet.b", Status: "suspect", Incarnation: 0},
+		{Addr: "wallet.c", Status: "dead", Incarnation: 7},
+	}
+	shardMap := json.RawMessage(`{"epoch":7,"shards":[]}`)
+	out := make(map[reflect.Type][]any)
+	for _, v := range []any{
+		PublishReq{Delegation: d, Support: sup, TTLSeconds: 300, ShardEpoch: 7},
+		QueryReq{
+			Subject: core.Subject{Entity: d.Subject.Entity},
+			Object:  d.Object,
+			Constraints: []core.Constraint{{
+				Attr:    core.AttributeRef{Namespace: d.Object.Namespace, Name: "quota"},
+				Base:    100,
+				Minimum: 10,
+			}},
+			Direction: graph.Forward,
+			TraceID:   "trace-1",
+			SpanID:    "span-9",
+		},
+		QueryReq{Subject: core.Subject{Role: d.Object}},
+		SubscribeReq{Delegation: d.ID()},
+		RevokeReq{Delegation: d.ID(), ShardEpoch: 3},
+		ProveRoleReq{Role: d.Object},
+		HasReq{Delegation: d.ID()},
+		HasResp{Present: true},
+		StatsResp{
+			Role: "primary", Seq: 9, Delegations: 4, Revoked: 1, CacheHits: 12,
+			Metrics: obs.Snapshot{Counters: map[string]int64{"drbac_server_requests_total": 3}},
+			Cluster: &ClusterStats{Epoch: 2, Shard: 1, Shards: 4, Routes: map[string]int64{"1": 8}},
+			DHT:     &DHTStats{ID: "ab", BucketPeers: 3},
+			Wire:    &WireStats{ConnCodec: CodecBinary, BinaryFramesEncoded: 5},
+		},
+		SyncResp{
+			Seq:     44,
+			Bundles: []SyncBundle{{Delegation: d, Support: sup}},
+			Revoked: []core.DelegationID{"dead-1", "dead-2"},
+		},
+		SubscribeAllResp{Seq: 9},
+		SyncSegmentsReq{AfterSeq: 5},
+		SyncSegmentsResp{
+			Seq:      80,
+			Segments: []Segment{{Name: "seg-000001", Sealed: true, Records: []byte("r1\nr2\n")}},
+		},
+		TraceReq{TraceID: "0123456789abcdef"},
+		TraceResp{Found: true, Spans: []obs.SpanRecord{{
+			TraceID: "0123456789abcdef", SpanID: "s1", Name: "serve:query-direct", Root: true,
+			Start: now, DurationUS: 42, Attrs: map[string]string{"found": "true"},
+		}}},
+		ShardMapResp{Epoch: 7, Shard: -1, Map: shardMap},
+		DHTFindReq{From: DHTContact{ID: make([]byte, 20), Addr: "wallet.a"}, Target: make([]byte, 20)},
+		DHTFindReq{Target: []byte{0xff}},
+		DHTFindResp{Record: &record},
+		DHTFindResp{Contacts: []DHTContact{{ID: make([]byte, 20), Addr: "wallet.c"}}},
+		DHTStoreReq{From: DHTContact{Addr: "wallet.b"}, Record: record},
+		GossipPingBody{From: "wallet.a", Updates: updates},
+		GossipPingBody{From: "wallet.a", Target: "wallet.b"},
+		GossipAck{From: "wallet.b", Updates: updates},
+		ProofResp{Proof: p},
+		ProofsResp{Proofs: []*core.Proof{p, sup[0]}},
+		ErrorResp{Message: "boom", NoProof: true},
+		ErrorResp{Message: "stale", Redirect: &Redirect{Epoch: 8, Shard: 2, Addrs: []string{"s2:7100"}, Map: shardMap}},
+		NotifyPush{Delegation: d.ID(), Kind: "revoked", At: now, Seq: 12},
+		NotifyPush{
+			Delegation: d.ID(), Kind: "published", At: now, Seq: 13,
+			Bundle: &SyncBundle{Delegation: d, Support: sup},
+		},
+	} {
+		out[reflect.TypeOf(v)] = append(out[reflect.TypeOf(v)], v)
+	}
+	return out
+}
+
+// decodeVia drives body through one codec — encode, decode the envelope,
+// decode the body into a fresh target — and returns the envelope and target.
+func decodeVia(t testing.TB, c Codec, tb tableBody, body any) (Envelope, any) {
+	t.Helper()
+	frame, err := c.Encode(tb.t, 7, body)
+	if err != nil {
+		t.Fatalf("%s %s %T: encode: %v", c.Name(), tb.t, body, err)
+	}
+	env, err := c.Decode(frame)
+	if err != nil {
+		t.Fatalf("%s %s %T: decode: %v", c.Name(), tb.t, body, err)
+	}
+	if env.Type != tb.t || env.ID != 7 {
+		t.Fatalf("%s %s: envelope = %q id %d", c.Name(), tb.t, env.Type, env.ID)
+	}
+	out := tb.mk()
+	if err := DecodeBody(env, out); err != nil {
+		t.Fatalf("%s %s %T: decode body: %v", c.Name(), tb.t, body, err)
+	}
+	return env, out
+}
+
+// TestMessageTableCrossCodecRoundTrip is the codec suite, driven by the
+// table: for every body Messages declares, the zero value and every populated
+// fixture must survive encode → decode → DecodeBody under both codecs
+// field-for-field (JSON re-marshal equality), and the two codecs must agree
+// byte for byte — a proof fetched through a binary peer is indistinguishable
+// from one fetched through a JSON peer, the invariant the CI cross-codec job
+// leans on. Bodies with a hand-rolled layout must ride as that layout in the
+// binary envelope; every other body rides there as JSON.
+func TestMessageTableCrossCodecRoundTrip(t *testing.T) {
+	fixtures := populated(t)
+	for _, tb := range tableBodies() {
+		typ := reflect.TypeOf(tb.mk()).Elem()
+		if len(fixtures[typ]) == 0 {
+			t.Errorf("%s carries %s, which has no populated fixture: add one to populated()", tb.t, typ)
+		}
+		bodies := append([]any{reflect.Zero(typ).Interface()}, fixtures[typ]...)
+		for _, body := range bodies {
+			want, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, viaJSON := decodeVia(t, jsonCodecInst, tb, body)
+			env, viaBinary := decodeVia(t, binaryCodecInst, tb, body)
+			j, _ := json.Marshal(viaJSON)
+			b, _ := json.Marshal(viaBinary)
+			if !bytes.Equal(j, want) {
+				t.Errorf("%s %s: json round trip diverged\nwant %s\ngot  %s", tb.t, typ, want, j)
+			}
+			if !bytes.Equal(b, want) {
+				t.Errorf("%s %s: binary round trip diverged\nwant %s\ngot  %s", tb.t, typ, want, b)
+			}
+			var wantKind byte
+			if hot, ok := body.(interface{ binKind() byte }); ok {
+				wantKind = hot.binKind()
+			}
+			if env.binKind != wantKind {
+				t.Errorf("%s %s: binary body kind = %d, want %d (0 = JSON fallback)", tb.t, typ, env.binKind, wantKind)
+			}
+		}
+	}
+}
+
+// TestEveryBinaryKindIsInTheTable: a hand-rolled layout no message carries
+// would be dead code the table-driven tests and fuzzers never reach.
+func TestEveryBinaryKindIsInTheTable(t *testing.T) {
+	seen := make(map[byte]reflect.Type)
+	for _, tb := range tableBodies() {
+		if hot, ok := tb.mk().(interface{ binKind() byte }); ok {
+			seen[hot.binKind()] = reflect.TypeOf(hot)
+		}
+	}
+	for k := bkJSON + 1; k <= bkMax; k++ {
+		if seen[k] == nil {
+			t.Errorf("body kind %d is carried by no row of Messages", k)
+		}
+	}
+}
+
+// goldenCodes is the type-code assignment deployed peers speak. Codes are
+// protocol constants: a row may be appended to Messages, but renumbering or
+// dropping one of these breaks every one of them.
+var goldenCodes = map[MsgType]byte{
+	"publish": 1, "query-direct": 2, "query-subject": 3, "query-object": 4,
+	"subscribe": 5, "unsubscribe": 6, "revoke": 7, "prove-role": 8, "has": 9,
+	"ping": 10, "stats": 11, "sync": 12, "subscribe-all": 13, "sync-segments": 14,
+	"trace": 15, "shardmap": 16, "dht-find-node": 17, "dht-find-value": 18,
+	"dht-store": 19, "gossip-ping": 20, "gossip-ping-req": 21,
+	"ok": 32, "proof": 33, "proofs": 34, "error": 35, "notify": 36, "pong": 37,
+	"cluster-hello": 38,
+}
+
+func TestMessageTableCodes(t *testing.T) {
+	names := make(map[MsgType]bool)
+	codes := make(map[byte]MsgType)
+	for _, m := range Messages {
+		if m.Type == "" || m.Code == 0 {
+			t.Errorf("row %+v: empty type or the escape code 0", m)
+		}
+		if names[m.Type] {
+			t.Errorf("type %q has two rows", m.Type)
+		}
+		if prev, dup := codes[m.Code]; dup {
+			t.Errorf("code %d names both %q and %q", m.Code, prev, m.Type)
+		}
+		names[m.Type], codes[m.Code] = true, m.Type
+		if Lookup(m.Type) == nil || Lookup(m.Type).Code != m.Code || byCode[m.Code].Type != m.Type {
+			t.Errorf("%q: Lookup and the code index disagree with the row", m.Type)
+		}
+		if m.Reply != "" && (Lookup(m.Reply) == nil || Lookup(m.Reply).Reply != "") {
+			t.Errorf("%q: reply %q is not a reply row", m.Type, m.Reply)
+		}
+		if m.OK != nil && m.Reply != TOK {
+			t.Errorf("%q declares an ok body but replies %q", m.Type, m.Reply)
+		}
+		if m.Reserved && m.Reply != "" {
+			t.Errorf("%q is reserved yet declared a request", m.Type)
+		}
+	}
+	for name, code := range goldenCodes {
+		if m := Lookup(name); m == nil || m.Code != code {
+			t.Errorf("%q must keep type code %d; table has %+v", name, code, m)
+		}
+	}
+	if Lookup("future-msg") != nil {
+		t.Error("Lookup invented a row")
+	}
+}
+
+// TestReservedRowsStillDecode: a reserved type keeps its code so a frame from
+// an older build decodes under both codecs (internal/remote checks that
+// serving one is refused).
+func TestReservedRowsStillDecode(t *testing.T) {
+	reserved := 0
+	for _, m := range Messages {
+		if !m.Reserved {
+			continue
+		}
+		reserved++
+		for _, c := range []Codec{jsonCodecInst, binaryCodecInst} {
+			_, out := decodeVia(t, c, tableBody{m.Type, m.Body}, ShardMapResp{Epoch: 3, Shard: 1})
+			if got := out.(*ShardMapResp); got.Epoch != 3 || got.Shard != 1 {
+				t.Errorf("%s %s: body = %+v", c.Name(), m.Type, got)
+			}
+		}
+	}
+	if reserved != 1 {
+		t.Errorf("%d reserved rows, want exactly cluster-hello", reserved)
+	}
+}
+
+// specRow matches one SPEC §5 table row: | `type` | code | body | response |,
+// with "reserved" somewhere in a reserved type's row.
+var specRow = regexp.MustCompile("^\\| `([a-z-]+)` \\| (\\d+) \\|(.*)\\|$")
+
+// TestSpecMessageTableMatches holds docs/SPEC.md §5 to the table: every row
+// of Messages (name, code, reserved or not) appears there, and nothing else
+// does.
+func TestSpecMessageTableMatches(t *testing.T) {
+	spec, err := os.ReadFile("../../docs/SPEC.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(spec), "\n## 5. Wallet wire protocol\n")
+	if !ok {
+		t.Fatal("docs/SPEC.md has no §5")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	type row struct {
+		code     int
+		reserved bool
+	}
+	documented := make(map[MsgType]row)
+	for _, line := range strings.Split(section, "\n") {
+		m := specRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		code, _ := strconv.Atoi(m[2])
+		if _, dup := documented[MsgType(m[1])]; dup {
+			t.Errorf("SPEC §5 documents %q twice", m[1])
+		}
+		documented[MsgType(m[1])] = row{code, strings.Contains(m[3], "reserved")}
+	}
+	for _, m := range Messages {
+		got, ok := documented[m.Type]
+		switch {
+		case !ok:
+			t.Errorf("SPEC §5 has no row for %q (code %d)", m.Type, m.Code)
+		case got.code != int(m.Code):
+			t.Errorf("SPEC §5 gives %q code %d; the table says %d", m.Type, got.code, m.Code)
+		case got.reserved != m.Reserved:
+			t.Errorf("SPEC §5 reserved=%v for %q; the table says %v", got.reserved, m.Type, m.Reserved)
+		}
+		delete(documented, m.Type)
+	}
+	for name := range documented {
+		t.Errorf("SPEC §5 documents %q, which is not in wire.Messages", name)
+	}
+}
+
+// FuzzMessageDecode drives adversarial bytes through the full decode path of
+// every message in the table — envelope, then the bodies its row declares —
+// the way a server or client handles a frame from an authenticated but
+// untrusted peer, under whichever codec the frame's first byte selects. The
+// decoders must never panic, and any body they accept must survive an
+// encode/decode round trip unchanged: no state smuggled through unparsed
+// bytes, under either codec. Seeds: every row's zero and populated bodies
+// under both codecs, plus hand-written hostile frames.
+func FuzzMessageDecode(f *testing.F) {
+	fixtures, bodies := populated(f), tableBodies()
+	for _, tb := range bodies {
+		typ := reflect.TypeOf(tb.mk()).Elem()
+		for _, body := range append([]any{reflect.Zero(typ).Interface()}, fixtures[typ]...) {
+			for _, c := range []Codec{jsonCodecInst, binaryCodecInst} {
+				frame, err := c.Encode(tb.t, 1, body)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(append([]byte(nil), frame...))
+			}
+		}
+	}
+	f.Add([]byte(`{"type":"dht-store","id":9,"body":{"record":{"seq":-1,"ttlSeconds":1e99}}}`))
+	f.Add([]byte(`{"type":"gossip-ping","id":2,"body":{"updates":[{"status":"zombie","incarnation":18446744073709551615}]}}`))
+	f.Add([]byte{binMagic, binVersion, 10, 1, bkNone})
+	f.Add([]byte{binMagic, binVersion, 0, 4, 'p', 'i', 'n', 'g', 1, bkNone})
+	// A count field claiming 2^32 elements in a five-byte body.
+	f.Add([]byte{binMagic, binVersion, 2, 1, bkQueryReq, 0x80, 0x80, 0x80, 0x80, 0x10})
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var codec Codec = jsonCodecInst
+		if len(frame) > 0 && frame[0] == binMagic {
+			codec = binaryCodecInst
+		}
+		env, err := codec.Decode(frame)
+		if err != nil {
+			return
+		}
+		// A JSON body is tried against the bodies its type may carry: its
+		// row's, or — for `ok` — any request's answer. A binary body is tried
+		// against every body in the table, whatever its type claims: the
+		// wrong kinds must error cleanly, the right one must decode without
+		// panicking or over-reading.
+		tried := make(map[reflect.Type]bool)
+		for _, tb := range bodies {
+			out := tb.mk()
+			if (codec == jsonCodecInst && tb.t != env.Type) || tried[reflect.TypeOf(out)] {
+				continue
+			}
+			tried[reflect.TypeOf(out)] = true
+			if DecodeBody(env, out) != nil {
+				continue
+			}
+			body := reflect.ValueOf(out).Elem().Interface()
+			frame2, err := codec.Encode(env.Type, env.ID, body)
+			if err != nil {
+				t.Fatalf("re-encode accepted %s %T: %v", env.Type, body, err)
+			}
+			env2, err := codec.Decode(frame2)
+			if err != nil {
+				t.Fatalf("re-decode %s envelope: %v", env.Type, err)
+			}
+			out2 := tb.mk()
+			if err := DecodeBody(env2, out2); err != nil {
+				t.Fatalf("re-decode %s %T: %v", env.Type, body, err)
+			}
+			a, _ := json.Marshal(out)
+			b, _ := json.Marshal(out2)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s %T not stable across a round trip:\n1st: %s\n2nd: %s", env.Type, body, a, b)
+			}
+		}
+	})
+}

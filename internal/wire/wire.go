@@ -3,8 +3,11 @@
 // delegation subscriptions with push notifications (§4.2.2), revocation,
 // and home-wallet authorization proofs (§4.2.1).
 //
-// Every frame is a JSON Envelope. Requests carry a caller-chosen ID echoed
-// by the response; notifications use ID 0 and flow server→client only.
+// Messages (messages.go) is the one declaration of the protocol: every
+// message type with its binary type code, body and reply. Every frame is an
+// Envelope in the connection's negotiated codec (JSON or binary). Requests
+// carry a caller-chosen ID echoed by the response; notifications use ID 0 and
+// flow server→client only.
 package wire
 
 import (
