@@ -195,9 +195,8 @@ func TestFacadeClusterFlow(t *testing.T) {
 	}
 
 	gw, err := drbac.NewClusterWallet(drbac.ClusterWalletConfig{
-		Map:      m,
-		Dialer:   net.Dialer(ids["Maria"]),
-		Identity: ids["Maria"],
+		RouterConfig: drbac.ClusterRouterConfig{Map: m, Dialer: net.Dialer(ids["Maria"])},
+		Identity:     ids["Maria"],
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -911,10 +911,9 @@ func (sc *shardedBench) newGateway() *cluster.Wallet {
 	sc.b.Helper()
 	gate := sc.ident("gate")
 	gw, err := cluster.NewWallet(cluster.WalletConfig{
-		Map:      sc.m,
-		Dialer:   sc.net.Dialer(gate),
-		Identity: gate,
-		Clock:    sc.clk,
+		RouterConfig: cluster.RouterConfig{Map: sc.m, Dialer: sc.net.Dialer(gate)},
+		Identity:     gate,
+		Clock:        sc.clk,
 	})
 	if err != nil {
 		sc.b.Fatal(err)
@@ -1116,12 +1115,12 @@ func BenchmarkDHTResolve(b *testing.B) {
 	})
 
 	b.Run("dht/cached", func(b *testing.B) {
-		if _, err := client.node.Resolve(ctx, home.owner.ID()); err != nil {
+		if _, err := client.node.Home(ctx, core.SubjectEntity(home.owner.ID())); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.node.Resolve(ctx, home.owner.ID()); err != nil {
+			if _, err := client.node.Home(ctx, core.SubjectEntity(home.owner.ID())); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1143,7 +1142,7 @@ func BenchmarkDHTResolve(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.node.Resolve(ctx, ents[i]); err != nil {
+			if _, err := client.node.Home(ctx, core.SubjectEntity(ents[i])); err != nil {
 				b.Fatal(err)
 			}
 		}

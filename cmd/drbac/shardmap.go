@@ -1,7 +1,7 @@
 // drbac shardmap — author and inspect cluster shard maps (SPEC §12).
-// A shard map is the unit of cluster configuration: drbacd members load
-// it via -shard-of and re-read it on mtime change, so `init` stands a
-// cluster up and `split` + a file rollout reshard it live.
+// A shard map is the unit of cluster configuration: drbacd loads it via
+// -cluster (shard:N@MAP or gateway@MAP) and re-reads it on mtime change, so
+// `init` stands a cluster up and `split` + a file rollout reshard it live.
 package main
 
 import (

@@ -1,5 +1,5 @@
-// Shard-cluster membership for drbacd: -shard-of names a shard map file
-// and -shard-id this member's shard. The daemon then serves under a
+// Shard-cluster membership for drbacd: -cluster shard:N@MAP names a shard
+// map file and this member's shard in it. The daemon then serves under a
 // cluster guard (epoch advertised on connect, mis-routed or stale-epoch
 // mutations refused with redirects) and re-reads the map file whenever its
 // mtime changes, adopting newer epochs live — resharding is a map-file
@@ -9,6 +9,8 @@ package main
 import (
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,6 +19,35 @@ import (
 	"drbac/internal/obs"
 	"drbac/internal/transport"
 )
+
+// clusterSpec is the parsed -cluster flag; the zero value (no map path)
+// means the daemon is not a cluster participant.
+type clusterSpec struct {
+	gateway bool
+	shard   int // this member's shard ID; meaningful when !gateway
+	mapPath string
+}
+
+// parseClusterSpec reads "shard:N@MAP" or "gateway@MAP" ("" is the zero
+// spec); ok is false for anything else.
+func parseClusterSpec(v string) (spec clusterSpec, ok bool) {
+	if v == "" {
+		return clusterSpec{}, true
+	}
+	role, path, found := strings.Cut(v, "@")
+	if !found || path == "" {
+		return clusterSpec{}, false
+	}
+	if role == "gateway" {
+		return clusterSpec{gateway: true, mapPath: path}, true
+	}
+	n, isShard := strings.CutPrefix(role, "shard:")
+	id, err := strconv.Atoi(n)
+	if !isShard || err != nil || id < 0 {
+		return clusterSpec{}, false
+	}
+	return clusterSpec{shard: id, mapPath: path}, true
+}
 
 // mapAdopter is the piece of cluster state a map-file rollout feeds:
 // both a member's *cluster.Node and a gateway's *cluster.Router adopt
@@ -46,14 +77,14 @@ type shardMapWatcher struct {
 }
 
 // readMapFile loads and validates the shard map at path.
-func readMapFile(flagName, path string) (*cluster.Map, error) {
+func readMapFile(path string) (*cluster.Map, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", flagName, err)
+		return nil, err
 	}
 	m, err := cluster.ParseMap(raw)
 	if err != nil {
-		return nil, fmt.Errorf("%s %s: %w", flagName, path, err)
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	return m, nil
 }
@@ -70,7 +101,7 @@ func newMapWatcher(path string, epoch uint64, adopter mapAdopter) *shardMapWatch
 // newShardMember loads the map file and builds the member's cluster node
 // plus its file watcher.
 func newShardMember(path string, id int, o *obs.Obs) (*cluster.Node, *shardMapWatcher, error) {
-	m, err := readMapFile("-shard-of", path)
+	m, err := readMapFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -85,21 +116,23 @@ func newShardMember(path string, id int, o *obs.Obs) (*cluster.Node, *shardMapWa
 // the cluster plus its file watcher. The gateway dials shards as the
 // daemon's own identity.
 func newClusterGateway(path string, owner *core.Identity, wirePol transport.CodecPolicy, o *obs.Obs, rt *dhtRuntime) (*cluster.Wallet, *shardMapWatcher, error) {
-	m, err := readMapFile("-gateway-of", path)
+	m, err := readMapFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := cluster.WalletConfig{
-		Map:      m,
-		Dialer:   &transport.TCPDialer{Identity: owner, Codec: wirePol},
+		RouterConfig: cluster.RouterConfig{
+			Map:    m,
+			Dialer: &transport.TCPDialer{Identity: owner, Codec: wirePol},
+			Obs:    o,
+		},
 		Identity: owner,
-		Obs:      o,
 	}
 	if rt != nil {
 		// dht:<fingerprint> replica-group members resolve through the
 		// daemon's DHT node. Guarded so a nil runtime never becomes a
 		// typed-nil interface.
-		cfg.Directory = rt.node
+		cfg.Homes = rt.node
 	}
 	gw, err := cluster.NewWallet(cfg)
 	if err != nil {
@@ -123,14 +156,9 @@ func (sw *shardMapWatcher) poll(o *obs.Obs) {
 	if unchanged {
 		return
 	}
-	raw, err := os.ReadFile(sw.path)
+	m, err := readMapFile(sw.path)
 	if err != nil {
-		sw.setErr(fmt.Errorf("read: %w", err))
-		return
-	}
-	m, err := cluster.ParseMap(raw)
-	if err != nil {
-		sw.setErr(fmt.Errorf("parse: %w", err))
+		sw.setErr(err)
 		return
 	}
 	adopted := sw.adopter.Adopt(m)

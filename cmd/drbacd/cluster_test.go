@@ -32,7 +32,7 @@ func writeMap(t *testing.T, path string, m *cluster.Map, stamp time.Time) {
 	}
 }
 
-// TestShardMapWatcher drives the -shard-of lifecycle: a member comes up
+// TestShardMapWatcher drives the -cluster shard:N@MAP lifecycle: a member comes up
 // ready, adopts a newer map rolled out to the file, reports a map it
 // cannot adopt (its shard dropped) as not-ready, and reports a corrupted
 // file as unfetchable — all through /readyz.
@@ -141,27 +141,35 @@ func TestShardMapWatcher(t *testing.T) {
 	}
 }
 
-func TestRunShardFlagValidation(t *testing.T) {
+func TestRunClusterFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	key := filepath.Join(dir, "k.key")
-	if err := run([]string{"-key", key, "-shard-of", filepath.Join(dir, "map.json")}); err == nil ||
-		!strings.Contains(err.Error(), "-shard-id") {
-		t.Errorf("run without -shard-id: %v, want the pairing error", err)
-	}
-	if err := run([]string{"-key", key, "-shard-id", "0"}); err == nil ||
-		!strings.Contains(err.Error(), "-shard-of") {
-		t.Errorf("run without -shard-of: %v, want the pairing error", err)
-	}
 	mapPath := filepath.Join(dir, "map.json")
-	for _, extra := range [][]string{
-		{"-shard-of", mapPath, "-shard-id", "0"},
-		{"-replica-of", "127.0.0.1:1"},
-		{"-load", dir},
-		{"-state", filepath.Join(dir, "state.json")},
+	for _, args := range [][]string{
+		{"-cluster", mapPath},                // no role
+		{"-cluster", "shard@" + mapPath},     // no shard ID
+		{"-cluster", "shard:x@" + mapPath},   // not a number
+		{"-cluster", "shard:-1@" + mapPath},  // negative ID
+		{"-cluster", "shard:0@"},             // no map
+		{"-cluster", "gateway"},              // no map
+		{"-cluster", "gateway:0@" + mapPath}, // a gateway has no shard ID
+		{"-cluster", "replica@" + mapPath},   // unknown role
+		{"-cluster", "gateway@" + mapPath, "-replica-of", "127.0.0.1:1"},
+		{"-cluster", "gateway@" + mapPath, "-load", dir},
+		{"-cluster", "gateway@" + mapPath, "-state", filepath.Join(dir, "state")},
 	} {
-		args := append([]string{"-key", key, "-gateway-of", mapPath}, extra...)
-		if err := run(args); err == nil || !strings.Contains(err.Error(), "-gateway-of") {
-			t.Errorf("run %v: %v, want the -gateway-of conflict error", extra, err)
+		err := run(append([]string{"-key", key}, args...))
+		if err == nil || !strings.Contains(err.Error(), "want shard:N@MAP, or gateway@MAP without") {
+			t.Errorf("run %v: %v, want the one -cluster usage error", args, err)
+		}
+	}
+	for spec, want := range map[string]clusterSpec{
+		"":                    {},
+		"shard:3@maps/m.json": {shard: 3, mapPath: "maps/m.json"},
+		"gateway@m@odd.json":  {gateway: true, mapPath: "m@odd.json"},
+	} {
+		if got, ok := parseClusterSpec(spec); !ok || got != want {
+			t.Errorf("parseClusterSpec(%q) = %+v, %v; want %+v", spec, got, ok, want)
 		}
 	}
 }

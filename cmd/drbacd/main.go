@@ -7,8 +7,7 @@
 //	drbacd -key bigisp.key -listen 127.0.0.1:7100 [-load bundles/] [-strict]
 //	       [-wire auto|json|binary]
 //	       [-replica-of host:port[,host:port...]]
-//	       [-shard-of map.json -shard-id 0]
-//	       [-gateway-of map.json]
+//	       [-cluster shard:0@map.json | gateway@map.json]
 //	       [-dht [-bootstrap host:port[,host:port]] [-announce host:port[,host:port]]]
 //	       [-http 127.0.0.1:7190] [-log-level debug] [-log-json]
 //
@@ -17,21 +16,20 @@
 // stream in sequence order, and refuses publish/revoke requests while
 // serving queries — a horizontally scaled read path for a busy home wallet.
 //
-// With -shard-of the daemon serves one shard of a consistent-hash wallet
-// cluster (§12): the map file names every shard's replica group, -shard-id
+// With -cluster shard:N@MAP the daemon serves one shard of a consistent-hash
+// wallet cluster (§12): the map file names every shard's replica group, N
 // this member's shard. The server advertises the map epoch on connect and
 // refuses mis-routed or stale-epoch mutations with redirects carrying the
 // fresh map. The file is re-read when its mtime changes (on the -sweep
 // cadence) and newer epochs adopted live, so a reshard is a map-file
 // rollout; /readyz reports an unreadable or unadoptable map as not-ready.
 //
-// With -gateway-of the daemon serves the whole cluster as one logical
-// wallet (§12.3): mutations route to the owning shard, object queries
-// scatter-gather across shards, and direct queries assemble cross-shard
-// proof chains. The gateway holds no durable state of its own — only a
-// TTL-coherent assembly cache — so -state, -load, -replica-of, and
-// -shard-of are rejected alongside it. The map file is watched exactly
-// like a member's.
+// With -cluster gateway@MAP the daemon serves the whole cluster as one
+// logical wallet (§12.3): mutations route to the owning shard, object
+// queries scatter-gather across shards, and direct queries assemble
+// cross-shard proof chains. The gateway holds no durable state of its own —
+// only a TTL-coherent assembly cache — so -state, -load, and -replica-of are
+// rejected alongside it. The map file is watched exactly like a member's.
 //
 // With -dht the daemon joins the coalition's decentralized discovery and
 // membership layer (§13): it serves dht-*/gossip-* requests, announces a
@@ -98,9 +96,7 @@ func run(args []string) error {
 	load := fs.String("load", "", "directory of delegation bundles to publish at startup")
 	state := fs.String("state", "", "wallet state path, a segmented log directory: restored at startup, appended to on every publication and revocation (a legacy JSON state file at the path is migrated in place once, keeping a .bak)")
 	replicaOf := fs.String("replica-of", "", "run as a read-only follower replica of the wallet at host:port[,host:port...] (§9); mutations are refused")
-	shardOf := fs.String("shard-of", "", "serve one shard of a wallet cluster: path of the shard map file (JSON, re-read on mtime change); requires -shard-id")
-	shardID := fs.Int("shard-id", -1, "this member's shard ID in the -shard-of map")
-	gatewayOf := fs.String("gateway-of", "", "serve a routing gateway over the whole wallet cluster in the given shard map file (JSON, re-read on mtime change); excludes -shard-of, -replica-of, -load, -state")
+	clusterFlag := fs.String("cluster", "", "take part in the wallet cluster of a shard map file (JSON, re-read on mtime change): shard:N@MAP serves shard N of it, gateway@MAP serves a routing gateway over the whole cluster (excludes -replica-of, -load, -state)")
 	strict := fs.Bool("strict", false, "require attribute-assignment rights")
 	sweep := fs.Duration("sweep", 10*time.Second, "expiry/staleness sweep interval")
 	httpAddr := fs.String("http", "", "debug listen address serving /metrics, /healthz, /readyz, /debug/traces, /debug/pprof (empty disables)")
@@ -125,14 +121,9 @@ func run(args []string) error {
 	if !*dhtOn && (*bootstrap != "" || *announce != "") {
 		return fmt.Errorf("-bootstrap and -announce require -dht")
 	}
-	if *shardOf != "" && *shardID < 0 {
-		return fmt.Errorf("-shard-of requires -shard-id")
-	}
-	if *shardOf == "" && *shardID >= 0 {
-		return fmt.Errorf("-shard-id requires -shard-of")
-	}
-	if *gatewayOf != "" && (*shardOf != "" || *replicaOf != "" || *load != "" || *state != "") {
-		return fmt.Errorf("-gateway-of cannot be combined with -shard-of, -replica-of, -load, or -state")
+	cl, ok := parseClusterSpec(*clusterFlag)
+	if !ok || cl.gateway && (*replicaOf != "" || *load != "" || *state != "") {
+		return fmt.Errorf("-cluster %q: want shard:N@MAP, or gateway@MAP without -replica-of, -load or -state (a gateway keeps no state of its own)", *clusterFlag)
 	}
 	wirePol, err := transport.ParseWireMode(*wireMode)
 	if err != nil {
@@ -189,7 +180,7 @@ func run(args []string) error {
 		logger.Info("dht member", "id", rt.node.Self().ID.Short(),
 			"announce", rt.addrs, "bootstrap", rt.seeds)
 	}
-	if *gatewayOf == "" {
+	if !cl.gateway {
 		w, closeStore, storeHealth, err = openWallet(owner, *state, *strict, o)
 		if err != nil {
 			return err
@@ -227,18 +218,18 @@ func run(args []string) error {
 	}
 
 	var node *cluster.Node
-	if *shardOf != "" {
-		node, shardWatch, err = newShardMember(*shardOf, *shardID, o)
+	if cl.mapPath != "" && !cl.gateway {
+		node, shardWatch, err = newShardMember(cl.mapPath, cl.shard, o)
 		if err != nil {
 			return err
 		}
-		role = fmt.Sprintf("shard-%d", *shardID)
+		role = fmt.Sprintf("shard-%d", cl.shard)
 		logger.Info("cluster member",
-			"shard", *shardID, "epoch", node.Current().Epoch,
-			"shards", len(node.Current().Shards), "map", *shardOf)
+			"shard", cl.shard, "epoch", node.Current().Epoch,
+			"shards", len(node.Current().Shards), "map", cl.mapPath)
 	}
-	if *gatewayOf != "" {
-		gw, shardWatch, err = newClusterGateway(*gatewayOf, owner, wirePol, o, rt)
+	if cl.gateway {
+		gw, shardWatch, err = newClusterGateway(cl.mapPath, owner, wirePol, o, rt)
 		if err != nil {
 			return err
 		}
@@ -252,7 +243,7 @@ func run(args []string) error {
 		w = gw.Local()
 		logger.Info("cluster gateway",
 			"epoch", gw.Router().Epoch(), "shards", len(gw.Router().Current().Shards),
-			"map", *gatewayOf)
+			"map", cl.mapPath)
 	}
 
 	ln, err := transport.ListenTCP(*listen, owner)

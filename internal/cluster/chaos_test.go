@@ -29,8 +29,10 @@ func TestScatterGatherFailsOverWhenMemberFlaps(t *testing.T) {
 	plan := transport.NewFaults()
 	before := runtime.NumGoroutine()
 	gw, err := NewWallet(WalletConfig{
-		Map:      m,
-		Dialer:   &transport.FaultDialer{Inner: e.net.Dialer(e.id("gate")), Plan: plan},
+		RouterConfig: RouterConfig{
+			Map:    m,
+			Dialer: &transport.FaultDialer{Inner: e.net.Dialer(e.id("gate")), Plan: plan},
+		},
 		Identity: e.id("gate"),
 		Clock:    e.clk,
 	})

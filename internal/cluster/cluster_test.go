@@ -158,10 +158,9 @@ func (e *env) clusterOf(m *Map) (map[int]*wallet.Wallet, map[int]*Node, *Wallet)
 func (e *env) gateway(m *Map) *Wallet {
 	e.t.Helper()
 	gw, err := NewWallet(WalletConfig{
-		Map:      m,
-		Dialer:   e.net.Dialer(e.id("gate")),
-		Identity: e.id("gate"),
-		Clock:    e.clk,
+		RouterConfig: RouterConfig{Map: m, Dialer: e.net.Dialer(e.id("gate"))},
+		Identity:     e.id("gate"),
+		Clock:        e.clk,
 	})
 	if err != nil {
 		e.t.Fatal(err)

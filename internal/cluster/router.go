@@ -58,21 +58,22 @@ type RouterConfig struct {
 	Peers *peer.Manager
 	// Obs receives routing logs and drbac_cluster_* metrics.
 	Obs *obs.Obs
-	// Directory, if non-nil, resolves dht:<fingerprint> shard-member
-	// entries to dialable addresses at dial time. Without it such entries
-	// are skipped (plain addresses in the same group still work).
-	Directory discovery.HomeDirectory
+	// Homes, if non-nil, resolves dht:<fingerprint> shard-member entries to
+	// dialable addresses at dial time — the DHT node. Without it such
+	// entries are skipped (plain addresses in the same group still work).
+	Homes discovery.Homes
 }
 
 // Router routes mutations to owning shards by consistent hash and
 // self-heals from epoch drift: a redirect refusal carries the fresh map,
 // the router adopts it and retries against the new owner. It is the
-// client half of the shard map protocol; Node is the server half.
+// client half of the shard map protocol; Node is the server half. It is
+// also the gateway agent's discovery.Homes: see Home.
 type Router struct {
 	obs       *obs.Obs
 	peers     *peer.Manager
 	ownsPeers bool
-	dir       discovery.HomeDirectory
+	homes     discovery.Homes
 
 	mAdoptions *obs.Counter
 	mRedirects *obs.Counter
@@ -101,7 +102,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		obs:        cfg.Obs,
 		peers:      cfg.Peers,
-		dir:        cfg.Directory,
+		homes:      cfg.Homes,
 		m:          cfg.Map,
 		routes:     make(map[int]int64),
 		mAdoptions: cfg.Obs.Counter("drbac_cluster_map_adoptions_total"),
@@ -172,7 +173,7 @@ func (r *Router) Refresh(ctx context.Context) error {
 	cur := r.Current()
 	var lastErr error
 	for _, s := range cur.Shards {
-		c, addr, err := r.peers.GetAny(ctx, r.resolveAddrs(ctx, s.Addrs))
+		c, addr, err := r.dial(ctx, s)
 		if err != nil {
 			lastErr = err
 			continue
@@ -180,7 +181,7 @@ func (r *Router) Refresh(ctx context.Context) error {
 		resp, err := c.ShardMap(ctx)
 		if err != nil {
 			lastErr = err
-			r.reportIfBroken(addr, c)
+			r.peers.ReportFailure(addr, c)
 			continue
 		}
 		m, err := ParseMap(resp.Map)
@@ -196,8 +197,8 @@ func (r *Router) Refresh(ctx context.Context) error {
 
 // resolveAddrs maps dht:<fingerprint> entries in a replica group to the
 // addresses their entity's signed provider record names, passing plain
-// addresses through untouched. An unresolvable fingerprint (no directory,
-// lookup failure) is dropped rather than handed to the dialer — the rest
+// addresses through untouched. An unresolvable fingerprint (no DHT, lookup
+// failure) is dropped rather than handed to the dialer — the rest
 // of the group still gets its chance.
 func (r *Router) resolveAddrs(ctx context.Context, addrs []string) []string {
 	out := make([]string, 0, len(addrs))
@@ -207,11 +208,11 @@ func (r *Router) resolveAddrs(ctx context.Context, addrs []string) []string {
 			out = append(out, a)
 			continue
 		}
-		if r.dir == nil {
-			r.obs.Log().Warn("cluster: dht shard member but no directory configured", "member", a)
+		if r.homes == nil {
+			r.obs.Log().Warn("cluster: dht shard member but no DHT configured", "member", a)
 			continue
 		}
-		resolved, err := r.dir.Resolve(ctx, eid)
+		resolved, err := r.homes.Home(ctx, core.SubjectEntity(eid))
 		if err != nil {
 			r.obs.Log().Warn("cluster: dht shard member unresolvable", "member", eid.Short(), "error", err)
 			continue
@@ -221,10 +222,18 @@ func (r *Router) resolveAddrs(ctx context.Context, addrs []string) []string {
 	return out
 }
 
-func (r *Router) reportIfBroken(addr string, c *remote.Client) {
-	if c != nil && !c.Healthy() {
-		r.peers.ReportFailure(addr, c)
-	}
+// dial returns a pooled connection to any member of s's replica group,
+// plus the address that answered.
+func (r *Router) dial(ctx context.Context, s Shard) (*remote.Client, string, error) {
+	return r.peers.GetAny(ctx, r.resolveAddrs(ctx, s.Addrs))
+}
+
+// Home implements discovery.Homes for the gateway's agent: every graph
+// node lives on the shard owning its route key under the current map, so
+// discovery searches a k-shard chain as k homes with no tag ever published.
+// A shard none of whose members resolve answers empty: no home known.
+func (r *Router) Home(ctx context.Context, node core.Subject) ([]string, error) {
+	return r.resolveAddrs(ctx, r.Current().Owner(RouteKey(node)).Addrs), nil
 }
 
 func (r *Router) countRoute(shard int) {
@@ -234,22 +243,12 @@ func (r *Router) countRoute(shard int) {
 	r.mRoutes.Inc()
 }
 
-// ShardClient returns a pooled connection to any member of shard id's
-// replica group under the current map.
-func (r *Router) ShardClient(ctx context.Context, id int) (*remote.Client, string, error) {
-	s, ok := r.Current().ShardByID(id)
-	if !ok {
-		return nil, "", fmt.Errorf("cluster: shard %d not in map", id)
-	}
-	return r.peers.GetAny(ctx, r.resolveAddrs(ctx, s.Addrs))
-}
-
 // OwnerClient returns a connection to the shard owning key, plus the
 // shard and the epoch routed under.
 func (r *Router) OwnerClient(ctx context.Context, key string) (*remote.Client, string, Shard, uint64, error) {
 	cur := r.Current()
 	s := cur.Owner(key)
-	c, addr, err := r.peers.GetAny(ctx, r.resolveAddrs(ctx, s.Addrs))
+	c, addr, err := r.dial(ctx, s)
 	return c, addr, s, cur.Epoch, err
 }
 
@@ -280,7 +279,7 @@ func (r *Router) Publish(ctx context.Context, d *core.Delegation, support []*cor
 				continue
 			}
 		}
-		r.reportIfBroken(addr, c)
+		r.peers.ReportFailure(addr, c)
 		return err
 	}
 }
@@ -301,7 +300,7 @@ func (r *Router) tryShard(ctx context.Context, s Shard, fn func(*remote.Client) 
 			c    *remote.Client
 			addr string
 		)
-		c, addr, err = r.peers.GetAny(ctx, r.resolveAddrs(ctx, s.Addrs))
+		c, addr, err = r.dial(ctx, s)
 		if err != nil {
 			return err
 		}

@@ -12,54 +12,34 @@ import (
 	"drbac/internal/core"
 	"drbac/internal/discovery"
 	"drbac/internal/obs"
-	"drbac/internal/peer"
 	"drbac/internal/remote"
 	"drbac/internal/subs"
-	"drbac/internal/transport"
 	"drbac/internal/wallet"
 	"drbac/internal/wire"
 )
 
-// cacheTTL bounds how long scatter-fetched delegations stay in the
-// gateway's assembly cache as TTL-coherent copies.
-const cacheTTL = 30 * time.Second
-
 // WalletConfig configures a cluster gateway Wallet.
 type WalletConfig struct {
-	// Map is the initial shard map; required.
-	Map *Map
-	// Dialer opens shard connections; required unless Peers is set.
-	Dialer transport.Dialer
-	// Peers, if set, is a shared connection pool; the caller owns it.
-	Peers *peer.Manager
+	// RouterConfig configures the gateway's shard router; its Obs also
+	// receives the gateway's own logs and metrics.
+	RouterConfig
 	// Identity, if set, is the gateway's operating identity (answers
 	// prove-role requests when the gateway is itself served).
 	Identity *core.Identity
-	// Obs receives gateway logs and drbac_cluster_* metrics.
-	Obs *obs.Obs
 	// Clock is the time source; nil means the system clock.
 	Clock clock.Clock
 	// MaxDepth caps proof chain depth in assembled proofs (0 = wallet
 	// default).
 	MaxDepth int
-	// Directory, if non-nil, resolves dht:<fingerprint> replica-group
-	// members through the DHT — both when the router dials shards and when
-	// the gateway's discovery resolver computes tags.
-	Directory discovery.HomeDirectory
 }
-
-// dhtResolveTimeout bounds a synchronous dht:<fingerprint> resolution
-// inside the gateway's tag resolver; warm lookups answer from the local
-// record cache well inside it.
-const dhtResolveTimeout = 5 * time.Second
 
 // Wallet presents an N-shard cluster as one logical wallet: it satisfies
 // wallet.Service, so remote.Server, the proxy, and the CLI run on top of
 // it unchanged. Mutations route to the owning shard by consistent hash;
 // a proof whose chain spans k shards is assembled by the same parallel
 // breadth-first machinery distributed discovery uses — each graph node
-// resolves (via the Resolver hook, no published tags needed) to its
-// owning shard's replica group, fetched sub-proofs land in a local
+// resolves (the router is the agent's Homes; no published tags needed) to
+// its owning shard's replica group, fetched sub-proofs land in a local
 // assembly cache, and the final proof is assembled there. A k-shard
 // proof is a k-home discovery with zero-latency tags.
 type Wallet struct {
@@ -74,7 +54,7 @@ type Wallet struct {
 
 // NewWallet builds a cluster gateway over the given shard map.
 func NewWallet(cfg WalletConfig) (*Wallet, error) {
-	router, err := NewRouter(RouterConfig{Map: cfg.Map, Dialer: cfg.Dialer, Peers: cfg.Peers, Obs: cfg.Obs, Directory: cfg.Directory})
+	router, err := NewRouter(cfg.RouterConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -90,10 +70,10 @@ func NewWallet(cfg WalletConfig) (*Wallet, error) {
 		Obs:      cfg.Obs,
 	})
 	w.agent = discovery.NewAgent(discovery.Config{
-		Local:    w.local,
-		Peers:    router.Peers(),
-		Obs:      cfg.Obs,
-		Resolver: w.resolve,
+		Local: w.local,
+		Peers: router.Peers(),
+		Obs:   cfg.Obs,
+		Homes: router,
 	})
 	return w, nil
 }
@@ -116,32 +96,6 @@ func (w *Wallet) Local() *wallet.Wallet { return w.local }
 // advertises the map (shard -1) and refuses nothing — the gateway routes
 // mutations itself rather than redirecting callers.
 func (w *Wallet) Guard() remote.ClusterGuard { return gatewayGuard{w} }
-
-// resolve is the discovery Resolver: every graph node maps to its owning
-// shard's replica group under the current map. The searchable flags make
-// Auto-mode discovery expand through computed tags exactly as it would
-// through published 'S'/'O' tags; the TTL bounds assembly-cache staleness.
-func (w *Wallet) resolve(node core.Subject) (core.DiscoveryTag, bool) {
-	s := w.router.Current().Owner(RouteKey(node))
-	addrs := s.Addrs
-	if w.cfg.Directory != nil {
-		// Replica-group members named by fingerprint resolve through the
-		// DHT here, so the tag the discovery rounds dial is always
-		// concrete. Warm resolutions hit the local record cache.
-		ctx, cancel := context.WithTimeout(context.Background(), dhtResolveTimeout)
-		addrs = w.router.resolveAddrs(ctx, s.Addrs)
-		cancel()
-	}
-	if len(addrs) == 0 {
-		return core.DiscoveryTag{}, false
-	}
-	return core.DiscoveryTag{
-		Home:    strings.Join(addrs, ","),
-		TTL:     cacheTTL,
-		Subject: core.SubjectSearch,
-		Object:  core.ObjectSearch,
-	}, true
-}
 
 // Publish routes the delegation to the shard owning its subject key.
 func (w *Wallet) Publish(d *core.Delegation, support ...*core.Proof) error {
@@ -206,7 +160,7 @@ func (w *Wallet) QuerySubject(subject core.Subject, constraints []core.Constrain
 		if qerr == nil {
 			return proofs
 		}
-		w.router.reportIfBroken(addr, c)
+		w.router.peers.ReportFailure(addr, c)
 		err = qerr
 	}
 	w.obs.Log().Warn("cluster: subject query at owner failed; serving cache",
@@ -271,7 +225,7 @@ func proofKey(p *core.Proof) string {
 func (w *Wallet) Subscribe(id core.DelegationID, fn subs.Handler) (cancel func()) {
 	ctx := context.Background()
 	if shard, ok, _ := w.router.FindOwner(ctx, id); ok {
-		if c, _, err := w.router.ShardClient(ctx, shard.ID); err == nil {
+		if c, _, err := w.router.dial(ctx, shard); err == nil {
 			if cancel, err := c.Subscribe(ctx, id, fn); err == nil {
 				return cancel
 			}

@@ -269,7 +269,7 @@ func TestBootstrapAnnounceResolve(t *testing.T) {
 
 	// Every other node resolves maria's home through the DHT.
 	for _, n := range nodes[2:] {
-		addrs, err := n.node.Resolve(ctx, ent.ID())
+		addrs, err := n.node.Home(ctx, core.SubjectEntity(ent.ID()))
 		if err != nil {
 			t.Fatalf("%s: resolve: %v", n.addr, err)
 		}
@@ -280,7 +280,7 @@ func TestBootstrapAnnounceResolve(t *testing.T) {
 
 	// Unknown entities fail with ErrNotFound.
 	ghost := testIdentity(t, "ghost", 99)
-	if _, err := nodes[3].node.Resolve(ctx, ghost.ID()); !errors.Is(err, ErrNotFound) {
+	if _, err := nodes[3].node.Home(ctx, core.SubjectEntity(ghost.ID())); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ghost resolve: got %v, want ErrNotFound", err)
 	}
 

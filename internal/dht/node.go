@@ -68,7 +68,7 @@ type announcement struct {
 
 // Node is a wallet's DHT participant: routing table, record store, and
 // republisher. It implements remote.DHTHandler for the serving side and
-// exposes Resolve/Announce/Bootstrap for the daemon and discovery.
+// exposes Home/Announce/Bootstrap for the daemon and discovery.
 type Node struct {
 	cfg   Config
 	self  Contact
@@ -516,10 +516,17 @@ func (n *Node) Lookup(ctx context.Context, target ID) ([]Contact, error) {
 	return cs, err
 }
 
-// Resolve finds the home wallet address(es) of an entity: local store
-// first (both held replicas and our own announcements live there), then
-// an iterative find-value. Fetched records are verified and cached.
-func (n *Node) Resolve(ctx context.Context, eid core.EntityID) ([]string, error) {
+// Home implements discovery.Homes: the address(es) in the provider record
+// the node's entity signed for its own home wallet — self-certifying, not
+// operator-configured; a role lives in its namespace entity's wallet. The
+// local store is consulted first (held replicas and our own announcements
+// live there), then an iterative find-value; fetched records are verified
+// and cached.
+func (n *Node) Home(ctx context.Context, node core.Subject) ([]string, error) {
+	eid := node.Entity
+	if !node.IsEntity() {
+		eid = node.Role.Namespace
+	}
 	target, err := IDFromEntityID(eid)
 	if err != nil {
 		return nil, err

@@ -176,7 +176,7 @@ func TestDiscoveryViaDHTMatchesStaticRun(t *testing.T) {
 	}
 	localD := wallet.New(wallet.Config{Owner: e.id("Client"), Clock: e.clk, Directory: e.dir})
 	spreadChain(t, localD, big.w, air.w, d1, d2, d3)
-	aD := NewAgent(Config{Local: localD, Peers: cpeers, Directory: cnode})
+	aD := NewAgent(Config{Local: localD, Peers: cpeers, Homes: cnode})
 	t.Cleanup(aD.Close)
 
 	var stats Stats
@@ -245,7 +245,7 @@ func TestDHTDiscoverySurvivesBootstrapDeathAndHomeRejoin(t *testing.T) {
 	local := wallet.New(wallet.Config{Owner: e.id("Client"), Clock: e.clk, Directory: e.dir})
 	d1, d2, d3, q := issueChain(t, e)
 	spreadChain(t, local, big.w, air.w, d1, d2, d3)
-	a := NewAgent(Config{Local: local, Peers: cpeers, Directory: cnode})
+	a := NewAgent(Config{Local: local, Peers: cpeers, Homes: cnode})
 
 	var stats Stats
 	proof, err := a.Discover(ctx, q, Auto, &stats)

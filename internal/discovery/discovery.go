@@ -53,18 +53,10 @@ type Config struct {
 	// optimization (remote queries then carry the original constraints).
 	// Ablation switch for EXP-S2b.
 	DisableRangeAdjustment bool
-	// Resolver, if non-nil, computes a discovery tag for nodes the tag
-	// book has no entry for. A sharded cluster gateway uses it to point
-	// every node at its owning shard's replica group — "zero-latency
-	// tags": a k-shard proof assembly becomes a k-home discovery without
-	// any tag ever having been published. Learned tags still win; the
-	// resolver is the fallback.
-	Resolver func(core.Subject) (core.DiscoveryTag, bool)
-	// Directory, if non-nil, resolves the home wallet of nodes neither the
-	// tag book nor the Resolver can place — the DHT. It is the last
-	// fallback, so statically configured addresses keep working unchanged
-	// and the DHT only fields genuinely unknown homes.
-	Directory HomeDirectory
+	// Homes, if non-nil, places the nodes the tag book has no entry for: a
+	// learned tag always wins, Homes is the one fallback. A cluster gateway
+	// sets its shard router here, a DHT participant its DHT node.
+	Homes Homes
 	// Obs, if non-nil, receives discovery metrics and spans: each Discover
 	// runs under a trace ID (minted here unless the query already carries
 	// one) that also propagates to every wallet home it queries, so one
@@ -76,19 +68,19 @@ type Config struct {
 // maxRounds bounds the breadth-first rounds of a discovery.
 const maxRounds = 16
 
-// directoryTagTTL is the cache TTL stamped on tags synthesized from
-// Directory answers, and so on credentials fetched from homes the DHT
-// located. Kept short: a DHT answer is only as fresh as its provider record,
-// so cached copies re-confirm sooner than statically configured homes would.
-const directoryTagTTL = 30 * time.Second
-
-// HomeDirectory locates an entity's home-wallet addresses at discovery
-// time. *dht.Node implements it: the entity's ID keys a signed provider
-// record published by the home itself, so an answer is self-certifying
-// rather than operator-configured.
-type HomeDirectory interface {
-	Resolve(ctx context.Context, entity core.EntityID) ([]string, error)
+// Homes answers "where does this graph node live" for nodes no credential
+// has tagged yet: the addresses of the node's home wallet (a replica group
+// when more than one). An error or an empty answer means "no home known" —
+// the node is then simply not searched, never dialed blind.
+type Homes interface {
+	Home(ctx context.Context, node core.Subject) ([]string, error)
 }
+
+// placedTagTTL is the cache TTL of the tag synthesized from a Homes answer,
+// and so of credentials fetched from homes found that way. Kept short: a
+// placement is only as fresh as the shard map or provider record behind it,
+// so cached copies re-confirm sooner than those from published tags would.
+const placedTagTTL = 30 * time.Second
 
 // TraceEvent records one remote interaction for tests and experiments.
 type TraceEvent struct {
@@ -203,46 +195,27 @@ func (a *Agent) RegisterTag(node core.Subject, tag core.DiscoveryTag) {
 	a.tags[node] = tag.Normalize()
 }
 
-// Tag returns the known discovery tag for a node: the tag book first,
-// then the configured Resolver (computed tags) as fallback.
-func (a *Agent) Tag(node core.Subject) (core.DiscoveryTag, bool) {
+// tagFor is the one answer to "where does this node live": the tag book
+// first, then Homes. A Homes answer becomes a searchable tag at those
+// addresses, so Auto-mode discovery expands through placed nodes exactly as
+// it would through published 'S'/'O' tags.
+func (a *Agent) tagFor(ctx context.Context, node core.Subject) (core.DiscoveryTag, bool) {
 	a.mu.Lock()
 	t, ok := a.tags[node]
 	a.mu.Unlock()
 	if ok {
 		return t, true
 	}
-	if a.cfg.Resolver != nil {
-		return a.cfg.Resolver(node)
-	}
-	return core.DiscoveryTag{}, false
-}
-
-// tagFor resolves a node's discovery tag for a search round: the tag book
-// and Resolver first (Tag), then the DHT directory. A directory hit
-// synthesizes a searchable tag pointing at the addresses the entity's own
-// signed provider record names — no static address book required. The
-// record itself was verified inside the DHT layer before it was ever
-// served, so a forged home cannot be planted here.
-func (a *Agent) tagFor(ctx context.Context, node core.Subject) (core.DiscoveryTag, bool) {
-	if t, ok := a.Tag(node); ok {
-		return t, true
-	}
-	if a.cfg.Directory == nil {
+	if a.cfg.Homes == nil {
 		return core.DiscoveryTag{}, false
 	}
-	ent := node.Entity
-	if !node.IsEntity() {
-		// A role lives in its namespace entity's wallet.
-		ent = node.Role.Namespace
-	}
-	addrs, err := a.cfg.Directory.Resolve(ctx, ent)
+	addrs, err := a.cfg.Homes.Home(ctx, node)
 	if err != nil || len(addrs) == 0 {
 		return core.DiscoveryTag{}, false
 	}
 	return core.DiscoveryTag{
 		Home:    remote.JoinAddrs(addrs),
-		TTL:     directoryTagTTL,
+		TTL:     placedTagTTL,
 		Subject: core.SubjectSearch,
 		Object:  core.ObjectSearch,
 	}, true
@@ -299,7 +272,7 @@ func (a *Agent) client(ctx context.Context, tag core.DiscoveryTag, stats *Stats)
 		a.mu.Unlock()
 		if !done {
 			if _, err := c.ProveRole(ctx, tag.AuthRole, a.cfg.Local.Now()); err != nil {
-				a.reportIfBroken(addr, c)
+				a.peers.ReportFailure(addr, c)
 				return nil, "", fmt.Errorf("discovery: home %s failed authorization: %w", addr, err)
 			}
 			a.mu.Lock()
@@ -308,16 +281,6 @@ func (a *Agent) client(ctx context.Context, tag core.DiscoveryTag, stats *Stats)
 		}
 	}
 	return c, addr, nil
-}
-
-// reportIfBroken feeds an RPC failure back to the pool, but only when the
-// connection itself is dead: application-level errors (a NoProof response,
-// a rejected revocation) travel over a healthy connection and say nothing
-// about the peer's availability.
-func (a *Agent) reportIfBroken(home string, c *remote.Client) {
-	if c != nil && !c.Healthy() {
-		a.peers.ReportFailure(home, c)
-	}
 }
 
 // insertProofs stores fetched sub-proofs into the local wallet as TTL-
@@ -585,7 +548,7 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 			continue
 		}
 		if !errors.Is(err, core.ErrNoProof) {
-			a.reportIfBroken(home, c)
+			a.peers.ReportFailure(home, c)
 			queried[v] = false // answer never arrived; retry next round
 			continue
 		}
@@ -602,7 +565,7 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 		}
 		finishRPC(rsp, err)
 		if err != nil {
-			a.reportIfBroken(home, c)
+			a.peers.ReportFailure(home, c)
 			queried[v] = false
 			continue
 		}
@@ -633,8 +596,11 @@ func (a *Agent) Bridge(ctx context.Context, p *core.Proof) (cancel func(), err e
 		if !remoteSourced {
 			continue
 		}
-		tag, _ := a.Tag(d.Subject)
-		c, _, err := a.client(ctx, tagWithHome(tag.Normalize(), home), nil)
+		// The tag supplies the TTL; the recorded origin is authoritative
+		// for where the credential was actually fetched.
+		tag, _ := a.tagFor(ctx, d.Subject)
+		tag.Home = home
+		c, _, err := a.client(ctx, tag, nil)
 		if err != nil {
 			release()
 			return nil, err
@@ -662,13 +628,6 @@ func (a *Agent) Bridge(ctx context.Context, p *core.Proof) (cancel func(), err e
 	return release, nil
 }
 
-// tagWithHome overrides a tag's home address: the recorded origin wallet is
-// authoritative for where the credential was actually fetched.
-func tagWithHome(t core.DiscoveryTag, home string) core.DiscoveryTag {
-	t.Home = home
-	return t
-}
-
 // KeepFresh starts a background loop that re-confirms every remotely
 // cached delegation with its home wallet each interval (§4.2.1: a cached
 // copy is valid for TTL after "validity confirmation from its home
@@ -677,30 +636,29 @@ func tagWithHome(t core.DiscoveryTag, home string) core.DiscoveryTag {
 // only on revocation or expiry, and either way the cached copy must go).
 // The returned stop function is idempotent and waits for the loop to exit.
 func (a *Agent) KeepFresh(interval time.Duration) (stop func()) {
-	quit := make(chan struct{})
+	// stop cancels ctx, so a sweep waiting on a home (or on a cold Homes
+	// lookup) unwinds instead of holding stop up.
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
 			select {
 			case <-a.cfg.Local.Clock().After(interval):
-				a.refreshOnce()
-			case <-quit:
+				a.refreshOnce(ctx)
+			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			close(quit)
-			<-done
-		})
+		cancel()
+		<-done
 	}
 }
 
 // refreshOnce runs one confirmation sweep over the origin-tracked cache.
-func (a *Agent) refreshOnce() {
+func (a *Agent) refreshOnce(ctx context.Context) {
 	a.mu.Lock()
 	tracked := make(map[core.DelegationID]string, len(a.origin))
 	for id, home := range a.origin {
@@ -716,12 +674,13 @@ func (a *Agent) refreshOnce() {
 			a.mu.Unlock()
 			continue
 		}
-		tag, _ := a.Tag(d.Subject)
-		c, _, err := a.client(context.Background(), tagWithHome(tag.Normalize(), home), nil)
+		tag, _ := a.tagFor(ctx, d.Subject)
+		tag.Home = home
+		c, _, err := a.client(ctx, tag, nil)
 		if err != nil {
 			continue // home unreachable: let the TTL lapse naturally
 		}
-		present, err := c.Has(context.Background(), id)
+		present, err := c.Has(ctx, id)
 		if err != nil {
 			continue
 		}

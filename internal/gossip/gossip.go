@@ -299,9 +299,7 @@ func (n *Node) pingDirect(ctx context.Context, target string) bool {
 	}
 	ack, err := cl.GossipPing(ctx, wire.GossipPingBody{From: n.cfg.SelfAddr, Updates: n.drain()})
 	if err != nil {
-		if !cl.Healthy() {
-			n.cfg.Peers.ReportFailure(target, cl)
-		}
+		n.cfg.Peers.ReportFailure(target, cl)
 		return false
 	}
 	n.applyUpdates(ack.Updates)
@@ -319,9 +317,7 @@ func (n *Node) pingIndirect(ctx context.Context, relay, target string) bool {
 		Updates: n.drain(),
 	})
 	if err != nil {
-		if !cl.Healthy() {
-			n.cfg.Peers.ReportFailure(relay, cl)
-		}
+		n.cfg.Peers.ReportFailure(relay, cl)
 		return false
 	}
 	n.applyUpdates(ack.Updates)
@@ -569,9 +565,7 @@ func (n *Node) HandlePingReq(ctx context.Context, _ core.Entity, req wire.Gossip
 	}
 	ack, err := cl.GossipPing(rctx, wire.GossipPingBody{From: n.cfg.SelfAddr, Updates: n.drain()})
 	if err != nil {
-		if !cl.Healthy() {
-			n.cfg.Peers.ReportFailure(req.Target, cl)
-		}
+		n.cfg.Peers.ReportFailure(req.Target, cl)
 		return wire.GossipAck{}, fmt.Errorf("gossip: relay to %s: %w", req.Target, err)
 	}
 	n.markAlive(req.Target, 0, true)

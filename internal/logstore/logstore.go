@@ -104,7 +104,7 @@ type Store struct {
 	dir  string
 	opts Options
 	// mem is the replay-derived in-memory view answering all reads.
-	mem *wallet.MemStore
+	mem wallet.Store
 
 	mAppends      *obs.Counter
 	mSeals        *obs.Counter
@@ -112,6 +112,7 @@ type Store struct {
 	mReclaimed    *obs.Counter
 	mBatches      *obs.Counter
 	mBatchRecords *obs.Counter
+	mCompactFails *obs.Counter
 
 	obs *obs.Obs
 
@@ -143,6 +144,12 @@ var _ wallet.SegmentStore = (*Store)(nil)
 // discarding it restores exactly the acknowledged state. Leftover
 // compaction temp files were never renamed into place, so they are removed.
 func Open(dir string, opts Options) (*Store, error) {
+	return openOver(dir, opts, wallet.NewMemStore())
+}
+
+// openOver is Open replaying into the given in-memory view; tests pass one
+// that fails.
+func openOver(dir string, opts Options, mem wallet.Store) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("logstore %s: %w", dir, err)
@@ -151,7 +158,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:    dir,
 		obs:    opts.Obs,
 		opts:   opts,
-		mem:    wallet.NewMemStore(),
+		mem:    mem,
 		putLoc: make(map[core.DelegationID]recLoc),
 		next:   1,
 		syncCh: make(chan struct{}, 1),
@@ -164,6 +171,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.mReclaimed = reg.Counter("drbac_logstore_compact_reclaimed_bytes_total")
 		s.mBatches = reg.Counter("drbac_logstore_commit_batches_total")
 		s.mBatchRecords = reg.Counter("drbac_logstore_commit_batch_records_total")
+		s.mCompactFails = reg.Counter("drbac_logstore_compact_failures_total")
 		reg.GaugeFunc("drbac_logstore_segments", func() int64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -257,7 +265,13 @@ func (s *Store) recover() (truncations int, err error) {
 				seg.compacted = seg.compacted || rec.Compacted
 				continue
 			}
-			s.applyRecovered(seg, rec)
+			if err := s.applyRecovered(seg, rec); err != nil {
+				// The record is intact on disk but the view cannot hold it:
+				// serving without it would silently drop an acknowledged
+				// mutation.
+				return 0, fmt.Errorf("logstore %s: segment %s: replaying %s record seq %d: %w",
+					s.dir, name, rec.Kind, rec.Seq, err)
+			}
 		}
 		if off < len(data) {
 			// Torn tail: everything decodable was acknowledged, the rest was
@@ -285,7 +299,7 @@ func (s *Store) recover() (truncations int, err error) {
 
 // applyRecovered replays one record into the in-memory view and the
 // liveness index during recovery.
-func (s *Store) applyRecovered(seg *segment, rec Record) {
+func (s *Store) applyRecovered(seg *segment, rec Record) error {
 	seg.records++
 	if seg.minSeq == 0 || rec.Seq < seg.minSeq {
 		seg.minSeq = rec.Seq
@@ -296,22 +310,24 @@ func (s *Store) applyRecovered(seg *segment, rec Record) {
 	switch rec.Kind {
 	case KindPut:
 		if rec.Bundle == nil || rec.Bundle.Delegation == nil {
-			return
+			return nil
 		}
 		if loc, ok := s.putLoc[rec.ID]; ok {
 			loc.seg.dead++
 		}
 		s.putLoc[rec.ID] = recLoc{seg: seg, seq: rec.Seq}
-		_ = s.mem.PutDelegation(rec.Seq, rec.Bundle.Delegation, rec.Bundle.Support)
+		return s.mem.PutDelegation(rec.Seq, rec.Bundle.Delegation, rec.Bundle.Support)
 	case KindDelete:
 		if loc, ok := s.putLoc[rec.ID]; ok {
 			loc.seg.dead++
 			delete(s.putLoc, rec.ID)
 		}
-		_ = s.mem.DeleteDelegation(rec.Seq, rec.ID)
+		return s.mem.DeleteDelegation(rec.Seq, rec.ID)
 	case KindRevoke:
-		_, _ = s.mem.AddRevocation(rec.Seq, rec.ID, rec.At)
+		_, err := s.mem.AddRevocation(rec.Seq, rec.ID, rec.At)
+		return err
 	}
+	return nil
 }
 
 func segmentName(index int) string { return fmt.Sprintf("%08d%s", index, segExt) }
@@ -804,9 +820,13 @@ func (s *Store) compactLoop(interval time.Duration) {
 		case <-s.stop:
 			return
 		case <-t.C:
-			// Best-effort: a failed pass leaves the old segments intact and
-			// the next tick retries.
-			_ = s.Compact()
+			// A failed pass leaves the old segments intact and the next tick
+			// retries; Health carries the failure to the readiness probe.
+			if err := s.Compact(); err != nil && !errors.Is(err, errClosed) {
+				s.mCompactFails.Inc()
+				s.obs.Log().Warn("logstore: background compaction failed",
+					"dir", s.dir, "error", err)
+			}
 		}
 	}
 }

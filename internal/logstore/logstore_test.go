@@ -2,9 +2,12 @@ package logstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -693,4 +696,116 @@ func TestDecodeSegmentRejectsNewerFormat(t *testing.T) {
 	if !bytes.Contains(hdr, []byte("hdr")) {
 		t.Fatal("header frame does not mention its kind") // sanity on the fixture
 	}
+}
+
+// failingIndex is an in-memory view that cannot hold revocations, the way
+// the wallet package's failingStore fakes a bad disk.
+type failingIndex struct{ *wallet.MemStore }
+
+var errIndex = errors.New("index full")
+
+func (failingIndex) AddRevocation(uint64, core.DelegationID, time.Time) (bool, error) {
+	return false, errIndex
+}
+
+// TestOpenFailsWhenARecordCannotBeReplayed: a CRC-valid record the
+// in-memory view refuses must fail Open, naming the segment and the seq —
+// not yield a store that silently lacks an acknowledged revocation.
+func TestOpenFailsWhenARecordCannotBeReplayed(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	dir := filepath.Join(t.TempDir(), "log")
+	s := open(t, dir, testOpts())
+	d := e.deleg("[Maria -> BigISP.member] BigISP")
+	if err := s.PutDelegation(1, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddRevocation(2, d.ID(), testStart); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := openOver(dir, testOpts(), failingIndex{wallet.NewMemStore()})
+	if !errors.Is(err, errIndex) {
+		t.Fatalf("Open over a failing index = %v, want it to fail with the index error", err)
+	}
+	for _, want := range []string{segmentName(1), "rev record seq 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestBackgroundCompactionFailureIsLoggedAndCounted damages a sealed
+// segment so every background pass fails, and checks the failure reaches
+// the Warn log, the failure counter and Health instead of vanishing.
+func TestBackgroundCompactionFailureIsLoggedAndCounted(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	dir := filepath.Join(t.TempDir(), "log")
+	var logs syncBuffer
+	reg := obs.NewRegistry()
+	s := open(t, dir, Options{
+		SegmentBytes:    2 << 10,
+		CompactInterval: 5 * time.Millisecond,
+		Obs:             obs.New(obs.NewLogger(&logs, slog.LevelWarn, false), reg),
+	})
+	// Fill a few segments, then kill the first put so segment 1 is a
+	// compaction candidate on every pass.
+	var first core.DelegationID
+	for i := 0; i < 20; i++ {
+		d := e.deleg(fmt.Sprintf("[Maria -> BigISP.r%d] BigISP", i))
+		if i == 0 {
+			first = d.ID()
+		}
+		if err := s.PutDelegation(uint64(i+1), d, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cut the sealed segment mid-frame before the delete makes it a
+	// candidate: the compactor can no longer decode it.
+	seg1 := filepath.Join(dir, segmentName(1))
+	fi, err := os.Stat(seg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg1, fi.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteDelegation(21, first); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot().Counters["drbac_logstore_compact_failures_total"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("drbac_logstore_compact_failures_total never moved")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if s.Health() == nil {
+		t.Error("Health() = nil while compaction is failing")
+	}
+	if got := logs.String(); !strings.Contains(got, "background compaction failed") || !strings.Contains(got, segmentName(1)) {
+		t.Errorf("no Warn record naming the segment; log:\n%s", got)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to write from the compactor goroutine
+// while the test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
 }

@@ -100,6 +100,7 @@ var (
 		"drbac_logstore_seals_total":                   "Segments sealed.",
 		"drbac_logstore_compactions_total":             "Segment compactions completed.",
 		"drbac_logstore_compact_reclaimed_bytes_total": "Bytes reclaimed by compaction.",
+		"drbac_logstore_compact_failures_total":        "Background compaction passes that failed; the old segments stay and the next tick retries.",
 		"drbac_logstore_commit_batches_total":          "Group-commit fsync batches flushed.",
 		"drbac_logstore_commit_batch_records_total":    "Records flushed across commit batches.",
 		"drbac_logstore_segments":                      "Log segments on disk.",

@@ -78,25 +78,22 @@ type Health struct {
 	RemoteDown bool
 }
 
-// Config tunes a Manager. The zero value of every field gets a sensible
-// default.
+// The circuit breaker's shape: failureThreshold consecutive failures open
+// the circuit; the retry delay starts at baseBackoff and doubles per failure
+// up to maxBackoff.
+const (
+	failureThreshold = 3
+	baseBackoff      = 100 * time.Millisecond
+	maxBackoff       = 15 * time.Second
+)
+
+// Config configures a Manager; only Dialer is required.
 type Config struct {
 	// Dialer opens connections; required.
 	Dialer transport.Dialer
-	// FailureThreshold is the consecutive-failure count that opens the
-	// circuit. Default 3.
-	FailureThreshold int
-	// BaseBackoff is the first retry delay after a failure. Default 100ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. Default 15s.
-	MaxBackoff time.Duration
 	// CallTimeout is installed on every client the manager creates; zero
 	// keeps remote.DefaultCallTimeout.
 	CallTimeout time.Duration
-	// OnConnect, if set, runs once per new connection before it is pooled
-	// (e.g. discovery's home-wallet authorization check). An error fails
-	// the Get, counts as a peer failure, and closes the connection.
-	OnConnect func(ctx context.Context, addr string, c *remote.Client) error
 	// Obs receives the pool's logs and metrics (nil discards both).
 	Obs *obs.Obs
 	// Clock is the time source; nil means the system clock.
@@ -141,15 +138,6 @@ type peerState struct {
 func NewManager(cfg Config) *Manager {
 	if cfg.Dialer == nil {
 		panic("peer: Config.Dialer is required")
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 100 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 15 * time.Second
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
@@ -210,7 +198,7 @@ func (m *Manager) Get(ctx context.Context, addr string) (*remote.Client, error) 
 	}
 
 	now := m.cfg.Clock.Now()
-	if ps.failures >= m.cfg.FailureThreshold && now.Before(ps.next) {
+	if ps.failures >= failureThreshold && now.Before(ps.next) {
 		m.mFastFails.Inc()
 		return nil, fmt.Errorf("%w: %s retries at %s", ErrCircuitOpen, addr, ps.next.Format(time.RFC3339))
 	}
@@ -220,16 +208,6 @@ func (m *Manager) Get(ctx context.Context, addr string) (*remote.Client, error) 
 	// discovery waterfall explains time spent establishing connections.
 	dsp := obs.SpanFromContext(ctx).StartChild("peer.dial", "addr", addr)
 	c, err := remote.Dial(ctx, m.cfg.Dialer, addr)
-	if err == nil {
-		c.CallTimeout = m.cfg.CallTimeout
-		c.Obs = m.cfg.Obs
-		if m.cfg.OnConnect != nil {
-			if hookErr := m.cfg.OnConnect(ctx, addr, c); hookErr != nil {
-				c.Close()
-				err = hookErr
-			}
-		}
-	}
 	if err != nil {
 		dsp.Fail(err)
 		dsp.End("ok", false)
@@ -237,8 +215,10 @@ func (m *Manager) Get(ctx context.Context, addr string) (*remote.Client, error) 
 		m.recordFailureLocked(ps, addr, err)
 		return nil, err
 	}
+	c.CallTimeout = m.cfg.CallTimeout
+	c.Obs = m.cfg.Obs
 	dsp.End("ok", true)
-	if ps.failures >= m.cfg.FailureThreshold {
+	if ps.failures >= failureThreshold {
 		m.cfg.Obs.Log().Info("peer circuit closed", "addr", addr, "after_failures", ps.failures)
 	}
 	ps.client = c
@@ -305,15 +285,15 @@ func (m *Manager) connected(addr string) bool {
 func (m *Manager) recordFailureLocked(ps *peerState, addr string, err error) {
 	ps.failures++
 	if ps.backoff == 0 {
-		ps.backoff = m.cfg.BaseBackoff
+		ps.backoff = baseBackoff
 	} else {
 		ps.backoff *= 2
-		if ps.backoff > m.cfg.MaxBackoff {
-			ps.backoff = m.cfg.MaxBackoff
+		if ps.backoff > maxBackoff {
+			ps.backoff = maxBackoff
 		}
 	}
 	ps.next = m.cfg.Clock.Now().Add(jitter(addr, ps.failures, ps.backoff))
-	if ps.failures == m.cfg.FailureThreshold {
+	if ps.failures == failureThreshold {
 		m.mOpens.Inc()
 		m.cfg.Obs.Log().Warn("peer circuit opened",
 			"addr", addr, "failures", ps.failures, "retry_at", ps.next, "error", err)
@@ -333,17 +313,21 @@ func jitter(addr string, attempt int, d time.Duration) time.Duration {
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 
-// ReportFailure tells the pool an RPC on c failed in a way that indicates
-// the connection (not the request) is bad. The report is ignored unless c is
-// still the pooled connection for addr — a stale report about an already
-// replaced client must not poison the fresh one — and, as a cheap filter,
-// callers should only report when !c.Healthy(): application-level errors on
-// a live connection (e.g. a NoProof response) are not peer failures.
+// ReportFailure tells the pool an RPC on c failed. Callers report every
+// failed call; the pool keeps only the ones that say something about the
+// peer: a report on a connection that is still healthy is ignored —
+// application-level errors (a NoProof response, a rejected revocation)
+// travel over a live connection and are not peer failures — and so is one
+// about a client that is no longer the pooled connection for addr, so a
+// stale report cannot poison the fresh connection.
 func (m *Manager) ReportFailure(addr string, c *remote.Client) {
+	if c == nil || c.Healthy() {
+		return
+	}
 	ps := m.peer(addr)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if ps.client != c || c == nil {
+	if ps.client != c {
 		return
 	}
 	ps.client.Close()
@@ -406,7 +390,7 @@ func (m *Manager) HealthOf(addr string) Health {
 	h.ConsecutiveFailures = ps.failures
 	h.Connected = ps.client != nil && ps.client.Healthy()
 	h.RemoteDown = ps.remoteDown
-	if ps.failures >= m.cfg.FailureThreshold {
+	if ps.failures >= failureThreshold {
 		if m.cfg.Clock.Now().Before(ps.next) {
 			h.State = StateOpen
 			h.RetryAt = ps.next

@@ -74,6 +74,18 @@ func (e *env) manager(clientName string, tweak func(*Config)) *Manager {
 	return m
 }
 
+// waitBroken blocks until c's read loop has noticed the peer hanging up.
+func waitBroken(t *testing.T, c *remote.Client) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for c.Healthy() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if c.Healthy() {
+		t.Fatal("client did not notice dead server")
+	}
+}
+
 func TestGetPoolsConnections(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	e.serve("bob.home", "bob")
@@ -112,13 +124,7 @@ func TestGetRedialsAfterBrokenConnection(t *testing.T) {
 	}
 	// Kill the server side; the client's read loop exits.
 	srv.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for c1.Healthy() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c1.Healthy() {
-		t.Fatal("client did not notice dead server")
-	}
+	waitBroken(t, c1)
 
 	// Server comes back at the same address.
 	e.serve("bob.home", "bob")
@@ -136,11 +142,7 @@ func TestGetRedialsAfterBrokenConnection(t *testing.T) {
 
 func TestCircuitOpensAndRecovers(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
-	m := e.manager("alice", func(c *Config) {
-		c.FailureThreshold = 3
-		c.BaseBackoff = 100 * time.Millisecond
-		c.MaxBackoff = time.Second
-	})
+	m := e.manager("alice", nil)
 	ctx := context.Background()
 
 	// Nothing listens at the address: three dials fail and open the circuit.
@@ -162,8 +164,8 @@ func TestCircuitOpensAndRecovers(t *testing.T) {
 		t.Fatalf("get inside window = %v, want ErrCircuitOpen", err)
 	}
 
-	// After the window (max backoff is 1s; jitter keeps it under that):
-	// the probe is admitted, and with the server back it closes the circuit.
+	// After the window (the third failure's backoff is 400ms; jitter keeps
+	// it under that): the probe is admitted, and with the server back it closes the circuit.
 	e.clk.Advance(2 * time.Second)
 	if got := m.HealthOf("bob.home").State; got != StateHalfOpen {
 		t.Fatalf("state after window = %v, want half-open", got)
@@ -184,14 +186,12 @@ func TestCircuitOpensAndRecovers(t *testing.T) {
 
 func TestFailedProbeReopensWithLongerWindow(t *testing.T) {
 	e := newEnv(t, "alice")
-	m := e.manager("alice", func(c *Config) {
-		c.FailureThreshold = 1
-		c.BaseBackoff = 100 * time.Millisecond
-		c.MaxBackoff = time.Second
-	})
+	m := e.manager("alice", nil)
 	ctx := context.Background()
-	if _, err := m.Get(ctx, "dead"); err == nil {
-		t.Fatal("dial to dead address succeeded")
+	for i := 0; i < failureThreshold; i++ {
+		if _, err := m.Get(ctx, "dead"); err == nil {
+			t.Fatal("dial to dead address succeeded")
+		}
 	}
 	first := m.HealthOf("dead").RetryAt
 	e.clk.Advance(time.Second)
@@ -202,12 +202,12 @@ func TestFailedProbeReopensWithLongerWindow(t *testing.T) {
 	if !second.After(first) {
 		t.Fatalf("retry window did not move forward: %v -> %v", first, second)
 	}
-	if m.HealthOf("dead").ConsecutiveFailures != 2 {
-		t.Fatalf("failures = %d, want 2", m.HealthOf("dead").ConsecutiveFailures)
+	if m.HealthOf("dead").ConsecutiveFailures != failureThreshold+1 {
+		t.Fatalf("failures = %d, want %d", m.HealthOf("dead").ConsecutiveFailures, failureThreshold+1)
 	}
 }
 
-func TestReportFailureIgnoresStaleClient(t *testing.T) {
+func TestReportFailureIgnoresHealthyAndStaleClients(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	e.serve("bob.home", "bob")
 	m := e.manager("alice", nil)
@@ -217,6 +217,13 @@ func TestReportFailureIgnoresStaleClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A failed call over a live connection (a NoProof answer, say) is not a
+	// peer failure: the pool keeps the connection and counts nothing.
+	m.ReportFailure("bob.home", c1)
+	if h := m.HealthOf("bob.home"); !h.Connected || h.ConsecutiveFailures != 0 {
+		t.Fatalf("health after report on a healthy connection = %+v, want connected with 0 failures", h)
+	}
+	c1.Close()
 	m.ReportFailure("bob.home", c1)
 	if h := m.HealthOf("bob.home"); h.Connected || h.ConsecutiveFailures != 1 {
 		t.Fatalf("health after report = %+v, want evicted with 1 failure", h)
@@ -239,24 +246,6 @@ func TestReportFailureIgnoresStaleClient(t *testing.T) {
 	}
 }
 
-func TestOnConnectRejectionCountsAsFailure(t *testing.T) {
-	e := newEnv(t, "alice", "bob")
-	e.serve("bob.home", "bob")
-	hookErr := errors.New("not authorized as a home wallet")
-	m := e.manager("alice", func(c *Config) {
-		c.FailureThreshold = 1
-		c.OnConnect = func(ctx context.Context, addr string, cl *remote.Client) error {
-			return hookErr
-		}
-	})
-	if _, err := m.Get(context.Background(), "bob.home"); !errors.Is(err, hookErr) {
-		t.Fatalf("get = %v, want OnConnect error", err)
-	}
-	if h := m.HealthOf("bob.home"); h.State != StateOpen {
-		t.Fatalf("state = %v, want open after rejected connect", h.State)
-	}
-}
-
 func TestGetHonorsCanceledContext(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	e.serve("bob.home", "bob")
@@ -273,23 +262,22 @@ func TestManagerMetrics(t *testing.T) {
 	e.serve("bob.home", "bob")
 	reg := obs.NewRegistry()
 	o := obs.New(nil, reg)
-	m := e.manager("alice", func(c *Config) {
-		c.Obs = o
-		c.FailureThreshold = 1
-	})
+	m := e.manager("alice", func(c *Config) { c.Obs = o })
 	ctx := context.Background()
 	if _, err := m.Get(ctx, "bob.home"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Get(ctx, "dead"); err == nil {
-		t.Fatal("dial to dead address succeeded")
+	for i := 0; i < failureThreshold; i++ {
+		if _, err := m.Get(ctx, "dead"); err == nil {
+			t.Fatal("dial to dead address succeeded")
+		}
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["drbac_peer_dials_total"] != 2 {
-		t.Fatalf("dials = %d, want 2", snap.Counters["drbac_peer_dials_total"])
+	if snap.Counters["drbac_peer_dials_total"] != 1+failureThreshold {
+		t.Fatalf("dials = %d, want %d", snap.Counters["drbac_peer_dials_total"], 1+failureThreshold)
 	}
-	if snap.Counters["drbac_peer_dial_failures_total"] != 1 {
-		t.Fatalf("dial failures = %d, want 1", snap.Counters["drbac_peer_dial_failures_total"])
+	if snap.Counters["drbac_peer_dial_failures_total"] != failureThreshold {
+		t.Fatalf("dial failures = %d, want %d", snap.Counters["drbac_peer_dial_failures_total"], failureThreshold)
 	}
 	if snap.Counters["drbac_peer_circuit_opens_total"] != 1 {
 		t.Fatalf("circuit opens = %d, want 1", snap.Counters["drbac_peer_circuit_opens_total"])
@@ -343,6 +331,7 @@ func TestGetAnyFailsOver(t *testing.T) {
 	// Kill bob entirely: GetAny must answer from carol.
 	bob.Close()
 	if addr1 == "bob.home" {
+		waitBroken(t, c1)
 		m.ReportFailure("bob.home", c1)
 	}
 	c3, addr3, err := m.GetAny(ctx, group)

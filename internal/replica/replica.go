@@ -224,9 +224,7 @@ func (f *Follower) run(ctx context.Context) {
 			return
 		}
 		log.Warn("replica: upstream stream ended", "addr", addr, "error", err)
-		if !c.Healthy() {
-			f.peers.ReportFailure(addr, c)
-		}
+		f.peers.ReportFailure(addr, c)
 		select {
 		case <-ctx.Done():
 			return

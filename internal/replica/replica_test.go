@@ -326,9 +326,7 @@ func TestReadFailover(t *testing.T) {
 			return "", err
 		}
 		if _, err := c.QueryDirect(ctx, subj, role, nil, 0); err != nil {
-			if !c.Healthy() {
-				pool.ReportFailure(addr, c)
-			}
+			pool.ReportFailure(addr, c)
 			return addr, err
 		}
 		return addr, nil

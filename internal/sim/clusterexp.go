@@ -98,10 +98,9 @@ func startCluster(w *World, shards int, commitDelay time.Duration, sc *sigcache.
 		cs.nodes[s.ID] = node
 	}
 	gw, err := cluster.NewWallet(cluster.WalletConfig{
-		Map:      m,
-		Dialer:   w.Net.Dialer(w.Identity("gateway")),
-		Identity: w.Identity("gateway"),
-		Clock:    w.Clock,
+		RouterConfig: cluster.RouterConfig{Map: m, Dialer: w.Net.Dialer(w.Identity("gateway"))},
+		Identity:     w.Identity("gateway"),
+		Clock:        w.Clock,
 	})
 	if err != nil {
 		return nil, err

@@ -211,7 +211,7 @@ func RunDHTSmoke(ctx context.Context) (DHTSmokeResult, error) {
 		if err := local.Publish(d1); err != nil {
 			return nil, nil, err
 		}
-		a := discovery.NewAgent(discovery.Config{Local: local, Peers: peers, Directory: node})
+		a := discovery.NewAgent(discovery.Config{Local: local, Peers: peers, Homes: node})
 		defer a.Close()
 		var stats discovery.Stats
 		proof, err := a.Discover(ctx, q, discovery.Auto, &stats)
