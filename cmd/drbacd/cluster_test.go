@@ -52,7 +52,7 @@ func TestShardMapWatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newDebugMux(o, w, "shard-0", nil, nil, 0, sw))
+	srv := httptest.NewServer(newDebugMux(o, w, "shard-0", nil, nil, sw))
 	defer srv.Close()
 
 	ready := func() (int, string) {

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"drbac/internal/obs"
 	"drbac/internal/wallet"
@@ -22,7 +21,7 @@ func TestDebugMux(t *testing.T) {
 	w := wallet.New(wallet.Config{Obs: o})
 	reg.Counter("drbac_server_requests_total").Add(17)
 
-	srv := httptest.NewServer(newDebugMux(o, w, "primary", nil, nil, 0, nil))
+	srv := httptest.NewServer(newDebugMux(o, w, "primary", nil, nil, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {
@@ -87,7 +86,7 @@ func TestReadyz(t *testing.T) {
 
 	var storeErr error
 	health := func() error { return storeErr }
-	srv := httptest.NewServer(newDebugMux(o, w, "primary", nil, health, 30*time.Second, nil))
+	srv := httptest.NewServer(newDebugMux(o, w, "primary", nil, health, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/readyz")
@@ -128,8 +127,8 @@ func TestReadyz(t *testing.T) {
 // TestNotReadyNil covers the probe's nil inputs: a primary on a store
 // without failure detection is always ready.
 func TestNotReadyNil(t *testing.T) {
-	if reason := notReady(nil, nil, 0, nil); reason != "" {
-		t.Errorf("notReady(nil, nil, 0, nil) = %q, want ready", reason)
+	if reason := notReady(nil, nil, nil); reason != "" {
+		t.Errorf("notReady(nil, nil, nil) = %q, want ready", reason)
 	}
 }
 
@@ -144,7 +143,7 @@ func TestDebugTracesMounted(t *testing.T) {
 	sp := o.StartSpan(id, "discovery")
 	sp.End()
 
-	srv := httptest.NewServer(newDebugMux(o, w, "primary", nil, nil, 0, nil))
+	srv := httptest.NewServer(newDebugMux(o, w, "primary", nil, nil, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/traces/" + id)
@@ -160,7 +159,7 @@ func TestDebugTracesMounted(t *testing.T) {
 		t.Errorf("trace detail missing root span: %s", body)
 	}
 
-	bare := httptest.NewServer(newDebugMux(obs.New(nil, obs.NewRegistry()), w, "primary", nil, nil, 0, nil))
+	bare := httptest.NewServer(newDebugMux(obs.New(nil, obs.NewRegistry()), w, "primary", nil, nil, nil))
 	defer bare.Close()
 	resp, err = http.Get(bare.URL + "/debug/traces")
 	if err != nil {

@@ -52,7 +52,9 @@
 // span trees), and /debug/pprof. All logging is structured (log/slog);
 // -log-level debug adds the per-request audit records and proof-search
 // spans, and queries at or above -trace-slow log at warn regardless of
-// level.
+// level. -trace-slow is the one observability setting; the trace ring, the
+// sampling rate, the SLO thresholds and the /readyz lag bound are the
+// constants below.
 package main
 
 import (
@@ -82,6 +84,15 @@ import (
 	"drbac/internal/wallet"
 )
 
+// Fixed observability tuning; bench/workload.go's drbacdObs mirrors it.
+const (
+	traceRetain   = 256                   // completed traces kept for /debug/traces
+	traceSample   = 1.0                   // head-sampling rate of traces neither slow nor erred
+	sloQueryP99   = 5 * time.Millisecond  // drbac_slo_query_* threshold
+	sloPublishP99 = 25 * time.Millisecond // drbac_slo_publish_* threshold
+	readyMaxLag   = 30 * time.Second      // replica lag at which /readyz reports 503
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "drbacd:", err)
@@ -102,12 +113,7 @@ func run(args []string) error {
 	httpAddr := fs.String("http", "", "debug listen address serving /metrics, /healthz, /readyz, /debug/traces, /debug/pprof (empty disables)")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := fs.Bool("log-json", false, "write logs as JSON instead of text")
-	traceRetain := fs.Int("trace-retain", 256, "completed traces retained for /debug/traces; 0 disables the trace collector")
 	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "duration at or above which a trace or query counts as slow: slow traces are always retained and slow queries logged at warn")
-	traceSample := fs.Float64("trace-sample", 1.0, "head-sampling rate (0..1) for traces that are neither slow nor erred; slow and erred traces are retained regardless")
-	sloQueryP99 := fs.Duration("slo-query-p99", 5*time.Millisecond, "query-latency SLO threshold backing the drbac_slo_query_* gauges and burn counters; 0 disables")
-	sloPublishP99 := fs.Duration("slo-publish-p99", 25*time.Millisecond, "publish-latency SLO threshold backing the drbac_slo_publish_* gauges and burn counters; 0 disables")
-	readyMaxLag := fs.Duration("ready-max-lag", 30*time.Second, "replica lag at which /readyz starts reporting 503; 0 disables the lag check")
 	wireMode := fs.String("wire", "auto", `wire codec policy for every connection this daemon serves or dials: "auto" negotiates per peer (binary preferred, JSON fallback for old peers), "json" speaks only JSON, "binary" requires the binary codec and refuses peers without it`)
 	dhtOn := fs.Bool("dht", false, "participate in the coalition DHT and gossip membership: serve dht-*/gossip-* requests, announce this wallet's provider record, and gate peer pools on gossip liveness verdicts")
 	bootstrap := fs.String("bootstrap", "", "comma-separated seed wallet addresses to join the DHT and gossip ring through (requires -dht; empty starts a lone seed)")
@@ -135,21 +141,15 @@ func run(args []string) error {
 	}
 	logger := obs.NewLogger(os.Stderr, level, *logJSON)
 	o := obs.New(logger, obs.NewRegistry())
-	if *traceRetain > 0 {
-		o.SetCollector(obs.NewCollector(o.Registry(), obs.CollectorConfig{
-			Capacity:      *traceRetain,
-			SlowThreshold: *traceSlow,
-			SampleRate:    *traceSample,
-		}))
-	}
+	o.SetCollector(obs.NewCollector(o.Registry(), obs.CollectorConfig{
+		Capacity:      traceRetain,
+		SlowThreshold: *traceSlow,
+		SampleRate:    traceSample,
+	}))
 	// SLOs must exist before the wallet is built: the wallet resolves them
 	// once at construction.
-	if *sloQueryP99 > 0 {
-		o.RegisterSLO(obs.NewSLO(o.Registry(), "query", *sloQueryP99, 0, 0))
-	}
-	if *sloPublishP99 > 0 {
-		o.RegisterSLO(obs.NewSLO(o.Registry(), "publish", *sloPublishP99, 0, 0))
-	}
+	o.RegisterSLO(obs.NewSLO(o.Registry(), "query", sloQueryP99, 0, 0))
+	o.RegisterSLO(obs.NewSLO(o.Registry(), "publish", sloPublishP99, 0, 0))
 	build := obs.RegisterBuildInfo(o.Registry())
 
 	f, err := keyfile.ReadIdentity(*keyPath)
@@ -291,7 +291,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		hsrv := &http.Server{Handler: newDebugMux(o, w, role, follower, storeHealth, *readyMaxLag, shardWatch)}
+		hsrv := &http.Server{Handler: newDebugMux(o, w, role, follower, storeHealth, shardWatch)}
 		defer hsrv.Close()
 		go func() {
 			if err := hsrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -344,7 +344,7 @@ type health struct {
 // readiness is the /readyz payload. Liveness (/healthz) answers "is the
 // process up"; readiness answers "should this wallet be taking traffic" —
 // no while the durable store has failed an fsync or compaction, or while a
-// replica is disconnected from its upstream or lagging beyond maxLag.
+// replica is disconnected from its upstream or lagging beyond readyMaxLag.
 type readiness struct {
 	Ready  bool   `json:"ready"`
 	Reason string `json:"reason,omitempty"`
@@ -353,7 +353,7 @@ type readiness struct {
 // notReady explains why the daemon should be out of rotation, or "" when it
 // is ready. storeHealth is nil when the daemon runs without -state;
 // shardWatch is nil outside a cluster.
-func notReady(follower *replica.Follower, storeHealth func() error, maxLag time.Duration, shardWatch *shardMapWatcher) string {
+func notReady(follower *replica.Follower, storeHealth func() error, shardWatch *shardMapWatcher) string {
 	if storeHealth != nil {
 		if err := storeHealth(); err != nil {
 			return "store: " + err.Error()
@@ -364,8 +364,8 @@ func notReady(follower *replica.Follower, storeHealth func() error, maxLag time.
 		if !rs.Connected {
 			return "replica: upstream disconnected"
 		}
-		if maxLag > 0 && rs.LagSeconds > int64(maxLag/time.Second) {
-			return fmt.Sprintf("replica: lag %ds exceeds %s", rs.LagSeconds, maxLag)
+		if rs.LagSeconds > int64(readyMaxLag/time.Second) {
+			return fmt.Sprintf("replica: lag %ds exceeds %s", rs.LagSeconds, readyMaxLag)
 		}
 	}
 	if reason := shardWatch.notReady(); reason != "" {
@@ -378,11 +378,11 @@ func notReady(follower *replica.Follower, storeHealth func() error, maxLag time.
 // health summary, the readiness probe, retained traces, and the standard
 // pprof handlers. follower is nil on a primary; storeHealth is nil when the
 // daemon runs without -state.
-func newDebugMux(o *obs.Obs, w *wallet.Wallet, role string, follower *replica.Follower, storeHealth func() error, readyMaxLag time.Duration, shardWatch *shardMapWatcher) *http.ServeMux {
+func newDebugMux(o *obs.Obs, w *wallet.Wallet, role string, follower *replica.Follower, storeHealth func() error, shardWatch *shardMapWatcher) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.MetricsHandler(o.Registry()))
 	mux.HandleFunc("/readyz", func(rw http.ResponseWriter, _ *http.Request) {
-		reason := notReady(follower, storeHealth, readyMaxLag, shardWatch)
+		reason := notReady(follower, storeHealth, shardWatch)
 		rw.Header().Set("Content-Type", "application/json")
 		if reason != "" {
 			rw.WriteHeader(http.StatusServiceUnavailable)

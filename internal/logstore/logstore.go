@@ -297,31 +297,50 @@ func (s *Store) recover() (truncations int, err error) {
 	return truncations, nil
 }
 
-// applyRecovered replays one record into the in-memory view and the
-// liveness index during recovery.
-func (s *Store) applyRecovered(seg *segment, rec Record) error {
+// span widens the segment's seq range to cover seq.
+func (seg *segment) span(seq uint64) {
+	if seg.minSeq == 0 || seq < seg.minSeq {
+		seg.minSeq = seq
+	}
+	if seq > seg.maxSeq {
+		seg.maxSeq = seq
+	}
+}
+
+// index accounts for one record seg now holds — appended a moment ago or
+// decoded during recovery: the segment's record count and seq span, and the
+// liveness index (a put supersedes the ID's earlier put, a delete kills it).
+// Callers hold s.mu, or are recovery, which runs before the store is shared.
+func (s *Store) index(seg *segment, rec Record) {
 	seg.records++
-	if seg.minSeq == 0 || rec.Seq < seg.minSeq {
-		seg.minSeq = rec.Seq
-	}
-	if rec.Seq > seg.maxSeq {
-		seg.maxSeq = rec.Seq
-	}
+	seg.span(rec.Seq)
 	switch rec.Kind {
 	case KindPut:
-		if rec.Bundle == nil || rec.Bundle.Delegation == nil {
-			return nil
-		}
 		if loc, ok := s.putLoc[rec.ID]; ok {
 			loc.seg.dead++
 		}
 		s.putLoc[rec.ID] = recLoc{seg: seg, seq: rec.Seq}
-		return s.mem.PutDelegation(rec.Seq, rec.Bundle.Delegation, rec.Bundle.Support)
 	case KindDelete:
 		if loc, ok := s.putLoc[rec.ID]; ok {
 			loc.seg.dead++
 			delete(s.putLoc, rec.ID)
 		}
+	}
+}
+
+// applyRecovered indexes one record decoded during recovery and replays it
+// into the in-memory view.
+func (s *Store) applyRecovered(seg *segment, rec Record) error {
+	if rec.Kind == KindPut && (rec.Bundle == nil || rec.Bundle.Delegation == nil) {
+		// A put without its bundle holds no state: it counts toward the
+		// segment's accounting and is never live.
+		rec.Kind = ""
+	}
+	s.index(seg, rec)
+	switch rec.Kind {
+	case KindPut:
+		return s.mem.PutDelegation(rec.Seq, rec.Bundle.Delegation, rec.Bundle.Support)
+	case KindDelete:
 		return s.mem.DeleteDelegation(rec.Seq, rec.ID)
 	case KindRevoke:
 		_, err := s.mem.AddRevocation(rec.Seq, rec.ID, rec.At)
@@ -428,25 +447,7 @@ func (s *Store) append(rec Record) error {
 		return fmt.Errorf("logstore %s: append to %s: %w", s.dir, seg.name, err)
 	}
 	seg.size += int64(len(frame))
-	seg.records++
-	if seg.minSeq == 0 || rec.Seq < seg.minSeq {
-		seg.minSeq = rec.Seq
-	}
-	if rec.Seq > seg.maxSeq {
-		seg.maxSeq = rec.Seq
-	}
-	switch rec.Kind {
-	case KindPut:
-		if loc, ok := s.putLoc[rec.ID]; ok {
-			loc.seg.dead++
-		}
-		s.putLoc[rec.ID] = recLoc{seg: seg, seq: rec.Seq}
-	case KindDelete:
-		if loc, ok := s.putLoc[rec.ID]; ok {
-			loc.seg.dead++
-			delete(s.putLoc, rec.ID)
-		}
-	}
+	s.index(seg, rec)
 	b := s.cur
 	if b == nil {
 		b = &commitBatch{files: make(map[*os.File]struct{}), done: make(chan struct{})}
@@ -765,12 +766,7 @@ func (s *Store) compactSegment(seg *segment) error {
 	seg.records = len(kept)
 	seg.minSeq, seg.maxSeq, seg.dead = 0, 0, 0
 	for _, rec := range kept {
-		if seg.minSeq == 0 || rec.Seq < seg.minSeq {
-			seg.minSeq = rec.Seq
-		}
-		if rec.Seq > seg.maxSeq {
-			seg.maxSeq = rec.Seq
-		}
+		seg.span(rec.Seq)
 		// Records that died between the liveness snapshot and the swap stay
 		// counted so the next pass picks them up.
 		if rec.Kind == KindPut {

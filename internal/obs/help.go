@@ -95,6 +95,16 @@ var (
 		"drbac_cluster_epoch":               "Installed shard map epoch.",
 		"drbac_cluster_shards":              "Shards in the installed map.",
 
+		// dht, gossip
+		"drbac_dht_lookups_total":        "Iterative DHT lookups started.",
+		"drbac_dht_stores_total":         "Provider records accepted for storage.",
+		"drbac_dht_stores_refused_total": "Provider records refused (unsigned, mis-signed, malformed, expired).",
+		"drbac_dht_bucket_peers":         "Contacts held in the routing table.",
+		"drbac_dht_provider_records":     "Provider records held for other nodes to find.",
+		"drbac_gossip_alive":             "Gossip members believed alive.",
+		"drbac_gossip_suspect":           "Gossip members suspected and awaiting refutation.",
+		"drbac_gossip_dead":              "Gossip members confirmed dead.",
+
 		// logstore
 		"drbac_logstore_appends_total":                 "Records appended to the log store.",
 		"drbac_logstore_seals_total":                   "Segments sealed.",

@@ -292,6 +292,64 @@ func (f *Follower) serve(ctx context.Context, c *remote.Client) error {
 	}
 }
 
+// change is one upstream changelog entry in the form replay applies: what a
+// stream push, a snapshot entry and a shipped log record all convert into.
+type change struct {
+	seq    uint64
+	op     logstore.RecordKind // KindPut, KindDelete, KindRevoke; "" only occupies its seq (a renewal)
+	id     core.DelegationID
+	bundle wallet.StoredBundle // what a put installs
+	kind   subs.EventKind      // what a delete is announced as
+}
+
+// replay is the one place upstream changes reach the local wallet, which
+// afterwards reflects the upstream at seq. Changes at or below afterSeq were
+// applied on this connection already and are skipped: replaying an old
+// delete over a newer re-publish would corrupt the replica. With reconcile
+// the changes are the upstream's whole state, and whatever the wallet holds
+// that they never put is dropped.
+func (f *Follower) replay(changes []change, afterSeq, seq uint64, reconcile bool) {
+	w := f.cfg.Local
+	// Batch-verify every incoming signature across the worker pool so the
+	// per-bundle installs run warm.
+	var warm []*core.Delegation
+	for _, c := range changes {
+		if c.op == logstore.KindPut && c.seq > afterSeq {
+			warm = append(warm, c.bundle.Delegation)
+		}
+	}
+	core.PrimeDelegations(w.SigVerifier(), warm)
+	present := make(map[core.DelegationID]bool)
+	for _, c := range changes {
+		if c.seq <= afterSeq {
+			continue
+		}
+		switch c.op {
+		case logstore.KindPut:
+			present[c.id] = true
+			if f.cfg.Filter != nil && !f.cfg.Filter(c.bundle.Delegation) {
+				continue
+			}
+			if _, err := w.InstallReplicated(c.bundle); err != nil {
+				f.cfg.Obs.Log().Warn("replica: install failed", "delegation", c.id.Short(), "error", err)
+			}
+		case logstore.KindDelete:
+			delete(present, c.id)
+			w.DropReplicated(c.id, c.kind)
+		case logstore.KindRevoke:
+			w.AcceptRevocation(c.id)
+		}
+	}
+	if reconcile {
+		for _, d := range w.Delegations() {
+			if !present[d.ID()] {
+				w.DropReplicated(d.ID(), subs.Stale)
+			}
+		}
+	}
+	f.applied.Store(seq)
+}
+
 // handle applies one stream push under the seq discipline: duplicates are
 // skipped, the next seq is applied, anything else is a gap and forces a
 // resync.
@@ -301,55 +359,28 @@ func (f *Follower) handle(ctx context.Context, c *remote.Client, p wire.NotifyPu
 	case p.Seq <= applied:
 		f.mDrops.Inc()
 		return nil
-	case p.Seq == applied+1:
-		if err := f.apply(ctx, c, p); err != nil {
-			return err
-		}
-		f.applied.Store(p.Seq)
-		f.mApplied.Inc()
-		if lag := f.clk.Now().Sub(p.At); lag > 0 {
-			f.lagSecs.Store(int64(lag.Seconds()))
-		} else {
-			f.lagSecs.Store(0)
-		}
-		return nil
-	default:
+	case p.Seq != applied+1:
 		return f.resync(ctx, c, fmt.Sprintf("gap: have %d, got %d", applied, p.Seq))
 	}
-}
-
-// apply mirrors one upstream event onto the local wallet.
-func (f *Follower) apply(ctx context.Context, c *remote.Client, p wire.NotifyPush) error {
-	w := f.cfg.Local
-	kind, ok := subs.ParseKind(p.Kind)
-	if !ok {
+	ch := change{seq: p.Seq, id: p.Delegation}
+	switch kind, ok := subs.ParseKind(p.Kind); {
+	case !ok:
 		f.cfg.Obs.Log().Warn("replica: unknown event kind", "kind", p.Kind)
-		return nil
-	}
-	switch kind {
-	case subs.Published:
+	case kind == subs.Published:
 		if p.Bundle == nil || p.Bundle.Delegation == nil {
 			// An upstream that doesn't attach bundles (older wire rev)
 			// still replicates correctly, one snapshot per publish.
 			return f.resync(ctx, c, "published push without bundle")
 		}
-		if f.cfg.Filter != nil && !f.cfg.Filter(p.Bundle.Delegation) {
-			return nil
-		}
-		if _, err := w.InstallReplicated(wallet.StoredBundle{
-			Delegation: p.Bundle.Delegation,
-			Support:    p.Bundle.Support,
-		}); err != nil {
-			f.cfg.Obs.Log().Warn("replica: install failed", "delegation", p.Delegation.Short(), "error", err)
-		}
-	case subs.Revoked:
-		w.AcceptRevocation(p.Delegation)
-	case subs.Expired, subs.Stale:
-		w.DropReplicated(p.Delegation, kind)
-	case subs.Renewed:
-		// TTL renewals are sequenced to keep the stream gapless but carry
-		// no replicable state change.
+		ch.op, ch.bundle = logstore.KindPut, wallet.StoredBundle(*p.Bundle)
+	case kind == subs.Revoked:
+		ch.op = logstore.KindRevoke
+	case kind == subs.Expired || kind == subs.Stale:
+		ch.op, ch.kind = logstore.KindDelete, kind
 	}
+	f.replay([]change{ch}, applied, p.Seq, false)
+	f.mApplied.Inc()
+	f.lagSecs.Store(max(0, int64(f.clk.Now().Sub(p.At).Seconds())))
 	return nil
 }
 
@@ -367,21 +398,17 @@ func (f *Follower) resync(ctx context.Context, c *remote.Client, why string) err
 // syncOnce reconciles the local wallet to the upstream, preferring the
 // segment-shipping path (log-store upstreams replay raw records, shipping
 // only those after afterSeq) and falling back to the monolithic snapshot
-// for upstreams that cannot ship segments.
-func (f *Follower) syncOnce(ctx context.Context, c *remote.Client, afterSeq uint64) error {
-	// Each bootstrap/catch-up runs as its own trace so a slow or failing
-	// replica sync is retained and explains itself (segment vs snapshot
-	// path, records replayed).
+// for upstreams that cannot ship segments. Each sync runs as its own trace,
+// so a slow or failing one is retained and explains itself (segment vs
+// snapshot path, records replayed).
+func (f *Follower) syncOnce(ctx context.Context, c *remote.Client, afterSeq uint64) (err error) {
 	sp := f.cfg.Obs.StartSpan(obs.NewTraceID(), "replica.sync", "afterSeq", afterSeq)
-	err := f.syncOnceSpanned(ctx, c, afterSeq, sp)
-	if err != nil {
-		sp.Fail(err)
-	}
-	sp.End("ok", err == nil, "applied", f.applied.Load())
-	return err
-}
-
-func (f *Follower) syncOnceSpanned(ctx context.Context, c *remote.Client, afterSeq uint64, sp *obs.Span) error {
+	defer func() {
+		if err != nil {
+			sp.Fail(err)
+		}
+		sp.End("ok", err == nil, "applied", f.applied.Load())
+	}()
 	ssp := sp.StartChild("replica.sync-segments")
 	segErr := f.syncSegments(ctx, c, afterSeq)
 	if segErr == nil {
@@ -403,112 +430,68 @@ func (f *Follower) syncOnceSpanned(ctx context.Context, c *remote.Client, afterS
 		csp.End()
 		return err
 	}
-	defer func() { csp.End("bundles", len(resp.Bundles), "seq", resp.Seq) }()
-	w := f.cfg.Local
-	for _, id := range resp.Revoked {
-		w.AcceptRevocation(id)
-	}
-	// A snapshot can carry the whole upstream wallet; batch-verify all its
-	// signatures across the worker pool so the per-bundle installs run warm.
-	batch := make([]*core.Delegation, 0, len(resp.Bundles))
-	for _, b := range resp.Bundles {
-		batch = append(batch, b.Delegation)
-	}
-	core.PrimeDelegations(w.SigVerifier(), batch)
-	present := make(map[core.DelegationID]bool, len(resp.Bundles))
-	for _, b := range resp.Bundles {
-		if b.Delegation == nil {
-			continue
-		}
-		present[b.Delegation.ID()] = true
-		if f.cfg.Filter != nil && !f.cfg.Filter(b.Delegation) {
-			continue
-		}
-		if _, err := w.InstallReplicated(wallet.StoredBundle{Delegation: b.Delegation, Support: b.Support}); err != nil {
-			f.cfg.Obs.Log().Warn("replica: snapshot install failed",
-				"delegation", b.Delegation.ID().Short(), "error", err)
-		}
-	}
-	for _, d := range w.Delegations() {
-		if !present[d.ID()] {
-			w.DropReplicated(d.ID(), subs.Stale)
-		}
-	}
-	f.applied.Store(resp.Seq)
+	f.replay(snapshotChanges(resp), 0, resp.Seq, true)
+	csp.End("bundles", len(resp.Bundles), "seq", resp.Seq)
 	return nil
+}
+
+// snapshotChanges renders a snapshot as the changes that build it: every
+// revocation, then every bundle, all as of the snapshot's seq.
+func snapshotChanges(resp wire.SyncResp) []change {
+	changes := make([]change, 0, len(resp.Revoked)+len(resp.Bundles))
+	for _, id := range resp.Revoked {
+		changes = append(changes, change{seq: resp.Seq, op: logstore.KindRevoke, id: id})
+	}
+	for _, b := range resp.Bundles {
+		if b.Delegation != nil {
+			changes = append(changes, change{seq: resp.Seq, op: logstore.KindPut, id: b.Delegation.ID(), bundle: wallet.StoredBundle(b)})
+		}
+	}
+	return changes
 }
 
 // syncSegments bootstraps (or delta-catches-up) over the segment-shipping
 // path: the upstream ships its raw record log and the follower replays it
-// in seq order. Records at or below afterSeq were already applied on this
-// connection and are skipped — replaying an old delete over a newer
-// re-publish would corrupt the replica.
+// in seq order. Only a full bootstrap reconciles: compaction already folded
+// the records of local leftovers out on the upstream, while a delta has no
+// global view.
 func (f *Follower) syncSegments(ctx context.Context, c *remote.Client, afterSeq uint64) error {
 	resp, err := c.SyncSegments(ctx, afterSeq)
 	if err != nil {
 		return fmt.Errorf("replica: sync-segments: %w", err)
 	}
-	w := f.cfg.Local
-	var recs []logstore.Record
-	for _, seg := range resp.Segments {
-		rs, err := logstore.DecodeSegment(seg.Records)
-		if err != nil {
-			return fmt.Errorf("replica: shipped segment %s: %w", seg.Name, err)
-		}
-		recs = append(recs, rs...)
+	changes, err := segmentChanges(resp)
+	if err != nil {
+		return err
 	}
-	// Batch-verify every shipped bundle's signature across the worker pool
-	// so the per-record installs run warm, as the snapshot path does.
-	var batch []*core.Delegation
-	for _, r := range recs {
-		if r.Kind == logstore.KindPut && r.Seq > afterSeq && r.Bundle != nil && r.Bundle.Delegation != nil {
-			batch = append(batch, r.Bundle.Delegation)
-		}
-	}
-	core.PrimeDelegations(w.SigVerifier(), batch)
-
-	present := make(map[core.DelegationID]bool)
-	for _, r := range recs {
-		if r.Seq <= afterSeq {
-			continue
-		}
-		switch r.Kind {
-		case logstore.KindPut:
-			if r.Bundle == nil || r.Bundle.Delegation == nil {
-				continue
-			}
-			present[r.ID] = true
-			if f.cfg.Filter != nil && !f.cfg.Filter(r.Bundle.Delegation) {
-				continue
-			}
-			if _, err := w.InstallReplicated(wallet.StoredBundle{
-				Delegation: r.Bundle.Delegation,
-				Support:    r.Bundle.Support,
-			}); err != nil {
-				f.cfg.Obs.Log().Warn("replica: segment install failed",
-					"delegation", r.ID.Short(), "error", err)
-			}
-		case logstore.KindDelete:
-			delete(present, r.ID)
-			w.DropReplicated(r.ID, subs.Stale)
-		case logstore.KindRevoke:
-			w.AcceptRevocation(r.ID)
-		}
-	}
-	if afterSeq == 0 {
-		// Full bootstrap: drop local leftovers the shipped log never puts —
-		// compaction already folded their records out on the upstream. A
-		// delta has no global view, so reconciliation is replay-only there.
-		for _, d := range w.Delegations() {
-			if !present[d.ID()] {
-				w.DropReplicated(d.ID(), subs.Stale)
-			}
-		}
-	}
-	f.applied.Store(resp.Seq)
+	f.replay(changes, afterSeq, resp.Seq, afterSeq == 0)
 	f.segmentSyncs.Add(1)
 	f.mSegSyncs.Inc()
 	f.cfg.Obs.Log().Info("replica: segment sync applied",
-		"afterSeq", afterSeq, "seq", resp.Seq, "segments", len(resp.Segments), "records", len(recs))
+		"afterSeq", afterSeq, "seq", resp.Seq, "segments", len(resp.Segments), "records", len(changes))
 	return nil
+}
+
+// segmentChanges decodes shipped segments into the changes their records
+// log. A delete record does not say why the delegation left; Stale is what a
+// follower announces.
+func segmentChanges(resp wire.SyncSegmentsResp) ([]change, error) {
+	var changes []change
+	for _, seg := range resp.Segments {
+		recs, err := logstore.DecodeSegment(seg.Records)
+		if err != nil {
+			return nil, fmt.Errorf("replica: shipped segment %s: %w", seg.Name, err)
+		}
+		for _, r := range recs {
+			ch := change{seq: r.Seq, op: r.Kind, id: r.ID, kind: subs.Stale}
+			if r.Kind == logstore.KindPut {
+				if r.Bundle == nil || r.Bundle.Delegation == nil {
+					continue
+				}
+				ch.bundle = *r.Bundle
+			}
+			changes = append(changes, ch)
+		}
+	}
+	return changes, nil
 }

@@ -173,8 +173,9 @@ func TestUninstrumentedWalletStaysQuiet(t *testing.T) {
 }
 
 // failingStore is a Store whose durable writes fail the way a log store's
-// do once its disk is gone: deletes change nothing, and a revocation is
-// recorded in memory only (the Store contract), with the error.
+// do once its disk is gone: deletes change nothing, and a new revocation is
+// recorded in memory only (the Store contract), with the error. A revocation
+// it already holds needs no write and so cannot fail.
 type failingStore struct{ *MemStore }
 
 var errDisk = errors.New("disk on fire")
@@ -182,8 +183,10 @@ var errDisk = errors.New("disk on fire")
 func (failingStore) DeleteDelegation(uint64, core.DelegationID) error { return errDisk }
 
 func (s failingStore) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
-	added, _ := s.MemStore.AddRevocation(seq, id, at)
-	return added, errDisk
+	if added, _ := s.MemStore.AddRevocation(seq, id, at); !added {
+		return false, nil
+	}
+	return true, errDisk
 }
 
 // TestStoreErrorsAreCountedNotDropped covers the mutations that cannot

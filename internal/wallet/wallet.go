@@ -127,13 +127,8 @@ type Wallet struct {
 	cache    *ProofCache
 	cacheOff bool
 
-	// repMu serializes sequenced mutations. Every accepted mutation —
-	// publish, revoke, expiry sweep, TTL lapse, renewal — updates the store
-	// and the graph index, increments seq, and publishes its subscription
-	// event all under repMu, so subscribers observe events in exactly seq
-	// order and Snapshot captures a state consistent with its seq. Reads
-	// (queries, Stats) never take repMu. Handlers therefore run with repMu
-	// held and must not re-enter the same wallet's mutation methods.
+	// repMu serializes sequenced mutations; commit is the only code that
+	// takes it to change anything. Reads (queries, Stats) never take it.
 	repMu sync.Mutex
 	// seq is the changelog sequence number of the last accepted mutation,
 	// 1-based and gapless within one store epoch. A wallet on an in-memory
@@ -402,17 +397,56 @@ func (w *Wallet) publish(d *core.Delegation, support []*core.Proof) error {
 	if err != nil {
 		return fmt.Errorf("publish: %w", err)
 	}
-	w.repMu.Lock()
-	if err := w.store.PutDelegation(w.seq+1, d, used); err != nil {
-		w.repMu.Unlock()
-		return fmt.Errorf("publish: persist %s: %w", d.ID().Short(), err)
+	if _, err := w.admit(d, used, true); err != nil {
+		return fmt.Errorf("publish: %w", err)
 	}
-	w.g.Add(d, used)
-	w.seq++
-	w.reg.Publish(subs.Event{Delegation: d.ID(), Kind: subs.Published, At: now, Seq: w.seq})
-	w.repMu.Unlock()
-	w.fireWatches()
 	return nil
+}
+
+// admit commits a verified bundle as Published and fires the watches it may
+// satisfy. Without replace, a bundle the graph already holds is no change.
+func (w *Wallet) admit(d *core.Delegation, support []*core.Proof, replace bool) (bool, error) {
+	id := d.ID()
+	changed, err := w.commit(subs.Published, id, func(seq uint64) (bool, error) {
+		if !replace && w.g.Contains(id) {
+			return false, nil
+		}
+		if err := w.store.PutDelegation(seq, d, support); err != nil {
+			return false, fmt.Errorf("persist %s: %w", id.Short(), err)
+		}
+		w.g.Add(d, support)
+		return true, nil
+	})
+	if changed {
+		w.fireWatches()
+	}
+	return changed, err
+}
+
+// commit is the one writer of the changelog (SPEC §9.1). Under repMu, apply
+// does the store write and the graph update at the seq it is handed and says
+// whether anything changed; if so the seq advances, the delegation's TTL
+// tracking ends (a renewal extends it) and the event goes out. Subscribers so
+// see events in seq order, Snapshot is consistent with its seq, and handlers
+// run with repMu held: they must not re-enter this wallet's mutations.
+// No change is no seq, no event, no store record. An error beside a change
+// is a store write that failed after memory took the safe outcome.
+func (w *Wallet) commit(kind subs.EventKind, id core.DelegationID, apply func(seq uint64) (changed bool, err error)) (bool, error) {
+	now := w.Now()
+	w.repMu.Lock()
+	defer w.repMu.Unlock()
+	changed, err := apply(w.seq + 1)
+	if !changed {
+		return false, err
+	}
+	if kind != subs.Renewed {
+		w.ttlMu.Lock()
+		delete(w.ttl, id)
+		w.ttlMu.Unlock()
+	}
+	w.seq++
+	w.reg.Publish(subs.Event{Delegation: id, Kind: kind, At: now, Seq: w.seq})
+	return true, err
 }
 
 // resolveSupport finds and validates a support proof for every role the
@@ -494,25 +528,19 @@ func (w *Wallet) revoke(id core.DelegationID, by core.EntityID) error {
 // of a durable store.
 func (w *Wallet) forceRevoke(id core.DelegationID) error {
 	now := w.Now()
-	w.repMu.Lock()
-	// The tombstone and the bundle removal are one logical mutation and
-	// share one seq.
-	added, err := w.store.AddRevocation(w.seq+1, id, now)
-	w.ttlMu.Lock()
-	delete(w.ttl, id)
-	w.ttlMu.Unlock()
-	if !added && err == nil {
-		// Already revoked.
-		w.repMu.Unlock()
-		return nil
-	}
-	if derr := w.store.DeleteDelegation(w.seq+1, id); derr != nil && err == nil {
-		err = derr
-	}
-	w.g.Remove(id)
-	w.seq++
-	w.reg.Publish(subs.Event{Delegation: id, Kind: subs.Revoked, At: now, Seq: w.seq})
-	w.repMu.Unlock()
+	_, err := w.commit(subs.Revoked, id, func(seq uint64) (bool, error) {
+		// The tombstone and the bundle removal are one logical mutation and
+		// share one seq.
+		added, err := w.store.AddRevocation(seq, id, now)
+		if !added {
+			return false, err // already revoked
+		}
+		if derr := w.store.DeleteDelegation(seq, id); derr != nil && err == nil {
+			err = derr
+		}
+		w.g.Remove(id)
+		return true, err
+	})
 	return err
 }
 
@@ -544,25 +572,24 @@ func (w *Wallet) SweepExpired() int {
 	now := w.Now()
 	removed := 0
 	for _, d := range w.g.All() {
-		if !d.Expired(now) {
-			continue
-		}
-		id := d.ID()
-		var serr error
-		w.repMu.Lock()
-		if w.g.Remove(id) {
+		if d.Expired(now) && w.drop(d.ID(), subs.Expired, "expire") {
 			removed++
-			serr = w.store.DeleteDelegation(w.seq+1, id)
-			w.ttlMu.Lock()
-			delete(w.ttl, id)
-			w.ttlMu.Unlock()
-			w.seq++
-			w.reg.Publish(subs.Event{Delegation: id, Kind: subs.Expired, At: now, Seq: w.seq})
 		}
-		w.repMu.Unlock()
-		w.storeFailed("expire", id, serr)
 	}
 	return removed
+}
+
+// drop removes a held delegation without revoking it and announces it as
+// kind; op names the caller if the store write fails. Absent is no change.
+func (w *Wallet) drop(id core.DelegationID, kind subs.EventKind, op string) bool {
+	changed, err := w.commit(kind, id, func(seq uint64) (bool, error) {
+		if !w.g.Remove(id) {
+			return false, nil
+		}
+		return true, w.store.DeleteDelegation(seq, id)
+	})
+	w.storeFailed(op, id, err)
+	return changed
 }
 
 // InsertCached stores a remotely discovered delegation with a coherence TTL
@@ -584,19 +611,16 @@ func (w *Wallet) InsertCached(d *core.Delegation, support []*core.Proof, ttl tim
 // RenewCached extends a cached delegation's freshness window, reporting
 // whether the entry existed. Subscribers receive a Renewed event.
 func (w *Wallet) RenewCached(id core.DelegationID, ttl time.Duration) bool {
-	w.ttlMu.Lock()
-	_, ok := w.ttl[id]
-	if ok {
-		w.ttl[id] = w.Now().Add(ttl)
-	}
-	w.ttlMu.Unlock()
-	if ok {
-		w.repMu.Lock()
-		w.seq++
-		w.reg.Publish(subs.Event{Delegation: id, Kind: subs.Renewed, At: w.Now(), Seq: w.seq})
-		w.repMu.Unlock()
-	}
-	return ok
+	renewed, _ := w.commit(subs.Renewed, id, func(uint64) (bool, error) {
+		w.ttlMu.Lock()
+		defer w.ttlMu.Unlock()
+		_, ok := w.ttl[id]
+		if ok {
+			w.ttl[id] = w.Now().Add(ttl)
+		}
+		return ok, nil
+	})
+	return renewed
 }
 
 // SweepStaleCache removes cached delegations whose TTL lapsed without
@@ -613,16 +637,13 @@ func (w *Wallet) SweepStaleCache() int {
 		}
 	}
 	w.ttlMu.Unlock()
+	removed := 0
 	for _, id := range stale {
-		w.repMu.Lock()
-		serr := w.store.DeleteDelegation(w.seq+1, id)
-		w.g.Remove(id)
-		w.seq++
-		w.reg.Publish(subs.Event{Delegation: id, Kind: subs.Stale, At: now, Seq: w.seq})
-		w.repMu.Unlock()
-		w.storeFailed("stale", id, serr)
+		if w.drop(id, subs.Stale, "stale") {
+			removed++
+		}
 	}
-	return len(stale)
+	return removed
 }
 
 // CachedCount reports the number of TTL-tracked cache entries.
@@ -685,21 +706,11 @@ func (w *Wallet) InstallReplicated(b StoredBundle) (bool, error) {
 	if d.Expired(now) || w.IsRevoked(d.ID()) {
 		return false, nil
 	}
-	w.repMu.Lock()
-	if w.g.Contains(d.ID()) {
-		w.repMu.Unlock()
-		return false, nil
+	installed, err := w.admit(d, b.Support, false)
+	if err != nil {
+		return false, fmt.Errorf("install replicated: %w", err)
 	}
-	if err := w.store.PutDelegation(w.seq+1, d, b.Support); err != nil {
-		w.repMu.Unlock()
-		return false, fmt.Errorf("install replicated: persist %s: %w", d.ID().Short(), err)
-	}
-	w.g.Add(d, b.Support)
-	w.seq++
-	w.reg.Publish(subs.Event{Delegation: d.ID(), Kind: subs.Published, At: now, Seq: w.seq})
-	w.repMu.Unlock()
-	w.fireWatches()
-	return true, nil
+	return installed, nil
 }
 
 // DropReplicated removes a delegation without recording a revocation,
@@ -708,21 +719,7 @@ func (w *Wallet) InstallReplicated(b StoredBundle) (bool, error) {
 // notified with the given kind, but the revocation set is untouched — the
 // upstream never revoked it. Reports whether the delegation was present.
 func (w *Wallet) DropReplicated(id core.DelegationID, kind subs.EventKind) bool {
-	now := w.Now()
-	w.repMu.Lock()
-	if !w.g.Remove(id) {
-		w.repMu.Unlock()
-		return false
-	}
-	serr := w.store.DeleteDelegation(w.seq+1, id)
-	w.ttlMu.Lock()
-	delete(w.ttl, id)
-	w.ttlMu.Unlock()
-	w.seq++
-	w.reg.Publish(subs.Event{Delegation: id, Kind: kind, At: now, Seq: w.seq})
-	w.repMu.Unlock()
-	w.storeFailed("drop-replicated", id, serr)
-	return true
+	return w.drop(id, kind, "drop-replicated")
 }
 
 // Query identifies an authorization question: does Subject hold Object under
