@@ -42,7 +42,9 @@ type (
 	SearchDirection = graph.Direction
 	// SearchStats accumulates search effort counters.
 	SearchStats = graph.Stats
-	// WalletStore is the wallet's pluggable system of record.
+	// WalletStore is the wallet's journal: the state a wallet is built from
+	// (Load, read once) and the record of each change to it. The wallet's
+	// memory, not the store, is what queries read.
 	WalletStore = wallet.Store
 	// WalletStats snapshots wallet state and proof-cache counters.
 	WalletStats = wallet.Stats
@@ -111,8 +113,8 @@ func NewSigCache(capacity int) *SigCache { return sigcache.New(capacity) }
 // by default. Signatures are immutable, so sharing it is always safe.
 func SharedSigCache() *SigCache { return sigcache.Shared() }
 
-// NewMemStore returns an empty in-memory wallet store, the default system
-// of record.
+// NewMemStore returns the null journal, the default: it loads empty and
+// records nothing, for a wallet that lives in memory alone.
 func NewMemStore() WalletStore { return wallet.NewMemStore() }
 
 // OpenLogStore opens (or creates) the durable wallet store, a segmented

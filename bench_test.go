@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"drbac"
-	"drbac/internal/baseline"
 	"drbac/internal/clock"
 	"drbac/internal/cluster"
 	"drbac/internal/core"
@@ -38,7 +37,6 @@ import (
 	"drbac/internal/logstore"
 	"drbac/internal/peer"
 	"drbac/internal/remote"
-	"drbac/internal/revocation"
 	"drbac/internal/sim"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
@@ -297,14 +295,14 @@ func BenchmarkAttributePruning(b *testing.B) {
 
 // BenchmarkRevocationSchemes runs EXP-S3 per scheme over a long session.
 func BenchmarkRevocationSchemes(b *testing.B) {
-	params := revocation.Params{
+	params := sim.RevocationParams{
 		Clients: 4, Credentials: 8, Steps: 500, PollEvery: 5, CRLEvery: 10,
 		RevokeAt: []int{103},
 	}
-	for _, scheme := range []revocation.Scheme{revocation.OCSP, revocation.CRL, revocation.Subscription} {
+	for _, scheme := range []sim.RevocationScheme{sim.OCSP, sim.CRL, sim.Subscription} {
 		b.Run(string(scheme), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := revocation.Run(scheme, params)
+				res, err := sim.RunRevocationScheme(scheme, params)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -334,10 +332,10 @@ func BenchmarkHierarchicalCache(b *testing.B) {
 
 // BenchmarkSeparability runs EXP-S4 per idiom.
 func BenchmarkSeparability(b *testing.B) {
-	s := baseline.Scenario{Partners: 4, Privileges: 4, MembersPerPartner: 2}
+	s := sim.Separability{Partners: 4, Privileges: 4, MembersPerPartner: 2}
 	b.Run("drbac", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, err := baseline.DRBAC(s)
+			out, err := sim.SeparabilityDRBAC(s)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -346,7 +344,7 @@ func BenchmarkSeparability(b *testing.B) {
 	})
 	b.Run("phantom", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, err := baseline.PhantomRole(s)
+			out, err := sim.SeparabilityPhantomRole(s)
 			if err != nil {
 				b.Fatal(err)
 			}

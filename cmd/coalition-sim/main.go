@@ -19,8 +19,6 @@ import (
 	"os"
 	"time"
 
-	"drbac/internal/baseline"
-	"drbac/internal/revocation"
 	"drbac/internal/sim"
 )
 
@@ -128,20 +126,20 @@ func runRevocation() error {
 	fmt.Println("== EXP-S3: credential status schemes (§6) ==")
 	configs := []struct {
 		label string
-		p     revocation.Params
+		p     sim.RevocationParams
 	}{
-		{"short session, 1 revocation", revocation.Params{
+		{"short session, 1 revocation", sim.RevocationParams{
 			Clients: 8, Credentials: 16, Steps: 200, PollEvery: 5, CRLEvery: 10, RevokeAt: []int{53}}},
-		{"long session, 1 revocation", revocation.Params{
+		{"long session, 1 revocation", sim.RevocationParams{
 			Clients: 8, Credentials: 16, Steps: 2000, PollEvery: 5, CRLEvery: 10, RevokeAt: []int{53}}},
-		{"long session, 8 revocations", revocation.Params{
+		{"long session, 8 revocations", sim.RevocationParams{
 			Clients: 8, Credentials: 16, Steps: 2000, PollEvery: 5, CRLEvery: 10,
 			RevokeAt: []int{101, 303, 507, 701, 903, 1101, 1303, 1507}}},
-		{"many clients", revocation.Params{
+		{"many clients", sim.RevocationParams{
 			Clients: 32, Credentials: 16, Steps: 1000, PollEvery: 5, CRLEvery: 10, RevokeAt: []int{53}}},
 	}
 	for _, cfg := range configs {
-		results, err := revocation.RunAll(cfg.p)
+		results, err := sim.RunRevocation(cfg.p)
 		if err != nil {
 			return err
 		}
@@ -160,7 +158,7 @@ func runSeparability() error {
 		"partners", "privileges", "dRBAC", "phantoms", "baseline", "phantoms")
 	for _, partners := range []int{2, 4, 8} {
 		for _, privs := range []int{4, 8} {
-			s := baseline.Scenario{Partners: partners, Privileges: privs, MembersPerPartner: 2}
+			s := sim.Separability{Partners: partners, Privileges: privs, MembersPerPartner: 2}
 			d, ph, err := sim.RunSeparability(s)
 			if err != nil {
 				return err

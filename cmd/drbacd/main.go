@@ -20,9 +20,10 @@
 // wallet cluster (§12): the map file names every shard's replica group, N
 // this member's shard. The server advertises the map epoch on connect and
 // refuses mis-routed or stale-epoch mutations with redirects carrying the
-// fresh map. The file is re-read when its mtime changes (on the -sweep
-// cadence) and newer epochs adopted live, so a reshard is a map-file
-// rollout; /readyz reports an unreadable or unadoptable map as not-ready.
+// fresh map. The file is re-read when its mtime changes (checked every
+// 10 s, with the sweeps) and newer epochs adopted live, so a reshard is a
+// map-file rollout; /readyz reports an unreadable or unadoptable map as
+// not-ready.
 //
 // With -cluster gateway@MAP the daemon serves the whole cluster as one
 // logical wallet (§12.3): mutations route to the owning shard, object
@@ -93,6 +94,9 @@ const (
 	readyMaxLag   = 30 * time.Second      // replica lag at which /readyz reports 503
 )
 
+// sweepEvery paces the expiry and staleness sweeps and the shard-map poll.
+const sweepEvery = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "drbacd:", err)
@@ -109,7 +113,6 @@ func run(args []string) error {
 	replicaOf := fs.String("replica-of", "", "run as a read-only follower replica of the wallet at host:port[,host:port...] (§9); mutations are refused")
 	clusterFlag := fs.String("cluster", "", "take part in the wallet cluster of a shard map file (JSON, re-read on mtime change): shard:N@MAP serves shard N of it, gateway@MAP serves a routing gateway over the whole cluster (excludes -replica-of, -load, -state)")
 	strict := fs.Bool("strict", false, "require attribute-assignment rights")
-	sweep := fs.Duration("sweep", 10*time.Second, "expiry/staleness sweep interval")
 	httpAddr := fs.String("http", "", "debug listen address serving /metrics, /healthz, /readyz, /debug/traces, /debug/pprof (empty disables)")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := fs.Bool("log-json", false, "write logs as JSON instead of text")
@@ -187,7 +190,7 @@ func run(args []string) error {
 		}
 		if *state != "" {
 			logger.Info("state restored",
-				"delegations", w.Len(), "revocations", len(w.RevokedIDs()),
+				"delegations", w.Len(), "revocations", w.Stats().Revoked,
 				"seq", w.Seq(), "path", *state)
 		}
 		if *load != "" {
@@ -303,7 +306,7 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ticker := time.NewTicker(*sweep)
+	ticker := time.NewTicker(sweepEvery)
 	defer ticker.Stop()
 	for {
 		select {

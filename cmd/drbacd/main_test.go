@@ -219,7 +219,7 @@ func TestMigrateJSONToLogStore(t *testing.T) {
 			}
 			checkFixtureWallet(t, w, tc.minSeq)
 			var stamped time.Time
-			for _, r := range w.Store().Revocations() {
+			for _, r := range w.Revocations() {
 				stamped = r.At
 			}
 			if err := w.Publish(issueBy(t, org, "[Org -> Org.extra] Org")); err != nil {
@@ -239,7 +239,7 @@ func TestMigrateJSONToLogStore(t *testing.T) {
 					w2.Len(), w2.Seq(), postSeq)
 			}
 			checkFixtureWallet(t, w2, tc.minSeq)
-			for _, r := range w2.Store().Revocations() {
+			for _, r := range w2.Revocations() {
 				if !r.At.Equal(stamped) {
 					t.Fatalf("revocation instant drifted across reopen: %v != %v", r.At, stamped)
 				}
@@ -327,7 +327,7 @@ func TestOpenWalletStateShapes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stateless wallet: %v", err)
 	}
-	if _, ok := w.Store().(*wallet.MemStore); !ok || health != nil {
+	if _, ok := w.Store().(wallet.MemStore); !ok || health != nil {
 		t.Fatalf("stateless wallet runs on %T (health func set: %v), want a MemStore and none", w.Store(), health != nil)
 	}
 	closer()

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"drbac"
-	"drbac/internal/revocation"
+	"drbac/internal/sim"
 )
 
 func main() {
@@ -24,7 +24,7 @@ func main() {
 
 func run() error {
 	// --- Measured scheme comparison (EXP-S3) ------------------------------
-	params := revocation.Params{
+	params := sim.RevocationParams{
 		Clients:     8,
 		Credentials: 16,
 		Steps:       2000, // a long-lived session
@@ -32,7 +32,7 @@ func run() error {
 		CRLEvery:    10,
 		RevokeAt:    []int{401, 1203},
 	}
-	results, err := revocation.RunAll(params)
+	results, err := sim.RunRevocation(params)
 	if err != nil {
 		return err
 	}

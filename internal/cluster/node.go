@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"drbac/internal/core"
 	"drbac/internal/obs"
@@ -21,10 +20,7 @@ type Node struct {
 
 	mAdoptions *obs.Counter
 	mRedirects *obs.Counter
-	mRoutes    *obs.Counter
-
-	served    atomic.Int64
-	redirects atomic.Int64
+	mRoutes    *obs.Counter // mutations this member served
 
 	mu  sync.RWMutex
 	m   *Map
@@ -124,11 +120,9 @@ func (n *Node) CheckPublish(reqEpoch uint64, subject core.Subject) *wire.Redirec
 	}
 	n.mu.RUnlock()
 	if rd != nil {
-		n.redirects.Add(1)
 		n.mRedirects.Inc()
 		return rd
 	}
-	n.served.Add(1)
 	n.mRoutes.Inc()
 	return nil
 }
@@ -143,7 +137,6 @@ func (n *Node) CheckEpoch(reqEpoch uint64) *wire.Redirect {
 	}
 	n.mu.RUnlock()
 	if rd != nil {
-		n.redirects.Add(1)
 		n.mRedirects.Inc()
 		return rd
 	}
@@ -159,7 +152,7 @@ func (n *Node) Stats() *wire.ClusterStats {
 		Epoch:     epoch,
 		Shard:     n.id,
 		Shards:    shards,
-		Routes:    map[string]int64{fmt.Sprintf("%d", n.id): n.served.Load()},
-		Redirects: n.redirects.Load(),
+		Routes:    map[string]int64{fmt.Sprintf("%d", n.id): n.mRoutes.Value()},
+		Redirects: n.mRedirects.Value(),
 	}
 }

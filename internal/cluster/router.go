@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"drbac/internal/core"
 	"drbac/internal/discovery"
@@ -80,9 +79,6 @@ type Router struct {
 	mRoutes    *obs.Counter
 	mScatters  *obs.Counter
 
-	redirects atomic.Int64
-	scatters  atomic.Int64
-
 	mu     sync.RWMutex
 	m      *Map
 	routes map[int]int64 // mutations routed per shard ID
@@ -155,7 +151,6 @@ func (r *Router) Adopt(m *Map) bool {
 
 // adoptRedirect parses the map a redirect carried and adopts it.
 func (r *Router) adoptRedirect(rd *remote.RedirectError) bool {
-	r.redirects.Add(1)
 	r.mRedirects.Inc()
 	if len(rd.Redirect.Map) == 0 {
 		return false
@@ -345,7 +340,7 @@ func (r *Router) FindOwner(ctx context.Context, id core.DelegationID) (Shard, bo
 			out <- answer{shard: s, present: present, err: err}
 		}(s)
 	}
-	r.countScatter()
+	r.mScatters.Inc()
 	var firstErr error
 	found, ok := Shard{}, false
 	for range cur.Shards {
@@ -363,11 +358,6 @@ func (r *Router) FindOwner(ctx context.Context, id core.DelegationID) (Shard, bo
 	return Shard{}, false, firstErr
 }
 
-func (r *Router) countScatter() {
-	r.scatters.Add(1)
-	r.mScatters.Inc()
-}
-
 // Scatter runs fn against every shard in parallel (one pooled connection
 // each, with replica-group failover: a member that breaks mid-call is
 // retried on another member) and collects per-shard errors, keyed by
@@ -375,7 +365,7 @@ func (r *Router) countScatter() {
 // called for it.
 func (r *Router) Scatter(ctx context.Context, fn func(Shard, *remote.Client) error) map[int]error {
 	cur := r.Current()
-	r.countScatter()
+	r.mScatters.Inc()
 	var (
 		wg   sync.WaitGroup
 		emu  sync.Mutex
@@ -411,7 +401,7 @@ func (r *Router) Stats() *wire.ClusterStats {
 		Shard:     -1,
 		Shards:    shards,
 		Routes:    routes,
-		Redirects: r.redirects.Load(),
-		Scatters:  r.scatters.Load(),
+		Redirects: r.mRedirects.Value(),
+		Scatters:  r.mScatters.Value(),
 	}
 }

@@ -83,10 +83,6 @@ type Node struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	lookups       atomic.Int64
-	stores        atomic.Int64
-	storesRefused atomic.Int64
-
 	mLookups       *obs.Counter
 	mStores        *obs.Counter
 	mStoresRefused *obs.Counter
@@ -295,7 +291,6 @@ func (n *Node) HandleStore(from core.Entity, req wire.DHTStoreReq) error {
 	n.learnRequester(from, req.From)
 	rec := req.Record
 	if err := VerifyRecord(&rec, n.cfg.Clock.Now()); err != nil {
-		n.storesRefused.Add(1)
 		n.mStoresRefused.Inc()
 		n.cfg.Obs.Log().Warn("dht store refused",
 			"from", from.ID().Short(), "error", err)
@@ -309,7 +304,6 @@ func (n *Node) HandleStore(from core.Entity, req wire.DHTStoreReq) error {
 		return nil
 	}
 	n.store[key] = &rec
-	n.stores.Add(1)
 	n.mStores.Inc()
 	return nil
 }
@@ -420,7 +414,6 @@ func (ls *lookupState) closest(n int) []Contact {
 // discarded and the search continues — a forged record cannot even
 // degrade the lookup, only waste one hop.
 func (n *Node) lookup(ctx context.Context, target ID, findValue bool) (*wire.DHTRecord, []Contact, error) {
-	n.lookups.Add(1)
 	n.mLookups.Inc()
 	ctx, cancel := context.WithTimeout(ctx, lookupTimeout)
 	defer cancel()
@@ -682,9 +675,9 @@ func (n *Node) Stats() *wire.DHTStats {
 		ID:              n.self.ID.String(),
 		BucketPeers:     n.table.Len(),
 		ProviderRecords: records,
-		Lookups:         n.lookups.Load(),
-		Stores:          n.stores.Load(),
-		StoresRefused:   n.storesRefused.Load(),
+		Lookups:         n.mLookups.Value(),
+		Stores:          n.mStores.Value(),
+		StoresRefused:   n.mStoresRefused.Value(),
 		Announced:       announcedN,
 	}
 }

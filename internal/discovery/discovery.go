@@ -606,19 +606,7 @@ func (a *Agent) Bridge(ctx context.Context, p *core.Proof) (cancel func(), err e
 			return nil, err
 		}
 		ttl := tag.TTL
-		cancelOne, err := c.Subscribe(ctx, id, func(ev subs.Event) {
-			switch ev.Kind {
-			case subs.Revoked:
-				a.cfg.Local.AcceptRevocation(ev.Delegation)
-			case subs.Expired, subs.Stale:
-				a.cfg.Local.SweepExpired()
-				a.cfg.Local.SweepStaleCache()
-			case subs.Renewed:
-				if ttl > 0 {
-					a.cfg.Local.RenewCached(ev.Delegation, ttl)
-				}
-			}
-		})
+		cancelOne, err := c.Subscribe(ctx, id, func(ev subs.Event) { a.cfg.Local.ApplyHomeEvent(ev, ttl) })
 		if err != nil {
 			release()
 			return nil, err
@@ -685,11 +673,7 @@ func (a *Agent) refreshOnce(ctx context.Context) {
 			continue
 		}
 		if present {
-			ttl := tag.TTL
-			if ttl <= 0 {
-				continue
-			}
-			a.cfg.Local.RenewCached(id, ttl)
+			a.cfg.Local.RenewCached(id, tag.TTL)
 			continue
 		}
 		// The home dropped it: revoked or expired there; drop our copy.

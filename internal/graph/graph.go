@@ -130,35 +130,39 @@ func (g *Graph) edgesTo(r core.Role) []*edge {
 	return list
 }
 
-// Add inserts a delegation and its accompanying support proofs. Adding the
-// same delegation twice is a no-op. The graph performs no validation; the
-// wallet validates before insertion.
+// Add inserts a delegation and its accompanying support proofs. Adding a
+// delegation the graph holds replaces its support proofs: the graph is the
+// wallet's one copy of a bundle, so the last publication is the one it keeps.
+// The graph performs no validation; the wallet validates before insertion.
 func (g *Graph) Add(d *core.Delegation, support []*core.Proof) {
 	id := d.ID()
 	e := &edge{d: d, support: support}
 
 	ids := g.idShard(id)
 	ids.mu.Lock()
-	if _, ok := ids.byID[id]; ok {
-		ids.mu.Unlock()
-		return
-	}
+	old := ids.byID[id]
 	ids.byID[id] = e
 	ids.mu.Unlock()
 
 	ss := g.subjectShard(d.Subject)
 	ss.mu.Lock()
-	list := ss.bySubject[d.Subject]
-	// Cap the capacity so append always allocates: readers holding the old
-	// snapshot never see the backing array mutate.
-	ss.bySubject[d.Subject] = append(list[:len(list):len(list)], e)
+	ss.bySubject[d.Subject] = putEdge(ss.bySubject[d.Subject], old, e)
 	ss.mu.Unlock()
 
 	os := g.objectShard(d.Object)
 	os.mu.Lock()
-	list = os.byObject[d.Object]
-	os.byObject[d.Object] = append(list[:len(list):len(list)], e)
+	os.byObject[d.Object] = putEdge(os.byObject[d.Object], old, e)
 	os.mu.Unlock()
+}
+
+// putEdge returns list without old (nil: nothing to replace) and with e, as
+// a fresh slice: append's capacity is capped so it always allocates, and
+// readers holding the old snapshot never see the backing array mutate.
+func putEdge(list []*edge, old, e *edge) []*edge {
+	if old != nil {
+		list = dropEdge(list, old)
+	}
+	return append(list[:len(list):len(list)], e)
 }
 
 // Remove deletes a delegation by ID, reporting whether it was present.
@@ -244,15 +248,22 @@ func (g *Graph) Len() int {
 // All returns every stored delegation (order unspecified).
 func (g *Graph) All() []*core.Delegation {
 	var out []*core.Delegation
+	g.Each(func(d *core.Delegation, _ []*core.Proof) { out = append(out, d) })
+	return out
+}
+
+// Each calls fn with every stored delegation and its support proofs, in
+// unspecified order. fn runs under a shard's read lock and must not call
+// back into the graph.
+func (g *Graph) Each(fn func(d *core.Delegation, support []*core.Proof)) {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.RLock()
 		for _, e := range sh.byID {
-			out = append(out, e.d)
+			fn(e.d, e.support)
 		}
 		sh.mu.RUnlock()
 	}
-	return out
 }
 
 // Direction selects the search strategy for direct queries (§4.2.3).

@@ -462,3 +462,35 @@ func TestSupportProofsTravelWithEdges(t *testing.T) {
 		t.Fatal("support proof lost in graph round trip")
 	}
 }
+
+// Adding a delegation the graph holds replaces its support proofs in every
+// index — the graph is the wallet's one copy of a bundle — without a second
+// edge appearing beside the first.
+func TestAddAgainReplacesSupport(t *testing.T) {
+	e := newEnv(t, "A", "B", "M")
+	g := New()
+	sup, err := core.NewProof(
+		core.ProofStep{Delegation: e.deleg("[B -> A.assigners] A")},
+		core.ProofStep{Delegation: e.deleg("[A.assigners -> A.reader'] A")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := e.deleg("[M -> A.writer] A")
+	d3 := e.deleg("[M -> A.reader] B")
+	g.Add(d3, nil)
+	g.Add(other, nil) // a second edge from M, so the replacement is not the only one
+	g.Add(d3, []*core.Proof{sup})
+	if _, support, _ := g.Get(d3.ID()); g.Len() != 2 || len(support) != 1 {
+		t.Fatalf("after the second Add: Len = %d, Get support = %d; want 2, 1", g.Len(), len(support))
+	}
+	fromM := g.EnumerateFrom(e.subject("M"), Options{At: testNow})
+	toReader := g.EnumerateTo(e.role("A.reader"), Options{At: testNow})
+	if len(fromM) != 2 || len(toReader) != 1 || len(toReader[0].Steps[0].Support) != 1 {
+		t.Fatalf("edges from M = %d, to A.reader = %d; want 2 and 1, the latter carrying the new support", len(fromM), len(toReader))
+	}
+	for _, p := range fromM {
+		if p.Steps[0].Delegation.ID() == d3.ID() && len(p.Steps[0].Support) != 1 {
+			t.Fatal("the subject index still serves the replaced edge")
+		}
+	}
+}

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"drbac/internal/core"
 )
 
 // SegmentInfo describes one segment file for offline inspection.
@@ -36,8 +34,8 @@ type Info struct {
 
 // Inspect reads a log-store directory without opening it: segments are
 // scanned read-only (a torn tail is reported, not truncated) and the live
-// bundle and revocation counts are computed by replay. The daemon can hold
-// the store open while Inspect runs.
+// bundle and revocation counts come from the same fold Open recovers through.
+// The daemon can hold the store open while Inspect runs.
 func Inspect(dir string) (Info, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -52,8 +50,7 @@ func Inspect(dir string) (Info, error) {
 	sort.Strings(names)
 
 	info := Info{Dir: dir}
-	live := make(map[core.DelegationID]struct{})
-	revoked := make(map[core.DelegationID]struct{})
+	replayed := newFold()
 	for i, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -83,23 +80,14 @@ func Inspect(dir string) (Info, error) {
 			if rec.Seq > si.MaxSeq {
 				si.MaxSeq = rec.Seq
 			}
-			if rec.Seq > info.Seq {
-				info.Seq = rec.Seq
-			}
-			switch rec.Kind {
-			case KindPut:
-				live[rec.ID] = struct{}{}
-			case KindDelete:
-				delete(live, rec.ID)
-			case KindRevoke:
-				revoked[rec.ID] = struct{}{}
-			}
+			replayed.apply(rec)
 		}
 		si.Bytes = int64(off)
 		si.TornBytes = int64(len(data) - off)
 		info.Segments = append(info.Segments, si)
 	}
-	info.Bundles = len(live)
-	info.Revocations = len(revoked)
+	info.Seq = replayed.seq
+	info.Bundles = len(replayed.bundles)
+	info.Revocations = len(replayed.revoked)
 	return info, nil
 }

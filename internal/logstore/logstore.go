@@ -1,12 +1,14 @@
-// Package logstore is a segmented append-only implementation of the
-// wallet's durable Store: every accepted mutation appends one CRC-framed,
+// Package logstore is the wallet's durable journal, a segmented append-only
+// wallet.Store: every accepted mutation appends one CRC-framed,
 // seq-stamped record to the active segment file instead of rewriting the
 // whole wallet state (what the JSON file store it replaced did, priced by
 // EXP-R1). Appends are group-committed — concurrent writers share one fsync
 // — segments seal at a size threshold, and a background compactor folds
 // revoked, expired, and overwritten bundles out of sealed segments. Startup
 // replays the segments in order, truncating a torn tail at the last valid
-// frame.
+// frame, and folds them into the wallet.State that Load hands the wallet;
+// after that the store holds record locations and segment accounting, never
+// a bundle or the revoked set.
 //
 // Because records carry the wallet changelog seq (§9), the sealed segments
 // double as a shippable replication artifact: SnapshotSegments hands a
@@ -103,8 +105,6 @@ type commitBatch struct {
 type Store struct {
 	dir  string
 	opts Options
-	// mem is the replay-derived in-memory view answering all reads.
-	mem wallet.Store
 
 	mAppends      *obs.Counter
 	mSeals        *obs.Counter
@@ -123,9 +123,12 @@ type Store struct {
 	closed     bool
 	segments   []*segment
 	active     *os.File
-	next       int // next segment index
+	next       int    // next segment index
+	seq        uint64 // highest seq any record carries
 	putLoc     map[core.DelegationID]recLoc
 	cur        *commitBatch
+	// recovered is what the segments replayed to at Open, held until Load.
+	recovered wallet.State
 
 	// compactMu serializes Compact passes (background and explicit).
 	compactMu sync.Mutex
@@ -138,18 +141,12 @@ type Store struct {
 var _ wallet.SegmentStore = (*Store)(nil)
 
 // Open opens (or initializes) the segmented store rooted at dir, replaying
-// existing segments into memory. Torn tails — partial frames, CRC damage,
-// zero-fill from a crash mid-append — are truncated at the last valid
-// frame: a torn record was never fsync-acknowledged to any caller, so
-// discarding it restores exactly the acknowledged state. Leftover
+// existing segments into the state Load returns. Torn tails — partial
+// frames, CRC damage, zero-fill from a crash mid-append — are truncated at
+// the last valid frame: a torn record was never fsync-acknowledged to any
+// caller, so discarding it restores exactly the acknowledged state. Leftover
 // compaction temp files were never renamed into place, so they are removed.
 func Open(dir string, opts Options) (*Store, error) {
-	return openOver(dir, opts, wallet.NewMemStore())
-}
-
-// openOver is Open replaying into the given in-memory view; tests pass one
-// that fails.
-func openOver(dir string, opts Options, mem wallet.Store) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("logstore %s: %w", dir, err)
@@ -158,7 +155,6 @@ func openOver(dir string, opts Options, mem wallet.Store) (*Store, error) {
 		dir:    dir,
 		obs:    opts.Obs,
 		opts:   opts,
-		mem:    mem,
 		putLoc: make(map[core.DelegationID]recLoc),
 		next:   1,
 		syncCh: make(chan struct{}, 1),
@@ -186,10 +182,12 @@ func openOver(dir string, opts Options, mem wallet.Store) (*Store, error) {
 			return s.segments[len(s.segments)-1].size
 		})
 	}
-	truncations, err := s.recover()
+	replayed := newFold()
+	truncations, err := s.recover(replayed)
 	if err != nil {
 		return nil, err
 	}
+	s.recovered = replayed.state()
 	if reg := opts.Registry; reg != nil {
 		reg.Counter("drbac_logstore_recovery_truncations_total").Add(int64(truncations))
 	}
@@ -217,10 +215,10 @@ func openOver(dir string, opts Options, mem wallet.Store) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// recover scans the segment directory, truncating torn tails and replaying
-// every valid record into the in-memory view. It returns the number of
+// recover scans the segment directory, truncating torn tails, indexing every
+// valid record and folding it into replayed. It returns the number of
 // segments whose tail was truncated.
-func (s *Store) recover() (truncations int, err error) {
+func (s *Store) recover(replayed *fold) (truncations int, err error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0, fmt.Errorf("logstore %s: %w", s.dir, err)
@@ -265,13 +263,8 @@ func (s *Store) recover() (truncations int, err error) {
 				seg.compacted = seg.compacted || rec.Compacted
 				continue
 			}
-			if err := s.applyRecovered(seg, rec); err != nil {
-				// The record is intact on disk but the view cannot hold it:
-				// serving without it would silently drop an acknowledged
-				// mutation.
-				return 0, fmt.Errorf("logstore %s: segment %s: replaying %s record seq %d: %w",
-					s.dir, name, rec.Kind, rec.Seq, err)
-			}
+			s.index(seg, rec)
+			replayed.apply(rec)
 		}
 		if off < len(data) {
 			// Torn tail: everything decodable was acknowledged, the rest was
@@ -309,18 +302,22 @@ func (seg *segment) span(seq uint64) {
 
 // index accounts for one record seg now holds — appended a moment ago or
 // decoded during recovery: the segment's record count and seq span, and the
-// liveness index (a put supersedes the ID's earlier put, a delete kills it).
+// liveness index (a put supersedes the ID's earlier put, a delete kills it;
+// a put without its bundle holds no state and is never live).
 // Callers hold s.mu, or are recovery, which runs before the store is shared.
 func (s *Store) index(seg *segment, rec Record) {
 	seg.records++
 	seg.span(rec.Seq)
-	switch rec.Kind {
-	case KindPut:
+	if rec.Seq > s.seq {
+		s.seq = rec.Seq
+	}
+	switch {
+	case rec.Kind == KindPut && rec.holdsBundle():
 		if loc, ok := s.putLoc[rec.ID]; ok {
 			loc.seg.dead++
 		}
 		s.putLoc[rec.ID] = recLoc{seg: seg, seq: rec.Seq}
-	case KindDelete:
+	case rec.Kind == KindDelete:
 		if loc, ok := s.putLoc[rec.ID]; ok {
 			loc.seg.dead++
 			delete(s.putLoc, rec.ID)
@@ -328,25 +325,15 @@ func (s *Store) index(seg *segment, rec Record) {
 	}
 }
 
-// applyRecovered indexes one record decoded during recovery and replays it
-// into the in-memory view.
-func (s *Store) applyRecovered(seg *segment, rec Record) error {
-	if rec.Kind == KindPut && (rec.Bundle == nil || rec.Bundle.Delegation == nil) {
-		// A put without its bundle holds no state: it counts toward the
-		// segment's accounting and is never live.
-		rec.Kind = ""
-	}
-	s.index(seg, rec)
-	switch rec.Kind {
-	case KindPut:
-		return s.mem.PutDelegation(rec.Seq, rec.Bundle.Delegation, rec.Bundle.Support)
-	case KindDelete:
-		return s.mem.DeleteDelegation(rec.Seq, rec.ID)
-	case KindRevoke:
-		_, err := s.mem.AddRevocation(rec.Seq, rec.ID, rec.At)
-		return err
-	}
-	return nil
+// Load implements wallet.Store: the state the segments replayed to at Open.
+// It is handed over once — the wallet's memory is the state from then on —
+// and a second call returns the empty state.
+func (s *Store) Load() wallet.State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.recovered
+	s.recovered = wallet.State{}
+	return st
 }
 
 func segmentName(index int) string { return fmt.Sprintf("%08d%s", index, segExt) }
@@ -532,48 +519,21 @@ func (s *Store) PutDelegation(seq uint64, d *core.Delegation, support []*core.Pr
 		ID:     d.ID(),
 		Bundle: &wallet.StoredBundle{Delegation: d, Support: support},
 	}
-	if err := s.append(rec); err != nil {
-		return err
-	}
-	return s.mem.PutDelegation(seq, d, support)
+	return s.append(rec)
 }
 
 // DeleteDelegation implements wallet.Store: one durable tombstone record.
 // Tombstones survive compaction so segment-shipped deltas replay removals
 // faithfully.
 func (s *Store) DeleteDelegation(seq uint64, id core.DelegationID) error {
-	if err := s.append(Record{Seq: seq, Kind: KindDelete, ID: id}); err != nil {
-		return err
-	}
-	return s.mem.DeleteDelegation(seq, id)
+	return s.append(Record{Seq: seq, Kind: KindDelete, ID: id})
 }
 
 // AddRevocation implements wallet.Store. Revocation records carry the
 // original revocation instant and are never compacted away.
 func (s *Store) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
-	if s.mem.IsRevoked(id) {
-		return false, nil
-	}
-	// Recorded in memory even when the append fails (the Store contract).
-	err := s.append(Record{Seq: seq, Kind: KindRevoke, ID: id, At: at})
-	added, _ := s.mem.AddRevocation(seq, id, at)
-	return added, err
+	return true, s.append(Record{Seq: seq, Kind: KindRevoke, ID: id, At: at})
 }
-
-// IsRevoked implements wallet.Store.
-func (s *Store) IsRevoked(id core.DelegationID) bool { return s.mem.IsRevoked(id) }
-
-// RevokedIDs implements wallet.Store.
-func (s *Store) RevokedIDs() []core.DelegationID { return s.mem.RevokedIDs() }
-
-// Revocations implements wallet.Store.
-func (s *Store) Revocations() []wallet.Revocation { return s.mem.Revocations() }
-
-// Bundles implements wallet.Store.
-func (s *Store) Bundles() []wallet.StoredBundle { return s.mem.Bundles() }
-
-// Seq implements wallet.Store.
-func (s *Store) Seq() uint64 { return s.mem.Seq() }
 
 // SnapshotSegments implements wallet.SegmentStore: a consistent copy of
 // every segment holding records with seq greater than afterSeq, in replay
@@ -586,7 +546,7 @@ func (s *Store) SnapshotSegments(afterSeq uint64) (wallet.SegmentSnapshot, error
 	if s.closed {
 		return wallet.SegmentSnapshot{}, errClosed
 	}
-	snap := wallet.SegmentSnapshot{Seq: s.mem.Seq()}
+	snap := wallet.SegmentSnapshot{Seq: s.seq}
 	for i, seg := range s.segments {
 		if seg.records == 0 || seg.maxSeq <= afterSeq {
 			continue

@@ -7,13 +7,16 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"drbac/internal/clock"
 	"drbac/internal/core"
 	"drbac/internal/obs"
+	"drbac/internal/subs"
 	"drbac/internal/wallet"
 )
 
@@ -97,9 +100,6 @@ func TestLogStoreRoundTrip(t *testing.T) {
 	if added, err := s1.AddRevocation(3, gone.ID(), revokedAt); err != nil || !added {
 		t.Fatalf("AddRevocation = (%v, %v)", added, err)
 	}
-	if added, _ := s1.AddRevocation(4, gone.ID(), revokedAt); added {
-		t.Fatal("duplicate AddRevocation reported added")
-	}
 	if err := s1.DeleteDelegation(3, gone.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -108,19 +108,19 @@ func TestLogStoreRoundTrip(t *testing.T) {
 	}
 
 	s2 := open(t, dir, testOpts())
-	bundles := s2.Bundles()
-	if len(bundles) != 1 || bundles[0].Delegation.ID() != keep.ID() {
-		t.Fatalf("recovered bundles = %v, want only %s", bundles, keep.ID())
+	st := s2.Load()
+	if len(st.Bundles) != 1 || st.Bundles[0].Delegation.ID() != keep.ID() {
+		t.Fatalf("recovered bundles = %v, want only %s", st.Bundles, keep.ID())
 	}
-	if !s2.IsRevoked(gone.ID()) {
-		t.Fatal("revocation lost across reopen")
+	if len(st.Revocations) != 1 || st.Revocations[0].ID != gone.ID() || !st.Revocations[0].At.Equal(revokedAt) {
+		t.Fatalf("recovered revocations = %+v, want %s at its original instant %v", st.Revocations, gone.ID(), revokedAt)
 	}
-	revs := s2.Revocations()
-	if len(revs) != 1 || !revs[0].At.Equal(revokedAt) {
-		t.Fatalf("recovered revocations = %+v, want original instant %v", revs, revokedAt)
+	if st.Seq != 3 {
+		t.Fatalf("recovered Seq = %d, want 3", st.Seq)
 	}
-	if got := s2.Seq(); got != 3 {
-		t.Fatalf("recovered Seq = %d, want 3", got)
+	// The state is handed over once: the store keeps no copy of it.
+	if again := s2.Load(); again.Seq != 0 || len(again.Bundles) != 0 || len(again.Revocations) != 0 {
+		t.Fatalf("second Load = %+v, want the empty state", again)
 	}
 }
 
@@ -149,11 +149,8 @@ func TestLogStoreSealsAndReplaysManySegments(t *testing.T) {
 	}
 
 	s2 := open(t, dir, opts)
-	if got := len(s2.Bundles()); got != n {
-		t.Fatalf("recovered %d bundles, want %d", got, n)
-	}
-	if got := s2.Seq(); got != n {
-		t.Fatalf("recovered Seq = %d, want %d", got, n)
+	if st := s2.Load(); len(st.Bundles) != n || st.Seq != n {
+		t.Fatalf("recovered %d bundles at seq %d, want %d at %d", len(st.Bundles), st.Seq, n, n)
 	}
 	// The reopened store appends to the recovered active segment.
 	extra := e.deleg("[Maria -> BigISP.extra] BigISP")
@@ -210,12 +207,12 @@ func TestLogStoreTornTailRecovery(t *testing.T) {
 			opts := testOpts()
 			opts.Registry = reg
 			s2 := open(t, dir, opts)
-			bundles := s2.Bundles()
-			if len(bundles) != 1 || bundles[0].Delegation.ID() != keep.ID() {
-				t.Fatalf("recovered bundles = %v, want the acknowledged prefix", bundles)
+			st := s2.Load()
+			if len(st.Bundles) != 1 || st.Bundles[0].Delegation.ID() != keep.ID() {
+				t.Fatalf("recovered bundles = %v, want the acknowledged prefix", st.Bundles)
 			}
-			if s2.IsRevoked("torn") || s2.Seq() != 1 {
-				t.Fatalf("torn tail leaked into state: seq=%d", s2.Seq())
+			if len(st.Revocations) != 0 || st.Seq != 1 {
+				t.Fatalf("torn tail leaked into state: seq=%d revocations=%v", st.Seq, st.Revocations)
 			}
 			if got := reg.Snapshot().Counters["drbac_logstore_recovery_truncations_total"]; got != 1 {
 				t.Fatalf("recovery_truncations_total = %d, want 1", got)
@@ -230,7 +227,7 @@ func TestLogStoreTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			s3 := open(t, dir, testOpts())
-			if got := len(s3.Bundles()); got != 2 {
+			if got := len(s3.Load().Bundles); got != 2 {
 				t.Fatalf("bundles after post-tear append = %d, want 2", got)
 			}
 		})
@@ -297,24 +294,28 @@ func TestLogStoreCompactionDropsDeadPuts(t *testing.T) {
 	if snap.Counters["drbac_logstore_compactions_total"] == 0 {
 		t.Fatal("compactions_total = 0 after a shrinking pass")
 	}
-	if got := len(s.Bundles()); got != n/2 {
-		t.Fatalf("bundles after compaction = %d, want %d", got, n/2)
+	if info, err := Inspect(dir); err != nil || info.Bundles != n/2 {
+		t.Fatalf("bundles after compaction = %d (%v), want %d", info.Bundles, err, n/2)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := open(t, dir, testOpts())
-	if got := len(s2.Bundles()); got != n/2 {
+	st := open(t, dir, testOpts()).Load()
+	if got := len(st.Bundles); got != n/2 {
 		t.Fatalf("bundles after compacted reopen = %d, want %d", got, n/2)
 	}
+	revoked := make(map[core.DelegationID]bool)
+	for _, r := range st.Revocations {
+		revoked[r.ID] = true
+	}
 	for i := 0; i < n/2; i++ {
-		if !s2.IsRevoked(ids[i]) {
+		if !revoked[ids[i]] {
 			t.Fatalf("revocation tombstone for %s lost to compaction", ids[i])
 		}
 	}
-	if got := s2.Seq(); got != seq {
-		t.Fatalf("Seq after compacted reopen = %d, want %d", got, seq)
+	if st.Seq != seq {
+		t.Fatalf("Seq after compacted reopen = %d, want %d", st.Seq, seq)
 	}
 }
 
@@ -354,7 +355,7 @@ func TestLogStoreKillDuringCompaction(t *testing.T) {
 	}
 
 	s2 := open(t, dir, testOpts())
-	if got := len(s2.Bundles()); got != n {
+	if got := len(s2.Load().Bundles); got != n {
 		t.Fatalf("recovered %d bundles with stale .cmp present, want %d", got, n)
 	}
 	if _, err := os.Stat(cmpPath); !os.IsNotExist(err) {
@@ -404,7 +405,7 @@ func TestLogStoreConcurrentAppends(t *testing.T) {
 	}
 
 	s2 := open(t, dir, testOpts())
-	if got := len(s2.Bundles()); got != workers*perWorker {
+	if got := len(s2.Load().Bundles); got != workers*perWorker {
 		t.Fatalf("recovered %d bundles, want %d", got, workers*perWorker)
 	}
 }
@@ -481,19 +482,55 @@ func TestLogStoreSnapshotSegments(t *testing.T) {
 	}
 }
 
-// TestLogStoreBackedWallet runs the wallet API end to end on a log store:
-// publish (a third-party delegation with its support proof included),
-// revoke, restart, re-prove from the replayed bundles, with seq continuity
-// across the restart.
+// walletState renders everything a wallet holds in memory canonically: its
+// seq, its delegations, its revocations with their instants, and the
+// snapshot it would hand a replica (bundles with the delegations of their
+// support proofs).
+func walletState(w *wallet.Wallet) string {
+	lines := []string{fmt.Sprintf("seq %d", w.Seq())}
+	for _, d := range w.Delegations() {
+		lines = append(lines, "holds "+string(d.ID()))
+	}
+	for _, r := range w.Revocations() {
+		lines = append(lines, fmt.Sprintf("revoked %s at %s", r.ID, r.At.UTC().Format(time.RFC3339Nano)))
+	}
+	snap := w.Snapshot()
+	lines = append(lines, fmt.Sprintf("snapshot seq %d", snap.Seq))
+	for _, b := range snap.Bundles {
+		line := "snapshot bundle " + string(b.Delegation.ID())
+		for _, sp := range b.Support {
+			for _, sd := range sp.Delegations() {
+				line += " +" + sd.ID().Short()
+			}
+		}
+		lines = append(lines, line)
+	}
+	for _, id := range snap.Revoked {
+		lines = append(lines, "snapshot revoked "+string(id))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestLogStoreBackedWallet runs the wallet API end to end on a log store —
+// publish (a third-party delegation with its support proof included), revoke,
+// expire, re-publish over a held delegation and after a removal — then
+// restarts: the wallet rebuilt from Load must be the wallet that was running
+// (delegations, revocation instants, seq, snapshot) and must re-prove from
+// the replayed bundles.
 func TestLogStoreBackedWallet(t *testing.T) {
 	we := newEnv(t, "BigISP", "Mark", "Maria")
 	dir := filepath.Join(t.TempDir(), "log")
+	clk := clock.NewFake(testStart)
+	cfg := wallet.Config{Owner: we.ids["BigISP"], Directory: we.dir, Clock: clk}
 
 	s1 := open(t, dir, testOpts())
-	w1 := wallet.New(wallet.Config{Owner: we.ids["BigISP"], Directory: we.dir, Store: s1})
+	cfg.Store = s1
+	w1 := wallet.New(cfg)
 	d1 := we.deleg("[Mark -> BigISP.memberServices] BigISP")
 	d2 := we.deleg("[BigISP.memberServices -> BigISP.member'] BigISP")
 	d3 := we.deleg("[Maria -> BigISP.member] Mark")
+	brief := we.deleg("[Maria -> BigISP.guest] BigISP <expiry:2026-07-06T12:30:00Z>")
 	sup, err := core.NewProof(core.ProofStep{Delegation: d1}, core.ProofStep{Delegation: d2})
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +538,7 @@ func TestLogStoreBackedWallet(t *testing.T) {
 	for _, pub := range []struct {
 		d       *core.Delegation
 		support []*core.Proof
-	}{{d1, nil}, {d2, nil}, {d3, []*core.Proof{sup}}} {
+	}{{d1, nil}, {d2, nil}, {d3, []*core.Proof{sup}}, {brief, nil}, {d3, nil} /* support from the graph this time */} {
 		if err := w1.Publish(pub.d, pub.support...); err != nil {
 			t.Fatal(err)
 		}
@@ -510,21 +547,32 @@ func TestLogStoreBackedWallet(t *testing.T) {
 	if err := w1.Publish(doomed); err != nil {
 		t.Fatal(err)
 	}
+	clk.Advance(time.Hour)
 	if err := w1.Revoke(doomed.ID(), we.ids["BigISP"].ID()); err != nil {
 		t.Fatal(err)
 	}
-	seq1 := w1.Seq()
+	if n := w1.SweepExpired(); n != 1 {
+		t.Fatalf("expiry sweep removed %d, want the brief delegation alone", n)
+	}
+	if !w1.DropReplicated(d2.ID(), subs.Stale) {
+		t.Fatal("d2 was not held")
+	}
+	if err := w1.Publish(d2); err != nil { // back after its removal
+		t.Fatal(err)
+	}
+	before := walletState(w1)
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := open(t, dir, testOpts())
-	w2 := wallet.New(wallet.Config{Owner: we.ids["BigISP"], Directory: we.dir, Store: s2})
-	if w2.Seq() != seq1 {
-		t.Fatalf("restarted wallet seq = %d, want %d (changelog continuity)", w2.Seq(), seq1)
+	cfg.Store = s2
+	w2 := wallet.New(cfg)
+	if after := walletState(w2); after != before {
+		t.Fatalf("the wallet rebuilt from Load is not the wallet that was running\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
-	if w2.Len() != 3 {
-		t.Fatalf("restarted wallet holds %d delegations, want 3", w2.Len())
+	if w2.Len() != 3 || w2.Seq() != 10 {
+		t.Fatalf("restarted wallet holds %d delegations at seq %d, want 3 at 10", w2.Len(), w2.Seq())
 	}
 	// Maria ⇒ BigISP.member needs d3 plus its stored support chain.
 	p, err := w2.QueryDirect(wallet.Query{
@@ -541,33 +589,73 @@ func TestLogStoreBackedWallet(t *testing.T) {
 	if !uses {
 		t.Fatal("restarted proof does not use the stored third-party delegation")
 	}
-	if !w2.IsRevoked(doomed.ID()) {
-		t.Fatal("restarted wallet lost the revocation")
-	}
 	if err := w2.Publish(doomed); err == nil {
 		t.Fatal("restarted wallet accepted a revoked delegation")
 	}
 }
 
-// TestRevocationSurvivesFailedAppend pins the Store contract for the one
-// write whose loss is unsafe: a revocation the log cannot persist is still
-// recorded in memory, and the error says durability is at risk.
+// TestCachedCopiesAreNotJournaled: the journal records what the wallet is
+// home to. A TTL-coherent copy lives until its TTL lapses and no longer — a
+// restart must not promote it to a permanent delegation nobody monitors —
+// until a plain Publish makes the wallet its home.
+func TestCachedCopiesAreNotJournaled(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	dir := filepath.Join(t.TempDir(), "log")
+	cfg := wallet.Config{Owner: e.ids["BigISP"], Clock: clock.NewFake(testStart)}
+
+	s1 := open(t, dir, testOpts())
+	cfg.Store = s1
+	w1 := wallet.New(cfg)
+	cached := e.deleg("[Maria -> BigISP.member] BigISP")
+	adopted := e.deleg("[Maria -> BigISP.guest] BigISP")
+	doomed := e.deleg("[Maria -> BigISP.admin] BigISP")
+	for _, d := range []*core.Delegation{cached, adopted, doomed} {
+		if err := w1.InsertCached(d, nil, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w1.Publish(adopted); err != nil {
+		t.Fatal(err)
+	}
+	w1.AcceptRevocation(doomed.ID())
+	if w1.Len() != 2 || w1.CachedCount() != 1 {
+		t.Fatalf("running wallet holds %d delegations, %d TTL-tracked; want 2, 1", w1.Len(), w1.CachedCount())
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := Inspect(dir)
+	if err != nil || info.Bundles != 1 || info.Revocations != 1 {
+		t.Fatalf("journal holds %d bundles, %d revocations (%v); want the adopted one and the revocation", info.Bundles, info.Revocations, err)
+	}
+	cfg.Store = open(t, dir, testOpts())
+	w2 := wallet.New(cfg)
+	if w2.Contains(cached.ID()) || !w2.Contains(adopted.ID()) || !w2.IsRevoked(doomed.ID()) || w2.Len() != 1 {
+		t.Fatalf("restarted wallet: cached copy held=%v, adopted held=%v, doomed revoked=%v, %d delegations; want false true true 1",
+			w2.Contains(cached.ID()), w2.Contains(adopted.ID()), w2.IsRevoked(doomed.ID()), w2.Len())
+	}
+}
+
+// TestRevocationSurvivesFailedAppend pins the one write whose loss is
+// unsafe: a revocation the log cannot record is in force in the wallet all
+// the same, and the error says a restart may not know of it.
 func TestRevocationSurvivesFailedAppend(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria")
 	s := open(t, filepath.Join(t.TempDir(), "log"), testOpts())
+	w := wallet.New(wallet.Config{Owner: e.ids["BigISP"], Store: s})
 	d := e.deleg("[Maria -> BigISP.member] BigISP")
-	if err := s.PutDelegation(1, d, nil); err != nil {
+	if err := w.Publish(d); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil { // every later append fails
 		t.Fatal(err)
 	}
-	added, err := s.AddRevocation(2, d.ID(), testStart)
-	if err == nil || !added {
-		t.Fatalf("AddRevocation on a failing log = (%v, %v), want (true, error)", added, err)
+	if err := w.Revoke(d.ID(), e.ids["BigISP"].ID()); !errors.Is(err, errClosed) {
+		t.Fatalf("Revoke over a failing log = %v, want the log's error", err)
 	}
-	if !s.IsRevoked(d.ID()) {
-		t.Fatal("revocation whose append failed is not held in memory")
+	if !w.IsRevoked(d.ID()) || w.Contains(d.ID()) || w.Publish(d) == nil {
+		t.Fatal("revocation whose append failed is not in force in the wallet")
 	}
 }
 
@@ -695,45 +783,6 @@ func TestDecodeSegmentRejectsNewerFormat(t *testing.T) {
 	}
 	if !bytes.Contains(hdr, []byte("hdr")) {
 		t.Fatal("header frame does not mention its kind") // sanity on the fixture
-	}
-}
-
-// failingIndex is an in-memory view that cannot hold revocations, the way
-// the wallet package's failingStore fakes a bad disk.
-type failingIndex struct{ *wallet.MemStore }
-
-var errIndex = errors.New("index full")
-
-func (failingIndex) AddRevocation(uint64, core.DelegationID, time.Time) (bool, error) {
-	return false, errIndex
-}
-
-// TestOpenFailsWhenARecordCannotBeReplayed: a CRC-valid record the
-// in-memory view refuses must fail Open, naming the segment and the seq —
-// not yield a store that silently lacks an acknowledged revocation.
-func TestOpenFailsWhenARecordCannotBeReplayed(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria")
-	dir := filepath.Join(t.TempDir(), "log")
-	s := open(t, dir, testOpts())
-	d := e.deleg("[Maria -> BigISP.member] BigISP")
-	if err := s.PutDelegation(1, d, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddRevocation(2, d.ID(), testStart); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err := openOver(dir, testOpts(), failingIndex{wallet.NewMemStore()})
-	if !errors.Is(err, errIndex) {
-		t.Fatalf("Open over a failing index = %v, want it to fail with the index error", err)
-	}
-	for _, want := range []string{segmentName(1), "rev record seq 2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
 	}
 }
 

@@ -47,6 +47,54 @@ type Record struct {
 	Compacted bool `json:"compacted,omitempty"`
 }
 
+// holdsBundle reports whether a put record carries the bundle it records; one
+// that does not holds no state.
+func (r Record) holdsBundle() bool { return r.Bundle != nil && r.Bundle.Delegation != nil }
+
+// fold is the state a record log replays to, built one record at a time:
+// what Open recovers for Load and what Inspect counts.
+type fold struct {
+	seq     uint64
+	bundles map[core.DelegationID]wallet.StoredBundle
+	revoked map[core.DelegationID]time.Time
+}
+
+func newFold() *fold {
+	return &fold{
+		bundles: make(map[core.DelegationID]wallet.StoredBundle),
+		revoked: make(map[core.DelegationID]time.Time),
+	}
+}
+
+// apply replays one record: a put supersedes the ID's earlier put, a delete
+// removes it, a revocation is for good.
+func (f *fold) apply(rec Record) {
+	if rec.Seq > f.seq {
+		f.seq = rec.Seq
+	}
+	switch rec.Kind {
+	case KindPut:
+		if rec.holdsBundle() {
+			f.bundles[rec.ID] = *rec.Bundle
+		}
+	case KindDelete:
+		delete(f.bundles, rec.ID)
+	case KindRevoke:
+		f.revoked[rec.ID] = rec.At
+	}
+}
+
+func (f *fold) state() wallet.State {
+	st := wallet.State{Seq: f.seq}
+	for _, b := range f.bundles {
+		st.Bundles = append(st.Bundles, b)
+	}
+	for id, at := range f.revoked {
+		st.Revocations = append(st.Revocations, wallet.Revocation{ID: id, At: at})
+	}
+	return st
+}
+
 // Frame layout: a 4-byte big-endian payload length, a 4-byte CRC-32
 // (Castagnoli) of the payload, then the JSON payload. The CRC lets recovery
 // distinguish a cleanly written record from a torn or bit-rotted tail.

@@ -23,7 +23,7 @@ var (
 		"drbac_wallet_query_object_total":   "Object-rooted proof enumeration queries.",
 		"drbac_wallet_query_noproof_total":  "Queries that found no proof.",
 		"drbac_wallet_replay_skipped_total": "Changelog replay records skipped as already applied.",
-		"drbac_wallet_store_errors_total":   "Durable-store writes that failed on a path with no caller to tell (sweeps, replicated drops, accepted revocations); memory and disk have diverged.",
+		"drbac_wallet_store_errors_total":   "Journal writes that failed on a path with no caller to tell (expiry sweep, replicated drops, accepted revocations); memory and disk have diverged.",
 		"drbac_search_nodes_total":          "Graph-search nodes expanded across proof searches.",
 		"drbac_search_edges_total":          "Graph-search edges traversed across proof searches.",
 		"drbac_search_pruned_total":         "Graph-search branches pruned (depth/constraint bounds).",

@@ -82,10 +82,16 @@ func (o *Obs) Registry() *Registry {
 	return o.reg
 }
 
-// Counter resolves a counter from the registry (nil when uninstrumented —
-// still safe to Inc). Components resolve their hot-path counters once at
-// construction instead of per event.
-func (o *Obs) Counter(name string) *Counter { return o.Registry().Counter(name) }
+// Counter resolves a counter from the registry; an uninstrumented component
+// gets a live counter of its own that no registry exports, so the one counter
+// it bumps is also the one its Stats reads. Components resolve their hot-path
+// counters once at construction instead of per event.
+func (o *Obs) Counter(name string) *Counter {
+	if reg := o.Registry(); reg != nil {
+		return reg.Counter(name)
+	}
+	return &Counter{}
+}
 
 // Histogram resolves a histogram from the registry (nil when
 // uninstrumented — still safe to Observe).

@@ -48,18 +48,14 @@ type Config struct {
 type Proxy struct {
 	cfg Config
 	obs *obs.Obs
-	// mHits/mPulls mirror the hits/pulls counters into the metrics registry
-	// (nil, hence no-op, when uninstrumented).
-	mHits  *obs.Counter
-	mPulls *obs.Counter
+	// hits counts direct queries answered from the cache, pulls upstream
+	// pull-through queries (cache misses): drbac_proxy_{hits,pulls}_total.
+	hits  *obs.Counter
+	pulls *obs.Counter
 
 	mu      sync.Mutex
 	cancels map[core.DelegationID]func()
 	closed  bool
-	// Pulls counts upstream pull-through queries (cache misses).
-	pulls int
-	// Hits counts direct queries answered from the cache.
-	hits int
 }
 
 // New builds a proxy over a local cache wallet and an upstream connection.
@@ -77,8 +73,8 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		cfg:     cfg,
 		obs:     o,
-		mHits:   o.Counter("drbac_proxy_hits_total"),
-		mPulls:  o.Counter("drbac_proxy_pulls_total"),
+		hits:    o.Counter("drbac_proxy_hits_total"),
+		pulls:   o.Counter("drbac_proxy_pulls_total"),
 		cancels: make(map[core.DelegationID]func()),
 	}
 	return p, nil
@@ -98,9 +94,7 @@ func (p *Proxy) Close() {
 
 // Stats reports cache effectiveness.
 func (p *Proxy) Stats() (hits, pulls int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.pulls
+	return int(p.hits.Value()), int(p.pulls.Value())
 }
 
 // QueryDirect answers from the cache wallet (whose proof cache memoizes
@@ -113,18 +107,12 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	}
 	q.Ctx = ctx
 	if proof, err := p.cfg.Local.QueryDirect(q); err == nil {
-		p.mu.Lock()
-		p.hits++
-		p.mu.Unlock()
-		p.mHits.Inc()
+		p.hits.Inc()
 		return proof, nil
 	} else if !errors.Is(err, core.ErrNoProof) {
 		return nil, err
 	}
-	p.mu.Lock()
-	p.pulls++
-	p.mu.Unlock()
-	p.mPulls.Inc()
+	p.pulls.Inc()
 	p.obs.Log().Debug("proxy pull-through",
 		"trace", q.TraceID, "subject", q.Subject.String(), "object", q.Object.String())
 
@@ -195,19 +183,7 @@ func (p *Proxy) ensureSubscribed(ctx context.Context, up *remote.Client, id core
 	p.cancels[id] = func() {}
 	p.mu.Unlock()
 
-	cancel, err := up.Subscribe(ctx, id, func(ev subs.Event) {
-		switch ev.Kind {
-		case subs.Revoked:
-			p.cfg.Local.AcceptRevocation(ev.Delegation)
-		case subs.Expired, subs.Stale:
-			p.cfg.Local.SweepExpired()
-			p.cfg.Local.SweepStaleCache()
-		case subs.Renewed:
-			if p.cfg.TTL > 0 {
-				p.cfg.Local.RenewCached(ev.Delegation, p.cfg.TTL)
-			}
-		}
-	})
+	cancel, err := up.Subscribe(ctx, id, func(ev subs.Event) { p.cfg.Local.ApplyHomeEvent(ev, p.cfg.TTL) })
 	if err != nil {
 		p.mu.Lock()
 		delete(p.cancels, id)

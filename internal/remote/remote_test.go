@@ -289,6 +289,31 @@ func TestRemotePublishWithTTLCreatesCacheEntry(t *testing.T) {
 	}
 }
 
+// Any authenticated peer may send a TTL publish for a credential it can
+// query. Over a delegation the home wallet holds permanently that must change
+// nothing: the home copy is not a cache entry a sweep can take away.
+func TestRemotePublishWithTTLCannotEvictTheHomeCopy(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria", "Mallory")
+	_, w := e.serve("wallet.bigisp", "BigISP")
+	d := e.deleg("[Maria -> BigISP.member] BigISP")
+	if err := w.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	seq := w.Seq()
+	mallory := e.dial("wallet.bigisp", "Mallory")
+	if err := mallory.Publish(context.Background(), d, nil, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.Advance(time.Minute)
+	if n := w.SweepStaleCache(); n != 0 || !w.Contains(d.ID()) || w.CachedCount() != 0 || w.Seq() != seq {
+		t.Fatalf("after the TTL publish and a sweep: swept=%d held=%v ttlTracked=%d seq=%d, want 0 true 0 %d",
+			n, w.Contains(d.ID()), w.CachedCount(), w.Seq(), seq)
+	}
+	if _, err := mallory.QueryDirect(context.Background(), e.subject("Maria"), e.role("BigISP.member"), nil, 0); err != nil {
+		t.Fatalf("the home wallet no longer proves its own credential: %v", err)
+	}
+}
+
 func TestProveRole(t *testing.T) {
 	e := newEnv(t, "AirNet", "WalletOp", "Maria")
 	// WalletOp operates AirNet's wallet and holds AirNet.wallet.

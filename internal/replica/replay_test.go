@@ -19,14 +19,15 @@ import (
 // feedHistory is the upstream history TestReplayFeedsAgree delivers over
 // every feed, in two halves so the delta feed can split it: publishes, a
 // sequenced-but-unrecorded renewal, a delete followed by a re-publish, a key
-// the follower's filter refuses, an expiry and a revocation. It issues
-// feedPuts put records and leaves feedBundles bundles upstream.
+// the follower's filter refuses, an expiry and a revocation. It announces
+// feedPuts publications, journals journalPuts of them (a cached copy is not
+// journaled) and leaves feedBundles bundles upstream.
 type feedHistory struct {
-	a, b, c, x, d, y      *core.Delegation
-	firstHalf, secondHalf func(up *wallet.Wallet)
-	filter                func(*core.Delegation) bool
-	filterCalls           atomic.Int64
-	feedPuts, feedBundles int64
+	a, b, c, x, d, y                   *core.Delegation
+	firstHalf, secondHalf              func(up *wallet.Wallet)
+	filter                             func(*core.Delegation) bool
+	filterCalls                        atomic.Int64
+	feedPuts, journalPuts, feedBundles int64
 }
 
 // newFeedHistory scripts the history over e's clock. Every feed replays the
@@ -59,7 +60,7 @@ func newFeedHistory(t *testing.T, e *env, ds []*core.Delegation) *feedHistory {
 		must(up.Revoke(h.a.ID(), e.id("BigISP").ID()))
 		must(up.Publish(h.y))
 	}
-	h.feedPuts, h.feedBundles = 7, 4 // a b c x d d y; b x d y
+	h.feedPuts, h.journalPuts, h.feedBundles = 7, 6, 4 // a b c x d(cached) d y; a b c x d y; b x d y
 	h.filter = func(d *core.Delegation) bool {
 		h.filterCalls.Add(1)
 		return d.ID() != h.x.ID()
@@ -140,7 +141,7 @@ func TestReplayFeedsAgree(t *testing.T) {
 				}
 				return fw, f.Status().AppliedSeq
 			}},
-		{"segments", func(h *feedHistory) int64 { return h.feedPuts },
+		{"segments", func(h *feedHistory) int64 { return h.journalPuts },
 			func(t *testing.T, e *env, h *feedHistory) (*wallet.Wallet, uint64) {
 				up, _ := logUpstream(t, e)
 				h.firstHalf(up)
@@ -151,7 +152,7 @@ func TestReplayFeedsAgree(t *testing.T) {
 				}
 				return fw, f.Status().AppliedSeq
 			}},
-		{"delta", func(h *feedHistory) int64 { return h.feedPuts },
+		{"delta", func(h *feedHistory) int64 { return h.journalPuts },
 			func(t *testing.T, e *env, h *feedHistory) (*wallet.Wallet, uint64) {
 				up, st := logUpstream(t, e)
 				fw := e.wallet("Replica", nil)

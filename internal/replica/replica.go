@@ -104,11 +104,9 @@ type Follower struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	applied      atomic.Uint64
-	lagSecs      atomic.Int64
-	resyncs      atomic.Int64
-	segmentSyncs atomic.Int64
-	connected    atomic.Bool
+	applied   atomic.Uint64
+	lagSecs   atomic.Int64
+	connected atomic.Bool
 
 	mu       sync.Mutex
 	upstream string
@@ -187,8 +185,8 @@ func (f *Follower) Status() Status {
 	return Status{
 		AppliedSeq:   f.applied.Load(),
 		LagSeconds:   f.lagSecs.Load(),
-		Resyncs:      f.resyncs.Load(),
-		SegmentSyncs: f.segmentSyncs.Load(),
+		Resyncs:      f.mResyncs.Value(),
+		SegmentSyncs: f.mSegSyncs.Value(),
 		Connected:    f.connected.Load(),
 		Upstream:     up,
 	}
@@ -389,7 +387,6 @@ func (f *Follower) handle(ctx context.Context, c *remote.Client, p wire.NotifyPu
 // Because a resync happens on the connection the applied seq was built
 // from, it may fetch a delta — only records newer than the applied seq.
 func (f *Follower) resync(ctx context.Context, c *remote.Client, why string) error {
-	f.resyncs.Add(1)
 	f.mResyncs.Inc()
 	f.cfg.Obs.Log().Info("replica: resyncing", "reason", why)
 	return f.syncOnce(ctx, c, f.applied.Load())
@@ -465,7 +462,6 @@ func (f *Follower) syncSegments(ctx context.Context, c *remote.Client, afterSeq 
 		return err
 	}
 	f.replay(changes, afterSeq, resp.Seq, afterSeq == 0)
-	f.segmentSyncs.Add(1)
 	f.mSegSyncs.Inc()
 	f.cfg.Obs.Log().Info("replica: segment sync applied",
 		"afterSeq", afterSeq, "seq", resp.Seq, "segments", len(resp.Segments), "records", len(changes))

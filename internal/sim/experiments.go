@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 
-	"drbac/internal/baseline"
 	"drbac/internal/core"
 	"drbac/internal/discovery"
 	"drbac/internal/graph"
-	"drbac/internal/revocation"
 	"drbac/internal/wallet"
 )
 
@@ -122,24 +120,6 @@ func RunPruning(width, depth int) (PruningPoint, error) {
 	}
 	point.UnprunedEdges = unpruned.EdgesExplored
 	return point, nil
-}
-
-// RunRevocation wraps EXP-S3 for the harness.
-func RunRevocation(p revocation.Params) ([]revocation.Result, error) {
-	return revocation.RunAll(p)
-}
-
-// RunSeparability wraps EXP-S4 for the harness.
-func RunSeparability(s baseline.Scenario) (drbac, phantom baseline.Outcome, err error) {
-	drbac, err = baseline.DRBAC(s)
-	if err != nil {
-		return baseline.Outcome{}, baseline.Outcome{}, err
-	}
-	phantom, err = baseline.PhantomRole(s)
-	if err != nil {
-		return baseline.Outcome{}, baseline.Outcome{}, err
-	}
-	return drbac, phantom, nil
 }
 
 // CaseStudyResult reports the Figure 2 / Table 3 reproduction: the

@@ -1,13 +1,14 @@
-// Package revocation implements the credential-status comparators of §6:
-// an OCSP-style polling responder, a CRL-style broadcast distributor, and
-// dRBAC's delegation subscriptions — all as real message-passing protocols
-// over the same counted in-memory network, so the experiment (EXP-S3)
-// compares measured messages and bytes rather than formulas.
+package sim
+
+// The credential-status comparators of §6: an OCSP-style polling responder,
+// a CRL-style broadcast distributor, and dRBAC's delegation subscriptions —
+// all as real message-passing protocols over a World's counted in-memory
+// network, so the experiment (EXP-S3) compares measured messages and bytes
+// rather than formulas.
 //
 // The simulation is driven in discrete time steps by the harness (no wall-
 // clock sleeps): each step the harness may poll, publish a CRL, or revoke a
 // credential; the schemes respond with real frames.
-package revocation
 
 import (
 	"context"
@@ -20,26 +21,25 @@ import (
 	"drbac/internal/remote"
 	"drbac/internal/subs"
 	"drbac/internal/transport"
-	"drbac/internal/wallet"
 )
 
-// Scheme names a credential-status mechanism.
-type Scheme string
+// RevocationScheme names a credential-status mechanism.
+type RevocationScheme string
 
 const (
 	// OCSP: every client polls the responder for every monitored
 	// credential at a fixed interval (RFC 2560 model).
-	OCSP Scheme = "ocsp"
+	OCSP RevocationScheme = "ocsp"
 	// CRL: the distributor periodically pushes the full revocation list to
 	// every subscriber (RFC 2459 model).
-	CRL Scheme = "crl"
+	CRL RevocationScheme = "crl"
 	// Subscription: dRBAC delegation subscriptions push one notification
 	// per status change to interested parties only (§4.2.2).
-	Subscription Scheme = "subscription"
+	Subscription RevocationScheme = "subscription"
 )
 
-// Params shapes one simulated session.
-type Params struct {
+// RevocationParams shapes one simulated session.
+type RevocationParams struct {
 	// Clients monitoring credentials.
 	Clients int
 	// Credentials monitored by every client (a shared coalition set).
@@ -56,7 +56,7 @@ type Params struct {
 }
 
 // Validate checks parameter sanity.
-func (p Params) Validate() error {
+func (p RevocationParams) Validate() error {
 	if p.Clients <= 0 || p.Credentials <= 0 || p.Steps <= 0 {
 		return fmt.Errorf("revocation: Clients, Credentials, Steps must be positive")
 	}
@@ -69,9 +69,9 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Result reports the measured cost of one scheme over one session.
-type Result struct {
-	Scheme Scheme
+// RevocationResult reports the measured cost of one scheme over one session.
+type RevocationResult struct {
+	Scheme RevocationScheme
 	// Messages and Bytes are total network frames and payload bytes,
 	// including connection handshakes and subscription setup.
 	Messages int64
@@ -83,10 +83,10 @@ type Result struct {
 	StalenessSteps int
 }
 
-// Run executes one scheme under p and returns its measured cost.
-func Run(scheme Scheme, p Params) (Result, error) {
+// RunRevocationScheme executes one scheme under p and returns its measured cost.
+func RunRevocationScheme(scheme RevocationScheme, p RevocationParams) (RevocationResult, error) {
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return RevocationResult{}, err
 	}
 	switch scheme {
 	case OCSP:
@@ -96,15 +96,16 @@ func Run(scheme Scheme, p Params) (Result, error) {
 	case Subscription:
 		return runSubscription(p)
 	default:
-		return Result{}, fmt.Errorf("revocation: unknown scheme %q", scheme)
+		return RevocationResult{}, fmt.Errorf("revocation: unknown scheme %q", scheme)
 	}
 }
 
-// RunAll executes all three schemes under identical parameters.
-func RunAll(p Params) ([]Result, error) {
-	var out []Result
-	for _, s := range []Scheme{OCSP, CRL, Subscription} {
-		r, err := Run(s, p)
+// RunRevocation executes all three schemes under identical parameters
+// (EXP-S3).
+func RunRevocation(p RevocationParams) ([]RevocationResult, error) {
+	var out []RevocationResult
+	for _, s := range []RevocationScheme{OCSP, CRL, Subscription} {
+		r, err := RunRevocationScheme(s, p)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +125,7 @@ func credIDs(n int) []string {
 }
 
 // revocationSchedule maps step -> credential index revoked at that step.
-func revocationSchedule(p Params) map[int]int {
+func revocationSchedule(p RevocationParams) map[int]int {
 	sched := make(map[int]int, len(p.RevokeAt))
 	next := 0
 	for _, at := range p.RevokeAt {
@@ -153,20 +154,18 @@ type ocspResp struct {
 // runOCSP: a responder holds status; each client polls all credentials
 // every PollEvery steps (one batched request per poll, the favourable case
 // for OCSP).
-func runOCSP(p Params) (Result, error) {
-	net, ids, cleanup, err := newWorld()
-	if err != nil {
-		return Result{}, err
-	}
-	defer cleanup()
+func runOCSP(p RevocationParams) (RevocationResult, error) {
+	w := NewWorld()
+	defer w.Close()
+	net, server, client := w.Net, w.Identity("status-server"), w.Identity("status-client")
 
 	creds := credIDs(p.Credentials)
 	var mu sync.Mutex
 	revoked := make(map[string]bool)
 
-	ln, err := net.Listen("ocsp.responder", ids.server)
+	ln, err := net.Listen("ocsp.responder", server)
 	if err != nil {
-		return Result{}, err
+		return RevocationResult{}, err
 	}
 	defer ln.Close()
 	var wg sync.WaitGroup
@@ -211,9 +210,9 @@ func runOCSP(p Params) (Result, error) {
 
 	conns := make([]transport.Conn, p.Clients)
 	for i := range conns {
-		c, err := net.Dialer(ids.client).Dial(context.Background(), "ocsp.responder")
+		c, err := net.Dialer(client).Dial(context.Background(), "ocsp.responder")
 		if err != nil {
-			return Result{}, err
+			return RevocationResult{}, err
 		}
 		conns[i] = c
 	}
@@ -223,7 +222,7 @@ func runOCSP(p Params) (Result, error) {
 		}
 	}()
 
-	res := Result{Scheme: OCSP}
+	res := RevocationResult{Scheme: OCSP}
 	sched := revocationSchedule(p)
 	known := make([]map[string]bool, p.Clients)
 	for i := range known {
@@ -233,7 +232,7 @@ func runOCSP(p Params) (Result, error) {
 
 	req, err := json.Marshal(ocspReq{IDs: creds})
 	if err != nil {
-		return Result{}, err
+		return RevocationResult{}, err
 	}
 	for step := 0; step < p.Steps; step++ {
 		if idx, ok := sched[step]; ok {
@@ -247,15 +246,15 @@ func runOCSP(p Params) (Result, error) {
 		}
 		for ci, conn := range conns {
 			if err := conn.Send(req); err != nil {
-				return Result{}, err
+				return RevocationResult{}, err
 			}
 			frame, err := conn.Recv()
 			if err != nil {
-				return Result{}, err
+				return RevocationResult{}, err
 			}
 			var resp ocspResp
 			if err := json.Unmarshal(frame, &resp); err != nil {
-				return Result{}, err
+				return RevocationResult{}, err
 			}
 			for i, r := range resp.Revoked {
 				if r && !known[ci][creds[i]] {
@@ -279,17 +278,15 @@ type crlPush struct {
 
 // runCRL: the distributor pushes the complete revocation list to every
 // subscriber every CRLEvery steps, whether or not anything changed.
-func runCRL(p Params) (Result, error) {
-	net, ids, cleanup, err := newWorld()
-	if err != nil {
-		return Result{}, err
-	}
-	defer cleanup()
+func runCRL(p RevocationParams) (RevocationResult, error) {
+	w := NewWorld()
+	defer w.Close()
+	net, server, client := w.Net, w.Identity("status-server"), w.Identity("status-client")
 
 	creds := credIDs(p.Credentials)
-	ln, err := net.Listen("crl.distributor", ids.server)
+	ln, err := net.Listen("crl.distributor", server)
 	if err != nil {
-		return Result{}, err
+		return RevocationResult{}, err
 	}
 	defer ln.Close()
 
@@ -312,9 +309,9 @@ func runCRL(p Params) (Result, error) {
 
 	clientConns := make([]transport.Conn, p.Clients)
 	for i := range clientConns {
-		c, err := net.Dialer(ids.client).Dial(context.Background(), "crl.distributor")
+		c, err := net.Dialer(client).Dial(context.Background(), "crl.distributor")
 		if err != nil {
-			return Result{}, err
+			return RevocationResult{}, err
 		}
 		clientConns[i] = c
 		<-accepted
@@ -325,7 +322,7 @@ func runCRL(p Params) (Result, error) {
 		}
 	}()
 
-	res := Result{Scheme: CRL}
+	res := RevocationResult{Scheme: CRL}
 	sched := revocationSchedule(p)
 	var revokedList []string
 	known := make([]int, p.Clients) // length of list each client has seen
@@ -341,25 +338,25 @@ func runCRL(p Params) (Result, error) {
 		}
 		frame, err := json.Marshal(crlPush{Revoked: revokedList})
 		if err != nil {
-			return Result{}, err
+			return RevocationResult{}, err
 		}
 		mu.Lock()
 		targets := append([]transport.Conn(nil), subscriberConns...)
 		mu.Unlock()
 		for _, conn := range targets {
 			if err := conn.Send(frame); err != nil {
-				return Result{}, err
+				return RevocationResult{}, err
 			}
 		}
 		// Clients drain the push and diff against what they knew.
 		for ci, conn := range clientConns {
 			frame, err := conn.Recv()
 			if err != nil {
-				return Result{}, err
+				return RevocationResult{}, err
 			}
 			var push crlPush
 			if err := json.Unmarshal(frame, &push); err != nil {
-				return Result{}, err
+				return RevocationResult{}, err
 			}
 			for _, id := range push.Revoked[known[ci]:] {
 				res.Notifications++
@@ -378,48 +375,42 @@ func runCRL(p Params) (Result, error) {
 // runSubscription: a real wallet served over the network; every client
 // holds one connection with one delegation subscription per credential;
 // revocations push exactly one notification per interested client.
-func runSubscription(p Params) (Result, error) {
-	net, ids, cleanup, err := newWorld()
+func runSubscription(p RevocationParams) (RevocationResult, error) {
+	w := NewWorld()
+	defer w.Close()
+	net, server, client := w.Net, w.Identity("status-server"), w.Identity("status-client")
+	wal, err := w.Serve("wallet.home", "status-server")
 	if err != nil {
-		return Result{}, err
+		return RevocationResult{}, err
 	}
-	defer cleanup()
-
-	w := wallet.New(wallet.Config{Owner: ids.server})
-	ln, err := net.Listen("wallet.home", ids.server)
-	if err != nil {
-		return Result{}, err
-	}
-	srv := remote.Serve(w, ln)
-	defer srv.Close()
 
 	// Real delegations to monitor.
 	dels := make([]*core.Delegation, p.Credentials)
 	for i := range dels {
-		d, err := core.Issue(ids.server, core.Template{
-			Subject:       core.SubjectEntity(ids.client.ID()),
-			SubjectEntity: ptrEntity(ids.client.Entity()),
-			Object:        core.NewRole(ids.server.ID(), fmt.Sprintf("role%04d", i)),
-		}, time.Unix(0, 0))
+		d, err := core.Issue(server, core.Template{
+			Subject:       core.SubjectEntity(client.ID()),
+			SubjectEntity: entityPtr(client.Entity()),
+			Object:        core.NewRole(server.ID(), fmt.Sprintf("role%04d", i)),
+		}, w.Clock.Now())
 		if err != nil {
-			return Result{}, err
+			return RevocationResult{}, err
 		}
-		if err := w.Publish(d); err != nil {
-			return Result{}, err
+		if err := wal.Publish(d); err != nil {
+			return RevocationResult{}, err
 		}
 		dels[i] = d
 	}
 
-	res := Result{Scheme: Subscription}
+	res := RevocationResult{Scheme: Subscription}
 	var mu sync.Mutex
 	notified := 0
 	arrival := make(chan struct{}, p.Clients*p.Credentials)
 
 	clients := make([]*remote.Client, p.Clients)
 	for i := range clients {
-		c, err := remote.Dial(context.Background(), net.Dialer(ids.client), "wallet.home")
+		c, err := remote.Dial(context.Background(), net.Dialer(client), "wallet.home")
 		if err != nil {
-			return Result{}, err
+			return RevocationResult{}, err
 		}
 		clients[i] = c
 		for _, d := range dels {
@@ -431,7 +422,7 @@ func runSubscription(p Params) (Result, error) {
 					arrival <- struct{}{}
 				}
 			}); err != nil {
-				return Result{}, err
+				return RevocationResult{}, err
 			}
 		}
 	}
@@ -448,8 +439,8 @@ func runSubscription(p Params) (Result, error) {
 		if !ok {
 			continue
 		}
-		if err := w.Revoke(dels[idx].ID(), ids.server.ID()); err != nil {
-			return Result{}, err
+		if err := wal.Revoke(dels[idx].ID(), server.ID()); err != nil {
+			return RevocationResult{}, err
 		}
 		// Push model: notifications arrive within the same step; wait for
 		// them so staleness is honestly zero steps.
@@ -465,7 +456,7 @@ func runSubscription(p Params) (Result, error) {
 			select {
 			case <-arrival:
 			case <-deadline:
-				return Result{}, fmt.Errorf("subscription push timed out")
+				return RevocationResult{}, fmt.Errorf("subscription push timed out")
 			}
 		}
 	}
@@ -477,32 +468,3 @@ func runSubscription(p Params) (Result, error) {
 	res.Messages, res.Bytes = st.Messages, st.Bytes
 	return res, nil
 }
-
-// --- shared plumbing --------------------------------------------------------
-
-type worldIDs struct {
-	server *core.Identity
-	client *core.Identity
-}
-
-func newWorld() (*transport.MemNetwork, worldIDs, func(), error) {
-	server, err := core.IdentityFromSeed("status-server", seed(1))
-	if err != nil {
-		return nil, worldIDs{}, nil, err
-	}
-	client, err := core.IdentityFromSeed("status-client", seed(2))
-	if err != nil {
-		return nil, worldIDs{}, nil, err
-	}
-	return transport.NewMemNetwork(), worldIDs{server: server, client: client}, func() {}, nil
-}
-
-func seed(b byte) []byte {
-	s := make([]byte, 32)
-	for i := range s {
-		s[i] = b
-	}
-	return s
-}
-
-func ptrEntity(e core.Entity) *core.Entity { return &e }

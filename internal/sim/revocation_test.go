@@ -1,11 +1,11 @@
-package revocation
+package sim
 
 import (
 	"testing"
 )
 
-func baseParams() Params {
-	return Params{
+func revocationParams() RevocationParams {
+	return RevocationParams{
 		Clients:     4,
 		Credentials: 8,
 		Steps:       100,
@@ -18,20 +18,20 @@ func baseParams() Params {
 func TestParamsValidate(t *testing.T) {
 	tests := []struct {
 		name    string
-		mutate  func(*Params)
+		mutate  func(*RevocationParams)
 		wantErr bool
 	}{
-		{"valid", func(*Params) {}, false},
-		{"zero clients", func(p *Params) { p.Clients = 0 }, true},
-		{"zero credentials", func(p *Params) { p.Credentials = 0 }, true},
-		{"zero steps", func(p *Params) { p.Steps = 0 }, true},
-		{"zero poll", func(p *Params) { p.PollEvery = 0 }, true},
-		{"zero crl", func(p *Params) { p.CRLEvery = 0 }, true},
-		{"too many revocations", func(p *Params) { p.RevokeAt = make([]int, 100) }, true},
+		{"valid", func(*RevocationParams) {}, false},
+		{"zero clients", func(p *RevocationParams) { p.Clients = 0 }, true},
+		{"zero credentials", func(p *RevocationParams) { p.Credentials = 0 }, true},
+		{"zero steps", func(p *RevocationParams) { p.Steps = 0 }, true},
+		{"zero poll", func(p *RevocationParams) { p.PollEvery = 0 }, true},
+		{"zero crl", func(p *RevocationParams) { p.CRLEvery = 0 }, true},
+		{"too many revocations", func(p *RevocationParams) { p.RevokeAt = make([]int, 100) }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			p := baseParams()
+			p := revocationParams()
 			tt.mutate(&p)
 			err := p.Validate()
 			if (err != nil) != tt.wantErr {
@@ -42,14 +42,14 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestRunUnknownScheme(t *testing.T) {
-	if _, err := Run("carrier-pigeon", baseParams()); err == nil {
+	if _, err := RunRevocationScheme("carrier-pigeon", revocationParams()); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
 
 func TestAllSchemesDeliverAllNotifications(t *testing.T) {
-	p := baseParams()
-	results, err := RunAll(p)
+	p := revocationParams()
+	results, err := RunRevocation(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAllSchemesDeliverAllNotifications(t *testing.T) {
 }
 
 func TestSubscriptionHasZeroStaleness(t *testing.T) {
-	r, err := Run(Subscription, baseParams())
+	r, err := RunRevocationScheme(Subscription, revocationParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestSubscriptionHasZeroStaleness(t *testing.T) {
 }
 
 func TestPollingStalenessBoundedByInterval(t *testing.T) {
-	p := baseParams()
-	r, err := Run(OCSP, p)
+	p := revocationParams()
+	r, err := RunRevocationScheme(OCSP, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPollingStalenessBoundedByInterval(t *testing.T) {
 // periodic full-list broadcast, once the one-time subscription setup has
 // amortized.
 func TestSubscriptionBeatsPollingAndCRL(t *testing.T) {
-	p := Params{
+	p := RevocationParams{
 		Clients:     8,
 		Credentials: 16,
 		Steps:       2000,
@@ -102,11 +102,11 @@ func TestSubscriptionBeatsPollingAndCRL(t *testing.T) {
 		CRLEvery:    10,
 		RevokeAt:    []int{50},
 	}
-	results, err := RunAll(p)
+	results, err := RunRevocation(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byScheme := map[Scheme]Result{}
+	byScheme := map[RevocationScheme]RevocationResult{}
 	for _, r := range results {
 		byScheme[r.Scheme] = r
 	}
@@ -124,15 +124,15 @@ func TestSubscriptionBeatsPollingAndCRL(t *testing.T) {
 // OCSP cost grows with session length even when nothing changes; the
 // subscription scheme's does not (beyond setup).
 func TestIdleSessionCostScaling(t *testing.T) {
-	short := Params{Clients: 2, Credentials: 4, Steps: 20, PollEvery: 5, CRLEvery: 10}
+	short := RevocationParams{Clients: 2, Credentials: 4, Steps: 20, PollEvery: 5, CRLEvery: 10}
 	long := short
 	long.Steps = 200
 
-	ocspShort, err := Run(OCSP, short)
+	ocspShort, err := RunRevocationScheme(OCSP, short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ocspLong, err := Run(OCSP, long)
+	ocspLong, err := RunRevocationScheme(OCSP, long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestIdleSessionCostScaling(t *testing.T) {
 			ocspLong.Messages, ocspShort.Messages)
 	}
 
-	subShort, err := Run(Subscription, short)
+	subShort, err := RunRevocationScheme(Subscription, short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subLong, err := Run(Subscription, long)
+	subLong, err := RunRevocationScheme(Subscription, long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +156,9 @@ func TestIdleSessionCostScaling(t *testing.T) {
 }
 
 func TestRevocationOutsideSessionIgnored(t *testing.T) {
-	p := baseParams()
+	p := revocationParams()
 	p.RevokeAt = []int{-5, 20, 1000}
-	r, err := Run(Subscription, p)
+	r, err := RunRevocationScheme(Subscription, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
-// Package baseline implements the expressiveness comparison behind §3.1.3:
-// dRBAC's third-party delegation versus the SDSI/SPKI/RT0-style workaround
-// in which a partner must mint a "phantom" local role mirroring each
-// foreign privilege it wants to hand out.
+package sim
+
+// The expressiveness comparison behind §3.1.3: dRBAC's third-party
+// delegation versus the SDSI/SPKI/RT0-style workaround in which a partner
+// must mint a "phantom" local role mirroring each foreign privilege it wants
+// to hand out.
 //
 // Both idioms are constructed with real signed delegations and checked by
 // proving every member's access through a wallet, so the experiment
 // (EXP-S4) counts what each approach actually had to create rather than
 // evaluating a formula.
-package baseline
 
 import (
 	"fmt"
@@ -17,25 +18,25 @@ import (
 	"drbac/internal/wallet"
 )
 
-// Scenario shapes one coalition: a resource owner controlling Privileges
+// Separability shapes one coalition: a resource owner controlling Privileges
 // roles, Partners partner organizations, and MembersPerPartner members per
 // partner who must each receive every privilege.
-type Scenario struct {
+type Separability struct {
 	Partners          int
 	Privileges        int
 	MembersPerPartner int
 }
 
 // Validate checks scenario sanity.
-func (s Scenario) Validate() error {
+func (s Separability) Validate() error {
 	if s.Partners <= 0 || s.Privileges <= 0 || s.MembersPerPartner <= 0 {
-		return fmt.Errorf("baseline: all scenario dimensions must be positive")
+		return fmt.Errorf("sim: all separability dimensions must be positive")
 	}
 	return nil
 }
 
-// Outcome reports what one idiom had to create.
-type Outcome struct {
+// SeparabilityOutcome reports what one idiom had to create.
+type SeparabilityOutcome struct {
 	// RolesCreated counts distinct role names minted across all
 	// namespaces, the paper's "namespace pollution" metric.
 	RolesCreated int
@@ -53,55 +54,40 @@ type Outcome struct {
 	Separable bool
 }
 
-// world is the set of identities for a scenario.
-type world struct {
+// coalition is the set of identities for a scenario.
+type coalition struct {
 	owner    *core.Identity
 	partners []*core.Identity // partner admin entities
 	members  [][]*core.Identity
 	now      time.Time
 }
 
-func buildWorld(s Scenario) (*world, error) {
-	now := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	w := &world{now: now}
-	var err error
-	if w.owner, err = core.NewIdentity("owner"); err != nil {
-		return nil, err
-	}
+func newCoalition(s Separability) *coalition {
+	world := NewWorld()
+	w := &coalition{now: world.Clock.Now(), owner: world.Identity("owner")}
 	for p := 0; p < s.Partners; p++ {
-		admin, err := core.NewIdentity(fmt.Sprintf("partner%d", p))
-		if err != nil {
-			return nil, err
-		}
-		w.partners = append(w.partners, admin)
+		w.partners = append(w.partners, world.Identity(fmt.Sprintf("partner%d", p)))
 		var ms []*core.Identity
 		for m := 0; m < s.MembersPerPartner; m++ {
-			member, err := core.NewIdentity(fmt.Sprintf("p%dm%d", p, m))
-			if err != nil {
-				return nil, err
-			}
-			ms = append(ms, member)
+			ms = append(ms, world.Identity(fmt.Sprintf("p%dm%d", p, m)))
 		}
 		w.members = append(w.members, ms)
 	}
-	return w, nil
+	return w
 }
 
-// DRBAC builds the coalition with third-party delegation (§3.1.2): the
+// SeparabilityDRBAC builds the coalition with third-party delegation (§3.1.2): the
 // owner mints one admin role per partner and grants it the
 // right-of-assignment for each privilege; partner admins then delegate the
 // owner's privileges directly, with support proofs, minting no roles of
 // their own.
-func DRBAC(s Scenario) (Outcome, error) {
+func SeparabilityDRBAC(s Separability) (SeparabilityOutcome, error) {
 	if err := s.Validate(); err != nil {
-		return Outcome{}, err
+		return SeparabilityOutcome{}, err
 	}
-	w, err := buildWorld(s)
-	if err != nil {
-		return Outcome{}, err
-	}
+	w := newCoalition(s)
 	store := wallet.New(wallet.Config{})
-	out := Outcome{Separable: true}
+	out := SeparabilityOutcome{Separable: true}
 	roles := make(map[core.Role]bool)
 
 	privileges := make([]core.Role, s.Privileges)
@@ -120,10 +106,10 @@ func DRBAC(s Scenario) (Outcome, error) {
 			Object:        adminRole,
 		}, w.now)
 		if err != nil {
-			return Outcome{}, err
+			return SeparabilityOutcome{}, err
 		}
 		if err := store.Publish(d); err != nil {
-			return Outcome{}, err
+			return SeparabilityOutcome{}, err
 		}
 		out.Delegations++
 
@@ -135,10 +121,10 @@ func DRBAC(s Scenario) (Outcome, error) {
 				Object:  priv.Assignment(),
 			}, w.now)
 			if err != nil {
-				return Outcome{}, err
+				return SeparabilityOutcome{}, err
 			}
 			if err := store.Publish(d); err != nil {
-				return Outcome{}, err
+				return SeparabilityOutcome{}, err
 			}
 			out.Delegations++
 		}
@@ -153,10 +139,10 @@ func DRBAC(s Scenario) (Outcome, error) {
 					Object:        priv,
 				}, w.now)
 				if err != nil {
-					return Outcome{}, err
+					return SeparabilityOutcome{}, err
 				}
 				if err := store.Publish(d); err != nil {
-					return Outcome{}, err
+					return SeparabilityOutcome{}, err
 				}
 				out.Delegations++
 			}
@@ -164,32 +150,29 @@ func DRBAC(s Scenario) (Outcome, error) {
 	}
 
 	if err := verifyAccess(store, w, privileges, &out); err != nil {
-		return Outcome{}, err
+		return SeparabilityOutcome{}, err
 	}
 	out.RolesCreated = len(roles)
 	out.PhantomRoles = 0
 	return out, nil
 }
 
-// PhantomRole builds the same coalition the SDSI/SPKI/RT0 way: the owner
+// SeparabilityPhantomRole builds the same coalition the SDSI/SPKI/RT0 way: the owner
 // cannot hand out a right-of-assignment on its own roles, so for every
 // partner × privilege pair the partner mints a local phantom role
 // mirroring the privilege, the owner grants the owner-privilege to that
 // phantom role, and the partner (who controls its own namespace) delegates
 // the phantom role to members.
-func PhantomRole(s Scenario) (Outcome, error) {
+func SeparabilityPhantomRole(s Separability) (SeparabilityOutcome, error) {
 	if err := s.Validate(); err != nil {
-		return Outcome{}, err
+		return SeparabilityOutcome{}, err
 	}
-	w, err := buildWorld(s)
-	if err != nil {
-		return Outcome{}, err
-	}
+	w := newCoalition(s)
 	store := wallet.New(wallet.Config{})
 	// A catch-all phantom role aggregating several privileges would not be
 	// decomposable per privilege — the §3.1.3 separability loss — so a
 	// faithful baseline needs one phantom per privilege.
-	out := Outcome{Separable: false}
+	out := SeparabilityOutcome{Separable: false}
 	roles := make(map[core.Role]bool)
 
 	privileges := make([]core.Role, s.Privileges)
@@ -210,10 +193,10 @@ func PhantomRole(s Scenario) (Outcome, error) {
 				Object:  priv,
 			}, w.now)
 			if err != nil {
-				return Outcome{}, err
+				return SeparabilityOutcome{}, err
 			}
 			if err := store.Publish(d); err != nil {
-				return Outcome{}, err
+				return SeparabilityOutcome{}, err
 			}
 			out.Delegations++
 
@@ -226,10 +209,10 @@ func PhantomRole(s Scenario) (Outcome, error) {
 					Object:        phantom,
 				}, w.now)
 				if err != nil {
-					return Outcome{}, err
+					return SeparabilityOutcome{}, err
 				}
 				if err := store.Publish(d); err != nil {
-					return Outcome{}, err
+					return SeparabilityOutcome{}, err
 				}
 				out.Delegations++
 			}
@@ -237,14 +220,14 @@ func PhantomRole(s Scenario) (Outcome, error) {
 	}
 
 	if err := verifyAccess(store, w, privileges, &out); err != nil {
-		return Outcome{}, err
+		return SeparabilityOutcome{}, err
 	}
 	out.RolesCreated = len(roles)
 	return out, nil
 }
 
 // verifyAccess proves every member holds every privilege.
-func verifyAccess(store *wallet.Wallet, w *world, privileges []core.Role, out *Outcome) error {
+func verifyAccess(store *wallet.Wallet, w *coalition, privileges []core.Role, out *SeparabilityOutcome) error {
 	for p := range w.partners {
 		for _, member := range w.members[p] {
 			for _, priv := range privileges {
@@ -265,4 +248,10 @@ func verifyAccess(store *wallet.Wallet, w *world, privileges []core.Role, out *O
 	return nil
 }
 
-func entityPtr(e core.Entity) *core.Entity { return &e }
+// RunSeparability builds the coalition both ways (EXP-S4).
+func RunSeparability(s Separability) (drbac, phantom SeparabilityOutcome, err error) {
+	if drbac, err = SeparabilityDRBAC(s); err == nil {
+		phantom, err = SeparabilityPhantomRole(s)
+	}
+	return drbac, phantom, err
+}

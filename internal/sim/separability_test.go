@@ -1,17 +1,17 @@
-package baseline
+package sim
 
 import "testing"
 
 func TestScenarioValidate(t *testing.T) {
 	tests := []struct {
 		name    string
-		give    Scenario
+		give    Separability
 		wantErr bool
 	}{
-		{"valid", Scenario{Partners: 2, Privileges: 3, MembersPerPartner: 1}, false},
-		{"zero partners", Scenario{Privileges: 3, MembersPerPartner: 1}, true},
-		{"zero privileges", Scenario{Partners: 2, MembersPerPartner: 1}, true},
-		{"zero members", Scenario{Partners: 2, Privileges: 3}, true},
+		{"valid", Separability{Partners: 2, Privileges: 3, MembersPerPartner: 1}, false},
+		{"zero partners", Separability{Privileges: 3, MembersPerPartner: 1}, true},
+		{"zero privileges", Separability{Partners: 2, MembersPerPartner: 1}, true},
+		{"zero members", Separability{Partners: 2, Privileges: 3}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -24,19 +24,15 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 func TestBothIdiomsAuthorizeAllMembers(t *testing.T) {
-	s := Scenario{Partners: 3, Privileges: 4, MembersPerPartner: 2}
+	s := Separability{Partners: 3, Privileges: 4, MembersPerPartner: 2}
 	want := s.Partners * s.Privileges * s.MembersPerPartner
 
-	d, err := DRBAC(s)
+	d, ph, err := RunSeparability(s)
 	if err != nil {
-		t.Fatalf("DRBAC: %v", err)
+		t.Fatal(err)
 	}
 	if d.ProofsVerified != want {
 		t.Errorf("dRBAC proofs = %d, want %d", d.ProofsVerified, want)
-	}
-	ph, err := PhantomRole(s)
-	if err != nil {
-		t.Fatalf("PhantomRole: %v", err)
 	}
 	if ph.ProofsVerified != want {
 		t.Errorf("phantom proofs = %d, want %d", ph.ProofsVerified, want)
@@ -47,9 +43,9 @@ func TestBothIdiomsAuthorizeAllMembers(t *testing.T) {
 // role count is independent of the number of partners, while the baseline
 // mints one phantom role per partner × privilege.
 func TestNamespacePollutionScaling(t *testing.T) {
-	s := Scenario{Partners: 4, Privileges: 5, MembersPerPartner: 1}
+	s := Separability{Partners: 4, Privileges: 5, MembersPerPartner: 1}
 
-	d, err := DRBAC(s)
+	d, err := SeparabilityDRBAC(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,7 @@ func TestNamespacePollutionScaling(t *testing.T) {
 		t.Error("dRBAC idiom should be separable")
 	}
 
-	ph, err := PhantomRole(s)
+	ph, err := SeparabilityPhantomRole(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +82,12 @@ func TestNamespacePollutionScaling(t *testing.T) {
 // stays flat for dRBAC (beyond the one admin role per partner).
 func TestPollutionGrowthWithPartners(t *testing.T) {
 	for _, partners := range []int{1, 3, 6} {
-		s := Scenario{Partners: partners, Privileges: 4, MembersPerPartner: 1}
-		d, err := DRBAC(s)
+		s := Separability{Partners: partners, Privileges: 4, MembersPerPartner: 1}
+		d, err := SeparabilityDRBAC(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, err := PhantomRole(s)
+		ph, err := SeparabilityPhantomRole(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,6 @@ package sim
 
 import (
 	"testing"
-
-	"drbac/internal/baseline"
-	"drbac/internal/revocation"
 )
 
 func TestWorldIdentityDeterministic(t *testing.T) {
@@ -240,25 +237,6 @@ func TestRunChainDiscoveryScaling(t *testing.T) {
 	}
 	if _, err := RunChainDiscovery(0); err == nil {
 		t.Error("zero hops accepted")
-	}
-}
-
-func TestRunWrappers(t *testing.T) {
-	results, err := RunRevocation(revocation.Params{
-		Clients: 2, Credentials: 2, Steps: 20, PollEvery: 5, CRLEvery: 10, RevokeAt: []int{5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("revocation results = %d", len(results))
-	}
-	d, ph, err := RunSeparability(baseline.Scenario{Partners: 2, Privileges: 2, MembersPerPartner: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.PhantomRoles != 0 || ph.PhantomRoles == 0 {
-		t.Fatalf("separability outcomes wrong: %+v %+v", d, ph)
 	}
 }
 

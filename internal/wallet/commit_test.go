@@ -18,10 +18,8 @@ var CommitTable = commitTable
 type writeLog []string
 
 func (l *writeLog) store(inner Store) recStore {
-	return recStore{Store: inner, note: func(op string, seq uint64, _ core.DelegationID, detail string) {
-		if detail != "added=false" {
-			*l = append(*l, fmt.Sprintf("%s@%d", op, seq))
-		}
+	return recStore{Store: inner, note: func(op string, seq uint64, _ core.DelegationID, _ string) {
+		*l = append(*l, fmt.Sprintf("%s@%d", op, seq))
 	}}
 }
 
@@ -30,10 +28,12 @@ const lasting = "[Maria -> BigISP.member] BigISP"
 
 // commitTable drives each of the wallet's seven mutations once where it
 // changes something and once where it does not, over the store newStore
-// returns. A change is exactly one seq step, one event of the right kind
-// carrying that seq, and store writes stamped with it; it ends the
-// delegation's TTL tracking unless it is a renewal. No change is no seq, no
-// event and no store write.
+// returns, and those that can meet a TTL-tracked cached copy once more over
+// one. A change is exactly one seq step, one event of the right kind carrying
+// that seq, and store writes stamped with it — none for what happens to a
+// cached copy short of its publication or revocation; it ends the
+// delegation's TTL tracking unless it is a TTL insert or a renewal. No change
+// is no seq, no event and no store write.
 func commitTable(t *testing.T, newStore func(t *testing.T) Store) {
 	publish := func(_ *env, w *Wallet, d *core.Delegation) { must(t, w.Publish(d)) }
 	cache := func(_ *env, w *Wallet, d *core.Delegation) { must(t, w.InsertCached(d, nil, time.Minute)) }
@@ -42,6 +42,8 @@ func commitTable(t *testing.T, newStore func(t *testing.T) Store) {
 		_, err := w.InstallReplicated(StoredBundle{Delegation: d})
 		must(t, err)
 	}
+	accept := func(_ *env, w *Wallet, d *core.Delegation) { w.AcceptRevocation(d.ID()) }
+	expire := func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepExpired() }
 	for _, tc := range []struct {
 		name    string
 		text    string
@@ -49,29 +51,34 @@ func commitTable(t *testing.T, newStore func(t *testing.T) Store) {
 		arrange func(e *env, w *Wallet, d *core.Delegation)
 		act     func(e *env, w *Wallet, d *core.Delegation)
 		writes  []string // store operations of the change, in order
+		tracked bool     // TTL-tracked after the change
 		noop    func(e *env, w *Wallet, d *core.Delegation)
 	}{
 		{name: "publish", text: lasting, kind: subs.Published, arrange: nothing, act: publish,
+			writes: []string{"put"}, noop: cache /* held permanently: stays so */},
+		{name: "publish-over-cached", text: lasting, kind: subs.Published, arrange: cache, act: publish,
 			writes: []string{"put"}},
+		{name: "cache", text: lasting, kind: subs.Published, arrange: nothing, act: cache, tracked: true},
 		{name: "install-replicated", text: lasting, kind: subs.Published, arrange: nothing, act: install,
 			writes: []string{"put"}, noop: install /* already present */},
 		{name: "revoke", text: lasting, kind: subs.Revoked, arrange: publish,
 			act:    func(e *env, w *Wallet, d *core.Delegation) { _ = w.Revoke(d.ID(), e.id("BigISP").ID()) },
-			writes: []string{"revoke", "delete"},
-			noop:   func(_ *env, w *Wallet, d *core.Delegation) { w.AcceptRevocation(d.ID()) /* already revoked */ }},
-		{name: "expire", text: expiring, kind: subs.Expired, arrange: publish,
-			act:    func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepExpired() },
+			writes: []string{"revoke", "delete"}, noop: accept /* already revoked */},
+		{name: "revoke-cached", text: lasting, kind: subs.Revoked, arrange: cache, act: accept,
+			writes: []string{"revoke", "delete"}},
+		{name: "expire", text: expiring, kind: subs.Expired, arrange: publish, act: expire,
 			writes: []string{"delete"},
 			noop:   func(_ *env, w *Wallet, _ *core.Delegation) { w.SweepExpired() }},
-		{name: "renew", text: lasting, kind: subs.Renewed, arrange: cache,
+		{name: "expire-cached", text: expiring, kind: subs.Expired, arrange: cache, act: expire},
+		{name: "renew", text: lasting, kind: subs.Renewed, arrange: cache, tracked: true,
 			act: func(_ *env, w *Wallet, d *core.Delegation) { w.RenewCached(d.ID(), time.Minute) },
-			noop: func(e *env, w *Wallet, _ *core.Delegation) {
+			noop: func(e *env, w *Wallet, d *core.Delegation) {
 				w.RenewCached(e.deleg("[Maria -> BigISP.guest] BigISP").ID(), time.Minute) // untracked
+				w.RenewCached(d.ID(), 0)                                                   // no window
 			}},
 		{name: "stale", text: lasting, kind: subs.Stale, arrange: cache,
-			act:    func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepStaleCache() },
-			writes: []string{"delete"},
-			noop:   func(_ *env, w *Wallet, _ *core.Delegation) { w.SweepStaleCache() }},
+			act:  func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepStaleCache() },
+			noop: func(_ *env, w *Wallet, _ *core.Delegation) { w.SweepStaleCache() }},
 		{name: "drop-replicated", text: lasting, kind: subs.Stale, arrange: install,
 			act:    func(_ *env, w *Wallet, d *core.Delegation) { w.DropReplicated(d.ID(), subs.Stale) },
 			writes: []string{"delete"},
@@ -85,11 +92,6 @@ func commitTable(t *testing.T, newStore func(t *testing.T) Store) {
 			tc.arrange(e, w, d)
 			var events []subs.Event
 			w.SubscribeAll(func(ev subs.Event) { events = append(events, ev) })
-			if tc.kind != subs.Renewed && tc.kind != subs.Stale {
-				w.ttlMu.Lock()
-				w.ttl[d.ID()] = w.Now().Add(24 * time.Hour)
-				w.ttlMu.Unlock()
-			}
 
 			writes = nil
 			seq := w.Seq() + 1
@@ -111,8 +113,8 @@ func commitTable(t *testing.T, newStore func(t *testing.T) Store) {
 			w.ttlMu.Lock()
 			_, tracked := w.ttl[d.ID()]
 			w.ttlMu.Unlock()
-			if tracked != (tc.kind == subs.Renewed) {
-				t.Errorf("TTL tracked = %v after a %v change", tracked, tc.kind)
+			if tracked != tc.tracked {
+				t.Errorf("TTL tracked = %v after the change, want %v", tracked, tc.tracked)
 			}
 
 			if tc.noop == nil {
@@ -140,7 +142,7 @@ func TestCommitOnePath(t *testing.T) {
 		commitTable(t, func(*testing.T) Store { return NewMemStore() })
 	})
 	t.Run("failing-store", func(t *testing.T) {
-		commitTable(t, func(*testing.T) Store { return failingStore{NewMemStore()} })
+		commitTable(t, func(*testing.T) Store { return failingStore{newJournal()} })
 	})
 }
 
@@ -149,15 +151,15 @@ func TestCommitOnePath(t *testing.T) {
 // the store and the graph.
 func TestPublishOverCachedCopyIsPermanent(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria")
-	st := NewMemStore()
+	st := newJournal()
 	w := e.wallet(Config{Store: st})
 	d := e.deleg(lasting)
 	must(t, w.InsertCached(d, nil, 30*time.Second))
 	must(t, w.Publish(d))
 	e.clk.Advance(time.Hour)
-	if n := w.SweepStaleCache(); n != 0 || !w.Contains(d.ID()) || len(st.Bundles()) != 1 {
-		t.Fatalf("after the sweep: swept=%d contains=%v storeBundles=%d, want 0 true 1",
-			n, w.Contains(d.ID()), len(st.Bundles()))
+	if n := w.SweepStaleCache(); n != 0 || !w.Contains(d.ID()) || len(st.Load().Bundles) != 1 {
+		t.Fatalf("after the sweep: swept=%d contains=%v journaled=%d, want 0 true 1",
+			n, w.Contains(d.ID()), len(st.Load().Bundles))
 	}
 }
 
@@ -175,17 +177,24 @@ func TestPermanentInsertOverCachedCopy(t *testing.T) {
 	if n := w.SweepStaleCache(); n != 0 || !w.Contains(d.ID()) {
 		t.Fatalf("after the sweep: swept=%d contains=%v, want 0 true", n, w.Contains(d.ID()))
 	}
-	// A fresh TTL still applies.
+	// A cached copy arriving afterwards cannot make the home copy cache
+	// again: a TTL insert over a delegation held permanently is no change.
+	seq, events := w.Seq(), 0
+	w.SubscribeAll(func(subs.Event) { events++ })
 	must(t, w.InsertCached(d, nil, 30*time.Second))
+	if w.Seq() != seq || events != 0 || w.CachedCount() != 0 {
+		t.Errorf("TTL insert over the permanent copy: seq %d → %d, %d events, %d TTL-tracked; want no change",
+			seq, w.Seq(), events, w.CachedCount())
+	}
 	e.clk.Advance(time.Hour)
-	if n := w.SweepStaleCache(); n != 1 || w.Contains(d.ID()) {
-		t.Fatalf("TTL set after the permanent insert: swept=%d contains=%v, want 1 false", n, w.Contains(d.ID()))
+	if n := w.SweepStaleCache(); n != 0 || !w.Contains(d.ID()) {
+		t.Fatalf("the permanent copy was swept as stale: swept=%d contains=%v, want 0 true", n, w.Contains(d.ID()))
 	}
 }
 
-// A lapsed TTL entry whose delegation is already gone (InsertCached's TTL
-// write racing a revocation) is forgotten without a seq, a delete record or
-// a Stale push for a delegation the wallet does not hold.
+// A lapsed TTL entry whose delegation is not held (commit rules it out; the
+// test plants one) is forgotten without a seq, a delete record or a Stale
+// push for a delegation the wallet does not hold.
 func TestStaleSweepIgnoresAbsentDelegation(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria")
 	var writes writeLog

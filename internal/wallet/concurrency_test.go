@@ -84,7 +84,7 @@ func TestConcurrentPublishRevokeQuery(t *testing.T) {
 		wg.Add(1)
 		go func(withStats bool) {
 			defer wg.Done()
-			vopts := core.ValidateOptions{Revoked: w.revokedFn()}
+			vopts := core.ValidateOptions{Revoked: w.IsRevoked}
 			for j := 0; j < perWorker; j++ {
 				qq := q
 				if withStats {

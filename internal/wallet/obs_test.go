@@ -172,28 +172,26 @@ func TestUninstrumentedWalletStaysQuiet(t *testing.T) {
 	}
 }
 
-// failingStore is a Store whose durable writes fail the way a log store's
-// do once its disk is gone: deletes change nothing, and a new revocation is
-// recorded in memory only (the Store contract), with the error. A revocation
-// it already holds needs no write and so cannot fail.
-type failingStore struct{ *MemStore }
+// failingStore is a journal whose deletes and revocations fail the way a log
+// store's do once its disk is gone: nothing is recorded, and the error says
+// so. Puts still reach the journal beneath.
+type failingStore struct{ *journal }
 
 var errDisk = errors.New("disk on fire")
 
 func (failingStore) DeleteDelegation(uint64, core.DelegationID) error { return errDisk }
 
-func (s failingStore) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
-	if added, _ := s.MemStore.AddRevocation(seq, id, at); !added {
-		return false, nil
-	}
+func (failingStore) AddRevocation(uint64, core.DelegationID, time.Time) (bool, error) {
 	return true, errDisk
 }
 
 // TestStoreErrorsAreCountedNotDropped covers the mutations that cannot
-// return a store error to anyone — expiry and staleness sweeps, replicated
-// drops, accepted revocations. Each must count and log the failure and
+// return a journal error to anyone — the expiry sweep, replicated drops,
+// accepted revocations (the staleness sweep writes nothing that could fail:
+// a cached copy is not journaled). Each must count and log the failure and
 // still reach the safe in-memory outcome: credential out of the graph,
-// subscribers notified.
+// subscribers notified — and a revocation in force at once, for good, with
+// a second one changing nothing.
 func TestStoreErrorsAreCountedNotDropped(t *testing.T) {
 	for _, tc := range []struct {
 		op   string
@@ -208,12 +206,6 @@ func TestStoreErrorsAreCountedNotDropped(t *testing.T) {
 			text:    "[Maria -> BigISP.member] BigISP <expiry:2026-07-06T12:30:00Z>",
 			arrange: func(_ *env, w *Wallet, d *core.Delegation) error { return w.Publish(d) },
 			act:     func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepExpired() },
-		},
-		{
-			op: "stale", kind: subs.Stale,
-			text:    "[Maria -> BigISP.member] BigISP",
-			arrange: func(_ *env, w *Wallet, d *core.Delegation) error { return w.InsertCached(d, nil, time.Minute) },
-			act:     func(e *env, w *Wallet, _ *core.Delegation) { e.clk.Advance(time.Hour); w.SweepStaleCache() },
 		},
 		{
 			op: "drop-replicated", kind: subs.Expired,
@@ -233,7 +225,7 @@ func TestStoreErrorsAreCountedNotDropped(t *testing.T) {
 			reg := obs.NewRegistry()
 			var logs bytes.Buffer
 			w := e.wallet(Config{
-				Store: failingStore{NewMemStore()},
+				Store: failingStore{newJournal()},
 				Obs:   obs.New(obs.NewLogger(&logs, slog.LevelWarn, true), reg),
 			})
 			d := e.deleg(tc.text)
@@ -258,8 +250,14 @@ func TestStoreErrorsAreCountedNotDropped(t *testing.T) {
 			if w.Seq() != seq+1 {
 				t.Errorf("seq = %d, want %d", w.Seq(), seq+1)
 			}
-			if tc.kind == subs.Revoked && w.Publish(d) == nil {
-				t.Error("revoked credential re-admitted after the failed write")
+			if tc.kind == subs.Revoked {
+				if !w.IsRevoked(d.ID()) || w.Publish(d) == nil {
+					t.Error("revoked credential re-admitted after the failed write")
+				}
+				w.AcceptRevocation(d.ID())
+				if got := reg.Snapshot().Counters["drbac_wallet_store_errors_total"]; got != 1 || w.Seq() != seq+1 || len(events) != 1 {
+					t.Errorf("second revocation: store errors %d, seq %d, events %v; want no change", got, w.Seq(), events)
+				}
 			}
 			for _, want := range []string{`"op":"` + tc.op + `"`, d.ID().Short(), errDisk.Error()} {
 				if !strings.Contains(logs.String(), want) {

@@ -17,7 +17,7 @@ import (
 // triage instead of vanishing silently.
 func TestReplaySkipsAreCountedAndTriaged(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria", "Mark")
-	st := NewMemStore()
+	st := newJournal()
 
 	good := e.deleg("[Maria -> BigISP.member] BigISP")
 	if err := st.PutDelegation(1, good, nil); err != nil {
@@ -69,7 +69,7 @@ func TestReplaySkipsAreCountedAndTriaged(t *testing.T) {
 // store so the metric is trustworthy as an alert signal.
 func TestReplayCleanStoreSkipsNothing(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria")
-	st := NewMemStore()
+	st := newJournal()
 	if err := st.PutDelegation(1, e.deleg("[Maria -> BigISP.member] BigISP"), nil); err != nil {
 		t.Fatal(err)
 	}

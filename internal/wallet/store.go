@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"drbac/internal/core"
@@ -27,48 +26,47 @@ type Revocation struct {
 	At time.Time         `json:"at"`
 }
 
-// Store is the wallet's system of record: delegations with their support
-// proofs plus the set of observed revocations. The graph index and the
-// proof cache are derived views rebuilt from a Store at construction.
+// State is a wallet's durable content: what a Store's journal replays to,
+// and what a legacy JSON state file held.
+type State struct {
+	// Seq is the changelog high-water mark: the highest seq any record
+	// carries, 0 for an empty journal or a file that predates seqs.
+	Seq         uint64
+	Bundles     []StoredBundle
+	Revocations []Revocation
+}
+
+// Store is the wallet's journal. The wallet's memory — the graph index and
+// the revoked set — is the state; a Store records each accepted change to
+// what the wallet is home to, so that a wallet built over it later starts
+// from the same state. TTL-coherent cached copies (§4.2.1) are cache and
+// never reach it.
 //
-// Every mutation carries the wallet changelog sequence number it was
-// accepted under (the wallet stamps seq under its mutation lock and threads
-// it into the store write), so an append-only store can frame each record
-// with its seq and a reopened store can report the durable high-water mark
-// through Seq. One logical mutation may issue more than one store call with
-// the same seq (a revocation records the tombstone and then deletes the
-// bundle); seqs are therefore non-decreasing, not strictly increasing,
-// across store writes.
+// Every write carries the changelog sequence number the mutation was
+// accepted under (the wallet stamps seq under its mutation lock), so an
+// append-only store frames each record with its seq. One logical mutation
+// may issue more than one write with the same seq (a revocation records the
+// tombstone and then deletes the bundle), and mutations that change no
+// durable state (cached copies, TTL renewals) write nothing: seqs are
+// non-decreasing across writes, with gaps.
 //
-// Implementations must be safe for concurrent use. Read methods do not
-// return errors because every implementation answers them from memory;
-// write methods report persistence failures.
+// Implementations must be safe for concurrent use. A write that fails
+// changes nothing the wallet has decided: memory already holds the outcome,
+// and the error reports that a restart may not.
 type Store interface {
-	// PutDelegation durably records d and its support proofs under seq.
-	// Re-putting an existing delegation overwrites its support set.
+	// Load returns the state the journal replays to. wallet.New reads it
+	// once, at construction; nothing else does.
+	Load() State
+	// PutDelegation records d and its support proofs under seq. A later put
+	// of the same delegation supersedes the earlier one.
 	PutDelegation(seq uint64, d *core.Delegation, support []*core.Proof) error
-	// DeleteDelegation removes a delegation from the durable set under seq.
+	// DeleteDelegation records under seq that the delegation left the wallet.
 	DeleteDelegation(seq uint64, id core.DelegationID) error
-	// AddRevocation durably records id as revoked at the given instant under
-	// seq, reporting whether the revocation is new. Revocations are
-	// permanent. A store that fails to persist one still records it in
-	// memory, so the running wallet keeps refusing the credential; only
-	// durability across a restart is at risk, which the error reports.
+	// AddRevocation records under seq that id was revoked at the given
+	// instant. Revocations are permanent. The wallet decides whether a
+	// revocation is new and writes only those, so added is always true and
+	// the wallet does not read it.
 	AddRevocation(seq uint64, id core.DelegationID, at time.Time) (added bool, err error)
-	// IsRevoked reports whether a revocation has been recorded for id.
-	IsRevoked(id core.DelegationID) bool
-	// RevokedIDs lists every revoked delegation ID in unspecified order.
-	RevokedIDs() []core.DelegationID
-	// Revocations lists every recorded revocation with its instant, in
-	// unspecified order.
-	Revocations() []Revocation
-	// Bundles lists every stored delegation for index replay.
-	Bundles() []StoredBundle
-	// Seq returns the highest mutation seq the store has recorded, 0 for a
-	// fresh store. A wallet built on the store resumes its changelog from
-	// this mark, so sequence numbers stay monotone across restarts of a
-	// durably backed wallet.
-	Seq() uint64
 }
 
 // SegmentData is one log-store segment as shipped to a bootstrapping
@@ -103,119 +101,26 @@ type SegmentStore interface {
 	SnapshotSegments(afterSeq uint64) (SegmentSnapshot, error)
 }
 
-// MemStore is the default in-memory Store. Reads take a shared lock so the
-// hot revocation-check path never serializes behind other readers.
-type MemStore struct {
-	mu      sync.RWMutex
-	seq     uint64
-	bundles map[core.DelegationID]StoredBundle
-	revoked map[core.DelegationID]time.Time
-}
+// MemStore is the null journal of a wallet that lives in memory alone: it
+// loads empty and records nothing.
+type MemStore struct{}
 
-var _ Store = (*MemStore)(nil)
+var _ Store = MemStore{}
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{
-		bundles: make(map[core.DelegationID]StoredBundle),
-		revoked: make(map[core.DelegationID]time.Time),
-	}
-}
+// NewMemStore returns the null journal.
+func NewMemStore() MemStore { return MemStore{} }
+
+// Load implements Store.
+func (MemStore) Load() State { return State{} }
 
 // PutDelegation implements Store.
-func (s *MemStore) PutDelegation(seq uint64, d *core.Delegation, support []*core.Proof) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bundles[d.ID()] = StoredBundle{Delegation: d, Support: support}
-	s.noteSeqLocked(seq)
-	return nil
-}
+func (MemStore) PutDelegation(uint64, *core.Delegation, []*core.Proof) error { return nil }
 
 // DeleteDelegation implements Store.
-func (s *MemStore) DeleteDelegation(seq uint64, id core.DelegationID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.bundles, id)
-	s.noteSeqLocked(seq)
-	return nil
-}
+func (MemStore) DeleteDelegation(uint64, core.DelegationID) error { return nil }
 
 // AddRevocation implements Store.
-func (s *MemStore) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.revoked[id]; ok {
-		return false, nil
-	}
-	s.revoked[id] = at
-	s.noteSeqLocked(seq)
-	return true, nil
-}
-
-// IsRevoked implements Store.
-func (s *MemStore) IsRevoked(id core.DelegationID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.revoked[id]
-	return ok
-}
-
-// RevokedIDs implements Store.
-func (s *MemStore) RevokedIDs() []core.DelegationID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]core.DelegationID, 0, len(s.revoked))
-	for id := range s.revoked {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Revocations implements Store.
-func (s *MemStore) Revocations() []Revocation {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Revocation, 0, len(s.revoked))
-	for id, at := range s.revoked {
-		out = append(out, Revocation{ID: id, At: at})
-	}
-	return out
-}
-
-// Bundles implements Store.
-func (s *MemStore) Bundles() []StoredBundle {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]StoredBundle, 0, len(s.bundles))
-	for _, b := range s.bundles {
-		out = append(out, b)
-	}
-	return out
-}
-
-// Seq implements Store.
-func (s *MemStore) Seq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.seq
-}
-
-// noteSeqLocked raises the store's high-water mark. Callers hold s.mu.
-func (s *MemStore) noteSeqLocked(seq uint64) {
-	if seq > s.seq {
-		s.seq = seq
-	}
-}
-
-// LegacyState is the content of a single-file JSON wallet state, the format
-// daemons kept at -state before the segmented log store (internal/logstore).
-// Nothing writes it any more; it is read once, to migrate or inspect it.
-type LegacyState struct {
-	// Seq is the changelog high-water mark, 0 in files that predate it.
-	Seq         uint64
-	Bundles     []StoredBundle
-	Revocations []Revocation
-}
+func (MemStore) AddRevocation(uint64, core.DelegationID, time.Time) (bool, error) { return true, nil }
 
 // ReadLegacyState reads the JSON wallet state file at path and writes
 // nothing: a path.tmp beside it may be the in-flight write of an older
@@ -224,10 +129,10 @@ type LegacyState struct {
 // keyfile wallet state, bundles + revoked) carry only the revoked IDs, which
 // are stamped with the read time — the best available, and stamped once,
 // because the migration persists the stamps.
-func ReadLegacyState(path string) (LegacyState, error) {
+func ReadLegacyState(path string) (State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return LegacyState{}, err
+		return State{}, err
 	}
 	var file struct {
 		Seq         uint64              `json:"seq"`
@@ -236,9 +141,9 @@ func ReadLegacyState(path string) (LegacyState, error) {
 		Revocations []Revocation        `json:"revocations"`
 	}
 	if err := json.Unmarshal(data, &file); err != nil {
-		return LegacyState{}, fmt.Errorf("wallet state %s: %w", path, err)
+		return State{}, fmt.Errorf("wallet state %s: %w", path, err)
 	}
-	st := LegacyState{Seq: file.Seq, Revocations: file.Revocations}
+	st := State{Seq: file.Seq, Revocations: file.Revocations}
 	if len(st.Revocations) == 0 {
 		now := time.Now()
 		for _, id := range file.Revoked {

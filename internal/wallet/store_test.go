@@ -6,44 +6,77 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"drbac/internal/core"
 )
 
-func TestMemStoreBasics(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria")
-	s := NewMemStore()
-	d := e.deleg("[Maria -> BigISP.member] BigISP")
+// journal is a Store that keeps what it is handed the way a durable one
+// does, in memory: the reference the tests load a second wallet from, or
+// compare a wallet's memory against.
+type journal struct {
+	mu      sync.Mutex
+	seq     uint64
+	bundles map[core.DelegationID]StoredBundle
+	revoked map[core.DelegationID]time.Time
+}
 
-	if err := s.PutDelegation(1, d, nil); err != nil {
-		t.Fatal(err)
+func newJournal() *journal {
+	return &journal{bundles: make(map[core.DelegationID]StoredBundle), revoked: make(map[core.DelegationID]time.Time)}
+}
+
+func (j *journal) PutDelegation(seq uint64, d *core.Delegation, support []*core.Proof) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.seq = max(j.seq, seq)
+	j.bundles[d.ID()] = StoredBundle{Delegation: d, Support: support}
+	return nil
+}
+
+func (j *journal) DeleteDelegation(seq uint64, id core.DelegationID) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.seq = max(j.seq, seq)
+	delete(j.bundles, id)
+	return nil
+}
+
+func (j *journal) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.seq = max(j.seq, seq)
+	j.revoked[id] = at
+	return true, nil
+}
+
+func (j *journal) Load() State {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st := State{Seq: j.seq}
+	for _, b := range j.bundles {
+		st.Bundles = append(st.Bundles, b)
 	}
-	if got := len(s.Bundles()); got != 1 {
-		t.Fatalf("bundles = %d, want 1", got)
+	for id, at := range j.revoked {
+		st.Revocations = append(st.Revocations, Revocation{ID: id, At: at})
 	}
-	added, err := s.AddRevocation(2, d.ID(), time.Now())
-	if err != nil || !added {
-		t.Fatalf("AddRevocation = (%v, %v), want (true, nil)", added, err)
+	return st
+}
+
+// The null journal accepts every write, keeps none, and loads empty: a
+// wallet on it starts from nothing however much the last one was told.
+func TestMemStoreKeepsNothing(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	w := e.wallet(Config{Store: NewMemStore()})
+	d := e.deleg("[Maria -> BigISP.member] BigISP")
+	must(t, w.Publish(d))
+	must(t, w.Revoke(d.ID(), e.id("BigISP").ID()))
+	if st := w.Store().Load(); st.Seq != 0 || len(st.Bundles) != 0 || len(st.Revocations) != 0 {
+		t.Fatalf("MemStore loaded %+v after a publish and a revoke, want the empty state", st)
 	}
-	if added, _ := s.AddRevocation(3, d.ID(), time.Now()); added {
-		t.Fatal("second AddRevocation reported added")
-	}
-	if !s.IsRevoked(d.ID()) {
-		t.Fatal("IsRevoked = false after AddRevocation")
-	}
-	if got := s.RevokedIDs(); len(got) != 1 || got[0] != d.ID() {
-		t.Fatalf("RevokedIDs = %v", got)
-	}
-	if err := s.DeleteDelegation(2, d.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Bundles()); got != 0 {
-		t.Fatalf("bundles after delete = %d, want 0", got)
-	}
-	if got := s.Seq(); got != 2 {
-		t.Fatalf("Seq = %d, want the high-water mark 2", got)
+	if w.Seq() != 2 || !w.IsRevoked(d.ID()) {
+		t.Fatalf("the wallet itself: seq %d, revoked %v; want 2, true", w.Seq(), w.IsRevoked(d.ID()))
 	}
 }
 

@@ -4,12 +4,14 @@
 // credentials, and continuous proof monitoring through delegation
 // subscriptions.
 //
-// Internally the wallet is layered: a Store is the system of record
-// (delegations + support proofs + revocations, pluggably durable), the
-// sharded graph index and the memoizing ProofCache are derived views, and
-// the subs.Registry is the push channel that keeps the cache coherent with
-// the store (§6). Each layer carries its own lock, so queries, publications,
-// and revocations proceed concurrently instead of serializing on one mutex.
+// The wallet's memory is its state: the sharded graph index holds every
+// bundle once and the wallet holds the revoked set. A Store is the journal
+// that state is replayed from at construction (Load, read once) and that
+// every change to what the wallet is home to is written to; the memoizing
+// ProofCache is a derived view and the subs.Registry is the push channel
+// that keeps it coherent (§6). Each layer carries its own lock, so queries,
+// publications, and revocations proceed concurrently instead of serializing
+// on one mutex.
 package wallet
 
 import (
@@ -44,9 +46,9 @@ type Config struct {
 	// MaxProofs bounds subject/object query results; 0 means
 	// graph.DefaultMaxProofs.
 	MaxProofs int
-	// Store is the system of record; nil means a fresh in-memory MemStore.
-	// A non-empty store (e.g. a log store reopened after a restart) is
-	// replayed into the wallet's indexes at construction.
+	// Store is the wallet's journal; nil means MemStore, which keeps none.
+	// What a non-empty one loads (e.g. a log store reopened after a restart)
+	// is the wallet's state at construction.
 	Store Store
 	// DisableProofCache turns off direct-query memoization; every query
 	// re-runs the graph search. Used by cold-cache benchmarks.
@@ -131,15 +133,23 @@ type Wallet struct {
 	// takes it to change anything. Reads (queries, Stats) never take it.
 	repMu sync.Mutex
 	// seq is the changelog sequence number of the last accepted mutation,
-	// 1-based and gapless within one store epoch. A wallet on an in-memory
-	// store starts at 0; a wallet on a durable store resumes from the
-	// store's recovered high-water mark (Store.Seq), so sequence numbers
-	// stay monotone across restarts and every store-visible mutation is
-	// stamped with the seq it was accepted under.
+	// 1-based and gapless within one process. A wallet without a journal
+	// starts at 0; one with a journal resumes from the highest seq it
+	// recorded, so every journaled mutation is stamped with the seq it was
+	// accepted under and those stay monotone across restarts.
 	seq uint64
 
-	// ttlMu guards ttl, which maps remotely sourced delegations to the
-	// instant their coherence TTL lapses without renewal (§4.2.1).
+	// revMu guards revoked, the one copy of the revocation set: every
+	// delegation this wallet has seen revoked and when. Entries are never
+	// removed. Written under repMu as well, by commit's callers.
+	revMu   sync.RWMutex
+	revoked map[core.DelegationID]time.Time
+
+	// ttlMu guards ttl, which maps TTL-coherent cached copies (§4.2.1) to
+	// the instant their TTL lapses without renewal. A held delegation with
+	// an entry is cache and unjournaled; one without is what the wallet is
+	// home to. Written under repMu as well, so commit's callers read it
+	// consistently with the graph.
 	ttlMu sync.Mutex
 	ttl   map[core.DelegationID]time.Time
 
@@ -155,19 +165,19 @@ type watch struct {
 	fn    func(*core.Proof)
 }
 
-// New constructs a wallet over cfg.Store (a fresh MemStore when nil),
-// replaying any stored delegations into the graph index so a wallet
-// reopened from a durable store serves the same proofs — and keeps
-// refusing the same revoked credentials — as before the restart.
+// New constructs a wallet from the state cfg.Store loads (none when nil), so
+// a wallet reopened over a durable journal serves the same proofs — and
+// keeps refusing the same revoked credentials — as before the restart.
 func New(cfg Config) *Wallet {
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System{}
 	}
-	st := cfg.Store
-	if st == nil {
-		st = NewMemStore()
+	journal := cfg.Store
+	if journal == nil {
+		journal = NewMemStore()
 	}
+	st := journal.Load()
 	sigv := cfg.SigCache
 	if sigv == nil {
 		sigv = sigcache.Shared()
@@ -175,8 +185,8 @@ func New(cfg Config) *Wallet {
 	w := &Wallet{
 		cfg:        cfg,
 		clk:        clk,
-		store:      st,
-		seq:        st.Seq(),
+		store:      journal,
+		seq:        st.Seq,
 		sigv:       sigv,
 		g:          graph.New(),
 		reg:        subs.NewRegistry(),
@@ -186,8 +196,12 @@ func New(cfg Config) *Wallet {
 		sloPublish: cfg.Obs.SLO("publish"),
 		cache:      newProofCache(DefaultProofCacheLimit),
 		cacheOff:   cfg.DisableProofCache,
+		revoked:    make(map[core.DelegationID]time.Time, len(st.Revocations)),
 		ttl:        make(map[core.DelegationID]time.Time),
 		watches:    make(map[int]*watch),
+	}
+	for _, r := range st.Revocations {
+		w.revoked[r.ID] = r.At
 	}
 	// The cache invalidation hook registers first so it is the first
 	// wildcard handler: memoized answers die before any other subscriber
@@ -205,7 +219,7 @@ func New(cfg Config) *Wallet {
 	})
 	if reg := cfg.Obs.Registry(); reg != nil {
 		reg.GaugeFunc("drbac_wallet_delegations", func() int64 { return int64(w.g.Len()) })
-		reg.GaugeFunc("drbac_wallet_revoked", func() int64 { return int64(len(w.store.RevokedIDs())) })
+		reg.GaugeFunc("drbac_wallet_revoked", func() int64 { return int64(w.revokedCount()) })
 		reg.GaugeFunc("drbac_wallet_ttl_tracked", func() int64 { return int64(w.CachedCount()) })
 		reg.GaugeFunc("drbac_wallet_watches", func() int64 {
 			w.watchMu.Lock()
@@ -225,7 +239,7 @@ func New(cfg Config) *Wallet {
 		reg.GaugeFunc("drbac_sigcache_evictions", func() int64 { return w.sigv.Stats().Evictions })
 		reg.GaugeFunc("drbac_sigcache_size", func() int64 { return w.sigv.Stats().Size })
 	}
-	for _, b := range st.Bundles() {
+	for _, b := range st.Bundles {
 		// A durable store can hand back bundles that no longer verify —
 		// truncated writes, post-hoc tampering, or a key format change.
 		// Refusing them is correct, but refusing them silently hid real
@@ -248,7 +262,7 @@ func New(cfg Config) *Wallet {
 				"delegation", b.Delegation.ID().Short(), "cause", cause, "error", err)
 			continue
 		}
-		if st.IsRevoked(b.Delegation.ID()) {
+		if w.IsRevoked(b.Delegation.ID()) {
 			continue
 		}
 		w.g.Add(b.Delegation, b.Support)
@@ -269,7 +283,7 @@ func (w *Wallet) Clock() clock.Clock { return w.clk }
 // Now returns the wallet's current instant.
 func (w *Wallet) Now() time.Time { return w.clk.Now() }
 
-// Store returns the wallet's system of record.
+// Store returns the wallet's journal.
 func (w *Wallet) Store() Store { return w.store }
 
 // Obs returns the wallet's observability bundle, which may be nil.
@@ -294,17 +308,42 @@ func (w *Wallet) Get(id core.DelegationID) (*core.Delegation, []*core.Proof, boo
 // Contains reports whether the wallet holds the delegation.
 func (w *Wallet) Contains(id core.DelegationID) bool { return w.g.Contains(id) }
 
+// Revocations returns every revocation this wallet has seen, with the
+// instant it was recorded, in unspecified order.
+func (w *Wallet) Revocations() []Revocation {
+	w.revMu.RLock()
+	defer w.revMu.RUnlock()
+	out := make([]Revocation, 0, len(w.revoked))
+	for id, at := range w.revoked {
+		out = append(out, Revocation{ID: id, At: at})
+	}
+	return out
+}
+
 // RevokedIDs returns every delegation ID this wallet has seen revoked, in
-// unspecified order. The file-backed Store persists these so a restored
-// wallet keeps refusing revoked credentials.
-func (w *Wallet) RevokedIDs() []core.DelegationID { return w.store.RevokedIDs() }
+// unspecified order.
+func (w *Wallet) RevokedIDs() []core.DelegationID {
+	revs := w.Revocations()
+	ids := make([]core.DelegationID, len(revs))
+	for i, r := range revs {
+		ids[i] = r.ID
+	}
+	return ids
+}
 
-// IsRevoked reports whether the wallet has seen a revocation for id.
-func (w *Wallet) IsRevoked(id core.DelegationID) bool { return w.store.IsRevoked(id) }
+// IsRevoked reports whether the wallet has seen a revocation for id. It is
+// the predicate proof validation and the proof cache check steps against.
+func (w *Wallet) IsRevoked(id core.DelegationID) bool {
+	w.revMu.RLock()
+	defer w.revMu.RUnlock()
+	_, ok := w.revoked[id]
+	return ok
+}
 
-// revokedFn returns a revocation predicate for proof validation.
-func (w *Wallet) revokedFn() func(core.DelegationID) bool {
-	return w.store.IsRevoked
+func (w *Wallet) revokedCount() int {
+	w.revMu.RLock()
+	defer w.revMu.RUnlock()
+	return len(w.revoked)
 }
 
 // Stats is a point-in-time snapshot of wallet state and cache
@@ -337,7 +376,7 @@ func (w *Wallet) Stats() Stats {
 	w.watchMu.Unlock()
 	return Stats{
 		Delegations: w.g.Len(),
-		Revoked:     len(w.store.RevokedIDs()),
+		Revoked:     w.revokedCount(),
 		TTLTracked:  ttl,
 		Watches:     watches,
 		Cache:       w.cache.Stats(),
@@ -352,11 +391,21 @@ func (w *Wallet) Stats() Stats {
 // own graph before the publication is rejected. Subscribers receive a
 // Published event once the delegation is stored and indexed.
 func (w *Wallet) Publish(d *core.Delegation, support ...*core.Proof) error {
+	return w.InsertCached(d, support, 0)
+}
+
+// InsertCached is Publish for a remotely discovered delegation held under a
+// coherence TTL (§4.2.1): the copy is trusted for ttl after insertion and
+// must be renewed (RenewCached) or it goes stale. Such a copy is cache — it
+// is not journaled, and it never displaces a delegation the wallet already
+// holds permanently, which stays permanent. A zero ttl means the delegation
+// requires no monitoring and is published permanently.
+func (w *Wallet) InsertCached(d *core.Delegation, support []*core.Proof, ttl time.Duration) error {
 	var start time.Time
 	if w.sloPublish != nil {
 		start = time.Now()
 	}
-	err := w.publish(d, support)
+	err := w.publish(d, support, ttl)
 	if w.sloPublish != nil {
 		w.sloPublish.Observe(time.Since(start))
 	}
@@ -372,7 +421,7 @@ func (w *Wallet) Publish(d *core.Delegation, support ...*core.Proof) error {
 	return err
 }
 
-func (w *Wallet) publish(d *core.Delegation, support []*core.Proof) error {
+func (w *Wallet) publish(d *core.Delegation, support []*core.Proof, ttl time.Duration) error {
 	if d == nil {
 		return fmt.Errorf("publish: nil delegation")
 	}
@@ -389,7 +438,7 @@ func (w *Wallet) publish(d *core.Delegation, support []*core.Proof) error {
 
 	vopts := core.ValidateOptions{
 		At:               now,
-		Revoked:          w.revokedFn(),
+		Revoked:          w.IsRevoked,
 		StrictAttributes: w.cfg.StrictAttributes,
 		MaxDepth:         w.cfg.MaxDepth,
 	}
@@ -397,22 +446,26 @@ func (w *Wallet) publish(d *core.Delegation, support []*core.Proof) error {
 	if err != nil {
 		return fmt.Errorf("publish: %w", err)
 	}
-	if _, err := w.admit(d, used, true); err != nil {
+	if _, err := w.admit(d, used, ttl, true); err != nil {
 		return fmt.Errorf("publish: %w", err)
 	}
 	return nil
 }
 
 // admit commits a verified bundle as Published and fires the watches it may
-// satisfy. Without replace, a bundle the graph already holds is no change.
-func (w *Wallet) admit(d *core.Delegation, support []*core.Proof, replace bool) (bool, error) {
+// satisfy. With a ttl the bundle is a cached copy: held for ttl, never
+// journaled, and no change over a delegation held permanently. Without
+// replace, a bundle the graph already holds is no change either.
+func (w *Wallet) admit(d *core.Delegation, support []*core.Proof, ttl time.Duration, replace bool) (bool, error) {
 	id := d.ID()
-	changed, err := w.commit(subs.Published, id, func(seq uint64) (bool, error) {
-		if !replace && w.g.Contains(id) {
+	changed, err := w.commit(subs.Published, id, ttl, func(seq uint64, cached bool) (bool, error) {
+		if w.g.Contains(id) && (!replace || ttl > 0 && !cached) {
 			return false, nil
 		}
-		if err := w.store.PutDelegation(seq, d, support); err != nil {
-			return false, fmt.Errorf("persist %s: %w", id.Short(), err)
+		if ttl <= 0 {
+			if err := w.store.PutDelegation(seq, d, support); err != nil {
+				return false, fmt.Errorf("persist %s: %w", id.Short(), err)
+			}
 		}
 		w.g.Add(d, support)
 		return true, nil
@@ -424,26 +477,34 @@ func (w *Wallet) admit(d *core.Delegation, support []*core.Proof, replace bool) 
 }
 
 // commit is the one writer of the changelog (SPEC §9.1). Under repMu, apply
-// does the store write and the graph update at the seq it is handed and says
-// whether anything changed; if so the seq advances, the delegation's TTL
-// tracking ends (a renewal extends it) and the event goes out. Subscribers so
-// see events in seq order, Snapshot is consistent with its seq, and handlers
-// run with repMu held: they must not re-enter this wallet's mutations.
-// No change is no seq, no event, no store record. An error beside a change
-// is a store write that failed after memory took the safe outcome.
-func (w *Wallet) commit(kind subs.EventKind, id core.DelegationID, apply func(seq uint64) (changed bool, err error)) (bool, error) {
+// updates memory and journals what the wallet is home to at the seq it is
+// handed — told whether id is a TTL-tracked cached copy, which the journal
+// never saw — and says whether anything changed; if so the seq advances, the
+// delegation's TTL tracking is set to ttl from now (ended when ttl is 0) and
+// the event goes out. Subscribers so see events in seq order, Snapshot is
+// consistent with its seq, and handlers run with repMu held: they must not
+// re-enter this wallet's mutations. No change is no seq, no event, no
+// journal record. An error beside a change is a journal write that failed
+// after memory took the safe outcome.
+func (w *Wallet) commit(kind subs.EventKind, id core.DelegationID, ttl time.Duration,
+	apply func(seq uint64, cached bool) (changed bool, err error)) (bool, error) {
 	now := w.Now()
 	w.repMu.Lock()
 	defer w.repMu.Unlock()
-	changed, err := apply(w.seq + 1)
+	w.ttlMu.Lock()
+	_, cached := w.ttl[id]
+	w.ttlMu.Unlock()
+	changed, err := apply(w.seq+1, cached)
 	if !changed {
 		return false, err
 	}
-	if kind != subs.Renewed {
-		w.ttlMu.Lock()
+	w.ttlMu.Lock()
+	if ttl > 0 {
+		w.ttl[id] = now.Add(ttl)
+	} else {
 		delete(w.ttl, id)
-		w.ttlMu.Unlock()
 	}
+	w.ttlMu.Unlock()
 	w.seq++
 	w.reg.Publish(subs.Event{Delegation: id, Kind: kind, At: now, Seq: w.seq})
 	return true, err
@@ -523,22 +584,28 @@ func (w *Wallet) revoke(id core.DelegationID, by core.EntityID) error {
 
 // forceRevoke marks a delegation revoked without an authorization check; it
 // backs Revoke and the remote layer's propagation of home-wallet
-// revocations (which arrive already authenticated). The revocation always
-// takes effect in memory; the returned error reports a persistence failure
-// of a durable store.
+// revocations (which arrive already authenticated). A revocation the wallet
+// has not seen takes effect in memory before anything can fail; the returned
+// error reports that the journal did not record it.
 func (w *Wallet) forceRevoke(id core.DelegationID) error {
 	now := w.Now()
-	_, err := w.commit(subs.Revoked, id, func(seq uint64) (bool, error) {
-		// The tombstone and the bundle removal are one logical mutation and
-		// share one seq.
-		added, err := w.store.AddRevocation(seq, id, now)
-		if !added {
-			return false, err // already revoked
+	_, err := w.commit(subs.Revoked, id, 0, func(seq uint64, _ bool) (bool, error) {
+		w.revMu.Lock()
+		_, seen := w.revoked[id]
+		if !seen {
+			w.revoked[id] = now
 		}
-		if derr := w.store.DeleteDelegation(seq, id); derr != nil && err == nil {
-			err = derr
+		w.revMu.Unlock()
+		if seen {
+			return false, nil
 		}
 		w.g.Remove(id)
+		// The tombstone and the bundle removal are one logical mutation and
+		// share one seq.
+		_, err := w.store.AddRevocation(seq, id, now)
+		if derr := w.store.DeleteDelegation(seq, id); err == nil {
+			err = derr
+		}
 		return true, err
 	})
 	return err
@@ -550,12 +617,12 @@ func (w *Wallet) AcceptRevocation(id core.DelegationID) {
 	w.storeFailed("accept-revocation", id, w.forceRevoke(id))
 }
 
-// storeFailed reports a durable-store error from a path that cannot return
-// it (accepted revocations, the sweeps, replicated drops). Memory already
-// holds the safe outcome and the wallet keeps serving, but disk has diverged
-// from it — Store.Health only learns of fsync and compaction failures — so
-// the failure is counted and logged rather than dropped. Call it outside
-// the wallet's locks.
+// storeFailed reports a journal error from a path that cannot return it
+// (accepted revocations, the sweeps, replicated drops). Memory already holds
+// the safe outcome and the wallet keeps serving, but the journal has diverged
+// from it — the log store's Health only learns of fsync and compaction
+// failures — so the failure is counted and logged rather than dropped. Call
+// it outside the wallet's locks.
 func (w *Wallet) storeFailed(op string, id core.DelegationID, err error) {
 	if err == nil {
 		return
@@ -580,11 +647,14 @@ func (w *Wallet) SweepExpired() int {
 }
 
 // drop removes a held delegation without revoking it and announces it as
-// kind; op names the caller if the store write fails. Absent is no change.
+// kind; op names the caller if the journal write fails. Absent is no change.
 func (w *Wallet) drop(id core.DelegationID, kind subs.EventKind, op string) bool {
-	changed, err := w.commit(kind, id, func(seq uint64) (bool, error) {
+	changed, err := w.commit(kind, id, 0, func(seq uint64, cached bool) (bool, error) {
 		if !w.g.Remove(id) {
 			return false, nil
+		}
+		if cached {
+			return true, nil
 		}
 		return true, w.store.DeleteDelegation(seq, id)
 	})
@@ -592,35 +662,33 @@ func (w *Wallet) drop(id core.DelegationID, kind subs.EventKind, op string) bool
 	return changed
 }
 
-// InsertCached stores a remotely discovered delegation with a coherence TTL
-// (§4.2.1): the copy is trusted for ttl after insertion and must be renewed
-// (RenewCached) or it goes stale. A zero ttl means the delegation requires
-// no monitoring and is stored permanently.
-func (w *Wallet) InsertCached(d *core.Delegation, support []*core.Proof, ttl time.Duration) error {
-	if err := w.Publish(d, support...); err != nil {
-		return err
-	}
-	if ttl > 0 {
-		w.ttlMu.Lock()
-		w.ttl[d.ID()] = w.Now().Add(ttl)
-		w.ttlMu.Unlock()
-	}
-	return nil
-}
-
 // RenewCached extends a cached delegation's freshness window, reporting
 // whether the entry existed. Subscribers receive a Renewed event.
 func (w *Wallet) RenewCached(id core.DelegationID, ttl time.Duration) bool {
-	renewed, _ := w.commit(subs.Renewed, id, func(uint64) (bool, error) {
-		w.ttlMu.Lock()
-		defer w.ttlMu.Unlock()
-		_, ok := w.ttl[id]
-		if ok {
-			w.ttl[id] = w.Now().Add(ttl)
-		}
-		return ok, nil
+	if ttl <= 0 {
+		return false // no window to extend to; ending the tracking would make the copy permanent
+	}
+	renewed, _ := w.commit(subs.Renewed, id, ttl, func(_ uint64, cached bool) (bool, error) {
+		return cached, nil
 	})
 	return renewed
+}
+
+// ApplyHomeEvent keeps a cached copy coherent with its home wallet (§4.2.1):
+// it is the handler for the home's status updates on a delegation this
+// wallet caches under ttl. A revocation is recorded, an expiry or staleness
+// at the home makes this wallet sweep its own, and a renewal extends the
+// copy's TTL.
+func (w *Wallet) ApplyHomeEvent(ev subs.Event, ttl time.Duration) {
+	switch ev.Kind {
+	case subs.Revoked:
+		w.AcceptRevocation(ev.Delegation)
+	case subs.Expired, subs.Stale:
+		w.SweepExpired()
+		w.SweepStaleCache()
+	case subs.Renewed:
+		w.RenewCached(ev.Delegation, ttl)
+	}
 }
 
 // SweepStaleCache removes cached delegations whose TTL lapsed without
@@ -628,18 +696,28 @@ func (w *Wallet) RenewCached(id core.DelegationID, ttl time.Duration) bool {
 // were removed.
 func (w *Wallet) SweepStaleCache() int {
 	now := w.Now()
-	var stale []core.DelegationID
+	var lapsed []core.DelegationID
 	w.ttlMu.Lock()
 	for id, deadline := range w.ttl {
 		if now.After(deadline) {
-			stale = append(stale, id)
-			delete(w.ttl, id)
+			lapsed = append(lapsed, id)
 		}
 	}
 	w.ttlMu.Unlock()
 	removed := 0
-	for _, id := range stale {
-		if w.drop(id, subs.Stale, "stale") {
+	for _, id := range lapsed {
+		changed, _ := w.commit(subs.Stale, id, 0, func(uint64, bool) (bool, error) {
+			// Renewed or made permanent since the scan is not stale any more.
+			w.ttlMu.Lock()
+			deadline, tracked := w.ttl[id]
+			stale := tracked && now.After(deadline)
+			if stale {
+				delete(w.ttl, id)
+			}
+			w.ttlMu.Unlock()
+			return stale && w.g.Remove(id), nil
+		})
+		if changed {
 			removed++
 		}
 	}
@@ -654,8 +732,8 @@ func (w *Wallet) CachedCount() int {
 }
 
 // Seq returns the wallet's changelog sequence number: the seq of the last
-// accepted mutation. A wallet on an in-memory store starts at 0; a wallet
-// on a durable store resumes from the store's recovered high-water mark.
+// accepted mutation. A wallet without a journal starts at 0; one with a
+// journal resumes from the highest seq it recorded.
 func (w *Wallet) Seq() uint64 {
 	w.repMu.Lock()
 	defer w.repMu.Unlock()
@@ -675,15 +753,16 @@ type Snapshot struct {
 
 // Snapshot captures the wallet's replicable state atomically with respect
 // to sequenced mutations: no mutation can land between the seq read and the
-// store reads, so the returned state is exactly the state at Seq.
+// reads of the graph and the revoked set, so the returned state is exactly
+// the state at Seq.
 func (w *Wallet) Snapshot() Snapshot {
 	w.repMu.Lock()
 	defer w.repMu.Unlock()
-	return Snapshot{
-		Seq:     w.seq,
-		Bundles: w.store.Bundles(),
-		Revoked: w.store.RevokedIDs(),
-	}
+	snap := Snapshot{Seq: w.seq, Bundles: make([]StoredBundle, 0, w.g.Len()), Revoked: w.RevokedIDs()}
+	w.g.Each(func(d *core.Delegation, support []*core.Proof) {
+		snap.Bundles = append(snap.Bundles, StoredBundle{Delegation: d, Support: support})
+	})
+	return snap
 }
 
 // InstallReplicated stores a bundle exactly as received from an upstream
@@ -706,7 +785,7 @@ func (w *Wallet) InstallReplicated(b StoredBundle) (bool, error) {
 	if d.Expired(now) || w.IsRevoked(d.ID()) {
 		return false, nil
 	}
-	installed, err := w.admit(d, b.Support, false)
+	installed, err := w.admit(d, b.Support, 0, false)
 	if err != nil {
 		return false, fmt.Errorf("install replicated: %w", err)
 	}
@@ -758,7 +837,7 @@ func (w *Wallet) searchOptions(q Query) graph.Options {
 func (w *Wallet) validateOptions(q Query) core.ValidateOptions {
 	return core.ValidateOptions{
 		At:               w.Now(),
-		Revoked:          w.revokedFn(),
+		Revoked:          w.IsRevoked,
 		StrictAttributes: w.cfg.StrictAttributes,
 		MaxDepth:         w.cfg.MaxDepth,
 		Constraints:      q.Constraints,
@@ -832,7 +911,7 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 	var key string
 	if useCache {
 		key = cacheKey(q.Subject, q.Object, q.Constraints)
-		if p, negative, ok := w.cache.Lookup(key, w.Now(), w.store.IsRevoked); ok {
+		if p, negative, ok := w.cache.Lookup(key, w.Now(), w.IsRevoked); ok {
 			if negative {
 				return nil, "negative", gs, core.ErrNoProof
 			}

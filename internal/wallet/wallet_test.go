@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -650,21 +649,6 @@ func TestConfigMaxProofsBoundsEnumeration(t *testing.T) {
 	}
 }
 
-// raceStore is a MemStore whose revocation set can gain an ID without the
-// graph hearing of it: the state a query sees when a revoke lands after its
-// search and before its validation.
-type raceStore struct {
-	*MemStore
-	late atomic.Pointer[core.DelegationID]
-}
-
-func (s *raceStore) IsRevoked(id core.DelegationID) bool {
-	if late := s.late.Load(); late != nil && *late == id {
-		return true
-	}
-	return s.MemStore.IsRevoked(id)
-}
-
 // A revocation or an expiry that lands between the wallet's search and its
 // validation means the proof has stopped existing: the error must match
 // core.ErrNoProof (so servers count a denial, not a fault, and clients see
@@ -701,22 +685,30 @@ func TestValidationRaceReadsAsNoProof(t *testing.T) {
 		})
 	}
 
-	// End to end through QueryDirect, with the store flipping after the
-	// search has already found the chain.
+	// End to end through QueryDirect, with the revoked set gaining the ID
+	// and the graph not having heard of it: the state a query sees when a
+	// revoke lands after its search and before its validation.
 	t.Run("revoke lands after the search", func(t *testing.T) {
-		store := &raceStore{MemStore: NewMemStore()}
-		w := e.wallet(Config{Store: store})
+		w := e.wallet(Config{})
 		_, _, d3 := e.publishTable1(w)
 		q := Query{Subject: e.subject("Maria"), Object: e.role("BigISP.member")}
-		victim := d3.ID()
-		store.late.Store(&victim)
+		flip := func(revoked bool) {
+			w.revMu.Lock()
+			defer w.revMu.Unlock()
+			if revoked {
+				w.revoked[d3.ID()] = w.Now()
+			} else {
+				delete(w.revoked, d3.ID())
+			}
+		}
+		flip(true)
 		p, err := w.QueryDirect(q)
 		if p != nil || !errors.Is(err, core.ErrNoProof) || !errors.Is(err, core.ErrRevoked) {
 			t.Fatalf("QueryDirect = (%v, %v), want no proof, matching ErrNoProof and ErrRevoked", p, err)
 		}
 		// The denial was not memoized as a negative: with the flip undone
 		// the same question is answered again.
-		store.late.Store(nil)
+		flip(false)
 		if _, err := w.QueryDirect(q); err != nil {
 			t.Fatalf("QueryDirect after the flip is undone: %v", err)
 		}
