@@ -55,9 +55,6 @@ func NewNode(id int, m *Map, o *obs.Obs) (*Node, error) {
 	return n, nil
 }
 
-// ShardID is this member's shard.
-func (n *Node) ShardID() int { return n.id }
-
 // Current returns the installed map.
 func (n *Node) Current() *Map {
 	n.mu.RLock()
@@ -96,51 +93,31 @@ func (n *Node) MapResp() (wire.ShardMapResp, error) {
 	return wire.ShardMapResp{Epoch: n.m.Epoch, Shard: n.id, Map: n.raw}, nil
 }
 
-// redirectLocked builds a refusal pointing at owner (the fresh map rides
-// along so one redirect heals the caller's whole routing table).
-func (n *Node) redirectLocked(owner int) *wire.Redirect {
+// Check authorizes a mutation stamped with the caller's epoch (0 =
+// unstamped): refused when the epoch is stale or, for a durable publish
+// (subject non-nil), when this shard does not own the subject's key. A
+// caller stamping a NEWER epoch than ours is not refused on the epoch alone
+// (mid-reshard, members adopt the map at slightly different times);
+// ownership under our map still gates.
+func (n *Node) Check(reqEpoch uint64, subject *core.Subject) *wire.Redirect {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	owner := n.id
+	if subject != nil {
+		owner = n.m.OwnerID(RouteKey(*subject))
+	}
+	if (reqEpoch == 0 || reqEpoch >= n.m.Epoch) && owner == n.id {
+		n.mRoutes.Inc()
+		return nil
+	}
+	n.mRedirects.Inc()
+	// The refusal points at the owner, and the fresh map rides along so one
+	// redirect heals the caller's whole routing table.
 	rd := &wire.Redirect{Epoch: n.m.Epoch, Shard: owner, Map: n.raw}
 	if s, ok := n.m.ShardByID(owner); ok {
 		rd.Addrs = append([]string(nil), s.Addrs...)
 	}
 	return rd
-}
-
-// CheckPublish authorizes a durable publish of a delegation rooted at
-// subject. Refused when the caller stamped a stale epoch or this shard
-// does not own the subject's key. A caller stamping a NEWER epoch than
-// ours is not refused on the epoch alone (mid-reshard, members adopt the
-// map at slightly different times); ownership under our map still gates.
-func (n *Node) CheckPublish(reqEpoch uint64, subject core.Subject) *wire.Redirect {
-	n.mu.RLock()
-	owner := n.m.OwnerID(RouteKey(subject))
-	var rd *wire.Redirect
-	if (reqEpoch != 0 && reqEpoch < n.m.Epoch) || owner != n.id {
-		rd = n.redirectLocked(owner)
-	}
-	n.mu.RUnlock()
-	if rd != nil {
-		n.mRedirects.Inc()
-		return rd
-	}
-	n.mRoutes.Inc()
-	return nil
-}
-
-// CheckEpoch authorizes a mutation that carries no subject key (revoke):
-// only epoch staleness is refused.
-func (n *Node) CheckEpoch(reqEpoch uint64) *wire.Redirect {
-	n.mu.RLock()
-	var rd *wire.Redirect
-	if reqEpoch != 0 && reqEpoch < n.m.Epoch {
-		rd = n.redirectLocked(n.id)
-	}
-	n.mu.RUnlock()
-	if rd != nil {
-		n.mRedirects.Inc()
-		return rd
-	}
-	return nil
 }
 
 // Stats reports the member's cluster section for stats responses.

@@ -112,9 +112,12 @@ func (w *Wallet) InsertCached(d *core.Delegation, support []*core.Proof, ttl tim
 // redirect to it: revocation is authorized against the transport-
 // authenticated issuer identity, which a forwarding gateway cannot
 // impersonate, so the caller must revoke at the owning shard directly.
-// The gateway's own cached copy is dropped eagerly.
+// When by is the issuer, the gateway's own cached copy is dropped eagerly;
+// anyone else's revoke leaves it alone, since the assembly cache, like any
+// wallet, never re-admits what it has revoked. Its error (not found, not
+// the issuer) is ignored: the redirect is the answer either way.
 func (w *Wallet) Revoke(id core.DelegationID, by core.EntityID) error {
-	w.local.AcceptRevocation(id)
+	_ = w.local.Revoke(id, by)
 	shard, ok, err := w.router.FindOwner(context.Background(), id)
 	if !ok {
 		if err != nil {
@@ -273,6 +276,5 @@ func (g gatewayGuard) MapResp() (wire.ShardMapResp, error) {
 	return wire.ShardMapResp{Epoch: cur.Epoch, Shard: -1, Map: raw}, nil
 }
 
-func (g gatewayGuard) CheckPublish(uint64, core.Subject) *wire.Redirect { return nil }
-func (g gatewayGuard) CheckEpoch(uint64) *wire.Redirect                 { return nil }
-func (g gatewayGuard) Stats() *wire.ClusterStats                        { return g.w.router.Stats() }
+func (g gatewayGuard) Check(uint64, *core.Subject) *wire.Redirect { return nil }
+func (g gatewayGuard) Stats() *wire.ClusterStats                  { return g.w.router.Stats() }

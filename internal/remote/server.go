@@ -63,13 +63,11 @@ func newServerMetrics(o *obs.Obs) serverMetrics {
 type ClusterGuard interface {
 	// MapResp answers a TShardMap request with the full serialized map.
 	MapResp() (wire.ShardMapResp, error)
-	// CheckPublish authorizes a durable publish of a delegation whose
-	// subject node is subject, stamped with the caller's epoch (0 =
-	// unstamped). A non-nil redirect refuses the request.
-	CheckPublish(reqEpoch uint64, subject core.Subject) *wire.Redirect
-	// CheckEpoch authorizes an epoch-stamped mutation that carries no
-	// subject key (revoke). A non-nil redirect refuses the request.
-	CheckEpoch(reqEpoch uint64) *wire.Redirect
+	// Check authorizes a mutation stamped with the caller's epoch (0 =
+	// unstamped). subject is the subject node of a durable publish's
+	// delegation, whose owner must be this shard; nil checks the epoch only
+	// (revoke carries no subject key). A non-nil redirect refuses it.
+	Check(reqEpoch uint64, subject *core.Subject) *wire.Redirect
 	// Stats reports the cluster section of a stats response.
 	Stats() *wire.ClusterStats
 }
@@ -114,11 +112,18 @@ func (e *RedirectError) Error() string {
 
 // Server exposes one wallet to the network.
 type Server struct {
-	w        wallet.Service
+	w wallet.Service
+	// rep is w's replication side, when it has one (a cluster gateway has
+	// none).
+	rep      wallet.Replicable
 	ln       transport.Listener
 	obs      *obs.Obs
 	m        serverMetrics
 	readOnly bool
+	// serves holds, indexed by wire.Tier, whether this server serves that
+	// tier, worked out once by ServeOptions from what it was given; handle
+	// refuses the requests of the others.
+	serves   [wire.TierGossip + 1]bool
 	role     string
 	guard    ClusterGuard
 	dht      DHTHandler
@@ -159,9 +164,8 @@ type Options struct {
 	// ("primary" or "replica"); empty omits the field.
 	Role string
 	// Cluster, if non-nil, makes this server a shard-cluster member: it
-	// advertises the shard map epoch on connect, answers shardmap
-	// requests, and refuses mis-routed or stale-epoch mutations with
-	// redirects the guard decides.
+	// answers shardmap requests and refuses mis-routed or stale-epoch
+	// mutations with redirects the guard decides.
 	Cluster ClusterGuard
 	// DHT, if non-nil, serves dht-find-node/find-value/store requests.
 	// Daemons without `-dht` answer those with an error.
@@ -184,11 +188,16 @@ func Serve(w wallet.Service, ln transport.Listener) *Server {
 	return ServeOptions(w, ln, Options{Obs: w.Obs()})
 }
 
-// ServeOptions is Serve with customization.
+// ServeOptions is Serve with customization. The wire.Tier set the server
+// serves follows from what it is given: the wallet tier always, replication
+// when w is wallet.Replicable, and the cluster, DHT and gossip tiers when
+// opts carries their guard or handler.
 func ServeOptions(w wallet.Service, ln transport.Listener, opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
+	rep, _ := w.(wallet.Replicable)
 	s := &Server{
 		w:              w,
+		rep:            rep,
 		ln:             ln,
 		obs:            opts.Obs,
 		m:              newServerMetrics(opts.Obs),
@@ -202,6 +211,13 @@ func ServeOptions(w wallet.Service, ln transport.Listener, opts Options) *Server
 		baseCtx:        ctx,
 		cancelAll:      cancel,
 		conns:          make(map[transport.Conn]bool),
+		serves: [...]bool{
+			wire.TierWallet:      true,
+			wire.TierReplication: rep != nil,
+			wire.TierCluster:     opts.Cluster != nil,
+			wire.TierDHT:         opts.DHT != nil,
+			wire.TierGossip:      opts.Gossip != nil,
+		},
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -210,9 +226,6 @@ func ServeOptions(w wallet.Service, ln transport.Listener, opts Options) *Server
 
 // Addr returns the served address.
 func (s *Server) Addr() string { return s.ln.Addr() }
-
-// Wallet returns the served wallet service.
-func (s *Server) Wallet() wallet.Service { return s.w }
 
 // Close stops the listener, tears down every connection, and waits for the
 // handler goroutines to exit.
@@ -439,14 +452,21 @@ func (s *Server) serveSpan(req *wire.QueryReq, name string, args []any) (context
 }
 
 // handle serves one request: the wire.Messages row says whether the type is
-// a request at all and which type its success reply goes out under, the
-// handler set says who serves it. It returns audit-log attributes; a
-// returned error is sent by dispatch.
+// a request at all, who may be sent it and which type its success reply goes
+// out under, the handler set says who serves it. It is the one place a
+// request is refused for what this server is; handlers only refuse what a
+// request asks. It returns audit-log attributes; a returned error is sent by
+// dispatch.
 func (s *Server) handle(cs *connState, env wire.Envelope) ([]any, error) {
 	msg, h := wire.Lookup(env.Type), handlers[env.Type]
-	if msg == nil || msg.Reply == "" || h == nil {
+	switch {
+	case msg == nil || msg.Reply == "" || h == nil:
 		// Not in the protocol, or a reply, push or reserved type.
 		return nil, fmt.Errorf("unknown request type %q", env.Type)
+	case !s.serves[msg.Tier]:
+		return nil, fmt.Errorf("%s: wallet does not serve %s requests", env.Type, msg.Tier)
+	case msg.Mutates && s.readOnly:
+		return nil, fmt.Errorf("%s: %w", env.Type, ErrReadOnly)
 	}
 	reply, attrs, err := h(s, cs, msg, env)
 	if err != nil {
@@ -506,33 +526,30 @@ var handlers = map[wire.MsgType]handler{
 	wire.TGossipPingReq: on(gossipProbe(true)),
 }
 
-// Refusals of the optional subsystems a wallet may be serving without.
-var (
-	errNoReplication = errors.New("wallet does not serve replication; ask its member shards instead")
-	errNoDHT         = errors.New("wallet does not serve the DHT (start drbacd with -dht)")
-	errNoGossip      = errors.New("wallet does not serve gossip membership")
-)
-
 func (s *Server) publish(_ *connState, req *wire.PublishReq) (any, []any, error) {
-	var attrs []any
-	if req.Delegation != nil {
-		attrs = []any{"delegation", req.Delegation.ID().Short(), "ttl_s", req.TTLSeconds}
+	// A malformed request is refused before the guard or the wallet sees
+	// it: a negative TTL is neither a cached copy nor a durable publish.
+	d := req.Delegation
+	if d == nil {
+		return nil, nil, errors.New("publish: malformed request: no delegation")
 	}
-	if s.readOnly {
-		return nil, attrs, fmt.Errorf("publish: %w", ErrReadOnly)
+	attrs := []any{"delegation", d.ID().Short(), "ttl_s", req.TTLSeconds}
+	if req.TTLSeconds < 0 {
+		return nil, attrs, fmt.Errorf("publish: malformed request: negative ttlSeconds %d", req.TTLSeconds)
 	}
-	// Shard guard: durable publishes must land on the owning shard
-	// under a fresh epoch. TTL-cached copies are exempt — they are a
-	// local caching concern (§4.2.1), not partitioned state.
-	if s.guard != nil && req.TTLSeconds == 0 && req.Delegation != nil {
-		if rd := s.guard.CheckPublish(req.ShardEpoch, req.Delegation.Subject); rd != nil {
+	// TTL-cached copies are a local caching concern (§4.2.1), not
+	// partitioned state, so the shard guard does not see them.
+	if req.TTLSeconds > 0 {
+		return nil, attrs, s.w.InsertCached(d, req.Support, time.Duration(req.TTLSeconds)*time.Second)
+	}
+	// Shard guard: durable publishes must land on the owning shard under a
+	// fresh epoch.
+	if s.serves[wire.TierCluster] {
+		if rd := s.guard.Check(req.ShardEpoch, &d.Subject); rd != nil {
 			return nil, attrs, &RedirectError{Msg: "publish refused: wrong shard or stale epoch", Redirect: *rd}
 		}
 	}
-	if req.TTLSeconds > 0 {
-		return nil, attrs, s.w.InsertCached(req.Delegation, req.Support, time.Duration(req.TTLSeconds)*time.Second)
-	}
-	return nil, attrs, s.w.Publish(req.Delegation, req.Support...)
+	return nil, attrs, s.w.Publish(d, req.Support...)
 }
 
 func (s *Server) queryDirect(_ *connState, req *wire.QueryReq) (any, []any, error) {
@@ -605,11 +622,8 @@ func (s *Server) unsubscribe(cs *connState, req *wire.SubscribeReq) (any, []any,
 
 func (s *Server) revoke(cs *connState, req *wire.RevokeReq) (any, []any, error) {
 	attrs := []any{"delegation", req.Delegation.Short()}
-	if s.readOnly {
-		return nil, attrs, fmt.Errorf("revoke: %w", ErrReadOnly)
-	}
-	if s.guard != nil {
-		if rd := s.guard.CheckEpoch(req.ShardEpoch); rd != nil {
+	if s.serves[wire.TierCluster] {
+		if rd := s.guard.Check(req.ShardEpoch, nil); rd != nil {
 			return nil, attrs, &RedirectError{Msg: "revoke refused: stale shard map epoch", Redirect: *rd}
 		}
 	}
@@ -642,19 +656,12 @@ func (s *Server) stats(cs *connState) (any, []any, error) {
 }
 
 func (s *Server) shardMap(*connState) (any, []any, error) {
-	if s.guard == nil {
-		return nil, nil, fmt.Errorf("wallet is not a shard cluster member")
-	}
 	resp, err := s.guard.MapResp()
 	return resp, []any{"epoch", resp.Epoch, "shard", resp.Shard}, err
 }
 
 func (s *Server) sync(*connState) (any, []any, error) {
-	rep, ok := s.w.(wallet.Replicable)
-	if !ok {
-		return nil, nil, errNoReplication
-	}
-	snap := rep.Snapshot()
+	snap := s.rep.Snapshot()
 	resp := wire.SyncResp{Seq: snap.Seq, Revoked: snap.Revoked}
 	resp.Bundles = make([]wire.SyncBundle, 0, len(snap.Bundles))
 	for _, b := range snap.Bundles {
@@ -664,11 +671,7 @@ func (s *Server) sync(*connState) (any, []any, error) {
 }
 
 func (s *Server) syncSegments(_ *connState, req *wire.SyncSegmentsReq) (any, []any, error) {
-	rep, ok := s.w.(wallet.Replicable)
-	if !ok {
-		return nil, nil, errNoReplication
-	}
-	segStore, ok := rep.Store().(wallet.SegmentStore)
+	segStore, ok := s.rep.Store().(wallet.SegmentStore)
 	if !ok {
 		// Old-style stores cannot ship segments; the caller falls back
 		// to the monolithic TSync snapshot.
@@ -695,9 +698,6 @@ func (s *Server) syncSegments(_ *connState, req *wire.SyncSegmentsReq) (any, []a
 // dhtFind serves dht-find-node and, with value set, dht-find-value.
 func dhtFind(value bool) func(*Server, *connState, *wire.DHTFindReq) (any, []any, error) {
 	return func(s *Server, cs *connState, req *wire.DHTFindReq) (any, []any, error) {
-		if s.dht == nil {
-			return nil, nil, errNoDHT
-		}
 		find := s.dht.HandleFindNode
 		if value {
 			find = s.dht.HandleFindValue
@@ -708,9 +708,6 @@ func dhtFind(value bool) func(*Server, *connState, *wire.DHTFindReq) (any, []any
 }
 
 func (s *Server) dhtStore(cs *connState, req *wire.DHTStoreReq) (any, []any, error) {
-	if s.dht == nil {
-		return nil, nil, errNoDHT
-	}
 	err := s.dht.HandleStore(cs.conn.Peer(), *req)
 	return nil, []any{"accepted", err == nil}, err
 }
@@ -718,9 +715,6 @@ func (s *Server) dhtStore(cs *connState, req *wire.DHTStoreReq) (any, []any, err
 // gossipProbe serves gossip-ping and, with relay set, gossip-ping-req.
 func gossipProbe(relay bool) func(*Server, *connState, *wire.GossipPingBody) (any, []any, error) {
 	return func(s *Server, cs *connState, req *wire.GossipPingBody) (any, []any, error) {
-		if s.gossip == nil {
-			return nil, nil, errNoGossip
-		}
 		probe, attrs := s.gossip.HandlePing, []any(nil)
 		if relay {
 			probe, attrs = s.gossip.HandlePingReq, []any{"target", req.Target}
@@ -751,7 +745,7 @@ func (s *Server) statsResp() wire.StatsResp {
 		SigCacheSize:       ws.SigCache.Size,
 		Metrics:            s.obs.Registry().Snapshot(),
 	}
-	if s.guard != nil {
+	if s.serves[wire.TierCluster] {
 		resp.Cluster = s.guard.Stats()
 	}
 	if s.dhtStats != nil {
@@ -810,10 +804,6 @@ const streamBuffer = 1024
 // after the stream became live; every mutation with a greater seq will be
 // delivered.
 func (s *Server) subscribeAll(cs *connState) (any, []any, error) {
-	rep, ok := s.w.(wallet.Replicable)
-	if !ok {
-		return nil, nil, errNoReplication
-	}
 	ch := make(chan wire.NotifyPush, streamBuffer)
 	quit := make(chan struct{})
 	handler := func(ev subs.Event) {
@@ -826,7 +816,7 @@ func (s *Server) subscribeAll(cs *connState) (any, []any, error) {
 		if ev.Kind == subs.Published {
 			// The handler runs under the wallet's mutation lock, so the
 			// fetched bundle is exactly the state at this seq.
-			if d, support, ok := rep.Get(ev.Delegation); ok {
+			if d, support, ok := s.rep.Get(ev.Delegation); ok {
 				push.Bundle = &wire.SyncBundle{Delegation: d, Support: support}
 			}
 		}
@@ -840,7 +830,7 @@ func (s *Server) subscribeAll(cs *connState) (any, []any, error) {
 				"delegation", ev.Delegation.Short(), "seq", ev.Seq)
 		}
 	}
-	cancelSub := rep.SubscribeAll(handler)
+	cancelSub := s.rep.SubscribeAll(handler)
 	var once sync.Once
 	stop := func() {
 		once.Do(func() {

@@ -1,8 +1,8 @@
 package wire
 
 // Message is one row of the wallet protocol: everything the codecs, the
-// server's dispatch, the client and SPEC §5 need to know about a message
-// type. Messages is the only list of them; to add a message, add its row
+// server's dispatch and refusals, the client and SPEC §5 need to know about a
+// message type. Messages is the only list of them; to add a message, add its row
 // here, a handler in internal/remote, a client method, and a SPEC §5 row.
 type Message struct {
 	Type MsgType
@@ -26,32 +26,55 @@ type Message struct {
 	// Reserved marks a type that keeps its name and code so a frame from an
 	// older build still decodes, but that nothing sends or serves.
 	Reserved bool
+	// Mutates marks a request that changes the served wallet's state; a
+	// read-only replica refuses it (SPEC §9.3).
+	Mutates bool
+	// Tier is the part of a daemon that serves the request; a server without
+	// that part refuses it (SPEC §13.3).
+	Tier Tier
 }
+
+// Tier names the part of a daemon a request belongs to. Every server serves
+// the wallet tier; the others are optional, and which of them a server
+// serves follows from what it was started with.
+type Tier uint8
+
+const (
+	TierWallet      Tier = iota // the wallet itself: every server
+	TierReplication             // the changelog feed followers bootstrap and tail from (§9)
+	TierCluster                 // shard-cluster membership (§12)
+	TierDHT                     // the coalition DHT (§13.2)
+	TierGossip                  // SWIM membership probes (§13.4)
+)
+
+var tierNames = [...]string{"wallet", "replication", "cluster", "dht", "gossip"}
+
+func (t Tier) String() string { return tierNames[t] }
 
 // Messages declares the protocol, one row per message type: requests
 // (codes 1–31), then replies and pushes (32 up).
 var Messages = []Message{
-	{Type: TPublish, Code: 1, Body: body[PublishReq], Reply: TOK},
+	{Type: TPublish, Code: 1, Body: body[PublishReq], Reply: TOK, Mutates: true},
 	{Type: TQueryDirect, Code: 2, Body: body[QueryReq], Reply: TProof},
 	{Type: TQuerySubject, Code: 3, Body: body[QueryReq], Reply: TProofs},
 	{Type: TQueryObject, Code: 4, Body: body[QueryReq], Reply: TProofs},
 	{Type: TSubscribe, Code: 5, Body: body[SubscribeReq], Reply: TOK},
 	{Type: TUnsubscribe, Code: 6, Body: body[SubscribeReq], Reply: TOK},
-	{Type: TRevoke, Code: 7, Body: body[RevokeReq], Reply: TOK},
+	{Type: TRevoke, Code: 7, Body: body[RevokeReq], Reply: TOK, Mutates: true},
 	{Type: TProveRole, Code: 8, Body: body[ProveRoleReq], Reply: TProof},
 	{Type: THas, Code: 9, Body: body[HasReq], Reply: TOK, OK: body[HasResp]},
 	{Type: TPing, Code: 10, Reply: TPong},
 	{Type: TStats, Code: 11, Reply: TOK, OK: body[StatsResp]},
-	{Type: TSync, Code: 12, Reply: TOK, OK: body[SyncResp]},
-	{Type: TSubscribeAll, Code: 13, Reply: TOK, OK: body[SubscribeAllResp]},
-	{Type: TSyncSegments, Code: 14, Body: body[SyncSegmentsReq], BodyOptional: true, Reply: TOK, OK: body[SyncSegmentsResp]},
+	{Type: TSync, Code: 12, Reply: TOK, OK: body[SyncResp], Tier: TierReplication},
+	{Type: TSubscribeAll, Code: 13, Reply: TOK, OK: body[SubscribeAllResp], Tier: TierReplication},
+	{Type: TSyncSegments, Code: 14, Body: body[SyncSegmentsReq], BodyOptional: true, Reply: TOK, OK: body[SyncSegmentsResp], Tier: TierReplication},
 	{Type: TTrace, Code: 15, Body: body[TraceReq], Reply: TOK, OK: body[TraceResp]},
-	{Type: TShardMap, Code: 16, Reply: TOK, OK: body[ShardMapResp]},
-	{Type: TDHTFindNode, Code: 17, Body: body[DHTFindReq], Reply: TOK, OK: body[DHTFindResp]},
-	{Type: TDHTFindValue, Code: 18, Body: body[DHTFindReq], Reply: TOK, OK: body[DHTFindResp]},
-	{Type: TDHTStore, Code: 19, Body: body[DHTStoreReq], Reply: TOK},
-	{Type: TGossipPing, Code: 20, Body: body[GossipPingBody], Reply: TOK, OK: body[GossipAck]},
-	{Type: TGossipPingReq, Code: 21, Body: body[GossipPingBody], Reply: TOK, OK: body[GossipAck]},
+	{Type: TShardMap, Code: 16, Reply: TOK, OK: body[ShardMapResp], Tier: TierCluster},
+	{Type: TDHTFindNode, Code: 17, Body: body[DHTFindReq], Reply: TOK, OK: body[DHTFindResp], Tier: TierDHT},
+	{Type: TDHTFindValue, Code: 18, Body: body[DHTFindReq], Reply: TOK, OK: body[DHTFindResp], Tier: TierDHT},
+	{Type: TDHTStore, Code: 19, Body: body[DHTStoreReq], Reply: TOK, Tier: TierDHT},
+	{Type: TGossipPing, Code: 20, Body: body[GossipPingBody], Reply: TOK, OK: body[GossipAck], Tier: TierGossip},
+	{Type: TGossipPingReq, Code: 21, Body: body[GossipPingBody], Reply: TOK, OK: body[GossipAck], Tier: TierGossip},
 
 	{Type: TOK, Code: 32},
 	{Type: TProof, Code: 33, Body: body[ProofResp]},

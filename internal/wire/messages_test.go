@@ -247,6 +247,9 @@ func TestMessageTableCodes(t *testing.T) {
 		if m.Reserved && m.Reply != "" {
 			t.Errorf("%q is reserved yet declared a request", m.Type)
 		}
+		if m.Reply == "" && (m.Mutates || m.Tier != TierWallet) {
+			t.Errorf("%q is no request yet declares who may be sent it (mutates %v, tier %s)", m.Type, m.Mutates, m.Tier)
+		}
 	}
 	for name, code := range goldenCodes {
 		if m := Lookup(name); m == nil || m.Code != code {
@@ -280,13 +283,14 @@ func TestReservedRowsStillDecode(t *testing.T) {
 	}
 }
 
-// specRow matches one SPEC §5 table row: | `type` | code | body | response |,
-// with "reserved" somewhere in a reserved type's row.
+// specRow matches one SPEC §5 table row: | `type` | code | … |, with
+// "reserved" somewhere in a reserved type's row. A request row's next two
+// cells are mutates (yes/no) and tier; a reply row goes straight to its body.
 var specRow = regexp.MustCompile("^\\| `([a-z-]+)` \\| (\\d+) \\|(.*)\\|$")
 
 // TestSpecMessageTableMatches holds docs/SPEC.md §5 to the table: every row
-// of Messages (name, code, reserved or not) appears there, and nothing else
-// does.
+// of Messages (name, code, reserved or not, and for a request who may be sent
+// it: mutates and tier) appears there, and nothing else does.
 func TestSpecMessageTableMatches(t *testing.T) {
 	spec, err := os.ReadFile("../../docs/SPEC.md")
 	if err != nil {
@@ -300,6 +304,7 @@ func TestSpecMessageTableMatches(t *testing.T) {
 	type row struct {
 		code     int
 		reserved bool
+		cells    []string // the cells after the code
 	}
 	documented := make(map[MsgType]row)
 	for _, line := range strings.Split(section, "\n") {
@@ -311,10 +316,15 @@ func TestSpecMessageTableMatches(t *testing.T) {
 		if _, dup := documented[MsgType(m[1])]; dup {
 			t.Errorf("SPEC §5 documents %q twice", m[1])
 		}
-		documented[MsgType(m[1])] = row{code, strings.Contains(m[3], "reserved")}
+		cells := strings.Split(m[3], "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		documented[MsgType(m[1])] = row{code, strings.Contains(m[3], "reserved"), cells}
 	}
 	for _, m := range Messages {
 		got, ok := documented[m.Type]
+		mutates := map[bool]string{true: "yes", false: "no"}[m.Mutates]
 		switch {
 		case !ok:
 			t.Errorf("SPEC §5 has no row for %q (code %d)", m.Type, m.Code)
@@ -322,6 +332,9 @@ func TestSpecMessageTableMatches(t *testing.T) {
 			t.Errorf("SPEC §5 gives %q code %d; the table says %d", m.Type, got.code, m.Code)
 		case got.reserved != m.Reserved:
 			t.Errorf("SPEC §5 reserved=%v for %q; the table says %v", got.reserved, m.Type, m.Reserved)
+		case m.Reply != "" && (len(got.cells) < 2 || got.cells[0] != mutates || got.cells[1] != m.Tier.String()):
+			t.Errorf("SPEC §5 gives request %q the cells %q; the table says mutates %s, tier %s",
+				m.Type, got.cells, mutates, m.Tier)
 		}
 		delete(documented, m.Type)
 	}
