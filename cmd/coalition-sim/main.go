@@ -3,13 +3,8 @@
 // (search directionality, attribute pruning, revocation schemes,
 // separability).
 //
-// Usage:
-//
-//	coalition-sim -exp all
-//	coalition-sim -exp casestudy|search|pruning|revocation|separability|chain
-//	coalition-sim -exp cluster       # EXP-C1 shard-scaling sweep (§12)
-//	coalition-sim -exp clustersmoke  # bounded 4-shard scatter-gather smoke (CI)
-//	coalition-sim -exp dhtsmoke      # bounded 6-wallet DHT bootstrap/churn smoke (CI)
+// Usage: coalition-sim -exp NAME, where -h lists the names and all (the
+// default) regenerates every EXPERIMENTS.md table in order.
 package main
 
 import (
@@ -17,10 +12,32 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"drbac/internal/sim"
 )
+
+// experiments is the one list of experiment names: -exp NAME runs one, -exp
+// all runs the inAll ones in this order (the bounded CI smokes are not).
+var experiments = []struct {
+	name  string
+	run   func() error
+	inAll bool
+}{
+	{"casestudy", runCaseStudy, true},
+	{"search", runSearch, true},
+	{"pruning", runPruning, true},
+	{"revocation", runRevocation, true},
+	{"separability", runSeparability, true},
+	{"chain", runChain, true},
+	{"proxy", runProxy, true},
+	{"ranges", runRanges, true},
+	{"cache", runCache, true},
+	{"cluster", runCluster, true},            // EXP-C1 shard-scaling sweep (§12)
+	{"clustersmoke", runClusterSmoke, false}, // bounded 4-shard scatter-gather smoke
+	{"dhtsmoke", runDHTSmoke, false},         // bounded 6-wallet DHT bootstrap/churn smoke
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -31,38 +48,29 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("coalition-sim", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: all, casestudy, search, pruning, revocation, separability, chain, proxy, ranges, cache, cluster, clustersmoke, dhtsmoke")
+	names := []string{"all"}
+	for _, x := range experiments {
+		names = append(names, x.name)
+	}
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, ", "))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	runners := map[string]func() error{
-		"casestudy":    runCaseStudy,
-		"search":       runSearch,
-		"pruning":      runPruning,
-		"revocation":   runRevocation,
-		"separability": runSeparability,
-		"chain":        runChain,
-		"proxy":        runProxy,
-		"ranges":       runRanges,
-		"cache":        runCache,
-		"cluster":      runCluster,
-		"clustersmoke": runClusterSmoke,
-		"dhtsmoke":     runDHTSmoke,
-	}
-	if *exp == "all" {
-		for _, name := range []string{"casestudy", "search", "pruning", "revocation", "separability", "chain", "proxy", "ranges", "cache", "cluster"} {
-			if err := runners[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+	for _, x := range experiments {
+		switch {
+		case *exp == x.name:
+			return x.run()
+		case *exp == "all" && x.inAll:
+			if err := x.run(); err != nil {
+				return fmt.Errorf("%s: %w", x.name, err)
 			}
 			fmt.Println()
 		}
+	}
+	if *exp == "all" {
 		return nil
 	}
-	r, ok := runners[*exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *exp)
-	}
-	return r()
+	return fmt.Errorf("unknown experiment %q", *exp)
 }
 
 func runCaseStudy() error {

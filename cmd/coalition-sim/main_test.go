@@ -1,6 +1,44 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+)
+
+// TestExperimentNamesRegistered keeps the docs in step with the experiments
+// table: every -exp NAME the docs, the Makefile and CI mention is registered,
+// and every experiment -exp all runs is named in EXPERIMENTS.md.
+func TestExperimentNamesRegistered(t *testing.T) {
+	registered := map[string]bool{"all": true}
+	for _, x := range experiments {
+		registered[x.name] = true
+	}
+	expFlag := regexp.MustCompile(`-exp[ =]([A-Za-z][A-Za-z0-9_-]*)`)
+	var inExperiments map[string]bool
+	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", "Makefile", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := make(map[string]bool)
+		for _, m := range expFlag.FindAllSubmatch(text, -1) {
+			named[string(m[1])] = true
+			if !registered[string(m[1])] {
+				t.Errorf("%s names -exp %s, which is not in the experiments table", doc, m[1])
+			}
+		}
+		if doc == "EXPERIMENTS.md" {
+			inExperiments = named
+		}
+	}
+	for _, x := range experiments {
+		if x.inAll && !inExperiments[x.name] {
+			t.Errorf("-exp all runs %s, but EXPERIMENTS.md never names -exp %s", x.name, x.name)
+		}
+	}
+}
 
 // The runners are exercised in depth through internal/sim; these tests pin
 // the CLI wiring: flag handling and that each fast experiment completes.

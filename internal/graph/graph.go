@@ -289,14 +289,6 @@ type Stats struct {
 	Pruned int
 }
 
-// Add folds other's counters into s — the wallet uses it to mirror
-// per-search effort into its long-lived metrics registry.
-func (s *Stats) Add(other Stats) {
-	s.EdgesExplored += other.EdgesExplored
-	s.NodesVisited += other.NodesVisited
-	s.Pruned += other.Pruned
-}
-
 // Options parameterizes searches.
 type Options struct {
 	// At is the evaluation instant; expired delegations are invisible.
@@ -379,12 +371,51 @@ func (g *Graph) FindDirect(subject core.Subject, object core.Role, opts Options)
 	}
 }
 
-// findForward enumerates simple chains depth-first from the subject.
+// findForward walks from the subject and stops at the first chain that
+// reaches the object with an aggregate satisfying the constraints.
 func (g *Graph) findForward(subject core.Subject, object core.Role, opts Options) (*core.Proof, error) {
+	var found *core.Proof
+	g.walkFrom(subject, opts, func(path []*edge, ag core.Aggregate) bool {
+		if path[len(path)-1].d.Object != object || !core.SatisfiedAll(opts.Constraints, ag) {
+			return false
+		}
+		found = proofFromEdges(path)
+		return true
+	})
+	if found == nil {
+		return nil, core.ErrNoProof
+	}
+	return found, nil
+}
+
+// findReverse walks from the object and stops at the first chain that starts
+// at the subject and satisfies the constraints.
+func (g *Graph) findReverse(subject core.Subject, object core.Role, opts Options) (*core.Proof, error) {
+	var found *core.Proof
+	g.walkTo(object, opts, func(path []*edge) bool {
+		if path[len(path)-1].d.Subject == subject {
+			if p := proofFromEdges(reversed(path)); chainSatisfies(p, opts) {
+				found = p
+			}
+		}
+		return found != nil
+	})
+	if found == nil {
+		return nil, core.ErrNoProof
+	}
+	return found, nil
+}
+
+// walkFrom is the subject-side search. It enumerates simple chains
+// depth-first from subject and calls visit with each (in chain order, with
+// its aggregate) until visit reports stop. Only chains within MaxDepth and
+// every depth limit on them, over edges usable at opts.At, with no operator
+// conflict and — unless pruning is disabled — an aggregate still satisfying
+// the constraints reach visit. visit must not retain path.
+func (g *Graph) walkFrom(subject core.Subject, opts Options, visit func(path []*edge, ag core.Aggregate) (stop bool)) {
 	var (
 		path    []*edge
-		onPath  = make(map[core.Subject]bool)
-		found   *core.Proof
+		onPath  = map[core.Subject]bool{subject: true}
 		maxDeep = opts.maxDepth()
 	)
 	var dfs func(node core.Subject, ag core.Aggregate, budget int) bool
@@ -420,35 +451,32 @@ func (g *Graph) findForward(subject core.Subject, object core.Role, opts Options
 				continue
 			}
 			path = append(path, e)
-			if e.d.Object == object && core.SatisfiedAll(opts.Constraints, nextAg) {
-				found = proofFromEdges(path)
-				path = path[:len(path)-1]
-				return true
+			stop := visit(path, nextAg)
+			if !stop {
+				onPath[next] = true
+				stop = dfs(next, nextAg, nextBudget)
+				delete(onPath, next)
 			}
-			onPath[next] = true
-			done := dfs(next, nextAg, nextBudget)
-			delete(onPath, next)
 			path = path[:len(path)-1]
-			if done {
+			if stop {
 				return true
 			}
 		}
 		return false
 	}
-	onPath[subject] = true
-	if dfs(subject, core.NewAggregate(), maxDeep) {
-		return found, nil
-	}
-	return nil, core.ErrNoProof
+	dfs(subject, core.NewAggregate(), maxDeep)
 }
 
-// findReverse enumerates simple chains depth-first from the object towards
-// the subject.
-func (g *Graph) findReverse(subject core.Subject, object core.Role, opts Options) (*core.Proof, error) {
+// walkTo is the object-side search. It enumerates simple chains depth-first
+// from object and calls visit with each, reversed (path[0] is the edge
+// closest to the object), until visit reports stop. Only chains within
+// MaxDepth and every depth limit on them, over edges usable at opts.At, reach
+// visit; one is extended only through a role subject not already on it and,
+// unless pruning is disabled, only while its suffix satisfies the constraints.
+func (g *Graph) walkTo(object core.Role, opts Options, visit func(path []*edge) (stop bool)) {
 	var (
 		path    []*edge // reversed: path[0] is the edge closest to the object
-		onPath  = make(map[core.Role]bool)
-		found   *core.Proof
+		onPath  = map[core.Role]bool{object: true}
 		maxDeep = opts.maxDepth()
 	)
 	var dfs func(node core.Role) bool
@@ -462,52 +490,45 @@ func (g *Graph) findReverse(subject core.Subject, object core.Role, opts Options
 				continue
 			}
 			opts.bumpEdges()
-			path = append(path, e)
-			// Reverse depth pruning: this edge will have len(path)-1 steps
-			// after it in the final chain.
-			if e.d.DepthLimit > 0 && e.d.DepthLimit < len(path)-1 {
-				path = path[:len(path)-1]
+			// Reverse depth pruning: the len(path) edges already walked
+			// follow this one in every chain through it.
+			if e.d.DepthLimit > 0 && e.d.DepthLimit < len(path) {
 				continue
 			}
-			if e.d.Subject == subject {
-				chain := make([]*edge, len(path))
-				for i, pe := range path {
-					chain[len(path)-1-i] = pe
-				}
-				if p := proofFromEdges(chain); chainSatisfies(p, opts) {
-					found = p
-					path = path[:len(path)-1]
-					return true
-				}
-			}
+			path = append(path, e)
+			stop := visit(path)
 			// Continue only through role subjects: entity subjects
 			// terminate chains (§3.1.1).
-			if !e.d.Subject.IsEntity() && !onPath[e.d.Subject.Role] {
+			from := e.d.Subject.Role
+			if !stop && !e.d.Subject.IsEntity() && !onPath[from] {
 				// Monotonicity pruning in reverse direction: the suffix
 				// aggregate from here to the object already bounds the
 				// final value from above.
 				if !opts.DisablePruning && !suffixSatisfiable(path, opts) {
 					opts.bumpPruned()
-					path = path[:len(path)-1]
-					continue
-				}
-				onPath[e.d.Subject.Role] = true
-				done := dfs(e.d.Subject.Role)
-				delete(onPath, e.d.Subject.Role)
-				if done {
-					path = path[:len(path)-1]
-					return true
+				} else {
+					onPath[from] = true
+					stop = dfs(from)
+					delete(onPath, from)
 				}
 			}
 			path = path[:len(path)-1]
+			if stop {
+				return true
+			}
 		}
 		return false
 	}
-	onPath[object] = true
-	if dfs(object) {
-		return found, nil
+	dfs(object)
+}
+
+// reversed returns walkTo's path in chain order, as a fresh slice.
+func reversed(path []*edge) []*edge {
+	chain := make([]*edge, len(path))
+	for i, e := range path {
+		chain[len(path)-1-i] = e
 	}
-	return nil, core.ErrNoProof
+	return chain
 }
 
 // suffixSatisfiable checks whether the reversed partial chain (suffix of the
@@ -538,17 +559,6 @@ func chainDepthOK(steps []core.ProofStep) bool {
 	for i, st := range steps {
 		limit := st.Delegation.DepthLimit
 		if limit > 0 && len(steps)-1-i > limit {
-			return false
-		}
-	}
-	return true
-}
-
-// edgeDepthOK is chainDepthOK over the search-internal edge slice.
-func edgeDepthOK(chain []*edge) bool {
-	for i, e := range chain {
-		limit := e.d.DepthLimit
-		if limit > 0 && len(chain)-1-i > limit {
 			return false
 		}
 	}
@@ -703,52 +713,14 @@ func proofFromEdges(chain []*edge) *core.Proof {
 // the form subject ⇒ * that does not violate the constraints, up to
 // MaxProofs.
 func (g *Graph) EnumerateFrom(subject core.Subject, opts Options) []*core.Proof {
-	var (
-		out     []*core.Proof
-		path    []*edge
-		onPath  = map[core.Subject]bool{subject: true}
-		maxDeep = opts.maxDepth()
-		limit   = opts.maxProofs()
-	)
-	var dfs func(node core.Subject, ag core.Aggregate)
-	dfs = func(node core.Subject, ag core.Aggregate) {
-		opts.bumpNodes()
-		if len(out) >= limit || len(path) >= maxDeep {
-			return
+	var out []*core.Proof
+	limit := opts.maxProofs()
+	g.walkFrom(subject, opts, func(path []*edge, ag core.Aggregate) bool {
+		if core.SatisfiedAll(opts.Constraints, ag) {
+			out = append(out, proofFromEdges(path))
 		}
-		for _, e := range g.edgesFrom(node) {
-			if !usable(e, opts.At) {
-				continue
-			}
-			opts.bumpEdges()
-			next := core.SubjectRole(e.d.Object)
-			if onPath[next] {
-				continue
-			}
-			nextAg := ag.Clone()
-			if err := nextAg.AddAll(e.d.Attributes); err != nil {
-				continue
-			}
-			if !opts.DisablePruning && !core.SatisfiedAll(opts.Constraints, nextAg) {
-				opts.bumpPruned()
-				continue
-			}
-			path = append(path, e)
-			if core.SatisfiedAll(opts.Constraints, nextAg) && edgeDepthOK(path) {
-				out = append(out, proofFromEdges(path))
-			}
-			if len(out) < limit {
-				onPath[next] = true
-				dfs(next, nextAg)
-				delete(onPath, next)
-			}
-			path = path[:len(path)-1]
-			if len(out) >= limit {
-				return
-			}
-		}
-	}
-	dfs(subject, core.NewAggregate())
+		return len(out) >= limit
+	})
 	return out
 }
 
@@ -756,52 +728,13 @@ func (g *Graph) EnumerateFrom(subject core.Subject, opts Options) []*core.Proof 
 // the form * ⇒ object that does not violate the constraints, up to
 // MaxProofs.
 func (g *Graph) EnumerateTo(object core.Role, opts Options) []*core.Proof {
-	var (
-		out     []*core.Proof
-		path    []*edge // reversed
-		onPath  = map[core.Role]bool{object: true}
-		maxDeep = opts.maxDepth()
-		limit   = opts.maxProofs()
-	)
-	emit := func() {
-		chain := make([]*edge, len(path))
-		for i, e := range path {
-			chain[len(path)-1-i] = e
-		}
-		p := proofFromEdges(chain)
-		if chainSatisfies(p, opts) {
+	var out []*core.Proof
+	limit := opts.maxProofs()
+	g.walkTo(object, opts, func(path []*edge) bool {
+		if p := proofFromEdges(reversed(path)); chainSatisfies(p, opts) {
 			out = append(out, p)
 		}
-	}
-	var dfs func(node core.Role)
-	dfs = func(node core.Role) {
-		opts.bumpNodes()
-		if len(out) >= limit || len(path) >= maxDeep {
-			return
-		}
-		for _, e := range g.edgesTo(node) {
-			if !usable(e, opts.At) {
-				continue
-			}
-			opts.bumpEdges()
-			path = append(path, e)
-			if !opts.DisablePruning && !suffixSatisfiable(path, opts) {
-				opts.bumpPruned()
-				path = path[:len(path)-1]
-				continue
-			}
-			emit()
-			if !e.d.Subject.IsEntity() && !onPath[e.d.Subject.Role] && len(out) < limit {
-				onPath[e.d.Subject.Role] = true
-				dfs(e.d.Subject.Role)
-				delete(onPath, e.d.Subject.Role)
-			}
-			path = path[:len(path)-1]
-			if len(out) >= limit {
-				return
-			}
-		}
-	}
-	dfs(object)
+		return len(out) >= limit
+	})
 	return out
 }

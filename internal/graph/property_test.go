@@ -7,14 +7,17 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"drbac/internal/core"
 )
 
 // randomGraph builds a random delegation DAG-ish graph (cycles allowed)
 // over nRoles roles in one namespace, with one entity subject, and returns
-// the graph plus the query endpoints.
-func randomGraph(t *testing.T, rng *rand.Rand, nRoles, nEdges int) (*Graph, core.Subject, []core.Role, core.AttributeRef) {
+// the graph plus the query endpoints. With limited set, about a third of the
+// delegations carry a depth limit of 1–3 (§6) and about one in eight expired
+// before testNow.
+func randomGraph(t *testing.T, rng *rand.Rand, nRoles, nEdges int, limited bool) (*Graph, core.Subject, []core.Role, core.AttributeRef) {
 	t.Helper()
 	e := newEnv(t, "Owner", "User")
 	g := New()
@@ -33,7 +36,17 @@ func randomGraph(t *testing.T, rng *rand.Rand, nRoles, nEdges int) (*Graph, core
 				Attr: bw, Op: core.OpMinimum, Value: float64(10 + rng.Intn(200)),
 			}}
 		}
-		d, err := core.Issue(owner, tmpl, testNow)
+		issuedAt := testNow
+		if limited {
+			if rng.Intn(3) == 0 {
+				tmpl.DepthLimit = 1 + rng.Intn(3)
+			}
+			if rng.Intn(8) == 0 {
+				issuedAt = testNow.Add(-time.Hour)
+				tmpl.Expiry = testNow.Add(-time.Minute)
+			}
+		}
+		d, err := core.Issue(owner, tmpl, issuedAt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,13 +70,17 @@ func randomGraph(t *testing.T, rng *rand.Rand, nRoles, nEdges int) (*Graph, core
 	return g, core.SubjectEntity(user.ID()), roles, bw
 }
 
-// Property: on random graphs without constraints, the three search
-// directions agree on whether a proof exists, and every returned proof
-// validates.
+// Property: on random graphs without constraints, forward and reverse (both
+// exhaustive simple-path searches) agree on whether a proof exists, and every
+// proof any direction returns validates. Bidirectional keeps one parent edge
+// per node, so under depth limits it can miss a proof that needs a parallel
+// route (5 misses in 3,000 depth-limited seeds when this was written): it
+// must agree only on graphs without depth limits or expired delegations.
 func TestPropertyDirectionsAgreeOnExistence(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, subject, roles, _ := randomGraph(t, rng, 6+rng.Intn(6), 10+rng.Intn(20))
+		limited := rng.Intn(2) == 0
+		g, subject, roles, _ := randomGraph(t, rng, 6+rng.Intn(6), 10+rng.Intn(20), limited)
 		object := roles[rng.Intn(len(roles))]
 
 		results := make(map[Direction]error)
@@ -81,7 +98,11 @@ func TestPropertyDirectionsAgreeOnExistence(t *testing.T) {
 			}
 		}
 		fwdFound := results[Forward] == nil
-		for _, dirn := range []Direction{Reverse, Bidirectional} {
+		agree := []Direction{Reverse, Bidirectional}
+		if limited {
+			agree = agree[:1]
+		}
+		for _, dirn := range agree {
 			if (results[dirn] == nil) != fwdFound {
 				t.Logf("seed %d: existence disagreement fwd=%v %v=%v",
 					seed, results[Forward], dirn, results[dirn])
@@ -95,15 +116,16 @@ func TestPropertyDirectionsAgreeOnExistence(t *testing.T) {
 	}
 }
 
-// Property: under constraints, forward and reverse (both exhaustive
-// simple-path searches) agree on existence, and any proof either returns
-// satisfies the constraints. Bidirectional is an optimization that may
-// miss niche constrained paths (the paper notes repeat queries may be
-// needed, §4.2.3), so it is only required to return valid proofs.
+// Property: under constraints, depth limits and expiry, forward and reverse
+// (both exhaustive simple-path searches) agree on existence, and any proof
+// either returns satisfies the constraints. Bidirectional is an
+// optimization that may miss niche constrained or depth-limited paths (the
+// paper notes repeat queries may be needed, §4.2.3), so it is only required
+// to return valid proofs.
 func TestPropertyConstrainedSearchSound(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, subject, roles, bw := randomGraph(t, rng, 6+rng.Intn(6), 10+rng.Intn(20))
+		g, subject, roles, bw := randomGraph(t, rng, 6+rng.Intn(6), 10+rng.Intn(20), rng.Intn(2) == 0)
 		object := roles[rng.Intn(len(roles))]
 		cons := []core.Constraint{{
 			Attr: bw, Base: math.Inf(1), Minimum: float64(rng.Intn(150)),
@@ -139,11 +161,12 @@ func TestPropertyConstrainedSearchSound(t *testing.T) {
 	}
 }
 
-// Property: every proof emitted by subject/object enumeration validates.
+// Property: every proof emitted by subject/object enumeration validates,
+// depth limits and expired delegations included.
 func TestPropertyEnumerationsValid(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, subject, roles, _ := randomGraph(t, rng, 5+rng.Intn(5), 8+rng.Intn(15))
+		g, subject, roles, _ := randomGraph(t, rng, 5+rng.Intn(5), 8+rng.Intn(15), rng.Intn(2) == 0)
 		for _, p := range g.EnumerateFrom(subject, Options{At: testNow}) {
 			if err := p.Validate(core.ValidateOptions{At: testNow}); err != nil {
 				t.Logf("seed %d: EnumerateFrom invalid: %v", seed, err)

@@ -9,6 +9,7 @@ import (
 
 	"drbac/internal/clock"
 	"drbac/internal/core"
+	"drbac/internal/graph"
 	"drbac/internal/subs"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
@@ -187,6 +188,53 @@ func TestRemoteQueryNoProofMapsToErrNoProof(t *testing.T) {
 	_, err := c.QueryDirect(context.Background(), e.subject("Maria"), e.role("BigISP.member"), nil, 0)
 	if !errors.Is(err, core.ErrNoProof) {
 		t.Fatalf("want ErrNoProof, got %v", err)
+	}
+}
+
+// Any authenticated peer may send query-direct with a bidirectional
+// direction. That search is not exhaustive, so the miss it returns here (the
+// proof needs the unlimited one of two parallel r1 -> r3 edges) must not
+// deny the next forward client the same question, on either codec.
+func TestRemoteBidirectionalMissDoesNotDenyForward(t *testing.T) {
+	for _, cc := range codecPolicies {
+		t.Run(cc.name, func(t *testing.T) {
+			e := newEnv(t, "BigISP", "Maria", "Mallory")
+			_, w := e.serve("wallet.bigisp", "BigISP")
+			for _, text := range []string{
+				"[Maria -> BigISP.r1] BigISP",
+				"[BigISP.r1 -> BigISP.r3] BigISP <depth:1>",
+				"[BigISP.r1 -> BigISP.r3] BigISP",
+				"[BigISP.r3 -> BigISP.r2] BigISP",
+				"[BigISP.r2 -> BigISP.goal] BigISP",
+			} {
+				if err := w.Publish(e.deleg(text)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			dial := func(name string) *Client {
+				c, err := Dial(ctx, e.net.DialerCodec(e.id(name), cc.pol), "wallet.bigisp")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(c.Close)
+				if c.WireCodec() != cc.name {
+					t.Fatalf("negotiated %q, want %q", c.WireCodec(), cc.name)
+				}
+				return c
+			}
+			maria, goal := e.subject("Maria"), e.role("BigISP.goal")
+			if _, err := dial("Mallory").QueryDirect(ctx, maria, goal, nil, graph.Bidirectional); !errors.Is(err, core.ErrNoProof) {
+				t.Fatalf("bidirectional query: err = %v, want ErrNoProof (the miss this test relies on)", err)
+			}
+			p, err := dial("Maria").QueryDirect(ctx, maria, goal, nil, graph.Forward)
+			if err != nil {
+				t.Fatalf("forward query after another peer's bidirectional miss: %v", err)
+			}
+			if p.Len() != 4 {
+				t.Fatalf("forward proof has %d steps, want 4", p.Len())
+			}
+		})
 	}
 }
 

@@ -936,7 +936,9 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 		gs = *q.Stats
 	}
 	if err != nil {
-		if useCache && errors.Is(err, core.ErrNoProof) {
+		// Only an exhaustive search proves a negative: bidirectional keeps
+		// one parent edge per node and may miss proofs; its misses are not memoized.
+		if useCache && errors.Is(err, core.ErrNoProof) && q.Direction != graph.Bidirectional {
 			w.cache.PutNegative(key)
 		}
 		return nil, outcome, gs, err
@@ -990,39 +992,34 @@ func validationFailure(err error) error {
 // primitive behind forward distributed discovery.
 func (w *Wallet) QuerySubject(subject core.Subject, constraints []core.Constraint) []*core.Proof {
 	w.m.querySubject.Inc()
-	q := Query{Subject: subject, Constraints: constraints}
-	opts := w.searchOptions(q)
-	var gs graph.Stats
-	mirror := w.m.searchNodes != nil
-	if mirror {
-		opts.Stats = &gs
-	}
-	candidates := w.g.EnumerateFrom(subject, opts)
-	if mirror {
-		w.mirrorSearch(gs)
-	}
-	return w.filterValid(candidates, q)
+	return w.enumerate(Query{Subject: subject, Constraints: constraints}, func(opts graph.Options) []*core.Proof {
+		return w.g.EnumerateFrom(subject, opts)
+	})
 }
 
 // QueryObject enumerates validated sub-proofs * ⇒ Object (§4.1), the
 // primitive behind reverse distributed discovery.
 func (w *Wallet) QueryObject(object core.Role, constraints []core.Constraint) []*core.Proof {
 	w.m.queryObject.Inc()
-	q := Query{Object: object, Constraints: constraints}
+	return w.enumerate(Query{Object: object, Constraints: constraints}, func(opts graph.Options) []*core.Proof {
+		return w.g.EnumerateTo(object, opts)
+	})
+}
+
+// enumerate is QuerySubject's and QueryObject's body: it runs search with
+// q's options, mirrors the search effort into the registry, and keeps the
+// candidates that validate.
+func (w *Wallet) enumerate(q Query, search func(graph.Options) []*core.Proof) []*core.Proof {
 	opts := w.searchOptions(q)
 	var gs graph.Stats
 	mirror := w.m.searchNodes != nil
 	if mirror {
 		opts.Stats = &gs
 	}
-	candidates := w.g.EnumerateTo(object, opts)
+	candidates := search(opts)
 	if mirror {
 		w.mirrorSearch(gs)
 	}
-	return w.filterValid(candidates, q)
-}
-
-func (w *Wallet) filterValid(candidates []*core.Proof, q Query) []*core.Proof {
 	vopts := w.validateOptions(q)
 	var out []*core.Proof
 	for _, p := range candidates {

@@ -225,6 +225,38 @@ func TestQueryDirectNoProof(t *testing.T) {
 	}
 }
 
+// A bidirectional search keeps one parent edge per node, so it misses the
+// proof below, which needs the unlimited one of two parallel r1 -> r3 edges.
+// Its miss is not exhaustive and must not be memoized as a negative that
+// denies the forward query for the same (subject, object, constraints).
+func TestBidirectionalMissIsNotMemoized(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	w := e.wallet(Config{})
+	for _, text := range []string{
+		"[Maria -> BigISP.r1] BigISP",
+		"[BigISP.r1 -> BigISP.r3] BigISP <depth:1>",
+		"[BigISP.r1 -> BigISP.r3] BigISP",
+		"[BigISP.r3 -> BigISP.r2] BigISP",
+		"[BigISP.r2 -> BigISP.goal] BigISP",
+	} {
+		if err := w.Publish(e.deleg(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := Query{Subject: e.subject("Maria"), Object: e.role("BigISP.goal"), Direction: graph.Bidirectional}
+	if _, err := w.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("bidirectional query: err = %v, want ErrNoProof (the miss this test relies on)", err)
+	}
+	q.Direction = graph.Forward
+	p, err := w.QueryDirect(q)
+	if err != nil {
+		t.Fatalf("forward query after a bidirectional miss: %v", err)
+	}
+	if p.Len() != 4 {
+		t.Fatalf("forward proof has %d steps, want 4", p.Len())
+	}
+}
+
 func TestQuerySubjectAndObject(t *testing.T) {
 	e := newEnv(t, "BigISP", "AirNet", "Maria")
 	w := e.wallet(Config{})
