@@ -9,11 +9,6 @@
 // frame, and folds them into the wallet.State that Load hands the wallet;
 // after that the store holds record locations and segment accounting, never
 // a bundle or the revoked set.
-//
-// Because records carry the wallet changelog seq (§9), the sealed segments
-// double as a shippable replication artifact: SnapshotSegments hands a
-// bootstrapping replica the raw frames with seq greater than its high-water
-// mark, which the remote layer serves as the syncSegments wire request.
 package logstore
 
 import (
@@ -137,8 +132,6 @@ type Store struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 }
-
-var _ wallet.SegmentStore = (*Store)(nil)
 
 // Open opens (or initializes) the segmented store rooted at dir, replaying
 // existing segments into the state Load returns. Torn tails — partial
@@ -523,8 +516,9 @@ func (s *Store) PutDelegation(seq uint64, d *core.Delegation, support []*core.Pr
 }
 
 // DeleteDelegation implements wallet.Store: one durable tombstone record.
-// Tombstones survive compaction so segment-shipped deltas replay removals
-// faithfully.
+// Tombstones survive compaction: the put a tombstone kills may sit in an
+// older segment compaction has not reached yet, and replay must still see
+// the removal.
 func (s *Store) DeleteDelegation(seq uint64, id core.DelegationID) error {
 	return s.append(Record{Seq: seq, Kind: KindDelete, ID: id})
 }
@@ -535,46 +529,11 @@ func (s *Store) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (b
 	return true, s.append(Record{Seq: seq, Kind: KindRevoke, ID: id, At: at})
 }
 
-// SnapshotSegments implements wallet.SegmentStore: a consistent copy of
-// every segment holding records with seq greater than afterSeq, in replay
-// order. Shipping raw frames makes replica bootstrap O(shipped bytes)
-// instead of O(total state): a caught-up replica's delta is the tail
-// segments only.
-func (s *Store) SnapshotSegments(afterSeq uint64) (wallet.SegmentSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return wallet.SegmentSnapshot{}, errClosed
-	}
-	snap := wallet.SegmentSnapshot{Seq: s.seq}
-	for i, seg := range s.segments {
-		if seg.records == 0 || seg.maxSeq <= afterSeq {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, seg.name))
-		if err != nil {
-			return wallet.SegmentSnapshot{}, fmt.Errorf("logstore %s: snapshot %s: %w", s.dir, seg.name, err)
-		}
-		// Appends happen under s.mu, so the file cannot grow mid-read; clamp
-		// anyway so a shipped active segment never carries a frame the store
-		// has not accounted.
-		if int64(len(data)) > seg.size {
-			data = data[:seg.size]
-		}
-		snap.Segments = append(snap.Segments, wallet.SegmentData{
-			Name:   seg.name,
-			Sealed: i < len(s.segments)-1,
-			Data:   data,
-		})
-	}
-	return snap, nil
-}
-
 // Compact runs one compaction pass: every sealed segment holding a dead put
-// record is rewritten without them. Revocation and
-// delete tombstones always survive — a shipped delta that skips a compacted
-// segment must still see later removals — so compaction reclaims bundle
-// bytes, the dominant term, and nothing else. The rewrite is
+// record is rewritten without them. Revocation and delete tombstones always
+// survive — revocations are permanent, and a delete must outlive the put it
+// kills in an older segment not compacted yet — so compaction reclaims
+// bundle bytes, the dominant term, and nothing else. The rewrite is
 // crash-safe: new frames go to a .cmp temp file, fsynced, then renamed over
 // the original; recovery discards a half-written temp.
 func (s *Store) Compact() error {

@@ -410,78 +410,6 @@ func TestLogStoreConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestLogStoreSnapshotSegments(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria")
-	dir := filepath.Join(t.TempDir(), "log")
-	opts := testOpts()
-	opts.SegmentBytes = 2 << 10
-
-	s := open(t, dir, opts)
-	const n = 20
-	for i := 0; i < n; i++ {
-		d := e.deleg(fmt.Sprintf("[Maria -> BigISP.r%d] BigISP", i))
-		if err := s.PutDelegation(uint64(i+1), d, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	full, err := s.SnapshotSegments(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Seq != n {
-		t.Fatalf("snapshot seq = %d, want %d", full.Seq, n)
-	}
-	if len(full.Segments) < 2 {
-		t.Fatalf("full snapshot shipped %d segments, expected several", len(full.Segments))
-	}
-	seen := make(map[core.DelegationID]bool)
-	var lastSeq uint64
-	for i, seg := range full.Segments {
-		recs, err := DecodeSegment(seg.Data)
-		if err != nil {
-			t.Fatalf("segment %s: %v", seg.Name, err)
-		}
-		if sealed := i < len(full.Segments)-1; seg.Sealed != sealed {
-			t.Fatalf("segment %s sealed = %v at position %d", seg.Name, seg.Sealed, i)
-		}
-		for _, rec := range recs {
-			if rec.Seq <= lastSeq {
-				t.Fatalf("shipped records out of seq order: %d after %d", rec.Seq, lastSeq)
-			}
-			lastSeq = rec.Seq
-			seen[rec.ID] = true
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("full snapshot replays %d delegations, want %d", len(seen), n)
-	}
-
-	// A delta snapshot ships only segments holding newer records.
-	delta, err := s.SnapshotSegments(n - 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta.Segments) >= len(full.Segments) {
-		t.Fatalf("delta snapshot shipped %d segments, full shipped %d", len(delta.Segments), len(full.Segments))
-	}
-	var deltaMax uint64
-	for _, seg := range delta.Segments {
-		recs, err := DecodeSegment(seg.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if rec.Seq > deltaMax {
-				deltaMax = rec.Seq
-			}
-		}
-	}
-	if deltaMax != n {
-		t.Fatalf("delta snapshot max seq = %d, want %d", deltaMax, n)
-	}
-}
-
 // walletState renders everything a wallet holds in memory canonically: its
 // seq, its delegations, its revocations with their instants, and the
 // snapshot it would hand a replica (bundles with the delegations of their

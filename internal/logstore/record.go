@@ -103,7 +103,7 @@ const frameHeaderLen = 8
 // maxFrameLen bounds a single record frame. Delegation bundles are a few
 // KiB even with deep support chains; anything beyond this is corruption,
 // and bounding it keeps a flipped length byte from driving a giant
-// allocation during recovery or while decoding shipped segments.
+// allocation during recovery or compaction.
 const maxFrameLen = 16 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -153,11 +153,11 @@ func DecodeFrame(data []byte) (rec Record, n int, ok bool) {
 	return rec, frameHeaderLen + int(length), true
 }
 
-// DecodeSegment decodes every frame in data, the payload of one shipped
-// segment. Unlike recovery — which truncates a torn tail in place — a
-// shipped segment was read from a healthy source, so any undecodable frame
-// is an error, not a tail to discard. The leading header record is
-// validated and dropped from the returned slice.
+// DecodeSegment decodes every frame in data, the contents of one sealed
+// segment file as compaction reads it. Unlike recovery — which truncates a
+// torn tail in place — a sealed segment was synced whole before it sealed,
+// so any undecodable frame is an error, not a tail to discard. The leading
+// header record is validated and dropped from the returned slice.
 func DecodeSegment(data []byte) ([]Record, error) {
 	var out []Record
 	off := 0

@@ -78,9 +78,8 @@ var (
 		"drbac_replica_events_applied_total": "Changelog events applied by the follower.",
 		"drbac_replica_resyncs_total":        "Full resyncs triggered by sequence gaps.",
 		"drbac_replica_events_skipped_total": "Changelog events skipped as already applied.",
-		"drbac_replica_segment_syncs_total":  "Bootstraps served from shipped log segments.",
 		"drbac_replica_applied_seq":          "Highest changelog sequence applied.",
-		"drbac_replica_lag_seconds":          "Seconds since the follower last applied an event.",
+		"drbac_replica_lag_seconds":          "Age in seconds of the last applied event when it was applied; 0 after every sync.",
 		"drbac_replica_connected":            "1 when the follower's subscription stream is connected.",
 
 		// proxy

@@ -52,8 +52,8 @@ var codecPolicies = []struct {
 	{transport.CodecJSON, transport.CodecPolicy{Advertise: []string{transport.CodecJSON}}},
 }
 
-// authorityWallet is a wallet owned by BigISP, journaled to a log store (so
-// sync-segments has segments to ship), holding what the calls below need:
+// authorityWallet is a wallet owned by BigISP, journaled to a log store as a
+// `-state` daemon's is, holding what the calls below need:
 // keep (queried, subscribed), gone (Maria may revoke it) and wallet (BigISP
 // proves Maria.wallet with it).
 func (e *env) authorityWallet() (w *wallet.Wallet, keep, gone *core.Delegation) {
@@ -133,10 +133,6 @@ func (e *env) authorityCalls(keep, gone *core.Delegation) map[wire.MsgType][]fun
 			if err == nil {
 				cancel()
 			}
-			return err
-		}},
-		wire.TSyncSegments: {func(c *Client) error {
-			_, err := c.SyncSegments(ctx, 0)
 			return err
 		}},
 		wire.TTrace: {func(c *Client) error {

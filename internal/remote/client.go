@@ -539,14 +539,6 @@ func (c *Client) Sync(ctx context.Context) (wire.SyncResp, error) {
 	return ask[wire.SyncResp](ctx, c, wire.TSync, nil)
 }
 
-// SyncSegments fetches the remote wallet's durable record log as raw
-// segments, shipping only records with seq greater than afterSeq (0 ships
-// the full log). Only log-store-backed wallets answer it; other stores
-// return an error and the caller falls back to Sync.
-func (c *Client) SyncSegments(ctx context.Context, afterSeq uint64) (wire.SyncSegmentsResp, error) {
-	return ask[wire.SyncSegmentsResp](ctx, c, wire.TSyncSegments, wire.SyncSegmentsReq{AfterSeq: afterSeq})
-}
-
 // SubscribeAll registers fn to receive every status push from the remote
 // wallet's changelog stream, raw (seq and bundle included), and returns the
 // server's seq at stream registration: every mutation with a greater seq is

@@ -104,6 +104,71 @@ func TestMidStreamBinaryFrameOnJSONConnectionDropsIt(t *testing.T) {
 	}
 }
 
+// A follower released before sync-segments was reserved still opens every
+// bootstrap with it, then falls back to sync on the same connection when it
+// is refused. A server — even one journaled to a log store — must refuse the
+// request as an unknown type without dropping the connection, on either
+// codec, and serve the sync that follows.
+func TestOldFollowerSyncSegmentsRefusedThenSynced(t *testing.T) {
+	// What such a follower sends for sync-segments {afterSeq: 5}: on binary,
+	// code 14 with a body of the retired kind 13.
+	oldRequest := map[string][]byte{
+		transport.CodecBinary: {0xD7, 1, 14, 1, 13, 5},
+		transport.CodecJSON:   []byte(`{"type":"sync-segments","id":1,"body":{"afterSeq":5}}`),
+	}
+	for _, cc := range codecPolicies {
+		t.Run(cc.name, func(t *testing.T) {
+			e := newEnv(t, "BigISP", "Maria")
+			w, _, _ := e.authorityWallet()
+			ln, err := e.net.Listen("wallet.bigisp", e.id("BigISP"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := Serve(w, ln)
+			t.Cleanup(s.Close)
+			conn, err := e.net.DialerCodec(e.id("Maria"), cc.pol).Dial(context.Background(), "wallet.bigisp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			codec := wire.CodecFor(conn.Codec())
+			exchange := func(frame []byte) wire.Envelope {
+				t.Helper()
+				if err := conn.Send(frame); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := recvWithin(t, conn, 2*time.Second)
+				if err != nil {
+					t.Fatalf("connection dropped: %v", err)
+				}
+				env, err := codec.Decode(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return env
+			}
+
+			env := exchange(oldRequest[cc.name])
+			var refusal wire.ErrorResp
+			if env.Type != wire.TError || env.ID != 1 || wire.DecodeBody(env, &refusal) != nil ||
+				refusal.Message != `unknown request type "sync-segments"` {
+				t.Fatalf("sync-segments answered %s id %d %+v, want the unknown-request refusal", env.Type, env.ID, refusal)
+			}
+			syncReq, err := codec.Encode(wire.TSync, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env = exchange(syncReq)
+			var snap wire.SyncResp
+			if env.Type != wire.TOK || env.ID != 2 || wire.DecodeBody(env, &snap) != nil ||
+				snap.Seq != w.Seq() || len(snap.Bundles) != 3 {
+				t.Fatalf("sync after the refusal answered %s id %d seq %d with %d bundles, want ok at seq %d with 3",
+					env.Type, env.ID, snap.Seq, len(snap.Bundles), w.Seq())
+			}
+		})
+	}
+}
+
 // A client dialing a cluster member older than the reservation of
 // cluster-hello still receives that push (ID 0) as the connection's first
 // frame. It has no reader any more; the client must decode it on either

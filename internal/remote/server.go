@@ -516,7 +516,6 @@ var handlers = map[wire.MsgType]handler{
 	wire.TStats:         bare((*Server).stats),
 	wire.TSync:          bare((*Server).sync),
 	wire.TSubscribeAll:  bare((*Server).subscribeAll),
-	wire.TSyncSegments:  on((*Server).syncSegments),
 	wire.TTrace:         on((*Server).trace),
 	wire.TShardMap:      bare((*Server).shardMap),
 	wire.TDHTFindNode:   on(dhtFind(false)),
@@ -668,31 +667,6 @@ func (s *Server) sync(*connState) (any, []any, error) {
 		resp.Bundles = append(resp.Bundles, wire.SyncBundle{Delegation: b.Delegation, Support: b.Support})
 	}
 	return resp, []any{"seq", snap.Seq, "bundles", len(resp.Bundles), "revoked", len(resp.Revoked)}, nil
-}
-
-func (s *Server) syncSegments(_ *connState, req *wire.SyncSegmentsReq) (any, []any, error) {
-	segStore, ok := s.rep.Store().(wallet.SegmentStore)
-	if !ok {
-		// Old-style stores cannot ship segments; the caller falls back
-		// to the monolithic TSync snapshot.
-		return nil, nil, fmt.Errorf("wallet store does not ship segments")
-	}
-	// Read the wallet seq BEFORE snapshotting: records that land between
-	// the two reads ship with seq > resp.Seq and are re-applied
-	// idempotently from the stream, whereas the reverse order could
-	// advertise a seq the shipment does not cover.
-	seq0 := s.w.Seq()
-	snap, err := segStore.SnapshotSegments(req.AfterSeq)
-	if err != nil {
-		return nil, []any{"afterSeq", req.AfterSeq}, err
-	}
-	resp := wire.SyncSegmentsResp{Seq: seq0}
-	var bytesShipped int
-	for _, seg := range snap.Segments {
-		bytesShipped += len(seg.Data)
-		resp.Segments = append(resp.Segments, wire.Segment{Name: seg.Name, Sealed: seg.Sealed, Records: seg.Data})
-	}
-	return resp, []any{"afterSeq", req.AfterSeq, "seq", seq0, "segments", len(resp.Segments), "bytes", bytesShipped}, nil
 }
 
 // dhtFind serves dht-find-node and, with value set, dht-find-value.

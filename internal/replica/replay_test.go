@@ -1,8 +1,8 @@
 package replica
 
 import (
+	"context"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -10,24 +10,22 @@ import (
 	"time"
 
 	"drbac/internal/core"
-	"drbac/internal/logstore"
 	"drbac/internal/remote"
 	"drbac/internal/wallet"
-	"drbac/internal/wire"
 )
 
 // feedHistory is the upstream history TestReplayFeedsAgree delivers over
-// every feed, in two halves so the delta feed can split it: publishes, a
+// every feed, in two halves so the resync feed can split it: publishes, a
 // sequenced-but-unrecorded renewal, a delete followed by a re-publish, a key
 // the follower's filter refuses, an expiry and a revocation. It announces
-// feedPuts publications, journals journalPuts of them (a cached copy is not
-// journaled) and leaves feedBundles bundles upstream.
+// feedPuts publications, holds halfBundles bundles after the first half and
+// feedBundles after the second.
 type feedHistory struct {
 	a, b, c, x, d, y                   *core.Delegation
 	firstHalf, secondHalf              func(up *wallet.Wallet)
 	filter                             func(*core.Delegation) bool
 	filterCalls                        atomic.Int64
-	feedPuts, journalPuts, feedBundles int64
+	feedPuts, halfBundles, feedBundles int64
 }
 
 // newFeedHistory scripts the history over e's clock. Every feed replays the
@@ -60,7 +58,7 @@ func newFeedHistory(t *testing.T, e *env, ds []*core.Delegation) *feedHistory {
 		must(up.Revoke(h.a.ID(), e.id("BigISP").ID()))
 		must(up.Publish(h.y))
 	}
-	h.feedPuts, h.journalPuts, h.feedBundles = 7, 6, 4 // a b c x d(cached) d y; a b c x d y; b x d y
+	h.feedPuts, h.halfBundles, h.feedBundles = 7, 5, 4 // a b c x d(cached) d y; a b c x d; b x d y
 	h.filter = func(d *core.Delegation) bool {
 		h.filterCalls.Add(1)
 		return d.ID() != h.x.ID()
@@ -83,20 +81,13 @@ func state(w *wallet.Wallet) string {
 }
 
 // TestReplayFeedsAgree delivers one upstream history four ways — as a live
-// stream, as a snapshot from a MemStore upstream, as shipped segments from a
-// log-store upstream, and as a full replay of its first half followed by a
-// delta (afterSeq > 0) — and requires byte-identical follower state, the
+// stream, as a sync snapshot from a MemStore upstream, as one from a
+// log-store upstream, and as a sync of its first half followed by a resync
+// after the second — and requires byte-identical follower state, the
 // upstream's seq as the applied seq, and the filter consulted exactly once
-// per put delivered.
+// per put delivered. The journal behind the upstream changes nothing: a
+// follower learns the upstream's memory.
 func TestReplayFeedsAgree(t *testing.T) {
-	logUpstream := func(t *testing.T, e *env) (*wallet.Wallet, *logstore.Store) {
-		st, err := logstore.Open(filepath.Join(t.TempDir(), "log"), logstore.Options{CompactInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = st.Close() })
-		return wallet.New(wallet.Config{Owner: e.id("BigISP"), Clock: e.clk, Directory: e.dir, Store: st}), st
-	}
 	// follow starts a real follower of up and waits for it to catch up.
 	follow := func(t *testing.T, e *env, h *feedHistory, up *wallet.Wallet, after func()) (*Follower, *wallet.Wallet) {
 		e.serve("primary", "BigISP", up, remote.Options{Role: "primary"})
@@ -110,6 +101,13 @@ func TestReplayFeedsAgree(t *testing.T) {
 		after()
 		waitFor(t, "catch-up", func() bool { return f.Status().AppliedSeq == up.Seq() })
 		return f, fw
+	}
+	// snapshot delivers the whole history as the bootstrap sync of up.
+	snapshot := func(t *testing.T, e *env, h *feedHistory, up *wallet.Wallet) (*wallet.Wallet, uint64) {
+		h.firstHalf(up)
+		h.secondHalf(up)
+		f, fw := follow(t, e, h, up, func() {})
+		return fw, f.Status().AppliedSeq
 	}
 
 	type outcome struct {
@@ -132,56 +130,36 @@ func TestReplayFeedsAgree(t *testing.T) {
 			}},
 		{"snapshot", func(h *feedHistory) int64 { return h.feedBundles },
 			func(t *testing.T, e *env, h *feedHistory) (*wallet.Wallet, uint64) {
-				up := e.wallet("BigISP", nil)
-				h.firstHalf(up)
-				h.secondHalf(up)
-				f, fw := follow(t, e, h, up, func() {})
-				if f.Status().SegmentSyncs != 0 {
-					t.Errorf("SegmentSyncs = %d from a MemStore upstream", f.Status().SegmentSyncs)
-				}
-				return fw, f.Status().AppliedSeq
+				return snapshot(t, e, h, e.wallet("BigISP", nil))
 			}},
-		{"segments", func(h *feedHistory) int64 { return h.journalPuts },
+		{"snapshot-logstore", func(h *feedHistory) int64 { return h.feedBundles },
 			func(t *testing.T, e *env, h *feedHistory) (*wallet.Wallet, uint64) {
-				up, _ := logUpstream(t, e)
-				h.firstHalf(up)
-				h.secondHalf(up)
-				f, fw := follow(t, e, h, up, func() {})
-				if f.Status().SegmentSyncs != 1 {
-					t.Errorf("SegmentSyncs = %d from a log-store upstream, want 1", f.Status().SegmentSyncs)
-				}
-				return fw, f.Status().AppliedSeq
+				return snapshot(t, e, h, e.logPrimary(nil))
 			}},
-		{"delta", func(h *feedHistory) int64 { return h.journalPuts },
+		{"resync", func(h *feedHistory) int64 { return h.halfBundles + h.feedBundles },
 			func(t *testing.T, e *env, h *feedHistory) (*wallet.Wallet, uint64) {
-				up, st := logUpstream(t, e)
+				up := e.logPrimary(nil)
+				e.serve("primary", "BigISP", up, remote.Options{Role: "primary"})
+				c, err := remote.Dial(context.Background(), e.net.Dialer(e.id("Replica")), "primary")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(c.Close)
 				fw := e.wallet("Replica", nil)
 				f := &Follower{cfg: Config{Local: fw, Filter: h.filter}}
-				ship := func(afterSeq uint64) {
-					snap, err := st.SnapshotSegments(afterSeq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resp := wire.SyncSegmentsResp{Seq: up.Seq()}
-					for _, seg := range snap.Segments {
-						resp.Segments = append(resp.Segments, wire.Segment{Name: seg.Name, Records: seg.Data})
-					}
-					changes, err := segmentChanges(resp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f.replay(changes, afterSeq, resp.Seq, afterSeq == 0)
-				}
 				h.firstHalf(up)
-				ship(0)
-				mid := f.applied.Load()
-				if mid == 0 || mid != up.Seq() {
+				if err := f.syncOnce(context.Background(), c); err != nil {
+					t.Fatal(err)
+				}
+				if mid := f.applied.Load(); mid == 0 || mid != up.Seq() {
 					t.Fatalf("applied %d after the first half, upstream at %d", mid, up.Seq())
 				}
+				// The resync reconciles: what the first sync installed and the
+				// second half removed (c expired, a revoked) must go.
 				h.secondHalf(up)
-				// The active segment ships whole: the delta carries the first
-				// half's records again, and replay must skip them.
-				ship(mid)
+				if err := f.resync(context.Background(), c, "second half"); err != nil {
+					t.Fatal(err)
+				}
 				return fw, f.applied.Load()
 			}},
 	}

@@ -18,7 +18,6 @@ import (
 
 	"drbac/internal/clock"
 	"drbac/internal/core"
-	"drbac/internal/logstore"
 	"drbac/internal/obs"
 	"drbac/internal/peer"
 	"drbac/internal/remote"
@@ -77,15 +76,13 @@ type Status struct {
 	// AppliedSeq is the upstream changelog seq the local wallet reflects.
 	AppliedSeq uint64
 	// LagSeconds is the age of the last applied event at apply time,
-	// in whole seconds (0 until the first stream event arrives).
+	// in whole seconds: 0 until the first stream event arrives, and 0
+	// again after every sync, which installs the upstream's state as of
+	// now.
 	LagSeconds int64
 	// Resyncs counts snapshot refetches forced by detected gaps (the
 	// bootstrap itself is not a resync).
 	Resyncs int64
-	// SegmentSyncs counts bootstraps and resyncs served over the
-	// segment-shipping path (syncSegments) rather than the monolithic
-	// snapshot.
-	SegmentSyncs int64
 	// Connected reports whether a live upstream stream is attached (true
 	// only once the subscribe-all handshake completed on the current
 	// connection).
@@ -111,10 +108,9 @@ type Follower struct {
 	mu       sync.Mutex
 	upstream string
 
-	mApplied  *obs.Counter
-	mResyncs  *obs.Counter
-	mDrops    *obs.Counter
-	mSegSyncs *obs.Counter
+	mApplied *obs.Counter
+	mResyncs *obs.Counter
+	mDrops   *obs.Counter
 }
 
 // Start validates cfg, registers the drbac_replica_* metrics, and launches
@@ -146,7 +142,6 @@ func Start(cfg Config) (*Follower, error) {
 	f.mApplied = cfg.Obs.Counter("drbac_replica_events_applied_total")
 	f.mResyncs = cfg.Obs.Counter("drbac_replica_resyncs_total")
 	f.mDrops = cfg.Obs.Counter("drbac_replica_events_skipped_total")
-	f.mSegSyncs = cfg.Obs.Counter("drbac_replica_segment_syncs_total")
 	if reg := cfg.Obs.Registry(); reg != nil {
 		reg.GaugeFunc("drbac_replica_applied_seq", func() int64 { return int64(f.applied.Load()) })
 		reg.GaugeFunc("drbac_replica_lag_seconds", f.lagSecs.Load)
@@ -183,12 +178,11 @@ func (f *Follower) Status() Status {
 	up := f.upstream
 	f.mu.Unlock()
 	return Status{
-		AppliedSeq:   f.applied.Load(),
-		LagSeconds:   f.lagSecs.Load(),
-		Resyncs:      f.mResyncs.Value(),
-		SegmentSyncs: f.mSegSyncs.Value(),
-		Connected:    f.connected.Load(),
-		Upstream:     up,
+		AppliedSeq: f.applied.Load(),
+		LagSeconds: f.lagSecs.Load(),
+		Resyncs:    f.mResyncs.Value(),
+		Connected:  f.connected.Load(),
+		Upstream:   up,
 	}
 }
 
@@ -235,10 +229,7 @@ func (f *Follower) run(ctx context.Context) {
 // connection dies, an RPC fails, or ctx is canceled (nil error only in the
 // cancellation case).
 func (f *Follower) serve(ctx context.Context, c *remote.Client) error {
-	// A fresh connection may be a different upstream entirely, so bootstrap
-	// from seq 0: a delta against this follower's applied seq is only
-	// meaningful against the connection it was built from.
-	if err := f.syncOnce(ctx, c, 0); err != nil {
+	if err := f.syncOnce(ctx, c); err != nil {
 		return err
 	}
 	if testHookAfterSync != nil {
@@ -291,39 +282,36 @@ func (f *Follower) serve(ctx context.Context, c *remote.Client) error {
 }
 
 // change is one upstream changelog entry in the form replay applies: what a
-// stream push, a snapshot entry and a shipped log record all convert into.
+// stream push and a snapshot entry both convert into. Its kind says what it
+// does: Published installs its bundle, Revoked revokes, Expired and Stale
+// drop the delegation announced under that kind, and Renewed (or a kind this
+// build does not know, which parses to 0) changes nothing but the applied
+// seq.
 type change struct {
-	seq    uint64
-	op     logstore.RecordKind // KindPut, KindDelete, KindRevoke; "" only occupies its seq (a renewal)
+	kind   subs.EventKind
 	id     core.DelegationID
-	bundle wallet.StoredBundle // what a put installs
-	kind   subs.EventKind      // what a delete is announced as
+	bundle wallet.StoredBundle // what a Published change installs
 }
 
 // replay is the one place upstream changes reach the local wallet, which
-// afterwards reflects the upstream at seq. Changes at or below afterSeq were
-// applied on this connection already and are skipped: replaying an old
-// delete over a newer re-publish would corrupt the replica. With reconcile
-// the changes are the upstream's whole state, and whatever the wallet holds
-// that they never put is dropped.
-func (f *Follower) replay(changes []change, afterSeq, seq uint64, reconcile bool) {
+// afterwards reflects the upstream at seq. With reconcile the changes are
+// the upstream's whole state, and whatever the wallet holds that they never
+// put is dropped.
+func (f *Follower) replay(changes []change, seq uint64, reconcile bool) {
 	w := f.cfg.Local
 	// Batch-verify every incoming signature across the worker pool so the
 	// per-bundle installs run warm.
 	var warm []*core.Delegation
 	for _, c := range changes {
-		if c.op == logstore.KindPut && c.seq > afterSeq {
+		if c.kind == subs.Published {
 			warm = append(warm, c.bundle.Delegation)
 		}
 	}
 	core.PrimeDelegations(w.SigVerifier(), warm)
 	present := make(map[core.DelegationID]bool)
 	for _, c := range changes {
-		if c.seq <= afterSeq {
-			continue
-		}
-		switch c.op {
-		case logstore.KindPut:
+		switch c.kind {
+		case subs.Published:
 			present[c.id] = true
 			if f.cfg.Filter != nil && !f.cfg.Filter(c.bundle.Delegation) {
 				continue
@@ -331,10 +319,10 @@ func (f *Follower) replay(changes []change, afterSeq, seq uint64, reconcile bool
 			if _, err := w.InstallReplicated(c.bundle); err != nil {
 				f.cfg.Obs.Log().Warn("replica: install failed", "delegation", c.id.Short(), "error", err)
 			}
-		case logstore.KindDelete:
+		case subs.Expired, subs.Stale:
 			delete(present, c.id)
 			w.DropReplicated(c.id, c.kind)
-		case logstore.KindRevoke:
+		case subs.Revoked:
 			w.AcceptRevocation(c.id)
 		}
 	}
@@ -344,6 +332,10 @@ func (f *Follower) replay(changes []change, afterSeq, seq uint64, reconcile bool
 				w.DropReplicated(d.ID(), subs.Stale)
 			}
 		}
+		// The wallet now holds the upstream's state as of this moment, so
+		// nothing it reflects was applied late. Stored before the seq, so
+		// whoever sees the new seq sees the cleared lag.
+		f.lagSecs.Store(0)
 	}
 	f.applied.Store(seq)
 }
@@ -360,23 +352,20 @@ func (f *Follower) handle(ctx context.Context, c *remote.Client, p wire.NotifyPu
 	case p.Seq != applied+1:
 		return f.resync(ctx, c, fmt.Sprintf("gap: have %d, got %d", applied, p.Seq))
 	}
-	ch := change{seq: p.Seq, id: p.Delegation}
-	switch kind, ok := subs.ParseKind(p.Kind); {
-	case !ok:
+	kind, ok := subs.ParseKind(p.Kind)
+	if !ok {
 		f.cfg.Obs.Log().Warn("replica: unknown event kind", "kind", p.Kind)
-	case kind == subs.Published:
+	}
+	ch := change{kind: kind, id: p.Delegation}
+	if kind == subs.Published {
 		if p.Bundle == nil || p.Bundle.Delegation == nil {
 			// An upstream that doesn't attach bundles (older wire rev)
 			// still replicates correctly, one snapshot per publish.
 			return f.resync(ctx, c, "published push without bundle")
 		}
-		ch.op, ch.bundle = logstore.KindPut, wallet.StoredBundle(*p.Bundle)
-	case kind == subs.Revoked:
-		ch.op = logstore.KindRevoke
-	case kind == subs.Expired || kind == subs.Stale:
-		ch.op, ch.kind = logstore.KindDelete, kind
+		ch.bundle = wallet.StoredBundle(*p.Bundle)
 	}
-	f.replay([]change{ch}, applied, p.Seq, false)
+	f.replay([]change{ch}, p.Seq, false)
 	f.mApplied.Inc()
 	f.lagSecs.Store(max(0, int64(f.clk.Now().Sub(p.At).Seconds())))
 	return nil
@@ -384,110 +373,43 @@ func (f *Follower) handle(ctx context.Context, c *remote.Client, p wire.NotifyPu
 
 // resync refetches upstream state and reconciles the local wallet to it.
 // Counted in drbac_replica_resyncs_total (the initial bootstrap is not).
-// Because a resync happens on the connection the applied seq was built
-// from, it may fetch a delta — only records newer than the applied seq.
 func (f *Follower) resync(ctx context.Context, c *remote.Client, why string) error {
 	f.mResyncs.Inc()
 	f.cfg.Obs.Log().Info("replica: resyncing", "reason", why)
-	return f.syncOnce(ctx, c, f.applied.Load())
+	return f.syncOnce(ctx, c)
 }
 
-// syncOnce reconciles the local wallet to the upstream, preferring the
-// segment-shipping path (log-store upstreams replay raw records, shipping
-// only those after afterSeq) and falling back to the monolithic snapshot
-// for upstreams that cannot ship segments. Each sync runs as its own trace,
-// so a slow or failing one is retained and explains itself (segment vs
-// snapshot path, records replayed).
-func (f *Follower) syncOnce(ctx context.Context, c *remote.Client, afterSeq uint64) (err error) {
-	sp := f.cfg.Obs.StartSpan(obs.NewTraceID(), "replica.sync", "afterSeq", afterSeq)
-	defer func() {
-		if err != nil {
-			sp.Fail(err)
-		}
-		sp.End("ok", err == nil, "applied", f.applied.Load())
-	}()
-	ssp := sp.StartChild("replica.sync-segments")
-	segErr := f.syncSegments(ctx, c, afterSeq)
-	if segErr == nil {
-		ssp.End("ok", true)
-		return nil
-	}
-	// Not a span failure: upstreams on non-log stores legitimately cannot
-	// ship segments and the snapshot path below is the designed fallback.
-	ssp.End("ok", false, "error", segErr.Error())
-	if ctx.Err() != nil {
-		return segErr
-	}
-	f.cfg.Obs.Log().Debug("replica: segment sync unavailable, falling back to snapshot", "error", segErr)
-	csp := sp.StartChild("replica.snapshot")
+// syncOnce reconciles the local wallet to the upstream's memory: one sync
+// snapshot, replayed whole. It is the only way a follower learns upstream
+// state other than the stream — never from the upstream's journal, which
+// lags its memory (cached copies are not journaled, and a failed append is
+// only counted). Each sync runs as its own trace, so a slow or failing one
+// is retained and explains itself.
+func (f *Follower) syncOnce(ctx context.Context, c *remote.Client) error {
+	sp := f.cfg.Obs.StartSpan(obs.NewTraceID(), "replica.sync")
 	resp, err := c.Sync(ctx)
 	if err != nil {
 		err = fmt.Errorf("replica: sync: %w", err)
-		csp.Fail(err)
-		csp.End()
+		sp.Fail(err)
+		sp.End("ok", false)
 		return err
 	}
-	f.replay(snapshotChanges(resp), 0, resp.Seq, true)
-	csp.End("bundles", len(resp.Bundles), "seq", resp.Seq)
+	f.replay(snapshotChanges(resp), resp.Seq, true)
+	sp.End("ok", true, "bundles", len(resp.Bundles), "seq", resp.Seq)
 	return nil
 }
 
 // snapshotChanges renders a snapshot as the changes that build it: every
-// revocation, then every bundle, all as of the snapshot's seq.
+// revocation, then every bundle.
 func snapshotChanges(resp wire.SyncResp) []change {
 	changes := make([]change, 0, len(resp.Revoked)+len(resp.Bundles))
 	for _, id := range resp.Revoked {
-		changes = append(changes, change{seq: resp.Seq, op: logstore.KindRevoke, id: id})
+		changes = append(changes, change{kind: subs.Revoked, id: id})
 	}
 	for _, b := range resp.Bundles {
 		if b.Delegation != nil {
-			changes = append(changes, change{seq: resp.Seq, op: logstore.KindPut, id: b.Delegation.ID(), bundle: wallet.StoredBundle(b)})
+			changes = append(changes, change{kind: subs.Published, id: b.Delegation.ID(), bundle: wallet.StoredBundle(b)})
 		}
 	}
 	return changes
-}
-
-// syncSegments bootstraps (or delta-catches-up) over the segment-shipping
-// path: the upstream ships its raw record log and the follower replays it
-// in seq order. Only a full bootstrap reconciles: compaction already folded
-// the records of local leftovers out on the upstream, while a delta has no
-// global view.
-func (f *Follower) syncSegments(ctx context.Context, c *remote.Client, afterSeq uint64) error {
-	resp, err := c.SyncSegments(ctx, afterSeq)
-	if err != nil {
-		return fmt.Errorf("replica: sync-segments: %w", err)
-	}
-	changes, err := segmentChanges(resp)
-	if err != nil {
-		return err
-	}
-	f.replay(changes, afterSeq, resp.Seq, afterSeq == 0)
-	f.mSegSyncs.Inc()
-	f.cfg.Obs.Log().Info("replica: segment sync applied",
-		"afterSeq", afterSeq, "seq", resp.Seq, "segments", len(resp.Segments), "records", len(changes))
-	return nil
-}
-
-// segmentChanges decodes shipped segments into the changes their records
-// log. A delete record does not say why the delegation left; Stale is what a
-// follower announces.
-func segmentChanges(resp wire.SyncSegmentsResp) ([]change, error) {
-	var changes []change
-	for _, seg := range resp.Segments {
-		recs, err := logstore.DecodeSegment(seg.Records)
-		if err != nil {
-			return nil, fmt.Errorf("replica: shipped segment %s: %w", seg.Name, err)
-		}
-		for _, r := range recs {
-			ch := change{seq: r.Seq, op: r.Kind, id: r.ID, kind: subs.Stale}
-			if r.Kind == logstore.KindPut {
-				if r.Bundle == nil || r.Bundle.Delegation == nil {
-					continue
-				}
-				ch.bundle = *r.Bundle
-			}
-			changes = append(changes, ch)
-		}
-	}
-	return changes, nil
 }

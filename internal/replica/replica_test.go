@@ -411,128 +411,140 @@ func TestStartValidation(t *testing.T) {
 	}
 }
 
-// TestFollowerSegmentBootstrap is the acceptance test for segment-shipped
-// replication: a follower bootstrapping from a log-store primary must take
-// the syncSegments path (not the monolithic snapshot) and land on exactly
-// the state and seq a plain sync bootstrap reports.
-func TestFollowerSegmentBootstrap(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria", "Replica")
-	st, err := logstore.Open(filepath.Join(t.TempDir(), "log"),
-		logstore.Options{CompactInterval: -1, SegmentBytes: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = st.Close() })
-	primary := wallet.New(wallet.Config{Owner: e.id("BigISP"), Clock: e.clk, Directory: e.dir, Store: st})
-	const n = 12
-	delegs := make([]*core.Delegation, n)
-	for i := 0; i < n; i++ {
-		delegs[i] = e.deleg(fmt.Sprintf("[Maria -> BigISP.r%d] BigISP", i))
-		if err := primary.Publish(delegs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := primary.Revoke(delegs[0].ID(), e.id("BigISP").ID()); err != nil {
-		t.Fatal(err)
-	}
-	e.serve("primary", "BigISP", primary, remote.Options{Role: "primary"})
+// errDiskFull is what failingJournal's removals report.
+var errDiskFull = errors.New("disk full")
 
-	f, fw := e.follower("Replica", []string{"primary"}, nil, nil)
-	waitFor(t, "segment bootstrap convergence", func() bool { return converged(primary, fw, f) })
-	if segs := f.Status().SegmentSyncs; segs < 1 {
-		t.Fatalf("SegmentSyncs = %d: bootstrap did not take the syncSegments path", segs)
-	}
-	if !fw.IsRevoked(delegs[0].ID()) || fw.Contains(delegs[0].ID()) {
-		t.Fatal("revocation tombstone did not replay from the shipped segments")
-	}
+// failingJournal is a log store whose revocation and delete appends fail, the
+// way they do on a full disk: puts reach the journal, removals do not, so the
+// journal lags the wallet's memory.
+type failingJournal struct{ *logstore.Store }
 
-	// Equivalence: the monolithic sync snapshot of the same primary reports
-	// the same seq and replicable state the segment bootstrap produced.
-	c, err := remote.Dial(context.Background(), e.net.Dialer(e.id("Maria")), "primary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	snap, err := c.Sync(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Seq != f.Status().AppliedSeq {
-		t.Fatalf("segment bootstrap applied seq %d, sync snapshot reports %d", f.Status().AppliedSeq, snap.Seq)
-	}
-	if len(snap.Bundles) != fw.Len() {
-		t.Fatalf("segment bootstrap holds %d delegations, sync snapshot ships %d", fw.Len(), len(snap.Bundles))
-	}
-	for _, b := range snap.Bundles {
-		if !fw.Contains(b.Delegation.ID()) {
-			t.Fatalf("segment bootstrap missing %s from the sync snapshot", b.Delegation.ID().Short())
-		}
-	}
-
-	// Stream continuity after a segment bootstrap: a new publish arrives
-	// without a resync.
-	extra := e.deleg("[Maria -> BigISP.extra] BigISP")
-	if err := primary.Publish(extra); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "post-bootstrap stream apply", func() bool { return fw.Contains(extra.ID()) })
+func (failingJournal) AddRevocation(uint64, core.DelegationID, time.Time) (bool, error) {
+	return false, errDiskFull
 }
 
-// TestFollowerSegmentDeltaResync forces a stream gap on a log-store primary
-// and checks the resync fetches a delta (afterSeq > 0) over the segment
-// path rather than re-shipping the whole log.
-func TestFollowerSegmentDeltaResync(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria", "Replica")
-	st, err := logstore.Open(filepath.Join(t.TempDir(), "log"),
-		logstore.Options{CompactInterval: -1, SegmentBytes: 2 << 10})
+func (failingJournal) DeleteDelegation(uint64, core.DelegationID) error { return errDiskFull }
+
+// logPrimary is BigISP's wallet journaled to a fresh log store, wrapped by
+// journal when it is non-nil.
+func (e *env) logPrimary(journal func(*logstore.Store) wallet.Store) *wallet.Wallet {
+	e.t.Helper()
+	st, err := logstore.Open(filepath.Join(e.t.TempDir(), "log"), logstore.Options{CompactInterval: -1})
 	if err != nil {
-		t.Fatal(err)
+		e.t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = st.Close() })
-	primary := wallet.New(wallet.Config{Owner: e.id("BigISP"), Clock: e.clk, Directory: e.dir, Store: st})
-	for i := 0; i < 8; i++ {
-		if err := primary.Publish(e.deleg(fmt.Sprintf("[Maria -> BigISP.r%d] BigISP", i))); err != nil {
-			t.Fatal(err)
-		}
+	e.t.Cleanup(func() { _ = st.Close() })
+	var j wallet.Store = st
+	if journal != nil {
+		j = journal(st)
 	}
+	return wallet.New(wallet.Config{Owner: e.id("BigISP"), Clock: e.clk, Directory: e.dir, Store: j})
+}
+
+// mirror serves primary, bootstraps a follower from it, and requires the
+// follower to equal the primary's memory: the same delegations with the
+// same support, the same revocations, at the primary's seq.
+func (e *env) mirror(primary *wallet.Wallet) *wallet.Wallet {
+	e.t.Helper()
 	e.serve("primary", "BigISP", primary, remote.Options{Role: "primary"})
 	f, fw := e.follower("Replica", []string{"primary"}, nil, nil)
-	waitFor(t, "bootstrap", func() bool { return converged(primary, fw, f) })
-	bootSyncs := f.Status().SegmentSyncs
-
-	// Fake a gap: pretend the follower missed an event so the next push
-	// triggers a resync at its current applied seq.
-	f.applied.Store(f.applied.Load() - 1)
-	if err := primary.Publish(e.deleg("[Maria -> BigISP.gap] BigISP")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "gap-driven delta resync", func() bool {
-		return f.Status().Resyncs >= 1 && converged(primary, fw, f)
+	waitFor(e.t, "bootstrap", func() bool {
+		return f.Status().Connected && f.Status().AppliedSeq == primary.Seq()
 	})
-	if f.Status().SegmentSyncs <= bootSyncs {
-		t.Fatalf("resync did not use the segment path (SegmentSyncs %d -> %d)",
-			bootSyncs, f.Status().SegmentSyncs)
+	if got, want := state(fw), state(primary); got != want {
+		e.t.Errorf("follower at seq %d is not the primary's memory\n--- follower ---\n%s\n--- primary ---\n%s",
+			f.Status().AppliedSeq, got, want)
+	}
+	return fw
+}
+
+// TestFollowerMirrorsMemoryWhenJournalLags: a revocation whose journal
+// appends failed is still in force on the primary, and a follower that
+// bootstraps afterwards must hold it too. The stream has moved past that
+// seq, so a follower that missed it at bootstrap would never learn it.
+func TestFollowerMirrorsMemoryWhenJournalLags(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria", "Replica")
+	primary := e.logPrimary(func(st *logstore.Store) wallet.Store { return failingJournal{st} })
+	gone, kept := e.deleg("[Maria -> BigISP.member] BigISP"), e.deleg("[Maria -> BigISP.user] BigISP")
+	for _, d := range []*core.Delegation{gone, kept} {
+		if err := primary.Publish(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Revoke(gone.ID(), e.id("BigISP").ID()); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Revoke over a full disk: err = %v, want it reported", err)
+	}
+	if !primary.IsRevoked(gone.ID()) || primary.Contains(gone.ID()) {
+		t.Fatal("the revocation is not in force on the primary")
+	}
+	fw := e.mirror(primary)
+	if !fw.IsRevoked(gone.ID()) || fw.Contains(gone.ID()) {
+		t.Fatalf("follower holds the revoked delegation: revoked %v, held %v", fw.IsRevoked(gone.ID()), fw.Contains(gone.ID()))
 	}
 }
 
-// TestFollowerFallsBackToSyncWithoutSegments pins the downgrade path: a
-// primary on a non-segment store answers sync-segments with an error and
-// the follower bootstraps via the monolithic snapshot, never counting a
-// segment sync.
-func TestFollowerFallsBackToSyncWithoutSegments(t *testing.T) {
+// TestFollowerHoldsCachedCopies: a TTL-cached copy is never journaled, but it
+// is in the primary's memory and in its snapshot (SPEC §9.1), so a follower
+// bootstrapped from a log-store primary holds it as a stream-fed one does.
+func TestFollowerHoldsCachedCopies(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria", "Replica")
+	primary := e.logPrimary(nil)
+	cached := e.deleg("[Maria -> BigISP.guest] BigISP")
+	if err := primary.Publish(e.deleg("[Maria -> BigISP.member] BigISP")); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.InsertCached(cached, nil, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if fw := e.mirror(primary); !fw.Contains(cached.ID()) {
+		t.Fatal("follower lacks the primary's cached copy")
+	}
+}
+
+// TestResyncClearsLag: the lag gauge is the age of the last applied event
+// when it was applied. A resync installs the upstream's state as of now, so
+// afterwards nothing is late and the gauge reads 0 — not the age of the
+// event before the gap, which an idle primary would never overwrite and
+// /readyz would keep reporting.
+func TestResyncClearsLag(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria", "Replica")
 	primary := e.wallet("BigISP", nil)
-	d := e.deleg("[Maria -> BigISP.member] BigISP")
-	if err := primary.Publish(d); err != nil {
+	e.serve("primary", "BigISP", primary, remote.Options{Role: "primary"})
+	reg := obs.NewRegistry()
+	o := obs.New(nil, reg)
+	fw := e.wallet("Replica", o)
+	// The follower's clock runs an hour ahead of the primary's, so every
+	// event it applies from the stream is an hour old.
+	f, err := Start(Config{
+		Local: fw, Addrs: []string{"primary"}, Dialer: e.net.Dialer(e.id("Replica")), Obs: o,
+		Clock: clock.NewFake(testStart.Add(time.Hour)),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.serve("primary", "BigISP", primary, remote.Options{Role: "primary"})
-	f, fw := e.follower("Replica", []string{"primary"}, nil, nil)
-	waitFor(t, "fallback bootstrap", func() bool { return converged(primary, fw, f) })
-	if segs := f.Status().SegmentSyncs; segs != 0 {
-		t.Fatalf("SegmentSyncs = %d on a MemStore primary, want 0 (sync fallback)", segs)
+	t.Cleanup(f.Close)
+	waitFor(t, "live stream", func() bool { return f.Status().Connected })
+
+	late := e.deleg("[Maria -> BigISP.member] BigISP")
+	if err := primary.Publish(late); err != nil {
+		t.Fatal(err)
 	}
-	if !fw.Contains(d.ID()) {
-		t.Fatal("fallback bootstrap lost the published delegation")
+	waitFor(t, "late event applied", func() bool { return fw.Contains(late.ID()) })
+	if lag := f.Status().LagSeconds; lag != 3600 {
+		t.Fatalf("lag after an hour-old event = %ds, want 3600", lag)
+	}
+
+	// Fake a gap: pretend the follower missed an event, so the next push
+	// forces a resync.
+	f.applied.Store(f.applied.Load() - 1)
+	if err := primary.Publish(e.deleg("[Maria -> BigISP.user] BigISP")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "gap resync", func() bool { return f.Status().Resyncs == 1 && converged(primary, fw, f) })
+	if lag := f.Status().LagSeconds; lag != 0 {
+		t.Errorf("lag after the resync = %ds, want 0", lag)
+	}
+	if g := reg.Snapshot().Gauges["drbac_replica_lag_seconds"]; g != 0 {
+		t.Errorf("drbac_replica_lag_seconds after the resync = %d, want 0", g)
 	}
 }

@@ -41,16 +41,16 @@ type Service interface {
 }
 
 // Replicable is the optional capability of services that can bootstrap
-// and feed follower replicas (§9): a consistent snapshot, the full
-// changelog stream, and bundle read-back. remote.Server asserts it on
-// sync / subscribe-all requests and refuses them when absent — a
-// cluster gateway routes replication to its member shards instead of
+// and feed follower replicas (§9): a consistent snapshot of memory, the
+// full changelog stream, and bundle read-back. The journal is not part of
+// it: a follower learns the wallet's memory, never its Store. remote.Server
+// asserts it on sync / subscribe-all requests and refuses them when absent
+// — a cluster gateway routes replication to its member shards instead of
 // serving it itself.
 type Replicable interface {
 	Snapshot() Snapshot
 	SubscribeAll(fn subs.Handler) (cancel func())
 	Get(id core.DelegationID) (*core.Delegation, []*core.Proof, bool)
-	Store() Store
 }
 
 var (

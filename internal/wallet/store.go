@@ -69,38 +69,6 @@ type Store interface {
 	AddRevocation(seq uint64, id core.DelegationID, at time.Time) (added bool, err error)
 }
 
-// SegmentData is one log-store segment as shipped to a bootstrapping
-// replica: the raw record frames of a sealed segment file, or the valid
-// prefix of the active segment.
-type SegmentData struct {
-	// Name is the segment's file name (diagnostic only).
-	Name string
-	// Sealed reports whether the segment is immutable on the source.
-	Sealed bool
-	// Data holds length-prefixed, CRC-framed records (see internal/logstore).
-	Data []byte
-}
-
-// SegmentSnapshot is a consistent copy of a segmented store's record log,
-// the payload of the syncSegments wire response.
-type SegmentSnapshot struct {
-	// Seq is the store's record high-water mark at capture.
-	Seq uint64
-	// Segments holds the shipped segments in replay order.
-	Segments []SegmentData
-}
-
-// SegmentStore is implemented by stores that can ship their durable state
-// as raw log segments, letting replicas bootstrap by replaying record
-// frames instead of decoding a monolithic snapshot (O(delta) catch-up).
-type SegmentStore interface {
-	Store
-	// SnapshotSegments captures every segment holding records with seq
-	// greater than afterSeq, consistent with respect to concurrent
-	// mutations. afterSeq 0 captures the full log.
-	SnapshotSegments(afterSeq uint64) (SegmentSnapshot, error)
-}
-
 // MemStore is the null journal of a wallet that lives in memory alone: it
 // loads empty and records nothing.
 type MemStore struct{}

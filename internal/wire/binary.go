@@ -49,8 +49,11 @@ const (
 	bkHasResp
 	bkSyncResp
 	bkSubscribeAllResp
-	bkSyncSegmentsReq
-	bkSyncSegmentsResp
+	// The retired sync-segments request and response bodies. Nothing
+	// encodes them; an older follower's request still decodes as an
+	// envelope, and no new layout may take either kind.
+	bkRetiredSegmentsReq
+	bkRetiredSegmentsResp
 	bkProveRoleReq
 
 	bkMax = bkProveRoleReq
@@ -69,8 +72,6 @@ func (HasReq) binKind() byte           { return bkHasReq }
 func (HasResp) binKind() byte          { return bkHasResp }
 func (SyncResp) binKind() byte         { return bkSyncResp }
 func (SubscribeAllResp) binKind() byte { return bkSubscribeAllResp }
-func (SyncSegmentsReq) binKind() byte  { return bkSyncSegmentsReq }
-func (SyncSegmentsResp) binKind() byte { return bkSyncSegmentsResp }
 func (ProveRoleReq) binKind() byte     { return bkProveRoleReq }
 
 // binaryCodec implements Codec with the framing above.
@@ -163,18 +164,6 @@ func (binaryCodec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
 	case SubscribeAllResp:
 		w.u8(bkSubscribeAllResp)
 		w.uvarint(b.Seq)
-	case SyncSegmentsReq:
-		w.u8(bkSyncSegmentsReq)
-		w.uvarint(b.AfterSeq)
-	case SyncSegmentsResp:
-		w.u8(bkSyncSegmentsResp)
-		w.uvarint(b.Seq)
-		w.uvarint(uint64(len(b.Segments)))
-		for _, seg := range b.Segments {
-			w.str(seg.Name)
-			w.bool(seg.Sealed)
-			w.bytes(seg.Records)
-		}
 	case ProveRoleReq:
 		w.u8(bkProveRoleReq)
 		w.role(b.Role)
@@ -310,16 +299,6 @@ func decodeBinaryBody(env Envelope, out any) error {
 		}
 	case *SubscribeAllResp:
 		out.Seq = r.uvarint()
-	case *SyncSegmentsReq:
-		out.AfterSeq = r.uvarint()
-	case *SyncSegmentsResp:
-		out.Seq = r.uvarint()
-		if n := r.count(); n > 0 {
-			out.Segments = make([]Segment, n)
-			for i := range out.Segments {
-				out.Segments[i] = Segment{Name: r.str(), Sealed: r.bool(), Records: r.bytes()}
-			}
-		}
 	case *ProveRoleReq:
 		out.Role = r.role()
 	}

@@ -144,26 +144,26 @@ func TestBinaryProofDepthBounded(t *testing.T) {
 func TestBinaryEncodeGrowsThroughPool(t *testing.T) {
 	codec := CodecFor(CodecBinary)
 	for _, n := range []int{0, 200, encodeStart - 8, encodeStart, 5000, bufpool.MaxRetain - 64, bufpool.MaxRetain + 1, 1 << 20} {
-		records := make([]byte, n)
-		for i := range records {
-			records[i] = byte(i * 7)
+		id := make([]byte, n)
+		for i := range id {
+			id[i] = byte(i * 7)
 		}
-		in := SyncSegmentsResp{Seq: uint64(n), Segments: []Segment{{Name: "seg", Sealed: true, Records: records}}}
+		in := SyncResp{Seq: uint64(n), Revoked: []core.DelegationID{core.DelegationID(id)}}
 		frame, err := codec.Encode(TOK, 9, in)
 		if err != nil {
-			t.Fatalf("encode %d-byte segment: %v", n, err)
+			t.Fatalf("encode %d-byte body: %v", n, err)
 		}
 		env, err := codec.Decode(frame)
 		if err != nil {
-			t.Fatalf("decode %d-byte segment: %v", n, err)
+			t.Fatalf("decode %d-byte body: %v", n, err)
 		}
-		var out SyncSegmentsResp
+		var out SyncResp
 		if err := DecodeBody(env, &out); err != nil {
-			t.Fatalf("decode body of %d-byte segment: %v", n, err)
+			t.Fatalf("decode %d-byte body: %v", n, err)
 		}
 		bufpool.Put(frame)
-		if out.Seq != in.Seq || len(out.Segments) != 1 || !bytes.Equal(out.Segments[0].Records, records) {
-			t.Fatalf("%d-byte segment did not round-trip", n)
+		if out.Seq != in.Seq || len(out.Revoked) != 1 || out.Revoked[0] != in.Revoked[0] {
+			t.Fatalf("%d-byte body did not round-trip", n)
 		}
 	}
 

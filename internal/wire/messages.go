@@ -67,7 +67,7 @@ var Messages = []Message{
 	{Type: TStats, Code: 11, Reply: TOK, OK: body[StatsResp]},
 	{Type: TSync, Code: 12, Reply: TOK, OK: body[SyncResp], Tier: TierReplication},
 	{Type: TSubscribeAll, Code: 13, Reply: TOK, OK: body[SubscribeAllResp], Tier: TierReplication},
-	{Type: TSyncSegments, Code: 14, Body: body[SyncSegmentsReq], BodyOptional: true, Reply: TOK, OK: body[SyncSegmentsResp], Tier: TierReplication},
+	{Type: TSyncSegments, Code: 14, Reserved: true},
 	{Type: TTrace, Code: 15, Body: body[TraceReq], Reply: TOK, OK: body[TraceResp]},
 	{Type: TShardMap, Code: 16, Reply: TOK, OK: body[ShardMapResp], Tier: TierCluster},
 	{Type: TDHTFindNode, Code: 17, Body: body[DHTFindReq], Reply: TOK, OK: body[DHTFindResp], Tier: TierDHT},

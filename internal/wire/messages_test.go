@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"regexp"
@@ -94,11 +95,6 @@ func populated(t testing.TB) map[reflect.Type][]any {
 			Revoked: []core.DelegationID{"dead-1", "dead-2"},
 		},
 		SubscribeAllResp{Seq: 9},
-		SyncSegmentsReq{AfterSeq: 5},
-		SyncSegmentsResp{
-			Seq:      80,
-			Segments: []Segment{{Name: "seg-000001", Sealed: true, Records: []byte("r1\nr2\n")}},
-		},
 		TraceReq{TraceID: "0123456789abcdef"},
 		TraceResp{Found: true, Spans: []obs.SpanRecord{{
 			TraceID: "0123456789abcdef", SpanID: "s1", Name: "serve:query-direct", Root: true,
@@ -193,7 +189,8 @@ func TestMessageTableCrossCodecRoundTrip(t *testing.T) {
 }
 
 // TestEveryBinaryKindIsInTheTable: a hand-rolled layout no message carries
-// would be dead code the table-driven tests and fuzzers never reach.
+// would be dead code the table-driven tests and fuzzers never reach, and a
+// retired kind a row carries again would be misread by an older peer.
 func TestEveryBinaryKindIsInTheTable(t *testing.T) {
 	seen := make(map[byte]reflect.Type)
 	for _, tb := range tableBodies() {
@@ -202,7 +199,11 @@ func TestEveryBinaryKindIsInTheTable(t *testing.T) {
 		}
 	}
 	for k := bkJSON + 1; k <= bkMax; k++ {
-		if seen[k] == nil {
+		retired := k == bkRetiredSegmentsReq || k == bkRetiredSegmentsResp
+		switch {
+		case retired && seen[k] != nil:
+			t.Errorf("retired body kind %d is carried again, by %s", k, seen[k])
+		case !retired && seen[k] == nil:
 			t.Errorf("body kind %d is carried by no row of Messages", k)
 		}
 	}
@@ -263,23 +264,34 @@ func TestMessageTableCodes(t *testing.T) {
 
 // TestReservedRowsStillDecode: a reserved type keeps its code so a frame from
 // an older build decodes under both codecs (internal/remote checks that
-// serving one is refused).
+// serving one is refused). cluster-hello still carries its body;
+// sync-segments declares none and decodes as a bare envelope.
 func TestReservedRowsStillDecode(t *testing.T) {
-	reserved := 0
+	var reserved []MsgType
 	for _, m := range Messages {
 		if !m.Reserved {
 			continue
 		}
-		reserved++
+		reserved = append(reserved, m.Type)
 		for _, c := range []Codec{jsonCodecInst, binaryCodecInst} {
+			if m.Body == nil {
+				frame, err := c.Encode(m.Type, 7, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if env, err := c.Decode(frame); err != nil || env.Type != m.Type || env.ID != 7 || len(env.Body) != 0 {
+					t.Errorf("%s %s: bare envelope decoded to %+v, %v", c.Name(), m.Type, env, err)
+				}
+				continue
+			}
 			_, out := decodeVia(t, c, tableBody{m.Type, m.Body}, ShardMapResp{Epoch: 3, Shard: 1})
 			if got := out.(*ShardMapResp); got.Epoch != 3 || got.Shard != 1 {
 				t.Errorf("%s %s: body = %+v", c.Name(), m.Type, got)
 			}
 		}
 	}
-	if reserved != 1 {
-		t.Errorf("%d reserved rows, want exactly cluster-hello", reserved)
+	if fmt.Sprint(reserved) != "[sync-segments cluster-hello]" {
+		t.Errorf("reserved rows %v, want exactly sync-segments and cluster-hello", reserved)
 	}
 }
 
@@ -350,7 +362,8 @@ func TestSpecMessageTableMatches(t *testing.T) {
 // decoders must never panic, and any body they accept must survive an
 // encode/decode round trip unchanged: no state smuggled through unparsed
 // bytes, under either codec. Seeds: every row's zero and populated bodies
-// under both codecs, plus hand-written hostile frames.
+// under both codecs, plus hand-written hostile frames and an older build's
+// frames for a retired message.
 func FuzzMessageDecode(f *testing.F) {
 	fixtures, bodies := populated(f), tableBodies()
 	for _, tb := range bodies {
@@ -371,6 +384,21 @@ func FuzzMessageDecode(f *testing.F) {
 	f.Add([]byte{binMagic, binVersion, 0, 4, 'p', 'i', 'n', 'g', 1, bkNone})
 	// A count field claiming 2^32 elements in a five-byte body.
 	f.Add([]byte{binMagic, binVersion, 2, 1, bkQueryReq, 0x80, 0x80, 0x80, 0x80, 0x10})
+	// What an older build sends in the retired sync-segments exchange —
+	// request and reply, empty and populated, under each codec — byte for
+	// byte as its encoder framed them.
+	for _, frame := range [][]byte{
+		[]byte(`{"type":"sync-segments","id":1,"body":{}}`),
+		[]byte(`{"type":"sync-segments","id":1,"body":{"afterSeq":5}}`),
+		[]byte(`{"type":"ok","id":1,"body":{"seq":0,"segments":null}}`),
+		[]byte(`{"type":"ok","id":1,"body":{"seq":80,"segments":[{"name":"seg-000001","sealed":true,"records":"cjEKcjIK"}]}}`),
+		{binMagic, binVersion, 14, 1, bkRetiredSegmentsReq, 0},
+		{binMagic, binVersion, 14, 1, bkRetiredSegmentsReq, 5},
+		{binMagic, binVersion, 32, 1, bkRetiredSegmentsResp, 0, 0},
+		append([]byte{binMagic, binVersion, 32, 1, bkRetiredSegmentsResp, 80, 1, 10}, "seg-000001\x01\x06r1\nr2\n"...),
+	} {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var codec Codec = jsonCodecInst

@@ -45,12 +45,13 @@ const (
 	// its seq (empty body; answered with SubscribeAllResp). At most one
 	// stream per connection; re-sending replaces the previous one.
 	TSubscribeAll MsgType = "subscribe-all"
-	// TSyncSegments asks a log-store-backed wallet to ship its durable
-	// record log as raw segments (SyncSegmentsReq; answered with
-	// SyncSegmentsResp). A replica that already applied the stream up to
-	// AfterSeq receives only segments holding newer records — O(delta)
-	// catch-up instead of the monolithic TSync snapshot. Wallets on other
-	// stores answer with an error and the caller falls back to TSync.
+	// TSyncSegments is reserved and no longer served: log-store wallets
+	// once shipped their journal's raw segments under it to bootstrap
+	// followers, and the journal lags the wallet's memory, so such a
+	// follower could hold what the wallet had revoked. The name and its
+	// binary type code stay assigned so an older follower's request still
+	// decodes; it is refused as an unknown request type, and the follower
+	// falls back to TSync on the same connection.
 	TSyncSegments MsgType = "sync-segments"
 	// TTrace fetches the serving wallet's retained spans for one trace ID
 	// (TraceReq; answered with TraceResp). `drbac trace` merges the
@@ -273,32 +274,6 @@ type SyncResp struct {
 	Seq     uint64              `json:"seq"`
 	Bundles []SyncBundle        `json:"bundles"`
 	Revoked []core.DelegationID `json:"revoked,omitempty"`
-}
-
-// SyncSegmentsReq asks for the serving wallet's log segments holding
-// records with seq greater than AfterSeq; 0 asks for the full log.
-type SyncSegmentsReq struct {
-	AfterSeq uint64 `json:"afterSeq,omitempty"`
-}
-
-// Segment is one shipped log segment: the raw length-prefixed, CRC-framed
-// record bytes of a segment file (see internal/logstore for the framing).
-type Segment struct {
-	// Name is the segment's file name on the source, diagnostic only.
-	Name string `json:"name"`
-	// Sealed reports whether the segment is immutable on the source.
-	Sealed bool `json:"sealed,omitempty"`
-	// Records holds the framed records (JSON base64-encodes the bytes).
-	Records []byte `json:"records"`
-}
-
-// SyncSegmentsResp answers a TSyncSegments request: the wallet's record log
-// (or the slice of it after AfterSeq) plus the changelog seq the shipment
-// is consistent at. Records with seq at or below the caller's AfterSeq may
-// still appear — replay is idempotent and the caller skips them.
-type SyncSegmentsResp struct {
-	Seq      uint64    `json:"seq"`
-	Segments []Segment `json:"segments"`
 }
 
 // SubscribeAllResp acknowledges a TSubscribeAll request with the wallet's
