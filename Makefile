@@ -62,13 +62,16 @@ cover-check:
 	done
 	@rm -f cover.out cover.txt
 
-# The three numbers a simplification round steers by: drbacd flags (also
-# pinned by cmd/drbacd/testdata/flags.golden), internal packages, and
-# non-test Go lines outside bench/. Quote before → after in CHANGES.md.
+# The numbers a simplification round steers by: drbacd flags (also pinned
+# by cmd/drbacd/testdata/flags.golden), internal packages, non-test Go lines
+# outside bench/, and metric families named in internal/obs/help.go's table
+# (families registered through SetHelp, the per-SLO gauges, are not in it).
+# Quote before → after in CHANGES.md.
 surface:
 	@echo "drbacd flags:       $$(grep -c . cmd/drbacd/testdata/flags.golden)"
 	@echo "internal packages:  $$($(GO) list ./internal/... | wc -l)"
 	@echo "non-test Go lines:  $$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l)"
+	@echo "metric families:    $$(grep -c '^		"drbac_[a-z0-9_]*":' internal/obs/help.go)"
 
 bench:
 	$(GO) test -bench=. -benchmem .

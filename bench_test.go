@@ -699,7 +699,7 @@ func BenchmarkWalletParallelQuery(b *testing.B) {
 }
 
 // wireBench serves one wallet holding the Figure 1 two-delegation chain and
-// dials it once per codec, for the EXP-W1 remote-path benchmarks.
+// dials it once, for the EXP-W1 remote-path benchmarks.
 type wireBench struct {
 	w       *benchWorld
 	client  *remote.Client
@@ -708,18 +708,14 @@ type wireBench struct {
 	fresh   []*core.Delegation
 }
 
-func newWireBench(b *testing.B, codec string) *wireBench {
+func newWireBench(b *testing.B) *wireBench {
 	b.Helper()
-	pol, err := transport.ParseWireMode(codec)
-	if err != nil {
-		b.Fatal(err)
-	}
 	w := newBenchWorld(b)
 	clk := clock.NewFake(w.now)
 	net := transport.NewMemNetwork()
 	owner := w.ids["BigISP"]
 	wal := wallet.New(wallet.Config{Owner: owner, Clock: clk, Directory: w.dir})
-	ln, err := net.ListenCodec("wallet.bigisp", owner, pol)
+	ln, err := net.Listen("wallet.bigisp", owner)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -733,14 +729,11 @@ func newWireBench(b *testing.B, codec string) *wireBench {
 	}
 	wb.subject = core.SubjectEntity(w.ids["Maria"].ID())
 	wb.object = core.NewRole(w.ids["AirNet"].ID(), "c")
-	c, err := remote.Dial(context.Background(), net.DialerCodec(w.ids["Maria"], pol), "wallet.bigisp")
+	c, err := remote.Dial(context.Background(), net.Dialer(w.ids["Maria"]), "wallet.bigisp")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(c.Close)
-	if got := c.WireCodec(); got != codec {
-		b.Fatalf("negotiated %q, want %q", got, codec)
-	}
 	wb.client = c
 	return wb
 }
@@ -756,21 +749,20 @@ func (wb *wireBench) mint(b *testing.B, n int) {
 
 // BenchmarkQueryDirect prices the full remote query round trip — encode
 // request, transport framing, server decode, wallet lookup, proof encode,
-// client decode — under each wire codec (EXP-W1). The wallet's hot proof
-// cache keeps the graph-search cost constant, so the codec is the variable.
+// client decode (EXP-W1). The wallet's hot proof cache keeps the
+// graph-search cost constant, so the codec and transport are the variable.
+// The sub-benchmark is named for the codec, as its baseline row always was.
 func BenchmarkQueryDirect(b *testing.B) {
-	for _, codec := range []string{transport.CodecJSON, transport.CodecBinary} {
-		b.Run(codec, func(b *testing.B) {
-			wb := newWireBench(b, codec)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := wb.client.QueryDirect(ctx, wb.subject, wb.object, nil, 0); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(transport.CodecBinary, func(b *testing.B) {
+		wb := newWireBench(b)
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := wb.client.QueryDirect(ctx, wb.subject, wb.object, nil, 0); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkQueryDirectTCP is BenchmarkQueryDirect/binary with a real socket
@@ -826,7 +818,7 @@ func BenchmarkQueryDirectTCP(b *testing.B) {
 	})
 }
 
-// BenchmarkPublish prices the remote publish round trip per codec (EXP-W1):
+// BenchmarkPublish prices the remote publish round trip (EXP-W1):
 // each iteration ships one signed delegation and waits for the ack. It
 // cycles a pre-published pool so the wallet's verified-signature memo (§PR5,
 // EXP-S8 warm) absorbs the ed25519 verify — steady-state republish, where
@@ -834,24 +826,22 @@ func BenchmarkQueryDirectTCP(b *testing.B) {
 // First-publish cost (memo cold) is BenchmarkVerifyDelegation's job.
 func BenchmarkPublish(b *testing.B) {
 	const pool = 64
-	for _, codec := range []string{transport.CodecJSON, transport.CodecBinary} {
-		b.Run(codec, func(b *testing.B) {
-			wb := newWireBench(b, codec)
-			wb.mint(b, pool)
-			ctx := context.Background()
-			for _, d := range wb.fresh { // prime wallet + signature memo
-				if err := wb.client.Publish(ctx, d, nil, 0); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(transport.CodecBinary, func(b *testing.B) {
+		wb := newWireBench(b)
+		wb.mint(b, pool)
+		ctx := context.Background()
+		for _, d := range wb.fresh { // prime wallet + signature memo
+			if err := wb.client.Publish(ctx, d, nil, 0); err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := wb.client.Publish(ctx, wb.fresh[i%pool], nil, 0); err != nil {
-					b.Fatal(err)
-				}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := wb.client.Publish(ctx, wb.fresh[i%pool], nil, 0); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // shardedBench is an N-shard wallet cluster on an in-memory network for

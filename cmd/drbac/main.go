@@ -556,8 +556,6 @@ func renderStats(w io.Writer, addr string, resp wire.StatsResp) {
 	}
 	if ws := resp.Wire; ws != nil {
 		fmt.Fprintf(w, "wire codec (connection: %s)\n", ws.ConnCodec)
-		fmt.Fprintf(w, "  json frames  %d enc / %d dec (%d / %d bytes)\n",
-			ws.JSONFramesEncoded, ws.JSONFramesDecoded, ws.JSONBytesEncoded, ws.JSONBytesDecoded)
 		fmt.Fprintf(w, "  bin frames   %d enc / %d dec (%d / %d bytes)\n",
 			ws.BinaryFramesEncoded, ws.BinaryFramesDecoded, ws.BinaryBytesEncoded, ws.BinaryBytesDecoded)
 		fmt.Fprintf(w, "  intern       %d hits / %d misses\n", ws.InternHits, ws.InternMisses)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"drbac/internal/bufpool"
 	"drbac/internal/obs"
 	"drbac/internal/wire"
 )
@@ -25,6 +26,13 @@ func TestRenderStatsGolden(t *testing.T) {
 		SigCacheMisses:     6,
 		SigCacheEvictions:  1,
 		SigCacheSize:       5,
+		Wire: &wire.WireStats{
+			ConnCodec:           "binary",
+			BinaryFramesEncoded: 9, BinaryFramesDecoded: 8,
+			BinaryBytesEncoded: 900, BinaryBytesDecoded: 640,
+			InternHits: 30, InternMisses: 3,
+			Pool: bufpool.Stats{Gets: 17, Puts: 16, Discards: 1, News: 2},
+		},
 		Metrics: obs.Snapshot{
 			Counters: map[string]int64{
 				"drbac_wallet_query_direct_total": 14,
@@ -56,6 +64,10 @@ sig cache
   misses       6
   evictions    1
   size         5
+wire codec (connection: binary)
+  bin frames   9 enc / 8 dec (900 / 640 bytes)
+  intern       30 hits / 3 misses
+  pool         17 gets / 16 puts / 1 discards / 2 news
 counters
   drbac_server_requests_total                  20
   drbac_wallet_query_direct_total              14

@@ -115,7 +115,7 @@ func newShardMember(path string, id int, o *obs.Obs) (*cluster.Node, *shardMapWa
 // newClusterGateway loads the map file and builds a routing gateway over
 // the cluster plus its file watcher. The gateway dials shards as the
 // daemon's own identity.
-func newClusterGateway(path string, owner *core.Identity, wirePol transport.CodecPolicy, o *obs.Obs, rt *dhtRuntime) (*cluster.Wallet, *shardMapWatcher, error) {
+func newClusterGateway(path string, owner *core.Identity, o *obs.Obs, rt *dhtRuntime) (*cluster.Wallet, *shardMapWatcher, error) {
 	m, err := readMapFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -123,7 +123,7 @@ func newClusterGateway(path string, owner *core.Identity, wirePol transport.Code
 	cfg := cluster.WalletConfig{
 		RouterConfig: cluster.RouterConfig{
 			Map:    m,
-			Dialer: &transport.TCPDialer{Identity: owner, Codec: wirePol},
+			Dialer: &transport.TCPDialer{Identity: owner},
 			Obs:    o,
 		},
 		Identity: owner,

@@ -52,7 +52,7 @@ type dhtRuntime struct {
 // startDHT builds and starts the DHT and gossip nodes. announce is the
 // comma-separated address list to publish ("" means the listen address);
 // bootstrap the seed list ("" starts a lone seed node).
-func startDHT(owner *core.Identity, listen, announce, bootstrap string, wirePol transport.CodecPolicy, o *obs.Obs) (*dhtRuntime, error) {
+func startDHT(owner *core.Identity, listen, announce, bootstrap string, o *obs.Obs) (*dhtRuntime, error) {
 	addrs := remote.SplitAddrs(announce)
 	if len(addrs) == 0 {
 		addrs = []string{listen}
@@ -62,8 +62,8 @@ func startDHT(owner *core.Identity, listen, announce, bootstrap string, wirePol 
 		addrs:       addrs,
 		seeds:       remote.SplitAddrs(bootstrap),
 		o:           o,
-		dhtPeers:    peer.NewManager(peer.Config{Dialer: &transport.TCPDialer{Identity: owner, Codec: wirePol}, Obs: o}),
-		gossipPeers: peer.NewManager(peer.Config{Dialer: &transport.TCPDialer{Identity: owner, Codec: wirePol}, Obs: o}),
+		dhtPeers:    peer.NewManager(peer.Config{Dialer: &transport.TCPDialer{Identity: owner}, Obs: o}),
+		gossipPeers: peer.NewManager(peer.Config{Dialer: &transport.TCPDialer{Identity: owner}, Obs: o}),
 	}
 	node, err := dht.NewNode(dht.Config{
 		Identity: owner,

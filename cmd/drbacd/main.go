@@ -5,7 +5,6 @@
 // Usage:
 //
 //	drbacd -key bigisp.key -listen 127.0.0.1:7100 [-load bundles/] [-strict]
-//	       [-wire auto|json|binary]
 //	       [-replica-of host:port[,host:port...]]
 //	       [-cluster shard:0@map.json | gateway@map.json]
 //	       [-dht [-bootstrap host:port[,host:port]] [-announce host:port[,host:port]]]
@@ -41,6 +40,11 @@
 // circuit breakers coalition-wide. A gateway's shard map may then name
 // members as dht:<entity-fingerprint> instead of host:port; such entries
 // are resolved through the DHT at dial time.
+//
+// Every connection the daemon serves or dials speaks the binary wire codec
+// (SPEC §14); a peer whose handshake does not offer it — a build that
+// predates codec negotiation, or one started with the retired -wire json —
+// is refused.
 //
 // The -load directory may contain delegation bundle files (as written by
 // `drbac delegate`) that are published into the wallet at startup, in
@@ -117,7 +121,6 @@ func run(args []string) error {
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := fs.Bool("log-json", false, "write logs as JSON instead of text")
 	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "duration at or above which a trace or query counts as slow: slow traces are always retained and slow queries logged at warn")
-	wireMode := fs.String("wire", "auto", `wire codec policy for every connection this daemon serves or dials: "auto" negotiates per peer (binary preferred, JSON fallback for old peers), "json" speaks only JSON, "binary" requires the binary codec and refuses peers without it`)
 	dhtOn := fs.Bool("dht", false, "participate in the coalition DHT and gossip membership: serve dht-*/gossip-* requests, announce this wallet's provider record, and gate peer pools on gossip liveness verdicts")
 	bootstrap := fs.String("bootstrap", "", "comma-separated seed wallet addresses to join the DHT and gossip ring through (requires -dht; empty starts a lone seed)")
 	announce := fs.String("announce", "", "comma-separated addresses published in this wallet's DHT provider record (requires -dht; default: the -listen address)")
@@ -133,10 +136,6 @@ func run(args []string) error {
 	cl, ok := parseClusterSpec(*clusterFlag)
 	if !ok || cl.gateway && (*replicaOf != "" || *load != "" || *state != "") {
 		return fmt.Errorf("-cluster %q: want shard:N@MAP, or gateway@MAP without -replica-of, -load or -state (a gateway keeps no state of its own)", *clusterFlag)
-	}
-	wirePol, err := transport.ParseWireMode(*wireMode)
-	if err != nil {
-		return err
 	}
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -175,7 +174,7 @@ func run(args []string) error {
 	if *dhtOn {
 		// Before the cluster pieces: a gateway resolves dht:<fingerprint>
 		// shard members through this node.
-		rt, err = startDHT(owner, *listen, *announce, *bootstrap, wirePol, o)
+		rt, err = startDHT(owner, *listen, *announce, *bootstrap, o)
 		if err != nil {
 			return err
 		}
@@ -210,7 +209,7 @@ func run(args []string) error {
 		follower, err = replica.Start(replica.Config{
 			Local:  w,
 			Addrs:  remote.SplitAddrs(*replicaOf),
-			Dialer: &transport.TCPDialer{Identity: owner, Codec: wirePol},
+			Dialer: &transport.TCPDialer{Identity: owner},
 			Obs:    o,
 		})
 		if err != nil {
@@ -232,7 +231,7 @@ func run(args []string) error {
 			"shards", len(node.Current().Shards), "map", cl.mapPath)
 	}
 	if cl.gateway {
-		gw, shardWatch, err = newClusterGateway(cl.mapPath, owner, wirePol, o, rt)
+		gw, shardWatch, err = newClusterGateway(cl.mapPath, owner, o, rt)
 		if err != nil {
 			return err
 		}
@@ -253,7 +252,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	ln.Codec = wirePol
 	var (
 		guard remote.ClusterGuard
 		svc   wallet.Service = w

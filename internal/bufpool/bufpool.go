@@ -1,5 +1,5 @@
 // Package bufpool provides the process-wide frame buffer pool shared by the
-// transport framing layer and the wire codecs. Frames on the hot paths
+// transport framing layer and the wire codec. Frames on the hot paths
 // (queries, proofs, publishes, pushes) are built in and read into pooled
 // buffers, so steady-state traffic stops paying one allocation per frame.
 //

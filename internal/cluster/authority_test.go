@@ -9,22 +9,13 @@ import (
 
 	"drbac/internal/core"
 	"drbac/internal/remote"
-	"drbac/internal/transport"
 	"drbac/internal/wallet"
 )
 
-// codecs are the two client policies every over-the-wire case runs under.
-var codecs = []struct {
-	name string
-	pol  transport.CodecPolicy
-}{
-	{transport.CodecBinary, transport.CodecPolicy{}},
-	{transport.CodecJSON, transport.CodecPolicy{Advertise: []string{transport.CodecJSON}}},
-}
-
-func (e *env) dialCodec(name, addr string, pol transport.CodecPolicy) *remote.Client {
+// dialClient connects name to the wallet served at addr.
+func (e *env) dialClient(name, addr string) *remote.Client {
 	e.t.Helper()
-	c, err := remote.Dial(context.Background(), e.net.DialerCodec(e.id(name), pol), addr)
+	c, err := remote.Dial(context.Background(), e.net.Dialer(e.id(name)), addr)
 	if err != nil {
 		e.t.Fatal(err)
 	}
@@ -82,73 +73,69 @@ func TestAuthorityGatewayRevokeNeedsIssuer(t *testing.T) {
 // The same over the wire: a peer revoking at a served gateway is refused with
 // the redirect, and the gateway keeps serving the credential.
 func TestAuthorityServedGatewayRevokeNeedsIssuer(t *testing.T) {
-	for _, cc := range codecs {
-		t.Run(cc.name, func(t *testing.T) {
-			e := newEnv(t, "gate", "A", "Maria")
-			m := mustUniform(t, []string{"shard0"}, []string{"shard1"})
-			_, _, gw := e.clusterOf(m)
-			e.serveGateway("gateway", gw)
+	t.Run("binary", func(t *testing.T) {
+		e := newEnv(t, "gate", "A", "Maria")
+		m := mustUniform(t, []string{"shard0"}, []string{"shard1"})
+		_, _, gw := e.clusterOf(m)
+		e.serveGateway("gateway", gw)
 
-			ctx := context.Background()
-			c := e.dialCodec("Maria", "gateway", cc.pol)
-			d := e.deleg("[Maria -> A.member] A")
-			if err := c.Publish(ctx, d, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			query := func() error {
-				_, err := c.QueryDirect(ctx, e.subject("Maria"), e.role("A.member"), nil, 0)
-				return err
-			}
-			if err := query(); err != nil {
-				t.Fatalf("served gateway does not prove the credential: %v", err)
-			}
-			var rd *remote.RedirectError
-			if err := c.Revoke(ctx, d.ID()); !errors.As(err, &rd) || rd.Redirect.Shard != m.OwnerOf(d).ID {
-				t.Fatalf("non-issuer revoke at the gateway = %v, want a redirect to shard %d", err, m.OwnerOf(d).ID)
-			}
-			if err := query(); err != nil {
-				t.Fatalf("a non-issuer's revoke made the gateway refuse a valid credential: %v", err)
-			}
-		})
-	}
+		ctx := context.Background()
+		c := e.dialClient("Maria", "gateway")
+		d := e.deleg("[Maria -> A.member] A")
+		if err := c.Publish(ctx, d, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		query := func() error {
+			_, err := c.QueryDirect(ctx, e.subject("Maria"), e.role("A.member"), nil, 0)
+			return err
+		}
+		if err := query(); err != nil {
+			t.Fatalf("served gateway does not prove the credential: %v", err)
+		}
+		var rd *remote.RedirectError
+		if err := c.Revoke(ctx, d.ID()); !errors.As(err, &rd) || rd.Redirect.Shard != m.OwnerOf(d).ID {
+			t.Fatalf("non-issuer revoke at the gateway = %v, want a redirect to shard %d", err, m.OwnerOf(d).ID)
+		}
+		if err := query(); err != nil {
+			t.Fatalf("a non-issuer's revoke made the gateway refuse a valid credential: %v", err)
+		}
+	})
 }
 
 // A publish with a negative TTL is malformed: it is refused before the shard
 // guard or the wallet sees it, so it can neither slip past the ownership check
 // nor be journaled as a permanent delegation on a shard that does not own it.
 func TestAuthorityNegativeTTLAtWrongShard(t *testing.T) {
-	for _, cc := range codecs {
-		t.Run(cc.name, func(t *testing.T) {
-			e := newEnv(t, "gate", "A", "Maria", "Bob", "Carol", "Dave")
-			m := mustUniform(t, []string{"shard0"}, []string{"shard1"})
-			wallets, _, _ := e.clusterOf(m)
+	t.Run("binary", func(t *testing.T) {
+		e := newEnv(t, "gate", "A", "Maria", "Bob", "Carol", "Dave")
+		m := mustUniform(t, []string{"shard0"}, []string{"shard1"})
+		wallets, _, _ := e.clusterOf(m)
 
-			var d *core.Delegation
-			for _, name := range []string{"Maria", "Bob", "Carol", "Dave"} {
-				if cand := e.deleg("[" + name + " -> A.member] A"); m.OwnerOf(cand).ID == 0 {
-					d = cand
-					break
-				}
+		var d *core.Delegation
+		for _, name := range []string{"Maria", "Bob", "Carol", "Dave"} {
+			if cand := e.deleg("[" + name + " -> A.member] A"); m.OwnerOf(cand).ID == 0 {
+				d = cand
+				break
 			}
-			if d == nil {
-				t.Fatal("no test subject hashes to shard 0; add candidate names")
-			}
-			ctx := context.Background()
-			c := e.dialCodec("Maria", "shard1", cc.pol)
+		}
+		if d == nil {
+			t.Fatal("no test subject hashes to shard 0; add candidate names")
+		}
+		ctx := context.Background()
+		c := e.dialClient("Maria", "shard1")
 
-			err := c.Publish(ctx, d, nil, -time.Second)
-			if err == nil || !strings.Contains(err.Error(), "negative ttlSeconds") {
-				t.Fatalf("negative-TTL publish at the wrong shard = %v, want the malformed-request refusal", err)
-			}
-			if wallets[1].Contains(d.ID()) {
-				t.Fatal("a negative-TTL publish landed on a shard that does not own its subject")
-			}
-			var rd *remote.RedirectError
-			if err := c.Publish(ctx, d, nil, 0); !errors.As(err, &rd) || rd.Redirect.Shard != 0 {
-				t.Fatalf("durable publish at the wrong shard = %v, want a redirect to shard 0", err)
-			}
-		})
-	}
+		err := c.Publish(ctx, d, nil, -time.Second)
+		if err == nil || !strings.Contains(err.Error(), "negative ttlSeconds") {
+			t.Fatalf("negative-TTL publish at the wrong shard = %v, want the malformed-request refusal", err)
+		}
+		if wallets[1].Contains(d.ID()) {
+			t.Fatal("a negative-TTL publish landed on a shard that does not own its subject")
+		}
+		var rd *remote.RedirectError
+		if err := c.Publish(ctx, d, nil, 0); !errors.As(err, &rd) || rd.Redirect.Shard != 0 {
+			t.Fatalf("durable publish at the wrong shard = %v, want a redirect to shard 0", err)
+		}
+	})
 }
 
 // A publish that carries no delegation is malformed: a served gateway refuses
@@ -159,7 +146,7 @@ func TestAuthorityPublishWithoutDelegationAtServedGateway(t *testing.T) {
 	m := mustUniform(t, []string{"shard0"}, []string{"shard1"})
 	_, _, gw := e.clusterOf(m)
 	e.serveGateway("gateway", gw)
-	c := e.dialCodec("Maria", "gateway", codecs[0].pol)
+	c := e.dialClient("Maria", "gateway")
 	err := c.Publish(context.Background(), nil, nil, 0)
 	if err == nil || !strings.Contains(err.Error(), "malformed request: no delegation") {
 		t.Fatalf("publish without a delegation at a served gateway = %v, want the malformed-request refusal", err)

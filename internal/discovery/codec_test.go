@@ -8,34 +8,19 @@ import (
 	"drbac/internal/core"
 	"drbac/internal/graph"
 	"drbac/internal/remote"
-	"drbac/internal/transport"
 	"drbac/internal/wallet"
 )
 
-// serveCodec is env.serve with an explicit wire-codec policy on the
-// listener, for building mixed-codec coalitions.
-func (e *env) serveCodec(addr, ownerName string, pol transport.CodecPolicy) *wallet.Wallet {
-	e.t.Helper()
-	w := wallet.New(wallet.Config{Owner: e.id(ownerName), Clock: e.clk, Directory: e.dir})
-	ln, err := e.net.ListenCodec(addr, e.id(ownerName), pol)
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	s := remote.Serve(w, ln)
-	e.t.Cleanup(s.Close)
-	return w
-}
-
-// codecCoalition builds the §5 three-wallet chain once, with per-wallet
-// codec policies, and returns a discover function that runs the full chain
-// discovery through a fresh agent dialing under the given policy. Nonces
-// and signatures are fixed at publish time, so proofs assembled by
-// different agents over the same coalition are comparable byte-for-byte.
-func codecCoalition(t *testing.T, bigISP, airNet transport.CodecPolicy) func(agentPol transport.CodecPolicy) *core.Proof {
+// chainCoalition builds the §5 three-wallet chain once and returns a
+// discover function that runs the full chain discovery through a fresh
+// agent. Nonces and signatures are fixed at publish time, so proofs
+// assembled by different agents over the same coalition are comparable
+// byte-for-byte.
+func chainCoalition(t *testing.T) func() *core.Proof {
 	t.Helper()
 	e := newEnv(t, "BigISP", "AirNet", "Mark", "Sheila", "Maria", "AirNetServer")
-	bigISPWallet := e.serveCodec("wallet.bigisp", "BigISP", bigISP)
-	airNetWallet := e.serveCodec("wallet.airnet", "AirNet", airNet)
+	bigISPWallet := e.serve("wallet.bigisp", "BigISP")
+	airNetWallet := e.serve("wallet.airnet", "AirNet")
 
 	bigISPMemberTag := e.tag("wallet.bigisp", core.SubjectSearch, core.ObjectNone)
 	airNetMemberTag := e.tag("wallet.airnet", core.SubjectSearch, core.ObjectNone)
@@ -84,10 +69,10 @@ func codecCoalition(t *testing.T, bigISP, airNet transport.CodecPolicy) func(age
 		t.Fatal(err)
 	}
 
-	return func(agentPol transport.CodecPolicy) *core.Proof {
+	return func() *core.Proof {
 		t.Helper()
 		agent, serverWallet := e.agent("AirNetServer", Config{
-			Dialer: e.net.DialerCodec(e.id("AirNetServer"), agentPol),
+			Dialer: e.net.Dialer(e.id("AirNetServer")),
 		})
 		if err := serverWallet.Publish(d1); err != nil {
 			t.Fatal(err)
@@ -117,87 +102,40 @@ func marshalProof(t *testing.T, p *core.Proof) string {
 	return string(b)
 }
 
-// TestCrossCodecChainDiscoveryByteIdentical is the end-to-end compatibility
-// gate CI runs: the same three-wallet chain discovery (§5) executed through
-// an all-JSON agent, a strict-binary agent, and an auto agent must assemble
-// byte-identical proofs from the same coalition.
-func TestCrossCodecChainDiscoveryByteIdentical(t *testing.T) {
-	jsonOnly := transport.CodecPolicy{Advertise: []string{transport.CodecJSON}}
-	auto := transport.CodecPolicy{}
-	strictBinary := transport.CodecPolicy{Require: transport.CodecBinary}
-
-	discover := codecCoalition(t, auto, auto)
-	want := marshalProof(t, discover(jsonOnly))
-	for name, pol := range map[string]transport.CodecPolicy{
-		"strict-binary": strictBinary,
-		"auto":          auto,
-	} {
-		if got := marshalProof(t, discover(pol)); got != want {
-			t.Errorf("proof over %s agent differs from all-JSON agent:\n%s\nvs\n%s", name, got, want)
-		}
+// TestChainDiscoveryByteIdentical: the same three-wallet chain discovery
+// (§5) run by two fresh agents over the same coalition must assemble
+// byte-identical proofs.
+func TestChainDiscoveryByteIdentical(t *testing.T) {
+	discover := chainCoalition(t)
+	want := marshalProof(t, discover())
+	if got := marshalProof(t, discover()); got != want {
+		t.Errorf("second agent's proof differs from the first's:\n%s\nvs\n%s", got, want)
 	}
 }
 
-// TestMixedCodecCoalitionByteIdentical repeats the chain discovery over a
-// mixed coalition — BigISP's home wallet speaks only JSON while AirNet's
-// prefers binary — so one discovery crosses both codecs hop by hop. The
-// assembled proof must still match an all-JSON agent's byte-for-byte.
-func TestMixedCodecCoalitionByteIdentical(t *testing.T) {
-	jsonOnly := transport.CodecPolicy{Advertise: []string{transport.CodecJSON}}
-	auto := transport.CodecPolicy{}
-
-	discover := codecCoalition(t, jsonOnly, auto)
-	want := marshalProof(t, discover(jsonOnly))
-	if got := marshalProof(t, discover(auto)); got != want {
-		t.Errorf("proof over mixed-codec hops differs from all-JSON:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestMixedCodecPeersNegotiatePerConnection checks that one server accepts
-// JSON and binary clients side by side: negotiation is per connection, not
-// per process.
-func TestMixedCodecPeersNegotiatePerConnection(t *testing.T) {
-	e := newEnv(t, "BigISP", "Mark", "Maria")
-	w := e.serveCodec("wallet.bigisp", "BigISP", transport.CodecPolicy{})
-	d := e.deleg("[Maria -> BigISP.member] BigISP")
-	if err := w.Publish(d); err != nil {
+// TestWireProofMatchesLocal: a proof fetched over the wire re-marshals
+// byte-identically to the one the serving wallet answers locally.
+func TestWireProofMatchesLocal(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	w := e.serve("wallet.bigisp", "BigISP")
+	if err := w.Publish(e.deleg("[Maria -> BigISP.member] BigISP")); err != nil {
 		t.Fatal(err)
 	}
-
-	jc, err := remote.Dial(context.Background(),
-		e.net.DialerCodec(e.id("Mark"), transport.CodecPolicy{Advertise: []string{transport.CodecJSON}}),
-		"wallet.bigisp")
+	local, err := w.QueryDirect(wallet.Query{Subject: e.subject("Maria"), Object: e.role("BigISP.member")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jc.Close()
-	bc, err := remote.Dial(context.Background(),
-		e.net.DialerCodec(e.id("Maria"), transport.CodecPolicy{Require: transport.CodecBinary}),
-		"wallet.bigisp")
+	c, err := remote.Dial(context.Background(), e.net.Dialer(e.id("Maria")), "wallet.bigisp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bc.Close()
-
-	if got := jc.WireCodec(); got != transport.CodecJSON {
-		t.Errorf("json-only client negotiated %q", got)
+	defer c.Close()
+	fetched, err := c.QueryDirect(context.Background(),
+		e.subject("Maria"), e.role("BigISP.member"), nil, graph.Bidirectional)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := bc.WireCodec(); got != transport.CodecBinary {
-		t.Errorf("binary-requiring client negotiated %q", got)
-	}
-
-	// Both clients must see the same delegation, and proofs fetched over
-	// each must re-marshal identically.
-	var bodies []string
-	for _, c := range []*remote.Client{jc, bc} {
-		p, err := c.QueryDirect(context.Background(),
-			e.subject("Maria"), e.role("BigISP.member"), nil, graph.Bidirectional)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies = append(bodies, marshalProof(t, p))
-	}
-	if bodies[0] != bodies[1] {
-		t.Errorf("proof differs across codecs:\njson:   %s\nbinary: %s", bodies[0], bodies[1])
+	if got, want := marshalProof(t, fetched), marshalProof(t, local); got != want {
+		t.Errorf("proof fetched over the wire differs from the local one:\nwire:  %s\nlocal: %s", got, want)
 	}
 }

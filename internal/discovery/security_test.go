@@ -22,6 +22,7 @@ func serveMalicious(t *testing.T, net *transport.MemNetwork, addr string, id *co
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	codec := wire.CodecFor(wire.CodecBinary)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -35,18 +36,18 @@ func serveMalicious(t *testing.T, net *transport.MemNetwork, addr string, id *co
 					if err != nil {
 						return
 					}
-					env, err := wire.Decode(frame)
+					env, err := codec.Decode(frame)
 					if err != nil {
 						return
 					}
 					var resp []byte
 					switch env.Type {
 					case wire.TQueryDirect:
-						resp, err = wire.Encode(wire.TProof, env.ID, wire.ProofResp{Proof: forged})
+						resp, err = codec.Encode(wire.TProof, env.ID, wire.ProofResp{Proof: forged})
 					case wire.TQuerySubject, wire.TQueryObject:
-						resp, err = wire.Encode(wire.TProofs, env.ID, wire.ProofsResp{Proofs: []*core.Proof{forged}})
+						resp, err = codec.Encode(wire.TProofs, env.ID, wire.ProofsResp{Proofs: []*core.Proof{forged}})
 					default:
-						resp, err = wire.Encode(wire.TOK, env.ID, nil)
+						resp, err = codec.Encode(wire.TOK, env.ID, nil)
 					}
 					if err != nil {
 						return

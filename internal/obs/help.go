@@ -61,7 +61,6 @@ var (
 		"drbac_server_stream_overflows_total":   "Changelog-stream pushes dropped because a follower's buffer was full (it resyncs).",
 		"drbac_server_connections_total":        "Connections accepted.",
 		"drbac_server_handshake_failures_total": "Inbound connections dropped for failing the transport handshake.",
-		"drbac_server_binary_connections_total": "Accepted connections that negotiated the binary wire codec.",
 		"drbac_server_active_connections":       "Connections currently open.",
 		"drbac_server_request_seconds":          "Server-side request handling latency in seconds.",
 		"drbac_remote_push_decode_errors_total": "Subscription pushes the client failed to decode.",

@@ -10,7 +10,6 @@ import (
 	"drbac/internal/core"
 	"drbac/internal/logstore"
 	"drbac/internal/subs"
-	"drbac/internal/transport"
 	"drbac/internal/wallet"
 	"drbac/internal/wire"
 )
@@ -41,16 +40,6 @@ func (fakeTiers) HandlePingReq(context.Context, core.Entity, wire.GossipPingBody
 // serviceOnly hides every capability of a wallet beyond wallet.Service, the
 // way a cluster gateway has no replication side.
 type serviceOnly struct{ wallet.Service }
-
-// codecPolicies are the two client policies every over-the-wire case runs
-// under.
-var codecPolicies = []struct {
-	name string
-	pol  transport.CodecPolicy
-}{
-	{transport.CodecBinary, transport.CodecPolicy{}},
-	{transport.CodecJSON, transport.CodecPolicy{Advertise: []string{transport.CodecJSON}}},
-}
 
 // authorityWallet is a wallet owned by BigISP, journaled to a log store as a
 // `-state` daemon's is, holding what the calls below need:
@@ -164,7 +153,7 @@ func (e *env) authorityCalls(keep, gone *core.Delegation) map[wire.MsgType][]fun
 }
 
 // TestAuthorityFromTable checks the servers against what wire.Messages
-// declares about who may be sent what, row by row, over both codecs:
+// declares about who may be sent what, row by row:
 //   - a read-only follower refuses every Mutates row with ErrReadOnly and
 //     serves every other;
 //   - a wallet without a replication side, a guard, a DHT or gossip refuses
@@ -196,9 +185,9 @@ func TestAuthorityFromTable(t *testing.T) {
 		}},
 		{"fully equipped", equipped, true, func(wire.Message) string { return "" }},
 	}
-	for _, cc := range codecPolicies {
+	t.Run("binary", func(t *testing.T) {
 		for _, sv := range servers {
-			t.Run(cc.name+"/"+sv.name, func(t *testing.T) {
+			t.Run(sv.name, func(t *testing.T) {
 				e := newEnv(t, "BigISP", "Maria")
 				w, keep, gone := e.authorityWallet()
 				var svc wallet.Service = w
@@ -211,14 +200,11 @@ func TestAuthorityFromTable(t *testing.T) {
 				}
 				s := ServeOptions(svc, ln, sv.opts)
 				t.Cleanup(s.Close)
-				c, err := Dial(context.Background(), e.net.DialerCodec(e.id("Maria"), cc.pol), "wallet.bigisp")
+				c, err := Dial(context.Background(), e.net.Dialer(e.id("Maria")), "wallet.bigisp")
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(c.Close)
-				if c.WireCodec() != cc.name {
-					t.Fatalf("negotiated %q, want %q", c.WireCodec(), cc.name)
-				}
 
 				calls := e.authorityCalls(keep, gone)
 				for _, m := range wire.Messages {
@@ -244,7 +230,7 @@ func TestAuthorityFromTable(t *testing.T) {
 				}
 			})
 		}
-	}
+	})
 }
 
 // A publish the server cannot read as either a cached copy or a durable

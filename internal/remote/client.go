@@ -24,13 +24,13 @@ const DefaultCallTimeout = 30 * time.Second
 // ErrClientClosed reports use of a closed client.
 var ErrClientClosed = errors.New("remote: client closed")
 
+// codec frames every message in either direction, client and server alike.
+var codec wire.Codec
+
 // Client is a connection to a remote wallet. It multiplexes concurrent
 // requests and dispatches subscription pushes to registered handlers.
 type Client struct {
 	conn transport.Conn
-	// codec is the wire codec negotiated for conn during the transport
-	// handshake; every frame on this connection uses it.
-	codec wire.Codec
 	// CallTimeout bounds each request; zero means DefaultCallTimeout.
 	CallTimeout time.Duration
 	// Obs, if set before the client is used, receives connection-failure
@@ -69,7 +69,6 @@ func Dial(ctx context.Context, d transport.Dialer, addr string) (*Client, error)
 	}
 	c := &Client{
 		conn:      conn,
-		codec:     wire.CodecFor(conn.Codec()),
 		pending:   make(map[uint64]*waiter),
 		notify:    make(map[core.DelegationID]map[int]func(subs.Event)),
 		pushQueue: make(chan wire.NotifyPush, 256),
@@ -84,8 +83,8 @@ func Dial(ctx context.Context, d transport.Dialer, addr string) (*Client, error)
 // Peer returns the authenticated identity of the remote wallet.
 func (c *Client) Peer() core.Entity { return c.conn.Peer() }
 
-// WireCodec names the codec negotiated for this connection ("json" or
-// "binary").
+// WireCodec names this connection's wire codec: always "binary", the only
+// one a handshake completes on.
 func (c *Client) WireCodec() string { return c.conn.Codec() }
 
 // Healthy reports whether the connection can still carry calls: false once
@@ -115,7 +114,7 @@ func (c *Client) readLoop() {
 			c.failPending(err)
 			return
 		}
-		env, err := c.codec.Decode(frame)
+		env, err := codec.Decode(frame)
 		if err != nil {
 			c.failPending(err)
 			return
@@ -290,7 +289,7 @@ func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, body any) (reply
 		w.release(false)
 	}
 
-	frame, err := c.codec.Encode(t, id, body)
+	frame, err := codec.Encode(t, id, body)
 	if err == nil {
 		err = c.conn.Send(frame)
 		// Send fully consumes the frame before returning, so the encode

@@ -32,7 +32,6 @@ type serverMetrics struct {
 	overflows   *obs.Counter
 	connections *obs.Counter
 	handshakes  *obs.Counter
-	binaryConns *obs.Counter
 	activeConns *obs.Gauge
 	latency     *obs.Histogram
 }
@@ -50,7 +49,6 @@ func newServerMetrics(o *obs.Obs) serverMetrics {
 		overflows:   o.Counter("drbac_server_stream_overflows_total"),
 		connections: o.Counter("drbac_server_connections_total"),
 		handshakes:  o.Counter("drbac_server_handshake_failures_total"),
-		binaryConns: o.Counter("drbac_server_binary_connections_total"),
 		activeConns: o.Registry().Gauge("drbac_server_active_connections"),
 		latency:     o.Histogram("drbac_server_request_seconds"),
 	}
@@ -284,12 +282,8 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = true
 		s.mu.Unlock()
 		s.m.connections.Inc()
-		if conn.Codec() == transport.CodecBinary {
-			s.m.binaryConns.Inc()
-		}
 		s.m.activeConns.Add(1)
-		s.obs.Log().Debug("connection open",
-			"peer", conn.Peer().ID().Short(), "codec", conn.Codec())
+		s.obs.Log().Debug("connection open", "peer", conn.Peer().ID().Short())
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}
@@ -302,9 +296,6 @@ type connState struct {
 	// peer is the authenticated peer's short fingerprint, rendered once per
 	// connection for the audit log.
 	peer string
-	// codec is the wire codec negotiated during the transport handshake;
-	// every frame in either direction on this connection uses it.
-	codec wire.Codec
 
 	writeMu sync.Mutex
 	subMu   sync.Mutex
@@ -315,7 +306,7 @@ type connState struct {
 }
 
 func (cs *connState) send(t wire.MsgType, id uint64, body any) error {
-	frame, err := cs.codec.Encode(t, id, body)
+	frame, err := codec.Encode(t, id, body)
 	if err != nil {
 		return err
 	}
@@ -349,7 +340,6 @@ func (s *Server) handleConn(conn transport.Conn) {
 	cs := &connState{
 		conn:    conn,
 		peer:    peer,
-		codec:   wire.CodecFor(conn.Codec()),
 		cancels: make(map[core.DelegationID]func()),
 	}
 	var inflight sync.WaitGroup
@@ -385,7 +375,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		env, err := cs.codec.Decode(frame)
+		env, err := codec.Decode(frame)
 		if err != nil {
 			// Protocol violation: drop the connection.
 			s.obs.Log().Warn("protocol violation", "peer", peer, "error", err)
@@ -650,7 +640,7 @@ func (s *Server) proveRole(_ *connState, req *wire.ProveRoleReq) (any, []any, er
 
 func (s *Server) stats(cs *connState) (any, []any, error) {
 	resp := s.statsResp()
-	resp.Wire.ConnCodec = cs.codec.Name()
+	resp.Wire.ConnCodec = cs.conn.Codec()
 	return resp, nil, nil
 }
 

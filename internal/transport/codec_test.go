@@ -4,67 +4,165 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"drbac/internal/core"
 )
 
-func TestParseWireMode(t *testing.T) {
-	cases := []struct {
-		mode string
-		want CodecPolicy
-	}{
-		{"", CodecPolicy{}},
-		{"auto", CodecPolicy{}},
-		{"AUTO", CodecPolicy{}},
-		{" json ", CodecPolicy{Advertise: []string{CodecJSON}}},
-		{"binary", CodecPolicy{Require: CodecBinary}},
+// handDriven runs one side of the handshake by hand over fc as id, offering
+// codecs in its hello (nil leaves the field out, as builds that predate
+// negotiation do). It stops after both proofs of possession are exchanged:
+// whether the connection is then kept is the other side's codec decision.
+func handDriven(fc frameConn, id *core.Identity, side string, codecs []string) error {
+	nonce := make([]byte, nonceLen)
+	hello, _ := json.Marshal(helloMsg{Name: id.Name(), Key: id.Entity().Key, Nonce: nonce, Codecs: codecs})
+	if err := fc.sendFrame(hello); err != nil {
+		return err
 	}
-	for _, c := range cases {
-		got, err := ParseWireMode(c.mode)
+	peerRaw, err := fc.recvFrame()
+	if err != nil {
+		return err
+	}
+	var peerHello helloMsg
+	if err := json.Unmarshal(peerRaw, &peerHello); err != nil {
+		return err
+	}
+	auth, _ := json.Marshal(authMsg{Sig: id.SignBytes(transcript(side, nonce, peerHello.Nonce))})
+	if err := fc.sendFrame(auth); err != nil {
+		return err
+	}
+	_, err = fc.recvFrame()
+	return err
+}
+
+// helloTransport is one transport the hello table runs over.
+type helloTransport struct {
+	name string
+	// listen opens a listener as srv and returns it, a regular dialer, and
+	// a function that connects a new client end, to be driven by hand, to
+	// the listener.
+	listen func(t *testing.T, srv *core.Identity) (Listener, Dialer, func() frameConn)
+}
+
+var helloTransports = []helloTransport{
+	{"tcp", func(t *testing.T, srv *core.Identity) (Listener, Dialer, func() frameConn) {
+		ln, err := ListenTCP("127.0.0.1:0", srv)
 		if err != nil {
-			t.Errorf("ParseWireMode(%q): %v", c.mode, err)
-			continue
+			t.Fatal(err)
 		}
-		if got.Require != c.want.Require || len(got.Advertise) != len(c.want.Advertise) {
-			t.Errorf("ParseWireMode(%q) = %+v, want %+v", c.mode, got, c.want)
+		return ln, &TCPDialer{Identity: mkIdentity(t, "client", 61)}, func() frameConn {
+			raw, err := net.Dial("tcp", ln.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newTCPFrameConn(raw)
 		}
-	}
-	if _, err := ParseWireMode("msgpack"); err == nil {
-		t.Error("unknown wire mode accepted")
-	}
+	}},
+	{"mem", func(t *testing.T, srv *core.Identity) (Listener, Dialer, func() frameConn) {
+		n := NewMemNetwork()
+		ln, err := n.Listen("w", srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln, n.Dialer(mkIdentity(t, "client", 61)), func() frameConn {
+			client, server := newMemPair(n)
+			go func() { ln.(*memListener).pending <- server }()
+			return client
+		}
+	}},
 }
 
+// TestNegotiateCodec: a hello that offers binary anywhere in its list lands
+// on binary, whatever else it offers; one that does not — no list at all (a
+// build that predates negotiation), JSON only, or only codecs this build does
+// not know — fails Accept with ErrHandshake naming the binary codec, and the
+// listener goes on accepting, over either transport.
 func TestNegotiateCodec(t *testing.T) {
-	bin := []string{CodecBinary, CodecJSON}
-	jsn := []string{CodecJSON}
 	cases := []struct {
-		name        string
-		local, peer []string
-		want        string
+		name   string
+		codecs []string
+		served bool
 	}{
-		{"both binary", bin, bin, CodecBinary},
-		{"local json-only", jsn, bin, CodecJSON},
-		{"peer json-only", bin, jsn, CodecJSON},
-		{"legacy peer (no advertisement)", bin, nil, CodecJSON},
-		{"unknown names ignored", []string{"zstd-frames", CodecBinary}, bin, CodecBinary},
-		{"only unknown names", []string{"zstd-frames"}, bin, CodecJSON},
+		{"binary,json", []string{"binary", "json"}, true},
+		{"json,binary", []string{"json", "binary"}, true},
+		{"binary", []string{"binary"}, true},
+		{"future,binary", []string{"future", "binary"}, true},
+		{"absent", nil, false},
+		{"json", []string{"json"}, false},
+		{"future", []string{"future"}, false},
 	}
-	for _, c := range cases {
-		if got := negotiateCodec(c.local, c.peer); got != c.want {
-			t.Errorf("%s: negotiated %q, want %q", c.name, got, c.want)
-		}
+	for _, tr := range helloTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			ln, dialer, connect := tr.listen(t, mkIdentity(t, "server", 60))
+			defer ln.Close()
+			peer := mkIdentity(t, "peer", 62)
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					type result struct {
+						conn Conn
+						err  error
+					}
+					accepted := make(chan result, 1)
+					go func() {
+						conn, err := ln.Accept()
+						accepted <- result{conn, err}
+					}()
+					fc := connect()
+					defer fc.close()
+					if err := handDriven(fc, peer, sideClient, c.codecs); err != nil {
+						t.Fatalf("hand-driven client: %v", err)
+					}
+					var res result
+					select {
+					case res = <-accepted:
+					case <-time.After(2 * time.Second):
+						t.Fatal("Accept wedged")
+					}
+					switch {
+					case c.served && res.err != nil:
+						t.Fatalf("Accept refused: %v", res.err)
+					case c.served:
+						defer res.conn.Close()
+						if got := res.conn.Codec(); got != CodecBinary {
+							t.Fatalf("negotiated %q, want binary", got)
+						}
+					case !errors.Is(res.err, ErrHandshake) || !strings.Contains(res.err.Error(), `"binary"`):
+						t.Fatalf("Accept error = %v, want ErrHandshake naming the binary codec", res.err)
+					}
+
+					// The listener still accepts a regular dialer.
+					go func() {
+						conn, err := ln.Accept()
+						if err == nil {
+							defer conn.Close()
+						}
+						accepted <- result{conn, err}
+					}()
+					conn, err := dialer.Dial(context.Background(), ln.Addr())
+					if err != nil {
+						t.Fatalf("dial after the hello: %v", err)
+					}
+					conn.Close()
+					if res := <-accepted; res.err != nil {
+						t.Fatalf("Accept after the hello: %v", res.err)
+					}
+				})
+			}
+		})
 	}
 }
 
-// dialPair connects a client and server over a fresh mem network with the
-// given policies and returns both authenticated ends.
-func dialPair(t *testing.T, serverPol, clientPol CodecPolicy) (server, client Conn) {
+// dialPair connects a client and server over a fresh mem network and returns
+// both authenticated ends.
+func dialPair(t *testing.T) (server, client Conn) {
 	t.Helper()
 	n := NewMemNetwork()
 	srv := mkIdentity(t, "server", 50)
 	cli := mkIdentity(t, "client", 51)
-	ln, err := n.ListenCodec("w", srv, serverPol)
+	ln, err := n.Listen("w", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +177,7 @@ func dialPair(t *testing.T, serverPol, clientPol CodecPolicy) (server, client Co
 		}
 		connCh <- c
 	}()
-	c, err := n.DialerCodec(cli, clientPol).Dial(context.Background(), "w")
+	c, err := n.Dialer(cli).Dial(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,146 +194,37 @@ func dialPair(t *testing.T, serverPol, clientPol CodecPolicy) (server, client Co
 	return nil, nil
 }
 
-// Both sides of a connection must land on the same codec, and an unknown
-// advertisement entry must not derail negotiation.
+// Both ends of a connection between two builds of this code report binary.
+// The subtest keeps the name of the one pairing left when the -wire modes
+// retired: both ends at the default, which was auto.
 func TestHandshakeNegotiationAgreesBothEnds(t *testing.T) {
-	cases := []struct {
-		name             string
-		serverP, clientP CodecPolicy
-		want             string
-	}{
-		{"auto-auto", CodecPolicy{}, CodecPolicy{}, CodecBinary},
-		{"json-only server downgrades", CodecPolicy{Advertise: []string{CodecJSON}}, CodecPolicy{}, CodecJSON},
-		{"json-only client downgrades", CodecPolicy{}, CodecPolicy{Advertise: []string{CodecJSON}}, CodecJSON},
-		{"unknown codec ignored", CodecPolicy{}, CodecPolicy{Advertise: []string{"zstd-frames", CodecBinary, CodecJSON}}, CodecBinary},
-		{"only unknown falls back to json", CodecPolicy{}, CodecPolicy{Advertise: []string{"zstd-frames"}}, CodecJSON},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s, cl := dialPair(t, c.serverP, c.clientP)
-			if s.Codec() != c.want || cl.Codec() != c.want {
-				t.Errorf("negotiated server=%q client=%q, want %q on both",
-					s.Codec(), cl.Codec(), c.want)
-			}
-		})
-	}
+	t.Run("auto-auto", func(t *testing.T) {
+		s, c := dialPair(t)
+		if s.Codec() != CodecBinary || c.Codec() != CodecBinary {
+			t.Errorf("codec server=%q client=%q, want binary on both", s.Codec(), c.Codec())
+		}
+	})
 }
 
-// A dialer that requires binary must refuse a JSON-only server with a
+// A dialer must refuse a server whose hello offers only JSON with a
 // handshake error that names the codec, not hang or silently downgrade.
 func TestHandshakeRequireBinaryFailsAgainstJSONPeer(t *testing.T) {
-	n := NewMemNetwork()
-	srv := mkIdentity(t, "server", 52)
-	cli := mkIdentity(t, "client", 53)
-	ln, err := n.ListenCodec("w", srv, CodecPolicy{Advertise: []string{CodecJSON}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			if _, err := ln.Accept(); err != nil {
-				return
-			}
-		}
-	}()
-	d := n.DialerCodec(cli, CodecPolicy{Require: CodecBinary})
-	_, err = d.Dial(context.Background(), "w")
+	client, server := newMemPair(NewMemNetwork())
+	jsonOnly := mkIdentity(t, "server", 52)
+	go func() { _ = handDriven(server, jsonOnly, sideServer, []string{"json"}) }()
+	_, err := handshakeCtx(context.Background(), client, mkIdentity(t, "client", 53), sideClient)
 	if !errors.Is(err, ErrHandshake) {
 		t.Fatalf("dial error = %v, want ErrHandshake", err)
 	}
-	if !strings.Contains(err.Error(), "binary") {
+	if !strings.Contains(err.Error(), `"binary"`) {
 		t.Errorf("error does not name the required codec: %v", err)
 	}
 }
 
-// The server-side Require knob refuses JSON-only clients at Accept.
-func TestHandshakeServerRequireBinaryRefusesJSONClient(t *testing.T) {
-	n := NewMemNetwork()
-	srv := mkIdentity(t, "server", 54)
-	cli := mkIdentity(t, "client", 55)
-	ln, err := n.ListenCodec("w", srv, CodecPolicy{Require: CodecBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	acceptErr := make(chan error, 1)
-	go func() {
-		_, err := ln.Accept()
-		acceptErr <- err
-	}()
-	// The client side fails too (its peer hangs up), in either order.
-	_, _ = n.DialerCodec(cli, CodecPolicy{Advertise: []string{CodecJSON}}).
-		Dial(context.Background(), "w")
-	select {
-	case err := <-acceptErr:
-		if !errors.Is(err, ErrHandshake) {
-			t.Fatalf("accept error = %v, want ErrHandshake", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("accept did not reject the JSON-only client")
-	}
-}
-
-// A legacy peer whose hello carries no codec advertisement lands on JSON:
-// mixed-version coalitions keep working. Driven by hand so the hello really
-// has no Codecs field, exactly like a pre-negotiation build.
-func TestHandshakeLegacyPeerDowngradesToJSON(t *testing.T) {
-	n := NewMemNetwork()
-	srv := mkIdentity(t, "server", 56)
-	legacy := mkIdentity(t, "legacy", 57)
-	a, b := newMemPair(n)
-	type result struct {
-		conn *authedConn
-		err  error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		conn, err := handshake(a, srv, sideServer, CodecPolicy{})
-		resCh <- result{conn, err}
-	}()
-
-	// Legacy client: hello with no Codecs field, then a valid possession proof.
-	nonce := make([]byte, nonceLen)
-	hello, _ := json.Marshal(helloMsg{Name: legacy.Name(), Key: legacy.Entity().Key, Nonce: nonce})
-	if err := b.sendFrame(hello); err != nil {
-		t.Fatal(err)
-	}
-	peerRaw, err := b.recvFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var peerHello helloMsg
-	if err := json.Unmarshal(peerRaw, &peerHello); err != nil {
-		t.Fatal(err)
-	}
-	sig := legacy.SignBytes(transcript(sideClient, nonce, peerHello.Nonce))
-	auth, _ := json.Marshal(authMsg{Sig: sig})
-	if err := b.sendFrame(auth); err != nil {
-		t.Fatal(err)
-	}
-	go func() { _, _ = b.recvFrame() }() // drain the server's auth
-
-	select {
-	case res := <-resCh:
-		if res.err != nil {
-			t.Fatalf("handshake with legacy peer failed: %v", res.err)
-		}
-		if got := res.conn.Codec(); got != CodecJSON {
-			t.Errorf("negotiated %q with a legacy peer, want %q", got, CodecJSON)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("handshake with legacy peer wedged")
-	}
-}
-
-// Frames at exactly MaxFrame pass over a binary-negotiated connection;
-// one byte more is refused by the sender before anything hits the wire.
+// Frames at exactly MaxFrame pass over a binary connection; one byte more is
+// refused by the sender before anything hits the wire.
 func TestMaxFrameBoundaryOnBinaryConnection(t *testing.T) {
-	s, c := dialPair(t, CodecPolicy{}, CodecPolicy{})
-	if c.Codec() != CodecBinary {
-		t.Fatalf("negotiated %q, want binary", c.Codec())
-	}
+	s, c := dialPair(t)
 	big := make([]byte, MaxFrame)
 	big[0], big[len(big)-1] = 0xD7, 0xEE
 	done := make(chan []byte, 1)

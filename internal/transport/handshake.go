@@ -7,6 +7,7 @@ import (
 	"crypto/rand"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"drbac/internal/core"
 )
@@ -22,16 +23,21 @@ const (
 	sideClient       = "client"
 	sideServer       = "server"
 	nonceLen         = 32
+
+	// CodecBinary is the one wire codec (internal/wire's binary framing).
+	// The hello still names it, because older builds negotiated between
+	// codecs and land on binary only when both hellos offer it.
+	CodecBinary = "binary"
 )
 
 type helloMsg struct {
 	Name  string `json:"name"`
 	Key   []byte `json:"key"`
 	Nonce []byte `json:"nonce"`
-	// Codecs advertises the wire codecs this endpoint speaks, preference
-	// ordered. Absent on peers that predate negotiation — they are treated
-	// as JSON-only, which every endpoint speaks, so mixed-version
-	// coalitions keep working.
+	// Codecs lists the wire codecs the endpoint speaks. This build offers
+	// only CodecBinary and refuses a peer whose list lacks it: a build that
+	// predates codec negotiation (no list), one configured for JSON only,
+	// or one offering only codecs unknown here.
 	Codecs []string `json:"codecs,omitempty"`
 }
 
@@ -40,18 +46,16 @@ type authMsg struct {
 }
 
 // handshake runs the mutual authentication protocol over fc and returns the
-// authenticated connection: the peer's verified identity plus the wire codec
-// both sides agreed on. The codec advertisement rides in the hello and is
-// not part of the signed transcript — frames carry no integrity protection
-// after the handshake either, and keeping the transcript fixed preserves
-// interoperability with pre-negotiation builds.
-func handshake(fc frameConn, id *core.Identity, side string, pol CodecPolicy) (*authedConn, error) {
+// authenticated connection carrying the peer's verified identity. The codec
+// list rides in the hello and is not part of the signed transcript — frames
+// carry no integrity protection after the handshake either, and keeping the
+// transcript fixed keeps it identical to older builds'.
+func handshake(fc frameConn, id *core.Identity, side string) (*authedConn, error) {
 	nonce := make([]byte, nonceLen)
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("handshake nonce: %w", err)
 	}
-	offer := pol.advertised()
-	hello := helloMsg{Name: id.Name(), Key: id.Entity().Key, Nonce: nonce, Codecs: offer}
+	hello := helloMsg{Name: id.Name(), Key: id.Entity().Key, Nonce: nonce, Codecs: []string{CodecBinary}}
 	raw, err := json.Marshal(hello)
 	if err != nil {
 		return nil, err
@@ -96,18 +100,17 @@ func handshake(fc frameConn, id *core.Identity, side string, pol CodecPolicy) (*
 	if !core.VerifyBytes(peer, transcript(peerSide, peerHello.Nonce, nonce), peerAuth.Sig) {
 		return nil, fmt.Errorf("%w: peer %s failed proof of possession", ErrHandshake, peer)
 	}
-	codec := negotiateCodec(offer, peerHello.Codecs)
-	if pol.Require != "" && codec != pol.Require {
-		return nil, fmt.Errorf("%w: peer %s does not speak the required %q wire codec (negotiated %q)",
-			ErrHandshake, peer, pol.Require, codec)
+	if !slices.Contains(peerHello.Codecs, CodecBinary) {
+		return nil, fmt.Errorf("%w: peer %s does not speak the required %q wire codec (offered %q)",
+			ErrHandshake, peer, CodecBinary, peerHello.Codecs)
 	}
-	return &authedConn{fc: fc, peer: peer, codec: codec}, nil
+	return &authedConn{fc: fc, peer: peer}, nil
 }
 
 // handshakeCtx runs the handshake under ctx: cancellation closes the frame
 // conn, which unblocks the in-flight frame reads, so a dial never outlives
 // its caller's deadline. On any failure the conn is closed before returning.
-func handshakeCtx(ctx context.Context, fc frameConn, id *core.Identity, side string, pol CodecPolicy) (*authedConn, error) {
+func handshakeCtx(ctx context.Context, fc frameConn, id *core.Identity, side string) (*authedConn, error) {
 	if err := ctx.Err(); err != nil {
 		_ = fc.close()
 		return nil, fmt.Errorf("transport: handshake: %w", err)
@@ -118,7 +121,7 @@ func handshakeCtx(ctx context.Context, fc frameConn, id *core.Identity, side str
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		conn, err := handshake(fc, id, side, pol)
+		conn, err := handshake(fc, id, side)
 		done <- outcome{conn, err}
 	}()
 	select {
@@ -149,9 +152,8 @@ func transcript(side string, own, peer []byte) []byte {
 
 // authedConn wraps a frameConn after a successful handshake.
 type authedConn struct {
-	fc    frameConn
-	peer  core.Entity
-	codec string
+	fc   frameConn
+	peer core.Entity
 }
 
 var _ Conn = (*authedConn)(nil)
@@ -159,5 +161,5 @@ var _ Conn = (*authedConn)(nil)
 func (c *authedConn) Send(payload []byte) error { return c.fc.sendFrame(payload) }
 func (c *authedConn) Recv() ([]byte, error)     { return c.fc.recvFrame() }
 func (c *authedConn) Peer() core.Entity         { return c.peer }
-func (c *authedConn) Codec() string             { return c.codec }
+func (c *authedConn) Codec() string             { return CodecBinary }
 func (c *authedConn) Close() error              { return c.fc.close() }

@@ -21,7 +21,7 @@ func TestHandshakeRejectsWrongPeerKey(t *testing.T) {
 	a, b := newMemPair(n)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := handshake(a, honest, sideServer, CodecPolicy{})
+		_, err := handshake(a, honest, sideServer)
 		errCh <- err
 	}()
 
@@ -65,7 +65,7 @@ func TestHandshakeRejectsMalformedHello(t *testing.T) {
 	a, b := newMemPair(n)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := handshake(a, honest, sideServer, CodecPolicy{})
+		_, err := handshake(a, honest, sideServer)
 		errCh <- err
 	}()
 	hello, _ := json.Marshal(helloMsg{Name: "x", Key: []byte{1, 2, 3}, Nonce: make([]byte, nonceLen)})

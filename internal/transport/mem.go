@@ -55,15 +55,8 @@ func (n *MemNetwork) account(frame []byte) {
 	n.bytes.Add(int64(len(frame)))
 }
 
-// Listen registers a listener at addr operating as identity id with the
-// automatic codec policy.
+// Listen registers a listener at addr operating as identity id.
 func (n *MemNetwork) Listen(addr string, id *core.Identity) (Listener, error) {
-	return n.ListenCodec(addr, id, CodecPolicy{})
-}
-
-// ListenCodec is Listen with an explicit wire-codec policy — how tests build
-// mixed-codec coalitions on one in-memory network.
-func (n *MemNetwork) ListenCodec(addr string, id *core.Identity, pol CodecPolicy) (Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, taken := n.listeners[addr]; taken {
@@ -72,7 +65,6 @@ func (n *MemNetwork) ListenCodec(addr string, id *core.Identity, pol CodecPolicy
 	l := &memListener{
 		net:     n,
 		id:      id,
-		pol:     pol,
 		addr:    addr,
 		pending: make(chan *memFrameConn),
 		done:    make(chan struct{}),
@@ -81,21 +73,14 @@ func (n *MemNetwork) ListenCodec(addr string, id *core.Identity, pol CodecPolicy
 	return l, nil
 }
 
-// Dialer returns a Dialer that connects within this network as identity id
-// with the automatic codec policy.
+// Dialer returns a Dialer that connects within this network as identity id.
 func (n *MemNetwork) Dialer(id *core.Identity) Dialer {
-	return n.DialerCodec(id, CodecPolicy{})
-}
-
-// DialerCodec is Dialer with an explicit wire-codec policy.
-func (n *MemNetwork) DialerCodec(id *core.Identity, pol CodecPolicy) Dialer {
-	return &memDialer{net: n, id: id, pol: pol}
+	return &memDialer{net: n, id: id}
 }
 
 type memDialer struct {
 	net *MemNetwork
 	id  *core.Identity
-	pol CodecPolicy
 }
 
 var _ Dialer = (*memDialer)(nil)
@@ -116,7 +101,7 @@ func (d *memDialer) Dial(ctx context.Context, addr string) (Conn, error) {
 		_ = clientEnd.close()
 		return nil, fmt.Errorf("mem dial %s: %w", addr, ctx.Err())
 	}
-	ac, err := handshakeCtx(ctx, clientEnd, d.id, sideClient, d.pol)
+	ac, err := handshakeCtx(ctx, clientEnd, d.id, sideClient)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +111,6 @@ func (d *memDialer) Dial(ctx context.Context, addr string) (Conn, error) {
 type memListener struct {
 	net     *MemNetwork
 	id      *core.Identity
-	pol     CodecPolicy
 	addr    string
 	pending chan *memFrameConn
 	done    chan struct{}
@@ -138,7 +122,7 @@ var _ Listener = (*memListener)(nil)
 func (l *memListener) Accept() (Conn, error) {
 	select {
 	case fc := <-l.pending:
-		ac, err := handshake(fc, l.id, sideServer, l.pol)
+		ac, err := handshake(fc, l.id, sideServer)
 		if err != nil {
 			_ = fc.close()
 			return nil, acceptFailed(err)

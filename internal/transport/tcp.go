@@ -78,11 +78,6 @@ func (c *tcpFrameConn) close() error { return c.conn.Close() }
 
 // TCPListener accepts authenticated dRBAC connections on a TCP socket.
 type TCPListener struct {
-	// Codec is this endpoint's wire-codec policy. Set it before the first
-	// Accept; the zero value negotiates automatically (binary preferred,
-	// JSON fallback).
-	Codec CodecPolicy
-
 	id *core.Identity
 	ln net.Listener
 }
@@ -105,7 +100,7 @@ func (l *TCPListener) Accept() (Conn, error) {
 		return nil, err
 	}
 	fc := newTCPFrameConn(conn)
-	ac, err := handshake(fc, l.id, sideServer, l.Codec)
+	ac, err := handshake(fc, l.id, sideServer)
 	if err != nil {
 		_ = conn.Close()
 		return nil, acceptFailed(err)
@@ -123,9 +118,6 @@ func (l *TCPListener) Addr() string { return l.ln.Addr().String() }
 type TCPDialer struct {
 	// Identity authenticates the dialing side.
 	Identity *core.Identity
-	// Codec is this endpoint's wire-codec policy; the zero value
-	// negotiates automatically (binary preferred, JSON fallback).
-	Codec CodecPolicy
 }
 
 var _ Dialer = (*TCPDialer)(nil)
@@ -140,7 +132,7 @@ func (d *TCPDialer) Dial(ctx context.Context, addr string) (Conn, error) {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
 	fc := newTCPFrameConn(conn)
-	ac, err := handshakeCtx(ctx, fc, d.Identity, sideClient, d.Codec)
+	ac, err := handshakeCtx(ctx, fc, d.Identity, sideClient)
 	if err != nil {
 		return nil, err
 	}

@@ -49,8 +49,8 @@ type Conn interface {
 	Recv() ([]byte, error)
 	// Peer returns the authenticated identity of the other side.
 	Peer() core.Entity
-	// Codec names the wire codec negotiated during the handshake
-	// (CodecJSON or CodecBinary). Both ends of a connection always agree.
+	// Codec names the connection's wire codec: always CodecBinary, the
+	// only codec a completed handshake lands on.
 	Codec() string
 	// Close tears the connection down; pending Recv calls fail.
 	Close() error

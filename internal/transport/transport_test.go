@@ -298,11 +298,11 @@ func TestHandshakeRejectsWrongTranscript(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := handshake(a, idA, sideClient, CodecPolicy{})
+		_, err := handshake(a, idA, sideClient)
 		errCh <- err
 	}()
 	// Wrong: B also claims to be the client side.
-	_, errB := handshake(b, idB, sideClient, CodecPolicy{})
+	_, errB := handshake(b, idB, sideClient)
 	errA := <-errCh
 	if errA == nil && errB == nil {
 		t.Fatal("mirror handshake should fail on at least one side")

@@ -9,11 +9,11 @@ import (
 	"drbac/internal/graph"
 )
 
-// Binary envelope framing (CodecBinary), negotiated in the transport
-// handshake. Layout:
+// Binary envelope framing (CodecBinary), the one wire codec. Layout:
 //
-//	byte 0   magic 0xD7 (never collides with '{', so a frame encoded with
-//	         the wrong codec is detected immediately)
+//	byte 0   magic 0xD7 (never collides with '{', so a JSON envelope from
+//	         a build that still spoke the retired JSON codec is detected
+//	         immediately)
 //	byte 1   version (currently 1)
 //	byte 2   message type code; 0 escapes to a length-prefixed type string
 //	         so future message types survive this framing unchanged
@@ -74,18 +74,16 @@ func (SyncResp) binKind() byte         { return bkSyncResp }
 func (SubscribeAllResp) binKind() byte { return bkSubscribeAllResp }
 func (ProveRoleReq) binKind() byte     { return bkProveRoleReq }
 
-// binaryCodec implements Codec with the framing above.
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return CodecBinary }
-
 // encodeStart is the capacity every frame starts with: queries, acks,
 // publishes and pushes fit, and a proof reply is two or three pool-to-pool
 // moves from its final size class. Starting in the pool's smallest class cost
 // a 20 KB proof seven moves and 40% more encode time.
 const encodeStart = 1 << 10
 
-func (binaryCodec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
+// Encode marshals an envelope with a typed body into a frame. The returned
+// buffer comes from the process buffer pool: the caller owns it and should
+// bufpool.Put it once the frame is sent.
+func (Codec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
 	w := bwriter{buf: bufpool.Get(encodeStart)}
 	w.u8(binMagic)
 	w.u8(binVersion)
@@ -183,11 +181,14 @@ func (binaryCodec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
 	return w.buf, nil
 }
 
-func (binaryCodec) Decode(frame []byte) (Envelope, error) {
+// Decode unmarshals a frame. The returned envelope's body aliases the frame;
+// the frame must stay untouched until the body has been decoded (DecodeBody)
+// or abandoned.
+func (Codec) Decode(frame []byte) (Envelope, error) {
 	r := breader{buf: frame}
 	if magic := r.u8(); r.err == nil && magic != binMagic {
 		if magic == '{' {
-			return Envelope{}, fmt.Errorf("wire decode: JSON frame on a binary-codec connection")
+			return Envelope{}, fmt.Errorf("wire decode: JSON envelope (the retired JSON codec)")
 		}
 		return Envelope{}, fmt.Errorf("wire decode: bad binary magic 0x%02x", magic)
 	}

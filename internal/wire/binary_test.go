@@ -11,11 +11,11 @@ import (
 // TestBinaryUnknownTypeEscape checks the type-string escape: message types
 // added after this build still frame and round-trip.
 func TestBinaryUnknownTypeEscape(t *testing.T) {
-	frame, err := binaryCodecInst.Encode(MsgType("future-msg"), 9, nil)
+	frame, err := (Codec{}).Encode(MsgType("future-msg"), 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := binaryCodecInst.Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,39 +25,39 @@ func TestBinaryUnknownTypeEscape(t *testing.T) {
 }
 
 // TestBinaryDecodeRejections nails down the decoder's protocol-violation
-// errors: wrong magic (including a JSON frame sent down a binary
-// connection), bad version, unknown type code, unknown body kind, trailing
-// garbage, and a body-kind/type mismatch at DecodeBody time.
+// errors: wrong magic (including a JSON envelope from a build that still
+// spoke the retired JSON codec), bad version, unknown type code, unknown body
+// kind, trailing garbage, and a body-kind/type mismatch at DecodeBody time.
 func TestBinaryDecodeRejections(t *testing.T) {
-	if _, err := binaryCodecInst.Decode([]byte(`{"type":"ping","id":1}`)); err == nil {
-		t.Error("JSON frame accepted by the binary codec")
+	if _, err := (Codec{}).Decode([]byte(`{"type":"ping","id":1}`)); err == nil {
+		t.Error("JSON envelope accepted")
 	}
-	if _, err := binaryCodecInst.Decode([]byte{0xAA, 1, 10, 1, 0}); err == nil {
+	if _, err := (Codec{}).Decode([]byte{0xAA, 1, 10, 1, 0}); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := binaryCodecInst.Decode([]byte{binMagic, 99, 10, 1, 0}); err == nil {
+	if _, err := (Codec{}).Decode([]byte{binMagic, 99, 10, 1, 0}); err == nil {
 		t.Error("future version accepted")
 	}
-	if _, err := binaryCodecInst.Decode([]byte{binMagic, 1, 250, 1, 0}); err == nil {
+	if _, err := (Codec{}).Decode([]byte{binMagic, 1, 250, 1, 0}); err == nil {
 		t.Error("unknown type code accepted")
 	}
-	if _, err := binaryCodecInst.Decode([]byte{binMagic, 1, 10, 1, 200}); err == nil {
+	if _, err := (Codec{}).Decode([]byte{binMagic, 1, 10, 1, 200}); err == nil {
 		t.Error("unknown body kind accepted")
 	}
-	if _, err := binaryCodecInst.Decode([]byte{binMagic, 1, 10, 1, bkNone, 0xFF}); err == nil {
+	if _, err := (Codec{}).Decode([]byte{binMagic, 1, 10, 1, bkNone, 0xFF}); err == nil {
 		t.Error("trailing bytes after empty body accepted")
 	}
-	if _, err := binaryCodecInst.Decode([]byte{binMagic, 1}); err == nil {
+	if _, err := (Codec{}).Decode([]byte{binMagic, 1}); err == nil {
 		t.Error("truncated frame accepted")
 	}
 
 	// A HasResp body decoded into a QueryReq is a kind mismatch, caught
 	// before any field is read.
-	frame, err := binaryCodecInst.Encode(TOK, 1, HasResp{Present: true})
+	frame, err := (Codec{}).Encode(TOK, 1, HasResp{Present: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := binaryCodecInst.Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestBinaryDecodeRejections(t *testing.T) {
 // one frame decode to shared values: the point of the intern table.
 func TestBinaryInterningSharesAllocations(t *testing.T) {
 	p, _, _ := fixtureProof(t)
-	frame, err := binaryCodecInst.Encode(TProof, 1, ProofResp{Proof: p})
+	frame, err := (Codec{}).Encode(TProof, 1, ProofResp{Proof: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := binaryCodecInst.Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

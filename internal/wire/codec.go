@@ -6,76 +6,23 @@ import (
 	"drbac/internal/bufpool"
 )
 
-// Codec names, mirroring the transport-level negotiation constants (the two
-// packages deliberately share no imports in that direction; the names are
-// part of the protocol, not of either package).
-const (
-	// CodecJSON is the original JSON envelope encoding.
-	CodecJSON = "json"
-	// CodecBinary is the length-prefixed binary envelope encoding.
-	CodecBinary = "binary"
-)
+// CodecBinary names the wire codec: the name the transport handshake offers
+// and Conn.Codec reports (the two packages deliberately share no imports in
+// that direction; the name is part of the protocol, not of either package).
+const CodecBinary = "binary"
 
-// Codec encodes and decodes wire envelopes. Implementations must be safe
-// for concurrent use; one codec instance serves a whole process.
-type Codec interface {
-	// Name returns the codec's negotiation name.
-	Name() string
-	// Encode marshals an envelope with a typed body into a frame. The
-	// returned buffer may come from the process buffer pool: the caller
-	// owns it and should bufpool.Put it once the frame is sent.
-	Encode(t MsgType, id uint64, body any) ([]byte, error)
-	// Decode unmarshals a frame. The returned envelope's body may alias
-	// the frame; the frame must stay untouched until the body has been
-	// decoded (DecodeBody) or abandoned.
-	Decode(frame []byte) (Envelope, error)
-}
+// Codec is the wire codec: the binary envelope framing of binary.go. It is
+// stateless and safe for concurrent use; the zero value is ready.
+type Codec struct{}
 
-var (
-	jsonCodecInst   = jsonCodec{}
-	binaryCodecInst = binaryCodec{}
-)
-
-// CodecFor resolves a negotiated codec name to its implementation. Unknown
-// names fall back to JSON, the protocol baseline — negotiation never lands
-// on a name this build does not speak, so the fallback is purely defensive.
-func CodecFor(name string) Codec {
-	if name == CodecBinary {
-		return binaryCodecInst
-	}
-	return jsonCodecInst
-}
-
-// jsonCodec is the original encoding: every frame a JSON Envelope.
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return CodecJSON }
-
-func (jsonCodec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
-	frame, err := Encode(t, id, body)
-	if err == nil {
-		stats.jsonFramesEncoded.Add(1)
-		stats.jsonBytesEncoded.Add(uint64(len(frame)))
-	}
-	return frame, err
-}
-
-func (jsonCodec) Decode(frame []byte) (Envelope, error) {
-	env, err := Decode(frame)
-	if err == nil {
-		stats.jsonFramesDecoded.Add(1)
-		stats.jsonBytesDecoded.Add(uint64(len(frame)))
-	}
-	return env, err
-}
+// CodecFor returns the codec a connection speaks. A handshake completes only
+// on CodecBinary, the one codec there is, so name only documents the caller's
+// expectation.
+func CodecFor(name string) Codec { return Codec{} }
 
 // codecStats holds the process-wide codec traffic counters surfaced by
 // `drbac stats` (WireStats).
 type codecStats struct {
-	jsonFramesEncoded   atomic.Uint64
-	jsonFramesDecoded   atomic.Uint64
-	jsonBytesEncoded    atomic.Uint64
-	jsonBytesDecoded    atomic.Uint64
 	binaryFramesEncoded atomic.Uint64
 	binaryFramesDecoded atomic.Uint64
 	binaryBytesEncoded  atomic.Uint64
@@ -89,14 +36,10 @@ var stats codecStats
 // traffic. Like the shared signature cache counters, these cover the whole
 // process, not one wallet.
 type WireStats struct {
-	// ConnCodec is the codec negotiated for the connection that carried the
-	// stats request — the one counter here that is per-connection, not
+	// ConnCodec names the codec of the connection that carried the stats
+	// request — the one field here that is per-connection, not
 	// process-wide. Filled by the server, empty in a bare StatsSnapshot.
 	ConnCodec           string `json:"connCodec,omitempty"`
-	JSONFramesEncoded   uint64 `json:"jsonFramesEncoded"`
-	JSONFramesDecoded   uint64 `json:"jsonFramesDecoded"`
-	JSONBytesEncoded    uint64 `json:"jsonBytesEncoded"`
-	JSONBytesDecoded    uint64 `json:"jsonBytesDecoded"`
 	BinaryFramesEncoded uint64 `json:"binaryFramesEncoded"`
 	BinaryFramesDecoded uint64 `json:"binaryFramesDecoded"`
 	BinaryBytesEncoded  uint64 `json:"binaryBytesEncoded"`
@@ -112,10 +55,6 @@ type WireStats struct {
 // StatsSnapshot reads the process-wide codec counters.
 func StatsSnapshot() WireStats {
 	return WireStats{
-		JSONFramesEncoded:   stats.jsonFramesEncoded.Load(),
-		JSONFramesDecoded:   stats.jsonFramesDecoded.Load(),
-		JSONBytesEncoded:    stats.jsonBytesEncoded.Load(),
-		JSONBytesDecoded:    stats.jsonBytesDecoded.Load(),
 		BinaryFramesEncoded: stats.binaryFramesEncoded.Load(),
 		BinaryFramesDecoded: stats.binaryFramesDecoded.Load(),
 		BinaryBytesEncoded:  stats.binaryBytesEncoded.Load(),

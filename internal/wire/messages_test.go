@@ -124,37 +124,35 @@ func populated(t testing.TB) map[reflect.Type][]any {
 	return out
 }
 
-// decodeVia drives body through one codec — encode, decode the envelope,
+// decodeVia drives body through the codec — encode, decode the envelope,
 // decode the body into a fresh target — and returns the envelope and target.
-func decodeVia(t testing.TB, c Codec, tb tableBody, body any) (Envelope, any) {
+func decodeVia(t testing.TB, tb tableBody, body any) (Envelope, any) {
 	t.Helper()
-	frame, err := c.Encode(tb.t, 7, body)
+	frame, err := (Codec{}).Encode(tb.t, 7, body)
 	if err != nil {
-		t.Fatalf("%s %s %T: encode: %v", c.Name(), tb.t, body, err)
+		t.Fatalf("%s %T: encode: %v", tb.t, body, err)
 	}
-	env, err := c.Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
-		t.Fatalf("%s %s %T: decode: %v", c.Name(), tb.t, body, err)
+		t.Fatalf("%s %T: decode: %v", tb.t, body, err)
 	}
 	if env.Type != tb.t || env.ID != 7 {
-		t.Fatalf("%s %s: envelope = %q id %d", c.Name(), tb.t, env.Type, env.ID)
+		t.Fatalf("%s: envelope = %q id %d", tb.t, env.Type, env.ID)
 	}
 	out := tb.mk()
 	if err := DecodeBody(env, out); err != nil {
-		t.Fatalf("%s %s %T: decode body: %v", c.Name(), tb.t, body, err)
+		t.Fatalf("%s %T: decode body: %v", tb.t, body, err)
 	}
 	return env, out
 }
 
-// TestMessageTableCrossCodecRoundTrip is the codec suite, driven by the
-// table: for every body Messages declares, the zero value and every populated
-// fixture must survive encode → decode → DecodeBody under both codecs
-// field-for-field (JSON re-marshal equality), and the two codecs must agree
-// byte for byte — a proof fetched through a binary peer is indistinguishable
-// from one fetched through a JSON peer, the invariant the CI cross-codec job
-// leans on. Bodies with a hand-rolled layout must ride as that layout in the
-// binary envelope; every other body rides there as JSON.
-func TestMessageTableCrossCodecRoundTrip(t *testing.T) {
+// TestMessageTableRoundTrip is the codec suite, driven by the table: for
+// every body Messages declares, the zero value and every populated fixture
+// must survive encode → decode → DecodeBody field-for-field (JSON re-marshal
+// equality) — a proof fetched over the wire re-marshals byte-identically to
+// the local one. Bodies with a hand-rolled layout must ride as that layout;
+// every other body rides inside the binary envelope as JSON.
+func TestMessageTableRoundTrip(t *testing.T) {
 	fixtures := populated(t)
 	for _, tb := range tableBodies() {
 		typ := reflect.TypeOf(tb.mk()).Elem()
@@ -167,22 +165,16 @@ func TestMessageTableCrossCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, viaJSON := decodeVia(t, jsonCodecInst, tb, body)
-			env, viaBinary := decodeVia(t, binaryCodecInst, tb, body)
-			j, _ := json.Marshal(viaJSON)
-			b, _ := json.Marshal(viaBinary)
-			if !bytes.Equal(j, want) {
-				t.Errorf("%s %s: json round trip diverged\nwant %s\ngot  %s", tb.t, typ, want, j)
-			}
-			if !bytes.Equal(b, want) {
-				t.Errorf("%s %s: binary round trip diverged\nwant %s\ngot  %s", tb.t, typ, want, b)
+			env, got := decodeVia(t, tb, body)
+			if b, _ := json.Marshal(got); !bytes.Equal(b, want) {
+				t.Errorf("%s %s: round trip diverged\nwant %s\ngot  %s", tb.t, typ, want, b)
 			}
 			var wantKind byte
 			if hot, ok := body.(interface{ binKind() byte }); ok {
 				wantKind = hot.binKind()
 			}
 			if env.binKind != wantKind {
-				t.Errorf("%s %s: binary body kind = %d, want %d (0 = JSON fallback)", tb.t, typ, env.binKind, wantKind)
+				t.Errorf("%s %s: body kind = %d, want %d (0 = JSON fallback)", tb.t, typ, env.binKind, wantKind)
 			}
 		}
 	}
@@ -263,7 +255,7 @@ func TestMessageTableCodes(t *testing.T) {
 }
 
 // TestReservedRowsStillDecode: a reserved type keeps its code so a frame from
-// an older build decodes under both codecs (internal/remote checks that
+// an older build still decodes (internal/remote checks that
 // serving one is refused). cluster-hello still carries its body;
 // sync-segments declares none and decodes as a bare envelope.
 func TestReservedRowsStillDecode(t *testing.T) {
@@ -273,21 +265,19 @@ func TestReservedRowsStillDecode(t *testing.T) {
 			continue
 		}
 		reserved = append(reserved, m.Type)
-		for _, c := range []Codec{jsonCodecInst, binaryCodecInst} {
-			if m.Body == nil {
-				frame, err := c.Encode(m.Type, 7, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if env, err := c.Decode(frame); err != nil || env.Type != m.Type || env.ID != 7 || len(env.Body) != 0 {
-					t.Errorf("%s %s: bare envelope decoded to %+v, %v", c.Name(), m.Type, env, err)
-				}
-				continue
+		if m.Body == nil {
+			frame, err := (Codec{}).Encode(m.Type, 7, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, out := decodeVia(t, c, tableBody{m.Type, m.Body}, ShardMapResp{Epoch: 3, Shard: 1})
-			if got := out.(*ShardMapResp); got.Epoch != 3 || got.Shard != 1 {
-				t.Errorf("%s %s: body = %+v", c.Name(), m.Type, got)
+			if env, err := (Codec{}).Decode(frame); err != nil || env.Type != m.Type || env.ID != 7 || len(env.Body) != 0 {
+				t.Errorf("%s: bare envelope decoded to %+v, %v", m.Type, env, err)
 			}
+			continue
+		}
+		_, out := decodeVia(t, tableBody{m.Type, m.Body}, ShardMapResp{Epoch: 3, Shard: 1})
+		if got := out.(*ShardMapResp); got.Epoch != 3 || got.Shard != 1 {
+			t.Errorf("%s: body = %+v", m.Type, got)
 		}
 	}
 	if fmt.Sprint(reserved) != "[sync-segments cluster-hello]" {
@@ -355,27 +345,46 @@ func TestSpecMessageTableMatches(t *testing.T) {
 	}
 }
 
+// legacyJSONFrame is what a build that still spoke the retired JSON codec
+// framed: the envelope itself as JSON, the body inside it. Such a frame must
+// be refused on sight (its first byte is '{', never the binary magic).
+func legacyJSONFrame(t testing.TB, typ MsgType, id uint64, body any) []byte {
+	t.Helper()
+	var raw json.RawMessage
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = b
+	}
+	frame, err := json.Marshal(Envelope{Type: typ, ID: id, Body: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 // FuzzMessageDecode drives adversarial bytes through the full decode path of
 // every message in the table — envelope, then the bodies its row declares —
 // the way a server or client handles a frame from an authenticated but
-// untrusted peer, under whichever codec the frame's first byte selects. The
-// decoders must never panic, and any body they accept must survive an
-// encode/decode round trip unchanged: no state smuggled through unparsed
-// bytes, under either codec. Seeds: every row's zero and populated bodies
-// under both codecs, plus hand-written hostile frames and an older build's
-// frames for a retired message.
+// untrusted peer. The decoders must never panic, and any body they accept
+// must survive an encode/decode round trip unchanged: no state smuggled
+// through unparsed bytes. Seeds: every row's zero and populated bodies, each
+// framed by the codec and as the retired JSON codec framed it (malformed
+// input now), plus hand-written hostile frames and an older build's frames
+// for a retired message.
 func FuzzMessageDecode(f *testing.F) {
 	fixtures, bodies := populated(f), tableBodies()
 	for _, tb := range bodies {
 		typ := reflect.TypeOf(tb.mk()).Elem()
 		for _, body := range append([]any{reflect.Zero(typ).Interface()}, fixtures[typ]...) {
-			for _, c := range []Codec{jsonCodecInst, binaryCodecInst} {
-				frame, err := c.Encode(tb.t, 1, body)
-				if err != nil {
-					f.Fatal(err)
-				}
-				f.Add(append([]byte(nil), frame...))
+			f.Add(legacyJSONFrame(f, tb.t, 1, body))
+			frame, err := (Codec{}).Encode(tb.t, 1, body)
+			if err != nil {
+				f.Fatal(err)
 			}
+			f.Add(append([]byte(nil), frame...))
 		}
 	}
 	f.Add([]byte(`{"type":"dht-store","id":9,"body":{"record":{"seq":-1,"ttlSeconds":1e99}}}`))
@@ -385,8 +394,8 @@ func FuzzMessageDecode(f *testing.F) {
 	// A count field claiming 2^32 elements in a five-byte body.
 	f.Add([]byte{binMagic, binVersion, 2, 1, bkQueryReq, 0x80, 0x80, 0x80, 0x80, 0x10})
 	// What an older build sends in the retired sync-segments exchange —
-	// request and reply, empty and populated, under each codec — byte for
-	// byte as its encoder framed them.
+	// request and reply, empty and populated, under each codec it spoke —
+	// byte for byte as its encoder framed them.
 	for _, frame := range [][]byte{
 		[]byte(`{"type":"sync-segments","id":1,"body":{}}`),
 		[]byte(`{"type":"sync-segments","id":1,"body":{"afterSeq":5}}`),
@@ -401,23 +410,18 @@ func FuzzMessageDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		var codec Codec = jsonCodecInst
-		if len(frame) > 0 && frame[0] == binMagic {
-			codec = binaryCodecInst
-		}
+		var codec Codec
 		env, err := codec.Decode(frame)
 		if err != nil {
 			return
 		}
-		// A JSON body is tried against the bodies its type may carry: its
-		// row's, or — for `ok` — any request's answer. A binary body is tried
-		// against every body in the table, whatever its type claims: the
-		// wrong kinds must error cleanly, the right one must decode without
-		// panicking or over-reading.
+		// The body is tried against every body in the table, whatever its
+		// type claims: the wrong kinds must error cleanly, the right one must
+		// decode without panicking or over-reading.
 		tried := make(map[reflect.Type]bool)
 		for _, tb := range bodies {
 			out := tb.mk()
-			if (codec == jsonCodecInst && tb.t != env.Type) || tried[reflect.TypeOf(out)] {
+			if tried[reflect.TypeOf(out)] {
 				continue
 			}
 			tried[reflect.TypeOf(out)] = true

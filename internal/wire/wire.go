@@ -5,9 +5,10 @@
 //
 // Messages (messages.go) is the one declaration of the protocol: every
 // message type with its binary type code, body and reply. Every frame is an
-// Envelope in the connection's negotiated codec (JSON or binary). Requests
-// carry a caller-chosen ID echoed by the response; notifications use ID 0 and
-// flow server→client only.
+// Envelope in the one wire codec, the binary framing of binary.go (Codec);
+// hot bodies have hand-rolled layouts and the rest ride inside it as JSON.
+// Requests carry a caller-chosen ID echoed by the response; notifications use
+// ID 0 and flow server→client only.
 package wire
 
 import (
@@ -111,8 +112,8 @@ type Envelope struct {
 	ID   uint64          `json:"id,omitempty"`
 	Body json.RawMessage `json:"body,omitempty"`
 	// binKind, when nonzero, marks Body as a hand-rolled binary body of
-	// that kind (set by the binary codec's Decode); DecodeBody dispatches
-	// on it, so callers handle envelopes identically under either codec.
+	// that kind (set by Decode); zero marks a JSON body. DecodeBody
+	// dispatches on it, so callers handle every body kind alike.
 	binKind byte
 }
 
@@ -452,37 +453,8 @@ type ErrorResp struct {
 	Redirect *Redirect `json:"redirect,omitempty"`
 }
 
-// Encode marshals an envelope with a typed body.
-func Encode(t MsgType, id uint64, body any) ([]byte, error) {
-	var raw json.RawMessage
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return nil, fmt.Errorf("wire encode %s: %w", t, err)
-		}
-		raw = b
-	}
-	out, err := json.Marshal(Envelope{Type: t, ID: id, Body: raw})
-	if err != nil {
-		return nil, fmt.Errorf("wire encode %s: %w", t, err)
-	}
-	return out, nil
-}
-
-// Decode unmarshals an envelope.
-func Decode(frame []byte) (Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(frame, &env); err != nil {
-		return Envelope{}, fmt.Errorf("wire decode: %w", err)
-	}
-	if env.Type == "" {
-		return Envelope{}, fmt.Errorf("wire decode: missing type")
-	}
-	return env, nil
-}
-
-// DecodeBody unmarshals an envelope body into out, transparently handling
-// both JSON and binary-decoded envelopes.
+// DecodeBody unmarshals an envelope body into out, whether its body kind is a
+// hand-rolled binary layout or the JSON fallback.
 func DecodeBody(env Envelope, out any) error {
 	if env.binKind != 0 {
 		return decodeBinaryBody(env, out)

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -53,11 +52,11 @@ func fixtureProof(t testing.TB) (*core.Proof, *core.MemDirectory, time.Time) {
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	frame, err := Encode(TPing, 42, nil)
+	frame, err := (Codec{}).Encode(TPing, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +66,13 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte("{not json")); err == nil {
-		t.Fatal("bad json accepted")
+	if _, err := (Codec{}).Decode([]byte("\xD7")); err == nil {
+		t.Fatal("truncated frame accepted")
 	}
-	if _, err := Decode([]byte(`{"id":1}`)); err == nil {
+	if _, err := (Codec{}).Decode([]byte{binMagic, binVersion, 0, 0, 1, bkNone}); err == nil {
 		t.Fatal("missing type accepted")
 	}
-	env, err := Decode([]byte(`{"type":"ok"}`))
+	env, err := (Codec{}).Decode([]byte{binMagic, binVersion, byType[TOK].Code, 1, bkJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +87,11 @@ func TestDecodeErrors(t *testing.T) {
 // independent of JSON.
 func TestProofSurvivesWireRoundTrip(t *testing.T) {
 	p, _, now := fixtureProof(t)
-	frame, err := Encode(TProof, 7, ProofResp{Proof: p})
+	frame, err := (Codec{}).Encode(TProof, 7, ProofResp{Proof: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +119,11 @@ func TestProofSurvivesWireRoundTrip(t *testing.T) {
 func TestDelegationFieldsSurviveWire(t *testing.T) {
 	p, _, _ := fixtureProof(t)
 	d := p.Steps[0].Delegation
-	frame, err := Encode(TPublish, 1, PublishReq{Delegation: d, Support: p.Steps[0].Support, TTLSeconds: 30})
+	frame, err := (Codec{}).Encode(TPublish, 1, PublishReq{Delegation: d, Support: p.Steps[0].Support, TTLSeconds: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestDelegationFieldsSurviveWire(t *testing.T) {
 }
 
 // Regression: constraints with infinite bases (the default for
-// min-collected attributes) must survive JSON, which rejects raw ±Inf.
+// min-collected attributes) must survive the wire; JSON rejects raw ±Inf.
 func TestConstraintWithInfiniteBaseSurvivesWire(t *testing.T) {
 	p, _, _ := fixtureProof(t)
 	bw := core.AttributeRef{Namespace: p.Steps[0].Delegation.Object.Namespace, Name: "BW"}
@@ -166,11 +165,11 @@ func TestConstraintWithInfiniteBaseSurvivesWire(t *testing.T) {
 			{Attr: bw, Base: 100, Minimum: 0.25},
 		},
 	}
-	frame, err := Encode(TQueryDirect, 3, req)
+	frame, err := (Codec{}).Encode(TQueryDirect, 3, req)
 	if err != nil {
 		t.Fatalf("encode with Inf base: %v", err)
 	}
-	env, err := Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +190,11 @@ func TestConstraintWithInfiniteBaseSurvivesWire(t *testing.T) {
 
 func TestNotifyPushRoundTrip(t *testing.T) {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	frame, err := Encode(TNotify, 0, NotifyPush{Delegation: "abc", Kind: "revoked", At: at})
+	frame, err := (Codec{}).Encode(TNotify, 0, NotifyPush{Delegation: "abc", Kind: "revoked", At: at})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +211,11 @@ func TestNotifyPushRoundTrip(t *testing.T) {
 }
 
 func TestQueryReqTraceIDRoundTrip(t *testing.T) {
-	frame, err := Encode(TQueryDirect, 7, QueryReq{TraceID: "abc123def4567890"})
+	frame, err := (Codec{}).Encode(TQueryDirect, 7, QueryReq{TraceID: "abc123def4567890"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +226,13 @@ func TestQueryReqTraceIDRoundTrip(t *testing.T) {
 	if req.TraceID != "abc123def4567890" {
 		t.Fatalf("trace = %q", req.TraceID)
 	}
-	// An absent trace ID stays empty (and off the wire entirely).
-	frame, err = Encode(TQueryDirect, 8, QueryReq{})
+	// An absent trace ID costs one length byte.
+	empty, err := (Codec{}).Encode(TQueryDirect, 7, QueryReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(frame, []byte("traceId")) {
-		t.Fatalf("empty trace serialized: %s", frame)
+	if len(frame)-len(empty) != len("abc123def4567890") {
+		t.Fatalf("trace ID costs %d bytes, want %d", len(frame)-len(empty), len("abc123def4567890"))
 	}
 }
 
@@ -256,11 +255,11 @@ func TestStatsRespRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	frame, err := Encode(TOK, 9, resp)
+	frame, err := (Codec{}).Encode(TOK, 9, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Decode(frame)
+	env, err := (Codec{}).Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
