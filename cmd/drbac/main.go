@@ -549,10 +549,6 @@ func renderStats(w io.Writer, addr string, resp wire.StatsResp) {
 		fmt.Fprintf(w, "  lookups      %d\n", d.Lookups)
 		fmt.Fprintf(w, "  stores       %d\n", d.Stores)
 		fmt.Fprintf(w, "  refused      %d\n", d.StoresRefused)
-		fmt.Fprintf(w, "gossip\n")
-		fmt.Fprintf(w, "  alive        %d\n", d.GossipAlive)
-		fmt.Fprintf(w, "  suspect      %d\n", d.GossipSuspect)
-		fmt.Fprintf(w, "  dead         %d\n", d.GossipDead)
 	}
 	if ws := resp.Wire; ws != nil {
 		fmt.Fprintf(w, "wire codec (connection: %s)\n", ws.ConnCodec)

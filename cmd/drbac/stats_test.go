@@ -145,9 +145,6 @@ func TestRenderStatsDHTSection(t *testing.T) {
 			Stores:          9,
 			StoresRefused:   1,
 			Announced:       1,
-			GossipAlive:     4,
-			GossipSuspect:   1,
-			GossipDead:      2,
 		},
 	}
 	var buf bytes.Buffer
@@ -160,13 +157,12 @@ func TestRenderStatsDHTSection(t *testing.T) {
   lookups      17
   stores       9
   refused      1
-gossip
-  alive        4
-  suspect      1
-  dead         2
 `
 	if !bytes.Contains(buf.Bytes(), []byte(want)) {
 		t.Errorf("renderStats dht section:\n%s\nwant to contain:\n%s", buf.String(), want)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("gossip")) {
+		t.Errorf("renderStats still renders the retired gossip section:\n%s", buf.String())
 	}
 
 	// No dht section when the wallet doesn't serve the DHT.

@@ -31,15 +31,14 @@
 // only a TTL-coherent assembly cache — so -state, -load, and -replica-of are
 // rejected alongside it. The map file is watched exactly like a member's.
 //
-// With -dht the daemon joins the coalition's decentralized discovery and
-// membership layer (§13): it serves dht-*/gossip-* requests, announces a
-// signed provider record for its owner entity (the -announce addresses,
-// defaulting to -listen) on startup and on shard-map adoption, bootstraps
-// through the -bootstrap seed wallets (none starts a lone seed), and fans
-// gossip liveness verdicts into every peer pool so a dead member trips
-// circuit breakers coalition-wide. A gateway's shard map may then name
-// members as dht:<entity-fingerprint> instead of host:port; such entries
-// are resolved through the DHT at dial time.
+// With -dht the daemon joins the coalition's decentralized discovery layer
+// (§13): it serves dht-* requests, announces a signed provider record for
+// its owner entity (the -announce addresses, defaulting to -listen) on
+// startup and on shard-map adoption, and bootstraps through the -bootstrap
+// seed wallets (none starts a lone seed). A gateway's shard map may then
+// name members as dht:<entity-fingerprint> instead of host:port; such
+// entries are resolved through the DHT at dial time. A dead member is
+// noticed by each peer pool's own circuit breaker.
 //
 // Every connection the daemon serves or dials speaks the binary wire codec
 // (SPEC §14); a peer whose handshake does not offer it — a build that
@@ -121,8 +120,8 @@ func run(args []string) error {
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := fs.Bool("log-json", false, "write logs as JSON instead of text")
 	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "duration at or above which a trace or query counts as slow: slow traces are always retained and slow queries logged at warn")
-	dhtOn := fs.Bool("dht", false, "participate in the coalition DHT and gossip membership: serve dht-*/gossip-* requests, announce this wallet's provider record, and gate peer pools on gossip liveness verdicts")
-	bootstrap := fs.String("bootstrap", "", "comma-separated seed wallet addresses to join the DHT and gossip ring through (requires -dht; empty starts a lone seed)")
+	dhtOn := fs.Bool("dht", false, "participate in the coalition DHT: serve dht-* requests and announce this wallet's provider record")
+	bootstrap := fs.String("bootstrap", "", "comma-separated seed wallet addresses to join the DHT through (requires -dht; empty starts a lone seed)")
 	announce := fs.String("announce", "", "comma-separated addresses published in this wallet's DHT provider record (requires -dht; default: the -listen address)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -236,9 +235,6 @@ func run(args []string) error {
 			return err
 		}
 		defer gw.Close()
-		if rt != nil {
-			rt.addVerdictPool(gw.Router().Peers())
-		}
 		role = "gateway"
 		// The gateway's local wallet is its TTL-coherent assembly cache:
 		// it backs /healthz and the staleness sweeps below.
@@ -270,8 +266,6 @@ func run(args []string) error {
 	}
 	if rt != nil {
 		opts.DHT = rt.node
-		opts.Gossip = rt.gossip
-		opts.DHTStats = rt.stats
 	}
 	srv := remote.ServeOptions(svc, ln, opts)
 	defer srv.Close()

@@ -236,7 +236,7 @@ func (tn *testNet) start(name string, n byte, opts ...func(*Config)) *testNode {
 	if err != nil {
 		tn.t.Fatal(err)
 	}
-	srv := remote.ServeOptions(w, ln, remote.Options{DHT: node, DHTStats: node.Stats})
+	srv := remote.ServeOptions(w, ln, remote.Options{DHT: node})
 	nd := &testNode{id: id, addr: addr, node: node, peers: peers, server: srv, network: tn}
 	tn.t.Cleanup(func() {
 		node.Close()

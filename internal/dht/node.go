@@ -664,8 +664,7 @@ func (n *Node) expire() {
 	}
 }
 
-// Stats snapshots the node for the stats wire section (gossip fields are
-// zero; the daemon overlays them from its gossip node).
+// Stats snapshots the node for the stats response's dht section.
 func (n *Node) Stats() *wire.DHTStats {
 	n.mu.Lock()
 	records := len(n.store)

@@ -69,7 +69,7 @@ func (dw *dhtWallet) serveAt(t *testing.T, e *env, addr string) {
 		t.Fatal(err)
 	}
 	dw.addr = addr
-	dw.server = remote.ServeOptions(dw.w, ln, remote.Options{DHT: dw.node, DHTStats: dw.node.Stats})
+	dw.server = remote.ServeOptions(dw.w, ln, remote.Options{DHT: dw.node})
 }
 
 // clientDHT builds an unserved client-side DHT node (resolution is pull-

@@ -8,8 +8,10 @@ import (
 
 // helpText maps metric names to their # HELP strings. The exposition
 // conformance test (cmd/drbacd) fails when a daemon-exported metric has no
-// entry, so adding a metric means adding its help here (or via SetHelp for
-// dynamically named metrics like the per-SLO gauges).
+// entry and when an entry names a metric no daemon component registers, so
+// adding a metric means adding its help here (or via SetHelp for
+// dynamically named metrics like the per-SLO gauges), and retiring one
+// means deleting its row.
 var (
 	helpMu   sync.RWMutex
 	helpText = map[string]string{
@@ -93,15 +95,12 @@ var (
 		"drbac_cluster_epoch":               "Installed shard map epoch.",
 		"drbac_cluster_shards":              "Shards in the installed map.",
 
-		// dht, gossip
+		// dht
 		"drbac_dht_lookups_total":        "Iterative DHT lookups started.",
 		"drbac_dht_stores_total":         "Provider records accepted for storage.",
 		"drbac_dht_stores_refused_total": "Provider records refused (unsigned, mis-signed, malformed, expired).",
 		"drbac_dht_bucket_peers":         "Contacts held in the routing table.",
 		"drbac_dht_provider_records":     "Provider records held for other nodes to find.",
-		"drbac_gossip_alive":             "Gossip members believed alive.",
-		"drbac_gossip_suspect":           "Gossip members suspected and awaiting refutation.",
-		"drbac_gossip_dead":              "Gossip members confirmed dead.",
 
 		// logstore
 		"drbac_logstore_appends_total":                 "Records appended to the log store.",

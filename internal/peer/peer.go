@@ -4,7 +4,9 @@
 // pooled by address, redialed lazily with capped exponential backoff and
 // jitter, and guarded by a per-peer circuit breaker so a dead home wallet
 // costs one fast-failed lookup instead of a fresh dial timeout on every
-// round (§4.2.1's availability concern for coalition partners).
+// round (§4.2.1's availability concern for coalition partners). The breaker
+// is the only liveness verdict a pool acts on: it is fed by this pool's own
+// dials and calls, never by what another node claims about a peer.
 package peer
 
 import (
@@ -25,12 +27,6 @@ import (
 // ErrCircuitOpen reports a fast-failed Get: the peer's circuit is open and
 // its backoff window has not elapsed, so no dial was attempted.
 var ErrCircuitOpen = errors.New("peer: circuit open")
-
-// ErrRemoteDown reports a fast-failed Get on a peer an external liveness
-// authority (the gossip layer) has declared dead. Unlike an open circuit
-// it has no backoff window: the peer stays down until the authority
-// clears it with SetRemoteDown(addr, false).
-var ErrRemoteDown = errors.New("peer: remote reported down")
 
 // State is the circuit-breaker state of one peer.
 type State int
@@ -73,9 +69,6 @@ type Health struct {
 	// RetryAt is when an open circuit will admit a half-open probe
 	// (zero when the circuit is closed).
 	RetryAt time.Time
-	// RemoteDown reports an external liveness verdict (gossip) holding the
-	// peer down independent of the local breaker.
-	RemoteDown bool
 }
 
 // The circuit breaker's shape: failureThreshold consecutive failures open
@@ -129,9 +122,6 @@ type peerState struct {
 	failures int
 	backoff  time.Duration
 	next     time.Time // earliest instant a redial may be attempted
-	// remoteDown holds the peer down on an external (gossip) verdict; it
-	// bypasses the backoff clock entirely in both directions.
-	remoteDown bool
 }
 
 // NewManager builds a pool over cfg.Dialer.
@@ -178,11 +168,6 @@ func (m *Manager) Get(ctx context.Context, addr string) (*remote.Client, error) 
 	ps := m.peer(addr)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-
-	if ps.remoteDown {
-		m.mFastFails.Inc()
-		return nil, fmt.Errorf("%w: %s", ErrRemoteDown, addr)
-	}
 
 	if ps.client != nil {
 		if ps.client.Healthy() {
@@ -337,44 +322,6 @@ func (m *Manager) ReportFailure(addr string, c *remote.Client) {
 	m.recordFailureLocked(ps, addr, errors.New("reported by caller"))
 }
 
-// SetRemoteDown installs (or clears) an external liveness verdict for addr.
-// The gossip layer calls it cluster-wide: a member another node confirmed
-// dead stops being dialed everywhere before each pool's own breaker trips.
-// Marking a peer down evicts its pooled connection; clearing the verdict
-// also resets the local breaker so the next Get dials immediately — the
-// authority that declared the peer alive has fresher evidence than our
-// stale failure count.
-func (m *Manager) SetRemoteDown(addr string, down bool) {
-	ps := m.peer(addr)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if down {
-		if ps.remoteDown {
-			return
-		}
-		ps.remoteDown = true
-		if ps.client != nil {
-			ps.client.Close()
-			ps.client = nil
-			m.mEvictions.Inc()
-			m.mLive.Add(-1)
-		}
-		m.cfg.Obs.Log().Info("peer marked down by gossip", "addr", addr)
-		return
-	}
-	// An alive verdict clears the gate and the breaker even when the gate
-	// was never set: the authority saw the peer answer, so a locally
-	// tripped circuit is stale evidence.
-	if !ps.remoteDown && ps.failures == 0 {
-		return
-	}
-	ps.remoteDown = false
-	ps.failures = 0
-	ps.backoff = 0
-	ps.next = time.Time{}
-	m.cfg.Obs.Log().Info("peer cleared by gossip", "addr", addr)
-}
-
 // HealthOf snapshots one peer's standing. The zero Health (StateClosed, no
 // failures) is returned for an address the pool has never seen.
 func (m *Manager) HealthOf(addr string) Health {
@@ -389,18 +336,11 @@ func (m *Manager) HealthOf(addr string) Health {
 	defer ps.mu.Unlock()
 	h.ConsecutiveFailures = ps.failures
 	h.Connected = ps.client != nil && ps.client.Healthy()
-	h.RemoteDown = ps.remoteDown
 	if ps.failures >= failureThreshold {
+		h.State, h.RetryAt = StateHalfOpen, ps.next
 		if m.cfg.Clock.Now().Before(ps.next) {
 			h.State = StateOpen
-			h.RetryAt = ps.next
-		} else {
-			h.State = StateHalfOpen
-			h.RetryAt = ps.next
 		}
-	}
-	if ps.remoteDown {
-		h.State = StateOpen
 	}
 	return h
 }

@@ -418,67 +418,39 @@ func TestGetAnyAllBrokenAggregatesError(t *testing.T) {
 	}
 }
 
-func TestSetRemoteDownGatesAndClears(t *testing.T) {
-	e := newEnv(t, "client", "server")
-	e.serve("w", "server")
-	m := e.manager("client", nil)
-	ctx := context.Background()
-
-	// A pooled healthy connection is evicted the moment gossip declares
-	// the peer dead, and Get fast-fails without touching the network.
-	c1, err := m.Get(ctx, "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetRemoteDown("w", true)
-	if c1.Healthy() {
-		t.Fatal("pooled connection survived a down verdict")
-	}
-	if _, err := m.Get(ctx, "w"); !errors.Is(err, ErrRemoteDown) {
-		t.Fatalf("Get under down verdict: got %v, want ErrRemoteDown", err)
-	}
-	h := m.HealthOf("w")
-	if !h.RemoteDown || h.State != StateOpen {
-		t.Fatalf("health = %+v, want RemoteDown open", h)
-	}
-
-	// GetAny skips the down member and fails over to its replica.
-	e.serve("w2", "server")
-	if _, addr, err := m.GetAny(ctx, []string{"w", "w2"}); err != nil || addr != "w2" {
-		t.Fatalf("GetAny = %s, %v; want w2", addr, err)
-	}
-
-	// An up verdict clears the gate AND the local breaker: the next Get
-	// dials immediately with no backoff window to wait out.
-	m.SetRemoteDown("w", false)
-	if _, err := m.Get(ctx, "w"); err != nil {
-		t.Fatalf("Get after up verdict: %v", err)
-	}
-	if h := m.HealthOf("w"); h.RemoteDown || h.State != StateClosed {
-		t.Fatalf("health after clear = %+v", h)
-	}
-}
-
-func TestUpVerdictResetsTrippedBreaker(t *testing.T) {
+// A peer that dies and comes back at the same address is redialed within one
+// backoff window of its return however long it was down: the window is
+// capped at maxBackoff, and the first Get after it elapses is the probe that
+// closes the circuit. Until then no dial is made.
+func TestRestartedPeerRedialedWithinOneBackoffWindow(t *testing.T) {
 	e := newEnv(t, "client", "server")
 	m := e.manager("client", nil)
 	ctx := context.Background()
 
-	// Trip the breaker against a dead address.
-	for i := 0; i < 3; i++ {
+	// A long outage: every probe fails, doubling the window up to the cap.
+	for i := 0; i < 12; i++ {
 		if _, err := m.Get(ctx, "gone"); err == nil {
 			t.Fatal("dial to unserved address succeeded")
 		}
+		e.clk.Advance(maxBackoff)
 	}
-	if _, err := m.Get(ctx, "gone"); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("breaker did not trip: %v", err)
+	if _, err := m.Get(ctx, "gone"); err == nil {
+		t.Fatal("dial to unserved address succeeded")
 	}
 
-	// The wallet comes up and gossip says so before our backoff elapses:
-	// the verdict must beat the stale failure count.
 	e.serve("gone", "server")
-	m.SetRemoteDown("gone", false)
+	h := m.HealthOf("gone")
+	if h.State != StateOpen || h.RetryAt.Sub(e.clk.Now()) > maxBackoff {
+		t.Fatalf("health after the outage = %+v, want open for at most %s", h, maxBackoff)
+	}
+	if _, err := m.Get(ctx, "gone"); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("Get inside the window = %v, want ErrCircuitOpen", err)
+	}
+	e.clk.Advance(h.RetryAt.Sub(e.clk.Now()))
 	if _, err := m.Get(ctx, "gone"); err != nil {
-		t.Fatalf("Get after alive verdict: %v", err)
+		t.Fatalf("Get once the window elapsed: %v", err)
+	}
+	if h := m.HealthOf("gone"); h.State != StateClosed || h.ConsecutiveFailures != 0 {
+		t.Fatalf("health after the probe = %+v, want closed/0", h)
 	}
 }

@@ -14,28 +14,24 @@ import (
 	"drbac/internal/wire"
 )
 
-// fakeTiers serves every optional tier and refuses nothing: a cluster guard,
-// a DHT handler and a gossip handler in one.
-type fakeTiers struct{}
+// fakeGuard and fakeDHT serve the optional tiers and refuse nothing.
+type (
+	fakeGuard struct{}
+	fakeDHT   struct{}
+)
 
-func (fakeTiers) MapResp() (wire.ShardMapResp, error)        { return wire.ShardMapResp{Epoch: 1}, nil }
-func (fakeTiers) Check(uint64, *core.Subject) *wire.Redirect { return nil }
-func (fakeTiers) Stats() *wire.ClusterStats                  { return &wire.ClusterStats{Epoch: 1} }
+func (fakeGuard) MapResp() (wire.ShardMapResp, error)        { return wire.ShardMapResp{Epoch: 1}, nil }
+func (fakeGuard) Check(uint64, *core.Subject) *wire.Redirect { return nil }
+func (fakeGuard) Stats() *wire.ClusterStats                  { return &wire.ClusterStats{Epoch: 1} }
 
-func (fakeTiers) HandleFindNode(core.Entity, wire.DHTFindReq) (wire.DHTFindResp, error) {
+func (fakeDHT) HandleFindNode(core.Entity, wire.DHTFindReq) (wire.DHTFindResp, error) {
 	return wire.DHTFindResp{}, nil
 }
-func (fakeTiers) HandleFindValue(core.Entity, wire.DHTFindReq) (wire.DHTFindResp, error) {
+func (fakeDHT) HandleFindValue(core.Entity, wire.DHTFindReq) (wire.DHTFindResp, error) {
 	return wire.DHTFindResp{}, nil
 }
-func (fakeTiers) HandleStore(core.Entity, wire.DHTStoreReq) error { return nil }
-
-func (fakeTiers) HandlePing(context.Context, core.Entity, wire.GossipPingBody) (wire.GossipAck, error) {
-	return wire.GossipAck{From: "fake"}, nil
-}
-func (fakeTiers) HandlePingReq(context.Context, core.Entity, wire.GossipPingBody) (wire.GossipAck, error) {
-	return wire.GossipAck{From: "fake"}, nil
-}
+func (fakeDHT) HandleStore(core.Entity, wire.DHTStoreReq) error { return nil }
+func (fakeDHT) Stats() *wire.DHTStats                           { return &wire.DHTStats{ID: "fake"} }
 
 // serviceOnly hides every capability of a wallet beyond wallet.Service, the
 // way a cluster gateway has no replication side.
@@ -64,9 +60,9 @@ func (e *env) authorityWallet() (w *wallet.Wallet, keep, gone *core.Delegation) 
 }
 
 // authorityCalls sends each request row through the Client method that sends
-// it: publish three ways (durable, TTL-cached, epoch-stamped), gossip-ping
-// without a target and gossip-ping-req with one. Unsubscribe has no method of
-// its own — a subscription's cancel swallows its error — so it is called raw.
+// it: publish three ways (durable, TTL-cached, epoch-stamped). Unsubscribe has
+// no method of its own — a subscription's cancel swallows its error — so it is
+// called raw.
 func (e *env) authorityCalls(keep, gone *core.Delegation) map[wire.MsgType][]func(*Client) error {
 	ctx := context.Background()
 	pub := e.deleg("[Maria -> BigISP.user] BigISP")
@@ -141,14 +137,6 @@ func (e *env) authorityCalls(keep, gone *core.Delegation) map[wire.MsgType][]fun
 			return err
 		}},
 		wire.TDHTStore: {func(c *Client) error { return c.DHTStore(ctx, wire.DHTStoreReq{}) }},
-		wire.TGossipPing: {func(c *Client) error {
-			_, err := c.GossipPing(ctx, wire.GossipPingBody{From: "wallet.maria"})
-			return err
-		}},
-		wire.TGossipPingReq: {func(c *Client) error {
-			_, err := c.GossipPing(ctx, wire.GossipPingBody{From: "wallet.maria", Target: "wallet.c"})
-			return err
-		}},
 	}
 }
 
@@ -156,12 +144,12 @@ func (e *env) authorityCalls(keep, gone *core.Delegation) map[wire.MsgType][]fun
 // declares about who may be sent what, row by row:
 //   - a read-only follower refuses every Mutates row with ErrReadOnly and
 //     serves every other;
-//   - a wallet without a replication side, a guard, a DHT or gossip refuses
+//   - a wallet without a replication side, a guard or a DHT refuses
 //     every row outside the wallet tier with the one tier text, serves every
 //     row in it, and keeps serving the connection;
 //   - a fully equipped server serves every row.
 func TestAuthorityFromTable(t *testing.T) {
-	equipped := Options{Cluster: fakeTiers{}, DHT: fakeTiers{}, Gossip: fakeTiers{}}
+	equipped := Options{Cluster: fakeGuard{}, DHT: fakeDHT{}}
 	follower := equipped
 	follower.ReadOnly = true
 	servers := []struct {

@@ -596,16 +596,6 @@ func (c *Client) DHTStore(ctx context.Context, req wire.DHTStoreReq) error {
 	return c.call(ctx, wire.TDHTStore, req, nil)
 }
 
-// GossipPing sends a SWIM probe (direct when body.Target is empty) and
-// returns the peer's ack with its piggybacked membership updates.
-func (c *Client) GossipPing(ctx context.Context, body wire.GossipPingBody) (wire.GossipAck, error) {
-	t := wire.TGossipPing
-	if body.Target != "" {
-		t = wire.TGossipPingReq
-	}
-	return ask[wire.GossipAck](ctx, c, t, body)
-}
-
 // SplitAddrs parses a comma-separated address list ("primary,replica1,…")
 // into its elements, trimming whitespace and dropping empties. The inverse
 // convention lets one discovery-tag home, proxy upstream, or CLI -addr name

@@ -30,6 +30,24 @@ func recvWithin(t *testing.T, conn transport.Conn, d time.Duration) ([]byte, err
 	}
 }
 
+// exchange sends one frame and decodes the one answer, failing the test if
+// the connection drops instead.
+func exchange(t *testing.T, conn transport.Conn, frame []byte) wire.Envelope {
+	t.Helper()
+	if err := conn.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := recvWithin(t, conn, 2*time.Second)
+	if err != nil {
+		t.Fatalf("connection dropped: %v", err)
+	}
+	env, err := codec.Decode(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 // A JSON envelope mid-stream — what a build that still spoke the retired JSON
 // codec framed — is a protocol violation: the server answers nothing and
 // drops the connection rather than guessing at the framing.
@@ -88,25 +106,9 @@ func TestOldFollowerSyncSegmentsRefusedThenSynced(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		exchange := func(frame []byte) wire.Envelope {
-			t.Helper()
-			if err := conn.Send(frame); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := recvWithin(t, conn, 2*time.Second)
-			if err != nil {
-				t.Fatalf("connection dropped: %v", err)
-			}
-			env, err := codec.Decode(resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return env
-		}
-
 		// What such a follower sends for sync-segments {afterSeq: 5}: code 14
 		// with a body of the retired kind 13.
-		env := exchange([]byte{0xD7, 1, 14, 1, 13, 5})
+		env := exchange(t, conn, []byte{0xD7, 1, 14, 1, 13, 5})
 		var refusal wire.ErrorResp
 		if env.Type != wire.TError || env.ID != 1 || wire.DecodeBody(env, &refusal) != nil ||
 			refusal.Message != `unknown request type "sync-segments"` {
@@ -116,7 +118,7 @@ func TestOldFollowerSyncSegmentsRefusedThenSynced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env = exchange(syncReq)
+		env = exchange(t, conn, syncReq)
 		var snap wire.SyncResp
 		if env.Type != wire.TOK || env.ID != 2 || wire.DecodeBody(env, &snap) != nil ||
 			snap.Seq != w.Seq() || len(snap.Bundles) != 3 {
@@ -124,6 +126,58 @@ func TestOldFollowerSyncSegmentsRefusedThenSynced(t *testing.T) {
 				env.Type, env.ID, snap.Seq, len(snap.Bundles), w.Seq())
 		}
 	})
+}
+
+// A -dht member released before the gossip probes were reserved still probes
+// its coalition every protocol period. An upgraded -dht member must refuse
+// each probe as an unknown request type without dropping the connection,
+// serve the next ping on it, and keep serving its DHT.
+func TestOldMemberGossipProbeRefused(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	w, _, _ := e.authorityWallet()
+	ln, err := e.net.Listen("wallet.bigisp", e.id("BigISP"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ServeOptions(w, ln, Options{DHT: fakeDHT{}})
+	t.Cleanup(s.Close)
+	conn, err := e.net.Dialer(e.id("Maria")).Dial(context.Background(), "wallet.bigisp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The older member's probes, byte for byte as its encoder framed them:
+	// code 20 (gossip-ping) and 21 (gossip-ping-req), a JSON body.
+	for _, probe := range []struct {
+		typ   wire.MsgType
+		id    uint64
+		frame string
+	}{
+		{wire.TGossipPing, 1, "\xd7\x01\x14\x01\x01" + `{"from":"wallet.old:7100","updates":[{"addr":"wallet.old:7100","status":"alive","incarnation":0},{"addr":"wallet.new:7100","status":"suspect","incarnation":3}]}`},
+		{wire.TGossipPingReq, 2, "\xd7\x01\x15\x02\x01" + `{"from":"wallet.old:7100","target":"wallet.c:7100"}`},
+	} {
+		env := exchange(t, conn, []byte(probe.frame))
+		var refusal wire.ErrorResp
+		if env.Type != wire.TError || env.ID != probe.id || wire.DecodeBody(env, &refusal) != nil ||
+			refusal.Message != `unknown request type "`+string(probe.typ)+`"` {
+			t.Fatalf("%s answered %s id %d %+v, want the unknown-request refusal", probe.typ, env.Type, env.ID, refusal)
+		}
+		ping, err := codec.Encode(wire.TPing, 10+probe.id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env := exchange(t, conn, ping); env.Type != wire.TPong || env.ID != 10+probe.id {
+			t.Fatalf("ping after the %s refusal answered %s id %d", probe.typ, env.Type, env.ID)
+		}
+	}
+	stats, err := codec.Encode(wire.TStats, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.StatsResp
+	if env := exchange(t, conn, stats); env.Type != wire.TOK || wire.DecodeBody(env, &resp) != nil || resp.DHT == nil || resp.DHT.ID != "fake" {
+		t.Fatalf("stats after the refusals: %s %+v, want the DHT handler's section", env.Type, resp.DHT)
+	}
 }
 
 // A client dialing a cluster member older than the reservation of

@@ -84,15 +84,8 @@ type DHTHandler interface {
 	// HandleStore verifies and stores an offered provider record. An error
 	// refuses the record (and is reported to the caller).
 	HandleStore(from core.Entity, req wire.DHTStoreReq) error
-}
-
-// GossipHandler serves SWIM membership probes; internal/gossip implements
-// it. HandlePingReq relays a probe to a third member and may block up to
-// its probe timeout, so the server runs it like any other request — on the
-// per-request goroutine, under the connection's inflight bound.
-type GossipHandler interface {
-	HandlePing(ctx context.Context, from core.Entity, req wire.GossipPingBody) (wire.GossipAck, error)
-	HandlePingReq(ctx context.Context, from core.Entity, req wire.GossipPingBody) (wire.GossipAck, error)
+	// Stats reports the dht section of a stats response.
+	Stats() *wire.DHTStats
 }
 
 // RedirectError is a shard-routing refusal: the request was stamped with
@@ -121,12 +114,10 @@ type Server struct {
 	// serves holds, indexed by wire.Tier, whether this server serves that
 	// tier, worked out once by ServeOptions from what it was given; handle
 	// refuses the requests of the others.
-	serves   [wire.TierGossip + 1]bool
-	role     string
-	guard    ClusterGuard
-	dht      DHTHandler
-	gossip   GossipHandler
-	dhtStats func() *wire.DHTStats
+	serves [wire.TierDHT + 1]bool
+	role   string
+	guard  ClusterGuard
+	dht    DHTHandler
 	// directFallback, when set, is consulted after a direct query misses
 	// the wallet — the hook hierarchical caching proxies use to pull
 	// credentials through from an upstream wallet (§6).
@@ -165,14 +156,10 @@ type Options struct {
 	// answers shardmap requests and refuses mis-routed or stale-epoch
 	// mutations with redirects the guard decides.
 	Cluster ClusterGuard
-	// DHT, if non-nil, serves dht-find-node/find-value/store requests.
-	// Daemons without `-dht` answer those with an error.
+	// DHT, if non-nil, serves dht-find-node/find-value/store requests and
+	// the dht section of stats responses. Daemons without `-dht` answer
+	// those requests with an error.
 	DHT DHTHandler
-	// Gossip, if non-nil, serves gossip-ping/ping-req probes.
-	Gossip GossipHandler
-	// DHTStats, if non-nil, supplies the dht section of stats responses
-	// (the daemon composes DHT table counts with gossip member counts).
-	DHTStats func() *wire.DHTStats
 }
 
 // ErrReadOnly reports a mutation request sent to a read-only replica.
@@ -188,8 +175,8 @@ func Serve(w wallet.Service, ln transport.Listener) *Server {
 
 // ServeOptions is Serve with customization. The wire.Tier set the server
 // serves follows from what it is given: the wallet tier always, replication
-// when w is wallet.Replicable, and the cluster, DHT and gossip tiers when
-// opts carries their guard or handler.
+// when w is wallet.Replicable, and the cluster and DHT tiers when opts
+// carries their guard or handler.
 func ServeOptions(w wallet.Service, ln transport.Listener, opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	rep, _ := w.(wallet.Replicable)
@@ -203,8 +190,6 @@ func ServeOptions(w wallet.Service, ln transport.Listener, opts Options) *Server
 		role:           opts.Role,
 		guard:          opts.Cluster,
 		dht:            opts.DHT,
-		gossip:         opts.Gossip,
-		dhtStats:       opts.DHTStats,
 		directFallback: opts.DirectFallback,
 		baseCtx:        ctx,
 		cancelAll:      cancel,
@@ -214,7 +199,6 @@ func ServeOptions(w wallet.Service, ln transport.Listener, opts Options) *Server
 			wire.TierReplication: rep != nil,
 			wire.TierCluster:     opts.Cluster != nil,
 			wire.TierDHT:         opts.DHT != nil,
-			wire.TierGossip:      opts.Gossip != nil,
 		},
 	}
 	s.wg.Add(1)
@@ -493,26 +477,24 @@ func bare(serve func(*Server, *connState) (any, []any, error)) handler {
 // handlers is the server's whole dispatch: one entry per request row of
 // wire.Messages (TestHandlersCoverRequestRows holds the two together).
 var handlers = map[wire.MsgType]handler{
-	wire.TPing:          bare(func(*Server, *connState) (any, []any, error) { return nil, nil, nil }),
-	wire.TPublish:       on((*Server).publish),
-	wire.TQueryDirect:   on((*Server).queryDirect),
-	wire.TQuerySubject:  on(queryAll(false)),
-	wire.TQueryObject:   on(queryAll(true)),
-	wire.TSubscribe:     on((*Server).subscribeOne),
-	wire.TUnsubscribe:   on((*Server).unsubscribe),
-	wire.TRevoke:        on((*Server).revoke),
-	wire.TProveRole:     on((*Server).proveRole),
-	wire.THas:           on((*Server).has),
-	wire.TStats:         bare((*Server).stats),
-	wire.TSync:          bare((*Server).sync),
-	wire.TSubscribeAll:  bare((*Server).subscribeAll),
-	wire.TTrace:         on((*Server).trace),
-	wire.TShardMap:      bare((*Server).shardMap),
-	wire.TDHTFindNode:   on(dhtFind(false)),
-	wire.TDHTFindValue:  on(dhtFind(true)),
-	wire.TDHTStore:      on((*Server).dhtStore),
-	wire.TGossipPing:    on(gossipProbe(false)),
-	wire.TGossipPingReq: on(gossipProbe(true)),
+	wire.TPing:         bare(func(*Server, *connState) (any, []any, error) { return nil, nil, nil }),
+	wire.TPublish:      on((*Server).publish),
+	wire.TQueryDirect:  on((*Server).queryDirect),
+	wire.TQuerySubject: on(queryAll(false)),
+	wire.TQueryObject:  on(queryAll(true)),
+	wire.TSubscribe:    on((*Server).subscribeOne),
+	wire.TUnsubscribe:  on((*Server).unsubscribe),
+	wire.TRevoke:       on((*Server).revoke),
+	wire.TProveRole:    on((*Server).proveRole),
+	wire.THas:          on((*Server).has),
+	wire.TStats:        bare((*Server).stats),
+	wire.TSync:         bare((*Server).sync),
+	wire.TSubscribeAll: bare((*Server).subscribeAll),
+	wire.TTrace:        on((*Server).trace),
+	wire.TShardMap:     bare((*Server).shardMap),
+	wire.TDHTFindNode:  on(dhtFind(false)),
+	wire.TDHTFindValue: on(dhtFind(true)),
+	wire.TDHTStore:     on((*Server).dhtStore),
 }
 
 func (s *Server) publish(_ *connState, req *wire.PublishReq) (any, []any, error) {
@@ -676,18 +658,6 @@ func (s *Server) dhtStore(cs *connState, req *wire.DHTStoreReq) (any, []any, err
 	return nil, []any{"accepted", err == nil}, err
 }
 
-// gossipProbe serves gossip-ping and, with relay set, gossip-ping-req.
-func gossipProbe(relay bool) func(*Server, *connState, *wire.GossipPingBody) (any, []any, error) {
-	return func(s *Server, cs *connState, req *wire.GossipPingBody) (any, []any, error) {
-		probe, attrs := s.gossip.HandlePing, []any(nil)
-		if relay {
-			probe, attrs = s.gossip.HandlePingReq, []any{"target", req.Target}
-		}
-		ack, err := probe(s.baseCtx, cs.conn.Peer(), *req)
-		return ack, attrs, err
-	}
-}
-
 // statsResp snapshots the served wallet and the shared metrics registry.
 func (s *Server) statsResp() wire.StatsResp {
 	ws := s.w.Stats()
@@ -712,8 +682,8 @@ func (s *Server) statsResp() wire.StatsResp {
 	if s.serves[wire.TierCluster] {
 		resp.Cluster = s.guard.Stats()
 	}
-	if s.dhtStats != nil {
-		resp.DHT = s.dhtStats()
+	if s.serves[wire.TierDHT] {
+		resp.DHT = s.dht.Stats()
 	}
 	ws2 := wire.StatsSnapshot()
 	resp.Wire = &ws2

@@ -76,7 +76,7 @@ func (m *dhtMember) serveAt(w *World, addr string) error {
 		return err
 	}
 	m.addr = addr
-	m.srv = remote.ServeOptions(m.w, ln, remote.Options{DHT: m.node, DHTStats: m.node.Stats})
+	m.srv = remote.ServeOptions(m.w, ln, remote.Options{DHT: m.node})
 	w.mu.Lock()
 	w.servers = append(w.servers, m.srv)
 	w.mu.Unlock()

@@ -22,10 +22,10 @@ import (
 //	rest     body bytes
 //
 // Hot message bodies (queries, proofs, publishes, revokes, notifies, sync)
-// are hand-rolled binary; everything else (stats, DHT, gossip, traces,
-// shard maps, errors) rides as JSON inside the binary envelope — those
-// paths are cold, and keeping them JSON means one fallback covers every
-// future message without a codec bump.
+// are hand-rolled binary; everything else (stats, DHT, traces, shard maps,
+// errors) rides as JSON inside the binary envelope — those paths are cold,
+// and keeping them JSON means one fallback covers every future message
+// without a codec bump.
 
 const (
 	binMagic   = 0xD7

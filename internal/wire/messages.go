@@ -44,10 +44,9 @@ const (
 	TierReplication             // the changelog feed followers bootstrap and tail from (§9)
 	TierCluster                 // shard-cluster membership (§12)
 	TierDHT                     // the coalition DHT (§13.2)
-	TierGossip                  // SWIM membership probes (§13.4)
 )
 
-var tierNames = [...]string{"wallet", "replication", "cluster", "dht", "gossip"}
+var tierNames = [...]string{"wallet", "replication", "cluster", "dht"}
 
 func (t Tier) String() string { return tierNames[t] }
 
@@ -73,8 +72,8 @@ var Messages = []Message{
 	{Type: TDHTFindNode, Code: 17, Body: body[DHTFindReq], Reply: TOK, OK: body[DHTFindResp], Tier: TierDHT},
 	{Type: TDHTFindValue, Code: 18, Body: body[DHTFindReq], Reply: TOK, OK: body[DHTFindResp], Tier: TierDHT},
 	{Type: TDHTStore, Code: 19, Body: body[DHTStoreReq], Reply: TOK, Tier: TierDHT},
-	{Type: TGossipPing, Code: 20, Body: body[GossipPingBody], Reply: TOK, OK: body[GossipAck], Tier: TierGossip},
-	{Type: TGossipPingReq, Code: 21, Body: body[GossipPingBody], Reply: TOK, OK: body[GossipAck], Tier: TierGossip},
+	{Type: TGossipPing, Code: 20, Reserved: true},
+	{Type: TGossipPingReq, Code: 21, Reserved: true},
 
 	{Type: TOK, Code: 32},
 	{Type: TProof, Code: 33, Body: body[ProofResp]},

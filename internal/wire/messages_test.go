@@ -55,11 +55,6 @@ func populated(t testing.TB) map[reflect.Type][]any {
 		TTLSeconds: 3600,
 		Sig:        make([]byte, 64),
 	}
-	updates := []GossipUpdate{
-		{Addr: "wallet.a", Status: "alive", Incarnation: 1},
-		{Addr: "wallet.b", Status: "suspect", Incarnation: 0},
-		{Addr: "wallet.c", Status: "dead", Incarnation: 7},
-	}
 	shardMap := json.RawMessage(`{"epoch":7,"shards":[]}`)
 	out := make(map[reflect.Type][]any)
 	for _, v := range []any{
@@ -106,9 +101,6 @@ func populated(t testing.TB) map[reflect.Type][]any {
 		DHTFindResp{Record: &record},
 		DHTFindResp{Contacts: []DHTContact{{ID: make([]byte, 20), Addr: "wallet.c"}}},
 		DHTStoreReq{From: DHTContact{Addr: "wallet.b"}, Record: record},
-		GossipPingBody{From: "wallet.a", Updates: updates},
-		GossipPingBody{From: "wallet.a", Target: "wallet.b"},
-		GossipAck{From: "wallet.b", Updates: updates},
 		ProofResp{Proof: p},
 		ProofsResp{Proofs: []*core.Proof{p, sup[0]}},
 		ErrorResp{Message: "boom", NoProof: true},
@@ -249,6 +241,15 @@ func TestMessageTableCodes(t *testing.T) {
 			t.Errorf("%q must keep type code %d; table has %+v", name, code, m)
 		}
 	}
+	// A retired request's code stays on its reserved, bodiless row: a row
+	// served under it again would answer an older peer that still sends the
+	// retired message as if it were the new one.
+	retired := map[byte]MsgType{14: TSyncSegments, 20: TGossipPing, 21: TGossipPingReq}
+	for _, m := range Messages {
+		if want, ok := retired[m.Code]; ok && (m.Type != want || !m.Reserved || m.Body != nil || m.OK != nil) {
+			t.Errorf("code %d is retired with %q, yet its row is %+v", m.Code, want, m)
+		}
+	}
 	if Lookup("future-msg") != nil {
 		t.Error("Lookup invented a row")
 	}
@@ -257,7 +258,8 @@ func TestMessageTableCodes(t *testing.T) {
 // TestReservedRowsStillDecode: a reserved type keeps its code so a frame from
 // an older build still decodes (internal/remote checks that
 // serving one is refused). cluster-hello still carries its body;
-// sync-segments declares none and decodes as a bare envelope.
+// sync-segments and the gossip probes declare none and decode as a bare
+// envelope.
 func TestReservedRowsStillDecode(t *testing.T) {
 	var reserved []MsgType
 	for _, m := range Messages {
@@ -280,8 +282,8 @@ func TestReservedRowsStillDecode(t *testing.T) {
 			t.Errorf("%s: body = %+v", m.Type, got)
 		}
 	}
-	if fmt.Sprint(reserved) != "[sync-segments cluster-hello]" {
-		t.Errorf("reserved rows %v, want exactly sync-segments and cluster-hello", reserved)
+	if fmt.Sprint(reserved) != "[sync-segments gossip-ping gossip-ping-req cluster-hello]" {
+		t.Errorf("reserved rows %v, want exactly sync-segments, gossip-ping, gossip-ping-req and cluster-hello", reserved)
 	}
 }
 
@@ -388,7 +390,6 @@ func FuzzMessageDecode(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"type":"dht-store","id":9,"body":{"record":{"seq":-1,"ttlSeconds":1e99}}}`))
-	f.Add([]byte(`{"type":"gossip-ping","id":2,"body":{"updates":[{"status":"zombie","incarnation":18446744073709551615}]}}`))
 	f.Add([]byte{binMagic, binVersion, 10, 1, bkNone})
 	f.Add([]byte{binMagic, binVersion, 0, 4, 'p', 'i', 'n', 'g', 1, bkNone})
 	// A count field claiming 2^32 elements in a five-byte body.
@@ -408,6 +409,31 @@ func FuzzMessageDecode(f *testing.F) {
 	} {
 		f.Add(frame)
 	}
+	// And what an older -dht member sends in the retired gossip exchange —
+	// probes and their acks, empty and populated, each body JSON in the
+	// binary envelope and in the retired JSON one — plus a forged verdict.
+	updates := `[{"addr":"wallet.a","status":"alive","incarnation":1},{"addr":"wallet.b","status":"suspect","incarnation":0},{"addr":"wallet.c","status":"dead","incarnation":7}]`
+	for _, ex := range []struct {
+		t    MsgType
+		id   uint64
+		body string
+	}{
+		{TGossipPing, 1, `{"from":""}`},
+		{TGossipPing, 1, `{"from":"wallet.a","updates":` + updates + `}`},
+		{TGossipPing, 1, `{"from":"wallet.a","target":"wallet.b"}`},
+		{TGossipPingReq, 2, `{"from":""}`},
+		{TGossipPingReq, 2, `{"from":"wallet.a","updates":` + updates + `}`},
+		{TGossipPingReq, 2, `{"from":"wallet.a","target":"wallet.b"}`},
+		{TOK, 1, `{"from":""}`},
+		{TOK, 1, `{"from":"wallet.b","updates":` + updates + `}`},
+		{TOK, 2, `{"from":""}`},
+		{TOK, 2, `{"from":"wallet.b","updates":` + updates + `}`},
+	} {
+		f.Add(legacyJSONFrame(f, ex.t, ex.id, json.RawMessage(ex.body)))
+		f.Add(append([]byte{binMagic, binVersion, Lookup(ex.t).Code, byte(ex.id), bkJSON}, ex.body...))
+	}
+	f.Add([]byte(`{"type":"gossip-ping","id":2,"body":{"updates":[{"status":"zombie","incarnation":18446744073709551615}]}}`))
+	f.Add(append([]byte{binMagic, binVersion, 20, 3, bkJSON}, `{"from":"10.0.0.99:22","updates":[{"addr":"wallet.a","status":"dead","incarnation":18446744073709551615}]}`...))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var codec Codec

@@ -77,14 +77,14 @@ const (
 	// mis-signed, key-mismatched, or expired records are refused with an
 	// error and never stored or served.
 	TDHTStore MsgType = "dht-store"
-	// TGossipPing is a SWIM membership probe (GossipPingBody; answered
-	// with OK carrying GossipAck). Membership updates piggyback both ways.
-	TGossipPing MsgType = "gossip-ping"
-	// TGossipPingReq asks the serving node to probe a third member on the
-	// caller's behalf — SWIM's indirect probe, which distinguishes "the
-	// target is dead" from "my link to the target is bad"
-	// (GossipPingBody with Target set; answered with OK carrying
-	// GossipAck, or an error when the target did not answer the relay).
+	// TGossipPing and TGossipPingReq are reserved and no longer served:
+	// -dht daemons once ran SWIM membership probes under them, and any
+	// authenticated peer's probe could declare any address dead in the
+	// receiver's peer pools. The peer pool's own circuit breaker is the only
+	// liveness verdict now. The names and their binary type codes stay
+	// assigned so an older member's probe still decodes; it is refused as an
+	// unknown request type and its connection is kept.
+	TGossipPing    MsgType = "gossip-ping"
 	TGossipPingReq MsgType = "gossip-ping-req"
 )
 
@@ -234,7 +234,7 @@ type StatsResp struct {
 	// Cluster describes the answering member's shard cluster view; nil
 	// outside sharded deployments.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
-	// DHT describes the answering wallet's DHT/gossip state; nil when the
+	// DHT describes the answering wallet's DHT node; nil when the
 	// daemon runs without `-dht`.
 	DHT *DHTStats `json:"dht,omitempty"`
 	// Wire reports the process-wide codec counters: frames and bytes
@@ -388,35 +388,6 @@ type DHTStoreReq struct {
 	Record DHTRecord  `json:"record"`
 }
 
-// GossipUpdate is one piggybacked SWIM membership event: Addr's status
-// claim at Incarnation. Higher incarnations win; at equal incarnation
-// dead beats suspect beats alive.
-type GossipUpdate struct {
-	Addr string `json:"addr"`
-	// Status is "alive", "suspect", or "dead".
-	Status string `json:"status"`
-	// Incarnation is the member's self-asserted version; only the member
-	// itself bumps it (to refute a suspicion).
-	Incarnation uint64 `json:"incarnation"`
-}
-
-// GossipPingBody carries a direct probe (Target empty) or an indirect
-// probe request (Target set: "probe this address for me"). From is the
-// caller's own gossip address; Updates piggyback pending membership
-// events.
-type GossipPingBody struct {
-	From    string         `json:"from"`
-	Target  string         `json:"target,omitempty"`
-	Updates []GossipUpdate `json:"updates,omitempty"`
-}
-
-// GossipAck answers a gossip probe, piggybacking the responder's pending
-// membership events.
-type GossipAck struct {
-	From    string         `json:"from"`
-	Updates []GossipUpdate `json:"updates,omitempty"`
-}
-
 // DHTStats is the dht section of a StatsResp, present when the answering
 // daemon runs a DHT node.
 type DHTStats struct {
@@ -435,11 +406,6 @@ type DHTStats struct {
 	StoresRefused int64 `json:"storesRefused,omitempty"`
 	// Announced counts entities this node republishes records for.
 	Announced int `json:"announced,omitempty"`
-	// GossipAlive/GossipSuspect/GossipDead count members per SWIM state;
-	// all zero when gossip is disabled.
-	GossipAlive   int `json:"gossipAlive"`
-	GossipSuspect int `json:"gossipSuspect"`
-	GossipDead    int `json:"gossipDead"`
 }
 
 // ErrorResp reports a request failure.
