@@ -60,7 +60,8 @@ func (p *Proof) Concat(next *Proof) (*Proof, error) {
 
 // Delegations returns every delegation in the proof, including all support
 // proofs, depth-first, deduplicated by ID. Proof monitors subscribe to
-// exactly this set (§4.2.2).
+// exactly this set (§4.2.2). A nil support proof holds nothing, as it
+// supports nothing for findSupport.
 func (p *Proof) Delegations() []*Delegation {
 	seen := make(map[DelegationID]bool)
 	var out []*Delegation
@@ -69,6 +70,9 @@ func (p *Proof) Delegations() []*Delegation {
 }
 
 func (p *Proof) visit(seen map[DelegationID]bool, out *[]*Delegation) {
+	if p == nil {
+		return
+	}
 	for _, st := range p.Steps {
 		id := st.Delegation.ID()
 		if !seen[id] {
@@ -107,11 +111,11 @@ type ValidateOptions struct {
 	// Constraints, if non-empty, must be satisfied by the proof's
 	// aggregated attributes.
 	Constraints []Constraint
-	// SigVerifier, if non-nil, routes every signature check through a
-	// verified-signature memo (internal/sigcache). Cold validation then
-	// batch-collects the proof tree's unmemoized delegations and verifies
-	// them across a GOMAXPROCS-bounded worker pool before the sequential
-	// structural pass, which runs warm.
+	// SigVerifier, if non-nil, routes every signature check Validate makes
+	// through a verified-signature memo (internal/sigcache). Cold
+	// validation then batch-collects the proof tree's unmemoized
+	// delegations and verifies them across a GOMAXPROCS-bounded worker pool
+	// before the sequential structural pass, which runs warm.
 	SigVerifier SigVerifier
 }
 
@@ -122,12 +126,9 @@ const DefaultMaxDepth = 16
 
 // Validate checks the proof end to end: chain structure, signatures,
 // expiry, revocation, recursive support proofs, attribute monotonicity, and
-// query constraints.
+// query constraints. Every proof that arrives from outside a wallet's graph
+// takes this check.
 func (p *Proof) Validate(opts ValidateOptions) error {
-	depth := opts.MaxDepth
-	if depth == 0 {
-		depth = DefaultMaxDepth
-	}
 	if opts.SigVerifier != nil {
 		// Warm the memo for the whole tree (primary chain plus recursive
 		// support proofs) in parallel; the sequential pass below then pays a
@@ -136,7 +137,29 @@ func (p *Proof) Validate(opts ValidateOptions) error {
 		// its exact step.
 		PrimeDelegations(opts.SigVerifier, p.Delegations())
 	}
-	if err := p.validate(opts, depth); err != nil {
+	return p.check(opts, true)
+}
+
+// ValidateAdmitted is Validate without the signature checks, for a proof
+// whose every delegation, support proofs included, already had its signature
+// verified — one a wallet assembled from its own graph, whose delegations it
+// verified on admission, or one it has just verified whole. A delegation is
+// immutable, so the verdict stands. Chain linkage, depth limits, expiry,
+// revocation, recursive support presence and validity, operator conflicts
+// and constraints are checked exactly as Validate checks them;
+// opts.SigVerifier is unused.
+func (p *Proof) ValidateAdmitted(opts ValidateOptions) error {
+	return p.check(opts, false)
+}
+
+// check is the body Validate and ValidateAdmitted share; sigs says whether
+// each delegation's signature is verified.
+func (p *Proof) check(opts ValidateOptions, sigs bool) error {
+	depth := opts.MaxDepth
+	if depth == 0 {
+		depth = DefaultMaxDepth
+	}
+	if err := p.validate(opts, depth, sigs); err != nil {
 		return err
 	}
 	if len(opts.Constraints) > 0 {
@@ -153,7 +176,7 @@ func (p *Proof) Validate(opts ValidateOptions) error {
 	return nil
 }
 
-func (p *Proof) validate(opts ValidateOptions, depth int) error {
+func (p *Proof) validate(opts ValidateOptions, depth int, sigs bool) error {
 	if depth <= 0 {
 		return ErrProofDepth
 	}
@@ -194,7 +217,7 @@ func (p *Proof) validate(opts ValidateOptions, depth int) error {
 					d.DepthLimit, after)}
 			}
 		}
-		if err := p.validateStep(d, st.Support, opts, depth); err != nil {
+		if err := p.validateStep(d, st.Support, opts, depth, sigs); err != nil {
 			return err
 		}
 		if err := ag.AddAll(d.Attributes); err != nil {
@@ -205,9 +228,11 @@ func (p *Proof) validate(opts ValidateOptions, depth int) error {
 }
 
 // validateStep checks one delegation plus its support proofs.
-func (p *Proof) validateStep(d *Delegation, support []*Proof, opts ValidateOptions, depth int) error {
-	if err := d.VerifyWith(opts.SigVerifier); err != nil {
-		return err
+func (p *Proof) validateStep(d *Delegation, support []*Proof, opts ValidateOptions, depth int, sigs bool) error {
+	if sigs {
+		if err := d.VerifyWith(opts.SigVerifier); err != nil {
+			return err
+		}
 	}
 	if !opts.At.IsZero() && d.Expired(opts.At) {
 		return &ExpiredError{ID: d.ID(), Expiry: d.Expiry, At: opts.At}
@@ -220,7 +245,7 @@ func (p *Proof) validateStep(d *Delegation, support []*Proof, opts ValidateOptio
 		if sup == nil {
 			return &MissingSupportError{Delegation: d.ID(), Issuer: d.Issuer, Need: need}
 		}
-		if err := sup.validate(opts, depth-1); err != nil {
+		if err := sup.validate(opts, depth-1, sigs); err != nil {
 			return fmt.Errorf("support proof for %s: %w", need, err)
 		}
 	}

@@ -160,6 +160,44 @@ func TestProofRevokedDelegationFails(t *testing.T) {
 	}
 }
 
+// ValidateAdmitted differs from Validate in signatures alone: a proof whose
+// support carries a bad signature passes it, and a revocation deep in the
+// support or a missing support proof fails both the same way.
+func TestValidateAdmittedSkipsOnlySignatures(t *testing.T) {
+	f := newFixture(t)
+	d1, d2, d3 := f.table1(t)
+	d1.Signature = append([]byte(nil), d1.Signature...)
+	d1.Signature[0] ^= 1
+	proof, err := NewProof(ProofStep{Delegation: d3, Support: []*Proof{f.markSupport(t, d1, d2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ValidateOptions{At: f.Now}
+	var sigErr *SignatureError
+	if err := proof.Validate(opts); !errors.As(err, &sigErr) {
+		t.Fatalf("Validate = %v, want a *SignatureError", err)
+	}
+	if err := proof.ValidateAdmitted(opts); err != nil {
+		t.Fatalf("ValidateAdmitted = %v, want nil", err)
+	}
+
+	revokedID := d2.ID()
+	opts.Revoked = func(id DelegationID) bool { return id == revokedID }
+	d1.Signature[0] ^= 1 // genuine again, so Validate reaches the revocation
+	if a, v := proof.ValidateAdmitted(opts), proof.Validate(opts); !errors.Is(a, ErrRevoked) || v == nil || a.Error() != v.Error() {
+		t.Fatalf("revoked support: ValidateAdmitted = %v, Validate = %v; want the same ErrRevoked", a, v)
+	}
+
+	bare, err := NewProof(ProofStep{Delegation: d3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var missing *MissingSupportError
+	if a, v := bare.ValidateAdmitted(opts), bare.Validate(opts); !errors.As(a, &missing) || v == nil || a.Error() != v.Error() {
+		t.Fatalf("no support: ValidateAdmitted = %v, Validate = %v; want the same MissingSupportError", a, v)
+	}
+}
+
 func TestProofDepthLimit(t *testing.T) {
 	f := newFixture(t)
 	d1, d2, d3 := f.table1(t)
@@ -286,8 +324,9 @@ func TestProofDelegationsDeduplicates(t *testing.T) {
 	f := newFixture(t)
 	d1, d2, d3 := f.table1(t)
 	sup := f.markSupport(t, d1, d2)
-	// Attach the same support twice; Delegations must deduplicate.
-	proof, err := NewProof(ProofStep{Delegation: d3, Support: []*Proof{sup, sup}})
+	// Attach the same support twice; Delegations must deduplicate. A nil
+	// support proof, which the wire can carry, holds nothing.
+	proof, err := NewProof(ProofStep{Delegation: d3, Support: []*Proof{sup, sup, nil}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,9 @@ func (g *Graph) edgesTo(r core.Role) []*edge {
 // Add inserts a delegation and its accompanying support proofs. Adding a
 // delegation the graph holds replaces its support proofs: the graph is the
 // wallet's one copy of a bundle, so the last publication is the one it keeps.
-// The graph performs no validation; the wallet validates before insertion.
+// The graph performs no validation; the wallet verifies every signature in
+// the bundle, support proofs included, before insertion, and so checks the
+// proofs the graph assembles without them (core's ValidateAdmitted).
 func (g *Graph) Add(d *core.Delegation, support []*core.Proof) {
 	id := d.ID()
 	e := &edge{d: d, support: support}
@@ -411,7 +413,7 @@ func (g *Graph) findReverse(subject core.Subject, object core.Role, opts Options
 // its aggregate) until visit reports stop. Only chains within MaxDepth and
 // every depth limit on them, over edges usable at opts.At, with no operator
 // conflict and — unless pruning is disabled — an aggregate still satisfying
-// the constraints reach visit. visit must not retain path.
+// the constraints reach visit. visit must not retain path or modify ag.
 func (g *Graph) walkFrom(subject core.Subject, opts Options, visit func(path []*edge, ag core.Aggregate) (stop bool)) {
 	var (
 		path    []*edge
@@ -442,9 +444,14 @@ func (g *Graph) walkFrom(subject core.Subject, opts Options, visit func(path []*
 			if onPath[next] {
 				continue
 			}
-			nextAg := ag.Clone()
-			if err := nextAg.AddAll(e.d.Attributes); err != nil {
-				continue // operator conflict: chain unusable
+			// Aggregates are never mutated once built, so an edge that sets
+			// no attributes shares its parent's.
+			nextAg := ag
+			if len(e.d.Attributes) > 0 {
+				nextAg = ag.Clone()
+				if err := nextAg.AddAll(e.d.Attributes); err != nil {
+					continue // operator conflict: chain unusable
+				}
 			}
 			if !opts.DisablePruning && !core.SatisfiedAll(opts.Constraints, nextAg) {
 				opts.bumpPruned()

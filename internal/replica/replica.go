@@ -299,12 +299,15 @@ type change struct {
 // put is dropped.
 func (f *Follower) replay(changes []change, seq uint64, reconcile bool) {
 	w := f.cfg.Local
-	// Batch-verify every incoming signature across the worker pool so the
-	// per-bundle installs run warm.
+	// Batch-verify every incoming signature, support proofs included, across
+	// the worker pool so the per-bundle installs run warm.
 	var warm []*core.Delegation
 	for _, c := range changes {
 		if c.kind == subs.Published {
 			warm = append(warm, c.bundle.Delegation)
+			for _, sp := range c.bundle.Support {
+				warm = append(warm, sp.Delegations()...)
+			}
 		}
 	}
 	core.PrimeDelegations(w.SigVerifier(), warm)

@@ -74,7 +74,9 @@ func (w *Wallet) Monitor(q Query, callback func(MonitorEvent)) (*Monitor, error)
 
 // MonitorProof wraps an already-obtained proof, validating it first.
 func (w *Wallet) MonitorProof(q Query, p *core.Proof, callback func(MonitorEvent)) (*Monitor, error) {
-	if err := p.Validate(w.validateOptions(q)); err != nil {
+	opts := w.validateOptions(q)
+	opts.SigVerifier = w.sigv
+	if err := p.Validate(opts); err != nil {
 		return nil, fmt.Errorf("monitor: %w", err)
 	}
 	return w.monitorProof(q, p, callback)

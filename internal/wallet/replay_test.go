@@ -2,10 +2,12 @@ package wallet
 
 import (
 	"bytes"
+	"errors"
 	"log/slog"
 	"strings"
 	"testing"
 
+	"drbac/internal/core"
 	"drbac/internal/obs"
 	"drbac/internal/sigcache"
 )
@@ -98,5 +100,111 @@ func TestWalletStatsExposeSigCache(t *testing.T) {
 	}
 	if st.SigCache.Size == 0 {
 		t.Error("publish did not populate the signature memo")
+	}
+}
+
+// forgedSupportBundle is Table 1's third-party delegation (3) with a support
+// proof whose first delegation carries a tampered signature: the bundle's own
+// signature verifies, and only a check of its support proof can refuse it.
+func (e *env) forgedSupportBundle() StoredBundle {
+	e.t.Helper()
+	d1 := e.deleg("[Mark -> BigISP.memberServices] BigISP")
+	d1.Signature = append([]byte(nil), d1.Signature...)
+	d1.Signature[0] ^= 1
+	d2 := e.deleg("[BigISP.memberServices -> BigISP.member'] BigISP")
+	sup, err := core.NewProof(core.ProofStep{Delegation: d1}, core.ProofStep{Delegation: d2})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	return StoredBundle{Delegation: e.deleg("[Maria -> BigISP.member] Mark"), Support: []*core.Proof{sup}}
+}
+
+// TestInstallReplicatedRefusesForgedSupport: a follower admits a bundle's
+// support proofs once, at install, and its queries never re-check their
+// signatures, so a forged support signature must be refused there.
+func TestInstallReplicatedRefusesForgedSupport(t *testing.T) {
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	w := e.wallet(Config{SigCache: sigcache.New(0)})
+	b := e.forgedSupportBundle()
+	installed, err := w.InstallReplicated(b)
+	var sigErr *core.SignatureError
+	if installed || !errors.As(err, &sigErr) {
+		t.Fatalf("InstallReplicated = %v, %v; want refused with a *core.SignatureError", installed, err)
+	}
+	if w.Len() != 0 || w.Seq() != 0 {
+		t.Fatalf("refused bundle changed the wallet: len %d, seq %d", w.Len(), w.Seq())
+	}
+	if p, err := w.QueryDirect(Query{Subject: e.subject("Maria"), Object: e.role("BigISP.member")}); err == nil {
+		t.Fatalf("served a proof resting on a forged support signature: %v", p)
+	}
+}
+
+// TestAdmissionChecksAgree: publish, a replicated install and a journal
+// replay make one signature check of a bundle, covering nested support that
+// validation never needs — here a proof attached to a self-certified step.
+// So a bundle the primary journals and serves is one its restart and every
+// follower keep, and one it refuses they refuse too.
+func TestAdmissionChecksAgree(t *testing.T) {
+	for _, forged := range []bool{false, true} {
+		e := newEnv(t, "BigISP", "Mark", "Maria")
+		unneeded := e.deleg("[Maria -> BigISP.memberServices] BigISP")
+		if forged {
+			unneeded.Signature = append([]byte(nil), unneeded.Signature...)
+			unneeded.Signature[0] ^= 1
+		}
+		extra, err := core.NewProof(core.ProofStep{Delegation: unneeded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup, err := core.NewProof(
+			core.ProofStep{Delegation: e.deleg("[Mark -> BigISP.memberServices] BigISP"), Support: []*core.Proof{extra}},
+			core.ProofStep{Delegation: e.deleg("[BigISP.memberServices -> BigISP.member'] BigISP")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := StoredBundle{Delegation: e.deleg("[Maria -> BigISP.member] Mark"), Support: []*core.Proof{sup}}
+		id := b.Delegation.ID()
+
+		primaryStore := newJournal()
+		published := e.wallet(Config{Store: primaryStore, SigCache: sigcache.New(0)}).Publish(b.Delegation, b.Support...) == nil
+		restarted := e.wallet(Config{Store: primaryStore, SigCache: sigcache.New(0)}).Contains(id)
+		journal := newJournal()
+		if err := journal.PutDelegation(1, b.Delegation, b.Support); err != nil {
+			t.Fatal(err)
+		}
+		replayed := e.wallet(Config{Store: journal, SigCache: sigcache.New(0)}).Contains(id)
+		installed, _ := e.wallet(Config{SigCache: sigcache.New(0)}).InstallReplicated(b)
+		if published == forged || restarted != published || replayed != published || installed != published {
+			t.Errorf("forged unneeded support %v: published %v, primary restart keeps %v, replay keeps %v, install keeps %v; want all %v",
+				forged, published, restarted, replayed, installed, !forged)
+		}
+	}
+}
+
+// TestReplaySkipsForgedSupport is the replay counterpart: a journaled bundle
+// whose support proof carries a forged signature is skipped, counted and
+// triaged as a signature failure, not replayed into the graph.
+func TestReplaySkipsForgedSupport(t *testing.T) {
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	st := newJournal()
+	b := e.forgedSupportBundle()
+	if err := st.PutDelegation(1, b.Delegation, b.Support); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	reg := obs.NewRegistry()
+	w := e.wallet(Config{
+		Store:    st,
+		Obs:      obs.New(obs.NewLogger(&logs, slog.LevelWarn, false), reg),
+		SigCache: sigcache.New(0),
+	})
+	if w.Len() != 0 {
+		t.Fatalf("replayed wallet holds %d delegations, want 0", w.Len())
+	}
+	if got := reg.Snapshot().Counters["drbac_wallet_replay_skipped_total"]; got != 1 {
+		t.Errorf("drbac_wallet_replay_skipped_total = %d, want 1", got)
+	}
+	if out := logs.String(); !strings.Contains(out, "cause=signature") {
+		t.Errorf("log lacks a cause=signature skip:\n%s", out)
 	}
 }

@@ -59,12 +59,15 @@ type Config struct {
 	// instrumentation at near-zero cost. A registry should back at most one
 	// wallet: state gauges are registered by name at construction.
 	Obs *obs.Obs
-	// SigCache memoizes verified delegation signatures across every
-	// validation this wallet runs (publish admission, query proofs, replica
-	// installs). Nil means the process-wide sigcache.Shared() — signatures
-	// are immutable, so sharing one memo across wallets, proxies, and
-	// replicas is free warm-up, never a coherence hazard. Tests and cold
-	// benchmarks pass a private cache to isolate measurements.
+	// SigCache memoizes verified delegation signatures across every check
+	// this wallet makes of one: publish admission (provided support proofs
+	// included), replica installs, journal replay and externally obtained
+	// proofs (MonitorProof). Proofs the wallet assembles from its own graph
+	// never consult it: everything in the graph was verified on the way in.
+	// Nil means the process-wide sigcache.Shared() — signatures are
+	// immutable, so sharing one memo across wallets, proxies, and replicas
+	// is free warm-up, never a coherence hazard. Tests and cold benchmarks
+	// pass a private cache to isolate measurements.
 	SigCache *sigcache.Cache
 }
 
@@ -251,7 +254,7 @@ func New(cfg Config) *Wallet {
 			w.obs.Log().Warn("wallet replay: skipping bundle with no delegation", "cause", "structure")
 			continue
 		}
-		if err := b.Delegation.VerifyWith(w.sigv); err != nil {
+		if err := w.verifyBundle(b.Delegation, b.Support); err != nil {
 			w.m.replaySkipped.Inc()
 			cause := "signature"
 			var structErr *core.StructureError
@@ -425,7 +428,7 @@ func (w *Wallet) publish(d *core.Delegation, support []*core.Proof, ttl time.Dur
 	if d == nil {
 		return fmt.Errorf("publish: nil delegation")
 	}
-	if err := d.VerifyWith(w.sigv); err != nil {
+	if err := w.verifyBundle(d, support); err != nil {
 		return fmt.Errorf("publish: %w", err)
 	}
 	now := w.Now()
@@ -512,7 +515,9 @@ func (w *Wallet) commit(kind subs.EventKind, id core.DelegationID, ttl time.Dura
 
 // resolveSupport finds and validates a support proof for every role the
 // issuer must hold, drawing first on caller-provided proofs and then on the
-// wallet's own graph.
+// wallet's own graph. Neither kind has its signatures checked here: publish
+// verified every provided proof before calling it, and the graph admits only
+// verified delegations.
 func (w *Wallet) resolveSupport(d *core.Delegation, provided []*core.Proof, vopts core.ValidateOptions) ([]*core.Proof, error) {
 	need := d.RequiredSupport(w.cfg.StrictAttributes)
 	if len(need) == 0 {
@@ -529,7 +534,7 @@ func (w *Wallet) resolveSupport(d *core.Delegation, provided []*core.Proof, vopt
 			if !sp.Subject.IsEntity() || sp.Subject.Entity != d.Issuer.ID() {
 				continue
 			}
-			if err := sp.Validate(vopts); err != nil {
+			if err := sp.ValidateAdmitted(vopts); err != nil {
 				return nil, fmt.Errorf("support proof for %s: %w", role, err)
 			}
 			chosen = sp
@@ -544,7 +549,7 @@ func (w *Wallet) resolveSupport(d *core.Delegation, provided []*core.Proof, vopt
 			if err != nil {
 				return nil, &core.MissingSupportError{Delegation: d.ID(), Issuer: d.Issuer, Need: role}
 			}
-			if err := p.Validate(vopts); err != nil {
+			if err := p.ValidateAdmitted(vopts); err != nil {
 				return nil, fmt.Errorf("derived support proof for %s: %w", role, err)
 			}
 			chosen = p
@@ -767,9 +772,10 @@ func (w *Wallet) Snapshot() Snapshot {
 
 // InstallReplicated stores a bundle exactly as received from an upstream
 // primary, skipping support-proof re-derivation: dRBAC credentials are
-// self-certifying, so the delegation's own signature is still verified, but
-// the admission decision (support resolution, strictness policy) is trusted
-// to the primary that already made it. Expired, locally revoked, or already
+// self-certifying, so the delegation's signature and every signature in its
+// support proofs are still verified — queries never re-check them — but the
+// admission decision (support resolution, strictness policy) is trusted to
+// the primary that already made it. Expired, locally revoked, or already
 // present credentials are skipped without error. Reports whether the bundle
 // was installed. Subscribers receive a sequenced Published event, so a
 // follower is itself a valid replication source.
@@ -778,7 +784,7 @@ func (w *Wallet) InstallReplicated(b StoredBundle) (bool, error) {
 	if d == nil {
 		return false, fmt.Errorf("install replicated: nil delegation")
 	}
-	if err := d.VerifyWith(w.sigv); err != nil {
+	if err := w.verifyBundle(d, b.Support); err != nil {
 		return false, fmt.Errorf("install replicated: %w", err)
 	}
 	now := w.Now()
@@ -790,6 +796,25 @@ func (w *Wallet) InstallReplicated(b StoredBundle) (bool, error) {
 		return false, fmt.Errorf("install replicated: %w", err)
 	}
 	return installed, nil
+}
+
+// verifyBundle is the wallet's one signature check of a bundle it is handed
+// (publish, replicated install, journal replay): the structure and signature
+// of d and of every delegation in its support proofs, nested ones included,
+// whether or not validation will need them, through the memo. Once in the
+// graph, those signatures are never checked again.
+func (w *Wallet) verifyBundle(d *core.Delegation, support []*core.Proof) error {
+	if err := d.VerifyWith(w.sigv); err != nil {
+		return err
+	}
+	for _, sp := range support {
+		for _, sd := range sp.Delegations() {
+			if err := sd.VerifyWith(w.sigv); err != nil {
+				return fmt.Errorf("support proof for %s: %w", sp.Object, err)
+			}
+		}
+	}
+	return nil
 }
 
 // DropReplicated removes a delegation without recording a revocation,
@@ -834,6 +859,9 @@ func (w *Wallet) searchOptions(q Query) graph.Options {
 	}
 }
 
+// validateOptions checks a proof for q as of now. Proofs the graph built
+// take it through ValidateAdmitted; one from outside adds w.sigv and takes
+// Validate.
 func (w *Wallet) validateOptions(q Query) core.ValidateOptions {
 	return core.ValidateOptions{
 		At:               w.Now(),
@@ -841,7 +869,6 @@ func (w *Wallet) validateOptions(q Query) core.ValidateOptions {
 		StrictAttributes: w.cfg.StrictAttributes,
 		MaxDepth:         w.cfg.MaxDepth,
 		Constraints:      q.Constraints,
-		SigVerifier:      w.sigv,
 	}
 }
 
@@ -943,7 +970,7 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 		}
 		return nil, outcome, gs, err
 	}
-	if err := p.Validate(w.validateOptions(q)); err != nil {
+	if err := p.ValidateAdmitted(w.validateOptions(q)); err != nil {
 		return nil, outcome, gs, validationFailure(err)
 	}
 	if useCache {
@@ -969,7 +996,7 @@ func (w *Wallet) QueryDirectOptions(q Query, opts graph.Options) (*core.Proof, e
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Validate(w.validateOptions(q)); err != nil {
+	if err := p.ValidateAdmitted(w.validateOptions(q)); err != nil {
 		return nil, validationFailure(err)
 	}
 	return p, nil
@@ -1023,7 +1050,7 @@ func (w *Wallet) enumerate(q Query, search func(graph.Options) []*core.Proof) []
 	vopts := w.validateOptions(q)
 	var out []*core.Proof
 	for _, p := range candidates {
-		if err := p.Validate(vopts); err == nil {
+		if err := p.ValidateAdmitted(vopts); err == nil {
 			out = append(out, p)
 		}
 	}

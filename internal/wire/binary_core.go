@@ -513,6 +513,11 @@ func (r *breader) proof(depth int) *core.Proof {
 				Delegation: r.delegation(),
 				Support:    r.proofsAt(depth + 1),
 			}
+			// A step is a delegation, as core.NewProof insists; refusing
+			// one without here spares every consumer a nil check.
+			if p.Steps[i].Delegation == nil {
+				r.fail("binary decode: proof step %d has no delegation", i)
+			}
 		}
 	}
 	if r.err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"drbac/internal/bufpool"
@@ -131,8 +132,37 @@ func TestBinaryProofDepthBounded(t *testing.T) {
 	openProof(maxProofDepth + 2)
 	r := breader{buf: w.buf}
 	r.proof(0)
-	if r.err == nil {
-		t.Fatal("proof nested past maxProofDepth accepted")
+	if r.err == nil || !strings.Contains(r.err.Error(), "nesting") {
+		t.Fatalf("proof nested past maxProofDepth: err = %v, want the nesting bound", r.err)
+	}
+}
+
+// TestBinaryProofStepNeedsDelegation: a proof step without a delegation is
+// refused at decode, wherever it sits — the primary chain or a nested
+// support proof — so nothing past the wire sees one.
+func TestBinaryProofStepNeedsDelegation(t *testing.T) {
+	p, _, _ := fixtureProof(t)
+	sup := *p.Steps[0].Support[0]
+	sup.Steps = append([]core.ProofStep(nil), sup.Steps...)
+	sup.Steps[0].Delegation = nil
+	nested := *p
+	nested.Steps = append([]core.ProofStep(nil), p.Steps...)
+	nested.Steps[0].Support = []*core.Proof{&sup}
+	top := *p
+	top.Steps = []core.ProofStep{{Support: p.Steps[0].Support}}
+	for name, bad := range map[string]*core.Proof{"chain": &top, "support": &nested} {
+		frame, err := (Codec{}).Encode(TProof, 1, ProofResp{Proof: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := (Codec{}).Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out ProofResp
+		if err := DecodeBody(env, &out); err == nil || !strings.Contains(err.Error(), "no delegation") {
+			t.Errorf("%s step without a delegation: err = %v, want refused", name, err)
+		}
 	}
 }
 
