@@ -126,7 +126,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzMessageDecode -fuzztime=60s ./internal/wire
 	$(GO) test -fuzz=FuzzRecordVerify -fuzztime=30s ./internal/dht
 
-# Regenerate every experiment table in EXPERIMENTS.md.
+# Regenerate the blocks EXPERIMENTS.md fences as coalition-sim output (all
+# but the two bounded smokes below); `go test ./cmd/coalition-sim` checks them.
 sim:
 	$(GO) run ./cmd/coalition-sim -exp all
 

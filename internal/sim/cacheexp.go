@@ -45,29 +45,15 @@ func RunCacheCoherence(chain, queries int) (CachePoint, error) {
 	defer w.Close()
 	w.Ensure("Org", "User")
 
-	texts := make([]string, 0, chain+1)
-	texts = append(texts, "[User -> Org.r0] Org")
+	delegs := []*core.Delegation{w.MustIssue("[User -> Org.r0] Org")}
 	for i := 1; i <= chain; i++ {
-		texts = append(texts, fmt.Sprintf("[Org.r%d -> Org.r%d] Org", i-1, i))
-	}
-	delegs := make([]*core.Delegation, len(texts))
-	for i, text := range texts {
-		d, err := w.Issue(text)
-		if err != nil {
-			return CachePoint{}, err
-		}
-		delegs[i] = d
+		delegs = append(delegs, w.MustIssue(fmt.Sprintf("[Org.r%d -> Org.r%d] Org", i-1, i)))
 	}
 
-	subject, err := w.Subject("User")
+	q, err := w.query("User", fmt.Sprintf("Org.r%d", chain))
 	if err != nil {
 		return CachePoint{}, err
 	}
-	object, err := w.Role(fmt.Sprintf("Org.r%d", chain))
-	if err != nil {
-		return CachePoint{}, err
-	}
-	q := wallet.Query{Subject: subject, Object: object}
 
 	populate := func(wal *wallet.Wallet) error {
 		for _, d := range delegs {
@@ -119,4 +105,21 @@ func RunCacheCoherence(chain, queries int) (CachePoint, error) {
 	pt.Misses = st.Cache.Misses
 	pt.Invalidations = st.Cache.Invalidations
 	return pt, nil
+}
+
+func cacheReport(r *Report) error {
+	r.printf("%6s %12s %12s %8s %6s %7s %7s %9s",
+		"chain", "cold ns/op", "hot ns/op", "speedup", "hits", "misses", "invals", "coherent")
+	for _, chain := range []int{2, 4, 8, 16} {
+		pt, err := RunCacheCoherence(chain, 2000)
+		if err != nil {
+			return err
+		}
+		r.printf("%6d %12d %12d %7.1fx %6d %7d %7d %9v",
+			pt.Chain, timed{pt.ColdNanos}, timed{pt.HotNanos}, timed{float64(pt.ColdNanos) / float64(pt.HotNanos)},
+			pt.Hits, pt.Misses, pt.Invalidations, pt.CoherentAfterRevoke)
+	}
+	r.printf("memoized answers amortize the graph search; a mid-chain revocation push")
+	r.printf("kills the cached proof before the next query returns.")
+	return nil
 }

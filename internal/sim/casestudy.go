@@ -14,8 +14,6 @@ import (
 // in their home wallets, and an AirNet server wallet with a discovery
 // agent holding delegation (1).
 type CaseStudy struct {
-	World *World
-
 	BigISPWallet *wallet.Wallet
 	AirNetWallet *wallet.Wallet
 	ServerWallet *wallet.Wallet
@@ -34,7 +32,7 @@ type CaseStudy struct {
 
 // NewCaseStudy builds the §5 initial state (Figure 2(a)) on a world.
 func NewCaseStudy(w *World) (*CaseStudy, error) {
-	cs := &CaseStudy{World: w}
+	cs := new(CaseStudy)
 	w.Ensure("BigISP", "AirNet", "Mark", "Sheila", "Maria", "AirNetServer")
 
 	var err error
@@ -50,27 +48,20 @@ func NewCaseStudy(w *World) (*CaseStudy, error) {
 	cs.Storage = core.AttributeRef{Namespace: airNetID, Name: "storage"}
 	cs.Hours = core.AttributeRef{Namespace: airNetID, Name: "hours"}
 
-	bigISPMemberTag := core.DiscoveryTag{
-		Home:     "wallet.bigisp",
-		AuthRole: core.NewRole(w.Identity("BigISP").ID(), "wallet"),
-		TTL:      30 * time.Second,
-		Subject:  core.SubjectSearch,
-		Object:   core.ObjectNone,
+	// memberTag sends subject searches to owner's home wallet, which proves
+	// the role owner.wallet.
+	memberTag := func(owner, home string) core.DiscoveryTag {
+		return core.DiscoveryTag{Home: home, AuthRole: core.NewRole(w.Identity(owner).ID(), "wallet"),
+			TTL: 30 * time.Second, Subject: core.SubjectSearch, Object: core.ObjectNone}
 	}
-	airNetMemberTag := core.DiscoveryTag{
-		Home:     "wallet.airnet",
-		AuthRole: core.NewRole(airNetID, "wallet"),
-		TTL:      30 * time.Second,
-		Subject:  core.SubjectSearch,
-		Object:   core.ObjectNone,
-	}
+	bigISPMemberTag, airNetMemberTag := memberTag("BigISP", "wallet.bigisp"), memberTag("AirNet", "wallet.airnet")
 
 	// Home wallets prove their authorization roles (§4.2.1) so verifying
 	// agents can check them.
-	if err := publishOwnerRole(w, cs.BigISPWallet, "BigISP", "BigISP", "wallet"); err != nil {
+	if err := w.publish(cs.BigISPWallet, "[BigISP -> BigISP.wallet] BigISP"); err != nil {
 		return nil, err
 	}
-	if err := publishOwnerRole(w, cs.AirNetWallet, "AirNet", "AirNet", "wallet"); err != nil {
+	if err := w.publish(cs.AirNetWallet, "[AirNet -> AirNet.wallet] AirNet"); err != nil {
 		return nil, err
 	}
 
@@ -116,7 +107,7 @@ func NewCaseStudy(w *World) (*CaseStudy, error) {
 	// (Figure 2: initially empty except for delegation (1), which Maria's
 	// software presents in step 1).
 	cs.ServerWallet = w.Wallet("AirNetServer")
-	cs.Agent = discovery.NewAgent(discovery.Config{
+	cs.Agent = w.agent(discovery.Config{
 		Local:  cs.ServerWallet,
 		Dialer: w.Net.Dialer(w.Identity("AirNetServer")),
 	})
@@ -125,24 +116,8 @@ func NewCaseStudy(w *World) (*CaseStudy, error) {
 	}
 	cs.Agent.Learn(cs.D1)
 
-	subject, err := w.Subject("Maria")
-	if err != nil {
+	if cs.Query, err = w.query("Maria", "AirNet.access"); err != nil {
 		return nil, err
 	}
-	object, err := w.Role("AirNet.access")
-	if err != nil {
-		return nil, err
-	}
-	cs.Query = wallet.Query{Subject: subject, Object: object}
 	return cs, nil
-}
-
-// publishOwnerRole grants ownerName the role nsName.role and stores the
-// grant in the wallet so ProveRole succeeds.
-func publishOwnerRole(w *World, wal *wallet.Wallet, ownerName, nsName, role string) error {
-	d, err := w.Issue(fmt.Sprintf("[%s -> %s.%s] %s", ownerName, nsName, role, nsName))
-	if err != nil {
-		return err
-	}
-	return wal.Publish(d)
 }

@@ -58,7 +58,7 @@ type clusterSim struct {
 }
 
 // startCluster serves `shards` shard wallets on w and a gateway over
-// them. The world's Close shuts the servers down; the caller closes gw.
+// them.
 func startCluster(w *World, shards int, commitDelay time.Duration, sc *sigcache.Cache) (*clusterSim, error) {
 	groups := make([][]string, shards)
 	for i := range groups {
@@ -86,14 +86,9 @@ func startCluster(w *World, shards int, commitDelay time.Duration, sc *sigcache.
 		if err != nil {
 			return nil, err
 		}
-		ln, err := w.Net.Listen(s.Addrs[0], w.Identity(owner))
-		if err != nil {
+		if _, err := w.serve(wal, s.Addrs[0], owner, remote.Options{Cluster: node}); err != nil {
 			return nil, err
 		}
-		srv := remote.ServeOptions(wal, ln, remote.Options{Cluster: node})
-		w.mu.Lock()
-		w.servers = append(w.servers, srv)
-		w.mu.Unlock()
 		cs.wallets[s.ID] = wal
 		cs.nodes[s.ID] = node
 	}
@@ -105,6 +100,7 @@ func startCluster(w *World, shards int, commitDelay time.Duration, sc *sigcache.
 	if err != nil {
 		return nil, err
 	}
+	w.own(gw.Close)
 	cs.gw = gw
 	return cs, nil
 }
@@ -133,11 +129,7 @@ func RunShardScaling(shards, publishes, workers int, commitDelay time.Duration) 
 	for i := 0; i < publishes; i++ {
 		user := fmt.Sprintf("user%04d", i)
 		w.Ensure(user)
-		d, err := w.Issue(fmt.Sprintf("[%s -> Org.member] Org", user))
-		if err != nil {
-			return pt, err
-		}
-		delegs = append(delegs, d)
+		delegs = append(delegs, w.MustIssue(fmt.Sprintf("[%s -> Org.member] Org", user)))
 	}
 
 	sc := sigcache.New(4 * publishes)
@@ -145,7 +137,6 @@ func RunShardScaling(shards, publishes, workers int, commitDelay time.Duration) 
 	if err != nil {
 		return pt, err
 	}
-	defer cs.gw.Close()
 	// Warm the shared signature memo so admission checks hit it and the
 	// sweep compares commit pipelines, not signature verification.
 	core.PrimeDelegations(cs.wallets[0].SigVerifier(), delegs)
@@ -229,7 +220,6 @@ func RunCrossShardProof(shards int) (ClusterProofPoint, error) {
 	if err != nil {
 		return pt, err
 	}
-	defer cs.gw.Close()
 
 	chain := []*core.Delegation{
 		w.MustIssue("[Maria -> A.member] A"),
@@ -245,16 +235,12 @@ func RunCrossShardProof(shards int) (ClusterProofPoint, error) {
 	}
 	pt.HomeShards = len(homes)
 
-	subject, err := w.Subject("Maria")
-	if err != nil {
-		return pt, err
-	}
-	object, err := w.Role("C.vip")
+	q, err := w.query("Maria", "C.vip")
 	if err != nil {
 		return pt, err
 	}
 	startAt := time.Now()
-	got, err := cs.gw.QueryDirect(wallet.Query{Subject: subject, Object: object})
+	got, err := cs.gw.QueryDirect(q)
 	pt.Assembly = time.Since(startAt)
 	if err != nil {
 		return pt, fmt.Errorf("cross-shard query: %w", err)
@@ -266,7 +252,7 @@ func RunCrossShardProof(shards int) (ClusterProofPoint, error) {
 			return pt, err
 		}
 	}
-	want, err := ref.QueryDirect(wallet.Query{Subject: subject, Object: object})
+	want, err := ref.QueryDirect(q)
 	if err != nil {
 		return pt, fmt.Errorf("single-wallet query: %w", err)
 	}
@@ -300,7 +286,6 @@ func RunSplitConvergence(ctx context.Context, shards, publishes int) (SplitPoint
 	if err != nil {
 		return pt, err
 	}
-	defer cs.gw.Close()
 
 	next := 0
 	publish := func(n int) ([]*core.Delegation, error) {
@@ -309,10 +294,7 @@ func RunSplitConvergence(ctx context.Context, shards, publishes int) (SplitPoint
 			user := fmt.Sprintf("splituser%03d", next)
 			next++
 			w.Ensure(user)
-			d, err := w.Issue(fmt.Sprintf("[%s -> Org.member] Org", user))
-			if err != nil {
-				return nil, err
-			}
+			d := w.MustIssue(fmt.Sprintf("[%s -> Org.member] Org", user))
 			if err := cs.gw.Publish(d); err != nil {
 				return nil, err
 			}
@@ -332,8 +314,7 @@ func RunSplitConvergence(ctx context.Context, shards, publishes int) (SplitPoint
 	// Carve a new shard out of shard 0 by filtered changelog replay.
 	newID := shards
 	target := wallet.New(wallet.Config{Clock: w.Clock, Directory: w.Dir})
-	peers := peer.NewManager(peer.Config{Dialer: w.Net.Dialer(w.Identity("gateway"))})
-	defer peers.Close()
+	peers := w.peers(peer.Config{Dialer: w.Net.Dialer(w.Identity("gateway"))})
 	split, err := cluster.StartSplit(cluster.SplitConfig{
 		Current:  cs.m,
 		SourceID: 0,
@@ -362,14 +343,9 @@ func RunSplitConvergence(ctx context.Context, shards, publishes int) (SplitPoint
 	if err != nil {
 		return pt, err
 	}
-	ln, err := w.Net.Listen(fmt.Sprintf("shard%d", newID), w.Identity("gateway"))
-	if err != nil {
+	if _, err := w.serve(target, fmt.Sprintf("shard%d", newID), "gateway", remote.Options{Cluster: node}); err != nil {
 		return pt, err
 	}
-	srv := remote.ServeOptions(target, ln, remote.Options{Cluster: node})
-	w.mu.Lock()
-	w.servers = append(w.servers, srv)
-	w.mu.Unlock()
 	cs.wallets[newID] = target
 	for _, n := range cs.nodes {
 		n.Adopt(split.NewMap)
@@ -417,17 +393,12 @@ func RunClusterSmoke(ctx context.Context) (ClusterSmokeResult, error) {
 	if err != nil {
 		return res, err
 	}
-	defer cs.gw.Close()
 
 	const members = 12
 	for i := 0; i < members; i++ {
 		user := fmt.Sprintf("smoke%02d", i)
 		w.Ensure(user)
-		d, err := w.Issue(fmt.Sprintf("[%s -> Org.member] Org", user))
-		if err != nil {
-			return res, err
-		}
-		if err := cs.gw.Publish(d); err != nil {
+		if err := cs.gw.Publish(w.MustIssue(fmt.Sprintf("[%s -> Org.member] Org", user))); err != nil {
 			return res, err
 		}
 		res.Published++
@@ -460,4 +431,63 @@ func RunClusterSmoke(ctx context.Context) (ClusterSmokeResult, error) {
 		return res, fmt.Errorf("split lost %d mutations", res.Split.Lost)
 	}
 	return res, nil
+}
+
+func clusterReport(r *Report) error {
+	const (
+		publishes = 480
+		workers   = 32
+	)
+	r.printf("%7s %10s %8s %10s %12s %8s", "shards", "publishes", "workers", "elapsed", "publishes/s", "speedup")
+	var base float64
+	for _, shards := range []int{1, 2, 4, 8} {
+		pt, err := RunShardScaling(shards, publishes, workers, DefaultCommitDelay)
+		if err != nil {
+			return err
+		}
+		if shards == 1 {
+			base = pt.Throughput
+		}
+		r.printf("%7d %10d %8d %10s %12.0f %7.1fx", pt.Shards, pt.Publishes, pt.Workers,
+			timed{pt.Elapsed.Round(time.Millisecond)}, timed{pt.Throughput}, timed{pt.Throughput / base})
+	}
+	r.printf("commit delay %v per mutation, serialized per shard: aggregate throughput", DefaultCommitDelay)
+	r.printf("scales with the shard count because each shard owns an independent commit pipeline.")
+
+	proof, err := RunCrossShardProof(4)
+	if err != nil {
+		return err
+	}
+	r.printf("cross-shard proof: chain spans %d shards, identical-to-single-wallet=%v, valid=%v, assembled in %v",
+		proof.HomeShards, proof.Identical, proof.Valid, timed{proof.Assembly.Round(time.Microsecond)})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	split, err := RunSplitConvergence(ctx, 2, 24)
+	if err != nil {
+		return err
+	}
+	r.printf("mid-traffic split 2->3 shards: epoch %d, %d mutations, %d re-homed, %d lost",
+		split.Epoch, split.Publishes, split.Moved, split.Lost)
+	if split.Lost != 0 {
+		return fmt.Errorf("split lost %d mutations", split.Lost)
+	}
+	return nil
+}
+
+func clusterSmokeReport(r *Report) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	startAt := time.Now()
+	res, err := RunClusterSmoke(ctx)
+	if err != nil {
+		return err
+	}
+	r.printf("published %d across %d shards; object scatter returned %d proofs;",
+		res.Published, res.Shards, res.ObjectProofs)
+	r.printf("cross-shard proof identical=%v valid=%v; split re-homed %d, lost %d; %v total",
+		res.Proof.Identical, res.Proof.Valid, res.Split.Moved, res.Split.Lost,
+		timed{time.Since(startAt).Round(time.Millisecond)})
+	r.printf("PASS")
+	return nil
 }

@@ -28,17 +28,14 @@ import (
 type dhtMember struct {
 	w     *wallet.Wallet
 	node  *dht.Node
-	peers *peer.Manager
 	srv   *remote.Server
-	addr  string
 	owner *core.Identity
 }
 
-// startDHTMember serves a wallet with a DHT participant at addr. The
-// world's Close tears the server down; peers are closed by closeAll.
-func startDHTMember(w *World, addr, owner string) (*dhtMember, error) {
+// dhtNode builds a DHT node for owner advertising addr, over its own pool.
+func dhtNode(w *World, owner, addr string) (*dht.Node, *peer.Manager, error) {
 	id := w.Identity(owner)
-	peers := peer.NewManager(peer.Config{
+	peers := w.peers(peer.Config{
 		Dialer:      w.Net.Dialer(id),
 		Clock:       w.Clock,
 		CallTimeout: 5 * time.Second,
@@ -51,59 +48,17 @@ func startDHTMember(w *World, addr, owner string) (*dhtMember, error) {
 		K:        8,
 	})
 	if err != nil {
-		peers.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	m := &dhtMember{
-		w:     wallet.New(wallet.Config{Owner: id, Clock: w.Clock, Directory: w.Dir}),
-		node:  node,
-		peers: peers,
-		addr:  addr,
-		owner: id,
-	}
-	if err := m.serveAt(w, addr); err != nil {
-		peers.Close()
-		return nil, err
-	}
-	return m, nil
+	w.own(node.Close)
+	return node, peers, nil
 }
 
 // serveAt (re)starts the member's server, possibly at a new address —
 // the leave/rejoin path.
-func (m *dhtMember) serveAt(w *World, addr string) error {
-	ln, err := w.Net.Listen(addr, m.owner)
-	if err != nil {
-		return err
-	}
-	m.addr = addr
-	m.srv = remote.ServeOptions(m.w, ln, remote.Options{DHT: m.node})
-	w.mu.Lock()
-	w.servers = append(w.servers, m.srv)
-	w.mu.Unlock()
-	return nil
-}
-
-// dhtClient builds an unserved client-side DHT node (resolution is
-// pull-based; the querying side needs no listener).
-func dhtClient(w *World, owner string) (*dht.Node, *peer.Manager, error) {
-	id := w.Identity(owner)
-	peers := peer.NewManager(peer.Config{
-		Dialer:      w.Net.Dialer(id),
-		Clock:       w.Clock,
-		CallTimeout: 5 * time.Second,
-	})
-	node, err := dht.NewNode(dht.Config{
-		Identity: id,
-		Addr:     "sim.client.unreachable",
-		Peers:    peers,
-		Clock:    w.Clock,
-		K:        8,
-	})
-	if err != nil {
-		peers.Close()
-		return nil, nil, err
-	}
-	return node, peers, nil
+func (m *dhtMember) serveAt(w *World, addr string) (err error) {
+	m.srv, err = w.serve(m.w, addr, m.owner.Name(), remote.Options{DHT: m.node})
+	return err
 }
 
 // DHTSmokeResult summarizes the bounded CI smoke over a six-member DHT
@@ -137,14 +92,13 @@ func RunDHTSmoke(ctx context.Context) (DHTSmokeResult, error) {
 		{"wallet.m5", "Member5"},
 	}
 	members := make(map[string]*dhtMember, len(layout))
-	defer func() {
-		for _, m := range members {
-			m.peers.Close()
-		}
-	}()
 	for _, l := range layout {
-		m, err := startDHTMember(w, l.addr, l.owner)
+		node, _, err := dhtNode(w, l.owner, l.addr)
 		if err != nil {
+			return res, err
+		}
+		m := &dhtMember{w: w.Wallet(l.owner), node: node, owner: w.Identity(l.owner)}
+		if err := m.serveAt(w, l.addr); err != nil {
 			return res, fmt.Errorf("serve %s: %w", l.addr, err)
 		}
 		members[l.owner] = m
@@ -153,14 +107,14 @@ func RunDHTSmoke(ctx context.Context) (DHTSmokeResult, error) {
 	seed, big, air := members["Seed"], members["BigISP"], members["AirNet"]
 	for _, l := range layout[1:] {
 		m := members[l.owner]
-		if err := m.node.Bootstrap(ctx, []string{seed.addr}); err != nil {
-			return res, fmt.Errorf("bootstrap %s: %w", m.addr, err)
+		if err := m.node.Bootstrap(ctx, []string{seed.srv.Addr()}); err != nil {
+			return res, fmt.Errorf("bootstrap %s: %w", m.srv.Addr(), err)
 		}
 	}
 	for _, l := range layout {
 		m := members[l.owner]
-		if err := m.node.Announce(ctx, m.owner, []string{m.addr}); err != nil {
-			return res, fmt.Errorf("announce %s: %w", m.addr, err)
+		if err := m.node.Announce(ctx, m.owner, []string{m.srv.Addr()}); err != nil {
+			return res, fmt.Errorf("announce %s: %w", m.srv.Addr(), err)
 		}
 		res.Announced++
 	}
@@ -174,45 +128,31 @@ func RunDHTSmoke(ctx context.Context) (DHTSmokeResult, error) {
 	if err != nil {
 		return res, err
 	}
-	d2, err := w.Issue("[BigISP.member -> AirNet.member] AirNet")
+	if err := w.publish(big.w, "[BigISP.member -> AirNet.member] AirNet"); err != nil {
+		return res, err
+	}
+	if err := w.publish(air.w, "[AirNet.member -> AirNet.access] AirNet"); err != nil {
+		return res, err
+	}
+	q, err := w.query("Maria", "AirNet.access")
 	if err != nil {
 		return res, err
 	}
-	d3, err := w.Issue("[AirNet.member -> AirNet.access] AirNet")
-	if err != nil {
-		return res, err
-	}
-	if err := big.w.Publish(d2); err != nil {
-		return res, err
-	}
-	if err := air.w.Publish(d3); err != nil {
-		return res, err
-	}
-	subject, err := w.Subject("Maria")
-	if err != nil {
-		return res, err
-	}
-	object, err := w.Role("AirNet.access")
-	if err != nil {
-		return res, err
-	}
-	q := wallet.Query{Subject: subject, Object: object}
 
 	resolveChain := func(clientName, bootstrapAddr string) (*core.Proof, *discovery.Stats, error) {
-		node, peers, err := dhtClient(w, clientName)
+		// Resolution is pull-based: the querying side needs no listener.
+		node, peers, err := dhtNode(w, clientName, "sim.client.unreachable")
 		if err != nil {
 			return nil, nil, err
 		}
-		defer peers.Close()
 		if err := node.Bootstrap(ctx, []string{bootstrapAddr}); err != nil {
 			return nil, nil, fmt.Errorf("client bootstrap via %s: %w", bootstrapAddr, err)
 		}
-		local := wallet.New(wallet.Config{Owner: w.Identity(clientName), Clock: w.Clock, Directory: w.Dir})
+		local := w.Wallet(clientName)
 		if err := local.Publish(d1); err != nil {
 			return nil, nil, err
 		}
-		a := discovery.NewAgent(discovery.Config{Local: local, Peers: peers, Homes: node})
-		defer a.Close()
+		a := w.agent(discovery.Config{Local: local, Peers: peers, Homes: node})
 		var stats discovery.Stats
 		proof, err := a.Discover(ctx, q, discovery.Auto, &stats)
 		if err != nil {
@@ -221,7 +161,7 @@ func RunDHTSmoke(ctx context.Context) (DHTSmokeResult, error) {
 		return proof, &stats, nil
 	}
 
-	proof, stats, err := resolveChain("Client", seed.addr)
+	proof, stats, err := resolveChain("Client", seed.srv.Addr())
 	if err != nil {
 		return res, fmt.Errorf("DHT-resolved discovery: %w", err)
 	}
@@ -248,7 +188,7 @@ func RunDHTSmoke(ctx context.Context) (DHTSmokeResult, error) {
 
 	// A late joiner — bootstrapped off a surviving member, never having
 	// seen the seed or the old address — resolves the same chain.
-	proof2, stats2, err := resolveChain("Client2", big.addr)
+	proof2, stats2, err := resolveChain("Client2", big.srv.Addr())
 	if err != nil {
 		return res, fmt.Errorf("discovery after seed death + home move: %w", err)
 	}
@@ -266,4 +206,21 @@ func RunDHTSmoke(ctx context.Context) (DHTSmokeResult, error) {
 		return res, fmt.Errorf("post-churn discovery never contacted the rejoined home %s", res.RejoinAddr)
 	}
 	return res, nil
+}
+
+func dhtSmokeReport(r *Report) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	startAt := time.Now()
+	res, err := RunDHTSmoke(ctx)
+	if err != nil {
+		return err
+	}
+	r.printf("%d members bootstrapped off one seed, %d provider records announced;", res.Members, res.Announced)
+	r.printf("resolved %d-link chain via %d DHT-found wallets with zero static addresses;",
+		res.ChainLen, res.WalletsContacted)
+	r.printf("after seed death + home move, late joiner resolved %d-link chain at %s; %v total",
+		res.RejoinChainLen, res.RejoinAddr, timed{time.Since(startAt).Round(time.Millisecond)})
+	r.printf("PASS")
+	return nil
 }

@@ -70,6 +70,25 @@ func RunDirectionality(branching, depth int) ([]DirectionalityPoint, error) {
 	return out, nil
 }
 
+func searchReport(r *Report) error {
+	r.printf("%-9s %2s %2s %7s %9s %9s %9s", "topology", "b", "d", "edges", "forward", "reverse", "bidi")
+	for _, b := range []int{2, 3} {
+		for _, d := range []int{3, 4, 5, 6} {
+			points, err := RunDirectionality(b, d)
+			if err != nil {
+				return err
+			}
+			for _, pt := range points {
+				r.printf("%-9s %2d %2d %7d %9d %9d %9d", pt.Topology, pt.Branching, pt.Depth, pt.Edges,
+					pt.Forward.EdgesExplored, pt.Reverse.EdgesExplored, pt.Bidi.EdgesExplored)
+			}
+		}
+	}
+	r.printf("shape: the adversarial direction sweeps ~all edges (exponential in depth);")
+	r.printf("bidirectional stays near the cheap direction on both topologies.")
+	return nil
+}
+
 // PruningPoint is one row of EXP-S2: search effort with and without
 // valued-attribute monotonicity pruning.
 type PruningPoint struct {
@@ -122,6 +141,21 @@ func RunPruning(width, depth int) (PruningPoint, error) {
 	return point, nil
 }
 
+func pruningReport(r *Report) error {
+	r.printf("%6s %6s %7s %8s %10s %8s", "width", "depth", "edges", "pruned", "unpruned", "cut")
+	for _, width := range []int{5, 10, 20} {
+		for _, depth := range []int{4, 8, 16} {
+			pt, err := RunPruning(width, depth)
+			if err != nil {
+				return err
+			}
+			r.printf("%6d %6d %7d %8d %10d %7.1fx", pt.Width, pt.Depth, pt.Edges, pt.PrunedEdges, pt.UnprunedEdges,
+				float64(pt.UnprunedEdges)/float64(pt.PrunedEdges))
+		}
+	}
+	return nil
+}
+
 // CaseStudyResult reports the Figure 2 / Table 3 reproduction: the
 // discovered proof, its attribute outcomes, and the discovery effort.
 type CaseStudyResult struct {
@@ -169,6 +203,23 @@ func RunCaseStudy() (*CaseStudyResult, error) {
 	}, nil
 }
 
+func caseStudyReport(r *Report) error {
+	res, err := RunCaseStudy()
+	if err != nil {
+		return err
+	}
+	r.printf("proof chain length: %d (delegations 1, 2, 5)", res.Proof.Len())
+	r.printf("attribute outcomes: BW=%v (paper: 100)  storage=%v (paper: 30)  hours=%v (paper: 18)",
+		res.BW, res.Storage, res.Hours)
+	r.printf("discovery: %d rounds, %d wallets contacted, %d remote queries, %d delegations fetched",
+		res.Stats.Rounds, res.Stats.WalletsContacted, res.Stats.RemoteQueries, res.Stats.DelegationsFetched)
+	for _, ev := range res.Stats.Trace {
+		r.printf("  round %d: %-7s query at %-15s node %s -> %d proof(s)", ev.Round, ev.Kind, ev.Wallet, ev.Node, ev.Results)
+	}
+	r.printf("network: %d messages, %d bytes", res.Messages, byteTotal(res.Bytes))
+	return nil
+}
+
 // ChainDiscoveryPoint is one row of the multi-hop discovery scaling sweep:
 // a chain of `hops` wallets, each holding one link.
 type ChainDiscoveryPoint struct {
@@ -190,7 +241,6 @@ func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
 	w := NewWorld()
 	defer w.Close()
 
-	w.Ensure("User")
 	user := w.Identity("User")
 	type link struct {
 		wallet *wallet.Wallet
@@ -248,23 +298,19 @@ func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
 	if err := local.Publish(first); err != nil {
 		return ChainDiscoveryPoint{}, err
 	}
-	agent := discovery.NewAgent(discovery.Config{
+	agent := w.agent(discovery.Config{
 		Local:  local,
 		Dialer: w.Net.Dialer(user),
 	})
-	defer agent.Close()
 	agent.Learn(first)
 
-	goal, err := w.Role(fmt.Sprintf("Org%d.goal", last))
+	q, err := w.query("User", fmt.Sprintf("Org%d.goal", last))
 	if err != nil {
 		return ChainDiscoveryPoint{}, err
 	}
 	w.Net.ResetStats()
 	var stats discovery.Stats
-	if _, err := agent.Discover(context.Background(), wallet.Query{
-		Subject: core.SubjectEntity(user.ID()),
-		Object:  goal,
-	}, discovery.Auto, &stats); err != nil {
+	if _, err := agent.Discover(context.Background(), q, discovery.Auto, &stats); err != nil {
 		return ChainDiscoveryPoint{}, fmt.Errorf("chain discovery (%d hops): %w", hops, err)
 	}
 	net := w.Net.Stats()
@@ -277,4 +323,17 @@ func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
 		Messages:           net.Messages,
 		Bytes:              net.Bytes,
 	}, nil
+}
+
+func chainReport(r *Report) error {
+	r.printf("%5s %7s %8s %8s %8s %10s", "hops", "rounds", "wallets", "queries", "fetched", "messages")
+	for _, hops := range []int{1, 2, 4, 8} {
+		pt, err := RunChainDiscovery(hops)
+		if err != nil {
+			return err
+		}
+		r.printf("%5d %7d %8d %8d %8d %10d",
+			pt.Hops, pt.Rounds, pt.WalletsContacted, pt.RemoteQueries, pt.DelegationsFetched, pt.Messages)
+	}
+	return nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"drbac/internal/core"
 	"drbac/internal/discovery"
-	"drbac/internal/wallet"
 )
 
 // RangePoint is one row of EXP-S2b: the network cost of a doomed
@@ -35,16 +34,12 @@ func RunRangeAdjustment(fanout int) (RangePoint, error) {
 		return RangePoint{}, fmt.Errorf("sim: fanout must be positive")
 	}
 	pt := RangePoint{Fanout: fanout}
-	for _, disable := range []bool{false, true} {
-		fetched, bytes, err := runRangeConfig(fanout, disable)
-		if err != nil {
-			return RangePoint{}, err
-		}
-		if disable {
-			pt.UnadjustedFetched, pt.UnadjustedBytes = fetched, bytes
-		} else {
-			pt.AdjustedFetched, pt.AdjustedBytes = fetched, bytes
-		}
+	var err error
+	if pt.AdjustedFetched, pt.AdjustedBytes, err = runRangeConfig(fanout, false); err != nil {
+		return RangePoint{}, err
+	}
+	if pt.UnadjustedFetched, pt.UnadjustedBytes, err = runRangeConfig(fanout, true); err != nil {
+		return RangePoint{}, err
 	}
 	return pt, nil
 }
@@ -62,31 +57,22 @@ func runRangeConfig(fanout int, disable bool) (fetched int, bytes int64, err err
 	// its own (BW <= 80 would clear the minimum of 50), but none of them
 	// reaches the goal — fetching any of them is pure waste.
 	for i := 0; i < fanout; i++ {
-		d, err := w.Issue(fmt.Sprintf("[A.x -> B.mid%d with B.BW <= 80] B", i))
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := home.Publish(d); err != nil {
+		if err := w.publish(home, fmt.Sprintf("[A.x -> B.mid%d with B.BW <= 80] B", i)); err != nil {
 			return 0, 0, err
 		}
 	}
 
-	local := wallet.New(wallet.Config{Owner: w.Identity("Server"), Clock: w.Clock, Directory: w.Dir})
+	local := w.Wallet("Server")
 	// The local prefix already caps B.BW at 40 — below the minimum — so no
 	// continuation can help.
-	prefix, err := w.Issue("[M -> A.x with B.BW <= 40] A")
-	if err != nil {
+	if err := w.publish(local, "[M -> A.x with B.BW <= 40] A"); err != nil {
 		return 0, 0, err
 	}
-	if err := local.Publish(prefix); err != nil {
-		return 0, 0, err
-	}
-	agent := discovery.NewAgent(discovery.Config{
+	agent := w.agent(discovery.Config{
 		Local:                  local,
 		Dialer:                 w.Net.Dialer(w.Identity("Server")),
 		DisableRangeAdjustment: disable,
 	})
-	defer agent.Close()
 	subjectAx, err := w.Subject("A.x")
 	if err != nil {
 		return 0, 0, err
@@ -95,24 +81,33 @@ func runRangeConfig(fanout int, disable bool) (fetched int, bytes int64, err err
 		Home: "wallet.b", TTL: 30 * time.Second, Subject: core.SubjectSearch,
 	})
 
+	q, err := w.query("M", "B.goal")
+	if err != nil {
+		return 0, 0, err
+	}
 	bw := core.AttributeRef{Namespace: w.Identity("B").ID(), Name: "BW"}
-	goal, err := w.Role("B.goal")
-	if err != nil {
-		return 0, 0, err
-	}
-	subjectM, err := w.Subject("M")
-	if err != nil {
-		return 0, 0, err
-	}
+	q.Constraints = []core.Constraint{{Attr: bw, Base: math.Inf(1), Minimum: 50}}
 	w.Net.ResetStats()
 	var stats discovery.Stats
-	_, derr := agent.Discover(context.Background(), wallet.Query{
-		Subject:     subjectM,
-		Object:      goal,
-		Constraints: []core.Constraint{{Attr: bw, Base: math.Inf(1), Minimum: 50}},
-	}, discovery.Auto, &stats)
+	_, derr := agent.Discover(context.Background(), q, discovery.Auto, &stats)
 	if derr == nil || !errors.Is(derr, core.ErrNoProof) {
 		return 0, 0, fmt.Errorf("doomed search should find no proof, got %v", derr)
 	}
 	return stats.DelegationsFetched, w.Net.Stats().Bytes, nil
+}
+
+func rangesReport(r *Report) error {
+	r.printf("%7s %16s %18s %15s %17s",
+		"fanout", "adjusted-fetch", "unadjusted-fetch", "adjusted-bytes", "unadjusted-bytes")
+	for _, fanout := range []int{2, 4, 8, 16} {
+		pt, err := RunRangeAdjustment(fanout)
+		if err != nil {
+			return err
+		}
+		r.printf("%7d %16d %18d %15d %17d", pt.Fanout, pt.AdjustedFetched, pt.UnadjustedFetched,
+			byteTotal(pt.AdjustedBytes), byteTotal(pt.UnadjustedBytes))
+	}
+	r.printf("a doomed search (local prefix already below the constraint) fetches nothing")
+	r.printf("when remote queries carry range-adjusted constraints.")
+	return nil
 }

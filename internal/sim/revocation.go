@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"drbac/internal/core"
-	"drbac/internal/remote"
 	"drbac/internal/subs"
 	"drbac/internal/transport"
 )
@@ -163,12 +162,15 @@ func runOCSP(p RevocationParams) (RevocationResult, error) {
 	var mu sync.Mutex
 	revoked := make(map[string]bool)
 
+	// The responder's goroutines end once the listener and the clients'
+	// connections, closed first, are gone.
+	var wg sync.WaitGroup
+	w.own(wg.Wait)
 	ln, err := net.Listen("ocsp.responder", server)
 	if err != nil {
 		return RevocationResult{}, err
 	}
-	defer ln.Close()
-	var wg sync.WaitGroup
+	w.own(func() { ln.Close() })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -214,13 +216,9 @@ func runOCSP(p RevocationParams) (RevocationResult, error) {
 		if err != nil {
 			return RevocationResult{}, err
 		}
+		w.own(func() { c.Close() })
 		conns[i] = c
 	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}()
 
 	res := RevocationResult{Scheme: OCSP}
 	sched := revocationSchedule(p)
@@ -284,17 +282,22 @@ func runCRL(p RevocationParams) (RevocationResult, error) {
 	net, server, client := w.Net, w.Identity("status-server"), w.Identity("status-client")
 
 	creds := credIDs(p.Credentials)
+	var wg sync.WaitGroup
+	w.own(wg.Wait)
 	ln, err := net.Listen("crl.distributor", server)
 	if err != nil {
 		return RevocationResult{}, err
 	}
-	defer ln.Close()
+	w.own(func() { ln.Close() })
 
-	// The distributor accepts subscriber connections.
+	// The distributor accepts subscriber connections until its listener
+	// closes.
 	var mu sync.Mutex
 	var subscriberConns []transport.Conn
 	accepted := make(chan struct{}, p.Clients)
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
@@ -313,14 +316,10 @@ func runCRL(p RevocationParams) (RevocationResult, error) {
 		if err != nil {
 			return RevocationResult{}, err
 		}
+		w.own(func() { c.Close() })
 		clientConns[i] = c
 		<-accepted
 	}
-	defer func() {
-		for _, c := range clientConns {
-			_ = c.Close()
-		}
-	}()
 
 	res := RevocationResult{Scheme: CRL}
 	sched := revocationSchedule(p)
@@ -387,11 +386,7 @@ func runSubscription(p RevocationParams) (RevocationResult, error) {
 	// Real delegations to monitor.
 	dels := make([]*core.Delegation, p.Credentials)
 	for i := range dels {
-		d, err := core.Issue(server, core.Template{
-			Subject:       core.SubjectEntity(client.ID()),
-			SubjectEntity: entityPtr(client.Entity()),
-			Object:        core.NewRole(server.ID(), fmt.Sprintf("role%04d", i)),
-		}, w.Clock.Now())
+		d, err := core.Issue(server, entityGrant(client, core.NewRole(server.ID(), fmt.Sprintf("role%04d", i))), w.Clock.Now())
 		if err != nil {
 			return RevocationResult{}, err
 		}
@@ -402,23 +397,16 @@ func runSubscription(p RevocationParams) (RevocationResult, error) {
 	}
 
 	res := RevocationResult{Scheme: Subscription}
-	var mu sync.Mutex
-	notified := 0
+	// Room for every push the session can make, so no handler blocks.
 	arrival := make(chan struct{}, p.Clients*p.Credentials)
-
-	clients := make([]*remote.Client, p.Clients)
-	for i := range clients {
-		c, err := remote.Dial(context.Background(), net.Dialer(client), "wallet.home")
+	for i := 0; i < p.Clients; i++ {
+		c, err := w.dial(net.Dialer(client), "wallet.home")
 		if err != nil {
 			return RevocationResult{}, err
 		}
-		clients[i] = c
 		for _, d := range dels {
 			if _, err := c.Subscribe(context.Background(), d.ID(), func(ev subs.Event) {
 				if ev.Kind == subs.Revoked {
-					mu.Lock()
-					notified++
-					mu.Unlock()
 					arrival <- struct{}{}
 				}
 			}); err != nil {
@@ -426,14 +414,8 @@ func runSubscription(p RevocationParams) (RevocationResult, error) {
 			}
 		}
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
 
 	sched := revocationSchedule(p)
-	expected := 0
 	for step := 0; step < p.Steps; step++ {
 		idx, ok := sched[step]
 		if !ok {
@@ -442,29 +424,49 @@ func runSubscription(p RevocationParams) (RevocationResult, error) {
 		if err := wal.Revoke(dels[idx].ID(), server.ID()); err != nil {
 			return RevocationResult{}, err
 		}
-		// Push model: notifications arrive within the same step; wait for
-		// them so staleness is honestly zero steps.
-		expected += p.Clients
+		// Push model: every client's notification arrives within the same
+		// step; wait for them so staleness is honestly zero steps.
 		deadline := time.After(5 * time.Second)
-		for {
-			mu.Lock()
-			done := notified >= expected
-			mu.Unlock()
-			if done {
-				break
-			}
+		for i := 0; i < p.Clients; i++ {
 			select {
 			case <-arrival:
+				res.Notifications++
 			case <-deadline:
 				return RevocationResult{}, fmt.Errorf("subscription push timed out")
 			}
 		}
 	}
-	mu.Lock()
-	res.Notifications = notified
-	mu.Unlock()
-	res.StalenessSteps = 0
+	res.Notifications += len(arrival) // pushes beyond one per client and revocation
 	st := net.Stats()
 	res.Messages, res.Bytes = st.Messages, st.Bytes
 	return res, nil
+}
+
+func revocationReport(r *Report) error {
+	for _, cfg := range []struct {
+		label string
+		p     RevocationParams
+	}{
+		{"short session, 1 revocation", RevocationParams{
+			Clients: 8, Credentials: 16, Steps: 200, PollEvery: 5, CRLEvery: 10, RevokeAt: []int{53}}},
+		{"long session, 1 revocation", RevocationParams{
+			Clients: 8, Credentials: 16, Steps: 2000, PollEvery: 5, CRLEvery: 10, RevokeAt: []int{53}}},
+		{"long session, 8 revocations", RevocationParams{
+			Clients: 8, Credentials: 16, Steps: 2000, PollEvery: 5, CRLEvery: 10,
+			RevokeAt: []int{101, 303, 507, 701, 903, 1101, 1303, 1507}}},
+		{"many clients", RevocationParams{
+			Clients: 32, Credentials: 16, Steps: 1000, PollEvery: 5, CRLEvery: 10, RevokeAt: []int{53}}},
+	} {
+		results, err := RunRevocation(cfg.p)
+		if err != nil {
+			return err
+		}
+		r.printf("")
+		r.printf("%s (clients=%d creds=%d steps=%d):", cfg.label, cfg.p.Clients, cfg.p.Credentials, cfg.p.Steps)
+		r.printf("  %-14s %10s %12s %10s", "scheme", "messages", "bytes", "staleness")
+		for _, res := range results {
+			r.printf("  %-14s %10d %12d %10d", res.Scheme, res.Messages, byteTotal(res.Bytes), res.StalenessSteps)
+		}
+	}
+	return nil
 }

@@ -54,26 +54,62 @@ type SeparabilityOutcome struct {
 	Separable bool
 }
 
-// coalition is the set of identities for a scenario.
+// coalition is one scenario: its identities, the wallet both idioms issue
+// into, and what the idiom under test had to create.
 type coalition struct {
-	owner    *core.Identity
-	partners []*core.Identity // partner admin entities
-	members  [][]*core.Identity
-	now      time.Time
+	owner      *core.Identity
+	partners   []*core.Identity // partner admin entities
+	members    [][]*core.Identity
+	privileges []core.Role
+	now        time.Time
+	store      *wallet.Wallet
+	roles      map[core.Role]bool // every role minted, the privileges included
+	out        SeparabilityOutcome
 }
 
-func newCoalition(s Separability) *coalition {
+func newCoalition(s Separability, separable bool) (*coalition, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	world := NewWorld()
-	w := &coalition{now: world.Clock.Now(), owner: world.Identity("owner")}
+	c := &coalition{
+		owner: world.Identity("owner"),
+		now:   world.Clock.Now(),
+		store: wallet.New(wallet.Config{}),
+		roles: make(map[core.Role]bool),
+		out:   SeparabilityOutcome{Separable: separable},
+	}
+	for k := 0; k < s.Privileges; k++ {
+		c.privileges = append(c.privileges, c.mint(core.NewRole(c.owner.ID(), fmt.Sprintf("priv%d", k))))
+	}
 	for p := 0; p < s.Partners; p++ {
-		w.partners = append(w.partners, world.Identity(fmt.Sprintf("partner%d", p)))
+		c.partners = append(c.partners, world.Identity(fmt.Sprintf("partner%d", p)))
 		var ms []*core.Identity
 		for m := 0; m < s.MembersPerPartner; m++ {
 			ms = append(ms, world.Identity(fmt.Sprintf("p%dm%d", p, m)))
 		}
-		w.members = append(w.members, ms)
+		c.members = append(c.members, ms)
 	}
-	return w
+	return c, nil
+}
+
+// mint records a role the idiom had to create.
+func (c *coalition) mint(r core.Role) core.Role {
+	c.roles[r] = true
+	return r
+}
+
+// grant issues tmpl as issuer into the coalition's wallet.
+func (c *coalition) grant(issuer *core.Identity, tmpl core.Template) error {
+	d, err := core.Issue(issuer, tmpl, c.now)
+	if err != nil {
+		return err
+	}
+	if err := c.store.Publish(d); err != nil {
+		return err
+	}
+	c.out.Delegations++
+	return nil
 }
 
 // SeparabilityDRBAC builds the coalition with third-party delegation (§3.1.2): the
@@ -82,79 +118,34 @@ func newCoalition(s Separability) *coalition {
 // owner's privileges directly, with support proofs, minting no roles of
 // their own.
 func SeparabilityDRBAC(s Separability) (SeparabilityOutcome, error) {
-	if err := s.Validate(); err != nil {
+	c, err := newCoalition(s, true)
+	if err != nil {
 		return SeparabilityOutcome{}, err
 	}
-	w := newCoalition(s)
-	store := wallet.New(wallet.Config{})
-	out := SeparabilityOutcome{Separable: true}
-	roles := make(map[core.Role]bool)
-
-	privileges := make([]core.Role, s.Privileges)
-	for k := range privileges {
-		privileges[k] = core.NewRole(w.owner.ID(), fmt.Sprintf("priv%d", k))
-		roles[privileges[k]] = true
-	}
-
-	for p, admin := range w.partners {
-		adminRole := core.NewRole(w.owner.ID(), fmt.Sprintf("admin%d", p))
-		roles[adminRole] = true
+	for p, admin := range c.partners {
+		adminRole := c.mint(core.NewRole(c.owner.ID(), fmt.Sprintf("admin%d", p)))
 		// [admin -> owner.adminP] owner
-		d, err := core.Issue(w.owner, core.Template{
-			Subject:       core.SubjectEntity(admin.ID()),
-			SubjectEntity: entityPtr(admin.Entity()),
-			Object:        adminRole,
-		}, w.now)
-		if err != nil {
+		if err := c.grant(c.owner, entityGrant(admin, adminRole)); err != nil {
 			return SeparabilityOutcome{}, err
 		}
-		if err := store.Publish(d); err != nil {
-			return SeparabilityOutcome{}, err
-		}
-		out.Delegations++
-
-		for _, priv := range privileges {
+		for _, priv := range c.privileges {
 			// [owner.adminP -> owner.privK'] owner — the grouped
 			// assignment rights that make the admin role separable.
-			d, err := core.Issue(w.owner, core.Template{
-				Subject: core.SubjectRole(adminRole),
-				Object:  priv.Assignment(),
-			}, w.now)
-			if err != nil {
+			if err := c.grant(c.owner, core.Template{Subject: core.SubjectRole(adminRole), Object: priv.Assignment()}); err != nil {
 				return SeparabilityOutcome{}, err
 			}
-			if err := store.Publish(d); err != nil {
-				return SeparabilityOutcome{}, err
-			}
-			out.Delegations++
 		}
-
-		for _, member := range w.members[p] {
-			for _, priv := range privileges {
+		for _, member := range c.members[p] {
+			for _, priv := range c.privileges {
 				// Third-party: [member -> owner.privK] admin, supported by
 				// the wallet-derivable chain admin => owner.privK'.
-				d, err := core.Issue(admin, core.Template{
-					Subject:       core.SubjectEntity(member.ID()),
-					SubjectEntity: entityPtr(member.Entity()),
-					Object:        priv,
-				}, w.now)
-				if err != nil {
+				if err := c.grant(admin, entityGrant(member, priv)); err != nil {
 					return SeparabilityOutcome{}, err
 				}
-				if err := store.Publish(d); err != nil {
-					return SeparabilityOutcome{}, err
-				}
-				out.Delegations++
 			}
 		}
 	}
-
-	if err := verifyAccess(store, w, privileges, &out); err != nil {
-		return SeparabilityOutcome{}, err
-	}
-	out.RolesCreated = len(roles)
-	out.PhantomRoles = 0
-	return out, nil
+	return c.verifyAccess()
 }
 
 // SeparabilityPhantomRole builds the same coalition the SDSI/SPKI/RT0 way: the owner
@@ -164,88 +155,56 @@ func SeparabilityDRBAC(s Separability) (SeparabilityOutcome, error) {
 // phantom role, and the partner (who controls its own namespace) delegates
 // the phantom role to members.
 func SeparabilityPhantomRole(s Separability) (SeparabilityOutcome, error) {
-	if err := s.Validate(); err != nil {
-		return SeparabilityOutcome{}, err
-	}
-	w := newCoalition(s)
-	store := wallet.New(wallet.Config{})
 	// A catch-all phantom role aggregating several privileges would not be
 	// decomposable per privilege — the §3.1.3 separability loss — so a
 	// faithful baseline needs one phantom per privilege.
-	out := SeparabilityOutcome{Separable: false}
-	roles := make(map[core.Role]bool)
-
-	privileges := make([]core.Role, s.Privileges)
-	for k := range privileges {
-		privileges[k] = core.NewRole(w.owner.ID(), fmt.Sprintf("priv%d", k))
-		roles[privileges[k]] = true
+	c, err := newCoalition(s, false)
+	if err != nil {
+		return SeparabilityOutcome{}, err
 	}
-
-	for p, admin := range w.partners {
-		for k, priv := range privileges {
-			phantom := core.NewRole(admin.ID(), fmt.Sprintf("owner_priv%d", k))
-			roles[phantom] = true
-			out.PhantomRoles++
+	for p, admin := range c.partners {
+		for k, priv := range c.privileges {
+			phantom := c.mint(core.NewRole(admin.ID(), fmt.Sprintf("owner_priv%d", k)))
+			c.out.PhantomRoles++
 			// [partner.owner_privK -> owner.privK] owner (self-certified
 			// by the owner: the object is in the owner's namespace).
-			d, err := core.Issue(w.owner, core.Template{
-				Subject: core.SubjectRole(phantom),
-				Object:  priv,
-			}, w.now)
-			if err != nil {
+			if err := c.grant(c.owner, core.Template{Subject: core.SubjectRole(phantom), Object: priv}); err != nil {
 				return SeparabilityOutcome{}, err
 			}
-			if err := store.Publish(d); err != nil {
-				return SeparabilityOutcome{}, err
-			}
-			out.Delegations++
-
-			for _, member := range w.members[p] {
+			for _, member := range c.members[p] {
 				// [member -> partner.owner_privK] partner (self-certified
 				// in the partner's own namespace).
-				d, err := core.Issue(admin, core.Template{
-					Subject:       core.SubjectEntity(member.ID()),
-					SubjectEntity: entityPtr(member.Entity()),
-					Object:        phantom,
-				}, w.now)
-				if err != nil {
+				if err := c.grant(admin, entityGrant(member, phantom)); err != nil {
 					return SeparabilityOutcome{}, err
 				}
-				if err := store.Publish(d); err != nil {
-					return SeparabilityOutcome{}, err
-				}
-				out.Delegations++
 			}
 		}
 	}
-
-	if err := verifyAccess(store, w, privileges, &out); err != nil {
-		return SeparabilityOutcome{}, err
-	}
-	out.RolesCreated = len(roles)
-	return out, nil
+	return c.verifyAccess()
 }
 
-// verifyAccess proves every member holds every privilege.
-func verifyAccess(store *wallet.Wallet, w *coalition, privileges []core.Role, out *SeparabilityOutcome) error {
-	for p := range w.partners {
-		for _, member := range w.members[p] {
-			for _, priv := range privileges {
-				proof, err := store.QueryDirect(wallet.Query{
+// verifyAccess proves every member holds every privilege and completes the
+// outcome.
+func (c *coalition) verifyAccess() (SeparabilityOutcome, error) {
+	for p := range c.partners {
+		for _, member := range c.members[p] {
+			for _, priv := range c.privileges {
+				proof, err := c.store.QueryDirect(wallet.Query{
 					Subject: core.SubjectEntity(member.ID()),
 					Object:  priv,
 				})
 				if err != nil {
-					return fmt.Errorf("member %s lacks %s: %w", member.Name(), priv, err)
+					return SeparabilityOutcome{}, fmt.Errorf("member %s lacks %s: %w", member.Name(), priv, err)
 				}
-				if err := proof.Validate(core.ValidateOptions{At: w.now}); err != nil {
-					return err
+				if err := proof.Validate(core.ValidateOptions{At: c.now}); err != nil {
+					return SeparabilityOutcome{}, err
 				}
-				out.ProofsVerified++
+				c.out.ProofsVerified++
 			}
 		}
 	}
-	return nil
+	c.out.RolesCreated = len(c.roles)
+	return c.out, nil
 }
 
 // RunSeparability builds the coalition both ways (EXP-S4).
@@ -254,4 +213,21 @@ func RunSeparability(s Separability) (drbac, phantom SeparabilityOutcome, err er
 		phantom, err = SeparabilityPhantomRole(s)
 	}
 	return drbac, phantom, err
+}
+
+func separabilityReport(r *Report) error {
+	r.printf("%9s %11s | %7s %9s | %7s %9s", "partners", "privileges", "dRBAC", "phantoms", "baseline", "phantoms")
+	for _, partners := range []int{2, 4, 8} {
+		for _, privs := range []int{4, 8} {
+			d, ph, err := RunSeparability(Separability{Partners: partners, Privileges: privs, MembersPerPartner: 2})
+			if err != nil {
+				return err
+			}
+			r.printf("%9d %11d | %7d %9d | %8d %9d",
+				partners, privs, d.RolesCreated, d.PhantomRoles, ph.RolesCreated, ph.PhantomRoles)
+		}
+	}
+	r.printf("dRBAC roles = privileges + one admin role per partner; baseline mints")
+	r.printf("partners x privileges phantom roles and loses separability.")
+	return nil
 }

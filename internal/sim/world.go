@@ -1,11 +1,12 @@
-// Package sim provides the simulation harness behind the paper-claim
-// experiments (EXP-S1, EXP-S2, EXP-F2) and the coalition-sim binary:
-// deterministic identities, in-memory networks of served wallets, synthetic
-// delegation topologies with constant branching factors (§4.2.3), and the
-// Table 3 / Figure 2 case study.
+// Package sim provides the simulation harness behind coalition-sim and the
+// EXPERIMENTS.md tables it regenerates: the Experiments table, deterministic
+// identities, in-memory networks of served wallets, synthetic delegation
+// topologies with constant branching factors (§4.2.3), and the Table 3 /
+// Figure 2 case study.
 package sim
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -13,6 +14,8 @@ import (
 
 	"drbac/internal/clock"
 	"drbac/internal/core"
+	"drbac/internal/discovery"
+	"drbac/internal/peer"
 	"drbac/internal/remote"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
@@ -23,7 +26,9 @@ var Start = time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
 
 // World bundles the substrate one simulation runs on: deterministic
 // identities, a shared fake clock, a name directory, and a counted
-// in-memory network.
+// in-memory network. It owns everything an experiment builds on it —
+// servers, clients, agents, pools, proxies, gateways — and Close is the
+// one teardown.
 type World struct {
 	Clock *clock.Fake
 	Net   *transport.MemNetwork
@@ -31,7 +36,7 @@ type World struct {
 
 	mu      sync.Mutex
 	ids     map[string]*core.Identity
-	servers []*remote.Server
+	closers []func()
 }
 
 // NewWorld creates an empty world at the fixed epoch.
@@ -44,15 +49,23 @@ func NewWorld() *World {
 	}
 }
 
-// Close shuts down every served wallet.
+// Close tears down everything the world owns, newest first, so a client
+// hangs up before the server it dialed stops.
 func (w *World) Close() {
 	w.mu.Lock()
-	servers := w.servers
-	w.servers = nil
+	closers := w.closers
+	w.closers = nil
 	w.mu.Unlock()
-	for _, s := range servers {
-		s.Close()
+	for i := len(closers) - 1; i >= 0; i-- {
+		closers[i]()
 	}
+}
+
+// own registers close to run at Close.
+func (w *World) own(close func()) {
+	w.mu.Lock()
+	w.closers = append(w.closers, close)
+	w.mu.Unlock()
 }
 
 // Identity returns the deterministic identity for name, creating it on
@@ -87,15 +100,45 @@ func (w *World) Wallet(owner string) *wallet.Wallet {
 // Serve builds a wallet owned by owner and serves it at addr.
 func (w *World) Serve(addr, owner string) (*wallet.Wallet, error) {
 	wal := w.Wallet(owner)
+	if _, err := w.serve(wal, addr, owner, remote.Options{Obs: wal.Obs()}); err != nil {
+		return nil, err
+	}
+	return wal, nil
+}
+
+// serve serves svc at addr on the world network, authenticating as owner.
+func (w *World) serve(svc wallet.Service, addr, owner string, opts remote.Options) (*remote.Server, error) {
 	ln, err := w.Net.Listen(addr, w.Identity(owner))
 	if err != nil {
 		return nil, err
 	}
-	s := remote.Serve(wal, ln)
-	w.mu.Lock()
-	w.servers = append(w.servers, s)
-	w.mu.Unlock()
-	return wal, nil
+	s := remote.ServeOptions(svc, ln, opts)
+	w.own(s.Close)
+	return s, nil
+}
+
+// dial connects a client to addr through d.
+func (w *World) dial(d transport.Dialer, addr string) (*remote.Client, error) {
+	c, err := remote.Dial(context.Background(), d, addr)
+	if err != nil {
+		return nil, err
+	}
+	w.own(c.Close)
+	return c, nil
+}
+
+// agent builds a discovery agent.
+func (w *World) agent(cfg discovery.Config) *discovery.Agent {
+	a := discovery.NewAgent(cfg)
+	w.own(a.Close)
+	return a
+}
+
+// peers builds a connection pool.
+func (w *World) peers(cfg peer.Config) *peer.Manager {
+	m := peer.NewManager(cfg)
+	w.own(m.Close)
+	return m
 }
 
 // Issue parses the paper syntax and signs with the named issuer, creating
@@ -117,6 +160,30 @@ func (w *World) IssueTagged(text string, subjectTag, objectTag *core.DiscoveryTa
 		return nil, fmt.Errorf("sim: no identity for issuer of %q", text)
 	}
 	return core.Issue(issuer, parsed.Template, w.Clock.Now())
+}
+
+// publish issues each text and publishes it to wal.
+func (w *World) publish(wal *wallet.Wallet, texts ...string) error {
+	for _, text := range texts {
+		d, err := w.Issue(text)
+		if err != nil {
+			return err
+		}
+		if err := wal.Publish(d); err != nil {
+			return fmt.Errorf("publish %q: %w", text, err)
+		}
+	}
+	return nil
+}
+
+// query parses the question whether subject holds object.
+func (w *World) query(subject, object string) (wallet.Query, error) {
+	s, err := w.Subject(subject)
+	if err != nil {
+		return wallet.Query{}, err
+	}
+	o, err := w.Role(object)
+	return wallet.Query{Subject: s, Object: o}, err
 }
 
 // MustIssue is Issue for static texts in experiment setup.
