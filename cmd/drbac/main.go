@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
 	"sort"
@@ -461,8 +462,8 @@ func dial(ctx context.Context, keyPath, addr string) (*remote.Client, error) {
 	return c, nil
 }
 
-// cmdStats fetches a remote wallet's state summary and metrics snapshot
-// over the wire protocol's stats message and renders it.
+// cmdStats fetches a remote wallet's metrics snapshot over the wire
+// protocol's stats message and renders it.
 func cmdStats(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	key := fs.String("key", "", "identity file for transport auth")
@@ -502,43 +503,61 @@ func cmdStats(ctx context.Context, args []string) error {
 	return nil
 }
 
-// renderStats pretty-prints a stats response: the wallet summary first, then
-// every metric the remote registry holds, names sorted.
+// statsRows are the summary sections of `drbac stats`, in print order:
+// each row shows a registry family (a row of internal/obs/help.go) from the
+// answer's snapshot under a short label, and a family shown here is not
+// listed again under counters or gauges. Rows of the untitled section
+// continue the wallet heading. A row whose family the snapshot lacks is
+// left out, and so is a section title with no row present.
+var statsRows = []struct{ section, label, family string }{
+	{"", "delegations", "drbac_wallet_delegations"},
+	{"", "revoked", "drbac_wallet_revoked"},
+	{"", "ttl-tracked", "drbac_wallet_ttl_tracked"},
+	{"", "watches", "drbac_wallet_watches"},
+	{"proof cache", "hits", "drbac_wallet_cache_hits"},
+	{"proof cache", "misses", "drbac_wallet_cache_misses"},
+	{"proof cache", "invalidated", "drbac_wallet_cache_invalidations"},
+	{"proof cache", "entries", "drbac_wallet_cache_entries"},
+	{"proof cache", "negatives", "drbac_wallet_cache_negatives"},
+	{"sig cache", "hits", "drbac_sigcache_hits"},
+	{"sig cache", "misses", "drbac_sigcache_misses"},
+	{"sig cache", "evictions", "drbac_sigcache_evictions"},
+	{"sig cache", "size", "drbac_sigcache_size"},
+	{"cluster", "epoch", "drbac_cluster_epoch"},
+	{"cluster", "shards", "drbac_cluster_shards"},
+	{"cluster", "adoptions", "drbac_cluster_map_adoptions_total"},
+	{"cluster", "routes", "drbac_cluster_routes_total"},
+	{"cluster", "redirects", "drbac_cluster_redirects_total"},
+	{"cluster", "scatters", "drbac_cluster_scatter_total"},
+}
+
+// renderStats pretty-prints a stats response: the wallet heading and the
+// summary sections, then every other metric the remote registry holds,
+// names sorted.
 func renderStats(w io.Writer, addr string, resp wire.StatsResp) {
 	fmt.Fprintf(w, "wallet %s\n", addr)
 	if resp.Role != "" {
-		fmt.Fprintf(w, "  role         %s\n", resp.Role)
+		fmt.Fprintf(w, "  %-12s %s\n", "role", resp.Role)
 	}
-	fmt.Fprintf(w, "  seq          %d\n", resp.Seq)
-	fmt.Fprintf(w, "  delegations  %d\n", resp.Delegations)
-	fmt.Fprintf(w, "  revoked      %d\n", resp.Revoked)
-	fmt.Fprintf(w, "  ttl-tracked  %d\n", resp.TTLTracked)
-	fmt.Fprintf(w, "  watches      %d\n", resp.Watches)
-	fmt.Fprintf(w, "proof cache\n")
-	fmt.Fprintf(w, "  hits         %d\n", resp.CacheHits)
-	fmt.Fprintf(w, "  misses       %d\n", resp.CacheMisses)
-	fmt.Fprintf(w, "  invalidated  %d\n", resp.CacheInvalidations)
-	fmt.Fprintf(w, "  entries      %d\n", resp.CacheEntries)
-	fmt.Fprintf(w, "  negatives    %d\n", resp.CacheNegatives)
-	fmt.Fprintf(w, "sig cache\n")
-	fmt.Fprintf(w, "  hits         %d\n", resp.SigCacheHits)
-	fmt.Fprintf(w, "  misses       %d\n", resp.SigCacheMisses)
-	fmt.Fprintf(w, "  evictions    %d\n", resp.SigCacheEvictions)
-	fmt.Fprintf(w, "  size         %d\n", resp.SigCacheSize)
-	if c := resp.Cluster; c != nil {
-		fmt.Fprintf(w, "cluster\n")
-		fmt.Fprintf(w, "  epoch        %d\n", c.Epoch)
-		if c.Shard < 0 {
-			fmt.Fprintf(w, "  shard        gateway\n")
-		} else {
-			fmt.Fprintf(w, "  shard        %d\n", c.Shard)
+	fmt.Fprintf(w, "  %-12s %d\n", "seq", resp.Seq)
+	// What a section shows is left out of the counters and gauges lists.
+	counters, gauges := maps.Clone(resp.Metrics.Counters), maps.Clone(resp.Metrics.Gauges)
+	section := ""
+	for _, row := range statsRows {
+		v, ok := resp.Metrics.Counters[row.family]
+		if !ok {
+			v, ok = resp.Metrics.Gauges[row.family]
 		}
-		fmt.Fprintf(w, "  shards       %d\n", c.Shards)
-		fmt.Fprintf(w, "  redirects    %d\n", c.Redirects)
-		fmt.Fprintf(w, "  scatters     %d\n", c.Scatters)
-		for _, name := range sortedNames(c.Routes) {
-			fmt.Fprintf(w, "  routed->%-4s %d\n", name, c.Routes[name])
+		delete(counters, row.family)
+		delete(gauges, row.family)
+		if !ok {
+			continue
 		}
+		if row.section != section {
+			section = row.section
+			fmt.Fprintf(w, "%s\n", section)
+		}
+		fmt.Fprintf(w, "  %-12s %d\n", row.label, v)
 	}
 	if ws := resp.Wire; ws != nil {
 		fmt.Fprintf(w, "wire codec (connection: %s)\n", ws.ConnCodec)
@@ -548,16 +567,16 @@ func renderStats(w io.Writer, addr string, resp wire.StatsResp) {
 		fmt.Fprintf(w, "  pool         %d gets / %d puts / %d discards / %d news\n",
 			ws.Pool.Gets, ws.Pool.Puts, ws.Pool.Discards, ws.Pool.News)
 	}
-	if len(resp.Metrics.Counters) > 0 {
+	if len(counters) > 0 {
 		fmt.Fprintf(w, "counters\n")
-		for _, name := range sortedNames(resp.Metrics.Counters) {
-			fmt.Fprintf(w, "  %-44s %d\n", name, resp.Metrics.Counters[name])
+		for _, name := range sortedNames(counters) {
+			fmt.Fprintf(w, "  %-44s %d\n", name, counters[name])
 		}
 	}
-	if len(resp.Metrics.Gauges) > 0 {
+	if len(gauges) > 0 {
 		fmt.Fprintf(w, "gauges\n")
-		for _, name := range sortedNames(resp.Metrics.Gauges) {
-			fmt.Fprintf(w, "  %-44s %d\n", name, resp.Metrics.Gauges[name])
+		for _, name := range sortedNames(gauges) {
+			fmt.Fprintf(w, "  %-44s %d\n", name, gauges[name])
 		}
 	}
 	if len(resp.Metrics.Histograms) > 0 {

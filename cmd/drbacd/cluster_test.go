@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"drbac/internal/cluster"
+	"drbac/internal/core"
 	"drbac/internal/obs"
 	"drbac/internal/wallet"
 )
@@ -138,6 +139,62 @@ func TestShardMapWatcher(t *testing.T) {
 	}
 	if code, reason := ready(); code != http.StatusOK || reason != "" {
 		t.Fatalf("after repair: /readyz = %d %q, want ready", code, reason)
+	}
+}
+
+// TestGatewayMetricsExposeClusterMap: a gateway's /metrics carries the
+// installed map's epoch and shard count, as a member's does, and follows a
+// rollout the watcher adopts.
+func TestGatewayMetricsExposeClusterMap(t *testing.T) {
+	o := obs.New(nil, obs.NewRegistry())
+	path := filepath.Join(t.TempDir(), "map.json")
+	base := time.Now().Add(-time.Hour)
+	m1, err := cluster.Uniform([][]string{{"127.0.0.1:1"}, {"127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeMap(t, path, m1, base)
+	owner, err := core.NewIdentity("Gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, sw, err := newClusterGateway(path, owner, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	srv := httptest.NewServer(newDebugMux(o, gw.Local(), "gateway", nil, nil, sw))
+	defer srv.Close()
+
+	metrics := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	for _, line := range []string{"drbac_cluster_epoch 1\n", "drbac_cluster_shards 2\n"} {
+		if body := metrics(); !strings.Contains(body, line) {
+			t.Errorf("gateway /metrics lacks %q:\n%s", line, body)
+		}
+	}
+
+	m2, err := m1.Split(1, 2, []string{"127.0.0.1:3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeMap(t, path, m2, base.Add(time.Minute))
+	sw.poll(o)
+	for _, line := range []string{"drbac_cluster_epoch 2\n", "drbac_cluster_shards 3\n"} {
+		if body := metrics(); !strings.Contains(body, line) {
+			t.Errorf("after the rollout, gateway /metrics lacks %q:\n%s", line, body)
+		}
 	}
 }
 

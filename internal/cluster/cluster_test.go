@@ -9,6 +9,7 @@ import (
 
 	"drbac/internal/clock"
 	"drbac/internal/core"
+	"drbac/internal/obs"
 	"drbac/internal/peer"
 	"drbac/internal/remote"
 	"drbac/internal/transport"
@@ -118,10 +119,13 @@ func (e *env) shardOwner(id int) *core.Identity {
 }
 
 // serveShard starts a fresh wallet for shard id at addr, guarded by a
-// Node on m.
+// Node on m; both meter into a registry of the shard's own.
 func (e *env) serveShard(addr string, id int, m *Map) (*wallet.Wallet, *Node) {
 	e.t.Helper()
-	w := wallet.New(wallet.Config{Owner: e.shardOwner(id), Clock: e.clk, Directory: e.dir})
+	w := wallet.New(wallet.Config{
+		Owner: e.shardOwner(id), Clock: e.clk, Directory: e.dir,
+		Obs: obs.New(nil, obs.NewRegistry()),
+	})
 	return w, e.serveWallet(addr, id, m, w)
 }
 
@@ -158,7 +162,7 @@ func (e *env) clusterOf(m *Map) (map[int]*wallet.Wallet, map[int]*Node, *Wallet)
 func (e *env) gateway(m *Map) *Wallet {
 	e.t.Helper()
 	gw, err := NewWallet(WalletConfig{
-		RouterConfig: RouterConfig{Map: m, Dialer: e.net.Dialer(e.id("gate"))},
+		RouterConfig: RouterConfig{Map: m, Dialer: e.net.Dialer(e.id("gate")), Obs: obs.New(nil, obs.NewRegistry())},
 		Identity:     e.id("gate"),
 		Clock:        e.clk,
 	})
@@ -168,6 +172,9 @@ func (e *env) gateway(m *Map) *Wallet {
 	e.t.Cleanup(gw.Close)
 	return gw
 }
+
+// counter reads a counter family from the registry o meters into.
+func counter(o *obs.Obs, name string) int64 { return o.Registry().Snapshot().Counters[name] }
 
 func mustUniform(t *testing.T, groups ...[]string) *Map {
 	t.Helper()
@@ -231,13 +238,14 @@ func TestPublishRoutesToOwner(t *testing.T) {
 		}
 	}
 
-	st := gw.Router().Stats()
-	var routed int64
-	for _, n := range st.Routes {
-		routed += n
+	if got := counter(gw.Obs(), "drbac_cluster_routes_total"); got != 4 {
+		t.Errorf("router counted %d routes, want 4", got)
 	}
-	if routed != 4 {
-		t.Errorf("router counted %d routes, want 4 (%v)", routed, st.Routes)
+	// The per-shard breakdown is each member's own count of what it served.
+	for id, w := range wallets {
+		if got, want := counter(w.Obs(), "drbac_cluster_routes_total"), int64(len(w.Delegations())); got != want {
+			t.Errorf("shard %d counted %d routes, holds %d", id, got, want)
+		}
 	}
 }
 
@@ -310,7 +318,7 @@ func TestQueryObjectScattersAllShards(t *testing.T) {
 	if len(proofs) != len(members) {
 		t.Fatalf("object scatter returned %d proofs, want %d", len(proofs), len(members))
 	}
-	if st := gw.Router().Stats(); st.Scatters == 0 {
+	if counter(gw.Obs(), "drbac_cluster_scatter_total") == 0 {
 		t.Error("router counted no scatters")
 	}
 }
@@ -354,7 +362,7 @@ func TestRedirectSelfHeals(t *testing.T) {
 	if got := gw.Router().Epoch(); got != m2.Epoch {
 		t.Errorf("router epoch %d after redirect, want %d", got, m2.Epoch)
 	}
-	if st := gw.Router().Stats(); st.Redirects == 0 {
+	if counter(gw.Obs(), "drbac_cluster_redirects_total") == 0 {
 		t.Error("router followed no redirects")
 	}
 	if !wallets[2].Contains(moved.ID()) {

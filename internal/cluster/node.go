@@ -48,11 +48,15 @@ func NewNode(id int, m *Map, o *obs.Obs) (*Node, error) {
 		mRedirects: o.Counter("drbac_cluster_redirects_total"),
 		mRoutes:    o.Counter("drbac_cluster_routes_total"),
 	}
-	if reg := o.Registry(); reg != nil {
-		reg.GaugeFunc("drbac_cluster_epoch", func() int64 { return int64(n.Current().Epoch) })
-		reg.GaugeFunc("drbac_cluster_shards", func() int64 { return int64(len(n.Current().Shards)) })
-	}
+	registerMapGauges(o, n.Current)
 	return n, nil
+}
+
+// registerMapGauges exports the installed map's epoch and shard count, for
+// a member and a gateway alike.
+func registerMapGauges(o *obs.Obs, current func() *Map) {
+	o.Registry().GaugeFunc("drbac_cluster_epoch", func() int64 { return int64(current().Epoch) })
+	o.Registry().GaugeFunc("drbac_cluster_shards", func() int64 { return int64(len(current().Shards)) })
 }
 
 // Current returns the installed map.
@@ -118,18 +122,4 @@ func (n *Node) Check(reqEpoch uint64, subject *core.Subject) *wire.Redirect {
 		rd.Addrs = append([]string(nil), s.Addrs...)
 	}
 	return rd
-}
-
-// Stats reports the member's cluster section for stats responses.
-func (n *Node) Stats() *wire.ClusterStats {
-	n.mu.RLock()
-	epoch, shards := n.m.Epoch, len(n.m.Shards)
-	n.mu.RUnlock()
-	return &wire.ClusterStats{
-		Epoch:     epoch,
-		Shard:     n.id,
-		Shards:    shards,
-		Routes:    map[string]int64{fmt.Sprintf("%d", n.id): n.mRoutes.Value()},
-		Redirects: n.mRedirects.Value(),
-	}
 }

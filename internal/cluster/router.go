@@ -11,7 +11,6 @@ import (
 	"drbac/internal/peer"
 	"drbac/internal/remote"
 	"drbac/internal/transport"
-	"drbac/internal/wire"
 )
 
 // maxRedirectHops bounds how many redirects one routed mutation follows
@@ -47,9 +46,8 @@ type Router struct {
 	mRoutes    *obs.Counter
 	mScatters  *obs.Counter
 
-	mu     sync.RWMutex
-	m      *Map
-	routes map[int]int64 // mutations routed per shard ID
+	mu sync.RWMutex
+	m  *Map
 }
 
 // NewRouter validates cfg and builds a router.
@@ -67,7 +65,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		obs:        cfg.Obs,
 		peers:      cfg.Peers,
 		m:          cfg.Map,
-		routes:     make(map[int]int64),
 		mAdoptions: cfg.Obs.Counter("drbac_cluster_map_adoptions_total"),
 		mRedirects: cfg.Obs.Counter("drbac_cluster_redirects_total"),
 		mRoutes:    cfg.Obs.Counter("drbac_cluster_routes_total"),
@@ -77,6 +74,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		r.peers = peer.NewManager(peer.Config{Dialer: cfg.Dialer, Obs: cfg.Obs})
 		r.ownsPeers = true
 	}
+	registerMapGauges(cfg.Obs, r.Current)
 	return r, nil
 }
 
@@ -170,13 +168,6 @@ func (r *Router) Home(_ context.Context, node core.Subject) ([]string, error) {
 	return r.Current().Owner(RouteKey(node)).Addrs, nil
 }
 
-func (r *Router) countRoute(shard int) {
-	r.mu.Lock()
-	r.routes[shard]++
-	r.mu.Unlock()
-	r.mRoutes.Inc()
-}
-
 // OwnerClient returns a connection to the shard owning key, plus the
 // shard and the epoch routed under.
 func (r *Router) OwnerClient(ctx context.Context, key string) (*remote.Client, string, Shard, uint64, error) {
@@ -198,7 +189,7 @@ func (r *Router) Publish(ctx context.Context, d *core.Delegation, support []*cor
 		}
 		err = c.PublishSharded(ctx, d, support, epoch)
 		if err == nil {
-			r.countRoute(shard.ID)
+			r.mRoutes.Inc()
 			return nil
 		}
 		var rd *remote.RedirectError
@@ -324,23 +315,4 @@ func (r *Router) Scatter(ctx context.Context, fn func(Shard, *remote.Client) err
 	}
 	wg.Wait()
 	return errs
-}
-
-// Stats reports the router's cluster section (gateway view, shard -1).
-func (r *Router) Stats() *wire.ClusterStats {
-	r.mu.RLock()
-	routes := make(map[string]int64, len(r.routes))
-	for id, n := range r.routes {
-		routes[fmt.Sprintf("%d", id)] = n
-	}
-	epoch, shards := r.m.Epoch, len(r.m.Shards)
-	r.mu.RUnlock()
-	return &wire.ClusterStats{
-		Epoch:     epoch,
-		Shard:     -1,
-		Shards:    shards,
-		Routes:    routes,
-		Redirects: r.mRedirects.Value(),
-		Scatters:  r.mScatters.Value(),
-	}
 }

@@ -28,9 +28,6 @@ type WalletConfig struct {
 	Identity *core.Identity
 	// Clock is the time source; nil means the system clock.
 	Clock clock.Clock
-	// MaxDepth caps proof chain depth in assembled proofs (0 = wallet
-	// default).
-	MaxDepth int
 }
 
 // Wallet presents an N-shard cluster as one logical wallet: it satisfies
@@ -64,10 +61,9 @@ func NewWallet(cfg WalletConfig) (*Wallet, error) {
 		obs:    cfg.Obs,
 	}
 	w.local = wallet.New(wallet.Config{
-		Owner:    cfg.Identity,
-		Clock:    cfg.Clock,
-		MaxDepth: cfg.MaxDepth,
-		Obs:      cfg.Obs,
+		Owner: cfg.Identity,
+		Clock: cfg.Clock,
+		Obs:   cfg.Obs,
 	})
 	w.agent = discovery.NewAgent(discovery.Config{
 		Local: w.local,
@@ -250,8 +246,8 @@ func (w *Wallet) Contains(id core.DelegationID) bool {
 // Owner is the gateway's operating identity.
 func (w *Wallet) Owner() *core.Identity { return w.cfg.Identity }
 
-// Stats summarizes the assembly cache; cluster-wide routing counters ride
-// in the stats response's cluster section (see Guard).
+// Stats summarizes the assembly cache; the router's routing counters are
+// its drbac_cluster_* families.
 func (w *Wallet) Stats() wallet.Stats { return w.local.Stats() }
 
 // Seq reports 0: the gateway has no changelog of its own — replication
@@ -277,4 +273,3 @@ func (g gatewayGuard) MapResp() (wire.ShardMapResp, error) {
 }
 
 func (g gatewayGuard) Check(uint64, *core.Subject) *wire.Redirect { return nil }
-func (g gatewayGuard) Stats() *wire.ClusterStats                  { return g.w.router.Stats() }

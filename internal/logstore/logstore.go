@@ -295,8 +295,9 @@ func (seg *segment) span(seq uint64) {
 
 // index accounts for one record seg now holds — appended a moment ago or
 // decoded during recovery: the segment's record count and seq span, and the
-// liveness index (a put supersedes the ID's earlier put, a delete kills it;
-// a put without its bundle holds no state and is never live).
+// liveness index (a put supersedes the ID's earlier put, a delete or a
+// revocation kills it; a put without its bundle holds no state and is never
+// live).
 // Callers hold s.mu, or are recovery, which runs before the store is shared.
 func (s *Store) index(seg *segment, rec Record) {
 	seg.records++
@@ -310,7 +311,7 @@ func (s *Store) index(seg *segment, rec Record) {
 			loc.seg.dead++
 		}
 		s.putLoc[rec.ID] = recLoc{seg: seg, seq: rec.Seq}
-	case rec.Kind == KindDelete:
+	case rec.Kind == KindDelete || rec.Kind == KindRevoke:
 		if loc, ok := s.putLoc[rec.ID]; ok {
 			loc.seg.dead++
 			delete(s.putLoc, rec.ID)
@@ -524,7 +525,8 @@ func (s *Store) DeleteDelegation(seq uint64, id core.DelegationID) error {
 }
 
 // AddRevocation implements wallet.Store. Revocation records carry the
-// original revocation instant and are never compacted away.
+// original revocation instant, kill the delegation's put as a delete does,
+// and are never compacted away.
 func (s *Store) AddRevocation(seq uint64, id core.DelegationID, at time.Time) (bool, error) {
 	return true, s.append(Record{Seq: seq, Kind: KindRevoke, ID: id, At: at})
 }

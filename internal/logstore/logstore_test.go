@@ -272,7 +272,8 @@ func TestLogStoreCompactionDropsDeadPuts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Kill the first half: revoke + delete, as the wallet does.
+	// Kill the first half: revoke + delete, as wallets wrote a revocation
+	// before the tombstone implied the delete.
 	for i := 0; i < n/2; i++ {
 		seq++
 		if _, err := s.AddRevocation(seq, ids[i], testStart.Add(time.Minute)); err != nil {

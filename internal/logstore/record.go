@@ -15,8 +15,8 @@ import (
 type RecordKind string
 
 // Record kinds. Put and Delete carry a delegation lifecycle change; Revoke
-// is a permanent tombstone; Header opens every segment file and carries
-// segment metadata instead of wallet state.
+// is a permanent tombstone that also deletes; Header opens every segment
+// file and carries segment metadata instead of wallet state.
 const (
 	KindHeader RecordKind = "hdr"
 	KindPut    RecordKind = "put"
@@ -67,7 +67,9 @@ func newFold() *fold {
 }
 
 // apply replays one record: a put supersedes the ID's earlier put, a delete
-// removes it, a revocation is for good.
+// removes it, a revocation removes it for good. Journals written before a
+// revocation implied the delete follow each rev with a del at the same seq;
+// that del now changes nothing.
 func (f *fold) apply(rec Record) {
 	if rec.Seq > f.seq {
 		f.seq = rec.Seq
@@ -80,6 +82,7 @@ func (f *fold) apply(rec Record) {
 	case KindDelete:
 		delete(f.bundles, rec.ID)
 	case KindRevoke:
+		delete(f.bundles, rec.ID)
 		f.revoked[rec.ID] = rec.At
 	}
 }

@@ -24,7 +24,7 @@ var (
 		"drbac_wallet_query_subject_total":  "Subject-rooted proof enumeration queries.",
 		"drbac_wallet_query_object_total":   "Object-rooted proof enumeration queries.",
 		"drbac_wallet_query_noproof_total":  "Queries that found no proof.",
-		"drbac_wallet_replay_skipped_total": "Changelog replay records skipped as already applied.",
+		"drbac_wallet_replay_skipped_total": "Invalid stored bundles refused during store replay (bad structure or signature).",
 		"drbac_wallet_store_errors_total":   "Journal writes that failed on a path with no caller to tell (expiry sweep, replicated drops, accepted revocations); memory and disk have diverged.",
 		"drbac_search_nodes_total":          "Graph-search nodes expanded across proof searches.",
 		"drbac_search_edges_total":          "Graph-search edges traversed across proof searches.",

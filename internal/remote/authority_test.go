@@ -19,7 +19,6 @@ type fakeGuard struct{}
 
 func (fakeGuard) MapResp() (wire.ShardMapResp, error)        { return wire.ShardMapResp{Epoch: 1}, nil }
 func (fakeGuard) Check(uint64, *core.Subject) *wire.Redirect { return nil }
-func (fakeGuard) Stats() *wire.ClusterStats                  { return &wire.ClusterStats{Epoch: 1} }
 
 // serviceOnly hides every capability of a wallet beyond wallet.Service, the
 // way a cluster gateway has no replication side.

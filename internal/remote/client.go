@@ -425,8 +425,8 @@ func (c *Client) QueryObject(ctx context.Context, object core.Role, constraints 
 	return resp.Proofs, err
 }
 
-// Stats fetches the remote wallet's state summary and metrics snapshot —
-// what `drbac stats` renders.
+// Stats fetches the remote wallet's metrics snapshot, role and seq — what
+// `drbac stats` renders.
 func (c *Client) Stats(ctx context.Context) (wire.StatsResp, error) {
 	return ask[wire.StatsResp](ctx, c, wire.TStats, nil)
 }

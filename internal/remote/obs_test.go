@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -92,9 +93,6 @@ func TestStatsMessage(t *testing.T) {
 			break
 		}
 	}
-	if resp.Delegations != 1 {
-		t.Errorf("delegations = %d, want 1", resp.Delegations)
-	}
 	if got := resp.Metrics.Counters["drbac_server_requests_total"]; got < 2 {
 		t.Errorf("server requests = %d, want >= 2", got)
 	}
@@ -116,7 +114,9 @@ func TestStatsMessage(t *testing.T) {
 }
 
 // TestStatsOnUninstrumentedServer checks the stats message still answers
-// (wallet summary only, empty metrics) when the server has no Obs.
+// when the server has no Obs: with the wallet's seq and an empty snapshot.
+// There is no summary beside the snapshot, so such a server reports no
+// wallet numbers at all.
 func TestStatsOnUninstrumentedServer(t *testing.T) {
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	_, w := e.serve("wallet.bigisp", "BigISP")
@@ -128,10 +128,10 @@ func TestStatsOnUninstrumentedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Delegations != 1 {
-		t.Errorf("delegations = %d, want 1", resp.Delegations)
+	if resp.Seq != 1 || resp.Seq != w.Seq() {
+		t.Errorf("seq = %d, want the wallet's 1", resp.Seq)
 	}
-	if len(resp.Metrics.Counters) != 0 || len(resp.Metrics.Histograms) != 0 {
+	if !reflect.DeepEqual(resp.Metrics, obs.Snapshot{}) {
 		t.Errorf("uninstrumented server exported metrics: %+v", resp.Metrics)
 	}
 }

@@ -66,8 +66,6 @@ type ClusterGuard interface {
 	// delegation, whose owner must be this shard; nil checks the epoch only
 	// (revoke carries no subject key). A non-nil redirect refuses it.
 	Check(reqEpoch uint64, subject *core.Subject) *wire.Redirect
-	// Stats reports the cluster section of a stats response.
-	Stats() *wire.ClusterStats
 }
 
 // RedirectError is a shard-routing refusal: the request was stamped with
@@ -593,9 +591,14 @@ func (s *Server) proveRole(_ *connState, req *wire.ProveRoleReq) (any, []any, er
 }
 
 func (s *Server) stats(cs *connState) (any, []any, error) {
-	resp := s.statsResp()
-	resp.Wire.ConnCodec = cs.conn.Codec()
-	return resp, nil, nil
+	ws := wire.StatsSnapshot()
+	ws.ConnCodec = cs.conn.Codec()
+	return wire.StatsResp{
+		Role:    s.role,
+		Seq:     s.w.Seq(),
+		Metrics: s.obs.Registry().Snapshot(),
+		Wire:    &ws,
+	}, nil, nil
 }
 
 func (s *Server) shardMap(*connState) (any, []any, error) {
@@ -611,35 +614,6 @@ func (s *Server) sync(*connState) (any, []any, error) {
 		resp.Bundles = append(resp.Bundles, wire.SyncBundle{Delegation: b.Delegation, Support: b.Support})
 	}
 	return resp, []any{"seq", snap.Seq, "bundles", len(resp.Bundles), "revoked", len(resp.Revoked)}, nil
-}
-
-// statsResp snapshots the served wallet and the shared metrics registry.
-func (s *Server) statsResp() wire.StatsResp {
-	ws := s.w.Stats()
-	resp := wire.StatsResp{
-		Role:               s.role,
-		Seq:                s.w.Seq(),
-		Delegations:        ws.Delegations,
-		Revoked:            ws.Revoked,
-		TTLTracked:         ws.TTLTracked,
-		Watches:            ws.Watches,
-		CacheHits:          ws.Cache.Hits,
-		CacheMisses:        ws.Cache.Misses,
-		CacheInvalidations: ws.Cache.Invalidations,
-		CacheEntries:       ws.Cache.Entries,
-		CacheNegatives:     ws.Cache.Negatives,
-		SigCacheHits:       ws.SigCache.Hits,
-		SigCacheMisses:     ws.SigCache.Misses,
-		SigCacheEvictions:  ws.SigCache.Evictions,
-		SigCacheSize:       ws.SigCache.Size,
-		Metrics:            s.obs.Registry().Snapshot(),
-	}
-	if s.serves[wire.TierCluster] {
-		resp.Cluster = s.guard.Stats()
-	}
-	ws2 := wire.StatsSnapshot()
-	resp.Wire = &ws2
-	return resp
 }
 
 // subscribe wires a wallet subscription to notification pushes on this

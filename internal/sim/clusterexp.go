@@ -15,6 +15,7 @@ import (
 
 	"drbac/internal/cluster"
 	"drbac/internal/core"
+	"drbac/internal/obs"
 	"drbac/internal/peer"
 	"drbac/internal/remote"
 	"drbac/internal/sigcache"
@@ -49,10 +50,11 @@ func (s *delayStore) PutDelegation(seq uint64, d *core.Delegation, support []*co
 
 // clusterSim is an N-shard wallet cluster on a World: one served wallet
 // per shard (all sharing a signature cache, each behind a delayStore)
-// and a gateway routing over the in-memory network.
+// and a gateway routing over the in-memory network, metered into gwReg.
 type clusterSim struct {
 	m       *cluster.Map
 	gw      *cluster.Wallet
+	gwReg   *obs.Registry
 	wallets map[int]*wallet.Wallet
 	nodes   map[int]*cluster.Node
 }
@@ -70,6 +72,7 @@ func startCluster(w *World, shards int, commitDelay time.Duration, sc *sigcache.
 	}
 	cs := &clusterSim{
 		m:       m,
+		gwReg:   obs.NewRegistry(),
 		wallets: make(map[int]*wallet.Wallet),
 		nodes:   make(map[int]*cluster.Node),
 	}
@@ -93,7 +96,7 @@ func startCluster(w *World, shards int, commitDelay time.Duration, sc *sigcache.
 		cs.nodes[s.ID] = node
 	}
 	gw, err := cluster.NewWallet(cluster.WalletConfig{
-		RouterConfig: cluster.RouterConfig{Map: m, Dialer: w.Net.Dialer(w.Identity("gateway"))},
+		RouterConfig: cluster.RouterConfig{Map: m, Dialer: w.Net.Dialer(w.Identity("gateway")), Obs: obs.New(nil, cs.gwReg)},
 		Identity:     w.Identity("gateway"),
 		Clock:        w.Clock,
 	})
@@ -411,7 +414,7 @@ func RunClusterSmoke(ctx context.Context) (ClusterSmokeResult, error) {
 	if res.ObjectProofs != members {
 		return res, fmt.Errorf("object scatter returned %d proofs, want %d", res.ObjectProofs, members)
 	}
-	if st := cs.gw.Router().Stats(); st.Scatters == 0 {
+	if cs.gwReg.Snapshot().Counters["drbac_cluster_scatter_total"] == 0 {
 		return res, fmt.Errorf("object query did not scatter")
 	}
 

@@ -82,7 +82,9 @@ func (s recStore) AddRevocation(seq uint64, id core.DelegationID, at time.Time) 
 // (a cached copy is not journaled), and the "store revoke … added=false"
 // probe of a revocation the wallet already holds (the wallet decides that
 // itself) — and made store.seq in history-failing-store 14, the last write
-// that reached the journal.
+// that reached the journal. Since a revocation's tombstone implies the
+// delete, the "store delete" that followed each "store revoke" at the same
+// seq is gone too; no stored list changed with it.
 type scenario struct {
 	name  string
 	fail  bool

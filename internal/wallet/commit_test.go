@@ -63,9 +63,9 @@ func commitTable(t *testing.T, newStore func(t *testing.T) Store) {
 			writes: []string{"put"}, noop: install /* already present */},
 		{name: "revoke", text: lasting, kind: subs.Revoked, arrange: publish,
 			act:    func(e *env, w *Wallet, d *core.Delegation) { _ = w.Revoke(d.ID(), e.id("BigISP").ID()) },
-			writes: []string{"revoke", "delete"}, noop: accept /* already revoked */},
+			writes: []string{"revoke"}, noop: accept /* already revoked */},
 		{name: "revoke-cached", text: lasting, kind: subs.Revoked, arrange: cache, act: accept,
-			writes: []string{"revoke", "delete"}},
+			writes: []string{"revoke"}},
 		{name: "expire", text: expiring, kind: subs.Expired, arrange: publish, act: expire,
 			writes: []string{"delete"},
 			noop:   func(_ *env, w *Wallet, _ *core.Delegation) { w.SweepExpired() }},

@@ -45,10 +45,9 @@ type State struct {
 // Every write carries the changelog sequence number the mutation was
 // accepted under (the wallet stamps seq under its mutation lock), so an
 // append-only store frames each record with its seq. One logical mutation
-// may issue more than one write with the same seq (a revocation records the
-// tombstone and then deletes the bundle), and mutations that change no
-// durable state (cached copies, TTL renewals) write nothing: seqs are
-// non-decreasing across writes, with gaps.
+// issues at most one write (a revocation's tombstone also removes the
+// bundle), and mutations that change no durable state (cached copies, TTL
+// renewals) write nothing: seqs increase across writes, with gaps.
 //
 // Implementations must be safe for concurrent use. A write that fails
 // changes nothing the wallet has decided: memory already holds the outcome,
@@ -63,7 +62,8 @@ type Store interface {
 	// DeleteDelegation records under seq that the delegation left the wallet.
 	DeleteDelegation(seq uint64, id core.DelegationID) error
 	// AddRevocation records under seq that id was revoked at the given
-	// instant. Revocations are permanent. The wallet decides whether a
+	// instant, which also removes its bundle (no DeleteDelegation follows).
+	// Revocations are permanent. The wallet decides whether a
 	// revocation is new and writes only those, so added is always true and
 	// the wallet does not read it.
 	AddRevocation(seq uint64, id core.DelegationID, at time.Time) (added bool, err error)

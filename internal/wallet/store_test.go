@@ -47,6 +47,7 @@ func (j *journal) AddRevocation(seq uint64, id core.DelegationID, at time.Time) 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.seq = max(j.seq, seq)
+	delete(j.bundles, id)
 	j.revoked[id] = at
 	return true, nil
 }

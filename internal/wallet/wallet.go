@@ -605,12 +605,8 @@ func (w *Wallet) forceRevoke(id core.DelegationID) error {
 			return false, nil
 		}
 		w.g.Remove(id)
-		// The tombstone and the bundle removal are one logical mutation and
-		// share one seq.
+		// The tombstone implies the bundle's removal: one record, one fsync.
 		_, err := w.store.AddRevocation(seq, id, now)
-		if derr := w.store.DeleteDelegation(seq, id); err == nil {
-			err = derr
-		}
 		return true, err
 	})
 	return err

@@ -69,9 +69,8 @@ func populated(t testing.TB) map[reflect.Type][]any {
 		HasReq{Delegation: d.ID()},
 		HasResp{Present: true},
 		StatsResp{
-			Role: "primary", Seq: 9, Delegations: 4, Revoked: 1, CacheHits: 12,
+			Role: "primary", Seq: 9,
 			Metrics: obs.Snapshot{Counters: map[string]int64{"drbac_server_requests_total": 3}},
-			Cluster: &ClusterStats{Epoch: 2, Shard: 1, Shards: 4, Routes: map[string]int64{"1": 8}},
 			Wire:    &WireStats{ConnCodec: CodecBinary, BinaryFramesEncoded: 5},
 		},
 		SyncResp{

@@ -201,36 +201,17 @@ type HasResp struct {
 	Present bool `json:"present"`
 }
 
-// StatsResp answers a TStats request (sent with an empty body): a summary
-// of the serving wallet's state plus a full snapshot of its metrics
-// registry — what the `drbac stats` subcommand renders and what the
-// drbacd /metrics endpoint exports locally.
+// StatsResp answers a TStats request (sent with an empty body): a full
+// snapshot of the serving wallet's metrics registry, the one export of
+// every number it holds, plus what no family holds: the serving role, the
+// changelog seq and the codec counters. `drbac stats` renders it.
 type StatsResp struct {
-	// Role is the serving daemon's replication role ("primary" or
-	// "replica"); empty when the server does not declare one.
+	// Role is the serving daemon's role ("primary", "replica", "gateway"
+	// or "shard-N"); empty when the server does not declare one.
 	Role string `json:"role,omitempty"`
 	// Seq is the wallet's changelog sequence number (§9 replication).
-	Seq                uint64 `json:"seq"`
-	Delegations        int    `json:"delegations"`
-	Revoked            int    `json:"revoked"`
-	TTLTracked         int    `json:"ttlTracked"`
-	Watches            int    `json:"watches"`
-	CacheHits          int64  `json:"cacheHits"`
-	CacheMisses        int64  `json:"cacheMisses"`
-	CacheInvalidations int64  `json:"cacheInvalidations"`
-	CacheEntries       int    `json:"cacheEntries"`
-	CacheNegatives     int    `json:"cacheNegatives"`
-	// SigCache* report the wallet's verified-signature memo. When the
-	// daemon uses the process-wide shared cache these counters cover every
-	// verification in the process, not only this wallet's.
-	SigCacheHits      int64        `json:"sigCacheHits"`
-	SigCacheMisses    int64        `json:"sigCacheMisses"`
-	SigCacheEvictions int64        `json:"sigCacheEvictions"`
-	SigCacheSize      int64        `json:"sigCacheSize"`
-	Metrics           obs.Snapshot `json:"metrics"`
-	// Cluster describes the answering member's shard cluster view; nil
-	// outside sharded deployments.
-	Cluster *ClusterStats `json:"cluster,omitempty"`
+	Seq     uint64       `json:"seq"`
+	Metrics obs.Snapshot `json:"metrics"`
 	// Wire reports the process-wide codec counters: frames and bytes
 	// encoded/decoded per codec, entity-intern hit rate, and frame-pool
 	// churn. Nil when answered by a server predating codec negotiation.
@@ -306,23 +287,6 @@ type Redirect struct {
 	// Map is the refusing member's full serialized map, so one redirect
 	// heals the client's entire routing table.
 	Map json.RawMessage `json:"map,omitempty"`
-}
-
-// ClusterStats is the cluster section of a StatsResp, present when the
-// answering process is a shard member or gateway.
-type ClusterStats struct {
-	Epoch uint64 `json:"epoch"`
-	// Shard is the answering member's shard ID; -1 for a gateway.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
-	// Routes counts mutations routed per shard ID (gateway view) or
-	// served locally (member view), keyed by decimal shard ID.
-	Routes map[string]int64 `json:"routes,omitempty"`
-	// Redirects counts requests refused with a redirect (member) or
-	// redirects followed (gateway).
-	Redirects int64 `json:"redirects,omitempty"`
-	// Scatters counts cross-shard scatter-gather queries (gateway).
-	Scatters int64 `json:"scatters,omitempty"`
 }
 
 // ErrorResp reports a request failure.

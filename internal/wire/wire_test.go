@@ -238,12 +238,8 @@ func TestQueryReqTraceIDRoundTrip(t *testing.T) {
 
 func TestStatsRespRoundTrip(t *testing.T) {
 	resp := StatsResp{
-		Delegations: 3,
-		Revoked:     1,
-		TTLTracked:  2,
-		Watches:     4,
-		CacheHits:   10,
-		CacheMisses: 5,
+		Role: "primary",
+		Seq:  12,
 		Metrics: obs.Snapshot{
 			Counters: map[string]int64{"drbac_server_requests_total": 17},
 			Gauges:   map[string]int64{"drbac_wallet_delegations": 3},
@@ -267,8 +263,8 @@ func TestStatsRespRoundTrip(t *testing.T) {
 	if err := DecodeBody(env, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Delegations != 3 || got.CacheHits != 10 {
-		t.Fatalf("summary = %+v", got)
+	if got.Role != "primary" || got.Seq != 12 {
+		t.Fatalf("role/seq = %+v", got)
 	}
 	if got.Metrics.Counters["drbac_server_requests_total"] != 17 {
 		t.Fatalf("counters = %+v", got.Metrics.Counters)
