@@ -22,6 +22,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -641,7 +642,10 @@ func BenchmarkObservabilityTraced(b *testing.B) {
 // ns/op compares directly against the serial query-direct number. hot-cache
 // serves memoized answers (§6 coherent caching); cold-cache disables
 // memoization so every query re-runs the sharded graph search; the serial
-// variants pin the single-goroutine cost of each mode.
+// variants pin the single-goroutine cost of each mode. over-capacity keeps
+// the cache on under a working set four times its limit, as the load
+// benchmark's authz-cold does: most queries search, validate and memoize,
+// and every memo evicts another.
 func BenchmarkWalletParallelQuery(b *testing.B) {
 	w := newBenchWorld(b)
 	dAB := w.issue(b, "[Maria -> BigISP.b] BigISP")
@@ -694,6 +698,59 @@ func BenchmarkWalletParallelQuery(b *testing.B) {
 			}
 		})
 	}
+	b.Run("over-capacity", func(b *testing.B) {
+		wal, qs := overCapacityWallet(b, w)
+		var seed atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			rng := rand.New(rand.NewSource(seed.Add(1)))
+			for pb.Next() {
+				if _, err := wal.QueryDirect(qs[rng.Intn(len(qs))]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
+
+// overCapacityWallet publishes an eight-role chain BigISP.c0 ⇒ … ⇒
+// BigISP.c7 and one grant u_i ⇒ BigISP.c0 per user, and asks each user for
+// c3 through c7: 4 × wallet.DefaultProofCacheLimit questions whose 4–8 step
+// proofs share the chain. Every question is asked once, so the cache starts
+// full.
+func overCapacityWallet(b *testing.B, w *benchWorld) (*drbac.Wallet, []drbac.Query) {
+	b.Helper()
+	const chain, first = 8, 3
+	isp := w.ids["BigISP"]
+	role := func(name string) drbac.Role { return drbac.NewRole(isp.ID(), name) }
+	users := (4*wallet.DefaultProofCacheLimit + chain - first - 1) / (chain - first)
+	wal := drbac.NewWallet(drbac.WalletConfig{Directory: w.dir})
+	publish := func(t drbac.Template) {
+		d, err := drbac.Issue(isp, t, w.now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := wal.Publish(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for c := 0; c+1 < chain; c++ {
+		publish(drbac.Template{Subject: drbac.SubjectRole(role(fmt.Sprintf("c%d", c))), Object: role(fmt.Sprintf("c%d", c+1))})
+	}
+	qs := make([]drbac.Query, 0, users*(chain-first))
+	for u := 0; u < users; u++ {
+		user := drbac.SubjectRole(role(fmt.Sprintf("u%d", u)))
+		publish(drbac.Template{Subject: user, Object: role("c0")})
+		for c := first; c < chain; c++ {
+			qs = append(qs, drbac.Query{Subject: user, Object: role(fmt.Sprintf("c%d", c))})
+		}
+	}
+	for _, q := range qs {
+		if _, err := wal.QueryDirect(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return wal, qs
 }
 
 // wireBench serves one wallet holding the Figure 1 two-delegation chain and

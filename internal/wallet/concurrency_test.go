@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"drbac/internal/clock"
 	"drbac/internal/core"
 	"drbac/internal/graph"
 )
@@ -208,5 +209,67 @@ func TestCacheCoherenceOnStaleTTL(t *testing.T) {
 	}
 	if _, err := w.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
 		t.Fatalf("query after staleness = %v, want ErrNoProof", err)
+	}
+}
+
+// sweepingClock is a fake clock that runs fire inside its n-th Now after
+// arm, so a stale sweep can land at one exact point inside a query.
+type sweepingClock struct {
+	*clock.Fake
+	mu   sync.Mutex
+	left int
+	fire func()
+}
+
+func (c *sweepingClock) arm(n int, fire func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.left, c.fire = n, fire
+}
+
+func (c *sweepingClock) Now() time.Time {
+	c.mu.Lock()
+	c.left--
+	fire := c.fire
+	if c.left != 0 {
+		fire = nil
+	}
+	c.mu.Unlock()
+	if fire != nil {
+		fire()
+	}
+	return c.Fake.Now()
+}
+
+// TestQueryRacesStaleSweep lands a stale sweep inside one QueryDirect,
+// after its search found a TTL copy and before its proof is memoized. The
+// query may return that proof — it was true when found — but must not
+// memoize it: the sweep's invalidation has already run, so the memo would
+// be served over a copy the wallet no longer holds until evicted.
+func TestQueryRacesStaleSweep(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	clk := &sweepingClock{Fake: e.clk}
+	w := e.wallet(Config{Clock: clk})
+	d := e.deleg("[Maria -> BigISP.member] BigISP")
+	if err := w.InsertCached(d, nil, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Subject: e.subject("Maria"), Object: e.role("BigISP.member")}
+	swept := 0
+	// QueryDirect reads the clock for the cache recheck, the search and the
+	// validation, in that order: the third read falls between the search
+	// and the Put.
+	clk.arm(3, func() {
+		e.clk.Advance(time.Minute)
+		swept = w.SweepStaleCache()
+	})
+	if _, err := w.QueryDirect(q); err != nil {
+		t.Fatalf("racing query = %v, want the proof its search found before the sweep", err)
+	}
+	if swept != 1 || w.Contains(d.ID()) {
+		t.Fatalf("the sweep inside the query removed %d copies (held after: %v), want the TTL copy gone", swept, w.Contains(d.ID()))
+	}
+	if p, err := w.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("query after the sweep = (%v, %v), want ErrNoProof; cache %+v", p, err, w.Stats().Cache)
 	}
 }

@@ -35,13 +35,26 @@ type CacheStats struct {
 // concrete. Positive entries are indexed by every delegation their proof
 // uses so a single status push invalidates exactly the answers it affects;
 // negative entries are flushed wholesale whenever a new delegation is
-// published. Both wallets and pull-through proxies embed one.
+// published. Wallets embed one; the pull-through proxy serves repeats from
+// its local wallet's.
 //
 // Coherence is event-driven, not polled: the owner wires InvalidateDelegation
 // and InvalidateNegatives to a subscription push channel (subs.Registry).
 // As a second line of defense, Lookup re-checks expiry and revocation per
 // step at the caller's clock, so an entry can never outlive the credentials
-// it is built from even between pushes.
+// it is built from even between pushes. An answer computed while a push ran
+// is not memoized: the caller reads gen before its Lookup, and Put or
+// PutNegative drops an insert whose generation has moved since.
+//
+// The delegation index is one list of entry pointers per delegation (per
+// in-memory copy of it, reached from its ID through aliases). A Put
+// appends its entry once per proof step, support proofs included; dropping
+// an entry — eviction, replacement, a refused recheck — deletes its key and
+// marks it dead, and unlinks nothing. A list is compacted when it fills and
+// doubles only when more than half of it is live, and the whole index is
+// swept when it outgrows four times its live slots, so a Put stays
+// amortized O(steps) and the index within a constant factor of live
+// memberships.
 //
 // A hit takes mu only shared, and only for the map read: the usability walk
 // runs outside it and the counters are atomic, so concurrent readers never
@@ -50,22 +63,46 @@ type CacheStats struct {
 type ProofCache struct {
 	mu    sync.RWMutex
 	limit int
-	pos   map[string]*core.Proof
+	pos   map[string]*cacheEntry
 	neg   map[string]struct{}
-	// byDelegation maps each delegation to the positive keys whose proofs
-	// use it.
-	byDelegation map[core.DelegationID]map[string]struct{}
+	// byDelegation lists, per delegation, the positive entries whose proofs
+	// use it, one slot per use, dead entries included until compaction. It
+	// is keyed by the proof step's *core.Delegation, which hashes and
+	// compares as one word where the 64-hex ID does not; aliases maps each
+	// ID to the copies byDelegation holds, one per decoded or stored
+	// instance of the delegation.
+	byDelegation map[*core.Delegation]*[]*cacheEntry
+	aliases      map[core.DelegationID][]*core.Delegation
+	// listed counts every slot in byDelegation; live, the slots of entries
+	// still in pos.
+	listed, live int
+
+	// posGen moves on every InvalidateDelegation, negGen on every
+	// InvalidateNegatives, both on Flush. Written under mu.
+	posGen, negGen atomic.Uint64
 
 	hits, misses, invalidations atomic.Int64
 }
+
+// cacheEntry is one memoized proof. Dropping it nils proof and key; the
+// delegation lists keep pointing at it, and skip it, until compacted.
+type cacheEntry struct {
+	key   string
+	proof *core.Proof
+	slots int // delegation-list slots that point at it
+}
+
+// cacheGen is the pair of generations an answer was computed under.
+type cacheGen struct{ pos, neg uint64 }
 
 // newProofCache returns an empty cache holding at most limit entries.
 func newProofCache(limit int) *ProofCache {
 	return &ProofCache{
 		limit:        limit,
-		pos:          make(map[string]*core.Proof),
+		pos:          make(map[string]*cacheEntry),
 		neg:          make(map[string]struct{}),
-		byDelegation: make(map[core.DelegationID]map[string]struct{}),
+		byDelegation: make(map[*core.Delegation]*[]*cacheEntry),
+		aliases:      make(map[core.DelegationID][]*core.Delegation),
 	}
 }
 
@@ -126,6 +163,12 @@ func writeRoleKey(b *strings.Builder, r core.Role) {
 	}
 }
 
+// gen reads the generations an answer computed from now on is checked
+// against. Read it before Lookup, and hand it to Put or PutNegative.
+func (c *ProofCache) gen() cacheGen {
+	return cacheGen{pos: c.posGen.Load(), neg: c.negGen.Load()}
+}
+
 // Lookup consults the cache. A positive hit returns (proof, false, true);
 // a negative hit — the query is memoized as unprovable — returns
 // (nil, true, true); a miss returns ok == false. Positive entries are
@@ -133,18 +176,22 @@ func writeRoleKey(b *strings.Builder, r core.Role) {
 // dropped (counted as invalidations) when the check fails.
 func (c *ProofCache) Lookup(key string, now time.Time, revoked func(core.DelegationID) bool) (p *core.Proof, negative, ok bool) {
 	c.mu.RLock()
-	proof, pok := c.pos[key]
+	e := c.pos[key]
+	var proof *core.Proof
+	if e != nil {
+		proof = e.proof
+	}
 	_, nok := c.neg[key]
 	c.mu.RUnlock()
 
-	if pok {
+	if proof != nil {
 		if proofUsable(proof, now, revoked) {
 			c.hits.Add(1)
 			return proof, false, true
 		}
 		c.mu.Lock()
-		if cur, still := c.pos[key]; still && cur == proof {
-			c.removeKeyLocked(key)
+		if c.pos[key] == e {
+			c.dropLocked(e)
 			c.invalidations.Add(1)
 		}
 		c.mu.Unlock()
@@ -181,32 +228,34 @@ func proofUsable(p *core.Proof, now time.Time, revoked func(core.DelegationID) b
 	return true
 }
 
-// Put memoizes a validated proof under key.
-func (c *ProofCache) Put(key string, p *core.Proof) {
+// Put memoizes a validated proof under key, unless a delegation was
+// invalidated since g was read: the proof may rest on it.
+func (c *ProofCache) Put(key string, p *core.Proof, g cacheGen) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.posGen.Load() != g.pos {
+		return
+	}
 	c.evictLocked()
-	if _, ok := c.pos[key]; ok {
-		c.removeKeyLocked(key)
+	if old, ok := c.pos[key]; ok {
+		c.dropLocked(old)
 	}
 	delete(c.neg, key)
-	c.pos[key] = p
-	for _, d := range p.Delegations() {
-		id := d.ID()
-		keys, ok := c.byDelegation[id]
-		if !ok {
-			keys = make(map[string]struct{})
-			c.byDelegation[id] = keys
-		}
-		keys[key] = struct{}{}
+	e := &cacheEntry{key: key, proof: p}
+	c.pos[key] = e
+	e.slots = c.linkLocked(e, p)
+	c.live += e.slots
+	if c.listed > 4*c.live {
+		c.sweepLocked()
 	}
 }
 
-// PutNegative memoizes key as currently unprovable.
-func (c *ProofCache) PutNegative(key string) {
+// PutNegative memoizes key as currently unprovable, unless a delegation was
+// published since g was read: it may prove key.
+func (c *ProofCache) PutNegative(key string, g cacheGen) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pos[key]; ok {
+	if _, ok := c.pos[key]; ok || c.negGen.Load() != g.neg {
 		return
 	}
 	c.evictLocked()
@@ -225,8 +274,8 @@ func (c *ProofCache) evictLocked() {
 			break
 		}
 		if !evicted {
-			for key := range c.pos {
-				c.removeKeyLocked(key)
+			for _, e := range c.pos {
+				c.dropLocked(e)
 				evicted = true
 				break
 			}
@@ -237,21 +286,81 @@ func (c *ProofCache) evictLocked() {
 	}
 }
 
-// removeKeyLocked drops one positive entry and unlinks it from the
-// delegation index. Callers hold c.mu.
-func (c *ProofCache) removeKeyLocked(key string) {
-	p, ok := c.pos[key]
-	if !ok {
-		return
-	}
-	delete(c.pos, key)
-	for _, d := range p.Delegations() {
-		id := d.ID()
-		if keys, ok := c.byDelegation[id]; ok {
-			delete(keys, key)
-			if len(keys) == 0 {
-				delete(c.byDelegation, id)
+// dropLocked removes a live entry from pos and marks it dead; its list
+// slots stay until compaction. Callers hold c.mu.
+func (c *ProofCache) dropLocked(e *cacheEntry) {
+	delete(c.pos, e.key)
+	c.live -= e.slots
+	e.key, e.proof = "", nil
+}
+
+// linkLocked appends e to the list of every delegation p uses, walking the
+// proof in place as proofUsable does, and returns the slots it appended.
+// Callers hold c.mu.
+func (c *ProofCache) linkLocked(e *cacheEntry, p *core.Proof) int {
+	n := len(p.Steps)
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		d := st.Delegation
+		l := c.byDelegation[d]
+		if l == nil {
+			l = new([]*cacheEntry)
+			c.byDelegation[d] = l
+			id := d.ID()
+			c.aliases[id] = append(c.aliases[id], d)
+		} else if len(*l) == cap(*l) {
+			// A full list doubles only when more than half of it is live,
+			// so at least half a capacity of appends separates two
+			// compactions of one list.
+			s := c.compactLocked(*l)
+			if 2*len(s) > cap(s) {
+				s = append(make([]*cacheEntry, 0, 2*cap(s)), s...)
 			}
+			*l = s
+		}
+		*l = append(*l, e)
+		for _, sup := range st.Support {
+			n += c.linkLocked(e, sup)
+		}
+	}
+	c.listed += len(p.Steps)
+	return n
+}
+
+// compactLocked drops the dead slots of a list in place. Callers hold c.mu.
+func (c *ProofCache) compactLocked(s []*cacheEntry) []*cacheEntry {
+	n := 0
+	for _, e := range s {
+		if e.proof != nil {
+			s[n] = e
+			n++
+		}
+	}
+	clear(s[n:])
+	c.listed -= len(s) - n
+	return s[:n]
+}
+
+// sweepLocked compacts every list and deletes the empty ones: the lists
+// no Put appends to any more keep their dead slots until it runs. It
+// touches at most four slots per live one and leaves only live ones, so
+// its cost is paid by the appends that made the dead. Callers hold c.mu.
+func (c *ProofCache) sweepLocked() {
+	for id, ds := range c.aliases {
+		kept := ds[:0]
+		for _, d := range ds {
+			l := c.byDelegation[d]
+			if *l = c.compactLocked(*l); len(*l) > 0 {
+				kept = append(kept, d)
+			} else {
+				delete(c.byDelegation, d)
+			}
+		}
+		clear(ds[len(kept):])
+		if len(kept) == 0 {
+			delete(c.aliases, id)
+		} else {
+			c.aliases[id] = kept
 		}
 	}
 }
@@ -261,11 +370,19 @@ func (c *ProofCache) removeKeyLocked(key string) {
 func (c *ProofCache) InvalidateDelegation(id core.DelegationID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := c.byDelegation[id]
-	for key := range keys {
-		c.removeKeyLocked(key)
-		c.invalidations.Add(1)
+	c.posGen.Add(1)
+	for _, d := range c.aliases[id] {
+		l := c.byDelegation[d]
+		for _, e := range *l {
+			if e.proof != nil {
+				c.dropLocked(e)
+				c.invalidations.Add(1)
+			}
+		}
+		c.listed -= len(*l)
+		delete(c.byDelegation, d)
 	}
+	delete(c.aliases, id)
 }
 
 // InvalidateNegatives flushes every memoized no-proof answer. Wired to
@@ -274,6 +391,7 @@ func (c *ProofCache) InvalidateDelegation(id core.DelegationID) {
 func (c *ProofCache) InvalidateNegatives() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.negGen.Add(1)
 	if len(c.neg) == 0 {
 		return
 	}
@@ -286,10 +404,14 @@ func (c *ProofCache) InvalidateNegatives() {
 func (c *ProofCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.posGen.Add(1)
+	c.negGen.Add(1)
 	c.invalidations.Add(int64(len(c.pos) + len(c.neg)))
-	c.pos = make(map[string]*core.Proof)
+	c.pos = make(map[string]*cacheEntry)
 	c.neg = make(map[string]struct{})
-	c.byDelegation = make(map[core.DelegationID]map[string]struct{})
+	c.byDelegation = make(map[*core.Delegation]*[]*cacheEntry)
+	c.aliases = make(map[core.DelegationID][]*core.Delegation)
+	c.listed, c.live = 0, 0
 }
 
 // Stats returns a snapshot of cache effectiveness counters.

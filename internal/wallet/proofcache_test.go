@@ -1,6 +1,7 @@
 package wallet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -44,17 +45,17 @@ func TestProofCacheHitMissNegative(t *testing.T) {
 	if _, _, ok := c.Lookup("k", now, nil); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Put("k", p)
+	c.Put("k", p, c.gen())
 	got, negative, ok := c.Lookup("k", now, nil)
 	if !ok || negative || got != p {
 		t.Fatalf("Lookup = (%v, %v, %v)", got, negative, ok)
 	}
-	c.PutNegative("n")
+	c.PutNegative("n", c.gen())
 	if _, negative, ok := c.Lookup("n", now, nil); !ok || !negative {
 		t.Fatalf("negative Lookup = (negative=%v, ok=%v)", negative, ok)
 	}
 	// PutNegative must not shadow an existing positive entry.
-	c.PutNegative("k")
+	c.PutNegative("k", c.gen())
 	if got, negative, ok := c.Lookup("k", now, nil); !ok || negative || got != p {
 		t.Fatal("PutNegative clobbered a positive entry")
 	}
@@ -75,7 +76,7 @@ func TestProofCacheLookupRechecksExpiryAndRevocation(t *testing.T) {
 	now := e.clk.Now()
 
 	c := newProofCache(DefaultProofCacheLimit)
-	c.Put("k", p)
+	c.Put("k", p, c.gen())
 	revoked := func(id core.DelegationID) bool { return id == d.ID() }
 	if _, _, ok := c.Lookup("k", now, revoked); ok {
 		t.Fatal("revoked proof served from cache")
@@ -94,7 +95,7 @@ func TestProofCacheLookupRechecksExpiryAndRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := newProofCache(DefaultProofCacheLimit)
-	c2.Put("k", pe)
+	c2.Put("k", pe, c2.gen())
 	if _, _, ok := c2.Lookup("k", now.Add(2*time.Minute), nil); ok {
 		t.Fatal("expired proof served from cache")
 	}
@@ -107,9 +108,9 @@ func TestProofCacheInvalidateDelegation(t *testing.T) {
 	p1, _ := core.NewProof(core.ProofStep{Delegation: d1})
 	p2, _ := core.NewProof(core.ProofStep{Delegation: d2})
 	c := newProofCache(DefaultProofCacheLimit)
-	c.Put("a", p1)
-	c.Put("b", p2)
-	c.PutNegative("n")
+	c.Put("a", p1, c.gen())
+	c.Put("b", p2, c.gen())
+	c.PutNegative("n", c.gen())
 
 	c.InvalidateDelegation(d1.ID())
 	now := e.clk.Now()
@@ -129,21 +130,227 @@ func TestProofCacheInvalidateDelegation(t *testing.T) {
 	}
 }
 
+// chainProofs issues the chain Maria ⇒ BigISP.r0 ⇒ … ⇒ BigISP.r5 and
+// returns its six prefixes as proofs, one to six steps long, all sharing the
+// first delegation, followed by Table 1's third-party proof with its support.
+func (e *env) chainProofs() (chain []*core.Delegation, proofs []*core.Proof) {
+	e.t.Helper()
+	chain = []*core.Delegation{e.deleg("[Maria -> BigISP.r0] BigISP")}
+	for i := 0; i < 5; i++ {
+		chain = append(chain, e.deleg(fmt.Sprintf("[BigISP.r%d -> BigISP.r%d] BigISP", i, i+1)))
+	}
+	var steps []core.ProofStep
+	for _, d := range chain {
+		steps = append(steps, core.ProofStep{Delegation: d})
+		p, err := core.NewProof(steps...)
+		if err != nil {
+			e.t.Fatal(err)
+		}
+		proofs = append(proofs, p)
+	}
+	return chain, append(proofs, e.table1Proof())
+}
+
+// indexCounts walks c's delegation index: every slot, the slots whose entry
+// is live, and the slots listed under id.
+func indexCounts(c *ProofCache, id core.DelegationID) (listed, live, underID int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for d, l := range c.byDelegation {
+		for _, e := range *l {
+			listed++
+			if e.proof != nil {
+				live++
+			}
+			if d.ID() == id {
+				underID++
+			}
+		}
+	}
+	return listed, live, underID
+}
+
+// listedUnder reports whether e is in a list of a delegation with id.
+func listedUnder(c *ProofCache, id core.DelegationID, e *cacheEntry) bool {
+	for _, d := range c.aliases[id] {
+		for _, x := range *c.byDelegation[d] {
+			if x == e {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func usesDelegation(p *core.Proof, id core.DelegationID) bool {
+	for _, d := range p.Delegations() {
+		if d.ID() == id {
+			return true
+		}
+	}
+	return false
+}
+
 func TestProofCacheEviction(t *testing.T) {
-	e := newEnv(t, "BigISP", "Maria")
-	d := e.deleg("[Maria -> BigISP.member] BigISP")
-	p, _ := core.NewProof(core.ProofStep{Delegation: d})
-	c := newProofCache(4)
-	for i := 0; i < 64; i++ {
-		c.Put(string(rune('a'+i)), p)
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	chain, proofs := e.chainProofs()
+	const limit = 16
+	c := newProofCache(limit)
+	// Churn a hundred times the limit over rotating keys whose proofs share
+	// delegations, so every Put evicts or replaces.
+	for i := 0; i < 100*limit; i++ {
+		c.Put(fmt.Sprintf("k%d", i%(3*limit)), proofs[i%len(proofs)], c.gen())
+		if st := c.Stats(); st.Entries+st.Negatives > limit {
+			t.Fatalf("cache grew past its limit: %+v", st)
+		}
+		// The delegation index must shrink with evictions, not leak: after
+		// every Put it holds at most four slots per live one.
+		listed, live, _ := indexCounts(c, "")
+		if listed != c.listed || live != c.live {
+			t.Fatalf("Put %d: index walk finds %d slots, %d live; counters say %d, %d", i, listed, live, c.listed, c.live)
+		}
+		if listed > 4*live {
+			t.Fatalf("Put %d: index lists %d slots for %d live ones, want at most four times", i, listed, live)
+		}
 	}
-	if st := c.Stats(); st.Entries+st.Negatives > 4 {
-		t.Fatalf("cache grew past its limit: %+v", st)
+
+	// A refused recheck drops an entry and unlinks nothing: its slot under
+	// the shared delegation stays, dead.
+	id := chain[0].ID()
+	for key, en := range c.pos {
+		if usesDelegation(en.proof, id) {
+			c.Lookup(key, e.clk.Now(), func(core.DelegationID) bool { return true })
+			break
+		}
 	}
-	// The delegation index must shrink with evictions, not leak keys.
-	c.InvalidateDelegation(d.ID())
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("entries after full invalidation = %d", st.Entries)
+	want := 0
+	for _, en := range c.pos {
+		if usesDelegation(en.proof, id) {
+			want++
+		}
+	}
+	if _, _, slots := indexCounts(c, id); slots <= want {
+		t.Fatalf("%d slots listed under the shared delegation for %d live entries, want a dead one too", slots, want)
+	}
+	before := c.Stats().Invalidations
+	c.InvalidateDelegation(id)
+	if got := c.Stats().Invalidations - before; got != int64(want) {
+		t.Fatalf("InvalidateDelegation counted %d invalidations, want the %d live entries using it", got, want)
+	}
+	for key, en := range c.pos {
+		if usesDelegation(en.proof, id) {
+			t.Fatalf("%s survived the invalidation of a delegation it uses", key)
+		}
+	}
+
+	// Invalidating every delegation empties the cache and its index.
+	for _, p := range proofs {
+		for _, d := range p.Delegations() {
+			c.InvalidateDelegation(d.ID())
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 || len(c.byDelegation) != 0 || len(c.aliases) != 0 || c.listed != 0 || c.live != 0 {
+		t.Fatalf("after full invalidation: %+v, %d lists, %d IDs, %d slots, %d live", st, len(c.byDelegation), len(c.aliases), c.listed, c.live)
+	}
+}
+
+// An answer computed across an invalidation of its kind is not memoized:
+// a denial searched before a publish lands after the publish's flush, or a
+// proof searched before a revocation lands after its invalidation. Each
+// generation guards only its own kind, so a publish costs no positive
+// memo and a revocation no negative one.
+func TestProofCachePutAfterInvalidateDropped(t *testing.T) {
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	chain, proofs := e.chainProofs()
+	now := e.clk.Now()
+	c := newProofCache(DefaultProofCacheLimit)
+
+	g := c.gen()
+	c.InvalidateNegatives()
+	c.PutNegative("n", g)
+	if _, _, ok := c.Lookup("n", now, nil); ok {
+		t.Fatal("a denial computed before a publish was memoized after it")
+	}
+	g = c.gen()
+	c.InvalidateDelegation(chain[5].ID())
+	c.Put("p", proofs[0], g)
+	if _, _, ok := c.Lookup("p", now, nil); ok {
+		t.Fatal("a proof computed before an invalidation was memoized after it")
+	}
+
+	g = c.gen()
+	c.InvalidateNegatives()
+	c.Put("p", proofs[0], g)
+	if got, _, ok := c.Lookup("p", now, nil); !ok || got != proofs[0] {
+		t.Fatal("a publish cost a positive memo")
+	}
+	g = c.gen()
+	c.InvalidateDelegation(chain[5].ID())
+	c.PutNegative("n", g)
+	if _, negative, ok := c.Lookup("n", now, nil); !ok || !negative {
+		t.Fatal("a revocation cost a negative memo")
+	}
+
+	g = c.gen()
+	c.Flush()
+	c.Put("q", proofs[1], g)
+	c.PutNegative("m", g)
+	if st := c.Stats(); st.Entries != 0 || st.Negatives != 0 {
+		t.Fatalf("answers computed before a Flush were memoized after it: %+v", st)
+	}
+}
+
+// Puts, refused rechecks and invalidations from several goroutines at once:
+// under -race the index is only touched under the lock, and afterwards its
+// counters match a walk of it and every live entry is listed under each
+// delegation its proof uses.
+func TestProofCacheConcurrentChurnKeepsIndex(t *testing.T) {
+	e := newEnv(t, "BigISP", "Mark", "Maria")
+	chain, proofs := e.chainProofs()
+	c := newProofCache(16)
+	now := e.clk.Now()
+	const workers, rounds = 4, 1500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				n := w*rounds + i
+				key := fmt.Sprintf("k%d", n%48)
+				switch n % 10 {
+				case 0:
+					c.InvalidateDelegation(chain[n%len(chain)].ID())
+				case 1:
+					c.Lookup(key, now, func(id core.DelegationID) bool { return id == chain[2].ID() })
+				case 2:
+					c.PutNegative(key, c.gen())
+				default:
+					c.Put(key, proofs[n%len(proofs)], c.gen())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	listed, live, _ := indexCounts(c, "")
+	if listed != c.listed || live != c.live {
+		t.Fatalf("index walk finds %d slots, %d live; counters say %d, %d", listed, live, c.listed, c.live)
+	}
+	slots := 0
+	for key, en := range c.pos {
+		if en.key != key || en.proof == nil {
+			t.Fatalf("pos[%s] holds a dead entry", key)
+		}
+		for _, d := range en.proof.Delegations() {
+			if !listedUnder(c, d.ID(), en) {
+				t.Fatalf("%s is not listed under a delegation its proof uses", key)
+			}
+		}
+		slots += en.slots
+	}
+	if slots != live {
+		t.Fatalf("live entries own %d slots, the index counts %d live", slots, live)
 	}
 }
 
@@ -172,8 +379,8 @@ func TestProofCacheConcurrentReadersCountExactly(t *testing.T) {
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	p := e.table1Proof()
 	c := newProofCache(DefaultProofCacheLimit)
-	c.Put("pos", p)
-	c.PutNegative("neg")
+	c.Put("pos", p, c.gen())
+	c.PutNegative("neg", c.gen())
 	now := e.clk.Now()
 	revoked := func(core.DelegationID) bool { return false }
 
@@ -212,7 +419,7 @@ func TestProofCacheHitDoesNotAllocate(t *testing.T) {
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	p := e.table1Proof()
 	c := newProofCache(DefaultProofCacheLimit)
-	c.Put("k", p)
+	c.Put("k", p, c.gen())
 	now := e.clk.Now()
 	revoked := func(core.DelegationID) bool { return false }
 	if allocs := testing.AllocsPerRun(200, func() { c.Lookup("k", now, revoked) }); allocs != 0 {

@@ -932,8 +932,10 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 	}
 	useCache := q.Stats == nil && !w.cacheOff
 	var key string
+	var gen cacheGen
 	if useCache {
 		key = cacheKey(q.Subject, q.Object, q.Constraints)
+		gen = w.cache.gen()
 		if p, negative, ok := w.cache.Lookup(key, w.Now(), w.IsRevoked); ok {
 			if negative {
 				return nil, "negative", gs, core.ErrNoProof
@@ -962,7 +964,7 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 		// Only an exhaustive search proves a negative: bidirectional keeps
 		// one parent edge per node and may miss proofs; its misses are not memoized.
 		if useCache && errors.Is(err, core.ErrNoProof) && q.Direction != graph.Bidirectional {
-			w.cache.PutNegative(key)
+			w.cache.PutNegative(key, gen)
 		}
 		return nil, outcome, gs, err
 	}
@@ -970,7 +972,7 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 		return nil, outcome, gs, validationFailure(err)
 	}
 	if useCache {
-		w.cache.Put(key, p)
+		w.cache.Put(key, p, gen)
 	}
 	return p, outcome, gs, nil
 }
