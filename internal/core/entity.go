@@ -14,7 +14,6 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -70,16 +69,20 @@ var idMemo = struct {
 	m map[string]EntityID
 }{m: make(map[string]EntityID, 256)}
 
-// ID returns the entity's fingerprint, memoized process-wide by key.
+// ID returns the entity's fingerprint, memoized process-wide by key. Only
+// ed25519-sized keys are memoized: a key of any other length verifies no
+// signature, and memoizing it would let a peer pin arbitrarily long ones.
 func (e Entity) ID() EntityID {
+	if len(e.Key) != ed25519.PublicKeySize {
+		return EntityID(hashHex(e.Key))
+	}
 	idMemo.RLock()
 	id, ok := idMemo.m[string(e.Key)]
 	idMemo.RUnlock()
 	if ok {
 		return id
 	}
-	sum := sha256.Sum256(e.Key)
-	id = EntityID(hex.EncodeToString(sum[:]))
+	id = EntityID(hashHex(e.Key))
 	idMemo.Lock()
 	if len(idMemo.m) >= idMemoCap {
 		idMemo.m = make(map[string]EntityID, 256)

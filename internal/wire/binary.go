@@ -259,7 +259,10 @@ func decodeBinaryBody(env Envelope, out any) error {
 		out.TraceID = r.str()
 		out.SpanID = r.str()
 	case *ProofResp:
+		r.shared = true
 		out.Proof = r.proof(0)
+		tableStats.hits.Add(r.hits)
+		tableStats.misses.Add(r.misses)
 	case *ProofsResp:
 		out.Proofs = r.proofsAt(0)
 	case *PublishReq:

@@ -113,6 +113,16 @@ type breader struct {
 	buf []byte
 	off int
 	err error
+
+	// shared makes proof steps read their delegations through the
+	// delegation table (delegations.go); hits and misses count the lookups
+	// this body made.
+	shared       bool
+	hits, misses uint64
+	// span, while set, is a copy of buf[spanAt:spanAt+len(span)]: a string
+	// read inside it is cut from it rather than interned or copied.
+	span   string
+	spanAt int
 }
 
 func (r *breader) fail(format string, args ...any) {
@@ -203,7 +213,13 @@ func (r *breader) raw() []byte {
 }
 
 // str reads a length-prefixed string (fresh copy — frames get recycled).
-func (r *breader) str() string { return string(r.raw()) }
+func (r *breader) str() string {
+	b := r.raw()
+	if r.span != "" {
+		return r.fromSpan(len(b))
+	}
+	return string(b)
+}
 
 // internedStr reads a length-prefixed string through the process intern
 // table — for bounded-population values like entity fingerprints, names,
@@ -213,7 +229,16 @@ func (r *breader) internedStr() string {
 	if len(b) == 0 {
 		return ""
 	}
+	if r.span != "" {
+		return r.fromSpan(len(b))
+	}
 	return internString(b)
+}
+
+// fromSpan returns the n bytes just read as a substring of span.
+func (r *breader) fromSpan(n int) string {
+	i := r.off - n - r.spanAt
+	return r.span[i : i+n]
 }
 
 // bytes reads a length-prefixed byte slice as a fresh copy; zero length
@@ -443,6 +468,11 @@ func (r *breader) delegation() *core.Delegation {
 	if !r.bool() {
 		return nil
 	}
+	return r.delegationBody()
+}
+
+// delegationBody reads a delegation whose presence flag has been read.
+func (r *breader) delegationBody() *core.Delegation {
 	d := core.Delegation{
 		Subject:       r.subject(),
 		SubjectEntity: r.entityPtr(),
@@ -509,8 +539,14 @@ func (r *breader) proof(depth int) *core.Proof {
 	if n := r.count(); n > 0 {
 		p.Steps = make([]core.ProofStep, n)
 		for i := range p.Steps {
+			var d *core.Delegation
+			if r.shared {
+				d = r.sharedDelegation()
+			} else {
+				d = r.delegation()
+			}
 			p.Steps[i] = core.ProofStep{
-				Delegation: r.delegation(),
+				Delegation: d,
 				Support:    r.proofsAt(depth + 1),
 			}
 			// A step is a delegation, as core.NewProof insists; refusing

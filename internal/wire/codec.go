@@ -32,9 +32,9 @@ type codecStats struct {
 var stats codecStats
 
 // WireStats is the codec section of a StatsResp: process-wide codec frame
-// and byte counters, entity-interning effectiveness, and frame buffer pool
-// traffic. Like the shared signature cache counters, these cover the whole
-// process, not one wallet.
+// and byte counters, entity-interning and delegation-table effectiveness,
+// and frame buffer pool traffic. Like the shared signature cache counters,
+// these cover the whole process, not one wallet.
 type WireStats struct {
 	// ConnCodec names the codec of the connection that carried the stats
 	// request — the one field here that is per-connection, not
@@ -48,6 +48,10 @@ type WireStats struct {
 	// lookups on the binary decode path.
 	InternHits   uint64 `json:"internHits"`
 	InternMisses uint64 `json:"internMisses"`
+	// DelegationHits/DelegationMisses count proof-reply delegations found
+	// in and added to the delegation table.
+	DelegationHits   uint64 `json:"delegationHits"`
+	DelegationMisses uint64 `json:"delegationMisses"`
 	// Pool reports the frame buffer pool's traffic.
 	Pool bufpool.Stats `json:"pool"`
 }
@@ -61,6 +65,8 @@ func StatsSnapshot() WireStats {
 		BinaryBytesDecoded:  stats.binaryBytesDecoded.Load(),
 		InternHits:          interns.hits.Load(),
 		InternMisses:        interns.misses.Load(),
+		DelegationHits:      tableStats.hits.Load(),
+		DelegationMisses:    tableStats.misses.Load(),
 		Pool:                bufpool.Snapshot(),
 	}
 }

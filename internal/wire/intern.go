@@ -18,13 +18,19 @@ import (
 //
 // Interned values MUST be treated as immutable — keys are by convention
 // (they are public key material), strings are by language. The table is
-// bounded: at capacity it is reset wholesale, which only costs future
-// lookups a miss, never correctness.
+// bounded in entries and in entry size: at capacity it is reset wholesale,
+// which only costs future lookups a miss, never correctness, and a value no
+// principal name or key is that long is copied, never kept, so a peer that
+// sends megabyte role names cannot pin them.
 
 // internCap bounds each intern table. Coalitions have bounded principal
 // populations; 4096 distinct keys/fingerprints covers far beyond the paper's
 // scenarios while capping worst-case memory at a few hundred KiB.
 const internCap = 4096
+
+// internMaxString is the longest string interned: twice a 64-hex entity
+// fingerprint, room for any name a coalition gives a role or a principal.
+const internMaxString = 128
 
 type internTables struct {
 	mu      sync.RWMutex
@@ -41,8 +47,12 @@ var interns = internTables{
 }
 
 // internString returns a shared string equal to string(b), memoizing new
-// values up to the table cap.
+// values up to the table cap. Strings longer than internMaxString are
+// copied.
 func internString(b []byte) string {
+	if len(b) > internMaxString {
+		return string(b)
+	}
 	t := &interns
 	t.mu.RLock()
 	s, ok := t.strings[string(b)] // compiler avoids allocating for the lookup key
@@ -62,10 +72,15 @@ func internString(b []byte) string {
 	return s
 }
 
-// internKey returns a shared ed25519 public key equal to b.
+// internKey returns a shared ed25519 public key equal to b. Only keys of an
+// ed25519 key's length are interned; any other length, which no signature
+// verifies under, is copied.
 func internKey(b []byte) ed25519.PublicKey {
 	if len(b) == 0 {
 		return nil
+	}
+	if len(b) != ed25519.PublicKeySize {
+		return ed25519.PublicKey(append([]byte(nil), b...))
 	}
 	t := &interns
 	t.mu.RLock()

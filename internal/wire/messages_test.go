@@ -358,10 +358,13 @@ func legacyJSONFrame(t testing.TB, typ MsgType, id uint64, body any) []byte {
 // the way a server or client handles a frame from an authenticated but
 // untrusted peer. The decoders must never panic, and any body they accept
 // must survive an encode/decode round trip unchanged: no state smuggled
-// through unparsed bytes. Seeds: every row's zero and populated bodies, each
-// framed by the codec and as the retired JSON codec framed it (malformed
-// input now), plus hand-written hostile frames and an older build's frames
-// for a retired message.
+// through unparsed bytes. A body decoded twice must marshal the same both
+// times (the second proof-reply decode is served by the delegation table),
+// and the table's skip pass over a delegation must end exactly where the
+// decoder ends, or both must fail. Seeds: every row's zero and populated
+// bodies, each framed by the codec and as the retired JSON codec framed it
+// (malformed input now), plus hand-written hostile frames and an older
+// build's frames for a retired message.
 func FuzzMessageDecode(f *testing.F) {
 	fixtures, bodies := populated(f), tableBodies()
 	for _, tb := range bodies {
@@ -459,6 +462,14 @@ func FuzzMessageDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		skip, dec := breader{buf: env.Body}, breader{buf: env.Body}
+		if skip.bool() {
+			skip.skipDelegation()
+		}
+		dec.delegation()
+		if (skip.err == nil) != (dec.err == nil) || (skip.err == nil && skip.off != dec.off) {
+			t.Fatalf("skip pass ended at %d (%v), decoder at %d (%v)", skip.off, skip.err, dec.off, dec.err)
+		}
 		// The body is tried against every body in the table, whatever its
 		// type claims: the wrong kinds must error cleanly, the right one must
 		// decode without panicking or over-reading.
@@ -471,6 +482,14 @@ func FuzzMessageDecode(f *testing.F) {
 			tried[reflect.TypeOf(out)] = true
 			if DecodeBody(env, out) != nil {
 				continue
+			}
+			again := tb.mk()
+			if err := DecodeBody(env, again); err != nil {
+				t.Fatalf("second decode of accepted %s %T: %v", env.Type, out, err)
+			}
+			a, _ := json.Marshal(out)
+			if b, _ := json.Marshal(again); !bytes.Equal(a, b) {
+				t.Fatalf("%s %T decoded twice differs:\n1st: %s\n2nd: %s", env.Type, out, a, b)
 			}
 			body := reflect.ValueOf(out).Elem().Interface()
 			frame2, err := codec.Encode(env.Type, env.ID, body)
@@ -485,7 +504,6 @@ func FuzzMessageDecode(f *testing.F) {
 			if err := DecodeBody(env2, out2); err != nil {
 				t.Fatalf("re-decode %s %T: %v", env.Type, body, err)
 			}
-			a, _ := json.Marshal(out)
 			b, _ := json.Marshal(out2)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("%s %T not stable across a round trip:\n1st: %s\n2nd: %s", env.Type, body, a, b)
