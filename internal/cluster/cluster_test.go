@@ -12,6 +12,7 @@ import (
 	"drbac/internal/obs"
 	"drbac/internal/peer"
 	"drbac/internal/remote"
+	"drbac/internal/subs"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
 	"drbac/internal/wire"
@@ -511,5 +512,51 @@ func TestSplitMidTrafficLosesNothing(t *testing.T) {
 		if err := got.Validate(core.ValidateOptions{At: e.clk.Now()}); err != nil {
 			t.Fatalf("post-split proof invalid: %v", err)
 		}
+	}
+}
+
+// A relying party that stalls its callbacks behind a served gateway must
+// not wedge the gateway's pooled shard client: the gateway's handler queues
+// Maria's pushes on her connection instead of writing them from the client's
+// push dispatcher, so the shard's revocations drain and a routed publish of
+// an unrelated grant still gets its reply.
+func TestStalledSubscriberCannotWedgeGateway(t *testing.T) {
+	e := newEnv(t, "gate", "A", "Mark", "Maria")
+	m := mustUniform(t, []string{"shard0"})
+	wallets, _, gw := e.clusterOf(m)
+	e.serveGateway("gateway", gw)
+	c := e.dialClient("Maria", "gateway")
+	ctx := context.Background()
+
+	const n = 900
+	ds := make([]*core.Delegation, n)
+	for i := range ds {
+		ds[i] = e.deleg(fmt.Sprintf("[Mark -> A.r%d] A", i))
+		if err := wallets[0].Publish(ds[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := make(chan struct{})
+	defer close(release)
+	for _, d := range ds {
+		if _, err := c.Subscribe(ctx, d.ID(), func(subs.Event) { <-release }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range ds {
+		if err := wallets[0].Revoke(d.ID(), e.id("A").ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- gw.Publish(e.deleg("[Mark -> A.other] A")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("a routed publish is stuck behind a stalled subscriber's pushes")
 	}
 }

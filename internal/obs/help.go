@@ -59,8 +59,8 @@ var (
 		"drbac_server_errors_total":             "Wire requests answered with an error.",
 		"drbac_server_noproof_total":            "Wire queries answered no-proof.",
 		"drbac_server_pushes_total":             "Subscription pushes sent.",
-		"drbac_server_push_errors_total":        "Subscription pushes that failed to send.",
-		"drbac_server_stream_overflows_total":   "Changelog-stream pushes dropped because a follower's buffer was full (it resyncs).",
+		"drbac_server_push_errors_total":        "Subscription pushes that failed to send (the connection is closed).",
+		"drbac_server_stream_overflows_total":   "Connections closed because their push queue was full (the peer reconnects).",
 		"drbac_server_connections_total":        "Connections accepted.",
 		"drbac_server_handshake_failures_total": "Inbound connections dropped for failing the transport handshake.",
 		"drbac_server_active_connections":       "Connections currently open.",

@@ -545,7 +545,7 @@ func (c *Client) Sync(ctx context.Context) (wire.SyncResp, error) {
 // re-subscribing replaces the handler. fn runs on the client's push
 // dispatcher goroutine, before any per-delegation handlers for the same
 // push, and may block (blocking backpressures the stream, and a stream
-// backed up past the server's buffer drops pushes, forcing a resync).
+// backed up past the server's push queue has its connection closed).
 func (c *Client) SubscribeAll(ctx context.Context, fn func(wire.NotifyPush)) (seq uint64, cancel func(), err error) {
 	if fn == nil {
 		return 0, nil, errors.New("remote subscribe-all: nil handler")

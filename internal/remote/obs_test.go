@@ -226,9 +226,10 @@ func TestPushMetrics(t *testing.T) {
 }
 
 // A follower that stops reading its changelog stream backs the server's
-// 1,024-event buffer up until pushes are dropped. That is an overflow — the
-// peer is there and will resync — and must be counted as one, not as a push
-// error, which means "peer gone".
+// 1,024-push queue up until it is full. That is an overflow — the peer is
+// there but too slow — so the server closes the connection and counts it
+// once as an overflow, and the sends that then fail on the closed
+// connection are not push errors, which mean "peer gone".
 func TestStreamOverflowIsNotAPushError(t *testing.T) {
 	e := newEnv(t, "BigISP", "Mark", "Maria")
 	w, reg, _ := serveInstrumented(e, "wallet.bigisp", "BigISP")
@@ -239,8 +240,8 @@ func TestStreamOverflowIsNotAPushError(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	// The stalled reader: the stream handler blocks until the test ends, so
-	// the client's push queue, the connection and then the server's stream
-	// buffer fill behind it.
+	// the client's push queue, the connection and then the server's push
+	// queue fill behind it.
 	release := make(chan struct{})
 	defer close(release)
 	if _, _, err := c.SubscribeAll(context.Background(), func(wire.NotifyPush) { <-release }); err != nil {
@@ -248,13 +249,34 @@ func TestStreamOverflowIsNotAPushError(t *testing.T) {
 	}
 
 	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
-	for i := 0; counter("drbac_server_stream_overflows_total") == 0; i++ {
-		if i > 4*streamBuffer {
-			t.Fatalf("no overflow counted after %d publishes to a stalled stream", i)
-		}
+	publish := func(i int) {
+		t.Helper()
 		if err := w.Publish(e.deleg(fmt.Sprintf("[Mark -> BigISP.r%d] BigISP", i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	i := 0
+	for ; counter("drbac_server_stream_overflows_total") == 0; i++ {
+		if i > 4*pushQueueLen {
+			t.Fatalf("no overflow counted after %d publishes to a stalled stream", i)
+		}
+		publish(i)
+	}
+	// The server gives the connection up: its teardown runs without the
+	// stalled peer reading another byte.
+	deadline := time.Now().Add(2 * time.Second)
+	for reg.Snapshot().Gauges["drbac_server_active_connections"] != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("connection still open after its push queue overflowed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Pushes raced past the overflow until teardown; none is a second one.
+	for end := i + 64; i < end; i++ {
+		publish(i)
+	}
+	if n := counter("drbac_server_stream_overflows_total"); n != 1 {
+		t.Fatalf("overflows = %d, want 1: one connection closed once", n)
 	}
 	if n := counter("drbac_server_push_errors_total"); n != 0 {
 		t.Fatalf("push_errors = %d after an overflow; the peer never went away", n)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drbac/internal/bufpool"
@@ -257,9 +258,17 @@ type connState struct {
 	writeMu sync.Mutex
 	subMu   sync.Mutex
 	cancels map[core.DelegationID]func()
-	// streamStop tears down this connection's changelog stream
-	// (subscribe-all), when one is active. Guarded by subMu; idempotent.
-	streamStop func()
+	// cancelStream ends this connection's changelog stream (subscribe-all),
+	// when one is active. Guarded by subMu.
+	cancelStream func()
+	// pushes is the connection's push queue and stop ends its writer; both
+	// are made at the first subscription, so a query-only connection has
+	// neither. Guarded by subMu.
+	pushes chan wire.NotifyPush
+	stop   chan struct{}
+	// closing flips once, when the push path gives the connection up: a full
+	// queue or a failed send. Whichever flips it is the one counted.
+	closing atomic.Bool
 }
 
 func (cs *connState) send(t wire.MsgType, id uint64, body any) error {
@@ -306,13 +315,13 @@ func (s *Server) handleConn(conn transport.Conn) {
 		for _, cancel := range cs.cancels {
 			cancel()
 		}
-		cs.cancels = nil
-		stop := cs.streamStop
-		cs.streamStop = nil
-		cs.subMu.Unlock()
-		if stop != nil {
-			stop()
+		if cs.cancelStream != nil {
+			cs.cancelStream()
 		}
+		if cs.stop != nil {
+			close(cs.stop)
+		}
+		cs.subMu.Unlock()
 		if err := conn.Close(); err != nil {
 			s.obs.Log().Debug("connection close", "peer", peer, "error", err)
 		}
@@ -616,122 +625,110 @@ func (s *Server) sync(*connState) (any, []any, error) {
 	return resp, []any{"seq", snap.Seq, "bundles", len(resp.Bundles), "revoked", len(resp.Revoked)}, nil
 }
 
+// pushQueueLen bounds a connection's queued pushes: a burst of that many
+// mutations, as deep as a follower's own backlog, passes a peer that keeps
+// up on average. A peer that falls further behind is disconnected (push).
+const pushQueueLen = 1024
+
+// queue returns cs's push queue, making it and starting its writer at the
+// connection's first subscription (teardown waits for in-flight requests).
+func (s *Server) queue(cs *connState) chan<- wire.NotifyPush {
+	cs.subMu.Lock()
+	defer cs.subMu.Unlock()
+	if cs.pushes == nil {
+		cs.pushes = make(chan wire.NotifyPush, pushQueueLen)
+		cs.stop = make(chan struct{})
+		s.wg.Add(1)
+		go s.writePushes(cs, cs.pushes, cs.stop)
+	}
+	return cs.pushes
+}
+
+// push hands p to the connection's writer without waiting: it runs in a
+// wallet handler, under the wallet's mutation lock (on a gateway, on a shard
+// client's push dispatcher), which a slow peer must not hold. A full queue closes the connection — a follower reconnects and
+// re-bootstraps, a relying party's client fails its calls and redials —
+// because a dropped push is a silent gap to a per-delegation subscriber.
+func (s *Server) push(cs *connState, q chan<- wire.NotifyPush, p wire.NotifyPush) {
+	select {
+	case q <- p:
+		return
+	default:
+	}
+	if !cs.closing.CompareAndSwap(false, true) {
+		return // already given up; teardown follows
+	}
+	s.m.overflows.Inc()
+	s.obs.Log().Warn("push queue overflow; closing connection",
+		"peer", cs.peer, "delegation", p.Delegation.Short(), "kind", p.Kind, "seq", p.Seq)
+	_ = cs.conn.Close()
+}
+
+// writePushes is the connection's one push writer: it sends the queue in
+// order until the connection is torn down or a send fails.
+func (s *Server) writePushes(cs *connState, q <-chan wire.NotifyPush, stop <-chan struct{}) {
+	defer s.wg.Done()
+	for {
+		select {
+		case p := <-q:
+			if err := cs.send(wire.TNotify, 0, p); err != nil {
+				// A send that fails after an overflow closed the connection
+				// is the overflow's doing, already counted.
+				if cs.closing.CompareAndSwap(false, true) {
+					s.m.pushErrors.Inc()
+					s.obs.Log().Warn("push failed; closing connection", "peer", cs.peer,
+						"delegation", p.Delegation.Short(), "kind", p.Kind, "error", err)
+					_ = cs.conn.Close()
+				}
+				return
+			}
+			s.m.pushes.Inc()
+		case <-stop:
+			return
+		}
+	}
+}
+
 // subscribe wires a wallet subscription to notification pushes on this
 // connection, replacing any previous subscription for the same delegation.
 func (s *Server) subscribe(cs *connState, id core.DelegationID) {
-	handler := func(ev subs.Event) {
-		err := cs.send(wire.TNotify, 0, wire.NotifyPush{
-			Delegation: ev.Delegation,
-			Kind:       ev.Kind.String(),
-			At:         ev.At,
-		})
-		if err != nil {
-			// The push is lost (peer gone or write raced teardown); the
-			// subscription dies with the connection, so log, don't retry.
-			s.m.pushErrors.Inc()
-			s.obs.Log().Warn("notify push failed",
-				"delegation", ev.Delegation.Short(), "kind", ev.Kind.String(), "error", err)
-			return
-		}
-		s.m.pushes.Inc()
-		s.obs.Log().Debug("notify push",
-			"delegation", ev.Delegation.Short(), "kind", ev.Kind.String())
-	}
-	cancel := s.w.Subscribe(id, handler)
+	q := s.queue(cs)
+	cancel := s.w.Subscribe(id, func(ev subs.Event) {
+		s.push(cs, q, wire.NotifyPush{Delegation: ev.Delegation, Kind: ev.Kind.String(), At: ev.At})
+	})
 	cs.subMu.Lock()
 	defer cs.subMu.Unlock()
-	if cs.cancels == nil { // connection already torn down
-		cancel()
-		return
-	}
 	if old, ok := cs.cancels[id]; ok {
 		old()
 	}
 	cs.cancels[id] = cancel
 }
 
-// streamBuffer bounds queued changelog pushes per subscribe-all stream.
-// The wallet handler enqueues without blocking: an overflow drops the push
-// (and its seq with it), which the follower's gap detector converts into a
-// resync — a slow replica self-heals at snapshot cost instead of stalling
-// the primary's mutation path.
-const streamBuffer = 1024
-
-// subscribeAll wires the wallet's full changelog onto this connection: a
-// wildcard wallet subscription enqueues every event (Published events carry
-// the full bundle so followers need no read-back) and a writer goroutine
-// drains the queue onto the wire. It answers with the wallet seq observed
-// after the stream became live; every mutation with a greater seq will be
-// delivered.
+// subscribeAll wires the wallet's full changelog onto this connection's push
+// queue: a wildcard wallet subscription pushes every event (Published events
+// carry the full bundle so followers need no read-back). It answers with the
+// wallet seq observed after the stream became live; every mutation with a
+// greater seq will be delivered.
 func (s *Server) subscribeAll(cs *connState) (any, []any, error) {
-	ch := make(chan wire.NotifyPush, streamBuffer)
-	quit := make(chan struct{})
-	handler := func(ev subs.Event) {
-		push := wire.NotifyPush{
-			Delegation: ev.Delegation,
-			Kind:       ev.Kind.String(),
-			At:         ev.At,
-			Seq:        ev.Seq,
-		}
+	q := s.queue(cs)
+	cancel := s.rep.SubscribeAll(func(ev subs.Event) {
+		p := wire.NotifyPush{Delegation: ev.Delegation, Kind: ev.Kind.String(), At: ev.At, Seq: ev.Seq}
 		if ev.Kind == subs.Published {
 			// The handler runs under the wallet's mutation lock, so the
 			// fetched bundle is exactly the state at this seq.
 			if d, support, ok := s.rep.Get(ev.Delegation); ok {
-				push.Bundle = &wire.SyncBundle{Delegation: d, Support: support}
+				p.Bundle = &wire.SyncBundle{Delegation: d, Support: support}
 			}
 		}
-		select {
-		case ch <- push:
-		default:
-			// Not a send error: the peer is there but slow, and resyncs.
-			s.m.overflows.Inc()
-			s.obs.Log().Warn("changelog stream overflow; push dropped",
-				"peer", cs.conn.Peer().ID().Short(),
-				"delegation", ev.Delegation.Short(), "seq", ev.Seq)
-		}
-	}
-	cancelSub := s.rep.SubscribeAll(handler)
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			cancelSub()
-			close(quit)
-		})
-	}
+		s.push(cs, q, p)
+	})
 
 	cs.subMu.Lock()
-	if cs.cancels == nil { // connection already torn down
-		cs.subMu.Unlock()
-		stop()
-		return nil, nil, errors.New("connection closed")
+	if cs.cancelStream != nil {
+		cs.cancelStream()
 	}
-	old := cs.streamStop
-	cs.streamStop = stop
+	cs.cancelStream = cancel
 	cs.subMu.Unlock()
-	if old != nil {
-		old()
-	}
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			select {
-			case push := <-ch:
-				if err := cs.send(wire.TNotify, 0, push); err != nil {
-					// The connection is gone; the stream dies with it and
-					// teardown (or a replacement stream) calls stop.
-					s.m.pushErrors.Inc()
-					s.obs.Log().Debug("changelog push failed",
-						"seq", push.Seq, "error", err)
-					return
-				}
-				s.m.pushes.Inc()
-			case <-quit:
-				return
-			}
-		}
-	}()
 
 	// Read after the handler is registered: any mutation sequenced past
 	// this point is guaranteed to reach the stream, so the client can

@@ -33,10 +33,10 @@ import (
 var testHookAfterSync func()
 
 // streamBacklog bounds buffered-but-unapplied stream pushes. A follower
-// that falls further behind blocks the client dispatcher; the server's own
-// stream buffer then overflows and drops, which the seq gap detector turns
-// into a resync — slowness degrades to a snapshot refetch, never to a wrong
-// replica.
+// that falls further behind blocks the client dispatcher; the upstream's
+// push queue for the connection then overflows and the upstream closes it,
+// so serve returns and run reconnects and re-bootstraps — slowness degrades
+// to a snapshot refetch, never to a wrong replica.
 const streamBacklog = 1024
 
 // Config configures a Follower.

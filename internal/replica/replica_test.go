@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"drbac/internal/obs"
 	"drbac/internal/peer"
 	"drbac/internal/remote"
+	"drbac/internal/subs"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
 )
@@ -546,5 +548,69 @@ func TestResyncClearsLag(t *testing.T) {
 	}
 	if g := reg.Snapshot().Gauges["drbac_replica_lag_seconds"]; g != 0 {
 		t.Errorf("drbac_replica_lag_seconds after the resync = %d, want 0", g)
+	}
+}
+
+// TestFollowerOverflowConverges stalls a follower's apply until the
+// primary's push queue for it overflows. The primary closes the
+// connection rather than drop pushes the follower could not see missing;
+// once released, the follower reconnects, re-bootstraps, and mirrors the
+// primary, mutations made while it was cut off included.
+func TestFollowerOverflowConverges(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria", "Replica")
+	primary := e.wallet("BigISP", nil)
+	reg := obs.NewRegistry()
+	e.serve("primary", "BigISP", primary, remote.Options{Role: "primary", Obs: obs.New(nil, reg)})
+	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
+
+	f, fw := e.follower("Replica", []string{"primary"}, nil, nil)
+	waitFor(t, "live stream", func() bool { return f.Status().Connected })
+	// The stall: the follower's first install blocks in a handler on its own
+	// wallet, so its stream backlog, its client's push queue, the
+	// connection and then the primary's queue fill behind it.
+	release := make(chan struct{})
+	cancel := fw.SubscribeAll(func(subs.Event) { <-release })
+	defer cancel()
+
+	var ds []*core.Delegation
+	for i := 0; counter("drbac_server_stream_overflows_total") == 0; i++ {
+		if i > 8*1024 {
+			close(release)
+			t.Fatalf("no overflow after %d publishes to a stalled follower", i)
+		}
+		d := e.deleg(fmt.Sprintf("[Maria -> BigISP.r%d] BigISP", i))
+		if err := primary.Publish(d); err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	// Mutations the closed stream can no longer carry.
+	for _, d := range ds[:16] {
+		if err := primary.Revoke(d.ID(), e.id("BigISP").ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Publish(e.deleg("[Maria -> BigISP.late] BigISP")); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+
+	ids := func(w *wallet.Wallet) (dels, revs map[core.DelegationID]bool) {
+		dels, revs = make(map[core.DelegationID]bool), make(map[core.DelegationID]bool)
+		for _, d := range w.Delegations() {
+			dels[d.ID()] = true
+		}
+		for _, r := range w.Revocations() {
+			revs[r.ID] = true
+		}
+		return dels, revs
+	}
+	waitFor(t, "convergence after the overflow", func() bool {
+		pd, pr := ids(primary)
+		fd, fr := ids(fw)
+		return f.Status().AppliedSeq == primary.Seq() && reflect.DeepEqual(pd, fd) && reflect.DeepEqual(pr, fr)
+	})
+	if n := counter("drbac_server_connections_total"); n < 2 {
+		t.Errorf("connections = %d, want a reconnect after the overflow", n)
 	}
 }
