@@ -304,6 +304,73 @@ func TestCrossShardProofAssembly(t *testing.T) {
 	}
 }
 
+// A served gateway answers query-expand as it answers query-direct: a chain
+// spanning shards is assembled into the one direct proof. On a miss it
+// answers with its query-subject routing: the subject's owning shard's
+// enumeration.
+func TestServedGatewayQueryExpand(t *testing.T) {
+	e := newEnv(t, "gate", "A", "B", "C", "Maria")
+	m := mustUniform(t, []string{"shard0"}, []string{"shard1"}, []string{"shard2"}, []string{"shard3"})
+	wallets, _, gw := e.clusterOf(m)
+	chain := []*core.Delegation{
+		e.deleg("[Maria -> A.member] A"),
+		e.deleg("[A.member -> B.guest] B"),
+		e.deleg("[B.guest -> C.vip] C"),
+	}
+	homes := make(map[int]bool)
+	for _, d := range chain {
+		homes[m.OwnerOf(d).ID] = true
+		if err := gw.Publish(d); err != nil {
+			t.Fatalf("publish %s: %v", d.ID().Short(), err)
+		}
+	}
+	if len(homes) < 2 {
+		t.Fatalf("chain collapsed onto one shard (%v); pick different entity names", homes)
+	}
+	ln, err := e.net.Listen("gateway", e.id("gate"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := remote.ServeOptions(gw, ln, remote.Options{Obs: gw.Obs(), Cluster: gw.Guard()})
+	t.Cleanup(srv.Close)
+	c, err := remote.Dial(context.Background(), e.net.Dialer(e.id("Maria")), "gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ctx := context.Background()
+	maria := e.subject("Maria")
+
+	proofs, err := c.QueryExpand(ctx, maria, e.role("C.vip"), nil, false)
+	if err != nil {
+		t.Fatalf("query-expand at the gateway: %v", err)
+	}
+	want := ""
+	for _, d := range chain {
+		want += string(d.ID()) + "|"
+	}
+	if len(proofs) != 1 || proofKey(proofs[0]) != want {
+		t.Fatalf("query-expand answered %d proofs, want the one assembled chain %q", len(proofs), want)
+	}
+	if err := proofs[0].Validate(core.ValidateOptions{At: e.clk.Now()}); err != nil {
+		t.Fatalf("assembled proof invalid: %v", err)
+	}
+
+	proofs, err = c.QueryExpand(ctx, maria, e.role("C.admin"), nil, false)
+	if err != nil {
+		t.Fatalf("query-expand miss at the gateway: %v", err)
+	}
+	owner := wallets[m.Owner(RouteKey(maria)).ID].QuerySubject(maria, nil)
+	if len(proofs) != len(owner) || len(owner) == 0 {
+		t.Fatalf("query-expand miss answered %d proofs, want the owning shard's %d", len(proofs), len(owner))
+	}
+	for i := range proofs {
+		if proofKey(proofs[i]) != proofKey(owner[i]) {
+			t.Errorf("enumeration proof %d = %q, want the owning shard's %q", i, proofKey(proofs[i]), proofKey(owner[i]))
+		}
+	}
+}
+
 func TestQueryObjectScattersAllShards(t *testing.T) {
 	e := newEnv(t, "gate", "C", "Maria", "Bob", "Carol")
 	m := mustUniform(t, []string{"shard0"}, []string{"shard1"})

@@ -86,7 +86,7 @@ const placedTagTTL = 30 * time.Second
 type TraceEvent struct {
 	Round   int
 	Wallet  string
-	Kind    string // "direct", "subject", "object"
+	Kind    string // "direct" (the proof itself), "subject", "object" (an enumeration)
 	Node    string
 	Results int
 }
@@ -94,8 +94,11 @@ type TraceEvent struct {
 // Stats accumulates discovery effort, the currency of the §4.2.3
 // experiments.
 type Stats struct {
-	Rounds             int
-	WalletsContacted   int
+	Rounds           int
+	WalletsContacted int
+	// RemoteQueries counts query-expand requests: one per frontier node
+	// queried. Against a home older than query-expand the client sends two
+	// requests for one (remote.Client.QueryExpand); this still counts one.
 	RemoteQueries      int
 	DelegationsFetched int
 	Trace              []TraceEvent
@@ -147,8 +150,11 @@ type Agent struct {
 	// lifetime (the pool may silently redial a flapping home many times).
 	contacted map[string]bool
 	// origin records which home a cached delegation came from, for
-	// coherence subscriptions.
+	// coherence subscriptions. An entry lives as long as its copy in the
+	// local wallet: forget drops it when the copy leaves.
 	origin map[core.DelegationID]string
+	// untrack cancels forget's subscription to the local wallet.
+	untrack func()
 	// verified remembers homes that passed the auth-role check.
 	verified map[string]bool
 }
@@ -168,6 +174,10 @@ func NewAgent(cfg Config) *Agent {
 		origin:    make(map[core.DelegationID]string),
 		verified:  make(map[string]bool),
 	}
+	a.untrack = func() {}
+	if cfg.Local != nil {
+		a.untrack = cfg.Local.SubscribeAll(a.forget)
+	}
 	if cfg.Peers != nil {
 		a.peers = cfg.Peers
 	} else {
@@ -180,8 +190,10 @@ func NewAgent(cfg Config) *Agent {
 // Peers exposes the agent's connection pool, e.g. for health inspection.
 func (a *Agent) Peers() *peer.Manager { return a.peers }
 
-// Close drops all pooled connections (only when the agent owns the pool).
+// Close drops all pooled connections (only when the agent owns the pool) and
+// stops following the local wallet's events.
 func (a *Agent) Close() {
+	a.untrack()
 	if a.ownsPeers {
 		a.peers.Close()
 	}
@@ -307,8 +319,12 @@ func (a *Agent) insertProofs(proofs []*core.Proof, from string, ttl time.Duratio
 				continue // invalid credential from remote: skip it
 			}
 			inserted++
+			// Checked under the lock forget takes: a copy that has already
+			// left the wallet again is not tracked.
 			a.mu.Lock()
-			a.origin[d.ID()] = from
+			if a.cfg.Local.Contains(d.ID()) {
+				a.origin[d.ID()] = from
+			}
 			a.mu.Unlock()
 			// Support-proof delegations are part of the credential too.
 			for _, sp := range st.Support {
@@ -322,6 +338,18 @@ func (a *Agent) insertProofs(proofs []*core.Proof, from string, ttl time.Duratio
 		stats.DelegationsFetched += inserted
 	}
 	return inserted
+}
+
+// forget drops a delegation's origin once its copy leaves the local wallet:
+// revoked, expired, or swept stale. It is the agent's handler for every
+// local wallet event, so it runs under the wallet's mutation lock.
+func (a *Agent) forget(ev subs.Event) {
+	switch ev.Kind {
+	case subs.Revoked, subs.Expired, subs.Stale:
+		a.mu.Lock()
+		delete(a.origin, ev.Delegation)
+		a.mu.Unlock()
+	}
 }
 
 // Discover finds a proof for q, pulling missing credentials from wallet
@@ -442,13 +470,13 @@ func traceCtx(ctx context.Context, rsp *obs.Span, traceID string) context.Contex
 	return obs.ContextWithSpan(ctx, rsp)
 }
 
-// finishRPC closes an rpc child span, recording transport failures (a
-// no-proof answer is a normal outcome, not a failure).
+// finishRPC closes an rpc child span, recording a failed call (a miss is an
+// answer, not a failure: query-expand replies with the enumeration).
 func finishRPC(rsp *obs.Span, err error) {
 	if rsp == nil {
 		return
 	}
-	if err != nil && !errors.Is(err, core.ErrNoProof) {
+	if err != nil {
 		rsp.Fail(err)
 	}
 	rsp.End("ok", err == nil)
@@ -464,17 +492,18 @@ type visit struct {
 // searchRound expands one frontier by one breadth-first step. Forward, the
 // frontier is every node currently reachable from the query subject; reverse,
 // every role the query object is currently reachable from. Each frontier node
-// whose tag allows search from that side gets one direct query and, failing
-// that, one subject (forward) or object (reverse) query at its home wallet.
+// whose tag allows search from that side gets one query-expand at its home
+// wallet: the direct query and, failing that, the node's subject (forward) or
+// object (reverse) enumeration, in one round trip.
 // Queries carry constraints adjusted by the locally known partial chains'
 // modifiers (§4.2.3 "modulated attribute ranges"), so remote wallets prune
 // continuations the accumulated chain can no longer afford.
 func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reverse bool, round int, queried map[visit]bool, stats *Stats, sp *obs.Span) (int, *core.Proof, error) {
-	kind, rpc := "subject", "rpc:subject"
+	kind := "subject"
 	frontier := []core.Subject{q.Subject}
 	var known []*core.Proof // the partial chains the local wallet already holds
 	if reverse {
-		kind, rpc = "object", "rpc:object"
+		kind = "object"
 		frontier[0] = core.SubjectRole(q.Object)
 		known = a.cfg.Local.QueryObject(q.Object, nil)
 	} else {
@@ -527,8 +556,8 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 		if !a.cfg.DisableRangeAdjustment {
 			remaining = looseAdjust(q.Constraints, partials[node])
 		}
-		// Direct query for the original relationship with this node as its
-		// near end.
+		// One request: the original relationship with this node as its near
+		// end, or failing that the node's one-ended enumeration.
 		if stats != nil {
 			stats.RemoteQueries++
 		}
@@ -536,41 +565,30 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 		if reverse {
 			subject, object = q.Subject, node.Role
 		}
-		rsp := sp.StartChild("rpc:direct", "wallet", home, "node", node.String())
-		p, err := c.QueryDirect(traceCtx(ctx, rsp, q.TraceID), subject, object, remaining, 0)
+		rsp := sp.StartChild("rpc:expand", "wallet", home, "node", node.String())
+		proofs, err := c.QueryExpand(traceCtx(ctx, rsp, q.TraceID), subject, object, remaining, reverse)
 		finishRPC(rsp, err)
-		if err == nil {
-			progress += a.insertProofs([]*core.Proof{p}, tag.Home, tag.TTL, stats)
-			a.trace(sp, stats, round, home, "direct", node.String(), 1)
-			if full, err := a.cfg.Local.QueryDirect(q); err == nil {
-				return progress, full, nil
-			}
-			continue
-		}
-		if !errors.Is(err, core.ErrNoProof) {
+		if err != nil {
 			a.peers.ReportFailure(home, c)
 			queried[v] = false // answer never arrived; retry next round
 			continue
 		}
-		// Fall back to the one-ended query; its results root further search.
-		if stats != nil {
-			stats.RemoteQueries++
+		// A proof of exactly subject ⇒ object is the direct answer; anything
+		// else roots further search.
+		got := kind
+		for _, p := range proofs {
+			if p.Subject == subject && p.Object == object {
+				got = "direct"
+				break
+			}
 		}
-		rsp = sp.StartChild(rpc, "wallet", home, "node", node.String())
-		var proofs []*core.Proof
-		if reverse {
-			proofs, err = c.QueryObject(traceCtx(ctx, rsp, q.TraceID), node.Role, remaining)
-		} else {
-			proofs, err = c.QuerySubject(traceCtx(ctx, rsp, q.TraceID), node, remaining)
-		}
-		finishRPC(rsp, err)
-		if err != nil {
-			a.peers.ReportFailure(home, c)
-			queried[v] = false
-			continue
-		}
-		a.trace(sp, stats, round, home, kind, node.String(), len(proofs))
+		a.trace(sp, stats, round, home, got, node.String(), len(proofs))
 		progress += a.insertProofs(proofs, tag.Home, tag.TTL, stats)
+		if got == "direct" {
+			if full, err := a.cfg.Local.QueryDirect(q); err == nil {
+				return progress, full, nil
+			}
+		}
 	}
 	return progress, nil, nil
 }
@@ -657,10 +675,7 @@ func (a *Agent) refreshOnce(ctx context.Context) {
 	for id, home := range tracked {
 		d, _, ok := a.cfg.Local.Get(id)
 		if !ok {
-			a.mu.Lock()
-			delete(a.origin, id)
-			a.mu.Unlock()
-			continue
+			continue // left the wallet since the snapshot; forget dropped it
 		}
 		tag, _ := a.tagFor(ctx, d.Subject)
 		tag.Home = home
@@ -676,11 +691,9 @@ func (a *Agent) refreshOnce(ctx context.Context) {
 			a.cfg.Local.RenewCached(id, tag.TTL)
 			continue
 		}
-		// The home dropped it: revoked or expired there; drop our copy.
+		// The home dropped it: revoked or expired there; drop our copy (and
+		// with it, through forget, its origin).
 		a.cfg.Local.AcceptRevocation(id)
-		a.mu.Lock()
-		delete(a.origin, id)
-		a.mu.Unlock()
 	}
 }
 

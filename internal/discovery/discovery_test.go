@@ -25,6 +25,9 @@ type env struct {
 	dir *core.MemDirectory
 	clk *clock.Fake
 	net *transport.MemNetwork
+	// older, when non-nil, makes serve stand each home up as a build from
+	// before query-expand (olderHome), recorded here by address.
+	older map[string]*olderHome
 }
 
 func newEnv(t *testing.T, names ...string) *env {
@@ -105,6 +108,11 @@ func (e *env) serve(addr, ownerName string) *wallet.Wallet {
 	ln, err := e.net.Listen(addr, e.id(ownerName))
 	if err != nil {
 		e.t.Fatal(err)
+	}
+	if e.older != nil {
+		h := &olderHome{Listener: ln}
+		e.older[addr] = h
+		ln = h
 	}
 	s := remote.Serve(w, ln)
 	e.t.Cleanup(s.Close)

@@ -1,0 +1,87 @@
+package discovery
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"drbac/internal/core"
+	"drbac/internal/wallet"
+)
+
+// TestOriginLeavesWithItsCopy holds the agent's origin map to the local
+// wallet: an entry lives exactly as long as the fetched copy it describes,
+// whether the copy leaves by a stale sweep or a revocation, and without
+// KeepFresh (a cluster gateway's agent never runs it).
+func TestOriginLeavesWithItsCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		leave func(cs *caseStudy, e *env)
+		// kept is how many origin entries outlive the removal.
+		kept int
+	}{
+		{"stale sweep", func(cs *caseStudy, e *env) {
+			e.clk.Advance(time.Minute) // past the tags' 30 s TTL
+			if n := cs.serverWallet.SweepStaleCache(); n != 2 {
+				t.Fatalf("stale sweep removed %d copies, want 2", n)
+			}
+		}, 0},
+		{"revocation", func(cs *caseStudy, _ *env) {
+			cs.serverWallet.AcceptRevocation(cs.d5.ID())
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, "BigISP", "AirNet", "Mark", "Sheila", "Maria", "AirNetServer")
+			cs := setupCaseStudy(t, e)
+			if _, err := cs.agent.Discover(context.Background(), cs.query, Auto, nil); err != nil {
+				t.Fatalf("discover: %v", err)
+			}
+			if n := originLen(cs.agent); n != 2 {
+				t.Fatalf("origin holds %d entries after the discovery, want 2 (delegations 2 and 5)", n)
+			}
+			tc.leave(cs, e)
+			if n := originLen(cs.agent); n != tc.kept {
+				t.Errorf("origin holds %d entries after the removal, want %d", n, tc.kept)
+			}
+			cs.agent.mu.Lock()
+			defer cs.agent.mu.Unlock()
+			for id := range cs.agent.origin {
+				if !cs.serverWallet.Contains(id) {
+					t.Errorf("origin still tracks %s, which the local wallet no longer holds", id.Short())
+				}
+			}
+		})
+	}
+}
+
+// An entry leaves with a copy whose delegation expires, too.
+func TestOriginLeavesWhenItsCopyExpires(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria", "Server")
+	home := e.serve("wallet.bigisp", "BigISP")
+	expiry := e.clk.Now().Add(10 * time.Second).Format(time.RFC3339)
+	if err := home.Publish(e.deleg("[Maria -> BigISP.member] BigISP <expiry:" + expiry + ">")); err != nil {
+		t.Fatal(err)
+	}
+	a, local := e.agent("Server", Config{})
+	a.RegisterTag(e.subject("Maria"), e.tag("wallet.bigisp", core.SubjectSearch, core.ObjectNone))
+	q := wallet.Query{Subject: e.subject("Maria"), Object: e.role("BigISP.member")}
+	if _, err := a.Discover(context.Background(), q, Auto, nil); err != nil {
+		t.Fatalf("discover: %v", err)
+	}
+	if n := originLen(a); n != 1 {
+		t.Fatalf("origin holds %d entries after the discovery, want 1", n)
+	}
+	e.clk.Advance(20 * time.Second) // past the expiry, inside the 30 s TTL
+	if n := local.SweepExpired(); n != 1 {
+		t.Fatalf("expiry sweep removed %d copies, want 1", n)
+	}
+	if n := originLen(a); n != 0 {
+		t.Errorf("origin holds %d entries after the copy expired, want 0", n)
+	}
+}
+
+func originLen(a *Agent) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.origin)
+}

@@ -175,8 +175,7 @@ func TestRetainedTraceNestsRemoteHops(t *testing.T) {
 	serves := 0
 	for _, rpc := range tree[0].Children {
 		for _, child := range rpc.Children {
-			if child.Name == "serve:query-direct" || child.Name == "serve:query-subject" ||
-				child.Name == "serve:query-object" {
+			if child.Name == "serve:query-expand" {
 				serves++
 			}
 		}

@@ -13,7 +13,9 @@ import (
 // and a reverse-only discovery over the Figure 2 chain — which wallet, which
 // query kind, which node, how many results, in which round, plus the effort
 // counters. Both directions run through the one direction-parameterized
-// searchRound; these sequences are what each must keep producing.
+// searchRound; these sequences are what each must keep producing. Each
+// traced interaction is one query-expand request, so RemoteQueries counts
+// one per frontier node queried.
 func TestFigure2RoundTracePinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -26,15 +28,15 @@ func TestFigure2RoundTracePinned(t *testing.T) {
 	}{
 		{"forward", ForwardOnly, false,
 			"r1 wallet.bigisp subject(BigISP.member)=1; r2 wallet.airnet direct(AirNet.member)=1; ",
-			Stats{Rounds: 2, RemoteQueries: 3, WalletsContacted: 2, DelegationsFetched: 2}},
+			Stats{Rounds: 2, RemoteQueries: 2, WalletsContacted: 2, DelegationsFetched: 2}},
 		{"reverse", ReverseOnly, true,
 			"r1 wallet.airnet object(AirNet.access)=2; ",
-			Stats{Rounds: 1, RemoteQueries: 2, WalletsContacted: 1, DelegationsFetched: 2}},
+			Stats{Rounds: 1, RemoteQueries: 1, WalletsContacted: 1, DelegationsFetched: 2}},
 		// Without the mirror the reverse search runs dry at AirNet.member
 		// (delegation (2) lives at BigISP's home only): two rounds, no proof.
 		{"reverse-dry", ReverseOnly, false,
 			"r1 wallet.airnet object(AirNet.access)=1; r2 wallet.airnet object(AirNet.member)=0; ",
-			Stats{Rounds: 2, RemoteQueries: 4, WalletsContacted: 1, DelegationsFetched: 1}},
+			Stats{Rounds: 2, RemoteQueries: 2, WalletsContacted: 1, DelegationsFetched: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, "BigISP", "AirNet", "Mark", "Sheila", "Maria", "AirNetServer")

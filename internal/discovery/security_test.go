@@ -12,8 +12,8 @@ import (
 	"drbac/internal/wire"
 )
 
-// maliciousWallet speaks the wallet wire protocol but answers every direct
-// query with an attacker-supplied proof. It stands in for a compromised or
+// maliciousWallet speaks the wallet wire protocol but answers every query
+// with an attacker-supplied proof. It stands in for a compromised or
 // hostile home wallet.
 func serveMalicious(t *testing.T, net *transport.MemNetwork, addr string, id *core.Identity, forged *core.Proof) {
 	t.Helper()
@@ -44,7 +44,7 @@ func serveMalicious(t *testing.T, net *transport.MemNetwork, addr string, id *co
 					switch env.Type {
 					case wire.TQueryDirect:
 						resp, err = codec.Encode(wire.TProof, env.ID, wire.ProofResp{Proof: forged})
-					case wire.TQuerySubject, wire.TQueryObject:
+					case wire.TQuerySubject, wire.TQueryObject, wire.TQueryExpand:
 						resp, err = codec.Encode(wire.TProofs, env.ID, wire.ProofsResp{Proofs: []*core.Proof{forged}})
 					default:
 						resp, err = codec.Encode(wire.TOK, env.ID, nil)

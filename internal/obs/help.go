@@ -49,7 +49,7 @@ var (
 		"drbac_discovery_total":                     "Chain discoveries attempted.",
 		"drbac_discovery_found_total":               "Chain discoveries that produced a proof.",
 		"drbac_discovery_rounds_total":              "Search rounds executed across discoveries.",
-		"drbac_discovery_remote_queries_total":      "Remote wallet queries issued by discovery.",
+		"drbac_discovery_remote_queries_total":      "Remote query-expand requests issued by discovery, one per frontier node queried.",
 		"drbac_discovery_delegations_fetched_total": "Delegations fetched from remote wallets during discovery.",
 		"drbac_discovery_wallets_contacted_total":   "Distinct remote wallets contacted during discovery.",
 		"drbac_discovery_seconds":                   "End-to-end chain-discovery latency in seconds.",

@@ -428,3 +428,57 @@ func TestRepeatsDoNotPullAndStayCoherent(t *testing.T) {
 		t.Fatalf("local proof cache still holds %d answers resting on a revoked credential", cs.Entries)
 	}
 }
+
+// A served proxy answers query-expand as it answers query-direct: a miss in
+// its cache pulls the chain through from upstream and is served as the one
+// direct proof. A chain upstream does not hold either is enumerated from the
+// proxy's own cache, which the pull has not touched.
+func TestServeQueryExpandPullsThrough(t *testing.T) {
+	e := newEnv(t)
+	d := e.deleg("[User -> Org.member] Org")
+	if err := e.home.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	p, local := e.newProxy(time.Minute)
+	ln, err := e.net.Listen("edge", e.ids["ProxyOp"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := p.Serve(ln)
+	defer srv.Close()
+	c, err := remote.Dial(context.Background(), e.net.Dialer(e.ids["Client"]), "edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	q := e.query("member")
+	proofs, err := c.QueryExpand(context.Background(), q.Subject, q.Object, nil, false)
+	if err != nil {
+		t.Fatalf("query-expand at the proxy: %v", err)
+	}
+	if len(proofs) != 1 || proofs[0].Subject != q.Subject || proofs[0].Object != q.Object {
+		t.Fatalf("query-expand answered %d proofs, want the one pulled-through direct proof", len(proofs))
+	}
+	if err := proofs[0].Validate(core.ValidateOptions{At: e.clk.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	if !local.Contains(d.ID()) {
+		t.Fatal("pulled credential not cached at the proxy")
+	}
+	if hits, pulls := p.Stats(); hits != 0 || pulls != 1 {
+		t.Fatalf("hits=%d pulls=%d, want 0/1", hits, pulls)
+	}
+
+	miss := e.query("admin")
+	proofs, err = c.QueryExpand(context.Background(), miss.Subject, miss.Object, nil, false)
+	if err != nil {
+		t.Fatalf("query-expand miss at the proxy: %v", err)
+	}
+	if len(proofs) != 1 || proofs[0].Object != q.Object {
+		t.Fatalf("query-expand miss answered %d proofs, want the cache's one subject enumeration (User -> Org.member)", len(proofs))
+	}
+	if _, pulls := p.Stats(); pulls != 2 {
+		t.Fatalf("pulls=%d, want 2: the miss tried upstream first", pulls)
+	}
+}

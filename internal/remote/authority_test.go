@@ -47,7 +47,8 @@ func (e *env) authorityWallet() (w *wallet.Wallet, keep, gone *core.Delegation) 
 }
 
 // authorityCalls sends each request row through the Client method that sends
-// it: publish three ways (durable, TTL-cached, epoch-stamped). Unsubscribe has
+// it: publish three ways (durable, TTL-cached, epoch-stamped), query-expand a
+// hit forward and a miss in reverse. Unsubscribe has
 // no method of its own — a subscription's cancel swallows its error — so it is
 // called raw.
 func (e *env) authorityCalls(keep, gone *core.Delegation) map[wire.MsgType][]func(*Client) error {
@@ -71,6 +72,16 @@ func (e *env) authorityCalls(keep, gone *core.Delegation) map[wire.MsgType][]fun
 			_, err := c.QueryObject(ctx, e.role("BigISP.member"), nil)
 			return err
 		}},
+		wire.TQueryExpand: {
+			func(c *Client) error {
+				_, err := c.QueryExpand(ctx, e.subject("Maria"), e.role("BigISP.member"), nil, false)
+				return err
+			},
+			func(c *Client) error {
+				_, err := c.QueryExpand(ctx, e.subject("Maria"), e.role("BigISP.staff"), nil, true)
+				return err
+			},
+		},
 		wire.TSubscribe: {func(c *Client) error {
 			cancel, err := c.Subscribe(ctx, keep.ID(), func(subs.Event) {})
 			if err == nil {

@@ -57,7 +57,17 @@ type Client struct {
 	// broken flips when the read loop exits for any reason; the connection
 	// can never carry another call, so pool managers evict it.
 	broken atomic.Bool
+	// expand is what the connection has learned of its peer's query-expand
+	// support: expandUnknown, expandServed or expandRefused (QueryExpand).
+	expand atomic.Uint32
 }
+
+// The states of Client.expand.
+const (
+	expandUnknown uint32 = iota // nothing yet: query-expand goes under its name
+	expandServed                // answered: query-expand goes under its code
+	expandRefused               // refused by an older home: two older requests instead
+)
 
 // Dial connects to a remote wallet at addr. Cancellation of ctx aborts the
 // connect and handshake; it does not bound the lifetime of the returned
@@ -263,7 +273,10 @@ func (w *waiter) release(answered bool) {
 // canceled; CallTimeout still applies as an upper bound so a background
 // context cannot hang a call forever. Error responses are decoded here and
 // returned as errors.
-func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, body any) (reply, error) {
+//
+// With named set the request's type is framed under its name rather than its
+// code (wire.Codec.EncodeNamed).
+func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, named bool, body any) (reply, error) {
 	if err := ctx.Err(); err != nil {
 		return reply{}, fmt.Errorf("remote %s: %w", t, err)
 	}
@@ -289,7 +302,13 @@ func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, body any) (reply
 		w.release(false)
 	}
 
-	frame, err := codec.Encode(t, id, body)
+	var frame []byte
+	var err error
+	if named {
+		frame, err = codec.EncodeNamed(t, id, body)
+	} else {
+		frame, err = codec.Encode(t, id, body)
+	}
 	if err == nil {
 		err = c.conn.Send(frame)
 		// Send fully consumes the frame before returning, so the encode
@@ -340,7 +359,13 @@ func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, body any) (reply
 // the reply frame goes back to the pool before call returns — DecodeBody
 // copies everything it keeps, so nothing in out aliases it.
 func (c *Client) call(ctx context.Context, t wire.MsgType, body, out any) error {
-	r, err := c.roundTrip(ctx, t, body)
+	return c.callNamed(ctx, t, false, body, out)
+}
+
+// callNamed is call with the request's type framed under its name when named
+// is set (roundTrip).
+func (c *Client) callNamed(ctx context.Context, t wire.MsgType, named bool, body, out any) error {
+	r, err := c.roundTrip(ctx, t, named, body)
 	if err != nil {
 		return err
 	}
@@ -424,6 +449,62 @@ func (c *Client) QueryObject(ctx context.Context, object core.Role, constraints 
 	resp, err := ask[wire.ProofsResp](ctx, c, wire.TQueryObject, wire.QueryReq{Object: object, Constraints: constraints, TraceID: tc.TraceID, SpanID: tc.SpanID})
 	return resp.Proofs, err
 }
+
+// QueryExpand asks the remote wallet for a proof subject ⇒ object and, when
+// there is none, in the same reply for the one-ended enumeration from the end
+// reverse names: QuerySubject(subject) forward, QueryObject(object) in
+// reverse. A returned proof that runs exactly subject ⇒ object is the direct
+// answer; any other roots further search. It carries the caller's trace
+// position as QueryDirect does.
+//
+// A home built before query-expand refuses it as an unknown request type.
+// The first query-expand on a connection goes under its type name, which such
+// a home still decodes and refuses with the connection kept (an unknown type
+// code would cost the connection); once answered it goes under its code. On
+// that refusal the client remembers it and from then on asks the direct
+// query, then on a miss the enumeration, as two requests.
+func (c *Client) QueryExpand(ctx context.Context, subject core.Subject, object core.Role, constraints []core.Constraint, reverse bool) ([]*core.Proof, error) {
+	state := c.expand.Load()
+	if state != expandRefused {
+		tc := obs.TraceFromContext(ctx)
+		req := wire.QueryReq{
+			Subject:     subject,
+			Object:      object,
+			Constraints: constraints,
+			Direction:   graph.Forward,
+			TraceID:     tc.TraceID,
+			SpanID:      tc.SpanID,
+		}
+		if reverse {
+			req.Direction = graph.Reverse
+		}
+		var resp wire.ProofsResp
+		err := c.callNamed(ctx, wire.TQueryExpand, state == expandUnknown, req, &resp)
+		if err == nil {
+			c.expand.CompareAndSwap(expandUnknown, expandServed)
+			return resp.Proofs, nil
+		}
+		if err.Error() != unknownExpand {
+			return nil, err
+		}
+		c.expand.Store(expandRefused)
+	}
+	p, err := c.QueryDirect(ctx, subject, object, constraints, 0)
+	switch {
+	case err == nil:
+		return []*core.Proof{p}, nil
+	case !errors.Is(err, core.ErrNoProof):
+		return nil, err
+	case reverse:
+		return c.QueryObject(ctx, object, constraints)
+	default:
+		return c.QuerySubject(ctx, subject, constraints)
+	}
+}
+
+// unknownExpand is the error an older home's refusal of query-expand comes
+// back as (Server.handle's text, prefixed by roundTrip).
+var unknownExpand = fmt.Sprintf("remote %s: unknown request type %q", wire.TQueryExpand, wire.TQueryExpand)
 
 // Stats fetches the remote wallet's metrics snapshot, role and seq — what
 // `drbac stats` renders.

@@ -15,6 +15,7 @@ import (
 
 	"drbac/internal/bufpool"
 	"drbac/internal/core"
+	"drbac/internal/graph"
 	"drbac/internal/obs"
 	"drbac/internal/subs"
 	"drbac/internal/transport"
@@ -464,6 +465,7 @@ var handlers = map[wire.MsgType]handler{
 	wire.TQueryDirect:  on((*Server).queryDirect),
 	wire.TQuerySubject: on(queryAll(false)),
 	wire.TQueryObject:  on(queryAll(true)),
+	wire.TQueryExpand:  on((*Server).queryExpand),
 	wire.TSubscribe:    on((*Server).subscribeOne),
 	wire.TUnsubscribe:  on((*Server).unsubscribe),
 	wire.TRevoke:       on((*Server).revoke),
@@ -516,15 +518,59 @@ func (s *Server) queryDirect(_ *connState, req *wire.QueryReq) (any, []any, erro
 		Direction:   req.Direction,
 		TraceID:     req.TraceID,
 	}
-	p, err := s.w.QueryDirect(q)
-	if err != nil && errors.Is(err, core.ErrNoProof) && s.directFallback != nil {
-		p, err = s.directFallback(ctx, q)
-	}
+	p, err := s.direct(q)
 	if err != nil && !errors.Is(err, core.ErrNoProof) {
 		sp.Fail(err)
 	}
 	sp.End("found", err == nil)
 	return wire.ProofResp{Proof: p}, append(attrs, "found", err == nil), err
+}
+
+// direct answers a direct query as query-direct and query-expand serve it:
+// from the wallet, then, on a miss, from the pull-through fallback.
+func (s *Server) direct(q wallet.Query) (*core.Proof, error) {
+	p, err := s.w.QueryDirect(q)
+	if err != nil && errors.Is(err, core.ErrNoProof) && s.directFallback != nil {
+		p, err = s.directFallback(q.Ctx, q)
+	}
+	return p, err
+}
+
+// queryExpand serves query-expand: the direct query exactly as query-direct
+// serves it, and on a miss the enumeration from the end the request's
+// direction names, in one proofs reply. A hit is that one proof; a miss with
+// nothing to enumerate is an empty list, not an error.
+func (s *Server) queryExpand(_ *connState, req *wire.QueryReq) (any, []any, error) {
+	attrs := make([]any, 0, 10)
+	attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String(), "object", req.Object.String())
+	if req.Direction != graph.Forward && req.Direction != graph.Reverse {
+		return nil, attrs, fmt.Errorf("query-expand: malformed request: direction %d is neither forward (%d) nor reverse (%d)",
+			req.Direction, graph.Forward, graph.Reverse)
+	}
+	ctx, sp := s.serveSpan(req, "serve:query-expand", attrs[2:6:6])
+	p, err := s.direct(wallet.Query{
+		Ctx:         ctx,
+		Subject:     req.Subject,
+		Object:      req.Object,
+		Constraints: req.Constraints,
+		TraceID:     req.TraceID,
+	})
+	found := err == nil
+	var proofs []*core.Proof
+	switch {
+	case found:
+		proofs = []*core.Proof{p}
+	case !errors.Is(err, core.ErrNoProof):
+		sp.Fail(err)
+		sp.End("found", false)
+		return nil, append(attrs, "found", false), err
+	case req.Direction == graph.Reverse:
+		proofs = s.w.QueryObject(req.Object, req.Constraints)
+	default:
+		proofs = s.w.QuerySubject(req.Subject, req.Constraints)
+	}
+	sp.End("found", found, "results", len(proofs))
+	return wire.ProofsResp{Proofs: proofs}, append(attrs, "found", found, "results", len(proofs)), nil
 }
 
 // queryAll serves query-subject and, with object set, query-object: the

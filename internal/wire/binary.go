@@ -84,13 +84,28 @@ const encodeStart = 1 << 10
 // buffer comes from the process buffer pool: the caller owns it and should
 // bufpool.Put it once the frame is sent.
 func (Codec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
+	var code byte
+	if m := byType[t]; m != nil {
+		code = m.Code
+	}
+	return encode(t, code, id, body)
+}
+
+// EncodeNamed is Encode with the type framed under its name (type code 0)
+// even when it has a code: the form a build that predates t's code still
+// decodes, and so refuses as an unknown request type on a kept connection,
+// where an unknown code is a protocol violation that costs the connection.
+func (Codec) EncodeNamed(t MsgType, id uint64, body any) ([]byte, error) {
+	return encode(t, 0, id, body)
+}
+
+// encode frames t under code, or under its name when code is 0.
+func encode(t MsgType, code byte, id uint64, body any) ([]byte, error) {
 	w := bwriter{buf: bufpool.Get(encodeStart)}
 	w.u8(binMagic)
 	w.u8(binVersion)
-	if m := byType[t]; m != nil {
-		w.u8(m.Code)
-	} else {
-		w.u8(0)
+	w.u8(code)
+	if code == 0 {
 		w.str(string(t))
 	}
 	w.uvarint(id)

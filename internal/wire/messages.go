@@ -73,6 +73,7 @@ var Messages = []Message{
 	{Type: TDHTStore, Code: 19, Reserved: true},
 	{Type: TGossipPing, Code: 20, Reserved: true},
 	{Type: TGossipPingReq, Code: 21, Reserved: true},
+	{Type: TQueryExpand, Code: 22, Body: body[QueryReq], Reply: TProofs},
 
 	{Type: TOK, Code: 32},
 	{Type: TProof, Code: 33, Body: body[ProofResp]},

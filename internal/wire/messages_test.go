@@ -362,8 +362,9 @@ func legacyJSONFrame(t testing.TB, typ MsgType, id uint64, body any) []byte {
 // times (the second proof-reply decode is served by the delegation table),
 // and the table's skip pass over a delegation must end exactly where the
 // decoder ends, or both must fail. Seeds: every row's zero and populated
-// bodies, each framed by the codec and as the retired JSON codec framed it
-// (malformed input now), plus hand-written hostile frames and an older
+// bodies, each framed by the codec under the type's code and under its name
+// (as a client first sends query-expand) and as the retired JSON codec framed
+// it (malformed input now), plus hand-written hostile frames and an older
 // build's frames for a retired message.
 func FuzzMessageDecode(f *testing.F) {
 	fixtures, bodies := populated(f), tableBodies()
@@ -371,11 +372,13 @@ func FuzzMessageDecode(f *testing.F) {
 		typ := reflect.TypeOf(tb.mk()).Elem()
 		for _, body := range append([]any{reflect.Zero(typ).Interface()}, fixtures[typ]...) {
 			f.Add(legacyJSONFrame(f, tb.t, 1, body))
-			frame, err := (Codec{}).Encode(tb.t, 1, body)
-			if err != nil {
-				f.Fatal(err)
+			for _, encode := range []func(MsgType, uint64, any) ([]byte, error){(Codec{}).Encode, (Codec{}).EncodeNamed} {
+				frame, err := encode(tb.t, 1, body)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(append([]byte(nil), frame...))
 			}
-			f.Add(append([]byte(nil), frame...))
 		}
 	}
 	f.Add([]byte(`{"type":"dht-store","id":9,"body":{"record":{"seq":-1,"ttlSeconds":1e99}}}`))

@@ -83,6 +83,11 @@ const (
 	// unknown request type and its connection is kept.
 	TGossipPing    MsgType = "gossip-ping"
 	TGossipPingReq MsgType = "gossip-ping-req"
+	// TQueryExpand asks for a proof subject ⇒ object and, when there is
+	// none, for the one-ended enumeration from the end Direction names
+	// (Forward: subject ⇒ *, Reverse: * ⇒ object), in one ProofsResp: the
+	// one request a discovery agent sends per frontier node.
+	TQueryExpand MsgType = "query-expand"
 )
 
 // Response and push types (server → client).
@@ -128,7 +133,7 @@ type PublishReq struct {
 	ShardEpoch uint64 `json:"shardEpoch,omitempty"`
 }
 
-// QueryReq carries any of the three query kinds; unused fields stay zero.
+// QueryReq carries any of the query kinds; unused fields stay zero.
 type QueryReq struct {
 	Subject     core.Subject      `json:"subject,omitempty"`
 	Object      core.Role         `json:"object,omitempty"`
