@@ -7,7 +7,8 @@ package drbac_test
 //	Table 3   -> BenchmarkTable3CaseStudyProof
 //	Figure 1  -> BenchmarkFigure1WalletOps
 //	Figure 2  -> BenchmarkFigure2DistributedProof
-//	§4.2.3    -> BenchmarkSearchDirectionality, BenchmarkAttributePruning
+//	§4.2.3    -> BenchmarkSearchDirectionality, BenchmarkAttributePruning,
+//	             BenchmarkFindDirectFreshGoroutine
 //	§6        -> BenchmarkRevocationSchemes
 //	§3.1.3    -> BenchmarkSeparability
 //
@@ -34,6 +35,7 @@ import (
 	"drbac/internal/clock"
 	"drbac/internal/cluster"
 	"drbac/internal/core"
+	"drbac/internal/graph"
 	"drbac/internal/logstore"
 	"drbac/internal/remote"
 	"drbac/internal/sim"
@@ -271,6 +273,50 @@ func BenchmarkSearchDirectionality(b *testing.B) {
 				b.ReportMetric(float64(out.Forward.EdgesExplored), "fwd-edges")
 				b.ReportMetric(float64(out.Reverse.EdgesExplored), "rev-edges")
 				b.ReportMetric(float64(out.Bidi.EdgesExplored), "bidi-edges")
+			}
+		})
+	}
+}
+
+// BenchmarkFindDirectFreshGoroutine runs each graph search on a goroutine of
+// its own, as remote.Server runs each request, over a chain 4, 16 and 30
+// roles deep with four dead-end grants off every role: the search's cost
+// includes whatever it makes a fresh goroutine's stack grow.
+func BenchmarkFindDirectFreshGoroutine(b *testing.B) {
+	now := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
+	owner, err := core.IdentityFromSeed("owner", make([]byte, 32))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, length := range []int{4, 16, 30} {
+		g := graph.New()
+		role := func(name string, i int) core.Role { return core.NewRole(owner.ID(), fmt.Sprintf("%s%d", name, i)) }
+		add := func(subject core.Subject, object core.Role) {
+			d, err := core.Issue(owner, core.Template{Subject: subject, Object: object}, now)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Add(d, nil)
+		}
+		for i := 0; i < length; i++ {
+			add(core.SubjectRole(role("n", i)), role("n", i+1))
+			for j := 0; j < 4; j++ {
+				add(core.SubjectRole(role("n", i)), role(fmt.Sprintf("dead%d_", i), j))
+			}
+		}
+		subject, goal := core.SubjectRole(role("n", 0)), role("n", length)
+		opts := graph.Options{At: now}
+		b.Run(fmt.Sprintf("len%d", length), func(b *testing.B) {
+			b.ReportAllocs()
+			done := make(chan error)
+			for i := 0; i < b.N; i++ {
+				go func() {
+					_, err := g.FindDirect(subject, goal, opts)
+					done <- err
+				}()
+				if err := <-done; err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -9,18 +9,23 @@
 //
 // Storage is sharded: vertices and delegation IDs hash onto a fixed set of
 // shards, each guarded by its own RWMutex. Mutations lock only the shards
-// owning the touched subject, object, and ID keys, and publish fresh edge
-// slices (copy-on-write), so searches iterate immutable snapshots without
-// holding any lock across the traversal — concurrent queries proceed fully
-// in parallel with each other and with publications and revocations of
-// unrelated credentials. A search overlapping a mutation may observe the
-// graph mid-update (e.g. an edge indexed by subject but not yet by object);
-// callers re-validate candidate proofs against expiry and revocation, so a
-// transient read costs a failed validation, never a wrong answer.
+// owning the touched subject, object, and ID keys — together, so the three
+// indexes change as one — and publish fresh edge slices (copy-on-write), so
+// searches iterate immutable snapshots without holding any lock across the
+// traversal: concurrent queries proceed fully in parallel with each other
+// and with publications and revocations of unrelated credentials. A walk
+// reads each node's snapshot with one keyed lookup under the node's shard
+// read lock, and keeps its chain on an explicit stack rather than the
+// goroutine's. A search overlapping a mutation may observe the graph
+// mid-update (e.g. one node's edges before an Add and the next node's
+// after it); callers re-validate candidate proofs against expiry and
+// revocation, so a transient read costs a failed validation, never a wrong
+// answer.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,8 +43,8 @@ type edge struct {
 const shardCount = 32
 
 // shard is one lock domain of the index. The three maps are independent
-// key spaces; a delegation's subject, object, and ID may land on different
-// shards.
+// key spaces, each made on first use; a delegation's subject, object, and ID
+// may land on different shards.
 type shard struct {
 	mu sync.RWMutex
 	// bySubject indexes outgoing edges by the delegation subject.
@@ -55,16 +60,11 @@ type Graph struct {
 	shards [shardCount]shard
 }
 
-// New returns an empty graph.
+// New returns an empty graph. It allocates the graph alone: a shard makes
+// its maps when a delegation first lands on it, so a wallet that holds
+// little costs little to build.
 func New() *Graph {
-	g := &Graph{}
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.bySubject = make(map[core.Subject][]*edge)
-		s.byObject = make(map[core.Role][]*edge)
-		s.byID = make(map[core.DelegationID]*edge)
-	}
-	return g
+	return &Graph{}
 }
 
 // FNV-1a constants for shard hashing.
@@ -95,25 +95,46 @@ func hashRole(h uint32, r core.Role) uint32 {
 	return h
 }
 
-func (g *Graph) subjectShard(s core.Subject) *shard {
-	h := hashString(fnvOffset, string(s.Entity))
-	h = hashRole(h, s.Role)
-	return &g.shards[h%shardCount]
+func subjectIndex(s core.Subject) uint32 {
+	return hashRole(hashString(fnvOffset, string(s.Entity)), s.Role) % shardCount
 }
 
-func (g *Graph) objectShard(r core.Role) *shard {
-	return &g.shards[hashRole(fnvOffset, r)%shardCount]
+func objectIndex(r core.Role) uint32 {
+	return hashRole(fnvOffset, r) % shardCount
 }
 
-func (g *Graph) idShard(id core.DelegationID) *shard {
-	return &g.shards[hashString(fnvOffset, string(id))%shardCount]
+func idIndex(id core.DelegationID) uint32 {
+	return hashString(fnvOffset, string(id)) % shardCount
+}
+
+// lockShards write-locks shards i, j and k — a delegation's ID, subject and
+// object shards — in index order, a shard named twice once, so two
+// mutations never wait on each other in a cycle.
+func (g *Graph) lockShards(i, j, k uint32) {
+	idx := [3]uint32{i, j, k}
+	slices.Sort(idx[:])
+	for n, x := range idx {
+		if n == 0 || x != idx[n-1] {
+			g.shards[x].mu.Lock()
+		}
+	}
+}
+
+func (g *Graph) unlockShards(i, j, k uint32) {
+	g.shards[i].mu.Unlock()
+	if j != i {
+		g.shards[j].mu.Unlock()
+	}
+	if k != i && k != j {
+		g.shards[k].mu.Unlock()
+	}
 }
 
 // edgesFrom returns the out-edges of subject. The result is an immutable
 // snapshot (mutations publish fresh slices), so callers iterate it without
 // holding the shard lock.
 func (g *Graph) edgesFrom(s core.Subject) []*edge {
-	sh := g.subjectShard(s)
+	sh := &g.shards[subjectIndex(s)]
 	sh.mu.RLock()
 	list := sh.bySubject[s]
 	sh.mu.RUnlock()
@@ -123,7 +144,7 @@ func (g *Graph) edgesFrom(s core.Subject) []*edge {
 // edgesTo returns the in-edges of object, with the same snapshot semantics
 // as edgesFrom.
 func (g *Graph) edgesTo(r core.Role) []*edge {
-	sh := g.objectShard(r)
+	sh := &g.shards[objectIndex(r)]
 	sh.mu.RLock()
 	list := sh.byObject[r]
 	sh.mu.RUnlock()
@@ -140,21 +161,25 @@ func (g *Graph) Add(d *core.Delegation, support []*core.Proof) {
 	id := d.ID()
 	e := &edge{d: d, support: support}
 
-	ids := g.idShard(id)
-	ids.mu.Lock()
+	// The ID, subject and object shards are locked together, so the three
+	// indexes change as one.
+	ii, si, oi := idIndex(id), subjectIndex(d.Subject), objectIndex(d.Object)
+	g.lockShards(ii, si, oi)
+	defer g.unlockShards(ii, si, oi)
+	ids, ss, os := &g.shards[ii], &g.shards[si], &g.shards[oi]
+	if ids.byID == nil {
+		ids.byID = make(map[core.DelegationID]*edge)
+	}
+	if ss.bySubject == nil {
+		ss.bySubject = make(map[core.Subject][]*edge)
+	}
+	if os.byObject == nil {
+		os.byObject = make(map[core.Role][]*edge)
+	}
 	old := ids.byID[id]
 	ids.byID[id] = e
-	ids.mu.Unlock()
-
-	ss := g.subjectShard(d.Subject)
-	ss.mu.Lock()
 	ss.bySubject[d.Subject] = putEdge(ss.bySubject[d.Subject], old, e)
-	ss.mu.Unlock()
-
-	os := g.objectShard(d.Object)
-	os.mu.Lock()
 	os.byObject[d.Object] = putEdge(os.byObject[d.Object], old, e)
-	os.mu.Unlock()
 }
 
 // putEdge returns list without old (nil: nothing to replace) and with e, as
@@ -169,34 +194,36 @@ func putEdge(list []*edge, old, e *edge) []*edge {
 
 // Remove deletes a delegation by ID, reporting whether it was present.
 func (g *Graph) Remove(id core.DelegationID) bool {
-	ids := g.idShard(id)
-	ids.mu.Lock()
-	e, ok := ids.byID[id]
-	if ok {
-		delete(ids.byID, id)
-	}
-	ids.mu.Unlock()
-	if !ok {
+	ids := &g.shards[idIndex(id)]
+	ids.mu.RLock()
+	e := ids.byID[id]
+	ids.mu.RUnlock()
+	if e == nil {
 		return false
 	}
 
-	ss := g.subjectShard(e.d.Subject)
-	ss.mu.Lock()
-	if list := dropEdge(ss.bySubject[e.d.Subject], e); len(list) == 0 {
-		delete(ss.bySubject, e.d.Subject)
-	} else {
-		ss.bySubject[e.d.Subject] = list
+	// Every edge stored under id has the same subject and object, so the
+	// shards locked here stay the right ones even if id was re-added
+	// meanwhile.
+	d := e.d
+	ii, si, oi := idIndex(id), subjectIndex(d.Subject), objectIndex(d.Object)
+	g.lockShards(ii, si, oi)
+	defer g.unlockShards(ii, si, oi)
+	if e = ids.byID[id]; e == nil {
+		return false
 	}
-	ss.mu.Unlock()
-
-	os := g.objectShard(e.d.Object)
-	os.mu.Lock()
-	if list := dropEdge(os.byObject[e.d.Object], e); len(list) == 0 {
-		delete(os.byObject, e.d.Object)
+	delete(ids.byID, id)
+	ss, os := &g.shards[si], &g.shards[oi]
+	if list := dropEdge(ss.bySubject[d.Subject], e); len(list) == 0 {
+		delete(ss.bySubject, d.Subject)
 	} else {
-		os.byObject[e.d.Object] = list
+		ss.bySubject[d.Subject] = list
 	}
-	os.mu.Unlock()
+	if list := dropEdge(os.byObject[d.Object], e); len(list) == 0 {
+		delete(os.byObject, d.Object)
+	} else {
+		os.byObject[d.Object] = list
+	}
 	return true
 }
 
@@ -216,7 +243,7 @@ func dropEdge(list []*edge, e *edge) []*edge {
 
 // Get returns a stored delegation and its support proofs.
 func (g *Graph) Get(id core.DelegationID) (*core.Delegation, []*core.Proof, bool) {
-	sh := g.idShard(id)
+	sh := &g.shards[idIndex(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e, ok := sh.byID[id]
@@ -228,7 +255,7 @@ func (g *Graph) Get(id core.DelegationID) (*core.Delegation, []*core.Proof, bool
 
 // Contains reports whether the delegation is stored.
 func (g *Graph) Contains(id core.DelegationID) bool {
-	sh := g.idShard(id)
+	sh := &g.shards[idIndex(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	_, ok := sh.byID[id]
@@ -414,64 +441,68 @@ func (g *Graph) findReverse(subject core.Subject, object core.Role, opts Options
 // every depth limit on them, over edges usable at opts.At, with no operator
 // conflict and — unless pruning is disabled — an aggregate still satisfying
 // the constraints reach visit. visit must not retain path or modify ag.
+//
+// The search is a loop over an explicit stack of frames, one per node on
+// the current chain, so its cost does not grow the caller's goroutine stack;
+// a node is on the chain when it is the subject or some path edge's object.
 func (g *Graph) walkFrom(subject core.Subject, opts Options, visit func(path []*edge, ag core.Aggregate) (stop bool)) {
-	var (
-		path    []*edge
-		onPath  = map[core.Subject]bool{subject: true}
-		maxDeep = opts.maxDepth()
-	)
-	var dfs func(node core.Subject, ag core.Aggregate, budget int) bool
-	dfs = func(node core.Subject, ag core.Aggregate, budget int) bool {
-		opts.bumpNodes()
-		if len(path) >= maxDeep {
-			return false
-		}
-		for _, e := range g.edgesFrom(node) {
-			if !usable(e, opts.At) {
-				continue
-			}
-			opts.bumpEdges()
-			// Depth-limit budget: taking this edge consumes one step from
-			// every limit already on the path; the edge may add its own.
-			nextBudget := budget - 1
-			if nextBudget < 0 {
-				continue // an earlier delegation forbids this extension
-			}
-			if e.d.DepthLimit > 0 && e.d.DepthLimit < nextBudget {
-				nextBudget = e.d.DepthLimit
-			}
-			next := core.SubjectRole(e.d.Object)
-			if onPath[next] {
-				continue
-			}
-			// Aggregates are never mutated once built, so an edge that sets
-			// no attributes shares its parent's.
-			nextAg := ag
-			if len(e.d.Attributes) > 0 {
-				nextAg = ag.Clone()
-				if err := nextAg.AddAll(e.d.Attributes); err != nil {
-					continue // operator conflict: chain unusable
-				}
-			}
-			if !opts.DisablePruning && !core.SatisfiedAll(opts.Constraints, nextAg) {
-				opts.bumpPruned()
-				continue
-			}
-			path = append(path, e)
-			stop := visit(path, nextAg)
-			if !stop {
-				onPath[next] = true
-				stop = dfs(next, nextAg, nextBudget)
-				delete(onPath, next)
+	maxDeep := opts.maxDepth()
+	opts.bumpNodes()
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	path := sc.path[:0]
+	stack := append(sc.stack[:0], frame{edges: g.edgesFrom(subject), ag: core.NewAggregate(), budget: maxDeep})
+	for {
+		top := &stack[len(stack)-1]
+		if len(top.edges) == 0 {
+			if stack = stack[:len(stack)-1]; len(stack) == 0 {
+				return
 			}
 			path = path[:len(path)-1]
-			if stop {
-				return true
+			continue
+		}
+		e := top.edges[0]
+		top.edges = top.edges[1:]
+		if !usable(e, opts.At) {
+			continue
+		}
+		opts.bumpEdges()
+		// Depth-limit budget: taking this edge consumes one step from every
+		// limit already on the path; the edge may add its own.
+		budget := top.budget - 1
+		if budget < 0 {
+			continue // an earlier delegation forbids this extension
+		}
+		if e.d.DepthLimit > 0 && e.d.DepthLimit < budget {
+			budget = e.d.DepthLimit
+		}
+		if onPathFrom(subject, path, e.d.Object) {
+			continue
+		}
+		// Aggregates are never mutated once built, so an edge that sets no
+		// attributes shares its parent's.
+		ag := top.ag
+		if len(e.d.Attributes) > 0 {
+			ag = ag.Clone()
+			if err := ag.AddAll(e.d.Attributes); err != nil {
+				continue // operator conflict: chain unusable
 			}
 		}
-		return false
+		if !opts.DisablePruning && !core.SatisfiedAll(opts.Constraints, ag) {
+			opts.bumpPruned()
+			continue
+		}
+		path = append(path, e)
+		if visit(path, ag) {
+			return
+		}
+		opts.bumpNodes()
+		if len(path) >= maxDeep {
+			path = path[:len(path)-1]
+			continue
+		}
+		stack = append(stack, frame{edges: g.edgesFrom(core.SubjectRole(e.d.Object)), ag: ag, budget: budget})
 	}
-	dfs(subject, core.NewAggregate(), maxDeep)
 }
 
 // walkTo is the object-side search. It enumerates simple chains depth-first
@@ -480,53 +511,143 @@ func (g *Graph) walkFrom(subject core.Subject, opts Options, visit func(path []*
 // MaxDepth and every depth limit on them, over edges usable at opts.At, reach
 // visit; one is extended only through a role subject not already on it and,
 // unless pruning is disabled, only while its suffix satisfies the constraints.
+// Like walkFrom it loops over an explicit frame stack.
 func (g *Graph) walkTo(object core.Role, opts Options, visit func(path []*edge) (stop bool)) {
-	var (
-		path    []*edge // reversed: path[0] is the edge closest to the object
-		onPath  = map[core.Role]bool{object: true}
-		maxDeep = opts.maxDepth()
-	)
-	var dfs func(node core.Role) bool
-	dfs = func(node core.Role) bool {
-		opts.bumpNodes()
-		if len(path) >= maxDeep {
-			return false
-		}
-		for _, e := range g.edgesTo(node) {
-			if !usable(e, opts.At) {
-				continue
-			}
-			opts.bumpEdges()
-			// Reverse depth pruning: the len(path) edges already walked
-			// follow this one in every chain through it.
-			if e.d.DepthLimit > 0 && e.d.DepthLimit < len(path) {
-				continue
-			}
-			path = append(path, e)
-			stop := visit(path)
-			// Continue only through role subjects: entity subjects
-			// terminate chains (§3.1.1).
-			from := e.d.Subject.Role
-			if !stop && !e.d.Subject.IsEntity() && !onPath[from] {
-				// Monotonicity pruning in reverse direction: the suffix
-				// aggregate from here to the object already bounds the
-				// final value from above.
-				if !opts.DisablePruning && !suffixSatisfiable(path, opts) {
-					opts.bumpPruned()
-				} else {
-					onPath[from] = true
-					stop = dfs(from)
-					delete(onPath, from)
-				}
+	maxDeep := opts.maxDepth()
+	prune := !opts.DisablePruning
+	opts.bumpNodes()
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	path := sc.path[:0] // reversed: path[0] is the edge closest to the object
+	stack := append(sc.stack[:0], frame{edges: g.edgesTo(object)})
+	if prune {
+		stack[0].ag = core.NewAggregate()
+	}
+	for {
+		top := &stack[len(stack)-1]
+		if len(top.edges) == 0 {
+			if stack = stack[:len(stack)-1]; len(stack) == 0 {
+				return
 			}
 			path = path[:len(path)-1]
-			if stop {
-				return true
+			continue
+		}
+		e := top.edges[0]
+		top.edges = top.edges[1:]
+		if !usable(e, opts.At) {
+			continue
+		}
+		opts.bumpEdges()
+		// Reverse depth pruning: the len(path) edges already walked follow
+		// this one in every chain through it.
+		if e.d.DepthLimit > 0 && e.d.DepthLimit < len(path) {
+			continue
+		}
+		path = append(path, e)
+		if visit(path) {
+			return
+		}
+		// Continue only through role subjects: entity subjects terminate
+		// chains (§3.1.1).
+		from := e.d.Subject.Role
+		if e.d.Subject.IsEntity() || onPathTo(object, path[:len(path)-1], from) {
+			path = path[:len(path)-1]
+			continue
+		}
+		var suffix core.Aggregate
+		if prune {
+			var ok bool
+			if suffix, ok = extendSuffix(top.ag, e, opts.Constraints); !ok {
+				opts.bumpPruned()
+				path = path[:len(path)-1]
+				continue
 			}
 		}
-		return false
+		opts.bumpNodes()
+		if len(path) >= maxDeep {
+			path = path[:len(path)-1]
+			continue
+		}
+		stack = append(stack, frame{edges: g.edgesTo(from), ag: suffix})
 	}
-	dfs(object)
+}
+
+// frame is one node of a walk's current chain.
+type frame struct {
+	edges []*edge // the node's edges not yet tried
+	// ag aggregates the chain: for walkFrom up to the node, for walkTo from
+	// the node to the object (kept only while pruning; modifiers only lower
+	// values, so it bounds the final chain's value from above).
+	ag core.Aggregate
+	// budget is walkFrom's steps left under the depth limits on the chain.
+	budget int
+}
+
+// scratch is a walk's path and frame stack, reused across walks: a walk
+// within the default depth allocates neither, however deep it goes.
+type scratch struct {
+	path  []*edge
+	stack []frame
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{path: make([]*edge, 0, DefaultMaxDepth), stack: make([]frame, 0, DefaultMaxDepth+1)}
+}}
+
+// release clears s, so the pool pins no edge or aggregate, and returns it
+// to the pool. Slices a deeper walk grew past s are left to the collector.
+func (s *scratch) release() {
+	clear(s.path[:cap(s.path)])
+	clear(s.stack[:cap(s.stack)])
+	scratchPool.Put(s)
+}
+
+// onPathFrom reports whether role r is a node of walkFrom's chain: the
+// subject or the object of an edge on path.
+func onPathFrom(subject core.Subject, path []*edge, r core.Role) bool {
+	if subject.Entity == "" && sameRole(subject.Role, r) {
+		return true
+	}
+	for _, e := range path {
+		if sameRole(e.d.Object, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// onPathTo reports whether role r is a node of walkTo's chain: the object or
+// the subject of an edge on path.
+func onPathTo(object core.Role, path []*edge, r core.Role) bool {
+	if sameRole(object, r) {
+		return true
+	}
+	for _, e := range path {
+		if sameRole(e.d.Subject.Role, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameRole is r == q, comparing the name first: roles on one chain mostly
+// share a namespace and differ by name.
+func sameRole(r, q core.Role) bool {
+	return r.Name == q.Name && r.Namespace == q.Namespace && r.Tick == q.Tick && r.Attr == q.Attr && r.Op == q.Op
+}
+
+// extendSuffix returns the suffix aggregate of a chain one edge longer than
+// suffix's, and whether it still satisfies the constraints (an operator
+// conflict never does). suffix is never mutated: an edge that sets no
+// attributes shares it.
+func extendSuffix(suffix core.Aggregate, e *edge, constraints []core.Constraint) (core.Aggregate, bool) {
+	if len(e.d.Attributes) > 0 {
+		suffix = suffix.Clone()
+		if err := suffix.AddAll(e.d.Attributes); err != nil {
+			return nil, false
+		}
+	}
+	return suffix, core.SatisfiedAll(constraints, suffix)
 }
 
 // reversed returns walkTo's path in chain order, as a fresh slice.
@@ -536,19 +657,6 @@ func reversed(path []*edge) []*edge {
 		chain[len(path)-1-i] = e
 	}
 	return chain
-}
-
-// suffixSatisfiable checks whether the reversed partial chain (suffix of the
-// final chain) can still satisfy the constraints: since modifiers only
-// lower values, the suffix aggregate is an upper bound on the final value.
-func suffixSatisfiable(path []*edge, opts Options) bool {
-	ag := core.NewAggregate()
-	for _, e := range path {
-		if err := ag.AddAll(e.d.Attributes); err != nil {
-			return false
-		}
-	}
-	return core.SatisfiedAll(opts.Constraints, ag)
 }
 
 func chainSatisfies(p *core.Proof, opts Options) bool {

@@ -138,6 +138,19 @@ func refFindReverse(g *Graph, subject core.Subject, object core.Role, opts Optio
 	return nil, core.ErrNoProof
 }
 
+// suffixSatisfiable checks whether the reversed partial chain (suffix of the
+// final chain) can still satisfy the constraints: since modifiers only
+// lower values, the suffix aggregate is an upper bound on the final value.
+func suffixSatisfiable(path []*edge, opts Options) bool {
+	ag := core.NewAggregate()
+	for _, e := range path {
+		if err := ag.AddAll(e.d.Attributes); err != nil {
+			return false
+		}
+	}
+	return core.SatisfiedAll(opts.Constraints, ag)
+}
+
 // edgeDepthOK is chainDepthOK over the search-internal edge slice.
 func edgeDepthOK(chain []*edge) bool {
 	for i, e := range chain {
