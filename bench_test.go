@@ -19,6 +19,7 @@ package drbac_test
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
@@ -41,6 +42,7 @@ import (
 	"drbac/internal/sim"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
+	"drbac/internal/wire"
 )
 
 // benchWorld holds the Table 1 principals for the micro and table benches.
@@ -917,6 +919,63 @@ func BenchmarkQueryDirectTCP(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDecodeDistinctPrincipals decodes proof replies and direct
+// queries cycling over 1k and 8k distinct principals (EXP-A1). Each frame
+// names one principal: its fingerprint, a role in its namespace and, in a
+// proof, the principal's own key as the issuer of a one-step chain. The
+// decoder keeps no table of names or keys that a larger population
+// overflows, so the cost per frame should not step between the two; the
+// proof rows still pass through the delegation table (2,048 entries), which
+// the 1k population fits and the 8k one does not.
+func BenchmarkDecodeDistinctPrincipals(b *testing.B) {
+	now := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
+	const most = 8 << 10
+	var proofs, queries [][]byte
+	for i := 0; i < most; i++ {
+		seed := make([]byte, 32)
+		binary.BigEndian.PutUint32(seed, uint32(i+1))
+		id, err := core.IdentityFromSeed(fmt.Sprintf("p%d", i), seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subject, object := core.SubjectEntity(id.ID()), core.NewRole(id.ID(), "member")
+		d, err := core.Issue(id, core.Template{Subject: subject, Object: object}, now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := &core.Proof{Subject: subject, Object: object, Steps: []core.ProofStep{{Delegation: d}}}
+		proof, err := (wire.Codec{}).Encode(wire.TProof, 1, wire.ProofResp{Proof: p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		query, err := (wire.Codec{}).Encode(wire.TQueryDirect, 1, wire.QueryReq{Subject: subject, Object: object})
+		if err != nil {
+			b.Fatal(err)
+		}
+		proofs, queries = append(proofs, proof), append(queries, query)
+	}
+	decode := func(b *testing.B, frames [][]byte, out func() any) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			env, err := (wire.Codec{}).Decode(frames[i%len(frames)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := wire.DecodeBody(env, out()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, n := range []int{1 << 10, most} {
+		b.Run(fmt.Sprintf("proof/%dk", n>>10), func(b *testing.B) {
+			decode(b, proofs[:n], func() any { return new(wire.ProofResp) })
+		})
+		b.Run(fmt.Sprintf("query/%dk", n>>10), func(b *testing.B) {
+			decode(b, queries[:n], func() any { return new(wire.QueryReq) })
+		})
+	}
 }
 
 // BenchmarkPublish prices the remote publish round trip (EXP-W1):

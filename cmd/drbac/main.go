@@ -563,7 +563,6 @@ func renderStats(w io.Writer, addr string, resp wire.StatsResp) {
 		fmt.Fprintf(w, "wire codec (connection: %s)\n", ws.ConnCodec)
 		fmt.Fprintf(w, "  bin frames   %d enc / %d dec (%d / %d bytes)\n",
 			ws.BinaryFramesEncoded, ws.BinaryFramesDecoded, ws.BinaryBytesEncoded, ws.BinaryBytesDecoded)
-		fmt.Fprintf(w, "  intern       %d hits / %d misses\n", ws.InternHits, ws.InternMisses)
 		fmt.Fprintf(w, "  delegations  %d hits / %d misses\n", ws.DelegationHits, ws.DelegationMisses)
 		fmt.Fprintf(w, "  pool         %d gets / %d puts / %d discards / %d news\n",
 			ws.Pool.Gets, ws.Pool.Puts, ws.Pool.Discards, ws.Pool.News)

@@ -31,7 +31,6 @@ func TestRenderStatsGolden(t *testing.T) {
 			ConnCodec:           "binary",
 			BinaryFramesEncoded: 9, BinaryFramesDecoded: 8,
 			BinaryBytesEncoded: 900, BinaryBytesDecoded: 640,
-			InternHits: 30, InternMisses: 3,
 			DelegationHits: 12, DelegationMisses: 2,
 			Pool: bufpool.Stats{Gets: 17, Puts: 16, Discards: 1, News: 2},
 		},
@@ -83,7 +82,6 @@ sig cache
   size         5
 wire codec (connection: binary)
   bin frames   9 enc / 8 dec (900 / 640 bytes)
-  intern       30 hits / 3 misses
   delegations  12 hits / 2 misses
   pool         17 gets / 16 puts / 1 discards / 2 news
 counters

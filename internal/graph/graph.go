@@ -417,14 +417,18 @@ func (g *Graph) findForward(subject core.Subject, object core.Role, opts Options
 	return found, nil
 }
 
-// findReverse walks from the object and stops at the first chain that starts
-// at the subject and satisfies the constraints.
+// findReverse walks from the object and stops at the first simple chain that
+// starts at the subject and satisfies the constraints. walkTo checks a
+// chain's start only when it extends the chain, so visit rejects a start
+// already on it: a role asked for itself has no simple chain.
 func (g *Graph) findReverse(subject core.Subject, object core.Role, opts Options) (*core.Proof, error) {
 	var found *core.Proof
 	g.walkTo(object, opts, func(path []*edge) bool {
 		if path[len(path)-1].d.Subject == subject {
-			if p := proofFromEdges(reversed(path)); chainSatisfies(p, opts) {
-				found = p
+			if chain := reversed(path); !revisits(chain) {
+				if p := proofFromEdges(chain); chainSatisfies(p, opts) {
+					found = p
+				}
 			}
 		}
 		return found != nil
@@ -630,6 +634,23 @@ func onPathTo(object core.Role, path []*edge, r core.Role) bool {
 	return false
 }
 
+// revisits reports whether chain returns to its subject or passes through
+// its object before its last step: a simple chain, the only kind the
+// searches answer with, does neither. A chain from a role to itself always
+// returns to its subject.
+func revisits(chain []*edge) bool {
+	subject, object := chain[0].d.Subject, chain[len(chain)-1].d.Object
+	for i, e := range chain {
+		if subject.Entity == "" && sameRole(e.d.Object, subject.Role) {
+			return true
+		}
+		if i < len(chain)-1 && sameRole(e.d.Object, object) {
+			return true
+		}
+	}
+	return false
+}
+
 // sameRole is r == q, comparing the name first: roles on one chain mostly
 // share a namespace and differ by name.
 func sameRole(r, q core.Role) bool {
@@ -697,7 +718,7 @@ func (g *Graph) findBidirectional(subject core.Subject, object core.Role, opts O
 		fwd := collectForward(parentF, core.SubjectRole(node))
 		rev := collectReverse(parentR, node)
 		chain := append(fwd, rev...)
-		if len(chain) == 0 || len(chain) > maxDeep {
+		if len(chain) == 0 || len(chain) > maxDeep || revisits(chain) {
 			return nil
 		}
 		p := proofFromEdges(chain)
@@ -748,11 +769,11 @@ func (g *Graph) findBidirectional(subject core.Subject, object core.Role, opts O
 				// entity subject is a potential chain start.
 				if e.d.Subject == subject {
 					if _, hit := parentR[node]; hit {
-						fwd := []*edge{e}
-						rev := collectReverse(parentR, node)
-						p := proofFromEdges(append(fwd, rev...))
-						if chainSatisfies(p, opts) && len(p.Steps) <= maxDeep {
-							return p, nil
+						chain := append([]*edge{e}, collectReverse(parentR, node)...)
+						if len(chain) <= maxDeep && !revisits(chain) {
+							if p := proofFromEdges(chain); chainSatisfies(p, opts) {
+								return p, nil
+							}
 						}
 					}
 				}

@@ -215,6 +215,13 @@ func TestCycleSafety(t *testing.T) {
 			t.Fatalf("direction %v: want ErrNoProof, got %v", dirn, err)
 		}
 	}
+	// A role asked for itself: the cycle x → y → x is not a simple chain,
+	// whichever end the search starts from.
+	for _, dirn := range []Direction{Forward, Reverse, Bidirectional} {
+		if p, err := g.FindDirect(e.subject("A.x"), e.role("A.x"), Options{At: testNow, Direction: dirn}); !errors.Is(err, core.ErrNoProof) {
+			t.Fatalf("direction %v: want ErrNoProof, got %v, %v", dirn, p, err)
+		}
+	}
 }
 
 func TestExpiredEdgesInvisible(t *testing.T) {

@@ -4,8 +4,10 @@ import "drbac/internal/core"
 
 // The four searches below are the depth-first searches graph.go carried
 // before walkFrom and walkTo, kept verbatim (as functions of g) as the
-// reference TestWalksMatchReference compares the walks against. They are
-// test oracles, not a second search path.
+// reference TestWalksMatchReference compares the walks against, but for one
+// rule: refFindReverse, like findReverse, answers only simple chains, never
+// a cycle back to its subject. They are test oracles, not a second search
+// path.
 
 // refFindForward enumerates simple chains depth-first from the subject.
 func refFindForward(g *Graph, subject core.Subject, object core.Role, opts Options) (*core.Proof, error) {
@@ -97,7 +99,8 @@ func refFindReverse(g *Graph, subject core.Subject, object core.Role, opts Optio
 				path = path[:len(path)-1]
 				continue
 			}
-			if e.d.Subject == subject {
+			// A subject already on the chain would close a cycle.
+			if e.d.Subject == subject && !onPath[e.d.Subject.Role] {
 				chain := make([]*edge, len(path))
 				for i, pe := range path {
 					chain[len(path)-1-i] = pe

@@ -11,6 +11,7 @@ import (
 
 	"drbac/internal/core"
 	"drbac/internal/remote"
+	"drbac/internal/sigcache"
 	"drbac/internal/wallet"
 )
 
@@ -197,5 +198,40 @@ func TestReplayFeedsAgree(t *testing.T) {
 					feeds[0].name, got.applied, first.applied, got.state, feeds[0].name, first.state)
 			}
 		})
+	}
+}
+
+// TestReplayVerifiesOnlyWhatItInstalls syncs a follower whose filter admits
+// half the upstream's bundles, as a reshard follower's does, into a wallet
+// with a private signature cache: every signature it checks is one it
+// installed, so the bundles it drops cost no Ed25519 verify.
+func TestReplayVerifiesOnlyWhatItInstalls(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria", "Replica")
+	up := e.wallet("BigISP", nil)
+	e.serve("primary", "BigISP", up, remote.Options{Role: "primary"})
+	admit := make(map[core.DelegationID]bool)
+	for i := 0; i < 8; i++ {
+		d := e.deleg(fmt.Sprintf("[Maria -> BigISP.r%d] BigISP", i))
+		if err := up.Publish(d); err != nil {
+			t.Fatal(err)
+		}
+		admit[d.ID()] = i%2 == 0
+	}
+	c, err := remote.Dial(context.Background(), e.net.Dialer(e.id("Replica")), "primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	sigs := sigcache.New(0)
+	fw := wallet.New(wallet.Config{Owner: e.id("Replica"), Clock: e.clk, Directory: e.dir, SigCache: sigs})
+	f := &Follower{cfg: Config{Local: fw, Filter: func(d *core.Delegation) bool { return admit[d.ID()] }}}
+	if err := f.syncOnce(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	if fw.Len() != 4 {
+		t.Fatalf("follower holds %d bundles, want the 4 its filter admits", fw.Len())
+	}
+	if misses := sigs.Stats().Misses; misses != int64(fw.Len()) {
+		t.Errorf("follower ran %d signature checks for the %d bundles it installed", misses, fw.Len())
 	}
 }

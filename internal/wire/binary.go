@@ -290,7 +290,7 @@ func decodeBinaryBody(env Envelope, out any) error {
 		out.ShardEpoch = r.uvarint()
 	case *NotifyPush:
 		out.Delegation = core.DelegationID(r.str())
-		out.Kind = r.internedStr()
+		out.Kind = r.str()
 		out.At = r.time()
 		out.Seq = r.uvarint()
 		if r.bool() {

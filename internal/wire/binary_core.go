@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -120,7 +119,7 @@ type breader struct {
 	shared       bool
 	hits, misses uint64
 	// span, while set, is a copy of buf[spanAt:spanAt+len(span)]: a string
-	// read inside it is cut from it rather than interned or copied.
+	// read inside it is cut from it rather than copied.
 	span   string
 	spanAt int
 }
@@ -212,33 +211,15 @@ func (r *breader) raw() []byte {
 	return b
 }
 
-// str reads a length-prefixed string (fresh copy — frames get recycled).
+// str reads a length-prefixed string: a substring of the span while one is
+// set, else a fresh copy (frames get recycled).
 func (r *breader) str() string {
 	b := r.raw()
 	if r.span != "" {
-		return r.fromSpan(len(b))
+		i := r.off - len(b) - r.spanAt
+		return r.span[i : i+len(b)]
 	}
 	return string(b)
-}
-
-// internedStr reads a length-prefixed string through the process intern
-// table — for bounded-population values like entity fingerprints, names,
-// and role names that repeat across a proof chain.
-func (r *breader) internedStr() string {
-	b := r.raw()
-	if len(b) == 0 {
-		return ""
-	}
-	if r.span != "" {
-		return r.fromSpan(len(b))
-	}
-	return internString(b)
-}
-
-// fromSpan returns the n bytes just read as a substring of span.
-func (r *breader) fromSpan(n int) string {
-	i := r.off - n - r.spanAt
-	return r.span[i : i+n]
 }
 
 // bytes reads a length-prefixed byte slice as a fresh copy; zero length
@@ -249,11 +230,6 @@ func (r *breader) bytes() []byte {
 		return nil
 	}
 	return append([]byte(nil), b...)
-}
-
-// key reads an ed25519 public key through the intern table.
-func (r *breader) key() ed25519.PublicKey {
-	return internKey(r.raw())
 }
 
 func (r *breader) time() time.Time {
@@ -315,8 +291,8 @@ func (w *bwriter) role(r core.Role) {
 
 func (r *breader) role() core.Role {
 	return core.Role{
-		Namespace: core.EntityID(r.internedStr()),
-		Name:      r.internedStr(),
+		Namespace: core.EntityID(r.str()),
+		Name:      r.str(),
 		Tick:      int(r.uvarint()),
 		Attr:      r.bool(),
 		Op:        core.Operator(r.uvarint()),
@@ -334,7 +310,7 @@ func (w *bwriter) subject(s core.Subject) {
 
 func (r *breader) subject() core.Subject {
 	if r.bool() {
-		return core.Subject{Entity: core.EntityID(r.internedStr())}
+		return core.Subject{Entity: core.EntityID(r.str())}
 	}
 	return core.Subject{Role: r.role()}
 }
@@ -345,7 +321,7 @@ func (w *bwriter) entity(e core.Entity) {
 }
 
 func (r *breader) entity() core.Entity {
-	return core.Entity{Name: r.internedStr(), Key: r.key()}
+	return core.Entity{Name: r.str(), Key: r.bytes()}
 }
 
 func (w *bwriter) entityPtr(e *core.Entity) {
@@ -378,8 +354,8 @@ func (w *bwriter) setting(s core.AttributeSetting) {
 func (r *breader) setting() core.AttributeSetting {
 	return core.AttributeSetting{
 		Attr: core.AttributeRef{
-			Namespace: core.EntityID(r.internedStr()),
-			Name:      r.internedStr(),
+			Namespace: core.EntityID(r.str()),
+			Name:      r.str(),
 		},
 		Op:    core.Operator(r.uvarint()),
 		Value: r.f64(),
@@ -396,8 +372,8 @@ func (w *bwriter) constraint(c core.Constraint) {
 func (r *breader) constraint() core.Constraint {
 	return core.Constraint{
 		Attr: core.AttributeRef{
-			Namespace: core.EntityID(r.internedStr()),
-			Name:      r.internedStr(),
+			Namespace: core.EntityID(r.str()),
+			Name:      r.str(),
 		},
 		Base:    r.f64(),
 		Minimum: r.f64(),

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -65,46 +66,6 @@ func TestBinaryDecodeRejections(t *testing.T) {
 	var q QueryReq
 	if err := DecodeBody(env, &q); err == nil {
 		t.Error("body-kind mismatch accepted")
-	}
-}
-
-// TestBinaryInterningSharesAllocations checks that repeated principals in
-// one frame decode to shared values: the point of the intern table.
-func TestBinaryInterningSharesAllocations(t *testing.T) {
-	p, _, _ := fixtureProof(t)
-	frame, err := (Codec{}).Encode(TProof, 1, ProofResp{Proof: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := (Codec{}).Decode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out ProofResp
-	if err := DecodeBody(env, &out); err != nil {
-		t.Fatal(err)
-	}
-	// The chain's delegations share an issuer; decoded keys must share one
-	// backing array.
-	var keys [][]byte
-	for _, st := range out.Proof.Steps {
-		keys = append(keys, st.Delegation.Issuer.Key)
-		for _, sp := range st.Support {
-			for _, sst := range sp.Steps {
-				keys = append(keys, sst.Delegation.Issuer.Key)
-			}
-		}
-	}
-	shared := false
-	for i := range keys {
-		for j := i + 1; j < len(keys); j++ {
-			if bytes.Equal(keys[i], keys[j]) && &keys[i][0] == &keys[j][0] {
-				shared = true
-			}
-		}
-	}
-	if !shared {
-		t.Error("no decoded issuer keys share a backing array; interning is not engaged")
 	}
 }
 
@@ -216,5 +177,55 @@ func TestBinaryEncodeGrowsThroughPool(t *testing.T) {
 	// bar is "mostly recycled", not "never allocates".
 	if gets < 2*256 || news > gets/2 {
 		t.Fatalf("256 proof encodes: %d pool gets, %d fresh allocations", gets, news)
+	}
+}
+
+// TestDecodeRetainsNoLongNames checks that the decoder and the fingerprint
+// memo keep no value of whatever length a peer sends: 64 queries naming
+// 1 MiB roles and 64 publishes signed under 1 MiB issuer keys must leave
+// nothing behind once decoded and fingerprinted.
+func TestDecodeRetainsNoLongNames(t *testing.T) {
+	const n, size = 64, 1 << 20
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	roundTrip := func(typ MsgType, in, out any) {
+		frame, err := (Codec{}).Encode(typ, 1, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := (Codec{}).Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeBody(env, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _, _ := fixtureProof(t)
+	base := p.Steps[0].Delegation
+	before := live()
+	for i := 0; i < n; i++ {
+		name := strings.Repeat(string(rune('a'+i%26)), size-1) + string(rune('A'+i/26))
+		var q QueryReq
+		roundTrip(TQueryDirect, QueryReq{Subject: base.Subject, Object: core.Role{Namespace: base.Object.Namespace, Name: name}}, &q)
+		if len(q.Object.Name) != size {
+			t.Fatalf("role name decoded to %d bytes", len(q.Object.Name))
+		}
+
+		d := cloneDelegation(t, base)
+		d.Issuer.Key = bytes.Repeat([]byte{byte(i)}, size)
+		var pub PublishReq
+		roundTrip(TPublish, PublishReq{Delegation: d}, &pub)
+		if got := pub.Delegation.Issuer.ID(); got != d.Issuer.ID() {
+			t.Fatalf("fingerprint of a long key: %s, want %s", got, d.Issuer.ID())
+		}
+	}
+	if retained := live() - before; retained >= 1<<20 {
+		t.Fatalf("%d MiB of long names and keys retained after decoding and GC", retained>>20)
 	}
 }

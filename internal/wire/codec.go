@@ -32,9 +32,9 @@ type codecStats struct {
 var stats codecStats
 
 // WireStats is the codec section of a StatsResp: process-wide codec frame
-// and byte counters, entity-interning and delegation-table effectiveness,
-// and frame buffer pool traffic. Like the shared signature cache counters,
-// these cover the whole process, not one wallet.
+// and byte counters, delegation-table effectiveness, and frame buffer pool
+// traffic. Like the shared signature cache counters, these cover the whole
+// process, not one wallet.
 type WireStats struct {
 	// ConnCodec names the codec of the connection that carried the stats
 	// request — the one field here that is per-connection, not
@@ -44,10 +44,6 @@ type WireStats struct {
 	BinaryFramesDecoded uint64 `json:"binaryFramesDecoded"`
 	BinaryBytesEncoded  uint64 `json:"binaryBytesEncoded"`
 	BinaryBytesDecoded  uint64 `json:"binaryBytesDecoded"`
-	// InternHits/InternMisses count entity key and fingerprint interning
-	// lookups on the binary decode path.
-	InternHits   uint64 `json:"internHits"`
-	InternMisses uint64 `json:"internMisses"`
 	// DelegationHits/DelegationMisses count proof-reply delegations found
 	// in and added to the delegation table.
 	DelegationHits   uint64 `json:"delegationHits"`
@@ -63,8 +59,6 @@ func StatsSnapshot() WireStats {
 		BinaryFramesDecoded: stats.binaryFramesDecoded.Load(),
 		BinaryBytesEncoded:  stats.binaryBytesEncoded.Load(),
 		BinaryBytesDecoded:  stats.binaryBytesDecoded.Load(),
-		InternHits:          interns.hits.Load(),
-		InternMisses:        interns.misses.Load(),
 		DelegationHits:      tableStats.hits.Load(),
 		DelegationMisses:    tableStats.misses.Load(),
 		Pool:                bufpool.Snapshot(),

@@ -90,7 +90,7 @@ func (r *breader) sharedDelegation() *core.Delegation {
 	}
 	r.misses++
 	// Decode in place, so errors keep their body offsets, with every string
-	// cut from the entry's key rather than interned or copied.
+	// cut from the entry's key rather than copied.
 	e := &tableEntry{key: string(span)}
 	r.off, r.span, r.spanAt = start, e.key, start
 	e.d = r.delegationBody()

@@ -218,8 +218,9 @@ type StatsResp struct {
 	Seq     uint64       `json:"seq"`
 	Metrics obs.Snapshot `json:"metrics"`
 	// Wire reports the process-wide codec counters: frames and bytes
-	// encoded/decoded per codec, entity-intern hit rate, and frame-pool
-	// churn. Nil when answered by a server predating codec negotiation.
+	// encoded/decoded, the delegation table's hits and misses, and
+	// frame-pool churn. Nil when answered by a server predating codec
+	// negotiation.
 	Wire *WireStats `json:"wire,omitempty"`
 }
 
