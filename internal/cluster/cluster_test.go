@@ -200,7 +200,7 @@ func TestMemberConnectionStartsSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	codec := wire.CodecFor(conn.Codec())
+	codec := wire.CodecFor(wire.CodecBinary)
 	ping, err := codec.Encode(wire.TPing, 41, nil)
 	if err != nil {
 		t.Fatal(err)

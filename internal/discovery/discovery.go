@@ -97,8 +97,9 @@ type Stats struct {
 	Rounds           int
 	WalletsContacted int
 	// RemoteQueries counts query-expand requests: one per frontier node
-	// queried. Against a home older than query-expand the client sends two
-	// requests for one (remote.Client.QueryExpand); this still counts one.
+	// queried. To a home whose handshake hello states no revision the
+	// client sends two requests for one (remote.Client.QueryExpand); this
+	// still counts one.
 	RemoteQueries      int
 	DelegationsFetched int
 	Trace              []TraceEvent

@@ -26,7 +26,8 @@ type env struct {
 	clk *clock.Fake
 	net *transport.MemNetwork
 	// older, when non-nil, makes serve stand each home up as a build from
-	// before query-expand (olderHome), recorded here by address.
+	// before query-expand (olderHome), recorded here by address, and agent
+	// dial it as one (olderDialer).
 	older map[string]*olderHome
 }
 
@@ -135,6 +136,9 @@ func (e *env) agent(owner string, cfg Config) (*Agent, *wallet.Wallet) {
 	cfg.Local = local
 	if cfg.Dialer == nil {
 		cfg.Dialer = e.net.Dialer(e.id(owner))
+		if e.older != nil {
+			cfg.Dialer = olderDialer{cfg.Dialer}
+		}
 	}
 	a := NewAgent(cfg)
 	e.t.Cleanup(a.Close)

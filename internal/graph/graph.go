@@ -418,17 +418,14 @@ func (g *Graph) findForward(subject core.Subject, object core.Role, opts Options
 }
 
 // findReverse walks from the object and stops at the first simple chain that
-// starts at the subject and satisfies the constraints. walkTo checks a
-// chain's start only when it extends the chain, so visit rejects a start
-// already on it: a role asked for itself has no simple chain.
+// starts at the subject and satisfies the constraints. walkTo visits only
+// simple chains, so a role asked for itself has none.
 func (g *Graph) findReverse(subject core.Subject, object core.Role, opts Options) (*core.Proof, error) {
 	var found *core.Proof
 	g.walkTo(object, opts, func(path []*edge) bool {
 		if path[len(path)-1].d.Subject == subject {
-			if chain := reversed(path); !revisits(chain) {
-				if p := proofFromEdges(chain); chainSatisfies(p, opts) {
-					found = p
-				}
+			if p := proofFromEdges(reversed(path)); chainSatisfies(p, opts) {
+				found = p
 			}
 		}
 		return found != nil
@@ -511,11 +508,12 @@ func (g *Graph) walkFrom(subject core.Subject, opts Options, visit func(path []*
 
 // walkTo is the object-side search. It enumerates simple chains depth-first
 // from object and calls visit with each, reversed (path[0] is the edge
-// closest to the object), until visit reports stop. Only chains within
-// MaxDepth and every depth limit on them, over edges usable at opts.At, reach
-// visit; one is extended only through a role subject not already on it and,
-// unless pruning is disabled, only while its suffix satisfies the constraints.
-// Like walkFrom it loops over an explicit frame stack.
+// closest to the object), until visit reports stop. Only simple chains —
+// each step's subject not already on the chain — within MaxDepth and every
+// depth limit on them, over edges usable at opts.At, reach visit; one is
+// extended only through a role subject and, unless pruning is disabled, only
+// while its suffix satisfies the constraints. Like walkFrom it loops over an
+// explicit frame stack.
 func (g *Graph) walkTo(object core.Role, opts Options, visit func(path []*edge) (stop bool)) {
 	maxDeep := opts.maxDepth()
 	prune := !opts.DisablePruning
@@ -547,14 +545,17 @@ func (g *Graph) walkTo(object core.Role, opts Options, visit func(path []*edge) 
 		if e.d.DepthLimit > 0 && e.d.DepthLimit < len(path) {
 			continue
 		}
+		from := e.d.Subject.Role
+		if !e.d.Subject.IsEntity() && onPathTo(object, path, from) {
+			continue // the step would close a cycle
+		}
 		path = append(path, e)
 		if visit(path) {
 			return
 		}
 		// Continue only through role subjects: entity subjects terminate
 		// chains (§3.1.1).
-		from := e.d.Subject.Role
-		if e.d.Subject.IsEntity() || onPathTo(object, path[:len(path)-1], from) {
+		if e.d.Subject.IsEntity() {
 			path = path[:len(path)-1]
 			continue
 		}

@@ -222,6 +222,27 @@ func TestCycleSafety(t *testing.T) {
 			t.Fatalf("direction %v: want ErrNoProof, got %v, %v", dirn, p, err)
 		}
 	}
+	// An object enumeration lists only simple chains: A.y ⇒ A.r once, not
+	// again through the cycle A.y → A.x → A.y.
+	g = New()
+	g.Add(e.deleg("[M -> A.y] A"), nil)
+	g.Add(e.deleg("[A.y -> A.r] A"), nil)
+	g.Add(e.deleg("[A.x -> A.y] A"), nil)
+	g.Add(e.deleg("[A.y -> A.x] A"), nil)
+	proofs := g.EnumerateTo(e.role("A.r"), Options{At: testNow})
+	if len(proofs) != 3 {
+		t.Errorf("EnumerateTo(A.r) = %d chains %v, want the 3 simple ones", len(proofs), proofs)
+	}
+	for _, p := range proofs {
+		seen := map[core.Subject]bool{p.Subject: true}
+		for _, st := range p.Steps {
+			if to := core.SubjectRole(st.Delegation.Object); seen[to] {
+				t.Errorf("EnumerateTo(A.r) returned %v, which passes %v twice", p, st.Delegation.Object)
+			} else {
+				seen[to] = true
+			}
+		}
+	}
 }
 
 func TestExpiredEdgesInvisible(t *testing.T) {

@@ -5,9 +5,10 @@ import "drbac/internal/core"
 // The four searches below are the depth-first searches graph.go carried
 // before walkFrom and walkTo, kept verbatim (as functions of g) as the
 // reference TestWalksMatchReference compares the walks against, but for one
-// rule: refFindReverse, like findReverse, answers only simple chains, never
-// a cycle back to its subject. They are test oracles, not a second search
-// path.
+// rule the reverse searches share with walkTo: they answer only simple
+// chains. refFindReverse never answers a cycle back to its subject, and
+// refEnumerateTo never takes a step whose subject role is already on the
+// chain. They are test oracles, not a second search path.
 
 // refFindForward enumerates simple chains depth-first from the subject.
 func refFindForward(g *Graph, subject core.Subject, object core.Role, opts Options) (*core.Proof, error) {
@@ -250,6 +251,9 @@ func refEnumerateTo(g *Graph, object core.Role, opts Options) []*core.Proof {
 				continue
 			}
 			opts.bumpEdges()
+			if !e.d.Subject.IsEntity() && onPath[e.d.Subject.Role] {
+				continue // the step would close a cycle
+			}
 			path = append(path, e)
 			if !opts.DisablePruning && !suffixSatisfiable(path, opts) {
 				opts.bumpPruned()
@@ -257,7 +261,7 @@ func refEnumerateTo(g *Graph, object core.Role, opts Options) []*core.Proof {
 				continue
 			}
 			emit()
-			if !e.d.Subject.IsEntity() && !onPath[e.d.Subject.Role] && len(out) < limit {
+			if !e.d.Subject.IsEntity() && len(out) < limit {
 				onPath[e.d.Subject.Role] = true
 				dfs(e.d.Subject.Role)
 				delete(onPath, e.d.Subject.Role)

@@ -6,7 +6,9 @@
 // A Proxy serves its own wallet to downstream clients and pulls direct-
 // query misses through from an upstream wallet, caching the fetched
 // credentials with a TTL and holding exactly one upstream delegation
-// subscription per cached credential. Consequences measured by EXP-S5:
+// subscription per cached credential. A pulled credential enters the cache
+// only once its subscription is in place, so none is served without a
+// revocation feed. Consequences measured by EXP-S5:
 //
 //   - upstream load scales with the proxy's cached set, not with the
 //     downstream population (one upstream push fans out locally);
@@ -53,9 +55,16 @@ type Proxy struct {
 	hits  *obs.Counter
 	pulls *obs.Counter
 
-	mu      sync.Mutex
-	cancels map[core.DelegationID]func()
-	closed  bool
+	mu         sync.Mutex
+	subscribed map[core.DelegationID]*upstreamSub
+	closed     bool
+}
+
+// upstreamSub is one credential's upstream subscription: done closes when
+// the subscribe call returns, with cancel set, or nil when the call failed.
+type upstreamSub struct {
+	done   chan struct{}
+	cancel func()
 }
 
 // New builds a proxy over a local cache wallet and an upstream connection.
@@ -71,11 +80,11 @@ func New(cfg Config) (*Proxy, error) {
 		o = cfg.Local.Obs()
 	}
 	p := &Proxy{
-		cfg:     cfg,
-		obs:     o,
-		hits:    o.Counter("drbac_proxy_hits_total"),
-		pulls:   o.Counter("drbac_proxy_pulls_total"),
-		cancels: make(map[core.DelegationID]func()),
+		cfg:        cfg,
+		obs:        o,
+		hits:       o.Counter("drbac_proxy_hits_total"),
+		pulls:      o.Counter("drbac_proxy_pulls_total"),
+		subscribed: make(map[core.DelegationID]*upstreamSub),
 	}
 	return p, nil
 }
@@ -83,8 +92,13 @@ func New(cfg Config) (*Proxy, error) {
 // Close cancels every upstream subscription.
 func (p *Proxy) Close() {
 	p.mu.Lock()
-	cancels := p.cancels
-	p.cancels = make(map[core.DelegationID]func())
+	var cancels []func()
+	for _, s := range p.subscribed {
+		if s.cancel != nil {
+			cancels = append(cancels, s.cancel)
+		}
+	}
+	p.subscribed = nil
 	p.closed = true
 	p.mu.Unlock()
 	for _, c := range cancels {
@@ -146,54 +160,76 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	return p.cfg.Local.QueryDirect(q)
 }
 
-// admit inserts a pulled proof's delegations into the cache and ensures one
-// upstream subscription per credential.
+// admit caches each credential of a pulled proof (admitStep).
 func (p *Proxy) admit(ctx context.Context, up *remote.Client, proof *core.Proof) error {
 	// Warm the signature memo for the whole pulled proof tree before the
 	// step-by-step InsertCached validations below.
 	core.PrimeDelegations(p.cfg.Local.SigVerifier(), proof.Delegations())
 	for _, st := range proof.Steps {
-		d := st.Delegation
-		id := d.ID()
-		if !p.cfg.Local.Contains(id) {
-			if err := p.cfg.Local.InsertCached(d, st.Support, p.cfg.TTL); err != nil {
-				return err
-			}
-		}
-		if err := p.ensureSubscribed(ctx, up, id); err != nil {
+		if err := p.admitStep(ctx, up, st); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ensureSubscribed registers exactly one upstream subscription for id on up.
-func (p *Proxy) ensureSubscribed(ctx context.Context, up *remote.Client, id core.DelegationID) error {
+// admitStep inserts one pulled credential into the cache once an upstream
+// subscription for it is in place: a copy inserted first would stay
+// servable, with no revocation feed, until its TTL ran out if the subscribe
+// failed. A revocation pushed before the insert makes the insert fail. There
+// is one subscription per credential. Concurrent pulls of one credential
+// share its subscribe call and the insert after it, so each finds the copy
+// in place on return; a failed call is forgotten, and the next pull tries
+// again.
+func (p *Proxy) admitStep(ctx context.Context, up *remote.Client, st core.ProofStep) error {
+	id := st.Delegation.ID()
+	insert := func() error {
+		if p.cfg.Local.Contains(id) {
+			return nil
+		}
+		return p.cfg.Local.InsertCached(st.Delegation, st.Support, p.cfg.TTL)
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return errors.New("proxy: closed")
 	}
-	if _, ok := p.cancels[id]; ok {
-		p.mu.Unlock()
-		return nil
+	s, ok := p.subscribed[id]
+	if !ok {
+		s = &upstreamSub{done: make(chan struct{})}
+		p.subscribed[id] = s
 	}
-	// Reserve the slot before the network call so concurrent admits of the
-	// same credential subscribe once.
-	p.cancels[id] = func() {}
 	p.mu.Unlock()
+	if ok {
+		select {
+		case <-s.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if s.cancel == nil {
+			return errors.New("proxy: upstream subscription failed")
+		}
+		return insert()
+	}
 
+	defer close(s.done)
 	cancel, err := up.Subscribe(ctx, id, func(ev subs.Event) { p.cfg.Local.ApplyHomeEvent(ev, p.cfg.TTL) })
-	if err != nil {
-		p.mu.Lock()
-		delete(p.cancels, id)
-		p.mu.Unlock()
-		return err
-	}
 	p.mu.Lock()
-	p.cancels[id] = cancel
+	closed := p.closed
+	if err == nil && !closed {
+		s.cancel = cancel
+	} else {
+		delete(p.subscribed, id)
+	}
 	p.mu.Unlock()
-	return nil
+	switch {
+	case err != nil:
+		return err
+	case closed:
+		cancel() // Close ran during the call and could not cancel it
+		return errors.New("proxy: closed")
+	}
+	return insert()
 }
 
 // Serve exposes the proxy to downstream clients on ln: cache queries hit

@@ -90,8 +90,14 @@ func (e *env) query(name string) wallet.Query {
 // newProxy builds a proxy over a fresh cache wallet connected to the home.
 func (e *env) newProxy(ttl time.Duration) (*Proxy, *wallet.Wallet) {
 	e.t.Helper()
+	return e.newProxyVia(e.net.Dialer(e.ids["ProxyOp"]), ttl)
+}
+
+// newProxyVia is newProxy with the upstream connection dialed through d.
+func (e *env) newProxyVia(d transport.Dialer, ttl time.Duration) (*Proxy, *wallet.Wallet) {
+	e.t.Helper()
 	local := wallet.New(wallet.Config{Owner: e.ids["ProxyOp"], Clock: e.clk, Directory: e.dir})
-	up, err := remote.Dial(context.Background(), e.net.Dialer(e.ids["ProxyOp"]), "home")
+	up, err := remote.Dial(context.Background(), d, "home")
 	if err != nil {
 		e.t.Fatal(err)
 	}
@@ -107,6 +113,9 @@ func (e *env) newProxy(ttl time.Duration) (*Proxy, *wallet.Wallet) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+	if _, err := New(Config{Local: wallet.New(wallet.Config{})}); err == nil {
+		t.Fatal("config without an upstream accepted")
 	}
 }
 
@@ -174,6 +183,68 @@ func TestUpstreamRevocationPropagatesToCache(t *testing.T) {
 	}
 	if _, err := p.QueryDirect(context.Background(), e.query("member")); !errors.Is(err, core.ErrNoProof) {
 		t.Fatalf("revoked credential still served: %v", err)
+	}
+}
+
+// TestSubscribeFailureCachesNothing: a pulled credential whose upstream
+// subscribe fails is not cached, so a revocation its home then makes cannot
+// be missed. The upstream connection breaks after the pull's two frames: the
+// subscribe fails and the first query errors. Once the home revokes, the
+// proxy serves no proof and its cache wallet, which downstream clients
+// query, answers ErrNoProof.
+func TestSubscribeFailureCachesNothing(t *testing.T) {
+	e := newEnv(t)
+	d := e.deleg("[User -> Org.member] Org")
+	if err := e.home.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	plan := transport.NewFaults()
+	plan.Set("home", transport.Fault{FailAfterFrames: 2})
+	p, local := e.newProxyVia(&transport.FaultDialer{Inner: e.net.Dialer(e.ids["ProxyOp"]), Plan: plan}, time.Minute)
+	q := e.query("member")
+	if proof, err := p.QueryDirect(context.Background(), q); err == nil {
+		t.Fatalf("served %v although its upstream subscribe failed", proof)
+	}
+	if err := e.home.Revoke(d.ID(), e.ids["Org"].ID()); err != nil {
+		t.Fatal(err)
+	}
+	if proof, err := p.QueryDirect(context.Background(), q); err == nil {
+		t.Fatalf("served %v after its home revoked it", proof)
+	}
+	if _, err := local.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("cache wallet: err = %v, want ErrNoProof", err)
+	}
+}
+
+// Concurrent misses on one credential subscribe upstream once: every pull
+// waits for the one subscribe call, then is served. The upstream's replies
+// are delayed so the later pulls arrive while that call is in flight.
+func TestConcurrentPullsShareOneSubscription(t *testing.T) {
+	e := newEnv(t)
+	d := e.deleg("[User -> Org.member] Org")
+	if err := e.home.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	plan := transport.NewFaults()
+	plan.Set("home", transport.Fault{FrameDelay: 10 * time.Millisecond})
+	p, _ := e.newProxyVia(&transport.FaultDialer{Inner: e.net.Dialer(e.ids["ProxyOp"]), Plan: plan}, time.Minute)
+	errs := make(chan error, 4)
+	for range cap(errs) {
+		go func() {
+			_, err := p.QueryDirect(context.Background(), e.query("member"))
+			errs <- err
+		}()
+	}
+	for range cap(errs) {
+		if err := <-errs; err != nil {
+			t.Fatalf("concurrent pull: %v", err)
+		}
+	}
+	if n := e.home.Subscribers(d.ID()); n != 1 {
+		t.Fatalf("home subscribers = %d, want one for the proxy", n)
+	}
+	if _, pulls := p.Stats(); pulls < 2 {
+		t.Fatalf("%d pulls, want the concurrent misses to overlap", pulls)
 	}
 }
 
@@ -314,6 +385,12 @@ func TestCloseStopsSubscriptions(t *testing.T) {
 	}
 	if _, err := p.QueryDirect(context.Background(), e.query("other")); err == nil {
 		t.Fatal("closed proxy should not pull through")
+	}
+	if err := e.home.Publish(e.deleg("[User -> Org.other] Org")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.QueryDirect(context.Background(), e.query("other")); err == nil || err.Error() != "proxy: admit pulled proof: proxy: closed" {
+		t.Fatalf("closed proxy admitted a pulled credential: err = %v", err)
 	}
 }
 

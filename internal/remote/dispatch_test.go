@@ -42,7 +42,7 @@ func TestNonRequestTypesRefused(t *testing.T) {
 		}
 	}
 	for _, typ := range refused {
-		_, err := c.roundTrip(context.Background(), typ, false, nil)
+		_, err := c.roundTrip(context.Background(), typ, nil)
 		want := fmt.Sprintf("remote %s: unknown request type %q", typ, typ)
 		if err == nil || err.Error() != want {
 			t.Errorf("%s sent as a request: err = %v, want %q", typ, err, want)

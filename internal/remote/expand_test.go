@@ -17,9 +17,8 @@ import (
 
 // TestQueryExpandServes checks the two answers of query-expand: a hit is the
 // one direct proof, a miss is the enumeration from the end the request names,
-// empty when there is nothing to enumerate. Each is one request frame; the
-// first on a connection goes under the type's name and the next under its
-// code.
+// empty when there is nothing to enumerate. Each is one request frame under
+// the type's code: a home of this build states revision 1 in its hello.
 func TestQueryExpandServes(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria")
 	_, w := e.serve("wallet.bigisp", "BigISP")
@@ -53,15 +52,6 @@ func TestQueryExpandServes(t *testing.T) {
 			t.Fatalf("hit %d: got %d proofs, want exactly the direct proof %s", i, len(proofs), want)
 		}
 	}
-	sent := rec.frames()
-	if len(sent) != 2 {
-		t.Fatalf("two query-expands sent %d frames, want one request each", len(sent))
-	}
-	named := append([]byte{0, byte(len(wire.TQueryExpand))}, wire.TQueryExpand...)
-	if !bytes.Equal(sent[0][2:2+len(named)], named) || sent[1][2] != wire.Lookup(wire.TQueryExpand).Code ||
-		len(sent[0])-len(sent[1]) != len(named)-1 {
-		t.Errorf("query-expand frames start %x and %x, want the type's name first, then its code", sent[0][:16], sent[1][:4])
-	}
 
 	for _, tc := range []struct {
 		name    string
@@ -86,6 +76,15 @@ func TestQueryExpandServes(t *testing.T) {
 	}
 	if len(w.QueryObject(guest, nil)) != 0 {
 		t.Fatal("BigISP.guest has in-edges; the reverse miss must enumerate nothing")
+	}
+	sent := rec.frames()
+	if len(sent) != 4 {
+		t.Fatalf("four query-expands sent %d frames, want one request each", len(sent))
+	}
+	for i, f := range sent {
+		if f[2] != wire.Lookup(wire.TQueryExpand).Code { // byte 2 is the type code; 0 escapes to the name
+			t.Errorf("query-expand frame %d starts %x, want the type's code", i, f[:4])
+		}
 	}
 }
 
@@ -164,6 +163,55 @@ func TestOldClientQueriesUnchanged(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: reply\n %x\nwant\n %x", tc.name, got, want)
+		}
+	}
+}
+
+// TestOldClientNamedExpand sends query-expand as the builds that probed for
+// the row did with their first request on a connection: framed under the
+// type's name (type code 0) rather than its code 22. Hit and miss alike, the
+// reply is byte for byte the one the code-22 frame gets, and the connection
+// keeps serving both forms.
+func TestOldClientNamedExpand(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	_, w := e.serve("wallet.bigisp", "BigISP")
+	if err := w.Publish(e.deleg("[Maria -> BigISP.member] BigISP")); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := e.net.Dialer(e.id("Maria")).Dial(context.Background(), "wallet.bigisp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	send := func(frame []byte) []byte {
+		t.Helper()
+		if err := conn.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		got, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("reply: %v", err)
+		}
+		return got
+	}
+
+	maria := e.subject("Maria")
+	for _, object := range []core.Role{e.role("BigISP.member"), e.role("BigISP.guest")} {
+		coded, err := codec.Encode(wire.TQueryExpand, 9, wire.QueryReq{Subject: maria, Object: object, Direction: graph.Forward})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Byte 2 is the type code; code 0 is followed by the type's name.
+		named := append([]byte{coded[0], coded[1], 0, byte(len(wire.TQueryExpand))}, wire.TQueryExpand...)
+		named = append(named, coded[3:]...)
+		want := send(coded)
+		if env, err := codec.Decode(want); err != nil || env.Type != wire.TProofs {
+			t.Fatalf("%s: the code-22 frame got %q (%v), want a proofs reply", object, env.Type, err)
+		}
+		for i, frame := range [][]byte{named, coded, named} {
+			if got := send(frame); !bytes.Equal(got, want) {
+				t.Errorf("%s, frame %d: reply\n %x\nwant the code-22 frame's\n %x", object, i, got, want)
+			}
 		}
 	}
 }

@@ -645,9 +645,9 @@ func (s *Server) proveRole(_ *connState, req *wire.ProveRoleReq) (any, []any, er
 	return wire.ProofResp{Proof: p}, attrs, err
 }
 
-func (s *Server) stats(cs *connState) (any, []any, error) {
+func (s *Server) stats(*connState) (any, []any, error) {
 	ws := wire.StatsSnapshot()
-	ws.ConnCodec = cs.conn.Codec()
+	ws.ConnCodec = wire.CodecBinary
 	return wire.StatsResp{
 		Role:    s.role,
 		Seq:     s.w.Seq(),

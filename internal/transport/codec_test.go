@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -13,12 +14,13 @@ import (
 )
 
 // handDriven runs one side of the handshake by hand over fc as id, offering
-// codecs in its hello (nil leaves the field out, as builds that predate
-// negotiation do). It stops after both proofs of possession are exchanged:
-// whether the connection is then kept is the other side's codec decision.
-func handDriven(fc frameConn, id *core.Identity, side string, codecs []string) error {
+// codecs and stating rev in its hello (nil and 0 leave the fields out, as
+// builds that predate them do). It stops after both proofs of possession are
+// exchanged: whether the connection is then kept is the other side's codec
+// decision.
+func handDriven(fc frameConn, id *core.Identity, side string, codecs []string, rev int) error {
 	nonce := make([]byte, nonceLen)
-	hello, _ := json.Marshal(helloMsg{Name: id.Name(), Key: id.Entity().Key, Nonce: nonce, Codecs: codecs})
+	hello, _ := json.Marshal(helloMsg{Name: id.Name(), Key: id.Entity().Key, Nonce: nonce, Codecs: codecs, Rev: rev})
 	if err := fc.sendFrame(hello); err != nil {
 		return err
 	}
@@ -112,7 +114,7 @@ func TestNegotiateCodec(t *testing.T) {
 					}()
 					fc := connect()
 					defer fc.close()
-					if err := handDriven(fc, peer, sideClient, c.codecs); err != nil {
+					if err := handDriven(fc, peer, sideClient, c.codecs, 0); err != nil {
 						t.Fatalf("hand-driven client: %v", err)
 					}
 					var res result
@@ -126,8 +128,8 @@ func TestNegotiateCodec(t *testing.T) {
 						t.Fatalf("Accept refused: %v", res.err)
 					case c.served:
 						defer res.conn.Close()
-						if got := res.conn.Codec(); got != CodecBinary {
-							t.Fatalf("negotiated %q, want binary", got)
+						if got := res.conn.PeerRev(); got != 0 {
+							t.Fatalf("a hello without a revision reads as revision %d, want 0", got)
 						}
 					case !errors.Is(res.err, ErrHandshake) || !strings.Contains(res.err.Error(), `"binary"`):
 						t.Fatalf("Accept error = %v, want ErrHandshake naming the binary codec", res.err)
@@ -194,16 +196,64 @@ func dialPair(t *testing.T) (server, client Conn) {
 	return nil, nil
 }
 
-// Both ends of a connection between two builds of this code report binary.
-// The subtest keeps the name of the one pairing left when the -wire modes
-// retired: both ends at the default, which was auto.
+// Both ends of a connection between two builds of this code read the other's
+// revision, this build's Rev. The subtest keeps the name of the one pairing
+// left when the -wire modes retired: both ends at the default, which was auto.
 func TestHandshakeNegotiationAgreesBothEnds(t *testing.T) {
 	t.Run("auto-auto", func(t *testing.T) {
 		s, c := dialPair(t)
-		if s.Codec() != CodecBinary || c.Codec() != CodecBinary {
-			t.Errorf("codec server=%q client=%q, want binary on both", s.Codec(), c.Codec())
+		if s.PeerRev() != Rev || c.PeerRev() != Rev {
+			t.Errorf("peer revision server=%d client=%d, want %d on both", s.PeerRev(), c.PeerRev(), Rev)
 		}
 	})
+}
+
+// TestHelloRevision: the revision a peer's hello states is what the
+// connection reports, whichever side the peer is. A hello without one — every
+// build before the field — completes the handshake either way and reads as
+// revision 0; one stating this build's Rev, which names query-expand's code
+// 22, reads 1.
+func TestHelloRevision(t *testing.T) {
+	if Rev != 1 {
+		t.Fatalf("Rev = %d, want 1 (query-expand, code 22)", Rev)
+	}
+	for _, rev := range []int{0, Rev} {
+		t.Run(fmt.Sprintf("peer-client-rev%d", rev), func(t *testing.T) {
+			n := NewMemNetwork()
+			ln, err := n.Listen("w", mkIdentity(t, "server", 70))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			client, server := newMemPair(n)
+			go func() { ln.(*memListener).pending <- server }()
+			defer client.close()
+			peer := mkIdentity(t, "peer", 71)
+			go func() { _ = handDriven(client, peer, sideClient, []string{CodecBinary}, rev) }()
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatalf("Accept: %v", err)
+			}
+			defer conn.Close()
+			if got := conn.PeerRev(); got != rev {
+				t.Errorf("server end reads peer revision %d, want %d", got, rev)
+			}
+		})
+		t.Run(fmt.Sprintf("peer-server-rev%d", rev), func(t *testing.T) {
+			client, server := newMemPair(NewMemNetwork())
+			defer server.close()
+			peer := mkIdentity(t, "server", 72)
+			go func() { _ = handDriven(server, peer, sideServer, []string{CodecBinary}, rev) }()
+			conn, err := handshakeCtx(context.Background(), client, mkIdentity(t, "client", 73), sideClient)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			if got := conn.PeerRev(); got != rev {
+				t.Errorf("client end reads peer revision %d, want %d", got, rev)
+			}
+		})
+	}
 }
 
 // A dialer must refuse a server whose hello offers only JSON with a
@@ -211,7 +261,7 @@ func TestHandshakeNegotiationAgreesBothEnds(t *testing.T) {
 func TestHandshakeRequireBinaryFailsAgainstJSONPeer(t *testing.T) {
 	client, server := newMemPair(NewMemNetwork())
 	jsonOnly := mkIdentity(t, "server", 52)
-	go func() { _ = handDriven(server, jsonOnly, sideServer, []string{"json"}) }()
+	go func() { _ = handDriven(server, jsonOnly, sideServer, []string{"json"}, 0) }()
 	_, err := handshakeCtx(context.Background(), client, mkIdentity(t, "client", 53), sideClient)
 	if !errors.Is(err, ErrHandshake) {
 		t.Fatalf("dial error = %v, want ErrHandshake", err)

@@ -28,6 +28,11 @@ const (
 	// The hello still names it, because older builds negotiated between
 	// codecs and land on binary only when both hellos offer it.
 	CodecBinary = "binary"
+
+	// Rev is the protocol revision this build's hello states: the request
+	// rows it serves. Revision 0, a hello without the field, serves the rows
+	// below code 22; revision 1 adds query-expand (code 22).
+	Rev = 1
 )
 
 type helloMsg struct {
@@ -39,6 +44,9 @@ type helloMsg struct {
 	// predates codec negotiation (no list), one configured for JSON only,
 	// or one offering only codecs unknown here.
 	Codecs []string `json:"codecs,omitempty"`
+	// Rev is the protocol revision the endpoint serves (the Rev constant).
+	// Builds that predate the field send none and read as 0.
+	Rev int `json:"rev,omitempty"`
 }
 
 type authMsg struct {
@@ -47,15 +55,16 @@ type authMsg struct {
 
 // handshake runs the mutual authentication protocol over fc and returns the
 // authenticated connection carrying the peer's verified identity. The codec
-// list rides in the hello and is not part of the signed transcript — frames
-// carry no integrity protection after the handshake either, and keeping the
-// transcript fixed keeps it identical to older builds'.
+// list and the revision ride in the hello and are not part of the signed
+// transcript — frames carry no integrity protection after the handshake
+// either, and keeping the transcript fixed keeps it identical to older
+// builds'.
 func handshake(fc frameConn, id *core.Identity, side string) (*authedConn, error) {
 	nonce := make([]byte, nonceLen)
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("handshake nonce: %w", err)
 	}
-	hello := helloMsg{Name: id.Name(), Key: id.Entity().Key, Nonce: nonce, Codecs: []string{CodecBinary}}
+	hello := helloMsg{Name: id.Name(), Key: id.Entity().Key, Nonce: nonce, Codecs: []string{CodecBinary}, Rev: Rev}
 	raw, err := json.Marshal(hello)
 	if err != nil {
 		return nil, err
@@ -104,7 +113,7 @@ func handshake(fc frameConn, id *core.Identity, side string) (*authedConn, error
 		return nil, fmt.Errorf("%w: peer %s does not speak the required %q wire codec (offered %q)",
 			ErrHandshake, peer, CodecBinary, peerHello.Codecs)
 	}
-	return &authedConn{fc: fc, peer: peer}, nil
+	return &authedConn{fc: fc, peer: peer, rev: peerHello.Rev}, nil
 }
 
 // handshakeCtx runs the handshake under ctx: cancellation closes the frame
@@ -154,6 +163,7 @@ func transcript(side string, own, peer []byte) []byte {
 type authedConn struct {
 	fc   frameConn
 	peer core.Entity
+	rev  int // the peer hello's Rev
 }
 
 var _ Conn = (*authedConn)(nil)
@@ -161,5 +171,5 @@ var _ Conn = (*authedConn)(nil)
 func (c *authedConn) Send(payload []byte) error { return c.fc.sendFrame(payload) }
 func (c *authedConn) Recv() ([]byte, error)     { return c.fc.recvFrame() }
 func (c *authedConn) Peer() core.Entity         { return c.peer }
-func (c *authedConn) Codec() string             { return CodecBinary }
+func (c *authedConn) PeerRev() int              { return c.rev }
 func (c *authedConn) Close() error              { return c.fc.close() }

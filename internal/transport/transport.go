@@ -49,9 +49,9 @@ type Conn interface {
 	Recv() ([]byte, error)
 	// Peer returns the authenticated identity of the other side.
 	Peer() core.Entity
-	// Codec names the connection's wire codec: always CodecBinary, the
-	// only codec a completed handshake lands on.
-	Codec() string
+	// PeerRev is the protocol revision the peer's hello stated (Rev): 0
+	// for a build that predates the field.
+	PeerRev() int
 	// Close tears the connection down; pending Recv calls fail.
 	Close() error
 }

@@ -91,14 +91,6 @@ func (Codec) Encode(t MsgType, id uint64, body any) ([]byte, error) {
 	return encode(t, code, id, body)
 }
 
-// EncodeNamed is Encode with the type framed under its name (type code 0)
-// even when it has a code: the form a build that predates t's code still
-// decodes, and so refuses as an unknown request type on a kept connection,
-// where an unknown code is a protocol violation that costs the connection.
-func (Codec) EncodeNamed(t MsgType, id uint64, body any) ([]byte, error) {
-	return encode(t, 0, id, body)
-}
-
 // encode frames t under code, or under its name when code is 0.
 func encode(t MsgType, code byte, id uint64, body any) ([]byte, error) {
 	w := bwriter{buf: bufpool.Get(encodeStart)}

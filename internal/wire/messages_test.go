@@ -363,7 +363,7 @@ func legacyJSONFrame(t testing.TB, typ MsgType, id uint64, body any) []byte {
 // and the table's skip pass over a delegation must end exactly where the
 // decoder ends, or both must fail. Seeds: every row's zero and populated
 // bodies, each framed by the codec under the type's code and under its name
-// (as a client first sends query-expand) and as the retired JSON codec framed
+// (as older clients first sent query-expand) and as the retired JSON codec framed
 // it (malformed input now), plus hand-written hostile frames and an older
 // build's frames for a retired message.
 func FuzzMessageDecode(f *testing.F) {
@@ -372,8 +372,8 @@ func FuzzMessageDecode(f *testing.F) {
 		typ := reflect.TypeOf(tb.mk()).Elem()
 		for _, body := range append([]any{reflect.Zero(typ).Interface()}, fixtures[typ]...) {
 			f.Add(legacyJSONFrame(f, tb.t, 1, body))
-			for _, encode := range []func(MsgType, uint64, any) ([]byte, error){(Codec{}).Encode, (Codec{}).EncodeNamed} {
-				frame, err := encode(tb.t, 1, body)
+			for _, code := range []byte{Lookup(tb.t).Code, 0} {
+				frame, err := encode(tb.t, code, 1, body)
 				if err != nil {
 					f.Fatal(err)
 				}
