@@ -61,10 +61,12 @@ type Proxy struct {
 }
 
 // upstreamSub is one credential's upstream subscription: done closes when
-// the subscribe call returns, with cancel set, or nil when the call failed.
+// the subscribe and insert succeeded (cancel set) or failed (err set, unless
+// the failing caller gave up first, which says nothing of the credential).
 type upstreamSub struct {
 	done   chan struct{}
 	cancel func()
+	err    error
 }
 
 // New builds a proxy over a local cache wallet and an upstream connection.
@@ -79,14 +81,13 @@ func New(cfg Config) (*Proxy, error) {
 	if o == nil {
 		o = cfg.Local.Obs()
 	}
-	p := &Proxy{
+	return &Proxy{
 		cfg:        cfg,
 		obs:        o,
 		hits:       o.Counter("drbac_proxy_hits_total"),
 		pulls:      o.Counter("drbac_proxy_pulls_total"),
 		subscribed: make(map[core.DelegationID]*upstreamSub),
-	}
-	return p, nil
+	}, nil
 }
 
 // Close cancels every upstream subscription.
@@ -139,8 +140,7 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	if psp == nil {
 		pctx = obs.ContextWithTrace(ctx, obs.TraceContext{TraceID: q.TraceID})
 	}
-	up := p.cfg.Upstream
-	proof, err := up.QueryDirect(pctx, q.Subject, q.Object, q.Constraints, q.Direction)
+	proof, err := p.cfg.Upstream.QueryDirect(pctx, q.Subject, q.Object, q.Constraints, q.Direction)
 	if err != nil {
 		if !errors.Is(err, core.ErrNoProof) {
 			psp.Fail(err)
@@ -150,7 +150,7 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	}
 	psp.End("ok", true, "steps", len(proof.Steps))
 	asp := obs.SpanFromContext(ctx).StartChild("proxy.admit", "steps", len(proof.Steps))
-	if err := p.admit(ctx, up, proof); err != nil {
+	if err := p.admit(ctx, proof); err != nil {
 		asp.Fail(err)
 		asp.End()
 		return nil, fmt.Errorf("proxy: admit pulled proof: %w", err)
@@ -161,75 +161,77 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 }
 
 // admit caches each credential of a pulled proof (admitStep).
-func (p *Proxy) admit(ctx context.Context, up *remote.Client, proof *core.Proof) error {
+func (p *Proxy) admit(ctx context.Context, proof *core.Proof) error {
 	// Warm the signature memo for the whole pulled proof tree before the
 	// step-by-step InsertCached validations below.
 	core.PrimeDelegations(p.cfg.Local.SigVerifier(), proof.Delegations())
 	for _, st := range proof.Steps {
-		if err := p.admitStep(ctx, up, st); err != nil {
+		if err := p.admitStep(ctx, st); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// admitStep inserts one pulled credential into the cache once an upstream
-// subscription for it is in place: a copy inserted first would stay
-// servable, with no revocation feed, until its TTL ran out if the subscribe
-// failed. A revocation pushed before the insert makes the insert fail. There
-// is one subscription per credential. Concurrent pulls of one credential
-// share its subscribe call and the insert after it, so each finds the copy
-// in place on return; a failed call is forgotten, and the next pull tries
-// again.
-func (p *Proxy) admitStep(ctx context.Context, up *remote.Client, st core.ProofStep) error {
-	id := st.Delegation.ID()
-	insert := func() error {
-		if p.cfg.Local.Contains(id) {
-			return nil
+// admitStep caches one pulled credential once an upstream subscription for
+// it is in place: a copy without one would stay servable, with no revocation
+// feed, until its TTL ran out. Concurrent pulls of one credential share the
+// subscribe and insert; a failed attempt is forgotten, and its waiters get
+// its error or, when its caller gave up, try again themselves.
+func (p *Proxy) admitStep(ctx context.Context, st core.ProofStep) error {
+	for {
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			return errors.New("proxy: closed")
 		}
-		return p.cfg.Local.InsertCached(st.Delegation, st.Support, p.cfg.TTL)
-	}
-	p.mu.Lock()
-	if p.closed {
+		s, ok := p.subscribed[st.Delegation.ID()]
+		if !ok {
+			s = &upstreamSub{done: make(chan struct{})}
+			p.subscribed[st.Delegation.ID()] = s
+		}
 		p.mu.Unlock()
-		return errors.New("proxy: closed")
-	}
-	s, ok := p.subscribed[id]
-	if !ok {
-		s = &upstreamSub{done: make(chan struct{})}
-		p.subscribed[id] = s
-	}
-	p.mu.Unlock()
-	if ok {
+		if !ok {
+			return p.subscribe(ctx, st, s)
+		}
 		select {
 		case <-s.done:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if s.cancel == nil {
-			return errors.New("proxy: upstream subscription failed")
+		if s.cancel != nil || s.err != nil {
+			return s.err
 		}
-		return insert()
 	}
+}
 
+// subscribe fills the slot s: subscribe upstream, then insert the copy. A
+// failed insert (a revocation pushed in between, an expired or unverifiable
+// bundle) cancels the subscription: none is held without its copy.
+func (p *Proxy) subscribe(ctx context.Context, st core.ProofStep, s *upstreamSub) error {
 	defer close(s.done)
-	cancel, err := up.Subscribe(ctx, id, func(ev subs.Event) { p.cfg.Local.ApplyHomeEvent(ev, p.cfg.TTL) })
+	id := st.Delegation.ID()
+	cancel, err := p.cfg.Upstream.Subscribe(ctx, id, func(ev subs.Event) { p.cfg.Local.ApplyHomeEvent(ev, p.cfg.TTL) })
+	if err == nil && !p.cfg.Local.Contains(id) {
+		err = p.cfg.Local.InsertCached(st.Delegation, st.Support, p.cfg.TTL)
+	}
 	p.mu.Lock()
-	closed := p.closed
-	if err == nil && !closed {
+	if err == nil && p.closed {
+		err = errors.New("proxy: closed") // Close ran during the call and could not cancel it
+	}
+	if err == nil {
 		s.cancel = cancel
 	} else {
 		delete(p.subscribed, id)
 	}
 	p.mu.Unlock()
-	switch {
-	case err != nil:
-		return err
-	case closed:
-		cancel() // Close ran during the call and could not cancel it
-		return errors.New("proxy: closed")
+	if err != nil && cancel != nil {
+		cancel()
 	}
-	return insert()
+	if ctx.Err() == nil {
+		s.err = err
+	}
+	return err
 }
 
 // Serve exposes the proxy to downstream clients on ln: cache queries hit

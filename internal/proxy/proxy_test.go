@@ -216,6 +216,72 @@ func TestSubscribeFailureCachesNothing(t *testing.T) {
 	}
 }
 
+// A pulled credential the cache refuses leaves no upstream subscription
+// behind: here the cache wallet has already heard of its revocation, so
+// the insert after the subscribe fails, and the subscription is cancelled.
+func TestInsertFailureDropsSubscription(t *testing.T) {
+	e := newEnv(t)
+	d := e.deleg("[User -> Org.member] Org")
+	if err := e.home.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	p, local := e.newProxy(time.Minute)
+	local.AcceptRevocation(d.ID())
+	for range 2 {
+		var revoked *core.RevokedError
+		if proof, err := p.QueryDirect(context.Background(), e.query("member")); !errors.As(err, &revoked) {
+			t.Fatalf("served %v, err = %v; want the cache's revocation refusal", proof, err)
+		}
+		if n := e.home.Subscribers(d.ID()); n != 0 {
+			t.Fatalf("home subscribers = %d with nothing cached, want 0", n)
+		}
+	}
+}
+
+// A pull whose caller gives up during the shared subscribe fails only that
+// caller: a concurrent pull of the same credential, still waiting, tries
+// again under its own context and is served.
+func TestAbandonedSubscribeRetriedByWaiter(t *testing.T) {
+	e := newEnv(t)
+	d := e.deleg("[User -> Org.member] Org")
+	if err := e.home.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	plan := transport.NewFaults()
+	plan.Set("home", transport.Fault{FrameDelay: 20 * time.Millisecond})
+	p, local := e.newProxyVia(&transport.FaultDialer{Inner: e.net.Dialer(e.ids["ProxyOp"]), Plan: plan}, time.Minute)
+	proof, err := e.home.QueryDirect(e.query("member"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := proof.Steps[0]
+	ctx, giveUp := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() { leader <- p.admitStep(ctx, st) }()
+	for held := false; !held; {
+		p.mu.Lock()
+		_, held = p.subscribed[d.ID()]
+		p.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	waiter := make(chan error, 1)
+	go func() { waiter <- p.admitStep(context.Background(), st) }()
+	time.Sleep(5 * time.Millisecond) // the waiter blocks on the leader's call
+	giveUp()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want its own cancellation", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter failed with the leader: %v", err)
+	}
+	if !local.Contains(d.ID()) {
+		t.Fatal("waiter returned without the copy cached")
+	}
+	if n := e.home.Subscribers(d.ID()); n != 1 {
+		t.Fatalf("home subscribers = %d, want one for the proxy", n)
+	}
+}
+
 // Concurrent misses on one credential subscribe upstream once: every pull
 // waits for the one subscribe call, then is served. The upstream's replies
 // are delayed so the later pulls arrive while that call is in flight.

@@ -437,19 +437,12 @@ func (c *Client) QueryObject(ctx context.Context, object core.Role, constraints 
 // the direct query, then on a miss the enumeration, as two requests.
 func (c *Client) QueryExpand(ctx context.Context, subject core.Subject, object core.Role, constraints []core.Constraint, reverse bool) ([]*core.Proof, error) {
 	if c.conn.PeerRev() >= 1 {
-		tc := obs.TraceFromContext(ctx)
-		req := wire.QueryReq{
-			Subject:     subject,
-			Object:      object,
-			Constraints: constraints,
-			Direction:   graph.Forward,
-			TraceID:     tc.TraceID,
-			SpanID:      tc.SpanID,
-		}
+		direction := graph.Forward
 		if reverse {
-			req.Direction = graph.Reverse
+			direction = graph.Reverse
 		}
-		resp, err := ask[wire.ProofsResp](ctx, c, wire.TQueryExpand, req)
+		tc := obs.TraceFromContext(ctx)
+		resp, err := ask[wire.ProofsResp](ctx, c, wire.TQueryExpand, wire.QueryReq{Subject: subject, Object: object, Constraints: constraints, Direction: direction, TraceID: tc.TraceID, SpanID: tc.SpanID})
 		return resp.Proofs, err
 	}
 	p, err := c.QueryDirect(ctx, subject, object, constraints, 0)

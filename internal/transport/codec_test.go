@@ -196,12 +196,16 @@ func dialPair(t *testing.T) (server, client Conn) {
 	return nil, nil
 }
 
-// Both ends of a connection between two builds of this code read the other's
-// revision, this build's Rev. The subtest keeps the name of the one pairing
-// left when the -wire modes retired: both ends at the default, which was auto.
+// Both ends of a connection between two builds of this code report binary
+// and read the other's revision, this build's Rev. The subtest keeps the name
+// of the one pairing left when the -wire modes retired: both ends at the
+// default, which was auto.
 func TestHandshakeNegotiationAgreesBothEnds(t *testing.T) {
 	t.Run("auto-auto", func(t *testing.T) {
 		s, c := dialPair(t)
+		if s.Codec() != CodecBinary || c.Codec() != CodecBinary {
+			t.Errorf("codec server=%q client=%q, want binary on both", s.Codec(), c.Codec())
+		}
 		if s.PeerRev() != Rev || c.PeerRev() != Rev {
 			t.Errorf("peer revision server=%d client=%d, want %d on both", s.PeerRev(), c.PeerRev(), Rev)
 		}

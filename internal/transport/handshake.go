@@ -171,5 +171,6 @@ var _ Conn = (*authedConn)(nil)
 func (c *authedConn) Send(payload []byte) error { return c.fc.sendFrame(payload) }
 func (c *authedConn) Recv() ([]byte, error)     { return c.fc.recvFrame() }
 func (c *authedConn) Peer() core.Entity         { return c.peer }
+func (c *authedConn) Codec() string             { return CodecBinary }
 func (c *authedConn) PeerRev() int              { return c.rev }
 func (c *authedConn) Close() error              { return c.fc.close() }

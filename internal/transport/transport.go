@@ -49,6 +49,8 @@ type Conn interface {
 	Recv() ([]byte, error)
 	// Peer returns the authenticated identity of the other side.
 	Peer() core.Entity
+	// Codec is always CodecBinary, the one codec a handshake lands on.
+	Codec() string
 	// PeerRev is the protocol revision the peer's hello stated (Rev): 0
 	// for a build that predates the field.
 	PeerRev() int
