@@ -7,8 +7,9 @@
 // query misses through from an upstream wallet, caching the fetched
 // credentials with a TTL and holding exactly one upstream delegation
 // subscription per cached credential. A pulled credential enters the cache
-// only once its subscription is in place, so none is served without a
-// revocation feed. Consequences measured by EXP-S5:
+// only once its subscription is in place, and leaves it once the upstream
+// connection is lost, so none is served without a revocation feed.
+// Consequences measured by EXP-S5:
 //
 //   - upstream load scales with the proxy's cached set, not with the
 //     downstream population (one upstream push fans out locally);
@@ -55,21 +56,16 @@ type Proxy struct {
 	hits  *obs.Counter
 	pulls *obs.Counter
 
-	mu         sync.Mutex
-	subscribed map[core.DelegationID]*upstreamSub
-	closed     bool
-}
-
-// upstreamSub is one credential's upstream subscription: done closes when
-// the subscribe and insert succeeded (cancel set) or failed (err set, unless
-// the failing caller gave up first, which says nothing of the credential).
-type upstreamSub struct {
-	done   chan struct{}
-	cancel func()
-	err    error
+	mu sync.Mutex
+	// cancels holds each cached credential's upstream subscription, until
+	// forget drops it or the proxy closes and sets the map nil.
+	cancels map[core.DelegationID]func()
+	stop    context.CancelFunc // closes the proxy
+	stopped chan struct{}      // closes once it is closed
 }
 
 // New builds a proxy over a local cache wallet and an upstream connection.
+// The proxy closes once that connection is lost: it can hear no revocation.
 func New(cfg Config) (*Proxy, error) {
 	if cfg.Local == nil {
 		return nil, errors.New("proxy: Local is required")
@@ -81,29 +77,58 @@ func New(cfg Config) (*Proxy, error) {
 	if o == nil {
 		o = cfg.Local.Obs()
 	}
-	return &Proxy{
-		cfg:        cfg,
-		obs:        o,
-		hits:       o.Counter("drbac_proxy_hits_total"),
-		pulls:      o.Counter("drbac_proxy_pulls_total"),
-		subscribed: make(map[core.DelegationID]*upstreamSub),
-	}, nil
+	ctx, stop := context.WithCancel(context.Background())
+	p := &Proxy{
+		cfg:     cfg,
+		obs:     o,
+		hits:    o.Counter("drbac_proxy_hits_total"),
+		pulls:   o.Counter("drbac_proxy_pulls_total"),
+		cancels: make(map[core.DelegationID]func()),
+		stop:    stop,
+		stopped: make(chan struct{}),
+	}
+	untrack := cfg.Local.SubscribeAll(p.forget)
+	go func() {
+		defer close(p.stopped)
+		select {
+		case <-cfg.Upstream.Lost():
+			p.obs.Log().Warn("proxy upstream lost; dropping cached credentials")
+		case <-ctx.Done():
+		}
+		untrack()
+		p.mu.Lock()
+		cancels := p.cancels
+		p.cancels = nil
+		p.mu.Unlock()
+		for id, cancel := range cancels {
+			p.cfg.Local.DropReplicated(id, subs.Stale)
+			cancel()
+		}
+	}()
+	return p, nil
 }
 
-// Close cancels every upstream subscription.
+// Close cancels every upstream subscription and drops the copies they fed
+// from the cache wallet, as a lost upstream connection does.
 func (p *Proxy) Close() {
-	p.mu.Lock()
-	var cancels []func()
-	for _, s := range p.subscribed {
-		if s.cancel != nil {
-			cancels = append(cancels, s.cancel)
-		}
+	p.stop()
+	<-p.stopped
+}
+
+// forget drops a credential's subscription once its copy is swept stale: its
+// home may still hold it, and the next pull subscribes afresh. (A revoked or
+// expired copy's entry waits for Close: its home pushes nothing more.) It runs
+// under the wallet's mutation lock, so the upstream unsubscribe runs off it.
+func (p *Proxy) forget(ev subs.Event) {
+	if ev.Kind != subs.Stale {
+		return
 	}
-	p.subscribed = nil
-	p.closed = true
+	p.mu.Lock()
+	cancel := p.cancels[ev.Delegation]
+	delete(p.cancels, ev.Delegation)
 	p.mu.Unlock()
-	for _, c := range cancels {
-		c()
+	if cancel != nil {
+		go cancel()
 	}
 }
 
@@ -160,78 +185,52 @@ func (p *Proxy) QueryDirect(ctx context.Context, q wallet.Query) (*core.Proof, e
 	return p.cfg.Local.QueryDirect(q)
 }
 
-// admit caches each credential of a pulled proof (admitStep).
+// admit caches each credential of a pulled proof the proxy does not follow
+// yet, once an upstream subscription for it is in place: a copy without one
+// would stay servable, with no revocation feed, until its TTL ran out.
 func (p *Proxy) admit(ctx context.Context, proof *core.Proof) error {
-	// Warm the signature memo for the whole pulled proof tree before the
-	// step-by-step InsertCached validations below.
-	core.PrimeDelegations(p.cfg.Local.SigVerifier(), proof.Delegations())
 	for _, st := range proof.Steps {
-		if err := p.admitStep(ctx, st); err != nil {
+		id := st.Delegation.ID()
+		p.mu.Lock()
+		closed, held := p.cancels == nil, p.cancels[id] != nil
+		p.mu.Unlock()
+		if closed {
+			return errors.New("proxy: closed")
+		}
+		if held {
+			continue
+		}
+		cancel, err := p.cfg.Upstream.Subscribe(ctx, id, func(ev subs.Event) { p.cfg.Local.ApplyHomeEvent(ev, p.cfg.TTL) })
+		if err != nil {
 			return err
+		}
+		inserted := !p.cfg.Local.Contains(id)
+		if inserted {
+			if err := p.cfg.Local.InsertCached(st.Delegation, st.Support, p.cfg.TTL); err != nil {
+				cancel()
+				return err
+			}
+		}
+		// Recorded under the lock forget takes, and only while the copy is
+		// held: one that has already left again is not followed.
+		p.mu.Lock()
+		closed = p.cancels == nil
+		kept := !closed && p.cancels[id] == nil && p.cfg.Local.Contains(id)
+		if kept {
+			p.cancels[id] = cancel
+		}
+		p.mu.Unlock()
+		if !kept {
+			cancel()
+		}
+		if closed {
+			if inserted { // the proxy closed during the pull and could not drop it
+				p.cfg.Local.DropReplicated(id, subs.Stale)
+			}
+			return errors.New("proxy: closed")
 		}
 	}
 	return nil
-}
-
-// admitStep caches one pulled credential once an upstream subscription for
-// it is in place: a copy without one would stay servable, with no revocation
-// feed, until its TTL ran out. Concurrent pulls of one credential share the
-// subscribe and insert; a failed attempt is forgotten, and its waiters get
-// its error or, when its caller gave up, try again themselves.
-func (p *Proxy) admitStep(ctx context.Context, st core.ProofStep) error {
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return errors.New("proxy: closed")
-		}
-		s, ok := p.subscribed[st.Delegation.ID()]
-		if !ok {
-			s = &upstreamSub{done: make(chan struct{})}
-			p.subscribed[st.Delegation.ID()] = s
-		}
-		p.mu.Unlock()
-		if !ok {
-			return p.subscribe(ctx, st, s)
-		}
-		select {
-		case <-s.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if s.cancel != nil || s.err != nil {
-			return s.err
-		}
-	}
-}
-
-// subscribe fills the slot s: subscribe upstream, then insert the copy. A
-// failed insert (a revocation pushed in between, an expired or unverifiable
-// bundle) cancels the subscription: none is held without its copy.
-func (p *Proxy) subscribe(ctx context.Context, st core.ProofStep, s *upstreamSub) error {
-	defer close(s.done)
-	id := st.Delegation.ID()
-	cancel, err := p.cfg.Upstream.Subscribe(ctx, id, func(ev subs.Event) { p.cfg.Local.ApplyHomeEvent(ev, p.cfg.TTL) })
-	if err == nil && !p.cfg.Local.Contains(id) {
-		err = p.cfg.Local.InsertCached(st.Delegation, st.Support, p.cfg.TTL)
-	}
-	p.mu.Lock()
-	if err == nil && p.closed {
-		err = errors.New("proxy: closed") // Close ran during the call and could not cancel it
-	}
-	if err == nil {
-		s.cancel = cancel
-	} else {
-		delete(p.subscribed, id)
-	}
-	p.mu.Unlock()
-	if err != nil && cancel != nil {
-		cancel()
-	}
-	if ctx.Err() == nil {
-		s.err = err
-	}
-	return err
 }
 
 // Serve exposes the proxy to downstream clients on ln: cache queries hit

@@ -238,47 +238,73 @@ func TestInsertFailureDropsSubscription(t *testing.T) {
 	}
 }
 
-// A pull whose caller gives up during the shared subscribe fails only that
-// caller: a concurrent pull of the same credential, still waiting, tries
-// again under its own context and is served.
-func TestAbandonedSubscribeRetriedByWaiter(t *testing.T) {
+// A copy swept stale leaves the cache and its subscription with it, and the
+// next query pulls it through again: the proxy serves it while its home
+// still holds it, over one upstream subscription.
+func TestRepullAfterStale(t *testing.T) {
+	e := newEnv(t)
+	d := e.deleg("[User -> Org.member] Org")
+	if err := e.home.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	p, local := e.newProxy(30 * time.Second)
+	q := e.query("member")
+	if _, err := p.QueryDirect(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.Advance(31 * time.Second)
+	if n := local.SweepStaleCache(); n != 1 {
+		t.Fatalf("swept %d stale copies, want 1", n)
+	}
+	if _, err := p.QueryDirect(context.Background(), q); err != nil {
+		t.Fatalf("re-pull after the stale sweep: %v", err)
+	}
+	if !local.Contains(d.ID()) {
+		t.Fatal("re-pulled credential not cached")
+	}
+	if _, pulls := p.Stats(); pulls != 2 {
+		t.Fatalf("pulls = %d, want 2", pulls)
+	}
+	if n := e.home.Subscribers(d.ID()); n != 1 {
+		t.Fatalf("home subscribers = %d, want one for the proxy", n)
+	}
+}
+
+// A proxy whose upstream connection dies can hear no revocation, so it stops
+// serving what it cached, even with no TTL to lapse. The link here breaks
+// after the pull and the subscribe; the home then revokes, and neither the
+// proxy nor its cache wallet serves the credential.
+func TestLostUpstreamDropsCopies(t *testing.T) {
 	e := newEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
 	}
 	plan := transport.NewFaults()
-	plan.Set("home", transport.Fault{FrameDelay: 20 * time.Millisecond})
-	p, local := e.newProxyVia(&transport.FaultDialer{Inner: e.net.Dialer(e.ids["ProxyOp"]), Plan: plan}, time.Minute)
-	proof, err := e.home.QueryDirect(e.query("member"))
-	if err != nil {
+	plan.Set("home", transport.Fault{FailAfterFrames: 4})
+	p, local := e.newProxyVia(&transport.FaultDialer{Inner: e.net.Dialer(e.ids["ProxyOp"]), Plan: plan}, 0)
+	q := e.query("member")
+	if _, err := p.QueryDirect(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	st := proof.Steps[0]
-	ctx, giveUp := context.WithCancel(context.Background())
-	leader := make(chan error, 1)
-	go func() { leader <- p.admitStep(ctx, st) }()
-	for held := false; !held; {
-		p.mu.Lock()
-		_, held = p.subscribed[d.ID()]
-		p.mu.Unlock()
+	if err := p.cfg.Upstream.Ping(context.Background()); err == nil {
+		t.Fatal("upstream link still carries calls")
+	}
+	if err := e.home.Revoke(d.ID(), e.ids["Org"].ID()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for local.Contains(d.ID()) {
+		if time.Now().After(deadline) {
+			t.Fatal("cache wallet still holds a credential it can no longer follow")
+		}
 		time.Sleep(time.Millisecond)
 	}
-	waiter := make(chan error, 1)
-	go func() { waiter <- p.admitStep(context.Background(), st) }()
-	time.Sleep(5 * time.Millisecond) // the waiter blocks on the leader's call
-	giveUp()
-	if err := <-leader; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader: err = %v, want its own cancellation", err)
+	if proof, err := p.QueryDirect(context.Background(), q); err == nil {
+		t.Fatalf("proxy served %v after losing its upstream", proof)
 	}
-	if err := <-waiter; err != nil {
-		t.Fatalf("waiter failed with the leader: %v", err)
-	}
-	if !local.Contains(d.ID()) {
-		t.Fatal("waiter returned without the copy cached")
-	}
-	if n := e.home.Subscribers(d.ID()); n != 1 {
-		t.Fatalf("home subscribers = %d, want one for the proxy", n)
+	if _, err := local.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("cache wallet: err = %v, want ErrNoProof", err)
 	}
 }
 

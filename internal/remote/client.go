@@ -40,7 +40,7 @@ type Client struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*waiter
-	notify  map[core.DelegationID]map[int]func(subs.Event)
+	feeds   map[core.DelegationID]*feed
 	nextSub int
 	closed  bool
 	// stream, when set, receives every notification push raw (seq and
@@ -55,8 +55,31 @@ type Client struct {
 	wg        sync.WaitGroup
 
 	// broken flips when the read loop exits for any reason; the connection
-	// can never carry another call, so pool managers evict it.
+	// can never carry another call, so pool managers evict it. lost closes
+	// right after it flips.
 	broken atomic.Bool
+	lost   chan struct{}
+}
+
+// feed is one delegation's subscription at the home, shared by every local
+// handler of it. The home holds it while live. At most one wire subscribe or
+// unsubscribe of it is in flight, busy until answered, so a re-subscribe is
+// never applied before the unsubscribe it follows: the server dispatches one
+// connection's requests concurrently.
+type feed struct {
+	handlers map[int]func(subs.Event)
+	live     bool
+	busy     *flight
+}
+
+// flight is one wire subscribe or unsubscribe of a feed; done closes when it
+// is answered. err is a failed subscribe's error, shared with the handlers
+// that waited on it. It stays nil when the call succeeded, was an
+// unsubscribe, or failed only because its caller gave up: those waiters look
+// again.
+type flight struct {
+	done chan struct{}
+	err  error
 }
 
 // Dial connects to a remote wallet at addr. Cancellation of ctx aborts the
@@ -70,9 +93,10 @@ func Dial(ctx context.Context, d transport.Dialer, addr string) (*Client, error)
 	c := &Client{
 		conn:      conn,
 		pending:   make(map[uint64]*waiter),
-		notify:    make(map[core.DelegationID]map[int]func(subs.Event)),
+		feeds:     make(map[core.DelegationID]*feed),
 		pushQueue: make(chan wire.NotifyPush, 256),
 		done:      make(chan struct{}),
+		lost:      make(chan struct{}),
 	}
 	c.wg.Add(2)
 	go c.readLoop()
@@ -91,6 +115,10 @@ func (c *Client) WireCodec() string { return wire.CodecBinary }
 // the read loop has exited (peer hung up, protocol error, or Close).
 func (c *Client) Healthy() bool { return !c.broken.Load() }
 
+// Lost closes once Healthy turns false. Every subscription riding on the
+// connection is gone with it, and a client never reconnects.
+func (c *Client) Lost() <-chan struct{} { return c.lost }
+
 // Close tears the connection down. Pending calls fail.
 func (c *Client) Close() {
 	c.mu.Lock()
@@ -107,7 +135,10 @@ func (c *Client) Close() {
 
 func (c *Client) readLoop() {
 	defer c.wg.Done()
-	defer c.broken.Store(true)
+	defer func() {
+		c.broken.Store(true)
+		close(c.lost)
+	}()
 	for {
 		frame, err := c.conn.Recv()
 		if err != nil {
@@ -185,10 +216,12 @@ func (c *Client) dispatchPush(push wire.NotifyPush) {
 	}
 	ev := subs.Event{Delegation: push.Delegation, Kind: kind, At: push.At, Seq: push.Seq}
 	c.mu.Lock()
-	m := c.notify[push.Delegation]
-	handlers := make([]func(subs.Event), 0, len(m))
-	for _, fn := range m {
-		handlers = append(handlers, fn)
+	var handlers []func(subs.Event)
+	if f := c.feeds[push.Delegation]; f != nil {
+		handlers = make([]func(subs.Event), 0, len(f.handlers))
+		for _, fn := range f.handlers {
+			handlers = append(handlers, fn)
+		}
 	}
 	c.mu.Unlock()
 	for _, fn := range handlers {
@@ -470,8 +503,14 @@ func (c *Client) Trace(ctx context.Context, id string) (wire.TraceResp, error) {
 	return ask[wire.TraceResp](ctx, c, wire.TTrace, wire.TraceReq{TraceID: id})
 }
 
-// Subscribe registers for push notifications about one delegation (§4.2.2)
-// and returns a cancel function that also unsubscribes remotely.
+// Subscribe registers fn for push notifications about one delegation
+// (§4.2.2) and returns a cancel function that also unsubscribes remotely.
+// The handlers of one delegation share one subscription at the home: the
+// first sends the wire subscribe, and one registered while a subscribe is in
+// flight waits for its answer and shares its outcome. So a nil error always
+// means the home holds the subscription. A caller whose own ctx is still live
+// is not failed because the caller that sent the request gave up: it sends
+// its own.
 func (c *Client) Subscribe(ctx context.Context, id core.DelegationID, fn func(subs.Event)) (cancel func(), err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -480,50 +519,84 @@ func (c *Client) Subscribe(ctx context.Context, id core.DelegationID, fn func(su
 	}
 	n := c.nextSub
 	c.nextSub++
-	m, ok := c.notify[id]
-	if !ok {
-		m = make(map[int]func(subs.Event))
-		c.notify[id] = m
+	f := c.feeds[id]
+	if f == nil {
+		f = &feed{handlers: make(map[int]func(subs.Event))}
+		c.feeds[id] = f
 	}
-	first := len(m) == 0
-	m[n] = fn
-	c.mu.Unlock()
-
-	if first {
-		if err := c.call(ctx, wire.TSubscribe, wire.SubscribeReq{Delegation: id}, nil); err != nil {
+	// Registered before any request: pushes can race ahead of the answer.
+	f.handlers[n] = fn
+	for !f.live {
+		fl := f.busy
+		if fl == nil {
+			fl = &flight{done: make(chan struct{})}
+			f.busy = fl
+			c.mu.Unlock()
+			err = c.call(ctx, wire.TSubscribe, wire.SubscribeReq{Delegation: id}, nil)
 			c.mu.Lock()
-			delete(c.notify[id], n)
-			if len(c.notify[id]) == 0 {
-				delete(c.notify, id)
+			f.busy, f.live = nil, err == nil
+			if ctx.Err() == nil {
+				fl.err = err
 			}
+			close(fl.done)
+		} else {
+			c.mu.Unlock()
+			select {
+			case <-fl.done:
+				err = fl.err
+			case <-ctx.Done():
+				err = fmt.Errorf("remote %s: %w", wire.TSubscribe, ctx.Err())
+			}
+			c.mu.Lock()
+		}
+		if err != nil {
+			c.release(id, f, n)
 			c.mu.Unlock()
 			return nil, err
 		}
 	}
-
+	c.mu.Unlock()
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			last := false
-			if m, ok := c.notify[id]; ok {
-				delete(m, n)
-				if len(m) == 0 {
-					delete(c.notify, id)
-					last = true
-				}
-			}
-			closed := c.closed
-			c.mu.Unlock()
-			if last && !closed {
-				// The subscription's context may be long gone; the
-				// unsubscribe is best-effort cleanup on its own clock.
-				if err := c.call(context.Background(), wire.TUnsubscribe, wire.SubscribeReq{Delegation: id}, nil); err != nil {
-					c.Obs.Log().Debug("remote unsubscribe failed", "delegation", id.Short(), "error", err)
-				}
-			}
-		})
-	}, nil
+	return func() { once.Do(func() { c.unsubscribe(id, f, n) }) }, nil
+}
+
+// unsubscribe drops handler n of id's live feed. The last one unsubscribes
+// at the home and keeps the feed busy until that is answered.
+func (c *Client) unsubscribe(id core.DelegationID, f *feed, n int) {
+	c.mu.Lock()
+	delete(f.handlers, n)
+	if len(f.handlers) > 0 {
+		c.mu.Unlock()
+		return
+	}
+	f.live = false
+	if c.closed {
+		delete(c.feeds, id)
+		c.mu.Unlock()
+		return
+	}
+	fl := &flight{done: make(chan struct{})}
+	f.busy = fl
+	c.mu.Unlock()
+	// The subscription's context may be long gone; the unsubscribe is
+	// best-effort cleanup on its own clock.
+	if err := c.call(context.Background(), wire.TUnsubscribe, wire.SubscribeReq{Delegation: id}, nil); err != nil {
+		c.Obs.Log().Debug("remote unsubscribe failed", "delegation", id.Short(), "error", err)
+	}
+	c.mu.Lock()
+	f.busy = nil
+	c.release(id, f, n)
+	c.mu.Unlock()
+	close(fl.done)
+}
+
+// release drops handler n from id's feed, and the feed from the table once
+// no handler holds it and no call of it is in flight. Callers hold c.mu.
+func (c *Client) release(id core.DelegationID, f *feed, n int) {
+	delete(f.handlers, n)
+	if len(f.handlers) == 0 && !f.live && f.busy == nil {
+		delete(c.feeds, id)
+	}
 }
 
 // Has reports whether the remote wallet stores the delegation — the

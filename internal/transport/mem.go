@@ -50,9 +50,10 @@ func (n *MemNetwork) ResetStats() {
 	n.bytes.Store(0)
 }
 
-func (n *MemNetwork) account(frame []byte) {
-	n.messages.Add(1)
-	n.bytes.Add(int64(len(frame)))
+// account adds (sign 1) or takes back (sign -1) one frame.
+func (n *MemNetwork) account(frame []byte, sign int64) {
+	n.messages.Add(sign)
+	n.bytes.Add(sign * int64(len(frame)))
 }
 
 // Listen registers a listener at addr operating as identity id.
@@ -179,11 +180,14 @@ func (c *memFrameConn) sendFrame(p []byte) error {
 	if c.net.Latency > 0 {
 		time.Sleep(c.net.Latency)
 	}
+	// Counted before the handoff, so a receiver never acts on a frame that
+	// Stats does not show yet; taken back if the close wins instead.
+	c.net.account(cp, 1)
 	select {
 	case c.out <- cp:
-		c.net.account(cp)
 		return nil
 	case <-c.done:
+		c.net.account(cp, -1)
 		return ErrClosed
 	}
 }

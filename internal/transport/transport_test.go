@@ -221,6 +221,47 @@ func TestRecvDrainsBufferedFramesAfterClose(t *testing.T) {
 	}
 }
 
+// A frame the receiver has read is already in Stats: the network counts a
+// frame before handing it over, so a snapshot taken after acting on one
+// includes it. A send that the close turns back is not counted.
+func TestMemStatsCountFramesBeforeHandoff(t *testing.T) {
+	n := NewMemNetwork()
+	a, b := newMemPair(n)
+	const frames = 2000
+	go func() {
+		for range frames {
+			if a.sendFrame([]byte("x")) != nil {
+				return
+			}
+		}
+	}()
+	for i := int64(1); i <= frames; i++ {
+		if _, err := b.recvFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Stats().Messages; got < i {
+			t.Fatalf("frame %d read while Stats counts %d", i, got)
+		}
+	}
+
+	n.ResetStats()
+	a, _ = newMemPair(n)
+	for len(a.out) < cap(a.out) {
+		if err := a.sendFrame([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- a.sendFrame([]byte("x")) }()
+	_ = a.close()
+	if err := <-blocked; !errors.Is(err, ErrClosed) {
+		t.Fatalf("send into a full, closed pipe = %v, want ErrClosed", err)
+	}
+	if got := n.Stats().Messages; got != int64(cap(a.out)) {
+		t.Fatalf("Stats counts %d frames, want the %d delivered", got, cap(a.out))
+	}
+}
+
 func TestFrameSizeLimit(t *testing.T) {
 	n := NewMemNetwork()
 	a, _ := newMemPair(n)

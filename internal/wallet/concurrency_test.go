@@ -273,3 +273,48 @@ func TestQueryRacesStaleSweep(t *testing.T) {
 		t.Fatalf("query after the sweep = (%v, %v), want ErrNoProof; cache %+v", p, err, w.Stats().Cache)
 	}
 }
+
+// TestCacheCoherenceContainsThenQuery: a reader that sees a new delegation
+// held (Contains) and then queries what it proves gets the proof, never a
+// no-proof answer memoized before the insert. The readers memoize that
+// answer while they wait, so every insert lands beside one to flush.
+func TestCacheCoherenceContainsThenQuery(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	w := e.wallet(Config{})
+	const n, readers = 300, 4
+	ds := make([]*core.Delegation, n)
+	qs := make([]Query, n)
+	for i := range ds {
+		ds[i] = e.deleg(fmt.Sprintf("[BigISP.s%d -> BigISP.r%d] BigISP", i, i))
+		qs[i] = Query{Subject: e.subject(fmt.Sprintf("BigISP.s%d", i)), Object: e.role(fmt.Sprintf("BigISP.r%d", i))}
+	}
+	errs := make(chan error, readers+1)
+	go func() {
+		for _, d := range ds {
+			if err := w.Publish(d); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for range readers {
+		go func() {
+			for i, d := range ds {
+				for !w.Contains(d.ID()) {
+					_, _ = w.QueryDirect(qs[i])
+				}
+				if _, err := w.QueryDirect(qs[i]); err != nil {
+					errs <- fmt.Errorf("delegation %d held, but its query answered %w", i, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range readers + 1 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -39,7 +39,8 @@ type CacheStats struct {
 // its local wallet's.
 //
 // Coherence is event-driven, not polled: the owner wires InvalidateDelegation
-// and InvalidateNegatives to a subscription push channel (subs.Registry).
+// to a subscription push channel (subs.Registry), and admits each new
+// delegation to its graph through admit, which flushes negative answers.
 // As a second line of defense, Lookup re-checks expiry and revocation per
 // step at the caller's clock, so an entry can never outlive the credentials
 // it is built from even between pushes. An answer computed while a push ran
@@ -80,6 +81,8 @@ type ProofCache struct {
 	// posGen moves on every InvalidateDelegation, negGen on every
 	// InvalidateNegatives, both on Flush. Written under mu.
 	posGen, negGen atomic.Uint64
+	// admitting is set while admit runs; cleared under mu.
+	admitting atomic.Bool
 
 	hits, misses, invalidations atomic.Int64
 }
@@ -182,6 +185,7 @@ func (c *ProofCache) Lookup(key string, now time.Time, revoked func(core.Delegat
 		proof = e.proof
 	}
 	_, nok := c.neg[key]
+	nok = nok && !c.admitting.Load() // read under mu: no flush lands between
 	c.mu.RUnlock()
 
 	if proof != nil {
@@ -385,12 +389,21 @@ func (c *ProofCache) InvalidateDelegation(id core.DelegationID) {
 	delete(c.aliases, id)
 }
 
-// InvalidateNegatives flushes every memoized no-proof answer. Wired to
-// Published pushes: a new credential may make a previously unprovable
-// query provable.
-func (c *ProofCache) InvalidateNegatives() {
+// InvalidateNegatives flushes every memoized no-proof answer: a new
+// credential may make a previously unprovable query provable.
+func (c *ProofCache) InvalidateNegatives() { c.admit(func() {}) }
+
+// admit runs add, the graph insert of a newly published delegation, then
+// flushes every memoized no-proof answer. From add's start to the flush no
+// negative answer is served, so a reader that sees the new edge finds none it
+// may refute; one whose search missed the edge memoizes nothing: the flush
+// moves its generation.
+func (c *ProofCache) admit(add func()) {
+	c.admitting.Store(true)
+	add()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.admitting.Store(false)
 	c.negGen.Add(1)
 	if len(c.neg) == 0 {
 		return

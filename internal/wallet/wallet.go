@@ -210,12 +210,11 @@ func New(cfg Config) *Wallet {
 	// wildcard handler: memoized answers die before any other subscriber
 	// (monitors, remote pushes) can re-query and observe them. It doubles
 	// as the subscription-event meter: every status update the wallet
-	// publishes passes through exactly once.
+	// publishes passes through exactly once. Negative answers are flushed
+	// by admit, with the insert.
 	w.reg.SubscribeAll(func(ev subs.Event) {
 		w.m.events.Inc()
 		switch ev.Kind {
-		case subs.Published:
-			w.cache.InvalidateNegatives()
 		case subs.Revoked, subs.Expired, subs.Stale:
 			w.cache.InvalidateDelegation(ev.Delegation)
 		}
@@ -470,7 +469,9 @@ func (w *Wallet) admit(d *core.Delegation, support []*core.Proof, ttl time.Durat
 				return false, fmt.Errorf("persist %s: %w", id.Short(), err)
 			}
 		}
-		w.g.Add(d, support)
+		// One step as readers see it: Contains never reports the edge
+		// beside a memoized no-proof answer it refutes.
+		w.cache.admit(func() { w.g.Add(d, support) })
 		return true, nil
 	})
 	if changed {
@@ -814,10 +815,11 @@ func (w *Wallet) verifyBundle(d *core.Delegation, support []*core.Proof) error {
 }
 
 // DropReplicated removes a delegation without recording a revocation,
-// mirroring an upstream Expired or Stale event onto a follower replica: the
-// credential leaves the store and the graph index and subscribers are
-// notified with the given kind, but the revocation set is untouched — the
-// upstream never revoked it. Reports whether the delegation was present.
+// mirroring an upstream Expired or Stale event onto a follower replica, or
+// dropping a proxy's copy that lost its upstream feed: the credential leaves
+// the store and the graph index and subscribers are notified with the given
+// kind, but the revocation set is untouched — the upstream never revoked
+// it. Reports whether the delegation was present.
 func (w *Wallet) DropReplicated(id core.DelegationID, kind subs.EventKind) bool {
 	return w.drop(id, kind, "drop-replicated")
 }
