@@ -8,7 +8,7 @@ GO ?= go
 # coverage grows; never lower it to admit an under-tested change.
 COVER_FLOOR ?= 70.0
 COVER_PKG_FLOOR ?= 80.0
-COVER_PKGS = internal/wallet internal/logstore internal/graph internal/core internal/replica internal/remote internal/wire internal/transport internal/proxy
+COVER_PKGS = internal/wallet internal/logstore internal/graph internal/core internal/replica internal/remote internal/wire internal/transport internal/discovery
 
 all: build vet test
 
@@ -45,12 +45,13 @@ cover:
 
 # Fail if total statement coverage drops below COVER_FLOOR percent, or if any
 # of COVER_PKGS — the packages the safety property (no proof rests on a
-# revoked, expired or unsupported delegation) lives in, internal/proxy,
-# whose cached copies must follow their home's revocations, internal/remote,
-# where who may be sent what is enforced, internal/wire, where a peer's bytes
-# become values, and internal/transport, whose handshake hello becomes the
-# protocol revision a peer is asked in — drops below COVER_PKG_FLOOR on its
-# own tests, a hole the aggregate could hide.
+# revoked, expired or unsupported delegation) lives in, internal/remote,
+# where who may be sent what is enforced and whose holder keeps every fetched
+# copy following its home's revocations, internal/discovery, which fetches
+# the copies a holder keeps, internal/wire, where a peer's bytes become
+# values, and internal/transport, whose handshake hello becomes the protocol
+# revision a peer is asked in — drops below COVER_PKG_FLOOR on its own tests,
+# a hole the aggregate could hide.
 cover-check:
 	$(GO) test -coverprofile=cover.out ./... > cover.txt
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/{sub(/%/,"",$$3); print $$3}'); \

@@ -5,7 +5,6 @@ import (
 
 	"drbac/internal/discovery"
 	"drbac/internal/peer"
-	"drbac/internal/proxy"
 	"drbac/internal/remote"
 	"drbac/internal/replica"
 	"drbac/internal/transport"
@@ -40,9 +39,9 @@ type (
 	DiscoveryStats = discovery.Stats
 	// WalletProxy is a pull-through, subscription-coherent wallet cache
 	// (the §6 hierarchical validation caches).
-	WalletProxy = proxy.Proxy
+	WalletProxy = remote.Proxy
 	// WalletProxyConfig parameterizes a WalletProxy.
-	WalletProxyConfig = proxy.Config
+	WalletProxyConfig = remote.ProxyConfig
 	// PeerManager pools remote-wallet connections with lazy redial, capped
 	// exponential backoff, and per-peer circuit breaking.
 	PeerManager = peer.Manager
@@ -148,4 +147,4 @@ func Discover(ctx context.Context, local *Wallet, d Dialer, q Query, tags map[Su
 
 // NewWalletProxy builds a hierarchical caching proxy over a local cache
 // wallet and an upstream wallet connection.
-func NewWalletProxy(cfg WalletProxyConfig) (*WalletProxy, error) { return proxy.New(cfg) }
+func NewWalletProxy(cfg WalletProxyConfig) (*WalletProxy, error) { return remote.NewProxy(cfg) }

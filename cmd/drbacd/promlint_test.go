@@ -14,7 +14,6 @@ import (
 	"drbac/internal/logstore"
 	"drbac/internal/obs"
 	"drbac/internal/peer"
-	"drbac/internal/proxy"
 	"drbac/internal/remote"
 	"drbac/internal/replica"
 	"drbac/internal/transport"
@@ -95,7 +94,7 @@ func TestPrometheusExpositionLints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer upstream.Close()
-	px, err := proxy.New(proxy.Config{Local: wallet.New(wallet.Config{}), Upstream: upstream, Obs: o})
+	px, err := remote.NewProxy(remote.ProxyConfig{Local: wallet.New(wallet.Config{}), Upstream: upstream, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"drbac/internal/obs"
 	"drbac/internal/peer"
 	"drbac/internal/remote"
-	"drbac/internal/subs"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
 )
@@ -150,14 +149,11 @@ type Agent struct {
 	// contacted dedupes the WalletsContacted stat across the agent's
 	// lifetime (the pool may silently redial a flapping home many times).
 	contacted map[string]bool
-	// origin records which home a cached delegation came from, for
-	// coherence subscriptions. An entry lives as long as its copy in the
-	// local wallet: forget drops it when the copy leaves.
-	origin map[core.DelegationID]string
-	// untrack cancels forget's subscription to the local wallet.
-	untrack func()
 	// verified remembers homes that passed the auth-role check.
 	verified map[string]bool
+	// held owns the fetched copies in the local wallet: the home each came
+	// from and the TTL it was inserted with, for as long as it is held.
+	held *remote.Holder
 }
 
 // NewAgent builds a discovery agent over a local wallet.
@@ -172,12 +168,8 @@ func NewAgent(cfg Config) *Agent {
 		m:         newAgentMetrics(o),
 		tags:      make(map[core.Subject]core.DiscoveryTag),
 		contacted: make(map[string]bool),
-		origin:    make(map[core.DelegationID]string),
 		verified:  make(map[string]bool),
-	}
-	a.untrack = func() {}
-	if cfg.Local != nil {
-		a.untrack = cfg.Local.SubscribeAll(a.forget)
+		held:      remote.NewHolder(cfg.Local, o),
 	}
 	if cfg.Peers != nil {
 		a.peers = cfg.Peers
@@ -192,9 +184,10 @@ func NewAgent(cfg Config) *Agent {
 func (a *Agent) Peers() *peer.Manager { return a.peers }
 
 // Close drops all pooled connections (only when the agent owns the pool) and
-// stops following the local wallet's events.
+// closes the agent's holder: the copies Bridge follows leave the local
+// wallet, and the others stay until their TTL lapses.
 func (a *Agent) Close() {
-	a.untrack()
+	a.held.Close()
 	if a.ownsPeers {
 		a.peers.Close()
 	}
@@ -299,7 +292,7 @@ func (a *Agent) client(ctx context.Context, tag core.DiscoveryTag, stats *Stats)
 // insertProofs stores fetched sub-proofs into the local wallet as TTL-
 // coherent cached copies, learning tags along the way. Returns how many new
 // delegations were stored.
-func (a *Agent) insertProofs(proofs []*core.Proof, from string, ttl time.Duration, stats *Stats) int {
+func (a *Agent) insertProofs(ctx context.Context, proofs []*core.Proof, from string, ttl time.Duration, stats *Stats) int {
 	// Pre-warm the wallet's signature memo across the whole fetched batch
 	// (primary chains plus support proofs) in parallel; the per-delegation
 	// InsertCached validations below then run warm.
@@ -313,20 +306,10 @@ func (a *Agent) insertProofs(proofs []*core.Proof, from string, ttl time.Duratio
 		for _, st := range p.Steps {
 			d := st.Delegation
 			a.Learn(d)
-			if a.cfg.Local.Contains(d.ID()) {
-				continue
-			}
-			if err := a.cfg.Local.InsertCached(d, st.Support, ttl); err != nil {
-				continue // invalid credential from remote: skip it
+			if ok, _ := a.held.Hold(ctx, nil, d, st.Support, from, ttl); !ok {
+				continue // held already, or an invalid credential from remote
 			}
 			inserted++
-			// Checked under the lock forget takes: a copy that has already
-			// left the wallet again is not tracked.
-			a.mu.Lock()
-			if a.cfg.Local.Contains(d.ID()) {
-				a.origin[d.ID()] = from
-			}
-			a.mu.Unlock()
 			// Support-proof delegations are part of the credential too.
 			for _, sp := range st.Support {
 				for _, sd := range sp.Delegations() {
@@ -339,18 +322,6 @@ func (a *Agent) insertProofs(proofs []*core.Proof, from string, ttl time.Duratio
 		stats.DelegationsFetched += inserted
 	}
 	return inserted
-}
-
-// forget drops a delegation's origin once its copy leaves the local wallet:
-// revoked, expired, or swept stale. It is the agent's handler for every
-// local wallet event, so it runs under the wallet's mutation lock.
-func (a *Agent) forget(ev subs.Event) {
-	switch ev.Kind {
-	case subs.Revoked, subs.Expired, subs.Stale:
-		a.mu.Lock()
-		delete(a.origin, ev.Delegation)
-		a.mu.Unlock()
-	}
 }
 
 // Discover finds a proof for q, pulling missing credentials from wallet
@@ -584,7 +555,7 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 			}
 		}
 		a.trace(sp, stats, round, home, got, node.String(), len(proofs))
-		progress += a.insertProofs(proofs, tag.Home, tag.TTL, stats)
+		progress += a.insertProofs(ctx, proofs, tag.Home, tag.TTL, stats)
 		if got == "direct" {
 			if full, err := a.cfg.Local.QueryDirect(q); err == nil {
 				return progress, full, nil
@@ -596,106 +567,20 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 
 // Bridge establishes delegation subscriptions at the home wallets of every
 // remotely sourced delegation in p (Figure 2: the dotted inter-wallet
-// subscription lines), keeping the local cached copies coherent: remote
-// revocations and expirations invalidate the local copy, which in turn
-// fires any local proof monitors; renewals extend the local TTL. It
-// returns a cancel function releasing all subscriptions.
+// subscription lines), on every delegation each rests on, support included,
+// keeping the local cached copies coherent: remote revocations and
+// expirations invalidate the local copy, which in turn fires any local proof
+// monitors; renewals extend the local TTL by the TTL the copy was inserted
+// with. It returns a cancel function releasing all subscriptions.
 func (a *Agent) Bridge(ctx context.Context, p *core.Proof) (cancel func(), err error) {
-	var cancels []func()
-	release := func() {
-		for _, c := range cancels {
-			c()
-		}
-	}
-	for _, d := range p.Delegations() {
-		id := d.ID()
-		a.mu.Lock()
-		home, remoteSourced := a.origin[id]
-		a.mu.Unlock()
-		if !remoteSourced {
-			continue
-		}
-		// The tag supplies the TTL; the recorded origin is authoritative
-		// for where the credential was actually fetched.
+	return a.held.Follow(ctx, p, func(ctx context.Context, d *core.Delegation, home string) (*remote.Client, error) {
+		// The tag names the home's authorization role; the recorded home
+		// is authoritative for where the credential was actually fetched.
 		tag, _ := a.tagFor(ctx, d.Subject)
 		tag.Home = home
 		c, _, err := a.client(ctx, tag, nil)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		ttl := tag.TTL
-		cancelOne, err := c.Subscribe(ctx, id, func(ev subs.Event) { a.cfg.Local.ApplyHomeEvent(ev, ttl) })
-		if err != nil {
-			release()
-			return nil, err
-		}
-		cancels = append(cancels, cancelOne)
-	}
-	return release, nil
-}
-
-// KeepFresh starts a background loop that re-confirms every remotely
-// cached delegation with its home wallet each interval (§4.2.1: a cached
-// copy is valid for TTL after "validity confirmation from its home
-// wallet"). A confirmed credential has its local TTL renewed; one the home
-// no longer holds is marked revoked locally (the home removes credentials
-// only on revocation or expiry, and either way the cached copy must go).
-// The returned stop function is idempotent and waits for the loop to exit.
-func (a *Agent) KeepFresh(interval time.Duration) (stop func()) {
-	// stop cancels ctx, so a sweep waiting on a home (or on a cold Homes
-	// lookup) unwinds instead of holding stop up.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-a.cfg.Local.Clock().After(interval):
-				a.refreshOnce(ctx)
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return func() {
-		cancel()
-		<-done
-	}
-}
-
-// refreshOnce runs one confirmation sweep over the origin-tracked cache.
-func (a *Agent) refreshOnce(ctx context.Context) {
-	a.mu.Lock()
-	tracked := make(map[core.DelegationID]string, len(a.origin))
-	for id, home := range a.origin {
-		tracked[id] = home
-	}
-	a.mu.Unlock()
-
-	for id, home := range tracked {
-		d, _, ok := a.cfg.Local.Get(id)
-		if !ok {
-			continue // left the wallet since the snapshot; forget dropped it
-		}
-		tag, _ := a.tagFor(ctx, d.Subject)
-		tag.Home = home
-		c, _, err := a.client(ctx, tag, nil)
-		if err != nil {
-			continue // home unreachable: let the TTL lapse naturally
-		}
-		present, err := c.Has(ctx, id)
-		if err != nil {
-			continue
-		}
-		if present {
-			a.cfg.Local.RenewCached(id, tag.TTL)
-			continue
-		}
-		// The home dropped it: revoked or expired there; drop our copy (and
-		// with it, through forget, its origin).
-		a.cfg.Local.AcceptRevocation(id)
-	}
+		return c, err
+	})
 }
 
 // AuditFinding reports one delegation's registry status (§6: the paper

@@ -846,73 +846,3 @@ func TestAuditRegistry(t *testing.T) {
 		t.Errorf("untagged link should not require registration: %+v", f)
 	}
 }
-
-// §4.2.1 cache coherence via periodic re-confirmation: KeepFresh renews
-// cached credentials the home still holds and drops ones it no longer does.
-func TestKeepFresh(t *testing.T) {
-	e := newEnv(t, "AirNet", "Maria", "Server")
-	home := e.serve("wallet.airnet", "AirNet")
-	d := e.deleg("[Maria -> AirNet.access] AirNet")
-	if err := home.Publish(d); err != nil {
-		t.Fatal(err)
-	}
-	a, local := e.agent("Server", Config{})
-	a.RegisterTag(e.subject("Maria"), e.tag("wallet.airnet", core.SubjectSearch, core.ObjectNone))
-	if _, err := a.Discover(context.Background(), wallet.Query{
-		Subject: e.subject("Maria"),
-		Object:  e.role("AirNet.access"),
-	}, Auto, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	renewed := make(chan struct{}, 8)
-	unsub := local.Subscribe(d.ID(), func(ev subs.Event) {
-		if ev.Kind == subs.Renewed {
-			select {
-			case renewed <- struct{}{}:
-			default:
-			}
-		}
-	})
-	defer unsub()
-
-	stop := a.KeepFresh(10 * time.Second)
-	defer stop()
-
-	// Tick the refresher until a renewal lands (the loop registers its
-	// timer asynchronously, so nudge the fake clock repeatedly).
-	gotRenewal := false
-	for deadline := time.Now().Add(3 * time.Second); !gotRenewal; {
-		e.clk.Advance(15 * time.Second)
-		select {
-		case <-renewed:
-			gotRenewal = true
-		case <-time.After(100 * time.Millisecond):
-			if time.Now().After(deadline) {
-				t.Fatal("refresh did not renew the cached credential")
-			}
-		}
-	}
-	if n := local.SweepStaleCache(); n != 0 {
-		t.Fatalf("renewed credential went stale: %d", n)
-	}
-
-	// The home drops the credential (e.g. revoked while our subscription
-	// was down); the next refresh removes the local copy.
-	if err := home.Revoke(d.ID(), e.id("AirNet").ID()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for local.Contains(d.ID()) {
-		e.clk.Advance(15 * time.Second)
-		if time.Now().After(deadline) {
-			t.Fatal("refresh never dropped the home-revoked credential")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !local.IsRevoked(d.ID()) {
-		t.Fatal("dropped credential not marked revoked locally")
-	}
-	stop()
-	stop() // idempotent
-}

@@ -106,9 +106,8 @@ func TestPlacementOrder(t *testing.T) {
 // TestDirectoryPlacedCredentialStaysFresh: a credential with no discovery
 // tag, fetched from a home only Homes could name, is inserted with the
 // placed tag's TTL — and must be renewed with it too, by the home's Renewed
-// push (Bridge) and by KeepFresh's confirmations alike. Both renewals used
-// to look the TTL up in the tag book alone, found none, and let the copy go
-// stale while its home kept confirming it.
+// push (Bridge). The renewal used to look the TTL up in the tag book alone,
+// found none, and let the copy go stale while its home kept confirming it.
 func TestDirectoryPlacedCredentialStaysFresh(t *testing.T) {
 	setup := func(t *testing.T) (e *env, a *Agent, home, local *wallet.Wallet, d *core.Delegation, renewed chan struct{}) {
 		e = newEnv(t, "AirNet", "Maria", "Server")
@@ -174,27 +173,66 @@ func TestDirectoryPlacedCredentialStaysFresh(t *testing.T) {
 		e.clk.Advance(10 * time.Second) // t=35s, past the first 30s TTL
 		stillFresh(t, local, d)
 	})
+}
 
-	t.Run("KeepFresh", func(t *testing.T) {
-		e, a, _, local, d, renewed := setup(t)
-		stop := a.KeepFresh(10 * time.Second)
-		defer stop()
-		// Tick the refresher past the first TTL (the loop registers its
-		// timer asynchronously, so a nudge may find no timer to fire; the
-		// next one does).
-		confirmations := 0
-		deadline := time.Now().Add(5 * time.Second)
-		for e.clk.Now().Before(testStart.Add(40*time.Second)) || confirmations == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("KeepFresh renewed the cached copy %d times in %s of fake time", confirmations, e.clk.Now().Sub(testStart))
-			}
-			e.clk.Advance(10 * time.Second)
+// TestBridgeRenewsWithInsertedTTL: every step of a fetched proof is renewed
+// with the TTL it was inserted with. Here the fetch comes from a home only
+// Homes could name for the query's subject; the proof's second step has an
+// untagged subject that Homes does not place either, so looking its TTL up
+// by subject found none, and every Renewed push for it was dropped.
+func TestBridgeRenewsWithInsertedTTL(t *testing.T) {
+	e := newEnv(t, "AirNet", "Maria", "Server")
+	home := e.serve("wallet.airnet", "AirNet")
+	steps := []*core.Delegation{
+		e.deleg("[Maria -> AirNet.staff] AirNet"),
+		e.deleg("[AirNet.staff -> AirNet.access] AirNet"),
+	}
+	for _, d := range steps {
+		if err := home.InsertCached(d, nil, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	homes := &fakeHomes{at: map[core.Subject][]string{e.subject("Maria"): {"wallet.airnet"}}}
+	a, local := e.agent("Server", Config{Homes: homes})
+	p, err := a.Discover(context.Background(), wallet.Query{
+		Subject: e.subject("Maria"),
+		Object:  e.role("AirNet.access"),
+	}, Auto, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Steps) != 2 || !local.Contains(steps[1].ID()) {
+		t.Fatal("the two-step proof was not fetched into the local wallet")
+	}
+	renewed := make(chan struct{}, 8)
+	unsub := local.Subscribe(steps[1].ID(), func(ev subs.Event) {
+		if ev.Kind == subs.Renewed {
 			select {
-			case <-renewed:
-				confirmations++
-			case <-time.After(100 * time.Millisecond):
+			case renewed <- struct{}{}:
+			default:
 			}
 		}
-		stillFresh(t, local, d)
 	})
+	defer unsub()
+	cancel, err := a.Bridge(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+
+	e.clk.Advance(25 * time.Second)
+	for _, d := range steps {
+		if !home.RenewCached(d.ID(), time.Hour) {
+			t.Fatal("home renew failed")
+		}
+	}
+	select {
+	case <-renewed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the home's Renewed push did not renew the untagged step's copy")
+	}
+	e.clk.Advance(10 * time.Second) // t=35s, past the first 30s TTL
+	if n := local.SweepStaleCache(); n != 0 {
+		t.Fatalf("%d cached copies went stale past their first TTL", n)
+	}
 }

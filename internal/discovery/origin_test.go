@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -9,10 +10,9 @@ import (
 	"drbac/internal/wallet"
 )
 
-// TestOriginLeavesWithItsCopy holds the agent's origin map to the local
-// wallet: an entry lives exactly as long as the fetched copy it describes,
-// whether the copy leaves by a stale sweep or a revocation, and without
-// KeepFresh (a cluster gateway's agent never runs it).
+// TestOriginLeavesWithItsCopy holds the agent's holder to the local wallet:
+// an entry lives exactly as long as the fetched copy it describes, whether
+// the copy leaves by a stale sweep or a revocation.
 func TestOriginLeavesWithItsCopy(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -43,9 +43,7 @@ func TestOriginLeavesWithItsCopy(t *testing.T) {
 			if n := originLen(cs.agent); n != tc.kept {
 				t.Errorf("origin holds %d entries after the removal, want %d", n, tc.kept)
 			}
-			cs.agent.mu.Lock()
-			defer cs.agent.mu.Unlock()
-			for id := range cs.agent.origin {
+			for _, id := range cs.agent.held.Held() {
 				if !cs.serverWallet.Contains(id) {
 					t.Errorf("origin still tracks %s, which the local wallet no longer holds", id.Short())
 				}
@@ -80,8 +78,51 @@ func TestOriginLeavesWhenItsCopyExpires(t *testing.T) {
 	}
 }
 
-func originLen(a *Agent) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.origin)
+func originLen(a *Agent) int { return len(a.held.Held()) }
+
+// A Bridged copy of a third-party credential is followed on every delegation
+// it rests on, its support included: once the home revokes a support member,
+// the local wallet refuses the proof at once, with no TTL to lapse. The home
+// pushes nothing for the credential itself, which stays in its graph.
+func TestBridgeFollowsSupport(t *testing.T) {
+	e := newEnv(t, "Org", "Mark", "User", "Server")
+	home := e.serve("wallet.org", "Org")
+	d1 := e.deleg("[Mark -> Org.memberServices] Org")
+	d2 := e.deleg("[Org.memberServices -> Org.member'] Org")
+	sup, err := core.NewProof(core.ProofStep{Delegation: d1}, core.ProofStep{Delegation: d2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3 := e.deleg("[User -> Org.member] Mark")
+	for _, err := range []error{home.Publish(d1), home.Publish(d2), home.Publish(d3, sup)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, local := e.agent("Server", Config{})
+	a.RegisterTag(e.subject("User"), e.tag("wallet.org", core.SubjectSearch, core.ObjectNone))
+	q := wallet.Query{Subject: e.subject("User"), Object: e.role("Org.member")}
+	p, err := a.Discover(context.Background(), q, Auto, nil)
+	if err != nil {
+		t.Fatalf("discover: %v", err)
+	}
+	cancel, err := a.Bridge(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if err := home.Revoke(d1.ID(), e.id("Org").ID()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, err := local.QueryDirect(q)
+		if errors.Is(err, core.ErrNoProof) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("local wallet after the support's revocation: err = %v, want ErrNoProof", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

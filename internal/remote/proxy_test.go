@@ -1,4 +1,4 @@
-package proxy
+package remote
 
 import (
 	"context"
@@ -6,103 +6,47 @@ import (
 	"testing"
 	"time"
 
-	"drbac/internal/clock"
 	"drbac/internal/core"
-	"drbac/internal/remote"
 	"drbac/internal/subs"
 	"drbac/internal/transport"
 	"drbac/internal/wallet"
 )
 
-var testStart = time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-
-type env struct {
-	t    *testing.T
-	ids  map[string]*core.Identity
-	dir  *core.MemDirectory
-	clk  *clock.Fake
-	net  *transport.MemNetwork
+// proxyEnv is an upstream home wallet served at "home", owned by Org, with
+// the identities a proxy test uses.
+type proxyEnv struct {
+	*env
 	home *wallet.Wallet
 }
 
-func newEnv(t *testing.T) *env {
+func newProxyEnv(t *testing.T) *proxyEnv {
 	t.Helper()
-	e := &env{
-		t:   t,
-		ids: make(map[string]*core.Identity),
-		dir: core.NewDirectory(),
-		clk: clock.NewFake(testStart),
-		net: transport.NewMemNetwork(),
-	}
-	for i, name := range []string{"Org", "ProxyOp", "User", "Client"} {
-		seed := make([]byte, 32)
-		seed[0] = byte(i + 1)
-		id, err := core.IdentityFromSeed(name, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.ids[name] = id
-		e.dir.Add(id.Entity())
-	}
-	// Upstream home wallet.
-	e.home = wallet.New(wallet.Config{Owner: e.ids["Org"], Clock: e.clk, Directory: e.dir})
-	ln, err := e.net.Listen("home", e.ids["Org"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := remote.Serve(e.home, ln)
-	t.Cleanup(srv.Close)
-	return e
+	e := newEnv(t, "Org", "ProxyOp", "User", "Client", "Mark")
+	_, home := e.serve("home", "Org")
+	return &proxyEnv{env: e, home: home}
 }
 
-func (e *env) deleg(text string) *core.Delegation {
+func (e *proxyEnv) query(name string) wallet.Query {
 	e.t.Helper()
-	parsed, err := core.ParseDelegation(text, e.dir)
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	var issuer *core.Identity
-	for _, id := range e.ids {
-		if id.ID() == parsed.Issuer.ID() {
-			issuer = id
-		}
-	}
-	d, err := core.Issue(issuer, parsed.Template, e.clk.Now())
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	return d
-}
-
-func (e *env) query(name string) wallet.Query {
-	e.t.Helper()
-	s, err := core.ParseSubject("User", e.dir)
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	r, err := core.ParseRole("Org."+name, e.dir)
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	return wallet.Query{Subject: s, Object: r}
+	return wallet.Query{Subject: e.subject("User"), Object: e.role("Org." + name)}
 }
 
 // newProxy builds a proxy over a fresh cache wallet connected to the home.
-func (e *env) newProxy(ttl time.Duration) (*Proxy, *wallet.Wallet) {
+func (e *proxyEnv) newProxy(ttl time.Duration) (*Proxy, *wallet.Wallet) {
 	e.t.Helper()
 	return e.newProxyVia(e.net.Dialer(e.ids["ProxyOp"]), ttl)
 }
 
 // newProxyVia is newProxy with the upstream connection dialed through d.
-func (e *env) newProxyVia(d transport.Dialer, ttl time.Duration) (*Proxy, *wallet.Wallet) {
+func (e *proxyEnv) newProxyVia(d transport.Dialer, ttl time.Duration) (*Proxy, *wallet.Wallet) {
 	e.t.Helper()
 	local := wallet.New(wallet.Config{Owner: e.ids["ProxyOp"], Clock: e.clk, Directory: e.dir})
-	up, err := remote.Dial(context.Background(), d, "home")
+	up, err := Dial(context.Background(), d, "home")
 	if err != nil {
 		e.t.Fatal(err)
 	}
 	e.t.Cleanup(up.Close)
-	p, err := New(Config{Local: local, Upstream: up, TTL: ttl})
+	p, err := NewProxy(ProxyConfig{Local: local, Upstream: up, TTL: ttl})
 	if err != nil {
 		e.t.Fatal(err)
 	}
@@ -111,16 +55,16 @@ func (e *env) newProxyVia(d transport.Dialer, ttl time.Duration) (*Proxy, *walle
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := NewProxy(ProxyConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := New(Config{Local: wallet.New(wallet.Config{})}); err == nil {
+	if _, err := NewProxy(ProxyConfig{Local: wallet.New(wallet.Config{})}); err == nil {
 		t.Fatal("config without an upstream accepted")
 	}
 }
 
 func TestPullThroughAndCacheHit(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -147,7 +91,7 @@ func TestPullThroughAndCacheHit(t *testing.T) {
 }
 
 func TestMissOnBothSides(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	p, _ := e.newProxy(time.Minute)
 	if _, err := p.QueryDirect(context.Background(), e.query("member")); !errors.Is(err, core.ErrNoProof) {
 		t.Fatalf("want ErrNoProof, got %v", err)
@@ -155,7 +99,7 @@ func TestMissOnBothSides(t *testing.T) {
 }
 
 func TestUpstreamRevocationPropagatesToCache(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -193,7 +137,7 @@ func TestUpstreamRevocationPropagatesToCache(t *testing.T) {
 // proxy serves no proof and its cache wallet, which downstream clients
 // query, answers ErrNoProof.
 func TestSubscribeFailureCachesNothing(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -220,7 +164,7 @@ func TestSubscribeFailureCachesNothing(t *testing.T) {
 // behind: here the cache wallet has already heard of its revocation, so
 // the insert after the subscribe fails, and the subscription is cancelled.
 func TestInsertFailureDropsSubscription(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -242,7 +186,7 @@ func TestInsertFailureDropsSubscription(t *testing.T) {
 // next query pulls it through again: the proxy serves it while its home
 // still holds it, over one upstream subscription.
 func TestRepullAfterStale(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -275,7 +219,7 @@ func TestRepullAfterStale(t *testing.T) {
 // after the pull and the subscribe; the home then revokes, and neither the
 // proxy nor its cache wallet serves the credential.
 func TestLostUpstreamDropsCopies(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -312,7 +256,7 @@ func TestLostUpstreamDropsCopies(t *testing.T) {
 // waits for the one subscribe call, then is served. The upstream's replies
 // are delayed so the later pulls arrive while that call is in flight.
 func TestConcurrentPullsShareOneSubscription(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -341,7 +285,7 @@ func TestConcurrentPullsShareOneSubscription(t *testing.T) {
 }
 
 func TestIrrelevantUpdatesProduceNoTraffic(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	cached := e.deleg("[User -> Org.member] Org")
 	other := e.deleg("[User -> Org.unrelated] Org")
 	if err := e.home.Publish(cached); err != nil {
@@ -370,7 +314,7 @@ func TestIrrelevantUpdatesProduceNoTraffic(t *testing.T) {
 }
 
 func TestServeDownstreamPullThroughAndFanout(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -387,7 +331,7 @@ func TestServeDownstreamPullThroughAndFanout(t *testing.T) {
 	const clients = 4
 	notified := make(chan struct{}, clients)
 	for i := 0; i < clients; i++ {
-		c, err := remote.Dial(context.Background(), e.net.Dialer(e.ids["Client"]), "edge")
+		c, err := Dial(context.Background(), e.net.Dialer(e.ids["Client"]), "edge")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +371,7 @@ func TestServeDownstreamPullThroughAndFanout(t *testing.T) {
 }
 
 func TestCacheTTLRenewal(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.InsertCached(d, nil, time.Hour); err != nil {
 		t.Fatal(err)
@@ -462,7 +406,7 @@ func TestCacheTTLRenewal(t *testing.T) {
 }
 
 func TestCloseStopsSubscriptions(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -490,7 +434,7 @@ func TestCloseStopsSubscriptions(t *testing.T) {
 // home — pulls through both levels and propagates a revocation down the
 // chain, with exactly one subscription per level.
 func TestTwoLevelHierarchy(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -507,12 +451,12 @@ func TestTwoLevelHierarchy(t *testing.T) {
 
 	// Level 2: edge proxy over the regional proxy.
 	edgeWallet := wallet.New(wallet.Config{Owner: e.ids["ProxyOp"], Clock: e.clk, Directory: e.dir})
-	up2, err := remote.Dial(context.Background(), e.net.Dialer(e.ids["ProxyOp"]), "regional")
+	up2, err := Dial(context.Background(), e.net.Dialer(e.ids["ProxyOp"]), "regional")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer up2.Close()
-	edge, err := New(Config{Local: edgeWallet, Upstream: up2, TTL: time.Minute})
+	edge, err := NewProxy(ProxyConfig{Local: edgeWallet, Upstream: up2, TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +500,7 @@ func TestTwoLevelHierarchy(t *testing.T) {
 // upstream, and an upstream revocation pushed into the local wallet is
 // refused on the next downstream query.
 func TestRepeatsDoNotPullAndStayCoherent(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -603,7 +547,7 @@ func TestRepeatsDoNotPullAndStayCoherent(t *testing.T) {
 // direct proof. A chain upstream does not hold either is enumerated from the
 // proxy's own cache, which the pull has not touched.
 func TestServeQueryExpandPullsThrough(t *testing.T) {
-	e := newEnv(t)
+	e := newProxyEnv(t)
 	d := e.deleg("[User -> Org.member] Org")
 	if err := e.home.Publish(d); err != nil {
 		t.Fatal(err)
@@ -615,7 +559,7 @@ func TestServeQueryExpandPullsThrough(t *testing.T) {
 	}
 	srv := p.Serve(ln)
 	defer srv.Close()
-	c, err := remote.Dial(context.Background(), e.net.Dialer(e.ids["Client"]), "edge")
+	c, err := Dial(context.Background(), e.net.Dialer(e.ids["Client"]), "edge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,5 +593,54 @@ func TestServeQueryExpandPullsThrough(t *testing.T) {
 	}
 	if _, pulls := p.Stats(); pulls != 2 {
 		t.Fatalf("pulls=%d, want 2: the miss tried upstream first", pulls)
+	}
+}
+
+// supportedMember publishes Table 1's third-party delegation at the home:
+// d3 [User -> Org.member] Mark, resting on the support proof d1, d2 that Mark
+// holds Org.member'. It returns d1 and d3.
+func (e *proxyEnv) supportedMember() (d1, d3 *core.Delegation) {
+	e.t.Helper()
+	d1 = e.deleg("[Mark -> Org.memberServices] Org")
+	d2 := e.deleg("[Org.memberServices -> Org.member'] Org")
+	sup, err := core.NewProof(core.ProofStep{Delegation: d1}, core.ProofStep{Delegation: d2})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	d3 = e.deleg("[User -> Org.member] Mark")
+	for _, err := range []error{e.home.Publish(d1), e.home.Publish(d2), e.home.Publish(d3, sup)} {
+		if err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	return d1, d3
+}
+
+// A pulled third-party credential is followed on every delegation it rests
+// on, its support included: once the home revokes a support member, neither
+// the proxy nor its cache wallet serves the proof, though the proxy caches
+// permanently and the home pushes nothing for the credential itself.
+func TestProxyFollowsSupport(t *testing.T) {
+	e := newProxyEnv(t)
+	d1, _ := e.supportedMember()
+	p, local := e.newProxy(0)
+	q := e.query("member")
+	if _, err := p.QueryDirect(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.home.Revoke(d1.ID(), e.id("Org").ID()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(200 * time.Millisecond)
+	for {
+		_, perr := p.QueryDirect(context.Background(), q)
+		_, lerr := local.QueryDirect(q)
+		if errors.Is(perr, core.ErrNoProof) && errors.Is(lerr, core.ErrNoProof) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("200 ms after its support was revoked: proxy err = %v, cache wallet err = %v; want ErrNoProof from both", perr, lerr)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

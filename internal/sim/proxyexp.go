@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"drbac/internal/proxy"
+	"drbac/internal/remote"
 	"drbac/internal/subs"
 	"drbac/internal/transport"
 )
@@ -76,7 +76,7 @@ func runProxyConfig(clients int, hierarchical bool) (messages, bytes int64, err 
 		if err != nil {
 			return 0, 0, err
 		}
-		px, err := proxy.New(proxy.Config{Local: w.Wallet("ProxyOp"), Upstream: up, TTL: time.Minute})
+		px, err := remote.NewProxy(remote.ProxyConfig{Local: w.Wallet("ProxyOp"), Upstream: up, TTL: time.Minute})
 		if err != nil {
 			return 0, 0, err
 		}

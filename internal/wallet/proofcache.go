@@ -81,8 +81,9 @@ type ProofCache struct {
 	// posGen moves on every InvalidateDelegation, negGen on every
 	// InvalidateNegatives, both on Flush. Written under mu.
 	posGen, negGen atomic.Uint64
-	// admitting is set while admit runs; cleared under mu.
-	admitting atomic.Bool
+	// admitting is set while admit runs, removing while remove runs; each
+	// is cleared under mu.
+	admitting, removing atomic.Bool
 
 	hits, misses, invalidations atomic.Int64
 }
@@ -181,7 +182,7 @@ func (c *ProofCache) Lookup(key string, now time.Time, revoked func(core.Delegat
 	c.mu.RLock()
 	e := c.pos[key]
 	var proof *core.Proof
-	if e != nil {
+	if e != nil && !c.removing.Load() { // read under mu: no drop lands between
 		proof = e.proof
 	}
 	_, nok := c.neg[key]
@@ -374,6 +375,10 @@ func (c *ProofCache) sweepLocked() {
 func (c *ProofCache) InvalidateDelegation(id core.DelegationID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.invalidateLocked(id)
+}
+
+func (c *ProofCache) invalidateLocked(id core.DelegationID) {
 	c.posGen.Add(1)
 	for _, d := range c.aliases[id] {
 		l := c.byDelegation[d]
@@ -410,6 +415,21 @@ func (c *ProofCache) admit(add func()) {
 	}
 	c.invalidations.Add(int64(len(c.neg)))
 	c.neg = make(map[string]struct{})
+}
+
+// remove runs del, the graph removal of delegation id, then drops every
+// memoized proof resting on id, and reports del's result. From del's start to
+// the drop no positive answer is served, so a reader that no longer sees the
+// edge finds no proof resting on it; a revocation needs none of this, since
+// the revoked set refuses such proofs before the edge goes.
+func (c *ProofCache) remove(id core.DelegationID, del func() bool) bool {
+	c.removing.Store(true)
+	removed := del()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.removing.Store(false)
+	c.invalidateLocked(id)
+	return removed
 }
 
 // Flush empties the cache entirely, counting dropped entries as

@@ -66,6 +66,33 @@ func TestProofCacheHitMissNegative(t *testing.T) {
 	}
 }
 
+// From a removal's start to its drop no positive answer is served: a reader
+// that already misses the removed edge must not be handed a proof resting on
+// it, which a stale or expiry drop, unlike a revocation, leaves usable.
+func TestProofCacheServesNothingWhileRemoving(t *testing.T) {
+	e := newEnv(t, "BigISP", "Maria")
+	d := e.deleg("[Maria -> BigISP.member] BigISP")
+	p, err := core.NewProof(core.ProofStep{Delegation: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newProofCache(DefaultProofCacheLimit)
+	now := e.clk.Now()
+	c.Put("k", p, c.gen())
+	removed := c.remove(d.ID(), func() bool {
+		if got, _, ok := c.Lookup("k", now, nil); ok {
+			t.Errorf("served %v while its delegation was being removed", got)
+		}
+		return true
+	})
+	if !removed {
+		t.Fatal("remove did not report the removal")
+	}
+	if got, _, ok := c.Lookup("k", now, nil); ok {
+		t.Fatalf("served %v after its delegation was removed", got)
+	}
+}
+
 func TestProofCacheLookupRechecksExpiryAndRevocation(t *testing.T) {
 	e := newEnv(t, "BigISP", "Maria")
 	d := e.deleg("[Maria -> BigISP.member] BigISP")

@@ -279,9 +279,6 @@ func (w *Wallet) Owner() *core.Identity { return w.cfg.Owner }
 // resolved through the configured directory.
 func (w *Wallet) Printer() core.Printer { return core.Printer{Dir: w.cfg.Directory} }
 
-// Clock returns the wallet's time source.
-func (w *Wallet) Clock() clock.Clock { return w.clk }
-
 // Now returns the wallet's current instant.
 func (w *Wallet) Now() time.Time { return w.clk.Now() }
 
@@ -652,7 +649,7 @@ func (w *Wallet) SweepExpired() int {
 // kind; op names the caller if the journal write fails. Absent is no change.
 func (w *Wallet) drop(id core.DelegationID, kind subs.EventKind, op string) bool {
 	changed, err := w.commit(kind, id, 0, func(seq uint64, cached bool) (bool, error) {
-		if !w.g.Remove(id) {
+		if !w.cache.remove(id, func() bool { return w.g.Remove(id) }) {
 			return false, nil
 		}
 		if cached {
@@ -717,7 +714,7 @@ func (w *Wallet) SweepStaleCache() int {
 				delete(w.ttl, id)
 			}
 			w.ttlMu.Unlock()
-			return stale && w.g.Remove(id), nil
+			return stale && w.cache.remove(id, func() bool { return w.g.Remove(id) }), nil
 		})
 		if changed {
 			removed++
