@@ -405,10 +405,10 @@ func BenchmarkSeparability(b *testing.B) {
 // two-step support chain) under the verified-signature memo.
 //
 //	serial  — no memo; every signature verifies inline, the pre-memo cost.
-//	cold    — a fresh memo per iteration: the parallel prime pass verifies
-//	          all five signatures across the worker pool, so this bounds
-//	          the first-ever validation of a proof.
-//	warm    — one memo primed once: every signature check is a sharded
+//	cold    — a fresh memo per iteration: each of the five signatures
+//	          verifies in line, through the memo, so this bounds the
+//	          first-ever validation of a proof.
+//	warm    — one memo warmed once: every signature check is a sharded
 //	          hash lookup. The steady-state cost of re-validating proofs,
 //	          which is what wallets do on every query and monitor firing.
 func BenchmarkProofValidateColdWarm(b *testing.B) {

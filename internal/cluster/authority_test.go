@@ -8,7 +8,10 @@ import (
 	"time"
 
 	"drbac/internal/core"
+	"drbac/internal/obs"
 	"drbac/internal/remote"
+	"drbac/internal/subs"
+	"drbac/internal/transport"
 	"drbac/internal/wallet"
 )
 
@@ -153,5 +156,56 @@ func TestAuthorityPublishWithoutDelegationAtServedGateway(t *testing.T) {
 	}
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("gateway stopped serving: %v", err)
+	}
+}
+
+// A served gateway relays a shard's refusal of a subscribe to a revoked
+// delegation: the revocation lands at the owning shard after the gateway
+// found the owner and before its subscribe, so the shard refuses, the
+// assembly cache records the revocation, and the relying party's subscribe
+// at the gateway fails with no-proof instead of following nothing. The
+// gateway's shard replies are delayed 100 ms; the revoke lands 50 ms in.
+func TestServedGatewayRelaysRevokedSubscribe(t *testing.T) {
+	e := newEnv(t, "gate", "A", "Maria")
+	m := mustUniform(t, []string{"shard0"}, []string{"shard1"})
+	wallets := make(map[int]*wallet.Wallet)
+	for _, s := range m.Shards {
+		wallets[s.ID], _ = e.serveShard(s.Addrs[0], s.ID, m)
+	}
+	plan := transport.NewFaults()
+	gw, err := NewWallet(WalletConfig{
+		RouterConfig: RouterConfig{
+			Map:    m,
+			Dialer: &transport.FaultDialer{Inner: e.net.Dialer(e.id("gate")), Plan: plan},
+			Obs:    obs.New(nil, obs.NewRegistry()),
+		},
+		Identity: e.id("gate"),
+		Clock:    e.clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	e.serveGateway("gateway", gw)
+	d := e.deleg("[Maria -> A.member] A")
+	if err := gw.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	owner := m.OwnerOf(d)
+	plan.Set(owner.Addrs[0], transport.Fault{FrameDelay: 100 * time.Millisecond})
+	revoked := make(chan error, 1)
+	time.AfterFunc(50*time.Millisecond, func() { revoked <- wallets[owner.ID].Revoke(d.ID(), e.id("A").ID()) })
+	c := e.dialClient("Maria", "gateway")
+	if cancel, err := c.Subscribe(context.Background(), d.ID(), func(subs.Event) {}); !errors.Is(err, core.ErrNoProof) {
+		if cancel != nil {
+			cancel()
+		}
+		t.Fatalf("subscribe at the gateway to a delegation its shard revoked: err = %v, want ErrNoProof", err)
+	}
+	if err := <-revoked; err != nil {
+		t.Fatal(err)
+	}
+	if !gw.IsRevoked(d.ID()) {
+		t.Fatal("the gateway's assembly cache did not record the shard's refusal")
 	}
 }

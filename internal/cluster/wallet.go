@@ -220,13 +220,19 @@ func proofKey(p *core.Proof) string {
 
 // Subscribe watches a delegation at the shard storing it; an unlocatable
 // delegation is watched in the assembly cache instead (it may arrive
-// there later as a cached copy).
+// there later as a cached copy). A shard that refuses the subscribe because
+// it has revoked the delegation has the assembly cache record the
+// revocation first, so IsRevoked answers true.
 func (w *Wallet) Subscribe(id core.DelegationID, fn subs.Handler) (cancel func()) {
 	ctx := context.Background()
 	if shard, ok, _ := w.router.FindOwner(ctx, id); ok {
 		if c, _, err := w.router.dial(ctx, shard); err == nil {
-			if cancel, err := c.Subscribe(ctx, id, fn); err == nil {
+			cancel, err := c.Subscribe(ctx, id, fn)
+			if err == nil {
 				return cancel
+			}
+			if errors.Is(err, core.ErrNoProof) {
+				w.local.AcceptRevocation(id)
 			}
 		}
 	}
@@ -242,6 +248,10 @@ func (w *Wallet) Contains(id core.DelegationID) bool {
 	_, ok, _ := w.router.FindOwner(context.Background(), id)
 	return ok
 }
+
+// IsRevoked answers from the assembly cache, which records the revocations
+// the gateway has learned.
+func (w *Wallet) IsRevoked(id core.DelegationID) bool { return w.local.IsRevoked(id) }
 
 // Owner is the gateway's operating identity.
 func (w *Wallet) Owner() *core.Identity { return w.cfg.Identity }

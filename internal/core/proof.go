@@ -112,10 +112,7 @@ type ValidateOptions struct {
 	// aggregated attributes.
 	Constraints []Constraint
 	// SigVerifier, if non-nil, routes every signature check Validate makes
-	// through a verified-signature memo (internal/sigcache). Cold
-	// validation then batch-collects the proof tree's unmemoized
-	// delegations and verifies them across a GOMAXPROCS-bounded worker pool
-	// before the sequential structural pass, which runs warm.
+	// through a verified-signature memo (internal/sigcache).
 	SigVerifier SigVerifier
 }
 
@@ -129,14 +126,6 @@ const DefaultMaxDepth = 16
 // query constraints. Every proof that arrives from outside a wallet's graph
 // takes this check.
 func (p *Proof) Validate(opts ValidateOptions) error {
-	if opts.SigVerifier != nil {
-		// Warm the memo for the whole tree (primary chain plus recursive
-		// support proofs) in parallel; the sequential pass below then pays a
-		// hash lookup per signature instead of an Ed25519 verification. Any
-		// bad signature re-verifies there and surfaces as *SignatureError at
-		// its exact step.
-		PrimeDelegations(opts.SigVerifier, p.Delegations())
-	}
 	return p.check(opts, true)
 }
 

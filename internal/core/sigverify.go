@@ -1,10 +1,5 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-)
-
 // SigVerifier abstracts Ed25519 signature verification so callers can
 // interpose a memo (internal/sigcache): delegations are immutable, so a
 // triple that verified once verifies forever. A nil SigVerifier anywhere it
@@ -13,69 +8,4 @@ type SigVerifier interface {
 	// VerifySig reports whether sig is a valid signature over msg by the
 	// public key pub.
 	VerifySig(pub, msg, sig []byte) bool
-	// HasVerified reports whether a prior VerifySig success for the exact
-	// triple is memoized, without verifying. Proof validation uses it to
-	// batch-collect the delegations that still need real verification.
-	HasVerified(pub, msg, sig []byte) bool
-}
-
-// primeParallelMin is the number of unverified signatures below which
-// PrimeDelegations verifies inline: goroutine fan-out costs more than one
-// or two Ed25519 checks.
-const primeParallelMin = 3
-
-// PrimeDelegations batch-verifies the signatures of ds through v, fanning
-// the unmemoized ones across a runtime.GOMAXPROCS-bounded worker pool. It
-// only warms v's memo — failures are not reported here; they resurface as
-// typed *SignatureError values when the caller's sequential validation pass
-// re-checks each delegation (a cheap memo lookup for the successes).
-//
-// Callers with many independent credentials to admit — a proof tree, a
-// discovery round's fetched sub-proofs, a replica snapshot — prime first so
-// cold validation runs at aggregate core throughput instead of one
-// signature at a time.
-func PrimeDelegations(v SigVerifier, ds []*Delegation) {
-	if v == nil {
-		return
-	}
-	type job struct{ pub, msg, sig []byte }
-	var pending []job
-	for _, d := range ds {
-		if d == nil {
-			continue
-		}
-		msg := d.SigningBytes()
-		if !v.HasVerified(d.Issuer.Key, msg, d.Signature) {
-			pending = append(pending, job{d.Issuer.Key, msg, d.Signature})
-		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if len(pending) < primeParallelMin || workers < 2 {
-		for _, j := range pending {
-			v.VerifySig(j.pub, j.msg, j.sig)
-		}
-		return
-	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				v.VerifySig(j.pub, j.msg, j.sig)
-			}
-		}()
-	}
-	for _, j := range pending {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
 }

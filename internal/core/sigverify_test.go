@@ -115,28 +115,3 @@ func TestVerifyDistinguishesStructureFromSignature(t *testing.T) {
 		t.Errorf("malformed via verifier: err = %v, want *StructureError", err)
 	}
 }
-
-func TestPrimeDelegations(t *testing.T) {
-	f := newFixture(t)
-	p := table3Proof(t, f)
-	ds := p.Delegations()
-	if len(ds) != 5 {
-		t.Fatalf("proof tree yields %d delegations, want 5", len(ds))
-	}
-	c := sigcache.New(0)
-	PrimeDelegations(c, ds)
-	for _, d := range ds {
-		if !c.HasVerified(d.Issuer.Key, d.SigningBytes(), d.Signature) {
-			t.Errorf("delegation %s not primed", d.ID().Short())
-		}
-	}
-	// Nil verifier and nil delegations are no-ops.
-	PrimeDelegations(nil, ds)
-	PrimeDelegations(c, []*Delegation{nil})
-	// Re-priming warm delegations runs no verifications.
-	before := c.Stats().Misses
-	PrimeDelegations(c, ds)
-	if c.Stats().Misses != before {
-		t.Error("re-priming re-verified memoized signatures")
-	}
-}

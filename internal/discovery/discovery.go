@@ -293,14 +293,6 @@ func (a *Agent) client(ctx context.Context, tag core.DiscoveryTag, stats *Stats)
 // coherent cached copies, learning tags along the way. Returns how many new
 // delegations were stored.
 func (a *Agent) insertProofs(ctx context.Context, proofs []*core.Proof, from string, ttl time.Duration, stats *Stats) int {
-	// Pre-warm the wallet's signature memo across the whole fetched batch
-	// (primary chains plus support proofs) in parallel; the per-delegation
-	// InsertCached validations below then run warm.
-	var batch []*core.Delegation
-	for _, p := range proofs {
-		batch = append(batch, p.Delegations()...)
-	}
-	core.PrimeDelegations(a.cfg.Local.SigVerifier(), batch)
 	inserted := 0
 	for _, p := range proofs {
 		for _, st := range p.Steps {

@@ -126,3 +126,43 @@ func TestBridgeFollowsSupport(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestBridgeSubscribeWindow: a revocation that lands at the home between a
+// fetch and Bridge is not missed. The home refuses Bridge's subscribe to the
+// revoked support member, the agent records the revocation, and its local
+// wallet refuses the copy at once, long before the copy's TTL.
+func TestBridgeSubscribeWindow(t *testing.T) {
+	e := newEnv(t, "Org", "Mark", "User", "Server")
+	home := e.serve("wallet.org", "Org")
+	d1 := e.deleg("[Mark -> Org.memberServices] Org")
+	d2 := e.deleg("[Org.memberServices -> Org.member'] Org")
+	sup, err := core.NewProof(core.ProofStep{Delegation: d1}, core.ProofStep{Delegation: d2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3 := e.deleg("[User -> Org.member] Mark")
+	for _, err := range []error{home.Publish(d1), home.Publish(d2), home.Publish(d3, sup)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, local := e.agent("Server", Config{})
+	a.RegisterTag(e.subject("User"), e.tag("wallet.org", core.SubjectSearch, core.ObjectNone))
+	q := wallet.Query{Subject: e.subject("User"), Object: e.role("Org.member")}
+	p, err := a.Discover(context.Background(), q, Auto, nil)
+	if err != nil {
+		t.Fatalf("discover: %v", err)
+	}
+	if err := home.Revoke(d1.ID(), e.id("Org").ID()); err != nil {
+		t.Fatal(err)
+	}
+	if cancel, err := a.Bridge(context.Background(), p); !errors.Is(err, core.ErrNoProof) {
+		if cancel != nil {
+			cancel()
+		}
+		t.Fatalf("bridge over a revoked support member: err = %v, want ErrNoProof", err)
+	}
+	if proof, err := local.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("local wallet served %v after the home revoked its support (err = %v)", proof, err)
+	}
+}

@@ -84,9 +84,6 @@ const (
 type Config struct {
 	// Dialer opens connections; required.
 	Dialer transport.Dialer
-	// CallTimeout is installed on every client the manager creates; zero
-	// keeps remote.DefaultCallTimeout.
-	CallTimeout time.Duration
 	// Obs receives the pool's logs and metrics (nil discards both).
 	Obs *obs.Obs
 	// Clock is the time source; nil means the system clock.
@@ -200,7 +197,6 @@ func (m *Manager) Get(ctx context.Context, addr string) (*remote.Client, error) 
 		m.recordFailureLocked(ps, addr, err)
 		return nil, err
 	}
-	c.CallTimeout = m.cfg.CallTimeout
 	c.Obs = m.cfg.Obs
 	dsp.End("ok", true)
 	if ps.failures >= failureThreshold {

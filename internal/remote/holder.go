@@ -155,13 +155,19 @@ func (h *Holder) Follow(ctx context.Context, p *core.Proof, dial func(ctx contex
 	return func() { cancelAll(cancels) }, nil
 }
 
-// subscribe subscribes through c to d and every member of its support.
+// subscribe subscribes through c to d and every member of its support. A
+// home that refuses a subscribe because it has revoked the delegation is
+// heard as a revocation: the local wallet records it before the refusal is
+// returned, so no copy resting on it is served.
 func (h *Holder) subscribe(ctx context.Context, c *Client, d *core.Delegation, support []*core.Proof, ttl time.Duration) ([]func(), error) {
 	on := func(ev subs.Event) { h.local.ApplyHomeEvent(ev, ttl) }
 	var cancels []func()
 	for _, r := range (&core.Proof{Steps: []core.ProofStep{{Delegation: d, Support: support}}}).Delegations() {
 		cancel, err := c.Subscribe(ctx, r.ID(), on)
 		if err != nil {
+			if errors.Is(err, core.ErrNoProof) {
+				h.local.AcceptRevocation(r.ID())
+			}
 			cancelAll(cancels)
 			return nil, err
 		}

@@ -160,6 +160,39 @@ func TestSubscribeFailureCachesNothing(t *testing.T) {
 	}
 }
 
+// TestPullSubscribeWindow: a revocation that lands at the home between the
+// pull's reply and the proxy's upstream subscribe is not missed. The home
+// refuses the subscribe, the proxy records the revocation, and neither the
+// pull nor the cache wallet serves the credential, which with TTL 0 nothing
+// else would ever drop. Upstream replies are delayed 100 ms and the home
+// revokes 50 ms into the pull.
+func TestPullSubscribeWindow(t *testing.T) {
+	e := newProxyEnv(t)
+	d := e.deleg("[User -> Org.member] Org")
+	if err := e.home.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	plan := transport.NewFaults()
+	plan.Set("home", transport.Fault{FrameDelay: 100 * time.Millisecond})
+	p, local := e.newProxyVia(&transport.FaultDialer{Inner: e.net.Dialer(e.ids["ProxyOp"]), Plan: plan}, 0)
+	q := e.query("member")
+	revoked := make(chan error, 1)
+	time.AfterFunc(50*time.Millisecond, func() { revoked <- e.home.Revoke(d.ID(), e.ids["Org"].ID()) })
+	if proof, err := p.QueryDirect(context.Background(), q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("pull: proof %v, err = %v; want ErrNoProof", proof, err)
+	}
+	if err := <-revoked; err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if proof, err := local.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("cache wallet served %v after its home revoked it (err = %v)", proof, err)
+	}
+	if n := e.home.Subscribers(d.ID()); n != 0 {
+		t.Fatalf("home subscribers = %d after a refused subscribe, want 0", n)
+	}
+}
+
 // A pulled credential the cache refuses leaves no upstream subscription
 // behind: here the cache wallet has already heard of its revocation, so
 // the insert after the subscribe fails, and the subscription is cancelled.

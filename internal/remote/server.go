@@ -601,9 +601,31 @@ func (s *Server) trace(_ *connState, req *wire.TraceReq) (any, []any, error) {
 	return wire.TraceResp{Found: len(spans) > 0, Spans: spans}, attrs, nil
 }
 
+// subscribeOne wires a wallet subscription to notification pushes on this
+// connection, replacing any previous subscription for the same delegation.
+// It registers the subscription first and asks about revocation after: a
+// revocation either finds the subscription registered and is pushed on it,
+// or is already recorded and refuses the subscribe with an error wrapping
+// core.ErrNoProof. So a subscriber that fetched the delegation before its
+// revocation misses neither.
 func (s *Server) subscribeOne(cs *connState, req *wire.SubscribeReq) (any, []any, error) {
-	s.subscribe(cs, req.Delegation)
-	return nil, []any{"delegation", req.Delegation.Short()}, nil
+	id := req.Delegation
+	attrs := []any{"delegation", id.Short()}
+	q := s.queue(cs)
+	cancel := s.w.Subscribe(id, func(ev subs.Event) {
+		s.push(cs, q, wire.NotifyPush{Delegation: ev.Delegation, Kind: ev.Kind.String(), At: ev.At})
+	})
+	if s.w.IsRevoked(id) {
+		cancel()
+		return nil, attrs, fmt.Errorf("delegation %s revoked: %w", id.Short(), core.ErrNoProof)
+	}
+	cs.subMu.Lock()
+	defer cs.subMu.Unlock()
+	if old, ok := cs.cancels[id]; ok {
+		old()
+	}
+	cs.cancels[id] = cancel
+	return nil, attrs, nil
 }
 
 func (s *Server) unsubscribe(cs *connState, req *wire.SubscribeReq) (any, []any, error) {
@@ -733,21 +755,6 @@ func (s *Server) writePushes(cs *connState, q <-chan wire.NotifyPush, stop <-cha
 			return
 		}
 	}
-}
-
-// subscribe wires a wallet subscription to notification pushes on this
-// connection, replacing any previous subscription for the same delegation.
-func (s *Server) subscribe(cs *connState, id core.DelegationID) {
-	q := s.queue(cs)
-	cancel := s.w.Subscribe(id, func(ev subs.Event) {
-		s.push(cs, q, wire.NotifyPush{Delegation: ev.Delegation, Kind: ev.Kind.String(), At: ev.At})
-	})
-	cs.subMu.Lock()
-	defer cs.subMu.Unlock()
-	if old, ok := cs.cancels[id]; ok {
-		old()
-	}
-	cs.cancels[id] = cancel
 }
 
 // subscribeAll wires the wallet's full changelog onto this connection's push

@@ -299,28 +299,14 @@ type change struct {
 // put is dropped.
 func (f *Follower) replay(changes []change, seq uint64, reconcile bool) {
 	w := f.cfg.Local
-	// Batch-verify every signature the filter admits, support proofs
-	// included, across the worker pool so the per-bundle installs run warm;
-	// a bundle the filter refuses is never installed, so never verified.
-	admitted := make([]bool, len(changes))
-	var warm []*core.Delegation
-	for i, c := range changes {
-		if c.kind != subs.Published || (f.cfg.Filter != nil && !f.cfg.Filter(c.bundle.Delegation)) {
-			continue
-		}
-		admitted[i] = true
-		warm = append(warm, c.bundle.Delegation)
-		for _, sp := range c.bundle.Support {
-			warm = append(warm, sp.Delegations()...)
-		}
-	}
-	core.PrimeDelegations(w.SigVerifier(), warm)
 	present := make(map[core.DelegationID]bool)
-	for i, c := range changes {
+	for _, c := range changes {
 		switch c.kind {
 		case subs.Published:
 			present[c.id] = true
-			if !admitted[i] {
+			// A bundle the filter refuses is never installed, so never
+			// verified.
+			if f.cfg.Filter != nil && !f.cfg.Filter(c.bundle.Delegation) {
 				continue
 			}
 			if _, err := w.InstallReplicated(c.bundle); err != nil {

@@ -153,19 +153,6 @@ func (c *Cache) VerifySig(pub, msg, sig []byte) bool {
 	return true
 }
 
-// HasVerified reports whether a success for the exact (pub, msg, sig)
-// triple is memoized, without verifying or touching LRU order. Proof
-// validation uses it to batch-collect the delegations that still need a
-// real verification before fanning them out in parallel.
-func (c *Cache) HasVerified(pub, msg, sig []byte) bool {
-	k := digest(pub, msg, sig)
-	sh := &c.shards[shardIndex(k)]
-	sh.mu.Lock()
-	_, ok := sh.entries[k]
-	sh.mu.Unlock()
-	return ok
-}
-
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	// Hits counts verifications served from the memo.

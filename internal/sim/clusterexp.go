@@ -120,7 +120,7 @@ type ClusterPoint struct {
 // RunShardScaling publishes `publishes` delegations with distinct subject
 // entities through a gateway over a `shards`-shard cluster, using a pool
 // of concurrent publishers. Delegations are pre-issued and the shared
-// signature cache pre-primed, so the timed section measures the routed
+// signature cache warmed, so the timed section measures the routed
 // publish path: wire round trip plus the serialized per-shard commit.
 func RunShardScaling(shards, publishes, workers int, commitDelay time.Duration) (ClusterPoint, error) {
 	pt := ClusterPoint{Shards: shards, Publishes: publishes, Workers: workers}
@@ -142,7 +142,11 @@ func RunShardScaling(shards, publishes, workers int, commitDelay time.Duration) 
 	}
 	// Warm the shared signature memo so admission checks hit it and the
 	// sweep compares commit pipelines, not signature verification.
-	core.PrimeDelegations(cs.wallets[0].SigVerifier(), delegs)
+	for _, d := range delegs {
+		if err := d.VerifyWith(sc); err != nil {
+			return pt, err
+		}
+	}
 
 	work := make(chan *core.Delegation)
 	errs := make(chan error, workers)

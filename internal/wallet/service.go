@@ -30,6 +30,9 @@ type Service interface {
 	Subscribe(id core.DelegationID, fn subs.Handler) (cancel func())
 	// Contains reports whether the delegation is stored here.
 	Contains(id core.DelegationID) bool
+	// IsRevoked reports whether the delegation's revocation is recorded
+	// here.
+	IsRevoked(id core.DelegationID) bool
 	// Owner is the wallet's operating identity (nil when anonymous).
 	Owner() *core.Identity
 	// Stats summarizes wallet state for the stats endpoint.

@@ -288,11 +288,6 @@ func (w *Wallet) Store() Store { return w.store }
 // Obs returns the wallet's observability bundle, which may be nil.
 func (w *Wallet) Obs() *obs.Obs { return w.obs }
 
-// SigVerifier exposes the wallet's verified-signature memo so collaborating
-// layers (discovery, proxy, replica sync) can pre-warm it for delegations
-// the wallet is about to validate.
-func (w *Wallet) SigVerifier() core.SigVerifier { return w.sigv }
-
 // Len returns the number of stored delegations.
 func (w *Wallet) Len() int { return w.g.Len() }
 
