@@ -209,3 +209,49 @@ func TestServedGatewayRelaysRevokedSubscribe(t *testing.T) {
 		t.Fatal("the gateway's assembly cache did not record the shard's refusal")
 	}
 }
+
+// A proxy pulling through a served gateway keeps nothing the owning shard
+// revoked before the proxy's subscribe reached the gateway. The shard no
+// longer stores the delegation, so the gateway's has probe finds no owner;
+// the gateway then asks the shard that its assembly-cache copy routes to,
+// which refuses. The proxy's upstream replies are delayed 100 ms, and the
+// revoke lands 50 ms into the pull, after the gateway has answered it.
+func TestProxyThroughGatewayRevokedBeforeSubscribe(t *testing.T) {
+	e := newEnv(t, "gate", "A", "Maria", "ProxyOp")
+	m := mustUniform(t, []string{"shard0"}, []string{"shard1"})
+	wallets, _, gw := e.clusterOf(m)
+	e.serveGateway("gateway", gw)
+	d := e.deleg("[Maria -> A.member] A")
+	if err := gw.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	plan := transport.NewFaults()
+	plan.Set("gateway", transport.Fault{FrameDelay: 100 * time.Millisecond})
+	up, err := remote.Dial(context.Background(), &transport.FaultDialer{Inner: e.net.Dialer(e.id("ProxyOp")), Plan: plan}, "gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(up.Close)
+	local := wallet.New(wallet.Config{Owner: e.id("ProxyOp"), Clock: e.clk, Directory: e.dir})
+	p, err := remote.NewProxy(remote.ProxyConfig{Local: local, Upstream: up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	q := wallet.Query{Subject: e.subject("Maria"), Object: e.role("A.member")}
+	owner := m.OwnerOf(d)
+	revoked := make(chan error, 1)
+	time.AfterFunc(50*time.Millisecond, func() { revoked <- wallets[owner.ID].Revoke(d.ID(), e.id("A").ID()) })
+	if proof, err := p.QueryDirect(context.Background(), q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("pull through the gateway: proof %v, err = %v; want ErrNoProof", proof, err)
+	}
+	if err := <-revoked; err != nil {
+		t.Fatal(err)
+	}
+	if proof, err := local.QueryDirect(q); !errors.Is(err, core.ErrNoProof) {
+		t.Fatalf("proxy cache served %v after the shard revoked it (err = %v)", proof, err)
+	}
+	if !gw.IsRevoked(d.ID()) {
+		t.Fatal("the gateway's assembly cache did not record the shard's refusal")
+	}
+}

@@ -218,14 +218,21 @@ func proofKey(p *core.Proof) string {
 	return b.String()
 }
 
-// Subscribe watches a delegation at the shard storing it; an unlocatable
-// delegation is watched in the assembly cache instead (it may arrive
-// there later as a cached copy). A shard that refuses the subscribe because
-// it has revoked the delegation has the assembly cache record the
-// revocation first, so IsRevoked answers true.
+// Subscribe watches a delegation at the shard storing it. A shard stops
+// storing what it revokes, so a delegation no shard stores but the assembly
+// cache holds is watched at the shard its subject routes to, which refuses
+// the subscribe if it has revoked it; the assembly cache then records the
+// revocation first, so IsRevoked answers true. Anything else is watched in
+// the assembly cache (it may arrive there later as a cached copy).
 func (w *Wallet) Subscribe(id core.DelegationID, fn subs.Handler) (cancel func()) {
 	ctx := context.Background()
-	if shard, ok, _ := w.router.FindOwner(ctx, id); ok {
+	shard, ok, _ := w.router.FindOwner(ctx, id)
+	if !ok {
+		if d, _, held := w.local.Get(id); held {
+			shard, ok = w.router.Current().OwnerOf(d), true
+		}
+	}
+	if ok {
 		if c, _, err := w.router.dial(ctx, shard); err == nil {
 			cancel, err := c.Subscribe(ctx, id, fn)
 			if err == nil {
