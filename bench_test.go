@@ -6,7 +6,7 @@ package drbac_test
 //	Table 2   -> BenchmarkTable2AttributeAggregation
 //	Table 3   -> BenchmarkTable3CaseStudyProof
 //	Figure 1  -> BenchmarkFigure1WalletOps
-//	Figure 2  -> BenchmarkFigure2DistributedProof
+//	Figure 2  -> BenchmarkFigure2DistributedProof, BenchmarkDiscoveryRTT
 //	§4.2.3    -> BenchmarkSearchDirectionality, BenchmarkAttributePruning,
 //	             BenchmarkFindDirectFreshGoroutine
 //	§6        -> BenchmarkRevocationSchemes
@@ -36,8 +36,10 @@ import (
 	"drbac/internal/clock"
 	"drbac/internal/cluster"
 	"drbac/internal/core"
+	"drbac/internal/discovery"
 	"drbac/internal/graph"
 	"drbac/internal/logstore"
+	"drbac/internal/peer"
 	"drbac/internal/remote"
 	"drbac/internal/sim"
 	"drbac/internal/transport"
@@ -258,6 +260,85 @@ func BenchmarkFigure2DistributedProof(b *testing.B) {
 		if res.BW != 100 || res.Storage != 30 || res.Hours != 18 {
 			b.Fatal("wrong case-study outcome")
 		}
+	}
+}
+
+// BenchmarkDiscoveryRTT runs discovery at a round trip (EXP-F2r): every
+// reply from every home arrives 10 ms late (transport.Faults FrameDelay on
+// the agent's connections), on Figure 2 and on RunChainDiscovery's chains of
+// 2, 4 and 8 hops. Each discovery starts from a fresh local wallet holding
+// the first credential; the connection pool is shared, so dials are paid
+// once. rtts/op is wall time over the RTT, next to the rounds and remote
+// queries a discovery takes.
+func BenchmarkDiscoveryRTT(b *testing.B) {
+	const rtt = 10 * time.Millisecond
+	type world struct {
+		owner string
+		first *core.Delegation
+		query wallet.Query
+	}
+	worlds := []struct {
+		name  string
+		build func(w *sim.World) (world, error)
+	}{{"figure2", func(w *sim.World) (world, error) {
+		cs, err := sim.NewCaseStudy(w)
+		if err != nil {
+			return world{}, err
+		}
+		return world{"AirNetServer", cs.D1, cs.Query}, nil
+	}}}
+	for _, hops := range []int{2, 4, 8} {
+		worlds = append(worlds, struct {
+			name  string
+			build func(w *sim.World) (world, error)
+		}{fmt.Sprintf("chain%d", hops), func(w *sim.World) (world, error) {
+			c, err := sim.NewChain(w, hops)
+			if err != nil {
+				return world{}, err
+			}
+			return world{"User", c.First, c.Query}, nil
+		}})
+	}
+	for _, wc := range worlds {
+		b.Run(wc.name, func(b *testing.B) {
+			w := sim.NewWorld()
+			defer w.Close()
+			wd, err := wc.build(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan := transport.NewFaults()
+			for _, addr := range []string{"wallet.bigisp", "wallet.airnet",
+				"wallet.org0", "wallet.org1", "wallet.org2", "wallet.org3",
+				"wallet.org4", "wallet.org5", "wallet.org6", "wallet.org7"} {
+				plan.Set(addr, transport.Fault{FrameDelay: rtt})
+			}
+			peers := peer.NewManager(peer.Config{
+				Dialer: &transport.FaultDialer{Inner: w.Net.Dialer(w.Identity(wd.owner)), Plan: plan},
+			})
+			defer peers.Close()
+			var rounds, queries int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				local := w.Wallet(wd.owner)
+				if err := local.Publish(wd.first); err != nil {
+					b.Fatal(err)
+				}
+				agent := discovery.NewAgent(discovery.Config{Local: local, Peers: peers})
+				agent.Learn(wd.first)
+				var st discovery.Stats
+				if _, err := agent.Discover(context.Background(), wd.query, discovery.Auto, &st); err != nil {
+					b.Fatal(err)
+				}
+				agent.Close()
+				rounds += st.Rounds
+				queries += st.RemoteQueries
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(b.Elapsed())/n/float64(rtt), "rtts/op")
+			b.ReportMetric(float64(rounds)/n, "rounds/op")
+			b.ReportMetric(float64(queries)/n, "queries/op")
+		})
 	}
 }
 

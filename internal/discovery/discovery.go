@@ -149,7 +149,8 @@ type Agent struct {
 	// contacted dedupes the WalletsContacted stat across the agent's
 	// lifetime (the pool may silently redial a flapping home many times).
 	contacted map[string]bool
-	// verified remembers homes that passed the auth-role check.
+	// verified remembers homes that passed the auth-role check; nil until
+	// one has.
 	verified map[string]bool
 	// held owns the fetched copies in the local wallet: the home each came
 	// from and the TTL it was inserted with, for as long as it is held.
@@ -168,7 +169,6 @@ func NewAgent(cfg Config) *Agent {
 		m:         newAgentMetrics(o),
 		tags:      make(map[core.Subject]core.DiscoveryTag),
 		contacted: make(map[string]bool),
-		verified:  make(map[string]bool),
 		held:      remote.NewHolder(cfg.Local, o),
 	}
 	if cfg.Peers != nil {
@@ -264,7 +264,9 @@ func (a *Agent) client(ctx context.Context, tag core.DiscoveryTag, stats *Stats)
 	a.contacted[addr] = true
 	a.mu.Unlock()
 	if first {
-		a.obs.Log().Debug("discovery dialed home", "home", tag.Home, "addr", addr)
+		if a.obs.DebugEnabled() {
+			a.obs.Log().Debug("discovery dialed home", "home", tag.Home, "addr", addr)
+		}
 		if stats != nil {
 			stats.WalletsContacted++
 		}
@@ -282,6 +284,9 @@ func (a *Agent) client(ctx context.Context, tag core.DiscoveryTag, stats *Stats)
 				return nil, "", fmt.Errorf("discovery: home %s failed authorization: %w", addr, err)
 			}
 			a.mu.Lock()
+			if a.verified == nil {
+				a.verified = make(map[string]bool)
+			}
 			a.verified[addr] = true
 			a.mu.Unlock()
 		}
@@ -290,18 +295,23 @@ func (a *Agent) client(ctx context.Context, tag core.DiscoveryTag, stats *Stats)
 }
 
 // insertProofs stores fetched sub-proofs into the local wallet as TTL-
-// coherent cached copies, learning tags along the way. Returns how many new
-// delegations were stored.
-func (a *Agent) insertProofs(ctx context.Context, proofs []*core.Proof, from string, ttl time.Duration, stats *Stats) int {
-	inserted := 0
+// coherent cached copies, learning tags from each credential the wallet
+// holds: one it refuses teaches nothing. Returns the delegations newly
+// stored, in insertion order.
+func (a *Agent) insertProofs(ctx context.Context, proofs []*core.Proof, from string, ttl time.Duration, stats *Stats) []*core.Delegation {
+	var inserted []*core.Delegation
 	for _, p := range proofs {
 		for _, st := range p.Steps {
 			d := st.Delegation
-			a.Learn(d)
-			if ok, _ := a.held.Hold(ctx, nil, d, st.Support, from, ttl); !ok {
-				continue // held already, or an invalid credential from remote
+			ok, err := a.held.Hold(ctx, nil, d, st.Support, from, ttl)
+			if err != nil {
+				continue // an invalid credential from remote
 			}
-			inserted++
+			a.Learn(d)
+			if !ok {
+				continue // held already
+			}
+			inserted = append(inserted, d)
 			// Support-proof delegations are part of the credential too.
 			for _, sp := range st.Support {
 				for _, sd := range sp.Delegations() {
@@ -311,7 +321,7 @@ func (a *Agent) insertProofs(ctx context.Context, proofs []*core.Proof, from str
 		}
 	}
 	if stats != nil {
-		stats.DelegationsFetched += inserted
+		stats.DelegationsFetched += len(inserted)
 	}
 	return inserted
 }
@@ -342,15 +352,21 @@ func (a *Agent) Discover(ctx context.Context, q wallet.Query, mode Mode, stats *
 		st = &Stats{}
 	}
 	a.m.discoveries.Inc()
-	sp := a.obs.StartSpan(q.TraceID, "discover",
-		"subject", q.Subject.String(), "object", q.Object.String())
+	var sp *obs.Span
+	if a.obs != nil {
+		sp = a.obs.StartSpan(q.TraceID, "discover",
+			"subject", q.Subject.String(), "object", q.Object.String())
+	}
 	// Carry the span in the context so layers below without a span
 	// parameter (peer dials in particular) parent their work under it.
 	ctx = obs.ContextWithSpan(ctx, sp)
 	q.Ctx = ctx
 	p, err := a.discover(ctx, q, mode, st, sp)
-	d := sp.End("found", err == nil,
-		"rounds", st.Rounds, "remote_queries", st.RemoteQueries, "fetched", st.DelegationsFetched)
+	var d time.Duration
+	if sp != nil {
+		d = sp.End("found", err == nil,
+			"rounds", st.Rounds, "remote_queries", st.RemoteQueries, "fetched", st.DelegationsFetched)
+	}
 	if thr := a.obs.SlowThreshold(); thr > 0 && d >= thr {
 		// Slow-query capture: the trace itself is retained by the
 		// collector's tail sampling; this Warn record makes it visible in
@@ -386,21 +402,22 @@ func (a *Agent) discover(ctx context.Context, q wallet.Query, mode Mode, stats *
 		return nil, err
 	}
 
-	// The directions this mode searches: false = forward, true = reverse.
-	dirs := []bool{false, true}
-	switch mode {
-	case ForwardOnly:
-		dirs = dirs[:1]
-	case ReverseOnly:
-		dirs = dirs[1:]
+	// The local wallet is enumerated once, from each end this mode
+	// searches; the rounds grow the frontiers from what they insert.
+	var both [2]*frontier
+	fronts := both[:0]
+	if mode != ReverseOnly {
+		fronts = append(fronts, newFrontier(a.cfg.Local, q, false))
+	}
+	if mode != ForwardOnly {
+		fronts = append(fronts, newFrontier(a.cfg.Local, q, true))
 	}
 	queried := make(map[visit]bool)
-
 	for round := 1; round <= maxRounds; round++ {
 		stats.Rounds = round
 		progress := 0
-		for _, reverse := range dirs {
-			n, found, err := a.searchRound(ctx, q, mode, reverse, round, queried, stats, sp)
+		for _, f := range fronts {
+			n, found, err := a.searchRound(ctx, q, mode, f, fronts, round, queried, stats, sp)
 			progress += n
 			if err != nil {
 				return nil, err
@@ -409,10 +426,17 @@ func (a *Agent) discover(ctx context.Context, q wallet.Query, mode Mode, stats *
 				return found, nil
 			}
 		}
-		// Re-check locally after each round: the two frontiers may have
-		// met in the middle.
-		if p, err := a.cfg.Local.QueryDirect(q); err == nil {
-			return p, nil
+		// Re-check locally when this round's insertions joined the query's
+		// two ends: the frontiers may have met in the middle.
+		joined := false
+		for _, f := range fronts {
+			joined = joined || f.joined
+			f.joined = false
+		}
+		if joined {
+			if p, err := a.cfg.Local.QueryDirect(q); err == nil {
+				return p, nil
+			}
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -420,6 +444,11 @@ func (a *Agent) discover(ctx context.Context, q wallet.Query, mode Mode, stats *
 		if progress == 0 {
 			break
 		}
+	}
+	// One last look before answering no: a credential another writer
+	// inserted meanwhile is in no frontier.
+	if p, err := a.cfg.Local.QueryDirect(q); err == nil {
+		return p, nil
 	}
 	return nil, core.ErrNoProof
 }
@@ -454,45 +483,27 @@ type visit struct {
 }
 
 // searchRound expands one frontier by one breadth-first step. Forward, the
-// frontier is every node currently reachable from the query subject; reverse,
-// every role the query object is currently reachable from. Each frontier node
-// whose tag allows search from that side gets one query-expand at its home
-// wallet: the direct query and, failing that, the node's subject (forward) or
-// object (reverse) enumeration, in one round trip.
+// frontier is every node reachable from the query subject; reverse, every
+// role the query object is reachable from, each as of the pass's start.
+// Each frontier node whose tag allows search from that side gets one
+// query-expand at its home wallet: the direct query and, failing that, the
+// node's subject (forward) or object (reverse) enumeration, in one round
+// trip. What a reply inserts grows every frontier in fronts.
 // Queries carry constraints adjusted by the locally known partial chains'
 // modifiers (§4.2.3 "modulated attribute ranges"), so remote wallets prune
 // continuations the accumulated chain can no longer afford.
-func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reverse bool, round int, queried map[visit]bool, stats *Stats, sp *obs.Span) (int, *core.Proof, error) {
+func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, f *frontier, fronts []*frontier, round int, queried map[visit]bool, stats *Stats, sp *obs.Span) (int, *core.Proof, error) {
 	kind := "subject"
-	frontier := []core.Subject{q.Subject}
-	var known []*core.Proof // the partial chains the local wallet already holds
-	if reverse {
+	if f.reverse {
 		kind = "object"
-		frontier[0] = core.SubjectRole(q.Object)
-		known = a.cfg.Local.QueryObject(q.Object, nil)
-	} else {
-		known = a.cfg.Local.QuerySubject(q.Subject, nil)
 	}
-	partials := make(map[core.Subject][]core.Aggregate)
-	for _, p := range known {
-		node := core.SubjectRole(p.Object)
-		if reverse {
-			if p.Subject.IsEntity() {
-				continue
-			}
-			node = core.SubjectRole(p.Subject.Role)
-		}
-		frontier = append(frontier, node)
-		if ag, err := p.Aggregate(); err == nil {
-			partials[node] = append(partials[node], ag)
-		}
-	}
+	cut := f.added
 	progress := 0
-	for _, node := range frontier {
+	for _, node := range f.nodes() {
 		if err := ctx.Err(); err != nil {
 			return progress, nil, err
 		}
-		v := visit{node, reverse}
+		v := visit{node, f.reverse}
 		if queried[v] {
 			continue
 		}
@@ -501,7 +512,7 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 			continue
 		}
 		searchable := tag.Subject == core.SubjectSearch || tag.Subject == core.SubjectStore
-		if reverse {
+		if f.reverse {
 			searchable = tag.Object == core.ObjectSearch || tag.Object == core.ObjectStore
 		}
 		if mode == Auto && !searchable {
@@ -517,8 +528,8 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 		// Only a reachable home consumes the node's single query budget.
 		queried[v] = true
 		remaining := q.Constraints
-		if !a.cfg.DisableRangeAdjustment {
-			remaining = looseAdjust(q.Constraints, partials[node])
+		if len(remaining) > 0 && !a.cfg.DisableRangeAdjustment {
+			remaining = looseAdjust(q.Constraints, f.partials(node, cut))
 		}
 		// One request: the original relationship with this node as its near
 		// end, or failing that the node's one-ended enumeration.
@@ -526,11 +537,14 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 			stats.RemoteQueries++
 		}
 		subject, object := node, q.Object
-		if reverse {
+		if f.reverse {
 			subject, object = q.Subject, node.Role
 		}
-		rsp := sp.StartChild("rpc:expand", "wallet", home, "node", node.String())
-		proofs, err := c.QueryExpand(traceCtx(ctx, rsp, q.TraceID), subject, object, remaining, reverse)
+		var rsp *obs.Span
+		if sp != nil {
+			rsp = sp.StartChild("rpc:expand", "wallet", home, "node", node.String())
+		}
+		proofs, err := c.QueryExpand(traceCtx(ctx, rsp, q.TraceID), subject, object, remaining, f.reverse)
 		finishRPC(rsp, err)
 		if err != nil {
 			a.peers.ReportFailure(home, c)
@@ -547,11 +561,15 @@ func (a *Agent) searchRound(ctx context.Context, q wallet.Query, mode Mode, reve
 			}
 		}
 		a.trace(sp, stats, round, home, got, node.String(), len(proofs))
-		progress += a.insertProofs(ctx, proofs, tag.Home, tag.TTL, stats)
+		inserted := a.insertProofs(ctx, proofs, tag.Home, tag.TTL, stats)
+		progress += len(inserted)
 		if got == "direct" {
 			if full, err := a.cfg.Local.QueryDirect(q); err == nil {
 				return progress, full, nil
 			}
+		}
+		for _, g := range fronts {
+			g.grow(inserted)
 		}
 	}
 	return progress, nil, nil
@@ -632,20 +650,26 @@ func (a *Agent) AuditRegistry(ctx context.Context, p *core.Proof) ([]AuditFindin
 // missing part of the chain must satisfy. With several known partial
 // chains the *least* restrictive adjustment is used, so the remote wallet
 // never prunes a continuation that could still combine with some local
-// partial chain — soundness over maximal pruning.
+// partial chain — soundness over maximal pruning. A partial's adjustment
+// of a constraint is its value at the constraint's base, as
+// core.AdjustConstraints computes it.
 func looseAdjust(constraints []core.Constraint, partials []core.Aggregate) []core.Constraint {
-	if len(constraints) == 0 || len(partials) == 0 {
+	if len(partials) == 0 {
 		return constraints
 	}
-	out := make([]core.Constraint, len(constraints))
-	copy(out, constraints)
+	out, copied := constraints, false
 	for i, c := range constraints {
 		best := math.Inf(-1)
 		for _, ag := range partials {
-			adjusted := core.AdjustConstraints([]core.Constraint{c}, ag)[0].Base
-			if adjusted > best {
-				best = adjusted
+			if v := ag.Value(c.Attr, c.Base); v > best {
+				best = v
 			}
+		}
+		if math.Float64bits(best) == math.Float64bits(c.Base) {
+			continue
+		}
+		if !copied { // on the first base that moves
+			out, copied = append([]core.Constraint(nil), constraints...), true
 		}
 		out[i].Base = best
 	}
@@ -661,6 +685,8 @@ func (a *Agent) trace(sp *obs.Span, stats *Stats, round int, home, kind, node st
 			Round: round, Wallet: home, Kind: kind, Node: node, Results: results,
 		})
 	}
-	sp.Event("remote query",
-		"round", round, "wallet", home, "kind", kind, "node", node, "results", results)
+	if sp != nil {
+		sp.Event("remote query",
+			"round", round, "wallet", home, "kind", kind, "node", node, "results", results)
+	}
 }

@@ -29,6 +29,8 @@ type env struct {
 	// before query-expand (olderHome), recorded here by address, and agent
 	// dial it as one (olderDialer).
 	older map[string]*olderHome
+	// wrap, when non-nil, wraps the dialer agent gives each agent.
+	wrap func(transport.Dialer) transport.Dialer
 }
 
 func newEnv(t *testing.T, names ...string) *env {
@@ -138,6 +140,9 @@ func (e *env) agent(owner string, cfg Config) (*Agent, *wallet.Wallet) {
 		cfg.Dialer = e.net.Dialer(e.id(owner))
 		if e.older != nil {
 			cfg.Dialer = olderDialer{cfg.Dialer}
+		}
+		if e.wrap != nil {
+			cfg.Dialer = e.wrap(cfg.Dialer)
 		}
 	}
 	a := NewAgent(cfg)

@@ -3,6 +3,7 @@ package discovery
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -166,5 +167,54 @@ func TestClientSurvivesGarbageResponses(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("discovery wedged on garbage responses")
+	}
+}
+
+// A credential the local wallet refuses teaches the agent nothing: a hostile
+// home's forged delegation carries an object tag sending AirNet.access to
+// the attacker's address, and after the discovery the agent's tag book
+// still has no entry for AirNet.access, or the one the application
+// registered, so no later search is steered to the attacker.
+func TestDiscoveryForgedCredentialTeachesNoTag(t *testing.T) {
+	for _, registered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("registered=%v", registered), func(t *testing.T) {
+			e := newEnv(t, "AirNet", "Maria", "Mallory", "Server")
+			genuine := e.deleg("[Maria -> AirNet.guest] AirNet")
+			forged := *genuine
+			forged.Object = e.role("AirNet.access") // tampered: the signature no longer holds
+			evil := e.tag("wallet.evil2", core.SubjectSearch, core.ObjectSearch)
+			forged.ObjectTag = &evil
+			forgedProof, err := core.NewProof(core.ProofStep{Delegation: &forged})
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveMalicious(t, e.net, "wallet.evil", e.ids["Mallory"], forgedProof)
+
+			a, local := e.agent("Server", Config{})
+			a.RegisterTag(e.subject("Maria"), e.tag("wallet.evil", core.SubjectSearch, core.ObjectNone))
+			access := e.subject("AirNet.access")
+			want := e.tag("wallet.airnet", core.SubjectNone, core.ObjectNone)
+			if registered {
+				a.RegisterTag(access, want)
+			}
+			if _, err := a.Discover(context.Background(), wallet.Query{
+				Subject: e.subject("Maria"),
+				Object:  e.role("AirNet.access"),
+			}, Auto, nil); !errors.Is(err, core.ErrNoProof) {
+				t.Fatalf("discover: %v, want no proof", err)
+			}
+			if local.Len() != 0 {
+				t.Fatalf("forged credential entered the trusted wallet: %d", local.Len())
+			}
+			a.mu.Lock()
+			got, ok := a.tags[access]
+			a.mu.Unlock()
+			switch {
+			case !registered && ok:
+				t.Errorf("tag book learned %v from a refused credential", got)
+			case registered && got != want.Normalize():
+				t.Errorf("registered tag overwritten: %v, want %v", got, want.Normalize())
+			}
+		})
 	}
 }

@@ -151,6 +151,12 @@ func (g *Graph) edgesTo(r core.Role) []*edge {
 	return list
 }
 
+// OutDegree counts the edges stored from subject, expired ones included.
+func (g *Graph) OutDegree(s core.Subject) int { return len(g.edgesFrom(s)) }
+
+// InDegree counts the edges stored into object, expired ones included.
+func (g *Graph) InDegree(r core.Role) int { return len(g.edgesTo(r)) }
+
 // Add inserts a delegation and its accompanying support proofs. Adding a
 // delegation the graph holds replaces its support proofs: the graph is the
 // wallet's one copy of a bundle, so the last publication is the one it keeps.

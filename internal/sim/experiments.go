@@ -232,16 +232,23 @@ type ChainDiscoveryPoint struct {
 	Bytes              int64
 }
 
-// RunChainDiscovery builds a delegation chain spread across `hops` home
-// wallets and measures discovering it from a cold local wallet.
-func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
-	if hops < 1 {
-		return ChainDiscoveryPoint{}, fmt.Errorf("sim: hops must be positive")
-	}
-	w := NewWorld()
-	defer w.Close()
+// Chain is RunChainDiscovery's world: a delegation chain spread across
+// hops home wallets, each holding one link, and the first link, which the
+// user hands the local wallet directly.
+type Chain struct {
+	// First is [User -> Org0.level] Org0, for the local wallet.
+	First *core.Delegation
+	// Query asks: does User hold the last home's goal role?
+	Query wallet.Query
+}
 
-	user := w.Identity("User")
+// NewChain serves the chain's homes wallet.org0 … on w and publishes each
+// link at the home of its subject, tagged for subject search there.
+func NewChain(w *World, hops int) (*Chain, error) {
+	if hops < 1 {
+		return nil, fmt.Errorf("sim: hops must be positive")
+	}
+	w.Identity("User")
 	type link struct {
 		wallet *wallet.Wallet
 		tag    core.DiscoveryTag
@@ -252,7 +259,7 @@ func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
 		addr := fmt.Sprintf("wallet.org%d", i)
 		wal, err := w.Serve(addr, owner)
 		if err != nil {
-			return ChainDiscoveryPoint{}, err
+			return nil, err
 		}
 		links[i] = link{
 			wallet: wal,
@@ -266,10 +273,11 @@ func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
 	}
 
 	roleName := func(i int) string { return fmt.Sprintf("Org%d.level", i) }
+	c := new(Chain)
 	// First link: user -> Org0.level, handed to the local wallet directly.
-	first, err := w.IssueTagged(fmt.Sprintf("[User -> %s] Org0", roleName(0)), nil, &links[0].tag)
-	if err != nil {
-		return ChainDiscoveryPoint{}, err
+	var err error
+	if c.First, err = w.IssueTagged(fmt.Sprintf("[User -> %s] Org0", roleName(0)), nil, &links[0].tag); err != nil {
+		return nil, err
 	}
 	// Middle links: OrgI.level -> OrgI+1.level, stored at OrgI's wallet.
 	for i := 0; i+1 < hops; i++ {
@@ -277,10 +285,10 @@ func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
 			fmt.Sprintf("[%s -> %s] Org%d", roleName(i), roleName(i+1), i+1),
 			&links[i].tag, &links[i+1].tag)
 		if err != nil {
-			return ChainDiscoveryPoint{}, err
+			return nil, err
 		}
 		if err := links[i].wallet.Publish(d); err != nil {
-			return ChainDiscoveryPoint{}, err
+			return nil, err
 		}
 	}
 	// Final link: last level -> goal, stored at the last wallet.
@@ -288,29 +296,39 @@ func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
 	goalText := fmt.Sprintf("[%s -> Org%d.goal] Org%d", roleName(last), last, last)
 	d, err := w.IssueTagged(goalText, &links[last].tag, nil)
 	if err != nil {
-		return ChainDiscoveryPoint{}, err
+		return nil, err
 	}
 	if err := links[last].wallet.Publish(d); err != nil {
+		return nil, err
+	}
+	if c.Query, err = w.query("User", fmt.Sprintf("Org%d.goal", last)); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// RunChainDiscovery builds a delegation chain spread across `hops` home
+// wallets and measures discovering it from a cold local wallet.
+func RunChainDiscovery(hops int) (ChainDiscoveryPoint, error) {
+	w := NewWorld()
+	defer w.Close()
+	c, err := NewChain(w, hops)
+	if err != nil {
 		return ChainDiscoveryPoint{}, err
 	}
-
 	local := w.Wallet("User")
-	if err := local.Publish(first); err != nil {
+	if err := local.Publish(c.First); err != nil {
 		return ChainDiscoveryPoint{}, err
 	}
 	agent := w.agent(discovery.Config{
 		Local:  local,
-		Dialer: w.Net.Dialer(user),
+		Dialer: w.Net.Dialer(w.Identity("User")),
 	})
-	agent.Learn(first)
+	agent.Learn(c.First)
 
-	q, err := w.query("User", fmt.Sprintf("Org%d.goal", last))
-	if err != nil {
-		return ChainDiscoveryPoint{}, err
-	}
 	w.Net.ResetStats()
 	var stats discovery.Stats
-	if _, err := agent.Discover(context.Background(), q, discovery.Auto, &stats); err != nil {
+	if _, err := agent.Discover(context.Background(), c.Query, discovery.Auto, &stats); err != nil {
 		return ChainDiscoveryPoint{}, fmt.Errorf("chain discovery (%d hops): %w", hops, err)
 	}
 	net := w.Net.Stats()

@@ -116,17 +116,22 @@ func newProofCache(limit int) *ProofCache {
 // question regardless of the strategy that would have found it.
 func cacheKey(subject core.Subject, object core.Role, constraints []core.Constraint) string {
 	var b strings.Builder
-	// One allocation for the common, unconstrained key: the names plus the
-	// separators, ticks and operator digits.
-	b.Grow(len(subject.Entity) + len(subject.Role.Namespace) + len(subject.Role.Name) +
-		len(object.Namespace) + len(object.Name) + 16)
+	// One allocation: the names plus the separators, ticks and operator
+	// digits, and each constraint's names plus room for its two numbers.
+	n := len(subject.Entity) + len(subject.Role.Namespace) + len(subject.Role.Name) +
+		len(object.Namespace) + len(object.Name) + 16
+	for _, c := range constraints {
+		n += len(c.Attr.Namespace) + len(c.Attr.Name) + 2*floatKeyLen + 4
+	}
+	b.Grow(n)
 	b.WriteString(string(subject.Entity))
 	b.WriteByte(0x1f)
 	writeRoleKey(&b, subject.Role)
 	b.WriteByte(0x1f)
 	writeRoleKey(&b, object)
-	if len(constraints) > 0 {
-		cs := make([]core.Constraint, len(constraints))
+	cs := constraints
+	if len(cs) > 1 {
+		cs = make([]core.Constraint, len(constraints))
 		copy(cs, constraints)
 		sort.Slice(cs, func(i, j int) bool {
 			a, z := cs[i], cs[j]
@@ -141,19 +146,24 @@ func cacheKey(subject core.Subject, object core.Role, constraints []core.Constra
 			}
 			return a.Minimum < z.Minimum
 		})
-		for _, c := range cs {
-			b.WriteByte(0x1f)
-			b.WriteString(string(c.Attr.Namespace))
-			b.WriteByte('.')
-			b.WriteString(c.Attr.Name)
-			b.WriteByte(0x1f)
-			b.WriteString(strconv.FormatFloat(c.Base, 'g', -1, 64))
-			b.WriteByte(0x1f)
-			b.WriteString(strconv.FormatFloat(c.Minimum, 'g', -1, 64))
-		}
+	}
+	var num [floatKeyLen]byte
+	for _, c := range cs {
+		b.WriteByte(0x1f)
+		b.WriteString(string(c.Attr.Namespace))
+		b.WriteByte('.')
+		b.WriteString(c.Attr.Name)
+		b.WriteByte(0x1f)
+		b.Write(strconv.AppendFloat(num[:0], c.Base, 'g', -1, 64))
+		b.WriteByte(0x1f)
+		b.Write(strconv.AppendFloat(num[:0], c.Minimum, 'g', -1, 64))
 	}
 	return b.String()
 }
+
+// floatKeyLen is the longest a float64 runs in shortest 'g' form:
+// "-2.2250738585072014e-308" is 24 bytes.
+const floatKeyLen = 24
 
 func writeRoleKey(b *strings.Builder, r core.Role) {
 	b.WriteString(string(r.Namespace))

@@ -131,6 +131,9 @@ type Wallet struct {
 
 	cache    *ProofCache
 	cacheOff bool
+	// isRevoked is IsRevoked bound once: every check hands it on, and a
+	// method value made per check is an allocation per check.
+	isRevoked func(core.DelegationID) bool
 
 	// repMu serializes sequenced mutations; commit is the only code that
 	// takes it to change anything. Reads (queries, Stats) never take it.
@@ -203,6 +206,7 @@ func New(cfg Config) *Wallet {
 		ttl:        make(map[core.DelegationID]time.Time),
 		watches:    make(map[int]*watch),
 	}
+	w.isRevoked = w.IsRevoked
 	for _, r := range st.Revocations {
 		w.revoked[r.ID] = r.At
 	}
@@ -293,6 +297,23 @@ func (w *Wallet) Len() int { return w.g.Len() }
 
 // Delegations returns every stored delegation.
 func (w *Wallet) Delegations() []*core.Delegation { return w.g.All() }
+
+// Degree counts the delegations the wallet holds whose subject is node or,
+// with reverse set, whose object is node's role, expired ones included.
+func (w *Wallet) Degree(node core.Subject, reverse bool) int {
+	if reverse {
+		return w.g.InDegree(node.Role)
+	}
+	return w.g.OutDegree(node)
+}
+
+// MaxDepth is the longest chain the wallet's searches build.
+func (w *Wallet) MaxDepth() int {
+	if w.cfg.MaxDepth > 0 {
+		return w.cfg.MaxDepth
+	}
+	return graph.DefaultMaxDepth
+}
 
 // Get returns a stored delegation and its support proofs.
 func (w *Wallet) Get(id core.DelegationID) (*core.Delegation, []*core.Proof, bool) {
@@ -432,7 +453,7 @@ func (w *Wallet) publish(d *core.Delegation, support []*core.Proof, ttl time.Dur
 
 	vopts := core.ValidateOptions{
 		At:               now,
-		Revoked:          w.IsRevoked,
+		Revoked:          w.isRevoked,
 		StrictAttributes: w.cfg.StrictAttributes,
 		MaxDepth:         w.cfg.MaxDepth,
 	}
@@ -855,7 +876,7 @@ func (w *Wallet) searchOptions(q Query) graph.Options {
 func (w *Wallet) validateOptions(q Query) core.ValidateOptions {
 	return core.ValidateOptions{
 		At:               w.Now(),
-		Revoked:          w.IsRevoked,
+		Revoked:          w.isRevoked,
 		StrictAttributes: w.cfg.StrictAttributes,
 		MaxDepth:         w.cfg.MaxDepth,
 		Constraints:      q.Constraints,
@@ -930,7 +951,7 @@ func (w *Wallet) queryDirect(q Query) (*core.Proof, string, graph.Stats, error) 
 	if useCache {
 		key = cacheKey(q.Subject, q.Object, q.Constraints)
 		gen = w.cache.gen()
-		if p, negative, ok := w.cache.Lookup(key, w.Now(), w.IsRevoked); ok {
+		if p, negative, ok := w.cache.Lookup(key, w.Now(), w.isRevoked); ok {
 			if negative {
 				return nil, "negative", gs, core.ErrNoProof
 			}
@@ -1030,14 +1051,12 @@ func (w *Wallet) QueryObject(object core.Role, constraints []core.Constraint) []
 // candidates that validate.
 func (w *Wallet) enumerate(q Query, search func(graph.Options) []*core.Proof) []*core.Proof {
 	opts := w.searchOptions(q)
-	var gs graph.Stats
-	mirror := w.m.searchNodes != nil
-	if mirror {
-		opts.Stats = &gs
+	if w.m.searchNodes != nil {
+		opts.Stats = new(graph.Stats)
 	}
 	candidates := search(opts)
-	if mirror {
-		w.mirrorSearch(gs)
+	if opts.Stats != nil {
+		w.mirrorSearch(*opts.Stats)
 	}
 	vopts := w.validateOptions(q)
 	var out []*core.Proof
