@@ -159,7 +159,13 @@ func (d *Delegation) ID() DelegationID {
 	if v := d.id.Load(); v != nil {
 		return v.(DelegationID)
 	}
-	id := DelegationID(hashHex(d.SigningBytes()))
+	var stack [signingStack]byte
+	return d.idFrom(d.appendSigning(stack[:0]))
+}
+
+// idFrom memoizes the ID hashed from msg, the delegation's signing bytes.
+func (d *Delegation) idFrom(msg []byte) DelegationID {
+	id := DelegationID(hashHex(msg))
 	d.id.Store(id)
 	return id
 }
@@ -229,6 +235,11 @@ func (d *Delegation) VerifyWith(v SigVerifier) error {
 		return &StructureError{ID: d.ID(), Err: err}
 	}
 	msg := d.SigningBytes()
+	// The bytes just encoded are the ID's too: the first verify seeds the
+	// memo so no later ID call encodes them again.
+	if d.id.Load() == nil {
+		d.idFrom(msg)
+	}
 	ok := false
 	if v != nil {
 		ok = v.VerifySig(d.Issuer.Key, msg, d.Signature)

@@ -14,119 +14,118 @@ import (
 // that signature validity never depends on JSON field ordering or float
 // formatting. The encoding is length-prefixed throughout and therefore
 // unambiguous: no two distinct delegations produce the same bytes.
+//
+// It is built by append-style functions, so the only memory it writes is
+// the buffer its caller hands in: a stack array, for the ID and for the
+// bytes SigningBytes copies out.
 
 // signingMagic versions the canonical encoding. Bump on any change.
 const signingMagic = "dRBAC/2\n"
 
-type encoder struct {
-	buf []byte
+// signingStack sizes the stack array an encoding is built in; nearly every
+// delegation's fits, and a longer one grows onto the heap.
+const signingStack = 1 << 10
+
+func appendBytes(b, v []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+	return append(b, v...)
 }
 
-func (e *encoder) bytes(b []byte) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	e.buf = append(e.buf, n[:]...)
-	e.buf = append(e.buf, b...)
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
-func (e *encoder) str(s string) { e.bytes([]byte(s)) }
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
-func (e *encoder) u64(v uint64) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], v)
-	e.buf = append(e.buf, n[:]...)
-}
-
-func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
-
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e *encoder) bool(v bool) {
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
+		return append(b, 1)
 	}
+	return append(b, 0)
 }
 
-func (e *encoder) timestamp(t time.Time) {
+func appendTimestamp(b []byte, t time.Time) []byte {
 	if t.IsZero() {
-		e.i64(0)
-		return
+		return appendU64(b, 0)
 	}
-	e.i64(t.UnixMicro())
+	return appendU64(b, uint64(t.UnixMicro()))
 }
 
-func (e *encoder) role(r Role) {
-	e.str(string(r.Namespace))
-	e.str(r.Name)
-	e.u64(uint64(r.Tick))
-	e.bool(r.Attr)
-	e.u64(uint64(r.Op))
+func appendRole(b []byte, r Role) []byte {
+	b = appendStr(b, string(r.Namespace))
+	b = appendStr(b, r.Name)
+	b = appendU64(b, uint64(r.Tick))
+	b = appendBool(b, r.Attr)
+	return appendU64(b, uint64(r.Op))
 }
 
-func (e *encoder) subject(s Subject) {
-	e.bool(s.IsEntity())
+func appendSubject(b []byte, s Subject) []byte {
+	b = appendBool(b, s.IsEntity())
 	if s.IsEntity() {
-		e.str(string(s.Entity))
-		return
+		return appendStr(b, string(s.Entity))
 	}
-	e.role(s.Role)
+	return appendRole(b, s.Role)
 }
 
-func (e *encoder) setting(s AttributeSetting) {
-	e.str(string(s.Attr.Namespace))
-	e.str(s.Attr.Name)
-	e.u64(uint64(s.Op))
-	e.f64(s.Value)
+func appendSetting(b []byte, s AttributeSetting) []byte {
+	b = appendStr(b, string(s.Attr.Namespace))
+	b = appendStr(b, s.Attr.Name)
+	b = appendU64(b, uint64(s.Op))
+	return appendU64(b, math.Float64bits(s.Value))
 }
 
-func (e *encoder) tag(t *DiscoveryTag) {
+func appendTag(b []byte, t *DiscoveryTag) []byte {
 	if t == nil {
-		e.bool(false)
-		return
+		return appendBool(b, false)
 	}
-	e.bool(true)
+	b = appendBool(b, true)
 	n := t.Normalize()
-	e.str(n.Home)
-	e.role(n.AuthRole)
-	e.i64(int64(n.TTL))
-	e.u64(uint64(n.Subject))
-	e.u64(uint64(n.Object))
+	b = appendStr(b, n.Home)
+	b = appendRole(b, n.AuthRole)
+	b = appendU64(b, uint64(n.TTL))
+	b = appendU64(b, uint64(n.Subject))
+	return appendU64(b, uint64(n.Object))
+}
+
+// appendSigning appends the canonical encoding of d to b.
+func (d *Delegation) appendSigning(b []byte) []byte {
+	b = append(b, signingMagic...)
+	b = appendSubject(b, d.Subject)
+	if d.SubjectEntity != nil {
+		b = appendBool(b, true)
+		b = appendStr(b, d.SubjectEntity.Name)
+		b = appendBytes(b, d.SubjectEntity.Key)
+	} else {
+		b = appendBool(b, false)
+	}
+	b = appendRole(b, d.Object)
+	b = appendStr(b, d.Issuer.Name)
+	b = appendBytes(b, d.Issuer.Key)
+	b = appendU64(b, uint64(len(d.Attributes)))
+	for _, s := range d.Attributes {
+		b = appendSetting(b, s)
+	}
+	b = appendTimestamp(b, d.IssuedAt)
+	b = appendTimestamp(b, d.Expiry)
+	b = appendU64(b, d.Nonce)
+	b = appendTag(b, d.SubjectTag)
+	b = appendTag(b, d.ObjectTag)
+	b = appendTag(b, d.IssuerTag)
+	b = appendU64(b, uint64(len(d.ActingAs)))
+	for _, r := range d.ActingAs {
+		b = appendRole(b, r)
+	}
+	return appendU64(b, uint64(d.DepthLimit))
 }
 
 // SigningBytes returns the canonical byte encoding the issuer signs. Every
-// semantic field of the delegation participates.
+// semantic field of the delegation participates. It is one allocation, of
+// the encoding's exact size, for any encoding that fits signingStack.
 func (d *Delegation) SigningBytes() []byte {
-	e := &encoder{buf: make([]byte, 0, 256)}
-	e.buf = append(e.buf, signingMagic...)
-	e.subject(d.Subject)
-	if d.SubjectEntity != nil {
-		e.bool(true)
-		e.str(d.SubjectEntity.Name)
-		e.bytes(d.SubjectEntity.Key)
-	} else {
-		e.bool(false)
-	}
-	e.role(d.Object)
-	e.str(d.Issuer.Name)
-	e.bytes(d.Issuer.Key)
-	e.u64(uint64(len(d.Attributes)))
-	for _, s := range d.Attributes {
-		e.setting(s)
-	}
-	e.timestamp(d.IssuedAt)
-	e.timestamp(d.Expiry)
-	e.u64(d.Nonce)
-	e.tag(d.SubjectTag)
-	e.tag(d.ObjectTag)
-	e.tag(d.IssuerTag)
-	e.u64(uint64(len(d.ActingAs)))
-	for _, r := range d.ActingAs {
-		e.role(r)
-	}
-	e.u64(uint64(d.DepthLimit))
-	return e.buf
+	var stack [signingStack]byte
+	msg := d.appendSigning(stack[:0])
+	return append(make([]byte, 0, len(msg)), msg...)
 }
 
 func hashHex(b []byte) string {

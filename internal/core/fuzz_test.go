@@ -14,24 +14,7 @@ import (
 // `go test -fuzz=FuzzParseDelegation ./internal/core`.
 func FuzzParseDelegation(f *testing.F) {
 	fixture := newFuzzFixture(f)
-	seeds := []string{
-		"[Mark -> BigISP.memberServices] BigISP",
-		"[BigISP.memberServices -> BigISP.member'] BigISP",
-		"[Maria -> BigISP.member] Mark",
-		"[BigISP.member -> AirNet.member with AirNet.BW <= 100 and AirNet.storage -= 20] Sheila",
-		"[AirNet.mktg -> AirNet.storage -= '] AirNet",
-		"[Maria -> BigISP.member] Mark <expiry:2027-01-01T00:00:00Z>",
-		"[Maria -> BigISP.member] Mark <depth:2>",
-		"[Maria -> BigISP.member] Mark <acting-as:BigISP.member'>",
-		"[BigISP.member<wallet.example:BigISP.wallet:30:So> -> AirNet.member] Sheila",
-		"[Maria → BigISP.member] Mark",
-		"[", "]", "[]", "[->]", "[a->b]c",
-		"[Maria -> BigISP.member with ] Mark",
-		"[Maria -> BigISP.member'''''''] Mark",
-		"[Maria -> BigISP.member] Mark <",
-		strings.Repeat("[", 100),
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
@@ -64,6 +47,26 @@ func FuzzParseDelegation(f *testing.F) {
 			t.Fatalf("round trip changed structure:\ninput:    %q\nrendered: %q", text, rendered)
 		}
 	})
+}
+
+// fuzzSeeds is FuzzParseDelegation's seed corpus: the paper's examples,
+// every annotation, and malformed inputs.
+var fuzzSeeds = []string{
+	"[Mark -> BigISP.memberServices] BigISP",
+	"[BigISP.memberServices -> BigISP.member'] BigISP",
+	"[Maria -> BigISP.member] Mark",
+	"[BigISP.member -> AirNet.member with AirNet.BW <= 100 and AirNet.storage -= 20] Sheila",
+	"[AirNet.mktg -> AirNet.storage -= '] AirNet",
+	"[Maria -> BigISP.member] Mark <expiry:2027-01-01T00:00:00Z>",
+	"[Maria -> BigISP.member] Mark <depth:2>",
+	"[Maria -> BigISP.member] Mark <acting-as:BigISP.member'>",
+	"[BigISP.member<wallet.example:BigISP.wallet:30:So> -> AirNet.member] Sheila",
+	"[Maria → BigISP.member] Mark",
+	"[", "]", "[]", "[->]", "[a->b]c",
+	"[Maria -> BigISP.member with ] Mark",
+	"[Maria -> BigISP.member'''''''] Mark",
+	"[Maria -> BigISP.member] Mark <",
+	strings.Repeat("[", 100),
 }
 
 // fuzzFixture mirrors fixture for fuzzing (testing.F instead of testing.T).

@@ -86,16 +86,25 @@ func (r Role) Validate() error {
 // String renders the role with the namespace fingerprint abbreviated, e.g.
 // "a1b2c3d4.member'". Use Printer for name-resolved rendering.
 func (r Role) String() string {
+	ns, op := r.Namespace.Short(), ""
+	n := len(ns) + 1 + len(r.Name) + max(r.Tick, 0)
+	if r.Attr {
+		op = r.Op.String()
+		n += len(op) + 2
+	}
 	var b strings.Builder
-	b.WriteString(r.Namespace.Short())
+	b.Grow(n)
+	b.WriteString(ns)
 	b.WriteByte('.')
 	b.WriteString(r.Name)
 	if r.Attr {
 		b.WriteByte(' ')
-		b.WriteString(r.Op.String())
+		b.WriteString(op)
 		b.WriteByte('=')
 	}
-	b.WriteString(strings.Repeat("'", r.Tick))
+	for range r.Tick {
+		b.WriteByte('\'')
+	}
 	return b.String()
 }
 

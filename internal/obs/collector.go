@@ -16,6 +16,9 @@ type SpanEvent struct {
 	Msg      string            `json:"msg"`
 	OffsetUS int64             `json:"offsetUs"`
 	Attrs    map[string]string `json:"attrs,omitempty"`
+	// args is Attrs not yet rendered: the collector keeps the key/value
+	// args as given and renders them when the trace is read.
+	args []any
 }
 
 // SpanRecord is one completed span as retained by the collector and as
@@ -31,6 +34,22 @@ type SpanRecord struct {
 	Err        string            `json:"err,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Events     []SpanEvent       `json:"events,omitempty"`
+	// args is Attrs not yet rendered, as on SpanEvent.
+	args []any
+}
+
+// render fills Attrs and the events' Attrs from the args kept for them.
+// Rendering happens at the first read, under the collector's lock, so no
+// copy handed out ever sees a record change.
+func (sp *SpanRecord) render() {
+	if sp.args != nil {
+		sp.Attrs, sp.args = attrMap(sp.args), nil
+	}
+	for i := range sp.Events {
+		if ev := &sp.Events[i]; ev.args != nil {
+			ev.Attrs, ev.args = attrMap(ev.args), nil
+		}
+	}
 }
 
 // TraceRecord is one retained completed trace: its spans plus the
@@ -316,7 +335,8 @@ func headSampled(traceID string, rate float64) bool {
 	return float64(h.Sum32()) < rate*float64(1<<32)
 }
 
-// Get returns a copy of the retained trace with the given ID.
+// Get returns a copy of the retained trace with the given ID, its span and
+// event attributes rendered.
 func (c *Collector) Get(id string) (TraceRecord, bool) {
 	if c == nil {
 		return TraceRecord{}, false
@@ -326,6 +346,9 @@ func (c *Collector) Get(id string) (TraceRecord, bool) {
 	rec := c.byID[id]
 	if rec == nil {
 		return TraceRecord{}, false
+	}
+	for i := range rec.Spans {
+		rec.Spans[i].render()
 	}
 	out := *rec
 	out.Spans = append([]SpanRecord(nil), rec.Spans...)

@@ -166,7 +166,9 @@ func (o *Obs) SLO(name string) *SLO {
 // end (with duration) at debug level, each record carrying the trace ID and
 // span name so a cross-wallet operation reads as one story. When the Obs
 // has a collector the completed span is additionally retained in-process
-// and assembled into a trace tree. A nil span (from a nil *Obs) is a no-op.
+// and assembled into a trace tree, its attributes kept as given and
+// rendered to text when the trace is read. Debug records are built only
+// when debug logging is on. A nil span (from a nil *Obs) is a no-op.
 type Span struct {
 	o      *Obs
 	col    *Collector // non-nil when the span will be retained
@@ -177,7 +179,9 @@ type Span struct {
 	start  time.Time
 	root   bool // opened by StartSpan/StartServerSpan, not StartChild
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// attrs is the key/value args retained for the collector: the start's,
+	// then End's appended into the room left after them.
 	attrs  []any
 	events []SpanEvent
 	err    string
@@ -214,9 +218,11 @@ func (o *Obs) startRoot(traceID, parentID, name string, args []any) *Span {
 		s.col = c
 	}
 	if s.col != nil && len(args) > 0 {
-		s.attrs = append(s.attrs, args...)
+		s.attrs = append(make([]any, 0, len(args)+endRoom), args...)
 	}
-	o.Log().Debug("span start", s.withIDs(args)...)
+	if o.DebugEnabled() {
+		o.Log().Debug("span start", s.withIDs(args)...)
+	}
 	return s
 }
 
@@ -236,9 +242,11 @@ func (s *Span) StartChild(name string, args ...any) *Span {
 		start:  time.Now(),
 	}
 	if c.col != nil && len(args) > 0 {
-		c.attrs = append(c.attrs, args...)
+		c.attrs = append(make([]any, 0, len(args)+endRoom), args...)
 	}
-	s.o.Log().Debug("span start", c.withIDs(args)...)
+	if s.o.DebugEnabled() {
+		s.o.Log().Debug("span start", c.withIDs(args)...)
+	}
 	return c
 }
 
@@ -288,15 +296,19 @@ func (s *Span) Event(msg string, args ...any) {
 	if s.col != nil {
 		ev := SpanEvent{Msg: msg, OffsetUS: time.Since(s.start).Microseconds()}
 		if len(args) > 0 {
-			ev.Attrs = attrMap(args)
+			ev.args = settle(append(make([]any, 0, len(args)), args...))
 		}
 		s.mu.Lock()
-		if len(s.events) < maxSpanEvents {
+		// An event after End reaches no record: End handed the collector
+		// the events so far, which it may be rendering.
+		if !s.ended && len(s.events) < maxSpanEvents {
 			s.events = append(s.events, ev)
 		}
 		s.mu.Unlock()
 	}
-	s.o.Log().Debug(msg, s.withIDs(args)...)
+	if s.o.DebugEnabled() {
+		s.o.Log().Debug(msg, s.withIDs(args)...)
+	}
 }
 
 // maxSpanEvents bounds per-span retained events; logs are unaffected.
@@ -325,13 +337,7 @@ func (s *Span) End(args ...any) time.Duration {
 				Err:        s.err,
 				Events:     s.events,
 			}
-			all := s.attrs
-			if len(args) > 0 {
-				all = append(append([]any{}, all...), args...)
-			}
-			if len(all) > 0 {
-				rec.Attrs = attrMap(all)
-			}
+			rec.args = settle(append(s.attrs, args...))
 			s.mu.Unlock()
 			s.col.addSpan(rec)
 			if s.root {
@@ -341,18 +347,41 @@ func (s *Span) End(args ...any) time.Duration {
 			s.mu.Unlock()
 		}
 	}
-	args = append(args, "duration_ms", float64(d.Microseconds())/1000)
-	s.o.Log().Debug("span end", s.withIDs(args)...)
+	if s.o.DebugEnabled() {
+		s.o.Log().Debug("span end", append(s.withIDs(args), "duration_ms", float64(d.Microseconds())/1000)...)
+	}
 	return d
 }
 
+// withIDs prefixes a debug record's args with the span's identity, leaving
+// room for End's duration.
 func (s *Span) withIDs(args []any) []any {
-	out := make([]any, 0, len(args)+8)
+	out := make([]any, 0, len(args)+10)
 	out = append(out, "trace", s.trace, "span", s.name, "span_id", s.id)
 	if s.parent != "" {
 		out = append(out, "parent_id", s.parent)
 	}
 	return append(out, args...)
+}
+
+// endRoom is the room a span's retained args leave for End's: the
+// "found"/"results" pairs most spans end with.
+const endRoom = 4
+
+// settle readies slog-style key/value args for the collector, which renders
+// them (attrMap) only when the trace is read. A string, bool or number
+// renders the same text then as now and is kept as given; any other value is
+// rendered now, so a later change to it cannot reach the trace.
+func settle(args []any) []any {
+	for i := 1; i < len(args); i += 2 {
+		switch args[i].(type) {
+		case string, bool, int, int8, int16, int32, int64,
+			uint, uint8, uint16, uint32, uint64, float32, float64:
+		default:
+			args[i] = fmt.Sprint(args[i])
+		}
+	}
+	return args
 }
 
 // attrMap flattens slog-style key/value args into a string map for span

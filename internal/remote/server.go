@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -367,10 +368,16 @@ func (s *Server) handleConn(conn transport.Conn) {
 // dispatch serves one request, then meters it and emits the audit record:
 // request type, authenticated peer, per-type detail (delegation, query
 // subject/object, proof found), trace ID when the caller sent one, outcome,
-// and latency.
+// and latency. The record is typed attributes, built only when the logger
+// takes Info records.
 func (s *Server) dispatch(cs *connState, env wire.Envelope) {
 	start := time.Now()
-	attrs, err := s.handle(cs, env)
+	var rec []slog.Attr
+	if s.obs != nil && s.obs.Log().Enabled(context.Background(), slog.LevelInfo) {
+		rec = make([]slog.Attr, 0, auditCap)
+		rec = append(rec, slog.String("type", string(env.Type)), slog.String("peer", cs.peer))
+	}
+	rec, err := s.handle(cs, env, rec)
 	if err != nil {
 		cs.sendErr(env.ID, err)
 	}
@@ -383,28 +390,71 @@ func (s *Server) dispatch(cs *connState, env wire.Envelope) {
 			s.m.errors.Inc()
 		}
 	}
-	if s.obs != nil {
-		rec := make([]any, 0, len(attrs)+8)
-		rec = append(rec, "type", string(env.Type), "peer", cs.peer)
-		rec = append(rec, attrs...)
-		rec = append(rec, "duration_ms", float64(time.Since(start).Microseconds())/1000)
+	if rec != nil {
+		rec = append(rec, slog.Float64("duration_ms", float64(time.Since(start).Microseconds())/1000))
 		if err != nil {
-			rec = append(rec, "error", err.Error())
+			rec = append(rec, slog.String("error", err.Error()))
 		}
-		s.obs.Log().Info("request", rec...)
+		s.obs.Log().LogAttrs(context.Background(), slog.LevelInfo, "request", rec...)
 	}
 }
 
+// auditCap sizes an audit record for its longest kind: type, peer, a
+// query's trace, subject, object, found and results, then duration and
+// error.
+const auditCap = 10
+
+// note adds a request's detail to its audit record; with the record off
+// (rec nil) it keeps nothing.
+func note(rec []slog.Attr, attrs ...slog.Attr) []slog.Attr {
+	if rec == nil {
+		return nil
+	}
+	return append(rec, attrs...)
+}
+
+// ends renders the subject and object a query names (the ones asked for; an
+// end not asked for is ""), and adds them with its trace ID to the audit
+// record, only when something reads them: the audit record or the span a
+// traced request opens. No subject or role renders as "".
+func (s *Server) ends(req *wire.QueryReq, rec []slog.Attr, subject, object bool) (subj, obj string, _ []slog.Attr) {
+	if rec == nil && !s.traced(req) {
+		return "", "", nil
+	}
+	rec = note(rec, slog.String("trace", req.TraceID))
+	if subject {
+		subj = req.Subject.String()
+		rec = note(rec, slog.String("subject", subj))
+	}
+	if object {
+		obj = req.Object.String()
+		rec = note(rec, slog.String("object", obj))
+	}
+	return subj, obj, rec
+}
+
+// traced reports whether a query opens a server span.
+func (s *Server) traced(req *wire.QueryReq) bool { return s.obs != nil && req.TraceID != "" }
+
 // serveSpan opens the server-side span for a traced query: a local root
 // continuing the caller's trace, parented under the caller's span ID so a
-// merged cross-wallet trace nests this hop below the query that caused it.
-// The returned context carries the span down into the wallet (and the
-// proxy fallback). Untraced requests get a nil span and the base context.
-func (s *Server) serveSpan(req *wire.QueryReq, name string, args []any) (context.Context, *obs.Span) {
-	if s.obs == nil || req.TraceID == "" {
+// merged cross-wallet trace nests this hop below the query that caused it,
+// with the rendered ends the query names (from ends) as its attributes. The
+// returned context carries the span down into the wallet (and the proxy
+// fallback). Untraced requests get a nil span and the base context.
+func (s *Server) serveSpan(req *wire.QueryReq, name, subj, obj string) (context.Context, *obs.Span) {
+	if !s.traced(req) {
 		return s.baseCtx, nil
 	}
-	sp := s.obs.StartServerSpan(req.TraceID, req.SpanID, name, args...)
+	var sp *obs.Span
+	switch {
+	case obj == "":
+		sp = s.obs.StartServerSpan(req.TraceID, req.SpanID, name, "subject", subj)
+	case subj == "":
+		sp = s.obs.StartServerSpan(req.TraceID, req.SpanID, name, "object", obj)
+	default:
+		sp = s.obs.StartServerSpan(req.TraceID, req.SpanID, name, "subject", subj, "object", obj)
+	}
 	return obs.ContextWithSpan(s.baseCtx, sp), sp
 }
 
@@ -412,55 +462,56 @@ func (s *Server) serveSpan(req *wire.QueryReq, name string, args []any) (context
 // a request at all, who may be sent it and which type its success reply goes
 // out under, the handler set says who serves it. It is the one place a
 // request is refused for what this server is; handlers only refuse what a
-// request asks. It returns audit-log attributes; a returned error is sent by
-// dispatch.
-func (s *Server) handle(cs *connState, env wire.Envelope) ([]any, error) {
+// request asks. It returns the audit record rec with the request's detail
+// added; a returned error is sent by dispatch.
+func (s *Server) handle(cs *connState, env wire.Envelope, rec []slog.Attr) ([]slog.Attr, error) {
 	msg, h := wire.Lookup(env.Type), handlers[env.Type]
 	switch {
 	case msg == nil || msg.Reply == "" || h == nil:
 		// Not in the protocol, or a reply, push or reserved type.
-		return nil, fmt.Errorf("unknown request type %q", env.Type)
+		return rec, fmt.Errorf("unknown request type %q", env.Type)
 	case !s.serves[msg.Tier]:
-		return nil, fmt.Errorf("%s: wallet does not serve %s requests", env.Type, msg.Tier)
+		return rec, fmt.Errorf("%s: wallet does not serve %s requests", env.Type, msg.Tier)
 	case msg.Mutates && s.readOnly:
-		return nil, fmt.Errorf("%s: %w", env.Type, ErrReadOnly)
+		return rec, fmt.Errorf("%s: %w", env.Type, ErrReadOnly)
 	}
-	reply, attrs, err := h(s, cs, msg, env)
+	reply, rec, err := h(s, cs, msg, env, rec)
 	if err != nil {
-		return attrs, err
+		return rec, err
 	}
-	return attrs, cs.send(msg.Reply, env.ID, reply)
+	return rec, cs.send(msg.Reply, env.ID, reply)
 }
 
 // handler serves one request type: it returns the success reply's body
-// (nil for none) and the request's audit-log attributes.
-type handler func(s *Server, cs *connState, msg *wire.Message, env wire.Envelope) (reply any, attrs []any, err error)
+// (nil for none) and the audit record rec with the request's detail added
+// (note); rec is nil when the record is off.
+type handler func(s *Server, cs *connState, msg *wire.Message, env wire.Envelope, rec []slog.Attr) (reply any, _ []slog.Attr, err error)
 
 // on adapts a handler that takes a decoded body — the one place request
 // bodies are decoded.
-func on[Req any](serve func(*Server, *connState, *Req) (any, []any, error)) handler {
-	return func(s *Server, cs *connState, msg *wire.Message, env wire.Envelope) (any, []any, error) {
+func on[Req any](serve func(*Server, *connState, *Req, []slog.Attr) (any, []slog.Attr, error)) handler {
+	return func(s *Server, cs *connState, msg *wire.Message, env wire.Envelope, rec []slog.Attr) (any, []slog.Attr, error) {
 		var req Req
 		if len(env.Body) > 0 || !msg.BodyOptional {
 			if err := wire.DecodeBody(env, &req); err != nil {
-				return nil, nil, err
+				return nil, rec, err
 			}
 		}
-		return serve(s, cs, &req)
+		return serve(s, cs, &req, rec)
 	}
 }
 
 // bare adapts a handler for a request that carries no body.
-func bare(serve func(*Server, *connState) (any, []any, error)) handler {
-	return func(s *Server, cs *connState, _ *wire.Message, _ wire.Envelope) (any, []any, error) {
-		return serve(s, cs)
+func bare(serve func(*Server, *connState, []slog.Attr) (any, []slog.Attr, error)) handler {
+	return func(s *Server, cs *connState, _ *wire.Message, _ wire.Envelope, rec []slog.Attr) (any, []slog.Attr, error) {
+		return serve(s, cs, rec)
 	}
 }
 
 // handlers is the server's whole dispatch: one entry per request row of
 // wire.Messages (TestHandlersCoverRequestRows holds the two together).
 var handlers = map[wire.MsgType]handler{
-	wire.TPing:         bare(func(*Server, *connState) (any, []any, error) { return nil, nil, nil }),
+	wire.TPing:         bare(func(_ *Server, _ *connState, rec []slog.Attr) (any, []slog.Attr, error) { return nil, rec, nil }),
 	wire.TPublish:      on((*Server).publish),
 	wire.TQueryDirect:  on((*Server).queryDirect),
 	wire.TQuerySubject: on(queryAll(false)),
@@ -478,38 +529,35 @@ var handlers = map[wire.MsgType]handler{
 	wire.TShardMap:     bare((*Server).shardMap),
 }
 
-func (s *Server) publish(_ *connState, req *wire.PublishReq) (any, []any, error) {
+func (s *Server) publish(_ *connState, req *wire.PublishReq, rec []slog.Attr) (any, []slog.Attr, error) {
 	// A malformed request is refused before the guard or the wallet sees
 	// it: a negative TTL is neither a cached copy nor a durable publish.
 	d := req.Delegation
 	if d == nil {
-		return nil, nil, errors.New("publish: malformed request: no delegation")
+		return nil, rec, errors.New("publish: malformed request: no delegation")
 	}
-	attrs := []any{"delegation", d.ID().Short(), "ttl_s", req.TTLSeconds}
+	rec = note(rec, slog.String("delegation", d.ID().Short()), slog.Int("ttl_s", req.TTLSeconds))
 	if req.TTLSeconds < 0 {
-		return nil, attrs, fmt.Errorf("publish: malformed request: negative ttlSeconds %d", req.TTLSeconds)
+		return nil, rec, fmt.Errorf("publish: malformed request: negative ttlSeconds %d", req.TTLSeconds)
 	}
 	// TTL-cached copies are a local caching concern (§4.2.1), not
 	// partitioned state, so the shard guard does not see them.
 	if req.TTLSeconds > 0 {
-		return nil, attrs, s.w.InsertCached(d, req.Support, time.Duration(req.TTLSeconds)*time.Second)
+		return nil, rec, s.w.InsertCached(d, req.Support, time.Duration(req.TTLSeconds)*time.Second)
 	}
 	// Shard guard: durable publishes must land on the owning shard under a
 	// fresh epoch.
 	if s.serves[wire.TierCluster] {
 		if rd := s.guard.Check(req.ShardEpoch, &d.Subject); rd != nil {
-			return nil, attrs, &RedirectError{Msg: "publish refused: wrong shard or stale epoch", Redirect: *rd}
+			return nil, rec, &RedirectError{Msg: "publish refused: wrong shard or stale epoch", Redirect: *rd}
 		}
 	}
-	return nil, attrs, s.w.Publish(d, req.Support...)
+	return nil, rec, s.w.Publish(d, req.Support...)
 }
 
-func (s *Server) queryDirect(_ *connState, req *wire.QueryReq) (any, []any, error) {
-	// The audit attributes are rendered once and sized once; the span
-	// (traced requests only) borrows the subject/object pairs from them.
-	attrs := make([]any, 0, 8)
-	attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String(), "object", req.Object.String())
-	ctx, sp := s.serveSpan(req, "serve:query-direct", attrs[2:6:6])
+func (s *Server) queryDirect(_ *connState, req *wire.QueryReq, rec []slog.Attr) (any, []slog.Attr, error) {
+	subj, obj, rec := s.ends(req, rec, true, true)
+	ctx, sp := s.serveSpan(req, "serve:query-direct", subj, obj)
 	q := wallet.Query{
 		Ctx:         ctx,
 		Subject:     req.Subject,
@@ -523,7 +571,7 @@ func (s *Server) queryDirect(_ *connState, req *wire.QueryReq) (any, []any, erro
 		sp.Fail(err)
 	}
 	sp.End("found", err == nil)
-	return wire.ProofResp{Proof: p}, append(attrs, "found", err == nil), err
+	return wire.ProofResp{Proof: p}, note(rec, slog.Bool("found", err == nil)), err
 }
 
 // direct answers a direct query as query-direct and query-expand serve it:
@@ -540,14 +588,13 @@ func (s *Server) direct(q wallet.Query) (*core.Proof, error) {
 // serves it, and on a miss the enumeration from the end the request's
 // direction names, in one proofs reply. A hit is that one proof; a miss with
 // nothing to enumerate is an empty list, not an error.
-func (s *Server) queryExpand(_ *connState, req *wire.QueryReq) (any, []any, error) {
-	attrs := make([]any, 0, 10)
-	attrs = append(attrs, "trace", req.TraceID, "subject", req.Subject.String(), "object", req.Object.String())
+func (s *Server) queryExpand(_ *connState, req *wire.QueryReq, rec []slog.Attr) (any, []slog.Attr, error) {
+	subj, obj, rec := s.ends(req, rec, true, true)
 	if req.Direction != graph.Forward && req.Direction != graph.Reverse {
-		return nil, attrs, fmt.Errorf("query-expand: malformed request: direction %d is neither forward (%d) nor reverse (%d)",
+		return nil, rec, fmt.Errorf("query-expand: malformed request: direction %d is neither forward (%d) nor reverse (%d)",
 			req.Direction, graph.Forward, graph.Reverse)
 	}
-	ctx, sp := s.serveSpan(req, "serve:query-expand", attrs[2:6:6])
+	ctx, sp := s.serveSpan(req, "serve:query-expand", subj, obj)
 	p, err := s.direct(wallet.Query{
 		Ctx:         ctx,
 		Subject:     req.Subject,
@@ -563,42 +610,39 @@ func (s *Server) queryExpand(_ *connState, req *wire.QueryReq) (any, []any, erro
 	case !errors.Is(err, core.ErrNoProof):
 		sp.Fail(err)
 		sp.End("found", false)
-		return nil, append(attrs, "found", false), err
+		return nil, note(rec, slog.Bool("found", false)), err
 	case req.Direction == graph.Reverse:
 		proofs = s.w.QueryObject(req.Object, req.Constraints)
 	default:
 		proofs = s.w.QuerySubject(req.Subject, req.Constraints)
 	}
 	sp.End("found", found, "results", len(proofs))
-	return wire.ProofsResp{Proofs: proofs}, append(attrs, "found", found, "results", len(proofs)), nil
+	return wire.ProofsResp{Proofs: proofs}, note(rec, slog.Bool("found", found), slog.Int("results", len(proofs))), nil
 }
 
 // queryAll serves query-subject and, with object set, query-object: the
 // same search from the other end of the chain.
-func queryAll(object bool) func(*Server, *connState, *wire.QueryReq) (any, []any, error) {
-	return func(s *Server, _ *connState, req *wire.QueryReq) (any, []any, error) {
-		attrs := make([]any, 0, 6)
-		attrs = append(attrs, "trace", req.TraceID)
+func queryAll(object bool) func(*Server, *connState, *wire.QueryReq, []slog.Attr) (any, []slog.Attr, error) {
+	return func(s *Server, _ *connState, req *wire.QueryReq, rec []slog.Attr) (any, []slog.Attr, error) {
+		subj, obj, rec := s.ends(req, rec, !object, object)
 		var proofs []*core.Proof
 		if object {
-			attrs = append(attrs, "object", req.Object.String())
-			_, sp := s.serveSpan(req, "serve:query-object", attrs[2:4:4])
+			_, sp := s.serveSpan(req, "serve:query-object", subj, obj)
 			proofs = s.w.QueryObject(req.Object, req.Constraints)
 			sp.End("results", len(proofs))
 		} else {
-			attrs = append(attrs, "subject", req.Subject.String())
-			_, sp := s.serveSpan(req, "serve:query-subject", attrs[2:4:4])
+			_, sp := s.serveSpan(req, "serve:query-subject", subj, obj)
 			proofs = s.w.QuerySubject(req.Subject, req.Constraints)
 			sp.End("results", len(proofs))
 		}
-		return wire.ProofsResp{Proofs: proofs}, append(attrs, "results", len(proofs)), nil
+		return wire.ProofsResp{Proofs: proofs}, note(rec, slog.Int("results", len(proofs))), nil
 	}
 }
 
-func (s *Server) trace(_ *connState, req *wire.TraceReq) (any, []any, error) {
+func (s *Server) trace(_ *connState, req *wire.TraceReq, rec []slog.Attr) (any, []slog.Attr, error) {
 	spans := s.obs.TraceCollector().Spans(req.TraceID)
-	attrs := []any{"trace", req.TraceID, "spans", len(spans)}
-	return wire.TraceResp{Found: len(spans) > 0, Spans: spans}, attrs, nil
+	rec = note(rec, slog.String("trace", req.TraceID), slog.Int("spans", len(spans)))
+	return wire.TraceResp{Found: len(spans) > 0, Spans: spans}, rec, nil
 }
 
 // subscribeOne wires a wallet subscription to notification pushes on this
@@ -608,16 +652,16 @@ func (s *Server) trace(_ *connState, req *wire.TraceReq) (any, []any, error) {
 // or is already recorded and refuses the subscribe with an error wrapping
 // core.ErrNoProof. So a subscriber that fetched the delegation before its
 // revocation misses neither.
-func (s *Server) subscribeOne(cs *connState, req *wire.SubscribeReq) (any, []any, error) {
+func (s *Server) subscribeOne(cs *connState, req *wire.SubscribeReq, rec []slog.Attr) (any, []slog.Attr, error) {
 	id := req.Delegation
-	attrs := []any{"delegation", id.Short()}
+	rec = note(rec, slog.String("delegation", id.Short()))
 	q := s.queue(cs)
 	cancel := s.w.Subscribe(id, func(ev subs.Event) {
 		s.push(cs, q, wire.NotifyPush{Delegation: ev.Delegation, Kind: ev.Kind.String(), At: ev.At})
 	})
 	if s.w.IsRevoked(id) {
 		cancel()
-		return nil, attrs, fmt.Errorf("delegation %s revoked: %w", id.Short(), core.ErrNoProof)
+		return nil, rec, fmt.Errorf("delegation %s revoked: %w", id.Short(), core.ErrNoProof)
 	}
 	cs.subMu.Lock()
 	defer cs.subMu.Unlock()
@@ -625,49 +669,51 @@ func (s *Server) subscribeOne(cs *connState, req *wire.SubscribeReq) (any, []any
 		old()
 	}
 	cs.cancels[id] = cancel
-	return nil, attrs, nil
+	return nil, rec, nil
 }
 
-func (s *Server) unsubscribe(cs *connState, req *wire.SubscribeReq) (any, []any, error) {
+func (s *Server) unsubscribe(cs *connState, req *wire.SubscribeReq, rec []slog.Attr) (any, []slog.Attr, error) {
 	cs.subMu.Lock()
 	if cancel, ok := cs.cancels[req.Delegation]; ok {
 		cancel()
 		delete(cs.cancels, req.Delegation)
 	}
 	cs.subMu.Unlock()
-	return nil, []any{"delegation", req.Delegation.Short()}, nil
+	return nil, note(rec, slog.String("delegation", req.Delegation.Short())), nil
 }
 
-func (s *Server) revoke(cs *connState, req *wire.RevokeReq) (any, []any, error) {
-	attrs := []any{"delegation", req.Delegation.Short()}
+func (s *Server) revoke(cs *connState, req *wire.RevokeReq, rec []slog.Attr) (any, []slog.Attr, error) {
+	rec = note(rec, slog.String("delegation", req.Delegation.Short()))
 	if s.serves[wire.TierCluster] {
 		if rd := s.guard.Check(req.ShardEpoch, nil); rd != nil {
-			return nil, attrs, &RedirectError{Msg: "revoke refused: stale shard map epoch", Redirect: *rd}
+			return nil, rec, &RedirectError{Msg: "revoke refused: stale shard map epoch", Redirect: *rd}
 		}
 	}
 	// Authorization: the authenticated peer must be the issuer.
-	return nil, attrs, s.w.Revoke(req.Delegation, cs.conn.Peer().ID())
+	return nil, rec, s.w.Revoke(req.Delegation, cs.conn.Peer().ID())
 }
 
-func (s *Server) has(_ *connState, req *wire.HasReq) (any, []any, error) {
+func (s *Server) has(_ *connState, req *wire.HasReq, rec []slog.Attr) (any, []slog.Attr, error) {
 	present := s.w.Contains(req.Delegation)
-	return wire.HasResp{Present: present}, []any{"delegation", req.Delegation.Short(), "present", present}, nil
+	return wire.HasResp{Present: present}, note(rec, slog.String("delegation", req.Delegation.Short()), slog.Bool("present", present)), nil
 }
 
-func (s *Server) proveRole(_ *connState, req *wire.ProveRoleReq) (any, []any, error) {
-	attrs := []any{"role", req.Role.String()}
+func (s *Server) proveRole(_ *connState, req *wire.ProveRoleReq, rec []slog.Attr) (any, []slog.Attr, error) {
+	if rec != nil {
+		rec = append(rec, slog.String("role", req.Role.String()))
+	}
 	owner := s.w.Owner()
 	if owner == nil {
-		return nil, attrs, fmt.Errorf("wallet has no operating identity")
+		return nil, rec, fmt.Errorf("wallet has no operating identity")
 	}
 	p, err := s.w.QueryDirect(wallet.Query{
 		Subject: core.SubjectEntity(owner.ID()),
 		Object:  req.Role,
 	})
-	return wire.ProofResp{Proof: p}, attrs, err
+	return wire.ProofResp{Proof: p}, rec, err
 }
 
-func (s *Server) stats(*connState) (any, []any, error) {
+func (s *Server) stats(_ *connState, rec []slog.Attr) (any, []slog.Attr, error) {
 	ws := wire.StatsSnapshot()
 	ws.ConnCodec = wire.CodecBinary
 	return wire.StatsResp{
@@ -675,22 +721,22 @@ func (s *Server) stats(*connState) (any, []any, error) {
 		Seq:     s.w.Seq(),
 		Metrics: s.obs.Registry().Snapshot(),
 		Wire:    &ws,
-	}, nil, nil
+	}, rec, nil
 }
 
-func (s *Server) shardMap(*connState) (any, []any, error) {
+func (s *Server) shardMap(_ *connState, rec []slog.Attr) (any, []slog.Attr, error) {
 	resp, err := s.guard.MapResp()
-	return resp, []any{"epoch", resp.Epoch, "shard", resp.Shard}, err
+	return resp, note(rec, slog.Uint64("epoch", resp.Epoch), slog.Int("shard", resp.Shard)), err
 }
 
-func (s *Server) sync(*connState) (any, []any, error) {
+func (s *Server) sync(_ *connState, rec []slog.Attr) (any, []slog.Attr, error) {
 	snap := s.rep.Snapshot()
 	resp := wire.SyncResp{Seq: snap.Seq, Revoked: snap.Revoked}
 	resp.Bundles = make([]wire.SyncBundle, 0, len(snap.Bundles))
 	for _, b := range snap.Bundles {
 		resp.Bundles = append(resp.Bundles, wire.SyncBundle{Delegation: b.Delegation, Support: b.Support})
 	}
-	return resp, []any{"seq", snap.Seq, "bundles", len(resp.Bundles), "revoked", len(resp.Revoked)}, nil
+	return resp, note(rec, slog.Uint64("seq", snap.Seq), slog.Int("bundles", len(resp.Bundles)), slog.Int("revoked", len(resp.Revoked))), nil
 }
 
 // pushQueueLen bounds a connection's queued pushes: a burst of that many
@@ -762,7 +808,7 @@ func (s *Server) writePushes(cs *connState, q <-chan wire.NotifyPush, stop <-cha
 // carry the full bundle so followers need no read-back). It answers with the
 // wallet seq observed after the stream became live; every mutation with a
 // greater seq will be delivered.
-func (s *Server) subscribeAll(cs *connState) (any, []any, error) {
+func (s *Server) subscribeAll(cs *connState, rec []slog.Attr) (any, []slog.Attr, error) {
 	q := s.queue(cs)
 	cancel := s.rep.SubscribeAll(func(ev subs.Event) {
 		p := wire.NotifyPush{Delegation: ev.Delegation, Kind: ev.Kind.String(), At: ev.At, Seq: ev.Seq}
@@ -787,5 +833,5 @@ func (s *Server) subscribeAll(cs *connState) (any, []any, error) {
 	// this point is guaranteed to reach the stream, so the client can
 	// compare against its bootstrap snapshot for a gap-free handover.
 	seq := s.w.Seq()
-	return wire.SubscribeAllResp{Seq: seq}, []any{"seq", seq}, nil
+	return wire.SubscribeAllResp{Seq: seq}, note(rec, slog.Uint64("seq", seq)), nil
 }

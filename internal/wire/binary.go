@@ -254,6 +254,11 @@ func decodeBinaryBody(env Envelope, out any) error {
 	r := breader{buf: []byte(env.Body)}
 	switch out := out.(type) {
 	case *QueryReq:
+		// Every string of a query is cut from one copy of its body, unless
+		// the body is long enough that a kept name would pin too much.
+		if len(env.Body) <= tableMaxSpan {
+			r.span = string(env.Body)
+		}
 		out.Subject = r.subject()
 		out.Object = r.role()
 		if n := r.count(); n > 0 {

@@ -440,11 +440,41 @@ func (w *bwriter) delegation(d *core.Delegation) {
 	w.bytes(d.Signature)
 }
 
+// delegation reads an optional delegation outside the table: its strings are
+// cut from one copy of its span, as a table miss cuts them, rather than
+// copied one by one.
 func (r *breader) delegation() *core.Delegation {
 	if !r.bool() {
 		return nil
 	}
-	return r.delegationBody()
+	start := r.off
+	r.skipDelegation()
+	return r.delegationIn(r.rewind(start), start)
+}
+
+// rewind moves the cursor back to start, where it stood error-free before a
+// skip pass moved it, and returns a copy of the bytes skipped for the strings read
+// over them again to be cut from. A span over tableMaxSpan, or one that did
+// not skip cleanly, yields "": its strings are copied one by one, so a
+// retained short name never pins a long frame, and the error is cleared for
+// the reads to report it as they always have.
+func (r *breader) rewind(start int) string {
+	n, failed := r.off-start, r.err != nil
+	r.off, r.err = start, nil
+	if failed || n > tableMaxSpan {
+		return ""
+	}
+	return string(r.buf[start : start+n])
+}
+
+// delegationIn decodes the delegation whose span, a copy of the frame's
+// bytes from at, is span: every string field is cut from span (copied, when
+// span is "").
+func (r *breader) delegationIn(span string, at int) *core.Delegation {
+	r.off, r.span, r.spanAt = at, span, at
+	d := r.delegationBody()
+	r.span = ""
+	return d
 }
 
 // delegationBody reads a delegation whose presence flag has been read.
@@ -511,7 +541,7 @@ func (r *breader) proof(depth int) *core.Proof {
 	if !r.bool() {
 		return nil
 	}
-	p := core.Proof{Subject: r.subject(), Object: r.role()}
+	p := r.proofEnds()
 	if n := r.count(); n > 0 {
 		p.Steps = make([]core.ProofStep, n)
 		for i := range p.Steps {
@@ -536,6 +566,18 @@ func (r *breader) proof(depth int) *core.Proof {
 		return nil
 	}
 	return &p
+}
+
+// proofEnds reads a proof's subject and object with their strings cut from
+// one copy of the bytes the two span, as delegation cuts a delegation's.
+func (r *breader) proofEnds() core.Proof {
+	start := r.off
+	r.skipSubject()
+	r.skipRole()
+	r.span, r.spanAt = r.rewind(start), start
+	p := core.Proof{Subject: r.subject(), Object: r.role()}
+	r.span = ""
+	return p
 }
 
 func (r *breader) proofsAt(depth int) []*core.Proof {

@@ -183,7 +183,9 @@ func TestBinaryEncodeGrowsThroughPool(t *testing.T) {
 // TestDecodeRetainsNoLongNames checks that the decoder and the fingerprint
 // memo keep no value of whatever length a peer sends: 64 queries naming
 // 1 MiB roles and 64 publishes signed under 1 MiB issuer keys must leave
-// nothing behind once decoded and fingerprinted.
+// nothing behind once decoded and fingerprinted. Those publishes' spans run
+// past tableMaxSpan, so the short names kept from them must not pin their
+// frames either.
 func TestDecodeRetainsNoLongNames(t *testing.T) {
 	const n, size = 64, 1 << 20
 	live := func() int64 {
@@ -209,6 +211,7 @@ func TestDecodeRetainsNoLongNames(t *testing.T) {
 	p, _, _ := fixtureProof(t)
 	base := p.Steps[0].Delegation
 	before := live()
+	var kept []string
 	for i := 0; i < n; i++ {
 		name := strings.Repeat(string(rune('a'+i%26)), size-1) + string(rune('A'+i/26))
 		var q QueryReq
@@ -224,8 +227,40 @@ func TestDecodeRetainsNoLongNames(t *testing.T) {
 		if got := pub.Delegation.Issuer.ID(); got != d.Issuer.ID() {
 			t.Fatalf("fingerprint of a long key: %s, want %s", got, d.Issuer.ID())
 		}
+		kept = append(kept, pub.Delegation.Issuer.Name, pub.Delegation.Object.Name)
 	}
 	if retained := live() - before; retained >= 1<<20 {
 		t.Fatalf("%d MiB of long names and keys retained after decoding and GC", retained>>20)
+	}
+	runtime.KeepAlive(kept)
+}
+
+// A delegation decoded outside the table costs one string allocation for
+// all seven of its names, a copy of its span. The fixture's first step also
+// carries a subject entity and an attribute, so the rest is the struct, the
+// entity, the attribute slice and the three byte fields: subject key,
+// issuer key and signature.
+func TestPlainDelegationDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p, _, _ := fixtureProof(t)
+	d := p.Steps[0].Delegation
+	var w bwriter
+	w.delegation(d)
+	frame := w.buf
+	var got *core.Delegation
+	n := testing.AllocsPerRun(100, func() {
+		r := breader{buf: frame}
+		got = r.delegation()
+		if err := r.done(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if marshal(t, got) != marshal(t, d) {
+		t.Fatalf("decoded %s, want %s", marshal(t, got), marshal(t, d))
+	}
+	if n != 7 {
+		t.Errorf("plain delegation decode allocates %v times, want 7: struct, names, entity, attributes, two keys, signature", n)
 	}
 }

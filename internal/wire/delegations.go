@@ -15,7 +15,8 @@ import (
 // delegation's exact encoded bytes — its span — to one shared decoded
 // *core.Delegation, so a repeated step costs a compare instead of a decode.
 // Only ProofResp consults it: the enumerations, publishes, pushes and
-// snapshots decode as before, since what they carry is mostly read once.
+// snapshots carry what is mostly read once, and decode each delegation from
+// a copy of its own span instead (breader.delegation).
 //
 // It is sound by construction. Identical bytes decode to identical values,
 // and a decoded delegation is immutable (core.Delegation's ID memo rests on
@@ -30,8 +31,9 @@ import (
 const (
 	tableSets = 512
 	tableWays = 4
-	// tableMaxSpan is the longest span the table holds; longer ones (many
-	// attributes or acting-as roles) decode as before.
+	// tableMaxSpan is the longest span the table holds, and the longest a
+	// decoded delegation's strings are cut from; longer ones (many
+	// attributes or acting-as roles, a long key) decode field by field.
 	tableMaxSpan = 2 << 10
 )
 
@@ -92,9 +94,7 @@ func (r *breader) sharedDelegation() *core.Delegation {
 	// Decode in place, so errors keep their body offsets, with every string
 	// cut from the entry's key rather than copied.
 	e := &tableEntry{key: string(span)}
-	r.off, r.span, r.spanAt = start, e.key, start
-	e.d = r.delegationBody()
-	r.span = ""
+	e.d = r.delegationIn(e.key, start)
 	if e.d == nil {
 		return nil
 	}
@@ -117,11 +117,7 @@ func (r *breader) sharedDelegation() *core.Delegation {
 // delegationBody would, and ends where it ends.
 func (r *breader) skipDelegation() {
 	// Subject, subject entity, object, issuer.
-	if r.bool() {
-		r.raw()
-	} else {
-		r.skipRole()
-	}
+	r.skipSubject()
 	if r.bool() {
 		r.raw()
 		r.raw()
@@ -155,6 +151,14 @@ func (r *breader) skipDelegation() {
 	}
 	r.svarint()
 	r.raw()
+}
+
+func (r *breader) skipSubject() {
+	if r.bool() {
+		r.raw()
+	} else {
+		r.skipRole()
+	}
 }
 
 func (r *breader) skipRole() {
